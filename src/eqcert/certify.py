@@ -637,9 +637,7 @@ def conv_ne_vs_ircp(game: Game, ne_list: Sequence[JointDistribution],
             coeffs = tuple(vec[k] for vec in ne_vectors)
             rows.append(LinearConstraint(coeffs, EQUAL, vertex[k]))
         rows.append(LinearConstraint((Fraction(1),) * len(ne_list), EQUAL, Fraction(1)))
-        system = ConstraintSystem(len(ne_list), tuple(rows),
-                                  (Fraction(0),) * len(ne_list),
-                                  (None,) * len(ne_list))
+        system = ConstraintSystem(len(ne_list), tuple(rows))
         if not PolytopeSolver(system).feasible:
             return HullComparison(
                 HULL_PROPER_SUBSET,
@@ -695,8 +693,7 @@ def is_strict_fractional_gue(game: Game, a_star: Sequence[int]) -> bool:
         rows.append(LinearConstraint(tuple(coeffs), GREATER_EQUAL, base[i]))
     rows.append(LinearConstraint(
         tuple([Fraction(1)] * num + [Fraction(0)] * n), EQUAL, Fraction(1)))
-    system = ConstraintSystem(num + n, tuple(rows),
-                              (Fraction(0),) * (num + n), (None,) * (num + n))
+    system = ConstraintSystem(num + n, tuple(rows))
     objective = tuple([Fraction(0)] * num + [Fraction(1)] * n)
     outcome = PolytopeSolver(system).optimize(objective, maximize=True)
     if outcome.status != OPTIMAL:
@@ -706,7 +703,7 @@ def is_strict_fractional_gue(game: Game, a_star: Sequence[int]) -> bool:
     # Strictness: only delta(a*) achieves exactly the a* utility profile.
     rows = [LinearConstraint(tuple(game.payoffs[i]), EQUAL, base[i]) for i in range(n)]
     rows.append(LinearConstraint((Fraction(1),) * num, EQUAL, Fraction(1)))
-    system = ConstraintSystem(num, tuple(rows), (Fraction(0),) * num, (None,) * num)
+    system = ConstraintSystem(num, tuple(rows))
     singleton = polytopes.singleton_over_system(game, system)
     return (singleton.is_singleton
             and singleton.point == JointDistribution.point_mass(a_star))

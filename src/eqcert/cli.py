@@ -2,7 +2,9 @@
 
 Subcommands: analyze, certify, generate, contest, simulate, verify.
 Exit codes are a stable contract: 0 = success / certificate / check passed,
-1 = refuted / check failed / verification problems, 2 = input error.
+1 = refuted / check failed / verification problems, 2 = input error,
+3 = the exact solver gave up (pivot limit from EQCERT_LP_PIVOT_LIMIT) or
+failed an internal consistency check, so no answer was reached.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from .games import (
     save_game,
     total_variation,
 )
+from .lp import PivotLimitExceeded
+from .polytopes import SolverInvariantError
 from .rational import RationalFormatError, format_rational, parse_rational
 
 
@@ -238,7 +242,10 @@ def cmd_contest(args: argparse.Namespace) -> int:
         return 1
 
     if args.band:
-        c = parse_rational(args.c)
+        try:
+            c = parse_rational(args.c)
+        except RationalFormatError as exc:
+            raise CliError(f"--c: {exc}") from exc
         flat = sorted(set(grids[0]) | set(grids[1]))
         try:
             ok = contests.ratio_band_check(spec.success, c, flat)
@@ -403,6 +410,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (PivotLimitExceeded, SolverInvariantError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

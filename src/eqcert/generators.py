@@ -93,19 +93,6 @@ def mp_type(a, b, c, d, e, f, g, h) -> Game:
     return Game(actions, (u1, u2), "mp_type")
 
 
-def mp_type_mixed_ne(game: Game) -> tuple[Fraction, Fraction]:
-    """Closed-form fully mixed NE of an mp_type game.
-
-    Returns (p, q): the probabilities both on the first action, p for
-    player 1 (makes player 2 indifferent) and q for player 2.
-    """
-    a, b, c, d = (game.payoffs[0][k] for k in range(4))
-    e, f, g, h = (game.payoffs[1][k] for k in range(4))
-    p = (g - h) / ((f - e) + (g - h))
-    q = (d - b) / ((a - c) + (d - b))
-    return p, q
-
-
 def table2() -> Game:
     """2x2 game with two pure equilibria whose hull is the whole IRCP set."""
     actions = (("a1", "b1"), ("a2", "b2"))

@@ -7,6 +7,10 @@ results are reported as `Fraction`s.  Ties in the leaving-variable test are
 broken by lowest basis index, which together with Bland's entering rule
 makes every answer a deterministic function of the input.
 
+Every variable is nonnegative, since the LPs here are over probability
+weights.  A caller that needs a free variable splits it into two
+nonnegative columns itself, x = x+ - x- (see `zerosum._row_lp`).
+
 `PolytopeSolver` factors the phase-1 work out of repeated optimization over
 one feasible system; singleton tests and coordinate bounds re-optimize many
 objectives against the same basis.
@@ -16,10 +20,10 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Sequence
 
 LESS_EQUAL = "<="
 EQUAL = "=="
@@ -46,7 +50,6 @@ class LinearConstraint:
     coeffs: tuple[Fraction, ...]
     relation: str
     rhs: Fraction
-    label: str = ""
 
     def __post_init__(self):
         if self.relation not in _RELATIONS:
@@ -68,54 +71,21 @@ class LinearConstraint:
 
 @dataclass(frozen=True)
 class ConstraintSystem:
-    """Linear constraints plus optional per-variable bounds (None = unbounded side)."""
+    """Linear constraints over `num_vars` variables, every one of them >= 0."""
 
     num_vars: int
     constraints: tuple[LinearConstraint, ...]
-    lower: tuple[Fraction | None, ...] = ()
-    upper: tuple[Fraction | None, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "constraints", tuple(self.constraints))
-        lower = self.lower if self.lower else (None,) * self.num_vars
-        upper = self.upper if self.upper else (None,) * self.num_vars
-        lower = tuple(None if b is None else Fraction(b) for b in lower)
-        upper = tuple(None if b is None else Fraction(b) for b in upper)
-        if len(lower) != self.num_vars or len(upper) != self.num_vars:
-            raise LpError("bounds must list one entry per variable")
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
         for row in self.constraints:
             if len(row.coeffs) != self.num_vars:
                 raise LpError("constraint width disagrees with num_vars")
 
     def contains(self, point: Sequence[Fraction]) -> bool:
-        if len(point) != self.num_vars:
+        if len(point) != self.num_vars or any(x < 0 for x in point):
             return False
-        for x, lo, up in zip(point, self.lower, self.upper):
-            if lo is not None and x < lo:
-                return False
-            if up is not None and x > up:
-                return False
         return all(row.satisfied_by(point) for row in self.constraints)
-
-
-def nonneg_system(num_vars: int, constraints: Iterable[LinearConstraint]) -> ConstraintSystem:
-    """Constraint system with every variable bounded below by zero."""
-    zeros = (Fraction(0),) * num_vars
-    return ConstraintSystem(num_vars, tuple(constraints), zeros, (None,) * num_vars)
-
-
-@dataclass(frozen=True)
-class LinearProgram:
-    system: ConstraintSystem
-    objective: tuple[Fraction, ...]
-    maximize: bool = True
-
-    def __post_init__(self):
-        object.__setattr__(self, "objective", tuple(Fraction(c) for c in self.objective))
-        if len(self.objective) != self.system.num_vars:
-            raise LpError("objective width disagrees with num_vars")
 
 
 OPTIMAL = "optimal"
@@ -148,59 +118,21 @@ class _StandardForm:
         self.system = system
         self.pivot_limit = int(os.environ.get(PIVOT_LIMIT_ENV, "0") or 0)
         self.pivots_used = 0
-        # Variable substitutions: each original var becomes one or two
-        # nonnegative columns.  kind is one of "shift", "flip", "split".
-        self.var_map: list[tuple] = []
-        col = 0
-        extra_rows: list[LinearConstraint] = []
-        for j in range(system.num_vars):
-            lo, up = system.lower[j], system.upper[j]
-            if lo is not None:
-                self.var_map.append(("shift", col, lo))
-                col += 1
-                if up is not None:
-                    coeffs = [Fraction(0)] * system.num_vars
-                    coeffs[j] = Fraction(1)
-                    extra_rows.append(LinearConstraint(tuple(coeffs), LESS_EQUAL, up))
-            elif up is not None:
-                self.var_map.append(("flip", col, up))
-                col += 1
-            else:
-                self.var_map.append(("split", col, col + 1))
-                col += 2
-        self.num_y = col
-
-        rows_frac: list[tuple[list[Fraction], str, Fraction]] = []
-        for row in tuple(system.constraints) + tuple(extra_rows):
-            coeffs_y = [Fraction(0)] * self.num_y
-            rhs = row.rhs
-            for j, c in enumerate(row.coeffs):
-                if c == 0:
-                    continue
-                kind = self.var_map[j]
-                if kind[0] == "shift":
-                    coeffs_y[kind[1]] += c
-                    rhs -= c * kind[2]
-                elif kind[0] == "flip":
-                    coeffs_y[kind[1]] -= c
-                    rhs -= c * kind[2]
-                else:
-                    coeffs_y[kind[1]] += c
-                    coeffs_y[kind[2]] -= c
-            rows_frac.append((coeffs_y, row.relation, rhs))
+        self.num_y = system.num_vars
 
         # Normalize signs, scale to integers, lay out columns as
         # [y vars | slacks/surpluses | artificials].
-        m = len(rows_frac)
-        self.num_slack = sum(1 for _, rel, _ in rows_frac if rel != EQUAL)
+        m = len(system.constraints)
+        self.num_slack = sum(1 for row in system.constraints if row.relation != EQUAL)
         slack_base = self.num_y
         art_base = self.num_y + self.num_slack
         scaled: list[tuple[list[int], str, int]] = []
-        for coeffs_y, rel, rhs in rows_frac:
+        for row in system.constraints:
+            rel, rhs = row.relation, row.rhs
             denom = rhs.denominator
-            for c in coeffs_y:
+            for c in row.coeffs:
                 denom = _lcm(denom, c.denominator)
-            ints = [int(c * denom) for c in coeffs_y]
+            ints = [int(c * denom) for c in row.coeffs]
             b = int(rhs * denom)
             if b < 0:
                 ints = [-v for v in ints]
@@ -360,42 +292,14 @@ class _StandardForm:
 
     # -- solution readout ---------------------------------------------------
 
-    def y_values(self) -> list[Fraction]:
-        values = [Fraction(0)] * self.ncols
+    def point(self) -> tuple[Fraction, ...]:
+        """Values of the system's variables at the current basis."""
+        values = [Fraction(0)] * self.num_y
         rhs = self.ncols
         for row, bvar in zip(self.rows, self.basis):
-            values[bvar] = Fraction(row[rhs], self.det)
-        return values
-
-    def point(self) -> tuple[Fraction, ...]:
-        y = self.y_values()
-        out = []
-        for kind in self.var_map:
-            if kind[0] == "shift":
-                out.append(kind[2] + y[kind[1]])
-            elif kind[0] == "flip":
-                out.append(kind[2] - y[kind[1]])
-            else:
-                out.append(y[kind[1]] - y[kind[2]])
-        return tuple(out)
-
-    def cost_for(self, objective: Sequence[Fraction], maximize: bool) -> list[Fraction]:
-        """Translate an objective over original vars into min-form y costs."""
-        sign = Fraction(-1) if maximize else Fraction(1)
-        cost = [Fraction(0)] * self.num_y
-        for j, c in enumerate(objective):
-            c = sign * Fraction(c)
-            if c == 0:
-                continue
-            kind = self.var_map[j]
-            if kind[0] == "shift":
-                cost[kind[1]] += c
-            elif kind[0] == "flip":
-                cost[kind[1]] -= c
-            else:
-                cost[kind[1]] += c
-                cost[kind[2]] -= c
-        return cost
+            if bvar < self.num_y:
+                values[bvar] = Fraction(row[rhs], self.det)
+        return tuple(values)
 
 
 class PolytopeSolver:
@@ -420,17 +324,13 @@ class PolytopeSolver:
             return LpOutcome(INFEASIBLE)
         if len(objective) != self.system.num_vars:
             raise LpError("objective width disagrees with num_vars")
-        status = self._form.optimize(self._form.cost_for(objective, maximize))
+        cost = [-Fraction(c) if maximize else Fraction(c) for c in objective]
+        status = self._form.optimize(cost)
         if status == UNBOUNDED:
             return LpOutcome(UNBOUNDED)
         point = self._form.point()
         value = sum((Fraction(c) * x for c, x in zip(objective, point)), Fraction(0))
         return LpOutcome(OPTIMAL, value, point)
-
-
-def solve(lp: LinearProgram) -> LpOutcome:
-    """Exact optimum of a rational LP; the reported point is a basic solution."""
-    return PolytopeSolver(lp.system).optimize(lp.objective, lp.maximize)
 
 
 # -- vertex enumeration ----------------------------------------------------
@@ -499,11 +399,8 @@ def enumerate_vertices(system: ConstraintSystem, max_dim: int = 12) -> list[tupl
             ineqs.append((tuple(-c for c in row.coeffs), -row.rhs))
     for j in range(n):
         unit = [Fraction(0)] * n
-        unit[j] = Fraction(1)
-        if system.lower[j] is not None:
-            ineqs.append((tuple(-c for c in unit), -system.lower[j]))
-        if system.upper[j] is not None:
-            ineqs.append((tuple(unit), system.upper[j]))
+        unit[j] = Fraction(-1)
+        ineqs.append((tuple(unit), Fraction(0)))  # x_j >= 0
 
     state: list[tuple[int, tuple[Fraction, ...], Fraction]] = []
     for coeffs, rhs in eqs:

@@ -123,14 +123,14 @@ def build_polytope(game: Game, concept: str) -> PolytopeSpec:
                         continue
                     label = f"ce:p{i}:{game.actions[i][rec]}->{game.actions[i][dev]}"
                     rows.append(LinearConstraint(
-                        _ce_row(game, i, rec, dev), GREATER_EQUAL, Fraction(0), label))
+                        _ce_row(game, i, rec, dev), GREATER_EQUAL, Fraction(0)))
                     info.append(IncentiveInfo("ce", i, rec, dev, label))
     elif concept == "cce":
         for i in range(game.num_players):
             for dev in range(game.shape[i]):
                 label = f"cce:p{i}->{game.actions[i][dev]}"
                 rows.append(LinearConstraint(
-                    _cce_row(game, i, dev), GREATER_EQUAL, Fraction(0), label))
+                    _cce_row(game, i, dev), GREATER_EQUAL, Fraction(0)))
                 info.append(IncentiveInfo("cce", i, None, dev, label))
     else:
         levels = []
@@ -138,18 +138,11 @@ def build_polytope(game: Game, concept: str) -> PolytopeSpec:
             level = zerosum.maximin(game, i).value
             levels.append(level)
             label = f"ircp:p{i}"
-            rows.append(LinearConstraint(
-                tuple(game.payoffs[i]), GREATER_EQUAL, level, label))
+            rows.append(LinearConstraint(tuple(game.payoffs[i]), GREATER_EQUAL, level))
             info.append(IncentiveInfo("ircp", i, None, None, label))
         maximin_values = tuple(levels)
-    rows.append(LinearConstraint(
-        (Fraction(1),) * game.num_profiles, EQUAL, Fraction(1), "simplex"))
-    system = ConstraintSystem(
-        num_vars=game.num_profiles,
-        constraints=tuple(rows),
-        lower=(Fraction(0),) * game.num_profiles,
-        upper=(None,) * game.num_profiles,
-    )
+    rows.append(LinearConstraint((Fraction(1),) * game.num_profiles, EQUAL, Fraction(1)))
+    system = ConstraintSystem(game.num_profiles, tuple(rows))
     return PolytopeSpec(game, concept, system, tuple(info), maximin_values)
 
 
@@ -162,10 +155,6 @@ def membership(spec: PolytopeSpec, mu: JointDistribution) -> MembershipResult:
         if lhs < row.rhs:
             violations.append(Violation(info, row.rhs - lhs))
     return MembershipResult(not violations, tuple(violations))
-
-
-def _distribution(spec: PolytopeSpec, point: Sequence[Fraction]) -> JointDistribution:
-    return JointDistribution.from_vector(spec.game, point)
 
 
 def coordinate_bounds(spec: PolytopeSpec, profile: Sequence[int],
@@ -327,9 +316,8 @@ def mixed_ne_2x2(game: Game) -> list[tuple[MixedAction, MixedAction]]:
         raise Degenerate2x2Error("a player is indifferent against every opponent mixture")
     for i, j in ((0, 1), (1, 0)):
         for x_j in range(2):
-            fixed = (x_j,) if i == 0 else (x_j,)
-            a = u(i, game.insert_action(i, 0, fixed))
-            b = u(i, game.insert_action(i, 1, fixed))
+            a = u(i, game.insert_action(i, 0, (x_j,)))
+            b = u(i, game.insert_action(i, 1, (x_j,)))
             if a == b:
                 raise Degenerate2x2Error(
                     f"player {i} is indifferent against the pure action "

@@ -11,19 +11,18 @@ from __future__ import annotations
 
 import json
 import time
-from fractions import Fraction
 
 from . import certify, polytopes, zerosum
 from .games import (
     Game,
     GameFormatError,
-    JointDistribution,
     MixedAction,
     game_from_dict,
     game_to_dict,
 )
-from .polytopes import Degenerate2x2Error
-from .rational import format_rational, parse_rational
+from .lp import PivotLimitExceeded
+from .polytopes import Degenerate2x2Error, SolverInvariantError
+from .rational import RationalFormatError, format_rational, parse_rational
 
 REPORT_VERSION = 1
 ALL_CONCEPTS = ("ne", "ce", "cce", "ircp")
@@ -190,10 +189,14 @@ def verify_report(report: dict) -> list[str]:
         return [f"embedded game unreadable: {exc}"]
 
     if "maximin" in report:
-        actual = [zerosum.maximin(game, i).value for i in range(game.num_players)]
-        claimed = [parse_rational(v) for v in report["maximin"]]
-        if actual != claimed:
-            problems.append("maximin levels do not match a recomputation")
+        try:
+            claimed = [parse_rational(v) for v in report["maximin"]]
+        except (RationalFormatError, TypeError) as exc:
+            problems.append(f"maximin unreadable: {exc}")
+        else:
+            actual = [zerosum.maximin(game, i).value for i in range(game.num_players)]
+            if actual != claimed:
+                problems.append("maximin levels do not match a recomputation")
 
     if "ne" in report:
         actual_pure = [{"profile": list(p), "strict": s}
@@ -203,6 +206,9 @@ def verify_report(report: dict) -> list[str]:
 
     for concept, entry in report.get("concepts", {}).items():
         if entry.get("singleton"):
+            if "point" not in entry:
+                problems.append(f"concepts.{concept} claims a singleton but has no point")
+                continue
             _check_members(game, concept, [entry["point"]], problems,
                            f"concepts.{concept}.point")
         else:
@@ -261,6 +267,8 @@ def verify_report(report: dict) -> list[str]:
             if certify.is_strict_fractional_gue(game, profile) != bool(
                     entry["strict_fractional_gue"]):
                 problems.append(f"gue[{idx}]: lottery-Pareto flag does not re-verify")
+        except (PivotLimitExceeded, SolverInvariantError):
+            raise  # the solver gave up: no verdict on this entry
         except Exception as exc:
             problems.append(f"gue[{idx}] unreadable: {exc}")
 

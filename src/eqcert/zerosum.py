@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .games import Game, MixedAction, Profile
+from .games import Game, MixedAction
 from .lp import (
     EQUAL,
     GREATER_EQUAL,
@@ -57,21 +57,20 @@ class MaximinResult:
 
 
 def _row_lp(matrix: Sequence[Sequence[Fraction]]) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """max z s.t. the mixed row strategy guarantees at least z against every column."""
+    """max z s.t. the mixed row strategy guarantees at least z against every column.
+
+    The free guarantee is split as z = z+ - z-, the last two columns.
+    """
     num_rows = len(matrix)
     num_cols = len(matrix[0])
-    num_vars = num_rows + 1  # strategy weights plus the guarantee z
     rows = []
     for c in range(num_cols):
-        coeffs = [matrix[r][c] for r in range(num_rows)] + [Fraction(-1)]
-        rows.append(LinearConstraint(tuple(coeffs), GREATER_EQUAL, Fraction(0),
-                                     f"col{c}"))
+        coeffs = [matrix[r][c] for r in range(num_rows)] + [Fraction(-1), Fraction(1)]
+        rows.append(LinearConstraint(tuple(coeffs), GREATER_EQUAL, Fraction(0)))
     rows.append(LinearConstraint(
-        tuple([Fraction(1)] * num_rows + [Fraction(0)]), EQUAL, Fraction(1), "simplex"))
-    lower = tuple([Fraction(0)] * num_rows + [None])
-    upper = (None,) * num_vars
-    system = ConstraintSystem(num_vars, tuple(rows), lower, upper)
-    objective = tuple([Fraction(0)] * num_rows + [Fraction(1)])
+        tuple([Fraction(1)] * num_rows + [Fraction(0)] * 2), EQUAL, Fraction(1)))
+    system = ConstraintSystem(num_rows + 2, tuple(rows))
+    objective = tuple([Fraction(0)] * num_rows + [Fraction(1), Fraction(-1)])
     outcome = PolytopeSolver(system).optimize(objective, maximize=True)
     if outcome.status != OPTIMAL:
         raise AssertionError("matrix game value LP must be solvable")
@@ -139,12 +138,9 @@ def strict_complementary_strategy(mg: MatrixGame) -> MixedAction:
     rows = []
     for r in range(len(mg.row_labels)):
         coeffs = tuple(mg.payoff[r][c] for c in range(num_cols))
-        rows.append(LinearConstraint(coeffs, LESS_EQUAL, value, f"row{r}"))
-    rows.append(LinearConstraint(
-        (Fraction(1),) * num_cols, EQUAL, Fraction(1), "simplex"))
-    system = ConstraintSystem(num_vars=num_cols, constraints=tuple(rows),
-                              lower=(Fraction(0),) * num_cols,
-                              upper=(None,) * num_cols)
+        rows.append(LinearConstraint(coeffs, LESS_EQUAL, value))
+    rows.append(LinearConstraint((Fraction(1),) * num_cols, EQUAL, Fraction(1)))
+    system = ConstraintSystem(num_cols, tuple(rows))
     solver = PolytopeSolver(system)
     if not solver.feasible:
         raise AssertionError("optimal face of a matrix game cannot be empty")

@@ -12,7 +12,9 @@ from eqcert.contests import (
 )
 from eqcert.games import load_game
 from eqcert.generators import parking, prisoners_dilemma
-from eqcert.report import load_report, verify_report
+from eqcert.lp import PIVOT_LIMIT_ENV
+from eqcert.polytopes import SolverInvariantError
+from eqcert.report import build_report, load_report, save_report, verify_report
 
 
 def _generate(tmp_path, name, *args):
@@ -199,6 +201,15 @@ def test_contest_input_errors(tmp_path):
                  "--prop3", "--a-star", "1/4,1/4"]) == 2
 
 
+def test_contest_band_rejects_unreadable_c(tmp_path, capsys):
+    spec_path, _ = _write_tullock(tmp_path)
+    ratio_path = tmp_path / "ratios.json"
+    ratio_path.write_text(json.dumps([f"{k}/8" for k in range(1, 8)]))
+    assert main(["contest", str(spec_path), "--grid", str(ratio_path),
+                 "--band", "--c", "abc"]) == 2
+    assert capsys.readouterr().err.startswith("error: --c:")
+
+
 # -- simulate ---------------------------------------------------------------------
 
 
@@ -266,6 +277,45 @@ def test_verify_detects_tampering(tmp_path, capsys):
     garbage = tmp_path / "garbage.json"
     garbage.write_text("[1, 2]")
     assert main(["verify", str(garbage)]) == 2
+
+
+# -- solver failures ----------------------------------------------------------------
+
+
+def test_pivot_limit_exits_3(tmp_path, capsys, monkeypatch):
+    game_path = _generate(tmp_path, "pd.json", "pd")
+    monkeypatch.setenv(PIVOT_LIMIT_ENV, "2")
+    assert main(["analyze", str(game_path)]) == 3
+    assert main(["certify", str(game_path), "--concept", "ircp"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: simplex exceeded 2 pivots")
+    assert "Traceback" not in err
+
+
+def test_verify_under_pivot_limit_exits_3_not_1(tmp_path, capsys, monkeypatch):
+    # The solver giving up is no verdict on the report: a gue entry whose
+    # re-check hits the limit must not be listed as a problem.
+    data = build_report(prisoners_dilemma(), ("ne",), check_unique=True)
+    data = {"game": data["game"], "gue": data["gue"]}
+    report_path = tmp_path / "report.json"
+    report_path.write_bytes(save_report(data))
+    assert main(["verify", str(report_path)]) == 0
+    monkeypatch.setenv(PIVOT_LIMIT_ENV, "1")
+    capsys.readouterr()
+    assert main(["verify", str(report_path)]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_solver_invariant_error_exits_3(tmp_path, capsys, monkeypatch):
+    from eqcert import report
+
+    def broken(*args, **kwargs):
+        raise SolverInvariantError("cce polytope is unexpectedly empty")
+
+    monkeypatch.setattr(report, "build_report", broken)
+    game_path = _generate(tmp_path, "pd.json", "pd")
+    assert main(["analyze", str(game_path)]) == 3
+    assert capsys.readouterr().err == "error: cce polytope is unexpectedly empty\n"
 
 
 # -- parser-level behavior ----------------------------------------------------------

@@ -1,6 +1,5 @@
 """Exact simplex and vertex enumeration."""
 
-import os
 import random
 
 import pytest
@@ -16,118 +15,118 @@ from eqcert.lp import (
     UNBOUNDED,
     ConstraintSystem,
     LinearConstraint,
-    LinearProgram,
     LpError,
     PivotLimitExceeded,
     PolytopeSolver,
     VertexEnumerationError,
     enumerate_vertices,
-    nonneg_system,
-    solve,
 )
 from eqcert.polytopes import build_polytope
 
 from conftest import F
 
 
-def _lp(num_vars, objective, rows, maximize=True, lower=None, upper=None):
-    constraints = tuple(LinearConstraint(tuple(F(c) for c in cs), rel, F(r))
-                        for cs, rel, r in rows)
-    if lower is None:
-        system = nonneg_system(num_vars, constraints)
-    else:
-        system = ConstraintSystem(num_vars, constraints, lower, upper)
-    return LinearProgram(system, tuple(F(c) for c in objective), maximize)
+def _system(num_vars, rows):
+    return ConstraintSystem(num_vars, tuple(
+        LinearConstraint(tuple(F(c) for c in cs), rel, F(r)) for cs, rel, r in rows))
+
+
+def _lp(num_vars, objective, rows, maximize=True):
+    """Optimum of `objective` over the nonnegative solutions of `rows`."""
+    solver = PolytopeSolver(_system(num_vars, rows))
+    return solver.optimize(tuple(F(c) for c in objective), maximize)
 
 
 def test_one_variable_box():
-    out = solve(_lp(1, [1], [([1], LESS_EQUAL, 3)]))
+    out = _lp(1, [1], [([1], LESS_EQUAL, 3)])
     assert out.status == OPTIMAL
     assert out.value == 3
     assert out.point == (F(3),)
 
 
 def test_two_variable_budget():
-    out = solve(_lp(2, [1, 1], [([1, 1], LESS_EQUAL, 1)]))
+    out = _lp(2, [1, 1], [([1, 1], LESS_EQUAL, 1)])
     assert out.status == OPTIMAL and out.value == 1
     assert sum(out.point) == 1
 
 
 def test_unbounded_ray():
-    assert solve(_lp(1, [1], [])).status == UNBOUNDED
+    assert _lp(1, [1], []).status == UNBOUNDED
 
 
 def test_infeasible():
-    out = solve(_lp(1, [1], [([1], LESS_EQUAL, -1)]))
+    out = _lp(1, [1], [([1], LESS_EQUAL, -1)])
     assert out.status == INFEASIBLE
     assert out.value is None and out.point is None
 
 
 def test_minimization_and_equality_rows():
-    out = solve(_lp(2, [2, 3], [([1, 1], EQUAL, 4), ([1, 0], GREATER_EQUAL, 1)],
-                    maximize=False))
+    out = _lp(2, [2, 3], [([1, 1], EQUAL, 4), ([1, 0], GREATER_EQUAL, 1)],
+              maximize=False)
     assert out.status == OPTIMAL
     assert out.value == 2 * 4 + 1 * 0  # all mass on the cheap variable
     assert out.point == (F(4), F(0))
 
 
 def test_free_variable_guarantee_lp():
-    # max z with z <= each weighted column payoff, weights on a simplex.
+    # max z with z <= each weighted column payoff, weights on a simplex; the
+    # free z is split as z+ - z- over the last two columns.
     # Regression: an intermediate pivot once skipped rescaling a row whose
     # pivot-column entry was zero, breaking integer-pivot divisibility.
     rows = [
-        ([3, 5, -1], GREATER_EQUAL, 0),
-        ([0, 1, -1], GREATER_EQUAL, 0),
-        ([1, 1, 0], EQUAL, 1),
+        ([3, 5, -1, 1], GREATER_EQUAL, 0),
+        ([0, 1, -1, 1], GREATER_EQUAL, 0),
+        ([1, 1, 0, 0], EQUAL, 1),
     ]
-    lower = (F(0), F(0), None)
-    upper = (None, None, None)
-    out = solve(_lp(3, [0, 0, 1], rows, lower=lower, upper=upper))
+    out = _lp(4, [0, 0, 1, -1], rows)
     assert out.status == OPTIMAL
     assert out.value == 1
     assert out.point[:2] == (F(0), F(1))
+    assert out.point[2] - out.point[3] == 1
 
 
 def test_fractional_optimum_is_exact():
     # max x+y s.t. 3x+y <= 1, x+3y <= 1: optimum at x=y=1/4.
-    out = solve(_lp(2, [1, 1],
-                    [([3, 1], LESS_EQUAL, 1), ([1, 3], LESS_EQUAL, 1)]))
+    out = _lp(2, [1, 1], [([3, 1], LESS_EQUAL, 1), ([1, 3], LESS_EQUAL, 1)])
     assert out.value == F(1, 2)
     assert out.point == (F(1, 4), F(1, 4))
 
 
 def test_reported_point_satisfies_constraints_exactly():
-    lp = _lp(3, [2, -1, 1],
-             [([1, 1, 1], LESS_EQUAL, 10),
-              ([1, -1, 0], GREATER_EQUAL, -3),
-              ([0, 1, 2], EQUAL, 4)])
-    out = solve(lp)
+    system = _system(3, [([1, 1, 1], LESS_EQUAL, 10),
+                         ([1, -1, 0], GREATER_EQUAL, -3),
+                         ([0, 1, 2], EQUAL, 4)])
+    out = PolytopeSolver(system).optimize((F(2), F(-1), F(1)), maximize=True)
     assert out.status == OPTIMAL
-    assert lp.system.contains(out.point)
+    assert system.contains(out.point)
+    # Every variable is nonnegative, so a negative coordinate is outside.
+    assert not system.contains((F(-1), F(2), F(1)))
+    assert _system(1, []).contains((F(0),))
+    assert not _system(1, []).contains((F(-1, 2),))
 
 
 def test_width_validation():
     with pytest.raises(LpError):
         _lp(2, [1], [([1, 1], LESS_EQUAL, 1)])
     with pytest.raises(LpError):
-        _lp(2, [1, 0], [([1], LESS_EQUAL, 1)])
+        _system(2, [([1], LESS_EQUAL, 1)])
     with pytest.raises(LpError):
         LinearConstraint((F(1),), "<", F(0))
 
 
 def test_determinism():
-    lp = _lp(4, [1, 2, 3, 4],
-             [([1, 1, 1, 1], LESS_EQUAL, 2),
-              ([1, 0, 0, 1], GREATER_EQUAL, 1),
-              ([0, 1, 1, 0], LESS_EQUAL, 1)])
-    first = solve(lp)
+    args = (4, [1, 2, 3, 4],
+            [([1, 1, 1, 1], LESS_EQUAL, 2),
+             ([1, 0, 0, 1], GREATER_EQUAL, 1),
+             ([0, 1, 1, 0], LESS_EQUAL, 1)])
+    first = _lp(*args)
     for _ in range(3):
-        again = solve(lp)
+        again = _lp(*args)
         assert again == first
 
 
 def test_polytope_solver_warm_start_agrees_with_fresh_solves():
-    system = nonneg_system(3, (
+    system = ConstraintSystem(3, (
         LinearConstraint((F(1), F(1), F(1)), LESS_EQUAL, F(1)),
         LinearConstraint((F(1), F(-1), F(0)), LESS_EQUAL, F(1, 2)),
     ))
@@ -137,13 +136,13 @@ def test_polytope_solver_warm_start_agrees_with_fresh_solves():
     objectives = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (-1, 2, 0)]
     for obj in objectives:
         warm = solver.optimize(tuple(F(c) for c in obj), maximize=True)
-        fresh = solve(LinearProgram(system, tuple(F(c) for c in obj), True))
+        fresh = PolytopeSolver(system).optimize(tuple(F(c) for c in obj), True)
         assert warm.status == fresh.status == OPTIMAL
         assert warm.value == fresh.value
 
 
 def test_vertices_of_simplex():
-    system = nonneg_system(3, (
+    system = ConstraintSystem(3, (
         LinearConstraint((F(1), F(1), F(1)), EQUAL, F(1)),))
     verts = enumerate_vertices(system)
     assert sorted(verts) == [
@@ -151,7 +150,7 @@ def test_vertices_of_simplex():
 
 
 def test_vertices_of_unit_square():
-    system = ConstraintSystem(2, (), (F(0), F(0)), (F(1), F(1)))
+    system = _system(2, [([1, 0], LESS_EQUAL, 1), ([0, 1], LESS_EQUAL, 1)])
     verts = enumerate_vertices(system)
     assert sorted(verts) == [
         (F(0), F(0)), (F(0), F(1)), (F(1), F(0)), (F(1), F(1))]
@@ -159,7 +158,7 @@ def test_vertices_of_unit_square():
 
 def test_vertices_deduplicated_on_degenerate_corner():
     # Three constraints meet at (0,0); the corner must be listed once.
-    system = nonneg_system(2, (
+    system = ConstraintSystem(2, (
         LinearConstraint((F(1), F(1)), LESS_EQUAL, F(1)),
         LinearConstraint((F(1), F(2)), GREATER_EQUAL, F(0)),
     ))
@@ -175,10 +174,10 @@ def test_matching_pennies_cce_polytope_is_a_point():
 
 def test_vertex_enumeration_guards():
     with pytest.raises(VertexEnumerationError):
-        enumerate_vertices(nonneg_system(13, ()))
+        enumerate_vertices(ConstraintSystem(13, ()))
     with pytest.raises(VertexEnumerationError):
-        enumerate_vertices(nonneg_system(2, ()))  # unbounded quadrant
-    infeasible = nonneg_system(1, (
+        enumerate_vertices(ConstraintSystem(2, ()))  # unbounded quadrant
+    infeasible = ConstraintSystem(1, (
         LinearConstraint((F(1),), LESS_EQUAL, F(-1)),))
     assert enumerate_vertices(infeasible) == []
 
@@ -191,27 +190,26 @@ def _random_bounded_lp(rng):
         rhs = F(rng.randint(0, 6))  # keeps the origin feasible
         rows.append(LinearConstraint(coeffs, LESS_EQUAL, rhs))
     objective = tuple(F(rng.randint(-4, 4)) for _ in range(n))
-    return LinearProgram(nonneg_system(n, tuple(rows)), objective, True)
+    return ConstraintSystem(n, tuple(rows)), objective
 
 
 def test_solve_matches_vertex_oracle_on_random_lps():
     rng = random.Random(20260819)
     for _ in range(60):
-        lp = _random_bounded_lp(rng)
-        out = solve(lp)
+        system, objective = _random_bounded_lp(rng)
+        out = PolytopeSolver(system).optimize(objective, maximize=True)
         assert out.status == OPTIMAL
-        assert lp.system.contains(out.point)
-        verts = enumerate_vertices(lp.system)
-        best = max(sum(c * v for c, v in zip(lp.objective, vert))
+        assert system.contains(out.point)
+        verts = enumerate_vertices(system)
+        best = max(sum(c * v for c, v in zip(objective, vert))
                    for vert in verts)
         assert out.value == best
 
 
 def test_pivot_limit_env(monkeypatch):
     monkeypatch.setenv(PIVOT_LIMIT_ENV, "1")
-    lp = _lp(3, [1, 2, 3],
-             [([1, 1, 1], LESS_EQUAL, 3), ([1, 0, 1], LESS_EQUAL, 2)])
+    args = (3, [1, 2, 3], [([1, 1, 1], LESS_EQUAL, 3), ([1, 0, 1], LESS_EQUAL, 2)])
     with pytest.raises(PivotLimitExceeded):
-        solve(lp)
+        _lp(*args)
     monkeypatch.delenv(PIVOT_LIMIT_ENV)
-    assert solve(lp).status == OPTIMAL
+    assert _lp(*args).status == OPTIMAL

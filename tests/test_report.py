@@ -82,6 +82,20 @@ def test_verify_flags_singleton_point_off_polytope():
     assert any("concepts.cce.point" in p for p in verify_report(data))
 
 
+def test_verify_flags_singleton_without_point():
+    data = full_pd_report()
+    del data["concepts"]["cce"]["point"]
+    problems = verify_report(data)
+    assert "concepts.cce claims a singleton but has no point" in problems
+
+
+def test_verify_flags_unreadable_maximin():
+    data = full_pd_report()
+    data["maximin"] = ["x", "1"]
+    problems = verify_report(data)
+    assert any(p.startswith("maximin unreadable") for p in problems)
+
+
 def test_verify_flags_degenerate_witness_pair():
     data = build_report(rock_paper_scissors(), ("cce",))
     data["concepts"]["cce"]["witnesses"] = [data["concepts"]["cce"]["witnesses"][0]] * 2

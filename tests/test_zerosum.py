@@ -137,11 +137,10 @@ def _best_response_to_all_optima(mg):
     value, _, _ = matrix_value(mg)
     nr, nc = len(mg.row_labels), len(mg.col_labels)
     rows = [LinearConstraint(tuple(mg.payoff[r][c] for r in range(nr)),
-                             GREATER_EQUAL, value, f"col{c}")
+                             GREATER_EQUAL, value)
             for c in range(nc)]
     rows.append(LinearConstraint((Fraction(1),) * nr, EQUAL, Fraction(1)))
-    system = ConstraintSystem(nr, tuple(rows),
-                              (Fraction(0),) * nr, (None,) * nr)
+    system = ConstraintSystem(nr, tuple(rows))
     verts = enumerate_vertices(system)
     assert verts, "optimal row polytope cannot be empty"
     tight = []
