@@ -69,14 +69,8 @@ class EnforcementCheck:
 
 def _check_enforcement_at(game: Game, a_star: Profile) -> EnforcementCheck:
     zero = all(x == 0 for x in game.payoff_vector(a_star))
-    guarantee = True
-    for i in range(game.num_players):
-        for others in game.opponent_profiles(i):
-            if game.u(i, game.insert_action(i, a_star[i], others)) < 0:
-                guarantee = False
-                break
-        if not guarantee:
-            break
+    guarantee = all(_pure_guarantee(game, i, a_star[i]) >= 0
+                    for i in range(game.num_players))
     negative = all(
         sum(game.payoff_vector(p), Fraction(0)) < 0
         for p in game.profiles() if p != a_star
@@ -173,9 +167,8 @@ def _pure_guarantee(game: Game, player: int, action: int) -> Fraction:
     )
 
 
-def _verify_witnesses(game: Game, concept: str,
+def _verify_witnesses(spec: polytopes.PolytopeSpec,
                       witnesses: Sequence[JointDistribution]) -> None:
-    spec = polytopes.build_polytope(game, concept)
     for w in witnesses:
         if not polytopes.membership(spec, w).is_member:
             raise SolverInvariantError("refutation witness failed membership re-check")
@@ -183,17 +176,15 @@ def _verify_witnesses(game: Game, concept: str,
         raise SolverInvariantError("refutation witnesses are not distinct")
 
 
-def _verify_ircp_singleton(game: Game, a_star: Profile) -> None:
-    spec = polytopes.build_polytope(game, "ircp")
-    singleton = polytopes.is_singleton(spec)
-    if (not singleton.is_singleton
-            or singleton.point != JointDistribution.point_mass(a_star)):
+def _verify_ircp_singleton(spec: polytopes.PolytopeSpec, a_star: Profile) -> None:
+    # The point is None unless the polytope is a singleton.
+    if polytopes.is_singleton(spec).point != JointDistribution.point_mass(a_star):
         raise SolverInvariantError(
             "certificate disagrees with the polytope singleton test")
 
 
-def certify_unique_ircp(game: Game, gamma_hint: Sequence[Fraction] | None = None,
-                        _verify: bool = True) -> UniquenessCertificate | Refutation:
+def certify_unique_ircp(game: Game, gamma_hint: Sequence[Fraction] | None = None
+                        ) -> UniquenessCertificate | Refutation:
     """Certify or refute that the IRCP polytope is one point.
 
     A singleton IRCP forces a profile of unique pure maximin actions with
@@ -201,55 +192,59 @@ def certify_unique_ircp(game: Game, gamma_hint: Sequence[Fraction] | None = None
     profile-vs-player comparison game decides the question, yielding either
     positive welfare weights (certificate) or a second polytope member
     (refutation).  `gamma_hint` supplies candidate weights to try before the
-    zero-sum solve; invalid hints are ignored.
+    zero-sum solve; invalid hints are ignored.  Every answer is re-checked
+    against the polytope before it is returned: a refutation's witnesses by
+    exact membership, a certificate by the singleton test.
     """
-    n = game.num_players
-    maximins = [zerosum.maximin(game, i) for i in range(n)]
+    spec = polytopes.build_polytope(game, "ircp")
+    result = _decide_ircp(game, spec.maximin_values, gamma_hint)
+    if isinstance(result, UniquenessCertificate):
+        _verify_ircp_singleton(spec, result.a_star)
+    else:
+        _verify_witnesses(spec, result.witnesses)
+    return result
 
+
+def _decide_ircp(game: Game, levels: Sequence[Fraction],
+                 gamma_hint: Sequence[Fraction] | None
+                 ) -> UniquenessCertificate | Refutation:
+    """The IRCP decision at the given security levels, without re-checks."""
+    n = game.num_players
     # Every player needs a pure action attaining the security level.
-    pure_options: list[list[int]] = []
-    for i in range(n):
-        level = maximins[i].value
-        pure_options.append(
-            [a for a in range(game.shape[i]) if _pure_guarantee(game, i, a) == level]
-        )
+    pure_options = [
+        [a for a in range(game.shape[i]) if _pure_guarantee(game, i, a) == levels[i]]
+        for i in range(n)
+    ]
     for i in range(n):
         if not pure_options[i]:
-            nu = [m.strategy for m in maximins]
+            nu = [zerosum.maximin(game, j).strategy for j in range(n)]
             base = product_distribution(game, nu)
             gaps = _deviation_payoffs(game, i, nu)
             best = max(range(game.shape[i]), key=lambda a: (gaps[a], -a))
             swapped = nu.copy()
             swapped[i] = MixedAction.point_mass(i, best)
-            other = product_distribution(game, swapped)
-            witnesses = (base, other)
-            if _verify:
-                _verify_witnesses(game, "ircp", witnesses)
             return Refutation(
                 "ircp",
                 f"player {i} has no pure maximin action, so no single profile "
                 "can pin the polytope",
-                witnesses,
+                (base, product_distribution(game, swapped)),
             )
     for i in range(n):
         if len(pure_options[i]) > 1:
             a_star = tuple(opts[0] for opts in pure_options)
             alt = list(a_star)
             alt[i] = pure_options[i][1]
-            witnesses = (JointDistribution.point_mass(a_star),
-                         JointDistribution.point_mass(tuple(alt)))
-            if _verify:
-                _verify_witnesses(game, "ircp", witnesses)
             return Refutation(
                 "ircp",
                 f"player {i} has several pure maximin actions; swapping them "
                 "gives distinct point-mass members",
-                witnesses,
+                (JointDistribution.point_mass(a_star),
+                 JointDistribution.point_mass(tuple(alt))),
             )
 
     a_star = tuple(opts[0] for opts in pure_options)
     for i in range(n):
-        level = maximins[i].value
+        level = levels[i]
         if game.u(i, a_star) > level:
             # Mix a little of a deviation into player i's action; everyone
             # still clears the security levels.
@@ -261,35 +256,25 @@ def certify_unique_ircp(game: Game, gamma_hint: Sequence[Fraction] | None = None
                 eps = Fraction(1, 2)
             else:
                 eps = (game.u(i, a_star) - level) / (2 * (game.u(i, a_star) - dev_payoff))
-            witnesses = (
-                JointDistribution.point_mass(a_star),
-                JointDistribution({a_star: 1 - eps, dev_profile: eps}),
-            )
-            if _verify:
-                _verify_witnesses(game, "ircp", witnesses)
             return Refutation(
                 "ircp",
                 f"player {i} earns strictly above the security level at the "
                 "candidate profile, leaving room for a second member",
-                witnesses,
+                (JointDistribution.point_mass(a_star),
+                 JointDistribution({a_star: 1 - eps, dev_profile: eps})),
             )
 
     deltas = _ircp_deltas(game, a_star)
-    certificate: UniquenessCertificate | None = None
     if gamma_hint is not None and len(gamma_hint) == n and all(
             Fraction(g) > 0 for g in gamma_hint):
         slack = _weighted_slack(_normalize(gamma_hint), deltas)
         if slack is not None:
-            certificate = _certificate("ircp", a_star, gamma_hint, slack, game)
-    if certificate is None and is_symmetric(game):
+            return _certificate("ircp", a_star, gamma_hint, slack, game)
+    if is_symmetric(game):
         uniform = (Fraction(1, n),) * n
         slack = _weighted_slack(uniform, deltas)
         if slack is not None:
-            certificate = _certificate("ircp", a_star, uniform, slack, game)
-    if certificate is not None:
-        if _verify:
-            _verify_ircp_singleton(game, a_star)
-        return certificate
+            return _certificate("ircp", a_star, uniform, slack, game)
 
     aux = zerosum.build_theorem1_auxiliary(game, a_star)
     value, row_strategy, col_strategy = zerosum.matrix_value(aux)
@@ -301,20 +286,15 @@ def certify_unique_ircp(game: Game, gamma_hint: Sequence[Fraction] | None = None
         slack = _weighted_slack(gamma, deltas)
         if slack is None or slack != -value:
             raise SolverInvariantError("certificate slack disagrees with the game value")
-        if _verify:
-            _verify_ircp_singleton(game, a_star)
         return _certificate("ircp", a_star, gamma, slack, game)
 
     mu = JointDistribution(
         {p: w for p, w in zip(aux.row_keys, row_strategy) if w != 0})
-    witnesses = (JointDistribution.point_mass(a_star), mu)
-    if _verify:
-        _verify_witnesses(game, "ircp", witnesses)
     return Refutation(
         "ircp",
         "the profile-vs-player comparison game has nonnegative value, and its "
         "maximizing distribution is a second member",
-        witnesses,
+        (JointDistribution.point_mass(a_star), mu),
     )
 
 
@@ -342,23 +322,17 @@ def certify_unique_pure_cce(game: Game, gamma_hint: Sequence[Fraction] | None = 
     A unique pure CCE must sit at a strict pure NE, and uniqueness there is
     equivalent to IRCP uniqueness of the reduced game v_i(a) = u_i(a) -
     u_i(a_i*, a_{-i}).  Refutations carry two CCE members, or the single
-    mixed CCE when the polytope is a mixed singleton.
+    mixed CCE when the polytope is a mixed singleton; they are re-checked
+    against the CCE polytope, which is built only when no certificate is found.
     """
     candidates = [p for p, strict in polytopes.enumerate_pure_ne(game) if strict]
-    if len(candidates) >= 2:
-        witnesses = (JointDistribution.point_mass(candidates[0]),
-                     JointDistribution.point_mass(candidates[1]))
-        _verify_witnesses(game, "cce", witnesses)
-        return Refutation(
-            "cce",
-            "two strict pure equilibria exist and each is a coarse correlated "
-            "equilibrium on its own",
-            witnesses,
-        )
     if len(candidates) == 1:
         a_star = candidates[0]
         reduced = cce_reduction(game, a_star)
-        result = certify_unique_ircp(reduced, gamma_hint=gamma_hint, _verify=False)
+        # In the reduced game a_i* is the unique pure maximin action, at level
+        # 0, so the decision needs only the levels, never the strategies.
+        levels = [zerosum.maximin(reduced, i).value for i in range(reduced.num_players)]
+        result = _decide_ircp(reduced, levels, gamma_hint)
         if isinstance(result, UniquenessCertificate):
             if result.a_star != a_star:
                 raise SolverInvariantError(
@@ -366,18 +340,28 @@ def certify_unique_pure_cce(game: Game, gamma_hint: Sequence[Fraction] | None = 
             return _certificate("cce", a_star, result.gamma, result.slack, reduced)
 
     spec = polytopes.build_polytope(game, "cce")
-    singleton = polytopes.is_singleton(spec)
-    if not singleton.is_singleton:
-        witnesses = singleton.witnesses
-        _verify_witnesses(game, "cce", witnesses)
-        return Refutation("cce", "the polytope holds two distinct members", witnesses)
-    mu = singleton.point
-    if len(mu.support()) == 1:
-        raise SolverInvariantError(
-            "polytope collapsed to a pure point that certification rejected")
-    _verify_witnesses(game, "cce", (mu,))
-    return Refutation("cce", "the unique coarse correlated equilibrium is mixed",
-                      (mu,))
+    if len(candidates) >= 2:
+        refutation = Refutation(
+            "cce",
+            "two strict pure equilibria exist and each is a coarse correlated "
+            "equilibrium on its own",
+            (JointDistribution.point_mass(candidates[0]),
+             JointDistribution.point_mass(candidates[1])),
+        )
+    else:
+        singleton = polytopes.is_singleton(spec)
+        if not singleton.is_singleton:
+            refutation = Refutation("cce", "the polytope holds two distinct members",
+                                    singleton.witnesses)
+        elif len(singleton.point.support()) == 1:
+            raise SolverInvariantError(
+                "polytope collapsed to a pure point that certification rejected")
+        else:
+            refutation = Refutation(
+                "cce", "the unique coarse correlated equilibrium is mixed",
+                (singleton.point,))
+    _verify_witnesses(spec, refutation.witnesses)
+    return refutation
 
 
 # -- classification ----------------------------------------------------------
@@ -490,30 +474,26 @@ def _require_product(game: Game, nu: JointDistribution) -> list[MixedAction]:
     return [nu.marginal(game, i) for i in range(game.num_players)]
 
 
-def is_nash(game: Game, nu: JointDistribution) -> bool:
-    """Exact best-response check for a product distribution."""
-    mixed = _require_product(game, nu)
-    for i in range(game.num_players):
-        payoffs = _deviation_payoffs(game, i, mixed)
-        expected = nu.expected_utility(game, i)
-        if any(p > expected for p in payoffs):
-            return False
-    return True
-
-
-def is_quasi_strict(game: Game, nu: JointDistribution) -> bool:
-    """NE where every action outside the support loses strictly."""
+def _is_equilibrium(game: Game, nu: JointDistribution, quasi_strict: bool) -> bool:
     mixed = _require_product(game, nu)
     for i in range(game.num_players):
         payoffs = _deviation_payoffs(game, i, mixed)
         expected = nu.expected_utility(game, i)
         support = set(mixed[i].support())
         for a, p in enumerate(payoffs):
-            if p > expected:
-                return False
-            if a not in support and p == expected:
+            if p > expected or (quasi_strict and p == expected and a not in support):
                 return False
     return True
+
+
+def is_nash(game: Game, nu: JointDistribution) -> bool:
+    """Exact best-response check for a product distribution."""
+    return _is_equilibrium(game, nu, quasi_strict=False)
+
+
+def is_quasi_strict(game: Game, nu: JointDistribution) -> bool:
+    """NE where every action outside the support loses strictly."""
+    return _is_equilibrium(game, nu, quasi_strict=True)
 
 
 @dataclass(frozen=True)
@@ -649,12 +629,8 @@ def conv_ne_vs_ircp(game: Game, ne_list: Sequence[JointDistribution],
 
 
 def _unilateral_guarantee(game: Game, a_star: Profile) -> bool:
-    for i in range(game.num_players):
-        target = game.u(i, a_star)
-        for others in game.opponent_profiles(i):
-            if game.u(i, game.insert_action(i, a_star[i], others)) < target:
-                return False
-    return True
+    return all(_pure_guarantee(game, i, a_star[i]) >= game.u(i, a_star)
+               for i in range(game.num_players))
 
 
 def is_gue(game: Game, a_star: Sequence[int]) -> bool:
@@ -750,6 +726,7 @@ def verify_certificate(game: Game, data: dict) -> list[str]:
         return [f"unknown certificate concept {concept!r}"]
     try:
         a_star = tuple(int(x) for x in data["a_star"])
+        game.profile_index(a_star)  # rejects a profile outside the game
         gamma = [parse_rational(g) for g in data["gamma"]]
         slack = parse_rational(data["slack"])
     except Exception as exc:  # malformed fields

@@ -2,7 +2,8 @@
 
 Subcommands: analyze, certify, generate, contest, simulate, verify.
 Exit codes are a stable contract: 0 = success / certificate / check passed,
-1 = refuted / check failed / verification problems, 2 = input error,
+1 = refuted / check failed / verification problems, 2 = input error
+(including an EQCERT_LP_PIVOT_LIMIT that is not a nonnegative integer),
 3 = the exact solver gave up (pivot limit from EQCERT_LP_PIVOT_LIMIT) or
 failed an internal consistency check, so no answer was reached.
 """
@@ -23,7 +24,7 @@ from .games import (
     save_game,
     total_variation,
 )
-from .lp import PivotLimitExceeded
+from .lp import LpError, PivotLimitExceeded, pivot_limit
 from .polytopes import SolverInvariantError
 from .rational import RationalFormatError, format_rational, parse_rational
 
@@ -56,6 +57,13 @@ def _load_game_file(path: str) -> Game:
         return load_game(_read_bytes(path))
     except GameFormatError as exc:
         raise CliError(f"{path}: {exc}") from exc
+
+
+def _check_pivot_limit() -> None:
+    try:
+        pivot_limit()
+    except LpError as exc:
+        raise CliError(str(exc)) from exc
 
 
 def _parse_profile(text: str, game: Game) -> tuple[int, ...]:
@@ -205,7 +213,7 @@ def cmd_contest(args: argparse.Namespace) -> int:
     try:
         spec = contests.load_contest(_read_bytes(args.spec))
         grids = contests.load_grid(_read_bytes(args.grid))
-    except contests.EvaluationDomainError as exc:
+    except (contests.EvaluationDomainError, RationalFormatError) as exc:
         raise CliError(str(exc)) from exc
 
     if args.prop3:
@@ -406,6 +414,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
+        _check_pivot_limit()
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

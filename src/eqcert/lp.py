@@ -41,6 +41,14 @@ class PivotLimitExceeded(RuntimeError):
     """The simplex hit the iteration cap from EQCERT_LP_PIVOT_LIMIT."""
 
 
+def pivot_limit() -> int:
+    """The pivot cap that EQCERT_LP_PIVOT_LIMIT sets; 0 (the default) means none."""
+    text = os.environ.get(PIVOT_LIMIT_ENV, "").strip() or "0"
+    if not text.isdecimal():
+        raise LpError(f"{PIVOT_LIMIT_ENV} must be a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 class VertexEnumerationError(ValueError):
     """Vertex enumeration was asked for an unbounded or oversized region."""
 
@@ -116,7 +124,7 @@ class _StandardForm:
 
     def __init__(self, system: ConstraintSystem):
         self.system = system
-        self.pivot_limit = int(os.environ.get(PIVOT_LIMIT_ENV, "0") or 0)
+        self.pivot_limit = pivot_limit()
         self.pivots_used = 0
         self.num_y = system.num_vars
 

@@ -9,6 +9,7 @@ in lowest terms; round-trips are bit-exact.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import time
 
@@ -22,7 +23,7 @@ from .games import (
 )
 from .lp import PivotLimitExceeded
 from .polytopes import Degenerate2x2Error, SolverInvariantError
-from .rational import RationalFormatError, format_rational, parse_rational
+from .rational import format_rational, parse_rational
 
 REPORT_VERSION = 1
 ALL_CONCEPTS = ("ne", "ce", "cce", "ircp")
@@ -121,10 +122,11 @@ def build_report(game: Game, concepts=ALL_CONCEPTS, check_unique: bool = False) 
             certificates["ircp"] = _certification_to_dict(
                 game, certify.certify_unique_ircp(game))
         if "cce" in concepts:
-            certificates["cce"] = _certification_to_dict(
-                game, certify.certify_unique_pure_cce(game))
-            report["classification"] = _classification_to_dict(
-                game, certify.classify_unique_cce(game))
+            classification = certify.classify_unique_cce(game)
+            # Only the unique_pure variant carries a certificate.
+            cce = classification.certificate or certify.certify_unique_pure_cce(game)
+            certificates["cce"] = _certification_to_dict(game, cce)
+            report["classification"] = _classification_to_dict(game, classification)
         report["certificates"] = certificates
 
         flagged: list = []
@@ -171,13 +173,20 @@ def _check_members(game: Game, concept: str, dists: list, problems: list,
                    where: str) -> None:
     spec = polytopes.build_polytope(game, concept)
     for idx, data in enumerate(dists):
-        try:
-            mu = certify.distribution_from_dict(game, data)
-        except Exception as exc:
-            problems.append(f"{where}[{idx}] unreadable: {exc}")
-            continue
+        mu = certify.distribution_from_dict(game, data)
         if not polytopes.membership(spec, mu).is_member:
             problems.append(f"{where}[{idx}] is not a {concept.upper()} member")
+
+
+@contextlib.contextmanager
+def _section(key: str, problems: list):
+    """Report a section that cannot be read (wrong JSON type, missing field) as a problem."""
+    try:
+        yield
+    except (PivotLimitExceeded, SolverInvariantError):
+        raise  # the solver gave up: no verdict on this section
+    except Exception as exc:
+        problems.append(f"{key} unreadable: {type(exc).__name__}: {exc}")
 
 
 def verify_report(report: dict) -> list[str]:
@@ -189,55 +198,55 @@ def verify_report(report: dict) -> list[str]:
         return [f"embedded game unreadable: {exc}"]
 
     if "maximin" in report:
-        try:
+        with _section("maximin", problems):
             claimed = [parse_rational(v) for v in report["maximin"]]
-        except (RationalFormatError, TypeError) as exc:
-            problems.append(f"maximin unreadable: {exc}")
-        else:
             actual = [zerosum.maximin(game, i).value for i in range(game.num_players)]
             if actual != claimed:
                 problems.append("maximin levels do not match a recomputation")
 
     if "ne" in report:
-        actual_pure = [{"profile": list(p), "strict": s}
-                       for p, s in polytopes.enumerate_pure_ne(game)]
-        if report["ne"].get("pure") != actual_pure:
-            problems.append("pure NE list does not match a recomputation")
+        with _section("ne", problems):
+            actual_pure = [{"profile": list(p), "strict": s}
+                           for p, s in polytopes.enumerate_pure_ne(game)]
+            if report["ne"].get("pure") != actual_pure:
+                problems.append("pure NE list does not match a recomputation")
 
-    for concept, entry in report.get("concepts", {}).items():
-        if entry.get("singleton"):
-            if "point" not in entry:
-                problems.append(f"concepts.{concept} claims a singleton but has no point")
-                continue
-            _check_members(game, concept, [entry["point"]], problems,
-                           f"concepts.{concept}.point")
-        else:
-            witnesses = entry.get("witnesses", [])
-            if len(witnesses) != 2 or witnesses[0] == witnesses[1]:
-                problems.append(f"concepts.{concept} needs two distinct witnesses")
-            _check_members(game, concept, witnesses, problems,
-                           f"concepts.{concept}.witnesses")
+    with _section("concepts", problems):
+        for concept, entry in report.get("concepts", {}).items():
+            if entry.get("singleton"):
+                if "point" not in entry:
+                    problems.append(
+                        f"concepts.{concept} claims a singleton but has no point")
+                    continue
+                _check_members(game, concept, [entry["point"]], problems,
+                               f"concepts.{concept}.point")
+            else:
+                witnesses = entry.get("witnesses", [])
+                if len(witnesses) != 2 or witnesses[0] == witnesses[1]:
+                    problems.append(f"concepts.{concept} needs two distinct witnesses")
+                _check_members(game, concept, witnesses, problems,
+                               f"concepts.{concept}.witnesses")
 
-    for key, entry in report.get("certificates", {}).items():
-        if entry.get("type") == "certificate":
-            for problem in certify.verify_certificate(game, entry):
-                problems.append(f"certificates.{key}: {problem}")
-        else:
-            for problem in certify.verify_refutation(game, entry):
-                problems.append(f"certificates.{key}: {problem}")
+    with _section("certificates", problems):
+        for key, entry in report.get("certificates", {}).items():
+            if entry.get("type") == "certificate":
+                found = certify.verify_certificate(game, entry)
+            else:
+                found = certify.verify_refutation(game, entry)
+            problems.extend(f"certificates.{key}: {problem}" for problem in found)
 
     cls = report.get("classification")
     if cls:
-        variant = cls.get("variant")
-        if variant == certify.UNIQUE_PURE:
-            for problem in certify.verify_certificate(game, cls["certificate"]):
-                problems.append(f"classification: {problem}")
-            _check_members(game, "cce", [cls["point"]], problems,
-                           "classification.point")
-        elif variant == certify.UNIQUE_MIXED_2X2:
-            _check_members(game, "cce", [cls["point"]], problems,
-                           "classification.point")
-            try:
+        with _section("classification", problems):
+            variant = cls.get("variant")
+            if variant == certify.UNIQUE_PURE:
+                for problem in certify.verify_certificate(game, cls["certificate"]):
+                    problems.append(f"classification: {problem}")
+                _check_members(game, "cce", [cls["point"]], problems,
+                               "classification.point")
+            elif variant == certify.UNIQUE_MIXED_2X2:
+                _check_members(game, "cce", [cls["point"]], problems,
+                               "classification.point")
                 subgame = game_from_dict(cls["subgame"])
                 if not certify.is_matching_pennies_type(subgame):
                     problems.append(
@@ -248,28 +257,22 @@ def verify_report(report: dict) -> list[str]:
                 if marginals != claimed:
                     problems.append(
                         "classification: stated NE disagrees with the point's marginals")
-            except Exception as exc:
-                problems.append(f"classification unreadable: {exc}")
-        elif variant == certify.NOT_UNIQUE:
-            witnesses = cls.get("witnesses", [])
-            if len(witnesses) != 2 or witnesses[0] == witnesses[1]:
-                problems.append("classification needs two distinct witnesses")
-            _check_members(game, "cce", witnesses, problems,
-                           "classification.witnesses")
-        else:
-            problems.append(f"classification: unknown variant {variant!r}")
+            elif variant == certify.NOT_UNIQUE:
+                witnesses = cls.get("witnesses", [])
+                if len(witnesses) != 2 or witnesses[0] == witnesses[1]:
+                    problems.append("classification needs two distinct witnesses")
+                _check_members(game, "cce", witnesses, problems,
+                               "classification.witnesses")
+            else:
+                problems.append(f"classification: unknown variant {variant!r}")
 
-    for idx, entry in enumerate(report.get("gue", [])):
-        try:
+    with _section("gue", problems):
+        for idx, entry in enumerate(report.get("gue", [])):
             profile = tuple(int(x) for x in entry["profile"])
             if certify.is_gue(game, profile) != bool(entry["gue"]):
                 problems.append(f"gue[{idx}]: pure-Pareto flag does not re-verify")
             if certify.is_strict_fractional_gue(game, profile) != bool(
                     entry["strict_fractional_gue"]):
                 problems.append(f"gue[{idx}]: lottery-Pareto flag does not re-verify")
-        except (PivotLimitExceeded, SolverInvariantError):
-            raise  # the solver gave up: no verdict on this entry
-        except Exception as exc:
-            problems.append(f"gue[{idx}] unreadable: {exc}")
 
     return problems

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from eqcert import generators
+from eqcert import generators, polytopes
 from eqcert.certify import (
     CertificationError,
     HULL_EQUAL,
@@ -44,7 +44,7 @@ from eqcert.games import (
     cce_reduction,
     product_distribution,
 )
-from eqcert.polytopes import build_polytope, membership, mixed_ne_2x2
+from eqcert.polytopes import SolverInvariantError, build_polytope, membership, mixed_ne_2x2
 
 from conftest import F
 
@@ -205,6 +205,33 @@ def test_cce_refuted_two_strict_equilibria(coordination):
     assert isinstance(result, Refutation)
     assert result.witnesses == (JointDistribution.point_mass((0, 0)),
                                 JointDistribution.point_mass((1, 1)))
+
+
+def _reject_every_point(monkeypatch):
+    rejected = polytopes.MembershipResult(False, ())
+    monkeypatch.setattr(polytopes, "membership", lambda spec, mu: rejected)
+
+
+def test_ircp_refutation_is_rechecked(monkeypatch):
+    _reject_every_point(monkeypatch)
+    with pytest.raises(SolverInvariantError, match="membership re-check"):
+        certify_unique_ircp(generators.prisoners_dilemma())
+
+
+def test_cce_refutations_are_rechecked(monkeypatch, coordination):
+    _reject_every_point(monkeypatch)
+    for game in (generators.rock_paper_scissors(), coordination):
+        with pytest.raises(SolverInvariantError, match="membership re-check"):
+            certify_unique_pure_cce(game)
+
+
+def test_ircp_certificate_is_rechecked(monkeypatch):
+    assert isinstance(certify_unique_ircp(_parking("3/5")), UniquenessCertificate)
+    pair = (JointDistribution.point_mass((0, 0)), JointDistribution.point_mass((1, 1)))
+    monkeypatch.setattr(polytopes, "is_singleton",
+                        lambda spec: polytopes.SingletonResult(None, pair))
+    with pytest.raises(SolverInvariantError, match="singleton test"):
+        certify_unique_ircp(_parking("3/5"))
 
 
 def test_cce_refuted_table3_despite_strict_ne():

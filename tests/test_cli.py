@@ -210,6 +210,22 @@ def test_contest_band_rejects_unreadable_c(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: --c:")
 
 
+def test_contest_unparsable_rational_in_files_exits_2(tmp_path, capsys):
+    spec_path, grid_path = _write_tullock(tmp_path)
+    bad_grid = tmp_path / "bad_grid.json"
+    bad_grid.write_text(json.dumps(["abc"]))
+    assert main(["contest", str(spec_path), "--grid", str(bad_grid),
+                 "--prop3", "--a-star", "1/4,1/4"]) == 2
+    spec = json.loads(spec_path.read_text())
+    spec["success"]["r"] = "x"
+    bad_spec = tmp_path / "bad_spec.json"
+    bad_spec.write_text(json.dumps(spec))
+    assert main(["contest", str(bad_spec), "--grid", str(grid_path),
+                 "--prop3", "--a-star", "1/4,1/4"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("error: ") for line in err)
+
+
 # -- simulate ---------------------------------------------------------------------
 
 
@@ -246,10 +262,14 @@ def test_simulate_input_errors(tmp_path, capsys):
     assert main(["simulate", str(game_path), "--algo", "gradient",
                  "--steps", "10", "--seed", "1"]) == 2
     bad_cert = tmp_path / "bad.json"
-    bad_cert.write_text('{"no": "a_star"}')
-    assert main(["simulate", str(game_path), "--algo", "external_mw",
-                 "--steps", "10", "--seed", "1",
-                 "--certificate", str(bad_cert)]) == 2
+    for text in ('{"no": "a_star"}',
+                 '{"concept": "cce", "a_star": [5, 0], "gamma": ["1/2", "1/2"], '
+                 '"slack": "1"}'):
+        bad_cert.write_text(text)
+        assert main(["simulate", str(game_path), "--algo", "external_mw",
+                     "--steps", "10", "--seed", "1",
+                     "--certificate", str(bad_cert)]) == 2
+    assert capsys.readouterr().err.endswith("profile (5, 0) out of range\n")
 
 
 # -- verify -----------------------------------------------------------------------
@@ -290,6 +310,21 @@ def test_pivot_limit_exits_3(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error: simplex exceeded 2 pivots")
     assert "Traceback" not in err
+
+
+def test_pivot_limit_must_be_a_nonnegative_integer(tmp_path, capsys, monkeypatch):
+    game_path = _generate(tmp_path, "pd.json", "pd")
+    for value in ("abc", "-1", "1.5"):
+        monkeypatch.setenv(PIVOT_LIMIT_ENV, value)
+        assert main(["analyze", str(game_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {PIVOT_LIMIT_ENV} must be a nonnegative integer, "
+                       f"got {value!r}\n")
+    for value in ("0", ""):
+        monkeypatch.setenv(PIVOT_LIMIT_ENV, value)  # no cap
+        assert main(["certify", str(game_path), "--concept", "cce"]) == 0
+    monkeypatch.delenv(PIVOT_LIMIT_ENV)
+    assert main(["certify", str(game_path), "--concept", "cce"]) == 0
 
 
 def test_verify_under_pivot_limit_exits_3_not_1(tmp_path, capsys, monkeypatch):

@@ -96,6 +96,27 @@ def test_verify_flags_unreadable_maximin():
     assert any(p.startswith("maximin unreadable") for p in problems)
 
 
+@pytest.mark.parametrize("section, value, expected", [
+    ("concepts", [],
+     "concepts unreadable: AttributeError: 'list' object has no attribute 'items'"),
+    ("concepts", {"cce": "x"},
+     "concepts unreadable: AttributeError: 'str' object has no attribute 'get'"),
+    ("concepts", {"xyz": {"singleton": True, "point": {"0": "1"}}},
+     "concepts unreadable: PolytopeError: unknown concept 'xyz'; "
+     "pick one of ('ce', 'cce', 'ircp')"),
+    ("ne", [], "ne unreadable: AttributeError: 'list' object has no attribute 'get'"),
+    ("certificates", {"cce": "x"},
+     "certificates unreadable: AttributeError: 'str' object has no attribute 'get'"),
+    ("classification", {"variant": "unique_pure", "point": {"3": "1"}},
+     "classification unreadable: KeyError: 'certificate'"),
+], ids=["concepts-list", "concept-entry-str", "concept-unknown", "ne-list",
+        "certificate-str", "classification-no-certificate"])
+def test_verify_flags_malformed_section(section, value, expected):
+    data = full_pd_report()
+    data[section] = value
+    assert verify_report(data) == [expected]
+
+
 def test_verify_flags_degenerate_witness_pair():
     data = build_report(rock_paper_scissors(), ("cce",))
     data["concepts"]["cce"]["witnesses"] = [data["concepts"]["cce"]["witnesses"][0]] * 2
