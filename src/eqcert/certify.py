@@ -34,9 +34,9 @@ from .lp import (
     ConstraintSystem,
     LinearConstraint,
     PolytopeSolver,
+    SolverInvariantError,
     enumerate_vertices,
 )
-from .polytopes import SolverInvariantError
 from .rational import format_rational, parse_rational
 
 

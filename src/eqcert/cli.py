@@ -24,8 +24,7 @@ from .games import (
     save_game,
     total_variation,
 )
-from .lp import LpError, PivotLimitExceeded, pivot_limit
-from .polytopes import SolverInvariantError
+from .lp import LpError, PivotLimitExceeded, SolverInvariantError, pivot_limit
 from .rational import RationalFormatError, format_rational, parse_rational
 
 

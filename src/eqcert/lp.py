@@ -7,6 +7,15 @@ results are reported as `Fraction`s.  Ties in the leaving-variable test are
 broken by lowest basis index, which together with Bland's entering rule
 makes every answer a deterministic function of the input.
 
+Phase 1 starts each row on its slack wherever it can.  A row is negated so
+that its right-hand side is nonnegative, and a `>=` row with right-hand side
+0 is negated to `<=`, so it starts basic on its slack at level 0.  Every CE
+and CCE incentive row and every row of a maximin LP has that form.  Only
+`==` rows and `>=` rows with a positive right-hand side keep an artificial
+variable: the simplex row `sum x = 1`, and IRCP rows at a positive maximin
+level.  Phase 1 of a CE, CCE or maximin LP then drives out one artificial
+instead of one per incentive row.
+
 Every variable is nonnegative, since the LPs here are over probability
 weights.  A caller that needs a free variable splits it into two
 nonnegative columns itself, x = x+ - x- (see `zerosum._row_lp`).
@@ -39,6 +48,10 @@ class LpError(ValueError):
 
 class PivotLimitExceeded(RuntimeError):
     """The simplex hit the iteration cap from EQCERT_LP_PIVOT_LIMIT."""
+
+
+class SolverInvariantError(RuntimeError):
+    """An internal consistency check failed; results cannot be trusted."""
 
 
 def pivot_limit() -> int:
@@ -111,7 +124,7 @@ class LpOutcome:
 def _exact_div(a: int, b: int) -> int:
     q, r = divmod(a, b)
     if r:
-        raise AssertionError("integer pivot lost exact divisibility")
+        raise SolverInvariantError("integer pivot lost exact divisibility")
     return q
 
 
@@ -120,7 +133,13 @@ def _lcm(a: int, b: int) -> int:
 
 
 class _StandardForm:
-    """min c.y, T y = b, y >= 0 over an integer tableau with common denominator."""
+    """min c.y, T y = b, y >= 0 over an integer tableau with common denominator.
+
+    Rows are scaled to integers and negated so that b >= 0.  A `<=` row starts
+    basic on its slack.  A `>=` row with b = 0 is negated to `<=` too: the
+    origin satisfies it, so its slack is a feasible start at level 0.  Only
+    `==` rows and `>=` rows with b > 0 start on an artificial for phase 1.
+    """
 
     def __init__(self, system: ConstraintSystem):
         self.system = system
@@ -142,7 +161,7 @@ class _StandardForm:
                 denom = _lcm(denom, c.denominator)
             ints = [int(c * denom) for c in row.coeffs]
             b = int(rhs * denom)
-            if b < 0:
+            if b < 0 or (b == 0 and rel == GREATER_EQUAL):
                 ints = [-v for v in ints]
                 b = -b
                 rel = {LESS_EQUAL: GREATER_EQUAL, GREATER_EQUAL: LESS_EQUAL, EQUAL: EQUAL}[rel]
@@ -191,7 +210,7 @@ class _StandardForm:
         prow = rows[p]
         pval = prow[q]
         if pval <= 0:
-            raise AssertionError("pivot entry must be positive")
+            raise SolverInvariantError("pivot entry must be positive")
         width = len(prow)
         for r, row in enumerate(itertools.chain(rows, (self.z,))):
             if r == p:
@@ -259,7 +278,7 @@ class _StandardForm:
             self._load_objective(cost)
             status = self._bland_min()
             if status != OPTIMAL:
-                raise AssertionError("phase 1 cannot be unbounded")
+                raise SolverInvariantError("phase 1 cannot be unbounded")
             art_set = set(self.artificials)
             for r, bvar in enumerate(self.basis):
                 if bvar in art_set and self.rows[r][self.ncols] > 0:

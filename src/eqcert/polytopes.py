@@ -23,6 +23,7 @@ from .lp import (
     ConstraintSystem,
     LinearConstraint,
     PolytopeSolver,
+    SolverInvariantError,
     _echelon_add,
 )
 
@@ -31,10 +32,6 @@ CONCEPTS = ("ce", "cce", "ircp")
 
 class PolytopeError(ValueError):
     """Bad inputs to a polytope operation."""
-
-
-class SolverInvariantError(RuntimeError):
-    """An internal consistency check failed; results cannot be trusted."""
 
 
 @dataclass(frozen=True)

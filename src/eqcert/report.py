@@ -21,8 +21,8 @@ from .games import (
     game_from_dict,
     game_to_dict,
 )
-from .lp import PivotLimitExceeded
-from .polytopes import Degenerate2x2Error, SolverInvariantError
+from .lp import PivotLimitExceeded, SolverInvariantError
+from .polytopes import Degenerate2x2Error
 from .rational import format_rational, parse_rational
 
 REPORT_VERSION = 1
@@ -169,9 +169,12 @@ def load_report(data: bytes | str) -> dict:
     return raw
 
 
-def _check_members(game: Game, concept: str, dists: list, problems: list,
-                   where: str) -> None:
-    spec = polytopes.build_polytope(game, concept)
+def _check_members(specs: dict, game: Game, concept: str, dists: list,
+                   problems: list, where: str) -> None:
+    """Membership of each distribution; `specs` holds the polytopes built so far."""
+    if concept not in specs:
+        specs[concept] = polytopes.build_polytope(game, concept)
+    spec = specs[concept]
     for idx, data in enumerate(dists):
         mu = certify.distribution_from_dict(game, data)
         if not polytopes.membership(spec, mu).is_member:
@@ -196,6 +199,7 @@ def verify_report(report: dict) -> list[str]:
         game = game_from_dict(report["game"])
     except (KeyError, GameFormatError) as exc:
         return [f"embedded game unreadable: {exc}"]
+    specs: dict = {}  # concept -> PolytopeSpec, built once per call
 
     if "maximin" in report:
         with _section("maximin", problems):
@@ -218,13 +222,13 @@ def verify_report(report: dict) -> list[str]:
                     problems.append(
                         f"concepts.{concept} claims a singleton but has no point")
                     continue
-                _check_members(game, concept, [entry["point"]], problems,
+                _check_members(specs, game, concept, [entry["point"]], problems,
                                f"concepts.{concept}.point")
             else:
                 witnesses = entry.get("witnesses", [])
                 if len(witnesses) != 2 or witnesses[0] == witnesses[1]:
                     problems.append(f"concepts.{concept} needs two distinct witnesses")
-                _check_members(game, concept, witnesses, problems,
+                _check_members(specs, game, concept, witnesses, problems,
                                f"concepts.{concept}.witnesses")
 
     with _section("certificates", problems):
@@ -242,10 +246,10 @@ def verify_report(report: dict) -> list[str]:
             if variant == certify.UNIQUE_PURE:
                 for problem in certify.verify_certificate(game, cls["certificate"]):
                     problems.append(f"classification: {problem}")
-                _check_members(game, "cce", [cls["point"]], problems,
+                _check_members(specs, game, "cce", [cls["point"]], problems,
                                "classification.point")
             elif variant == certify.UNIQUE_MIXED_2X2:
-                _check_members(game, "cce", [cls["point"]], problems,
+                _check_members(specs, game, "cce", [cls["point"]], problems,
                                "classification.point")
                 subgame = game_from_dict(cls["subgame"])
                 if not certify.is_matching_pennies_type(subgame):
@@ -261,7 +265,7 @@ def verify_report(report: dict) -> list[str]:
                 witnesses = cls.get("witnesses", [])
                 if len(witnesses) != 2 or witnesses[0] == witnesses[1]:
                     problems.append("classification needs two distinct witnesses")
-                _check_members(game, "cce", witnesses, problems,
+                _check_members(specs, game, "cce", witnesses, problems,
                                "classification.witnesses")
             else:
                 problems.append(f"classification: unknown variant {variant!r}")

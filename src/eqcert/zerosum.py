@@ -23,6 +23,7 @@ from .lp import (
     ConstraintSystem,
     LinearConstraint,
     PolytopeSolver,
+    SolverInvariantError,
 )
 
 
@@ -73,7 +74,7 @@ def _row_lp(matrix: Sequence[Sequence[Fraction]]) -> tuple[Fraction, tuple[Fract
     objective = tuple([Fraction(0)] * num_rows + [Fraction(1), Fraction(-1)])
     outcome = PolytopeSolver(system).optimize(objective, maximize=True)
     if outcome.status != OPTIMAL:
-        raise AssertionError("matrix game value LP must be solvable")
+        raise SolverInvariantError("matrix game value LP must be solvable")
     return outcome.value, outcome.point[:num_rows]
 
 
@@ -84,7 +85,7 @@ def matrix_value(mg: MatrixGame) -> tuple[Fraction, tuple[Fraction, ...], tuple[
                   for c in range(len(mg.col_labels))]
     col_value, col_strategy = _row_lp(transposed)
     if col_value != -value:
-        raise AssertionError("minimax equality failed; simplex bug")
+        raise SolverInvariantError("minimax equality failed; simplex bug")
     return value, row_strategy, col_strategy
 
 
@@ -121,7 +122,7 @@ def minimax_dual(game: Game, player: int) -> tuple[Fraction, dict[tuple[int, ...
     neg_value, punishment = _row_lp(matrix)
     value = -neg_value
     if value != maximin(game, player).value:
-        raise AssertionError("dual punishment value must equal the maximin value")
+        raise SolverInvariantError("dual punishment value must equal the maximin value")
     dist = {opp: w for opp, w in zip(others, punishment) if w != 0}
     return value, dist
 
@@ -143,14 +144,14 @@ def strict_complementary_strategy(mg: MatrixGame) -> MixedAction:
     system = ConstraintSystem(num_cols, tuple(rows))
     solver = PolytopeSolver(system)
     if not solver.feasible:
-        raise AssertionError("optimal face of a matrix game cannot be empty")
+        raise SolverInvariantError("optimal face of a matrix game cannot be empty")
     total = [Fraction(0)] * num_cols
     for c in range(num_cols):
         unit = [Fraction(0)] * num_cols
         unit[c] = Fraction(1)
         outcome = solver.optimize(unit, maximize=True)
         if outcome.status != OPTIMAL:
-            raise AssertionError("optimal face is bounded; optimize must succeed")
+            raise SolverInvariantError("optimal face is bounded; optimize must succeed")
         for j in range(num_cols):
             total[j] += outcome.point[j]
     weights = {c: w / num_cols for c, w in enumerate(total) if w != 0}

@@ -213,3 +213,44 @@ def test_pivot_limit_env(monkeypatch):
         _lp(*args)
     monkeypatch.delenv(PIVOT_LIMIT_ENV)
     assert _lp(*args).status == OPTIMAL
+
+
+# -- phase-1 starting basis -------------------------------------------------------
+
+
+def test_zero_rhs_rows_start_on_their_slack():
+    # Every CE incentive row reads a.x >= 0; only the simplex row needs an
+    # artificial in phase 1.
+    spec = build_polytope(generators.random_game((4, 4), seed=3), "ce")
+    solver = PolytopeSolver(spec.system)
+    assert solver.feasible
+    assert len(solver._form.artificials) == 1
+    assert spec.system.contains(solver.feasible_point())
+    # The maximin LP of matching pennies as zerosum._row_lp writes it: one
+    # `>= 0` row per column, the guarantee split as z+ - z- in the last two
+    # columns, and the simplex row.
+    rows = [([1, -1, -1, 1], GREATER_EQUAL, 0),
+            ([-1, 1, -1, 1], GREATER_EQUAL, 0),
+            ([1, 1, 0, 0], EQUAL, 1)]
+    solver = PolytopeSolver(_system(4, rows))
+    assert len(solver._form.artificials) == 1
+    out = solver.optimize((F(0), F(0), F(1), F(-1)), maximize=True)
+    assert out.status == OPTIMAL and out.value == 0
+    assert out.point[:2] == (F(1, 2), F(1, 2))
+
+
+def test_homogeneous_rows_with_simplex_row_can_be_infeasible():
+    # -x1 >= 0 and -x2 >= 0 start on their slacks; the simplex row's
+    # artificial cannot leave, so phase 1 must still report infeasibility.
+    solver = PolytopeSolver(_system(2, [([-1, 0], GREATER_EQUAL, 0),
+                                        ([0, -1], GREATER_EQUAL, 0),
+                                        ([1, 1], EQUAL, 1)]))
+    assert solver.feasible is False
+    assert solver.feasible_point() is None
+
+
+def test_homogeneous_row_bounds_the_optimum():
+    out = _lp(2, [0, 1], [([1, -1], GREATER_EQUAL, 0), ([1, 1], EQUAL, 1)])
+    assert out.status == OPTIMAL
+    assert out.value == F(1, 2)
+    assert out.point == (F(1, 2), F(1, 2))

@@ -14,7 +14,7 @@ from eqcert.games import (
     product_distribution,
     strategic_transform,
 )
-from eqcert.lp import enumerate_vertices
+from eqcert.lp import EQUAL, GREATER_EQUAL, enumerate_vertices
 from eqcert.polytopes import (
     Degenerate2x2Error,
     PolytopeError,
@@ -381,3 +381,61 @@ def test_cce_equals_ircp_under_all_strategic_transforms():
                 i, g.insert_action(i, dev, opp))
             h = strategic_transform(g, (Fraction(1), Fraction(1)), tuple(beta))
             assert not membership(build_polytope(h, "ircp"), mu).is_member
+
+
+def _float_coordinate_ranges(system):
+    """Per-coordinate (min, max) over the system in floating point, via scipy."""
+    from scipy.optimize import linprog
+    a_ub, b_ub, a_eq, b_eq = [], [], [], []
+    for row in system.constraints:
+        coeffs = [float(c) for c in row.coeffs]
+        if row.relation == EQUAL:
+            a_eq.append(coeffs)
+            b_eq.append(float(row.rhs))
+        elif row.relation == GREATER_EQUAL:
+            a_ub.append([-c for c in coeffs])
+            b_ub.append(-float(row.rhs))
+        else:
+            a_ub.append(coeffs)
+            b_ub.append(float(row.rhs))
+    ranges = []
+    for k in range(system.num_vars):
+        unit = [0.0] * system.num_vars
+        unit[k] = 1.0
+        bounds = []
+        for sign in (1.0, -1.0):
+            res = linprog([sign * c for c in unit], A_ub=a_ub, b_ub=b_ub,
+                          A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+            assert res.status == 0
+            bounds.append(sign * res.fun)
+        ranges.append(tuple(bounds))
+    return ranges
+
+
+def test_singleton_decisions_match_scipy_above_vertex_cap():
+    # 16 to 27 profiles: beyond enumerate_vertices' 12-variable cap, so the
+    # exact decision is checked against a floating-point LP instead.  Only
+    # clear float answers are compared: a coordinate range wider than 1e-7
+    # (not a singleton) or every range narrower than 1e-9 (a singleton).
+    pytest.importorskip("scipy")
+    games = ([generators.random_game((4, 4), seed) for seed in range(1, 6)]
+             + [generators.random_game((5, 5), seed) for seed in range(1, 4)]
+             + [generators.random_game((3, 3, 3), seed) for seed in range(1, 4)])
+    compared = {True: 0, False: 0}
+    for game in games:
+        for concept in ("ce", "cce"):
+            spec = build_polytope(game, concept)
+            exact = is_singleton(spec)
+            ranges = _float_coordinate_ranges(spec.system)
+            spread = max(high - low for low, high in ranges)
+            if spread > 1e-7:
+                assert not exact.is_singleton, (game.name, concept)
+            elif spread < 1e-9:
+                assert exact.is_singleton, (game.name, concept)
+                vector = exact.point.as_vector(game)
+                assert all(abs(float(x) - low) < 1e-7
+                           for x, (low, _) in zip(vector, ranges))
+            else:
+                continue
+            compared[exact.is_singleton] += 1
+    assert compared[True] >= 1 and compared[False] >= 20

@@ -51,6 +51,26 @@ def test_clean_reports_verify():
     assert verify_report(mixed) == []
 
 
+def test_verify_builds_the_cce_polytope_once(monkeypatch):
+    # PD is unique_pure: the CCE polytope is named by concepts.cce and by the
+    # classification, and is built once for both.  (The IRCP refutation is
+    # re-checked by certify.verify_refutation, which builds its own.)
+    from eqcert import polytopes
+
+    data = full_pd_report()
+    assert data["classification"]["variant"] == "unique_pure"
+    built = []
+    real = polytopes.build_polytope
+
+    def counting(game, concept):
+        built.append(concept)
+        return real(game, concept)
+
+    monkeypatch.setattr(polytopes, "build_polytope", counting)
+    assert verify_report(data) == []
+    assert built.count("cce") == 1 and built.count("ce") == 1
+
+
 def test_save_load_round_trip():
     data = full_pd_report()
     assert verify_report(load_report(save_report(data))) == []
