@@ -176,14 +176,15 @@ def _verify_witnesses(spec: polytopes.PolytopeSpec,
         raise SolverInvariantError("refutation witnesses are not distinct")
 
 
-def _verify_ircp_singleton(spec: polytopes.PolytopeSpec, a_star: Profile) -> None:
+def _verify_ircp_singleton(analysis: polytopes.GameAnalysis, a_star: Profile) -> None:
     # The point is None unless the polytope is a singleton.
-    if polytopes.is_singleton(spec).point != JointDistribution.point_mass(a_star):
+    if analysis.singleton("ircp").point != JointDistribution.point_mass(a_star):
         raise SolverInvariantError(
             "certificate disagrees with the polytope singleton test")
 
 
-def certify_unique_ircp(game: Game, gamma_hint: Sequence[Fraction] | None = None
+def certify_unique_ircp(game: Game | polytopes.GameAnalysis,
+                        gamma_hint: Sequence[Fraction] | None = None
                         ) -> UniquenessCertificate | Refutation:
     """Certify or refute that the IRCP polytope is one point.
 
@@ -194,22 +195,27 @@ def certify_unique_ircp(game: Game, gamma_hint: Sequence[Fraction] | None = None
     (refutation).  `gamma_hint` supplies candidate weights to try before the
     zero-sum solve; invalid hints are ignored.  Every answer is re-checked
     against the polytope before it is returned: a refutation's witnesses by
-    exact membership, a certificate by the singleton test.
+    exact membership, a certificate by the singleton test.  Given a
+    `GameAnalysis`, the polytope, its singleton test and the maximin LPs
+    are the context's.
     """
-    spec = polytopes.build_polytope(game, "ircp")
-    result = _decide_ircp(game, spec.maximin_values, gamma_hint)
+    analysis = polytopes.analysis_of(game)
+    spec = analysis.polytope("ircp")
+    result = _decide_ircp(analysis, gamma_hint)
     if isinstance(result, UniquenessCertificate):
-        _verify_ircp_singleton(spec, result.a_star)
+        _verify_ircp_singleton(analysis, result.a_star)
     else:
         _verify_witnesses(spec, result.witnesses)
     return result
 
 
-def _decide_ircp(game: Game, levels: Sequence[Fraction],
+def _decide_ircp(analysis: polytopes.GameAnalysis,
                  gamma_hint: Sequence[Fraction] | None
                  ) -> UniquenessCertificate | Refutation:
-    """The IRCP decision at the given security levels, without re-checks."""
+    """The IRCP decision at the context's security levels, without re-checks."""
+    game = analysis.game
     n = game.num_players
+    levels = [analysis.maximin(i).value for i in range(n)]
     # Every player needs a pure action attaining the security level.
     pure_options = [
         [a for a in range(game.shape[i]) if _pure_guarantee(game, i, a) == levels[i]]
@@ -217,7 +223,7 @@ def _decide_ircp(game: Game, levels: Sequence[Fraction],
     ]
     for i in range(n):
         if not pure_options[i]:
-            nu = [zerosum.maximin(game, j).strategy for j in range(n)]
+            nu = [analysis.maximin(j).strategy for j in range(n)]
             base = product_distribution(game, nu)
             gaps = _deviation_payoffs(game, i, nu)
             best = max(range(game.shape[i]), key=lambda a: (gaps[a], -a))
@@ -315,7 +321,8 @@ def _deviation_payoffs(game: Game, player: int,
     return out
 
 
-def certify_unique_pure_cce(game: Game, gamma_hint: Sequence[Fraction] | None = None
+def certify_unique_pure_cce(game: Game | polytopes.GameAnalysis,
+                            gamma_hint: Sequence[Fraction] | None = None
                             ) -> UniquenessCertificate | Refutation:
     """Certify or refute that the CCE polytope is a single pure profile.
 
@@ -324,22 +331,25 @@ def certify_unique_pure_cce(game: Game, gamma_hint: Sequence[Fraction] | None = 
     u_i(a_i*, a_{-i}).  Refutations carry two CCE members, or the single
     mixed CCE when the polytope is a mixed singleton; they are re-checked
     against the CCE polytope, which is built only when no certificate is found.
+    Given a `GameAnalysis`, the pure NE, the polytope and its singleton test
+    are the context's.
     """
-    candidates = [p for p, strict in polytopes.enumerate_pure_ne(game) if strict]
+    analysis = polytopes.analysis_of(game)
+    game = analysis.game
+    candidates = [p for p, strict in analysis.pure_ne() if strict]
     if len(candidates) == 1:
         a_star = candidates[0]
         reduced = cce_reduction(game, a_star)
         # In the reduced game a_i* is the unique pure maximin action, at level
         # 0, so the decision needs only the levels, never the strategies.
-        levels = [zerosum.maximin(reduced, i).value for i in range(reduced.num_players)]
-        result = _decide_ircp(reduced, levels, gamma_hint)
+        result = _decide_ircp(polytopes.GameAnalysis(reduced), gamma_hint)
         if isinstance(result, UniquenessCertificate):
             if result.a_star != a_star:
                 raise SolverInvariantError(
                     "reduced-game certificate landed on a different profile")
             return _certificate("cce", a_star, result.gamma, result.slack, reduced)
 
-    spec = polytopes.build_polytope(game, "cce")
+    spec = analysis.polytope("cce")
     if len(candidates) >= 2:
         refutation = Refutation(
             "cce",
@@ -349,7 +359,7 @@ def certify_unique_pure_cce(game: Game, gamma_hint: Sequence[Fraction] | None = 
              JointDistribution.point_mass(candidates[1])),
         )
     else:
-        singleton = polytopes.is_singleton(spec)
+        singleton = analysis.singleton("cce")
         if not singleton.is_singleton:
             refutation = Refutation("cce", "the polytope holds two distinct members",
                                     singleton.witnesses)
@@ -423,21 +433,23 @@ def _induced_2x2(game: Game, mu: JointDistribution) -> tuple[tuple[int, int], Ga
     return (i, j), Game(actions, (tuple(u1), tuple(u2)), name)
 
 
-def classify_unique_cce(game: Game) -> CceClassification:
+def classify_unique_cce(game: Game | polytopes.GameAnalysis) -> CceClassification:
     """Decide singleton-ness of the CCE polytope and name what the point is.
 
     A singleton is either a pure profile backed by a uniqueness certificate
     or a product where exactly two players mix over two actions and the
     induced 2x2 subgame shows the strict cyclic pattern; any other shape
-    signals a solver bug and raises rather than degrades.
+    signals a solver bug and raises rather than degrades.  Given a
+    `GameAnalysis`, the singleton test is the context's.
     """
-    spec = polytopes.build_polytope(game, "cce")
-    singleton = polytopes.is_singleton(spec)
+    analysis = polytopes.analysis_of(game)
+    game = analysis.game
+    singleton = analysis.singleton("cce")
     if not singleton.is_singleton:
         return CceClassification(NOT_UNIQUE, witnesses=singleton.witnesses)
     mu = singleton.point
     if len(mu.support()) == 1:
-        certificate = certify_unique_pure_cce(game)
+        certificate = certify_unique_pure_cce(analysis)
         if not isinstance(certificate, UniquenessCertificate):
             raise SolverInvariantError(
                 "pure singleton CCE must admit a uniqueness certificate")
@@ -718,8 +730,13 @@ def refutation_to_dict(game: Game, ref: Refutation) -> dict:
     }
 
 
-def verify_certificate(game: Game, data: dict) -> list[str]:
-    """Re-check a serialized certificate against a game; returns problems found."""
+def verify_certificate(game: Game | polytopes.GameAnalysis, data: dict) -> list[str]:
+    """Re-check a serialized certificate against a game; returns problems found.
+
+    Given a `GameAnalysis`, the maximin levels and pure NE are the context's.
+    """
+    analysis = polytopes.analysis_of(game)
+    game = analysis.game
     problems = []
     concept = data.get("concept")
     if concept not in ("ircp", "cce"):
@@ -748,18 +765,23 @@ def verify_certificate(game: Game, data: dict) -> list[str]:
     if concept == "ircp":
         # Weighted negativity pins the polytope only together with the levels.
         for i in range(game.num_players):
-            if zerosum.maximin(game, i).value != game.u(i, a_star):
+            if analysis.maximin(i).value != game.u(i, a_star):
                 problems.append(
                     f"player {i}'s security level differs from the certified payoff")
     else:
-        pure = dict(polytopes.enumerate_pure_ne(game))
+        pure = dict(analysis.pure_ne())
         if not pure.get(a_star, False):
             problems.append("certified profile is not a strict pure NE")
     return problems
 
 
-def verify_refutation(game: Game, data: dict) -> list[str]:
-    """Re-check a serialized refutation; witnesses must be genuine members."""
+def verify_refutation(game: Game | polytopes.GameAnalysis, data: dict) -> list[str]:
+    """Re-check a serialized refutation; witnesses must be genuine members.
+
+    Given a `GameAnalysis`, the polytope is the context's.
+    """
+    analysis = polytopes.analysis_of(game)
+    game = analysis.game
     problems = []
     concept = data.get("concept")
     if concept not in ("ircp", "cce"):
@@ -768,7 +790,7 @@ def verify_refutation(game: Game, data: dict) -> list[str]:
         witnesses = [distribution_from_dict(game, w) for w in data["witnesses"]]
     except Exception as exc:
         return [f"unreadable witnesses: {exc}"]
-    spec = polytopes.build_polytope(game, concept)
+    spec = analysis.polytope(concept)
     for idx, w in enumerate(witnesses):
         result = polytopes.membership(spec, w)
         if not result.is_member:

@@ -276,9 +276,28 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     game = _load_game_file(args.game)
     try:
         rate = parse_rational(args.rate)
+        learning_rate = float(rate)
+    except RationalFormatError as exc:
+        raise CliError(str(exc)) from exc
+    except OverflowError as exc:
+        raise CliError(f"--rate {args.rate} is too large: {exc}") from exc
+
+    a_star = None
+    if args.certificate:
+        # A bad certificate is an input error: reject it before any step runs.
+        try:
+            cert = json.loads(_read_bytes(args.certificate).decode("utf-8"))
+            a_star = tuple(int(x) for x in cert["a_star"])
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            raise CliError(f"{args.certificate}: unreadable certificate: {exc}") from exc
+        problems = certify.verify_certificate(game, cert)
+        if problems:
+            raise CliError(f"{args.certificate}: {problems[0]}")
+
+    try:
         outcome = dynamics.run(game, args.algo, args.steps, args.seed,
-                               learning_rate=float(rate))
-    except (dynamics.DynamicsError, RationalFormatError) as exc:
+                               learning_rate=learning_rate)
+    except dynamics.DynamicsError as exc:
         raise CliError(str(exc)) from exc
 
     payload: dict = {
@@ -294,15 +313,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     print(f"max external regret: {float(outcome.max_external_regret):.6f}")
     print(f"max internal regret: {float(outcome.max_internal_regret):.6f}")
 
-    if args.certificate:
-        try:
-            cert = json.loads(_read_bytes(args.certificate).decode("utf-8"))
-            a_star = tuple(int(x) for x in cert["a_star"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise CliError(f"{args.certificate}: unreadable certificate: {exc}") from exc
-        problems = certify.verify_certificate(game, cert)
-        if problems:
-            raise CliError(f"{args.certificate}: {problems[0]}")
+    if a_star is not None:
         target = JointDistribution.point_mass(a_star)
         tv = total_variation(outcome.empirical, target)
         payload["certificate_profile"] = list(a_star)

@@ -6,6 +6,8 @@ linear incentive rows over profile probabilities.  This module builds those
 systems, decides membership with exact violation reports, computes
 coordinate bounds, decides singleton-ness with explicit witnesses, and
 checks extremality plus the support bound that extreme points obey.
+`GameAnalysis` holds these results for one game while one call runs, so a
+report and its certificates solve each polytope and maximin LP once.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ class PolytopeSpec:
     concept: str
     system: ConstraintSystem
     incentive_info: tuple[IncentiveInfo, ...]
-    maximin_values: tuple[Fraction, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -105,13 +106,63 @@ def _ce_row(game: Game, player: int, recommended: int, deviation: int) -> tuple[
     return tuple(coeffs)
 
 
-def build_polytope(game: Game, concept: str) -> PolytopeSpec:
-    """Constraint system of one solution concept, incentive rows first."""
+class GameAnalysis:
+    """Results about one game, each computed on first use and then kept.
+
+    It holds each player's maximin result, each concept's polytope and
+    singleton decision, and the pure-NE list.  A context lives for one call
+    (one report, one verification) and is then dropped; nothing is shared
+    across calls.  Each result comes from the module function that computes
+    it (`zerosum.maximin`, `build_polytope`, `is_singleton`,
+    `enumerate_pure_ne`), so a re-check made on a kept result checks what
+    that function returned.
+    """
+
+    def __init__(self, game: Game):
+        self.game = game
+        self._maximin: dict[int, zerosum.MaximinResult] = {}
+        self._polytopes: dict[str, PolytopeSpec] = {}
+        self._singletons: dict[str, SingletonResult] = {}
+        self._pure_ne: list[tuple[Profile, bool]] | None = None
+
+    def maximin(self, player: int) -> zerosum.MaximinResult:
+        if player not in self._maximin:
+            self._maximin[player] = zerosum.maximin(self.game, player)
+        return self._maximin[player]
+
+    def polytope(self, concept: str) -> PolytopeSpec:
+        if concept not in self._polytopes:
+            self._polytopes[concept] = build_polytope(self, concept)
+        return self._polytopes[concept]
+
+    def singleton(self, concept: str) -> SingletonResult:
+        if concept not in self._singletons:
+            self._singletons[concept] = is_singleton(self.polytope(concept))
+        return self._singletons[concept]
+
+    def pure_ne(self) -> list[tuple[Profile, bool]]:
+        if self._pure_ne is None:
+            self._pure_ne = enumerate_pure_ne(self.game)
+        return self._pure_ne
+
+
+def analysis_of(game: Game | GameAnalysis) -> GameAnalysis:
+    """The context passed in, or a fresh one for a bare game."""
+    return game if isinstance(game, GameAnalysis) else GameAnalysis(game)
+
+
+def build_polytope(game: Game | GameAnalysis, concept: str) -> PolytopeSpec:
+    """Constraint system of one solution concept, incentive rows first.
+
+    The IRCP rows take their security levels from the context's maximin
+    results when a `GameAnalysis` is passed.
+    """
     if concept not in CONCEPTS:
         raise PolytopeError(f"unknown concept {concept!r}; pick one of {CONCEPTS}")
+    analysis = analysis_of(game)
+    game = analysis.game
     rows: list[LinearConstraint] = []
     info: list[IncentiveInfo] = []
-    maximin_values: tuple[Fraction, ...] = ()
     if concept == "ce":
         for i in range(game.num_players):
             for rec in range(game.shape[i]):
@@ -130,17 +181,14 @@ def build_polytope(game: Game, concept: str) -> PolytopeSpec:
                     _cce_row(game, i, dev), GREATER_EQUAL, Fraction(0)))
                 info.append(IncentiveInfo("cce", i, None, dev, label))
     else:
-        levels = []
         for i in range(game.num_players):
-            level = zerosum.maximin(game, i).value
-            levels.append(level)
+            level = analysis.maximin(i).value
             label = f"ircp:p{i}"
             rows.append(LinearConstraint(tuple(game.payoffs[i]), GREATER_EQUAL, level))
             info.append(IncentiveInfo("ircp", i, None, None, label))
-        maximin_values = tuple(levels)
     rows.append(LinearConstraint((Fraction(1),) * game.num_profiles, EQUAL, Fraction(1)))
     system = ConstraintSystem(game.num_profiles, tuple(rows))
-    return PolytopeSpec(game, concept, system, tuple(info), maximin_values)
+    return PolytopeSpec(game, concept, system, tuple(info))
 
 
 def membership(spec: PolytopeSpec, mu: JointDistribution) -> MembershipResult:

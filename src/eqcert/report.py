@@ -5,6 +5,10 @@ everything from the report file alone: witnesses are re-tested for
 membership, certificates re-checked against the payoffs, pure-NE lists
 recomputed, GUE flags re-evaluated.  Rationals are serialized as strings
 in lowest terms; round-trips are bit-exact.
+
+`build_report` and `verify_report` each make one `polytopes.GameAnalysis`
+per call, so their sections and certificates share every polytope,
+singleton test and maximin LP they compute; nothing is kept across calls.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import contextlib
 import json
 import time
 
-from . import certify, polytopes, zerosum
+from . import certify, polytopes
 from .games import (
     Game,
     GameFormatError,
@@ -73,16 +77,17 @@ def build_report(game: Game, concepts=ALL_CONCEPTS, check_unique: bool = False) 
     report: dict = {"report_version": REPORT_VERSION, "game": game_to_dict(game)}
     timing: dict = {}
     started = time.perf_counter()
+    analysis = polytopes.GameAnalysis(game)
 
     report["maximin"] = [
-        format_rational(zerosum.maximin(game, i).value)
+        format_rational(analysis.maximin(i).value)
         for i in range(game.num_players)
     ]
 
     if "ne" in concepts:
         t0 = time.perf_counter()
         pure = [{"profile": list(p), "strict": strict}
-                for p, strict in polytopes.enumerate_pure_ne(game)]
+                for p, strict in analysis.pure_ne()]
         section: dict = {"pure": pure}
         if game.shape == (2, 2):
             try:
@@ -102,8 +107,7 @@ def build_report(game: Game, concepts=ALL_CONCEPTS, check_unique: bool = False) 
         if concept not in concepts:
             continue
         t0 = time.perf_counter()
-        spec = polytopes.build_polytope(game, concept)
-        singleton = polytopes.is_singleton(spec)
+        singleton = analysis.singleton(concept)
         entry: dict = {"singleton": singleton.is_singleton}
         if singleton.is_singleton:
             entry["point"] = certify.distribution_to_dict(game, singleton.point)
@@ -120,18 +124,18 @@ def build_report(game: Game, concepts=ALL_CONCEPTS, check_unique: bool = False) 
         certificates: dict = {}
         if "ircp" in concepts:
             certificates["ircp"] = _certification_to_dict(
-                game, certify.certify_unique_ircp(game))
+                game, certify.certify_unique_ircp(analysis))
         if "cce" in concepts:
-            classification = certify.classify_unique_cce(game)
+            classification = certify.classify_unique_cce(analysis)
             # Only the unique_pure variant carries a certificate.
-            cce = classification.certificate or certify.certify_unique_pure_cce(game)
+            cce = classification.certificate or certify.certify_unique_pure_cce(analysis)
             certificates["cce"] = _certification_to_dict(game, cce)
             report["classification"] = _classification_to_dict(game, classification)
         report["certificates"] = certificates
 
         flagged: list = []
         seen = set()
-        candidates = [p for p, strict in polytopes.enumerate_pure_ne(game) if strict]
+        candidates = [p for p, strict in analysis.pure_ne() if strict]
         for key in ("ircp", "cce"):
             entry = certificates.get(key)
             if entry and entry["type"] == "certificate":
@@ -169,14 +173,12 @@ def load_report(data: bytes | str) -> dict:
     return raw
 
 
-def _check_members(specs: dict, game: Game, concept: str, dists: list,
+def _check_members(analysis: polytopes.GameAnalysis, concept: str, dists: list,
                    problems: list, where: str) -> None:
-    """Membership of each distribution; `specs` holds the polytopes built so far."""
-    if concept not in specs:
-        specs[concept] = polytopes.build_polytope(game, concept)
-    spec = specs[concept]
+    """Membership of each distribution in the context's polytope."""
+    spec = analysis.polytope(concept)
     for idx, data in enumerate(dists):
-        mu = certify.distribution_from_dict(game, data)
+        mu = certify.distribution_from_dict(analysis.game, data)
         if not polytopes.membership(spec, mu).is_member:
             problems.append(f"{where}[{idx}] is not a {concept.upper()} member")
 
@@ -199,19 +201,19 @@ def verify_report(report: dict) -> list[str]:
         game = game_from_dict(report["game"])
     except (KeyError, GameFormatError) as exc:
         return [f"embedded game unreadable: {exc}"]
-    specs: dict = {}  # concept -> PolytopeSpec, built once per call
+    analysis = polytopes.GameAnalysis(game)
 
     if "maximin" in report:
         with _section("maximin", problems):
             claimed = [parse_rational(v) for v in report["maximin"]]
-            actual = [zerosum.maximin(game, i).value for i in range(game.num_players)]
+            actual = [analysis.maximin(i).value for i in range(game.num_players)]
             if actual != claimed:
                 problems.append("maximin levels do not match a recomputation")
 
     if "ne" in report:
         with _section("ne", problems):
             actual_pure = [{"profile": list(p), "strict": s}
-                           for p, s in polytopes.enumerate_pure_ne(game)]
+                           for p, s in analysis.pure_ne()]
             if report["ne"].get("pure") != actual_pure:
                 problems.append("pure NE list does not match a recomputation")
 
@@ -222,21 +224,21 @@ def verify_report(report: dict) -> list[str]:
                     problems.append(
                         f"concepts.{concept} claims a singleton but has no point")
                     continue
-                _check_members(specs, game, concept, [entry["point"]], problems,
+                _check_members(analysis, concept, [entry["point"]], problems,
                                f"concepts.{concept}.point")
             else:
                 witnesses = entry.get("witnesses", [])
                 if len(witnesses) != 2 or witnesses[0] == witnesses[1]:
                     problems.append(f"concepts.{concept} needs two distinct witnesses")
-                _check_members(specs, game, concept, witnesses, problems,
+                _check_members(analysis, concept, witnesses, problems,
                                f"concepts.{concept}.witnesses")
 
     with _section("certificates", problems):
         for key, entry in report.get("certificates", {}).items():
             if entry.get("type") == "certificate":
-                found = certify.verify_certificate(game, entry)
+                found = certify.verify_certificate(analysis, entry)
             else:
-                found = certify.verify_refutation(game, entry)
+                found = certify.verify_refutation(analysis, entry)
             problems.extend(f"certificates.{key}: {problem}" for problem in found)
 
     cls = report.get("classification")
@@ -244,12 +246,12 @@ def verify_report(report: dict) -> list[str]:
         with _section("classification", problems):
             variant = cls.get("variant")
             if variant == certify.UNIQUE_PURE:
-                for problem in certify.verify_certificate(game, cls["certificate"]):
+                for problem in certify.verify_certificate(analysis, cls["certificate"]):
                     problems.append(f"classification: {problem}")
-                _check_members(specs, game, "cce", [cls["point"]], problems,
+                _check_members(analysis, "cce", [cls["point"]], problems,
                                "classification.point")
             elif variant == certify.UNIQUE_MIXED_2X2:
-                _check_members(specs, game, "cce", [cls["point"]], problems,
+                _check_members(analysis, "cce", [cls["point"]], problems,
                                "classification.point")
                 subgame = game_from_dict(cls["subgame"])
                 if not certify.is_matching_pennies_type(subgame):
@@ -265,7 +267,7 @@ def verify_report(report: dict) -> list[str]:
                 witnesses = cls.get("witnesses", [])
                 if len(witnesses) != 2 or witnesses[0] == witnesses[1]:
                     problems.append("classification needs two distinct witnesses")
-                _check_members(specs, game, "cce", witnesses, problems,
+                _check_members(analysis, "cce", witnesses, problems,
                                "classification.witnesses")
             else:
                 problems.append(f"classification: unknown variant {variant!r}")

@@ -2,6 +2,7 @@
 
 import json
 
+from eqcert import dynamics
 from eqcert.certify import verify_certificate
 from eqcert.cli import main
 from eqcert.contests import (
@@ -261,6 +262,11 @@ def test_simulate_input_errors(tmp_path, capsys):
                  "--steps", "0", "--seed", "1"]) == 2
     assert main(["simulate", str(game_path), "--algo", "gradient",
                  "--steps", "10", "--seed", "1"]) == 2
+    capsys.readouterr()
+    assert main(["simulate", str(game_path), "--algo", "external_mw",
+                 "--steps", "10", "--seed", "1", "--rate", "1e400"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --rate 1e400 is too large") and err.count("\n") == 1
     bad_cert = tmp_path / "bad.json"
     for text in ('{"no": "a_star"}',
                  '{"concept": "cce", "a_star": [5, 0], "gamma": ["1/2", "1/2"], '
@@ -270,6 +276,23 @@ def test_simulate_input_errors(tmp_path, capsys):
                      "--steps", "10", "--seed", "1",
                      "--certificate", str(bad_cert)]) == 2
     assert capsys.readouterr().err.endswith("profile (5, 0) out of range\n")
+
+
+def test_simulate_rejects_a_bad_certificate_before_running(tmp_path, capsys, monkeypatch):
+    game_path = _generate(tmp_path, "pd.json", "pd")
+    bad_cert = tmp_path / "bad.json"
+    bad_cert.write_text('{"concept": "cce", "a_star": [1, 1], "gamma": ["1/2", "1/2"], '
+                        '"slack": "1"}')
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dynamics ran before the certificate was checked")
+
+    monkeypatch.setattr(dynamics, "run", refuse)
+    assert main(["simulate", str(game_path), "--algo", "external_mw",
+                 "--steps", "10", "--seed", "1", "--certificate", str(bad_cert)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {bad_cert}: ")
 
 
 # -- verify -----------------------------------------------------------------------

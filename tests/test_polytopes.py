@@ -48,7 +48,7 @@ def test_incentive_row_counts():
     assert len(build_polytope(rps, "ce").incentive_info) == 12
     ircp = build_polytope(rps, "ircp")
     assert len(ircp.incentive_info) == 2
-    assert ircp.maximin_values == (F(0), F(0))
+    assert [row.rhs for row in ircp.system.constraints[:2]] == [F(0), F(0)]
     with pytest.raises(PolytopeError):
         build_polytope(rps, "nash")
 

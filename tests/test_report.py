@@ -1,11 +1,16 @@
 """Report assembly and the re-verification of everything it embeds."""
 
 import copy
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
+from eqcert import polytopes, zerosum
+from eqcert.contests import ContestSpec, LinearCost, TullockRatio, discretize
 from eqcert.generators import (
     matching_pennies,
+    parking,
     prisoners_dilemma,
     random_mp_type,
     rock_paper_scissors,
@@ -53,8 +58,7 @@ def test_clean_reports_verify():
 
 def test_verify_builds_the_cce_polytope_once(monkeypatch):
     # PD is unique_pure: the CCE polytope is named by concepts.cce and by the
-    # classification, and is built once for both.  (The IRCP refutation is
-    # re-checked by certify.verify_refutation, which builds its own.)
+    # classification, and is built once for both.
     from eqcert import polytopes
 
     data = full_pd_report()
@@ -69,6 +73,84 @@ def test_verify_builds_the_cce_polytope_once(monkeypatch):
     monkeypatch.setattr(polytopes, "build_polytope", counting)
     assert verify_report(data) == []
     assert built.count("cce") == 1 and built.count("ce") == 1
+
+
+def _tullock8():
+    spec = ContestSpec(TullockRatio(1), (1, 1), (LinearCost(1), LinearCost(1)))
+    return discretize(spec, [Fraction(k, 8) for k in range(1, 9)])
+
+
+def _count_work(monkeypatch) -> dict:
+    """Count polytope builds and singleton tests per concept, maximin per (game, player)."""
+    calls = {"build": Counter(), "singleton": Counter(), "maximin": Counter()}
+    build = polytopes.build_polytope
+    singleton = polytopes.singleton_over_system
+    maximin = zerosum.maximin
+
+    def counting_build(game, concept):
+        calls["build"][concept] += 1
+        return build(game, concept)
+
+    def counting_singleton(game, system, what="polytope"):
+        calls["singleton"][what] += 1
+        return singleton(game, system, what)
+
+    def counting_maximin(game, player):
+        calls["maximin"][(game, player)] += 1
+        return maximin(game, player)
+
+    monkeypatch.setattr(polytopes, "build_polytope", counting_build)
+    monkeypatch.setattr(polytopes, "singleton_over_system", counting_singleton)
+    monkeypatch.setattr(zerosum, "maximin", counting_maximin)
+    return calls
+
+
+# Parking m = 3 at fee 3/5 takes the IRCP certificate path; RPS has no strict
+# NE, so its CCE refutation is decided by the singleton test; the Tullock 8x8
+# grid has a unique pure CCE and a refuted IRCP.
+WORK_GAMES = {
+    "parking": (lambda: parking(3, 1, Fraction(1, 4), Fraction(3, 5)),
+                ("ne", "ce", "cce", "ircp")),
+    "rps": (rock_paper_scissors, ("ne", "ce", "cce", "ircp")),
+    "tullock8": (_tullock8, ("ne", "cce", "ircp")),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(WORK_GAMES))
+def work_counts(request):
+    """Calls made by analyze --check-unique and by verifying its report."""
+    make_game, concepts = WORK_GAMES[request.param]
+    game = make_game()
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_work(mp)
+        data = build_report(game, concepts, check_unique=True)
+        analyze = copy.deepcopy(calls)
+        for counter in calls.values():
+            counter.clear()
+        assert verify_report(data) == []
+    polytope_concepts = [c for c in concepts if c != "ne"]
+    return game, polytope_concepts, analyze, calls
+
+
+def test_analyze_and_verify_build_each_polytope_once(work_counts):
+    _, concepts, analyze, verify = work_counts
+    assert analyze["build"] == Counter({c: 1 for c in concepts})
+    assert verify["build"] == Counter({c: 1 for c in concepts})
+
+
+def test_analyze_runs_each_singleton_test_once(work_counts):
+    # Plain "polytope" is the GUE strictness test on its own system.
+    _, concepts, analyze, verify = work_counts
+    named = {what: n for what, n in analyze["singleton"].items() if what != "polytope"}
+    assert named == {f"{c} polytope": 1 for c in concepts}
+    assert not [what for what in verify["singleton"] if what != "polytope"]
+
+
+def test_analyze_and_verify_solve_each_maximin_once(work_counts):
+    game, _, analyze, verify = work_counts
+    for calls in (analyze, verify):
+        assert all(n == 1 for n in calls["maximin"].values()), calls["maximin"]
+        assert {(game, i) for i in range(game.num_players)} <= set(calls["maximin"])
 
 
 def test_save_load_round_trip():
