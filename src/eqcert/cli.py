@@ -281,6 +281,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise CliError(str(exc)) from exc
     except OverflowError as exc:
         raise CliError(f"--rate {args.rate} is too large: {exc}") from exc
+    if rate > 0 and learning_rate == 0:
+        raise CliError(f"--rate {args.rate} is too small: it rounds to 0.0 as a float")
 
     a_star = None
     if args.certificate:

@@ -145,9 +145,7 @@ def run(game: Game, algorithm: str, steps: int, seed: int,
     rng = random.Random(seed)
     payoff = [[float(x) for x in game.payoffs[i]] for i in range(n)]
     ranges = [max(payoff[i]) - min(payoff[i]) if payoff[i] else 0.0 for i in range(n)]
-    strides = [1] * n
-    for i in range(n - 2, -1, -1):
-        strides[i] = strides[i + 1] * shape[i + 1]
+    strides = game.strides
 
     # external: cumulative payoff of each fixed action vs realized play
     cumulative = [[0.0] * shape[i] for i in range(n)]

@@ -2,8 +2,11 @@
 
 A `Game` stores one flat payoff vector per player, indexed by the
 lexicographic profile index (player 1 varies slowest, the last player
-fastest).  `JointDistribution` and `MixedAction` are the exact probability
-objects used by every polytope and certificate computation.
+fastest).  `Game.strides` gives that index as arithmetic: the profile
+(a_1, ..., a_n) sits at sum_i a_i * strides[i], so changing player i's
+action from a to b moves the index by (b - a) * strides[i].
+`JointDistribution` and `MixedAction` are the exact probability objects
+used by every polytope and certificate computation.
 """
 
 from __future__ import annotations
@@ -29,7 +32,12 @@ def _as_fraction_tuple(values) -> tuple[Fraction, ...]:
 
 @dataclass(frozen=True)
 class Game:
-    """An n-player finite game; payoffs[i][k] is player i's payoff at profile index k."""
+    """An n-player finite game; payoffs[i][k] is player i's payoff at profile index k.
+
+    `strides[i]` is how far the profile index moves when player i's action
+    goes up by one: the product of the later players' action counts.  The
+    last player's stride is 1.
+    """
 
     actions: tuple[tuple[str, ...], ...]
     payoffs: tuple[tuple[Fraction, ...], ...]
@@ -72,6 +80,14 @@ class Game:
         for size in self.shape:
             total *= size
         return total
+
+    @property
+    def strides(self) -> tuple[int, ...]:
+        """Index of a profile = sum_i profile[i] * strides[i]; see `profile_index`."""
+        strides = [1] * self.num_players
+        for i in range(self.num_players - 2, -1, -1):
+            strides[i] = strides[i + 1] * len(self.actions[i + 1])
+        return tuple(strides)
 
     def profile_index(self, profile: Sequence[int]) -> int:
         """Lexicographic index of a profile; player 1 varies slowest."""

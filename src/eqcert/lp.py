@@ -23,6 +23,14 @@ nonnegative columns itself, x = x+ - x- (see `zerosum._row_lp`).
 `PolytopeSolver` factors the phase-1 work out of repeated optimization over
 one feasible system; singleton tests and coordinate bounds re-optimize many
 objectives against the same basis.
+
+A pivot updates each row with one integer comprehension and floor-divides
+every cell by the old determinant.  Integer pivoting guarantees that each of
+those divisions is exact, and the pivot checks it once per row instead of
+once per cell: the row's undivided entries must sum to `det` times the sum
+of the quotients.  The check is exact because `det > 0`, so every floor
+remainder lies in [0, det) and the remainders sum to 0 only if each is 0.
+A failed check raises `SolverInvariantError`.
 """
 
 from __future__ import annotations
@@ -75,11 +83,12 @@ class LinearConstraint:
     def __post_init__(self):
         if self.relation not in _RELATIONS:
             raise LpError(f"unknown relation {self.relation!r}")
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(
+            c if isinstance(c, Fraction) else Fraction(c) for c in self.coeffs))
         object.__setattr__(self, "rhs", Fraction(self.rhs))
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
-        return sum((c * x for c, x in zip(self.coeffs, point)), Fraction(0))
+        return sum((c * x for c, x in zip(self.coeffs, point) if x and c), Fraction(0))
 
     def satisfied_by(self, point: Sequence[Fraction]) -> bool:
         lhs = self.evaluate(point)
@@ -121,15 +130,13 @@ class LpOutcome:
     point: tuple[Fraction, ...] | None = None
 
 
-def _exact_div(a: int, b: int) -> int:
-    q, r = divmod(a, b)
-    if r:
-        raise SolverInvariantError("integer pivot lost exact divisibility")
-    return q
-
-
 def _lcm(a: int, b: int) -> int:
     return a // gcd(a, b) * b
+
+
+def _scaled_ints(values: Sequence[Fraction], denom: int) -> list[int]:
+    """`values` times `denom`, a common multiple of their denominators, as ints."""
+    return [v.numerator * (denom // v.denominator) for v in values]
 
 
 class _StandardForm:
@@ -159,8 +166,8 @@ class _StandardForm:
             denom = rhs.denominator
             for c in row.coeffs:
                 denom = _lcm(denom, c.denominator)
-            ints = [int(c * denom) for c in row.coeffs]
-            b = int(rhs * denom)
+            ints = _scaled_ints(row.coeffs, denom)
+            b = rhs.numerator * (denom // rhs.denominator)
             if b < 0 or (b == 0 and rel == GREATER_EQUAL):
                 ints = [-v for v in ints]
                 b = -b
@@ -201,6 +208,15 @@ class _StandardForm:
     # -- tableau mechanics ------------------------------------------------
 
     def _pivot(self, p: int, q: int) -> None:
+        """Integer pivot on entry (p, q): row <- (pval * row - factor * prow) / det.
+
+        Integer pivoting makes every division by the old `det` exact; a
+        remainder means the tableau is corrupt.  The check runs once per
+        row: with `det > 0` every floor remainder lies in [0, det), so the
+        undivided row sums to `det` times the quotients' sum only if every
+        remainder is 0.  The undivided sum is pval * sum(row) - factor *
+        sum(prow), taken before the row is overwritten.
+        """
         if self.pivot_limit and self.pivots_used >= self.pivot_limit:
             raise PivotLimitExceeded(
                 f"simplex exceeded {self.pivot_limit} pivots ({PIVOT_LIMIT_ENV})"
@@ -211,15 +227,21 @@ class _StandardForm:
         pval = prow[q]
         if pval <= 0:
             raise SolverInvariantError("pivot entry must be positive")
-        width = len(prow)
+        psum = sum(prow)
         for r, row in enumerate(itertools.chain(rows, (self.z,))):
             if r == p:
                 continue
             factor = row[q]
-            if factor == 0 and pval == det:
-                continue
-            for c in range(width):
-                row[c] = _exact_div(row[c] * pval - factor * prow[c], det)
+            if factor == 0:
+                if pval == det:
+                    continue
+                row_total = pval * sum(row)
+                row[:] = [v * pval // det for v in row]
+            else:
+                row_total = pval * sum(row) - factor * psum
+                row[:] = [(v * pval - factor * w) // det for v, w in zip(row, prow)]
+            if row_total != det * sum(row):
+                raise SolverInvariantError("integer pivot lost exact divisibility")
         self.basis[p] = q
         self.det = pval
 
@@ -227,15 +249,14 @@ class _StandardForm:
         """Reduced-cost row for `cost` (per y column) at the current basis."""
         denom = 1
         for c in cost:
-            denom = _lcm(denom, Fraction(c).denominator)
-        ints = [int(Fraction(c) * denom) for c in cost] + [0] * (self.ncols - len(cost))
-        z = [v * self.det for v in ints] + [0]
+            denom = _lcm(denom, c.denominator)
+        ints = _scaled_ints(cost, denom) + [0] * (self.ncols - len(cost))
+        det = self.det
+        z = [v * det for v in ints] + [0]
         for row, bvar in zip(self.rows, self.basis):
             cb = ints[bvar]
-            if cb == 0:
-                continue
-            for c in range(len(z)):
-                z[c] -= cb * row[c]
+            if cb:
+                z = [v - cb * w for v, w in zip(z, row)]
         self.z = z
 
     def _bland_min(self) -> str:
@@ -351,12 +372,13 @@ class PolytopeSolver:
             return LpOutcome(INFEASIBLE)
         if len(objective) != self.system.num_vars:
             raise LpError("objective width disagrees with num_vars")
-        cost = [-Fraction(c) if maximize else Fraction(c) for c in objective]
+        objective = [Fraction(c) for c in objective]
+        cost = [-c for c in objective] if maximize else objective
         status = self._form.optimize(cost)
         if status == UNBOUNDED:
             return LpOutcome(UNBOUNDED)
         point = self._form.point()
-        value = sum((Fraction(c) * x for c, x in zip(objective, point)), Fraction(0))
+        value = sum((c * x for c, x in zip(objective, point) if x and c), Fraction(0))
         return LpOutcome(OPTIMAL, value, point)
 
 

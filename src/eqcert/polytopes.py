@@ -87,23 +87,25 @@ class WinklerReport:
 
 
 def _cce_row(game: Game, player: int, deviation: int) -> tuple[Fraction, ...]:
-    coeffs = [Fraction(0)] * game.num_profiles
-    for profile in game.profiles():
-        others = tuple(a for j, a in enumerate(profile) if j != player)
-        gain = game.u(player, profile) - game.u(
-            player, game.insert_action(player, deviation, others))
-        coeffs[game.profile_index(profile)] = gain
-    return tuple(coeffs)
+    """u_i(a) - u_i(deviation, a_-i) at every profile index k of a.
+
+    Player i's action at k is (k // stride) % size, and the deviation moves
+    the index by (deviation - action) * stride.
+    """
+    stride, size = game.strides[player], game.shape[player]
+    payoff = game.payoffs[player]
+    return tuple(payoff[k] - payoff[k + (deviation - (k // stride) % size) * stride]
+                 for k in range(game.num_profiles))
 
 
 def _ce_row(game: Game, player: int, recommended: int, deviation: int) -> tuple[Fraction, ...]:
-    coeffs = [Fraction(0)] * game.num_profiles
-    for others in game.opponent_profiles(player):
-        profile = game.insert_action(player, recommended, others)
-        gain = game.u(player, profile) - game.u(
-            player, game.insert_action(player, deviation, others))
-        coeffs[game.profile_index(profile)] = gain
-    return tuple(coeffs)
+    """u_i(a) - u_i(deviation, a_-i) where a_i is `recommended`, 0 elsewhere."""
+    stride, size = game.strides[player], game.shape[player]
+    payoff = game.payoffs[player]
+    shift = (deviation - recommended) * stride
+    zero = Fraction(0)
+    return tuple(payoff[k] - payoff[k + shift] if (k // stride) % size == recommended
+                 else zero for k in range(game.num_profiles))
 
 
 class GameAnalysis:

@@ -89,18 +89,23 @@ def matrix_value(mg: MatrixGame) -> tuple[Fraction, tuple[Fraction, ...], tuple[
     return value, row_strategy, col_strategy
 
 
+def _payoff_matrix(game: Game, player: int) -> list[list[Fraction]]:
+    """matrix[a][c] = u_player(a, c-th joint action in `opponent_profiles` order)."""
+    stride, size = game.strides[player], game.shape[player]
+    payoff = game.payoffs[player]
+    # Profile indices where the player plays action 0, in increasing order,
+    # which is `opponent_profiles` order; action a adds a * stride.
+    bases = [k for k in range(game.num_profiles) if (k // stride) % size == 0]
+    return [[payoff[base + a * stride] for base in bases] for a in range(size)]
+
+
 def maximin(game: Game, player: int) -> MaximinResult:
     """Player's exact security level and one strategy attaining it.
 
     One LP constraint per joint action of the opponents; the reported
     strategy is the deterministic vertex the simplex lands on.
     """
-    others = list(game.opponent_profiles(player))
-    matrix = [
-        [game.u(player, game.insert_action(player, a, opp)) for opp in others]
-        for a in range(game.shape[player])
-    ]
-    value, strategy = _row_lp(matrix)
+    value, strategy = _row_lp(_payoff_matrix(game, player))
     weights = {a: w for a, w in enumerate(strategy) if w != 0}
     return MaximinResult(value, MixedAction(player, weights))
 
@@ -114,11 +119,7 @@ def minimax_dual(game: Game, player: int) -> tuple[Fraction, dict[tuple[int, ...
     """
     others = list(game.opponent_profiles(player))
     # Column side of the same matrix: minimize the row player's guarantee.
-    matrix = [
-        [-game.u(player, game.insert_action(player, a, opp))
-         for a in range(game.shape[player])]
-        for opp in others
-    ]
+    matrix = [[-x for x in column] for column in zip(*_payoff_matrix(game, player))]
     neg_value, punishment = _row_lp(matrix)
     value = -neg_value
     if value != maximin(game, player).value:

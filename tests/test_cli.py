@@ -267,6 +267,10 @@ def test_simulate_input_errors(tmp_path, capsys):
                  "--steps", "10", "--seed", "1", "--rate", "1e400"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: --rate 1e400 is too large") and err.count("\n") == 1
+    assert main(["simulate", str(game_path), "--algo", "external_mw",
+                 "--steps", "10", "--seed", "1", "--rate", "1e-400"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --rate 1e-400 is too small: ") and err.count("\n") == 1
     bad_cert = tmp_path / "bad.json"
     for text in ('{"no": "a_star"}',
                  '{"concept": "cce", "a_star": [5, 0], "gamma": ["1/2", "1/2"], '

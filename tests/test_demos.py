@@ -1,4 +1,11 @@
-"""Every script in demos/ runs to completion against the library in src/."""
+"""Every script in demos/ runs against the library in src/ and prints its golden output.
+
+The expected stdout of `demos/NAME.py` is `tests/data/demos/NAME.txt`.  The
+demos are deterministic, so a change in the library that alters any printed
+decision, witness or number shows up as a byte difference.  After a change
+that is meant to alter a demo's output, regenerate its file with
+`PYTHONPATH=src python demos/NAME.py > tests/data/demos/NAME.txt`.
+"""
 
 import os
 import subprocess
@@ -9,10 +16,12 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = ROOT / "tests" / "data" / "demos"
 
 
 def test_demos_exist():
     assert len(DEMOS) >= 6
+    assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == [p.stem for p in DEMOS]
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
@@ -21,6 +30,6 @@ def test_demo_runs(script):
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     done = subprocess.run([sys.executable, str(script)], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout
+                          capture_output=True, timeout=300)
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stdout == (GOLDEN / f"{script.stem}.txt").read_bytes()

@@ -34,6 +34,15 @@ def test_profile_indexing_row_major():
     assert list(g.profiles()) == sorted(g.profiles())
 
 
+@pytest.mark.parametrize("shape", ((2, 2), (3, 4), (4, 3, 2), (2, 3, 2, 2)))
+def test_strides_give_profile_index(shape):
+    game = generators.random_game(shape, 1)
+    strides = game.strides
+    assert strides[-1] == 1
+    for profile in game.profiles():
+        assert sum(a * s for a, s in zip(profile, strides)) == game.profile_index(profile)
+
+
 def test_payoff_lookup_matches_matrix():
     pd = generators.prisoners_dilemma()
     assert pd.u(0, (0, 0)) == 2

@@ -18,7 +18,9 @@ from eqcert.lp import (
     LpError,
     PivotLimitExceeded,
     PolytopeSolver,
+    SolverInvariantError,
     VertexEnumerationError,
+    _StandardForm,
     enumerate_vertices,
 )
 from eqcert.polytopes import build_polytope
@@ -213,6 +215,24 @@ def test_pivot_limit_env(monkeypatch):
         _lp(*args)
     monkeypatch.delenv(PIVOT_LIMIT_ENV)
     assert _lp(*args).status == OPTIMAL
+
+
+# -- integer pivot ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("column, other_entry", [(0, 2), (1, 0)])
+def test_pivot_detects_lost_divisibility(column, other_entry):
+    # Rows x1 + x2 + s1 = 3 and 2 x1 + s2 = 4 start with det = 1.  Pivoting
+    # on row 0 divides every other row by det; a det of 2 (which integer
+    # pivoting never produces here) leaves odd entries undivisible.  Column 0
+    # updates row 1 through its nonzero entry 2; column 1 meets row 1's zero
+    # entry with pval 1 != det, so row 1 is only rescaled.
+    form = _StandardForm(_system(2, [([1, 1], LESS_EQUAL, 3), ([2, 0], LESS_EQUAL, 4)]))
+    assert form.rows == [[1, 1, 1, 0, 3], [2, 0, 0, 1, 4]]
+    assert form.rows[1][column] == other_entry
+    form.det = 2
+    with pytest.raises(SolverInvariantError, match="exact divisibility"):
+        form._pivot(0, column)
 
 
 # -- phase-1 starting basis -------------------------------------------------------

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from eqcert import generators
+from eqcert import generators, zerosum
 from eqcert.games import (
     JointDistribution,
     MixedAction,
@@ -18,6 +18,8 @@ from eqcert.lp import EQUAL, GREATER_EQUAL, enumerate_vertices
 from eqcert.polytopes import (
     Degenerate2x2Error,
     PolytopeError,
+    _cce_row,
+    _ce_row,
     build_polytope,
     coordinate_bounds,
     enumerate_pure_ne,
@@ -439,3 +441,83 @@ def test_singleton_decisions_match_scipy_above_vertex_cap():
                 continue
             compared[exact.is_singleton] += 1
     assert compared[True] >= 1 and compared[False] >= 20
+
+
+# -- incentive rows from index strides ------------------------------------------
+
+STRIDE_SHAPES = ((2, 2), (3, 4), (4, 3, 2), (2, 3, 2, 2))
+
+
+def _reference_cce_row(game, player, deviation):
+    """The row built from profiles, one `profile_index` per cell."""
+    coeffs = [Fraction(0)] * game.num_profiles
+    for profile in game.profiles():
+        others = tuple(a for j, a in enumerate(profile) if j != player)
+        gain = game.u(player, profile) - game.u(
+            player, game.insert_action(player, deviation, others))
+        coeffs[game.profile_index(profile)] = gain
+    return tuple(coeffs)
+
+
+def _reference_ce_row(game, player, recommended, deviation):
+    coeffs = [Fraction(0)] * game.num_profiles
+    for others in game.opponent_profiles(player):
+        profile = game.insert_action(player, recommended, others)
+        gain = game.u(player, profile) - game.u(
+            player, game.insert_action(player, deviation, others))
+        coeffs[game.profile_index(profile)] = gain
+    return tuple(coeffs)
+
+
+@pytest.mark.parametrize("shape", STRIDE_SHAPES)
+def test_stride_rows_equal_profile_rows(shape):
+    for seed in (1, 2):
+        game = generators.random_game(shape, seed)
+        for i, size in enumerate(shape):
+            for dev in range(size):
+                assert _cce_row(game, i, dev) == _reference_cce_row(game, i, dev)
+                for rec in range(size):
+                    if rec != dev:
+                        assert (_ce_row(game, i, rec, dev)
+                                == _reference_ce_row(game, i, rec, dev))
+
+
+def _float_maximin(matrix):
+    """max z over mixed rows x with x . column >= z for every column, via scipy."""
+    from scipy.optimize import linprog
+    rows, cols = len(matrix), len(matrix[0])
+    a_ub = [[-float(matrix[r][c]) for r in range(rows)] + [1.0] for c in range(cols)]
+    res = linprog([0.0] * rows + [-1.0], A_ub=a_ub, b_ub=[0.0] * cols,
+                  A_eq=[[1.0] * rows + [0.0]], b_eq=[1.0],
+                  bounds=[(0, None)] * rows + [(None, None)], method="highs")
+    assert res.status == 0
+    return -res.fun
+
+
+def test_maximin_and_ircp_decisions_match_scipy_above_3x3x3():
+    # 36 and 48 profiles.  Maximin levels must agree to float precision; the
+    # IRCP singleton decision is compared under the margin rule of the test
+    # above.
+    pytest.importorskip("scipy")
+    games = [generators.random_game(shape, seed)
+             for shape in ((4, 3, 3), (4, 4, 3)) for seed in (1, 2, 3)]
+    compared = 0
+    for game in games:
+        for i in range(game.num_players):
+            matrix = [[game.u(i, game.insert_action(i, a, opp))
+                       for opp in game.opponent_profiles(i)] for a in range(game.shape[i])]
+            assert abs(float(zerosum.maximin(game, i).value) - _float_maximin(matrix)) < 1e-7
+        spec = build_polytope(game, "ircp")
+        exact = is_singleton(spec)
+        ranges = _float_coordinate_ranges(spec.system)
+        spread = max(high - low for low, high in ranges)
+        if spread > 1e-7:
+            assert not exact.is_singleton, game.name
+        elif spread < 1e-9:
+            assert exact.is_singleton, game.name
+            vector = exact.point.as_vector(game)
+            assert all(abs(float(x) - low) < 1e-7 for x, (low, _) in zip(vector, ranges))
+        else:
+            continue
+        compared += 1
+    assert compared >= 4

@@ -1,12 +1,14 @@
 """Property test: report decisions are invariant under payoff maps and relabelling.
 
 The CE, CCE and IRCP polytopes of a game do not change under a positive
-affine map of each player's payoffs, and an action relabelling permutes their
-coordinates.  So the decisions a report makes (singleton flags and points,
-certificate or refutation with its profile, the classification variant) must
-follow.  Every report must also pass its own verification.
+affine map of each player's payoffs, and an action relabelling or a
+reordering of the players permutes their coordinates.  So the decisions a
+report makes (singleton flags and points, certificate or refutation with its
+profile, the classification variant) must follow.  Every report must also
+pass its own verification.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -21,17 +23,23 @@ from eqcert.report import build_report, verify_report  # noqa: E402
 SHAPES = ((2, 2), (2, 3), (3, 3), (2, 2, 2))
 
 
-@st.composite
-def _game_and_maps(draw):
-    """A random integer game, a positive affine map per player, and relabellings."""
-    shape = draw(st.sampled_from(SHAPES))
+def _draw_game(draw, shapes) -> Game:
+    """A random integer game of one of `shapes`."""
+    shape = draw(st.sampled_from(shapes))
     size = 1
     for k in shape:
         size *= k
     payoffs = [draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))
                for _ in shape]
     actions = tuple(tuple(f"p{i}a{k}" for k in range(n)) for i, n in enumerate(shape))
-    game = Game(actions, tuple(tuple(Fraction(x) for x in row) for row in payoffs))
+    return Game(actions, tuple(tuple(Fraction(x) for x in row) for row in payoffs))
+
+
+@st.composite
+def _game_and_maps(draw):
+    """A random integer game, a positive affine map per player, and relabellings."""
+    game = _draw_game(draw, SHAPES)
+    shape = game.shape
     scale = [Fraction(draw(st.integers(1, 5)), draw(st.integers(1, 3))) for _ in shape]
     shift = [Fraction(draw(st.integers(-4, 4))) for _ in shape]
     perms = [tuple(draw(st.permutations(range(n)))) for n in shape]
@@ -50,12 +58,32 @@ def _relabel(game: Game, perms) -> Game:
     return Game(actions, tuple(tuple(row) for row in payoffs), game.name)
 
 
-def _decisions(game: Game, report: dict, perms=None) -> dict:
-    """The report's decisions, with profiles mapped back through `perms`."""
+def _original_profile(profile, order) -> tuple:
+    """The profile of the original game that a reordered game's `profile` is."""
+    original = [0] * len(profile)
+    for j, a in enumerate(profile):
+        original[order[j]] = a
+    return tuple(original)
+
+
+def _reorder_players(game: Game, order) -> Game:
+    """Player j of the new game is player order[j] of `game`."""
+    actions = tuple(game.actions[i] for i in order)
+    profiles = list(itertools.product(*(range(len(acts)) for acts in actions)))
+    payoffs = tuple(tuple(game.u(i, _original_profile(b, order)) for b in profiles)
+                    for i in order)
+    return Game(actions, payoffs, game.name)
+
+
+def _decisions(game: Game, report: dict, perms=None, order=None) -> dict:
+    """The report's decisions, with profiles mapped back through `perms`
+    (an action relabelling) or `order` (a reordering of the players)."""
     def back(profile):
-        if perms is None:
-            return tuple(profile)
-        return tuple(perms[i].index(a) for i, a in enumerate(profile))
+        if perms is not None:
+            return tuple(perms[i].index(a) for i, a in enumerate(profile))
+        if order is not None:
+            return _original_profile(profile, order)
+        return tuple(profile)
 
     def point(dist):
         return {back(game.profile_from_index(int(k))): w for k, w in dist.items()}
@@ -92,3 +120,25 @@ def test_decisions_survive_affine_maps_and_relabelling(case):
     assert _decisions(mapped, _analyze(mapped)) == decisions
     relabelled = _relabel(game, perms)
     assert _decisions(relabelled, _analyze(relabelled), perms) == decisions
+
+
+@st.composite
+def _game_and_order(draw):
+    """A random integer game and a reordering of its players that moves one."""
+    game = _draw_game(draw, ((2, 3), (3, 2, 2), (2, 2, 3)))
+    identity = tuple(range(game.num_players))
+    order = tuple(draw(st.permutations(identity).filter(lambda p: tuple(p) != identity)))
+    return game, order
+
+
+# Profile indices are computed from per-player strides, so a player's
+# position must not change any decision.
+@hypothesis.settings(max_examples=100, deadline=None, derandomize=True,
+                     suppress_health_check=list(hypothesis.HealthCheck))
+@hypothesis.given(_game_and_order())
+@hypothesis.example((parking(3, 1, Fraction(1, 4), Fraction(3, 5)), (1, 0)))
+def test_decisions_survive_reordering_players(case):
+    game, order = case
+    decisions = _decisions(game, _analyze(game))
+    reordered = _reorder_players(game, order)
+    assert _decisions(reordered, _analyze(reordered), order=order) == decisions

@@ -10,6 +10,7 @@ from eqcert.lp import EQUAL, GREATER_EQUAL, ConstraintSystem, LinearConstraint, 
 from eqcert.zerosum import (
     MatrixGame,
     ZeroSumError,
+    _payoff_matrix,
     build_lemma3_auxiliary,
     build_theorem1_auxiliary,
     matrix_value,
@@ -249,3 +250,14 @@ def test_lemma3_entries_vanish_under_nash_indifference():
     for c in range(len(aux.col_labels)):
         total = sum(aux.payoff[r][c] for r in range(len(aux.row_labels)))
         assert total / 9 == 0
+
+
+@pytest.mark.parametrize("shape", ((2, 2), (3, 4), (4, 3, 2), (2, 3, 2, 2)))
+def test_stride_payoff_matrix_equals_profile_matrix(shape):
+    for seed in (1, 2):
+        game = generators.random_game(shape, seed)
+        for i in range(game.num_players):
+            reference = [[game.u(i, game.insert_action(i, a, opp))
+                          for opp in game.opponent_profiles(i)]
+                         for a in range(game.shape[i])]
+            assert _payoff_matrix(game, i) == reference
