@@ -53,9 +53,15 @@ class Game:
                 raise GameFormatError(f"player {i} needs at least two actions")
             if len(set(acts)) != len(acts):
                 raise GameFormatError(f"player {i} has duplicate action labels")
-        total = 1
-        for acts in actions:
-            total *= len(acts)
+        shape = tuple(len(acts) for acts in actions)
+        strides = [1] * len(shape)
+        for i in range(len(shape) - 2, -1, -1):
+            strides[i] = strides[i + 1] * shape[i + 1]
+        total = strides[0] * shape[0]
+        # derived once here; not dataclass fields, so equality and hashing ignore them
+        object.__setattr__(self, "_shape", shape)
+        object.__setattr__(self, "_strides", tuple(strides))
+        object.__setattr__(self, "_num_profiles", total)
         payoffs = tuple(_as_fraction_tuple(row) for row in self.payoffs)
         object.__setattr__(self, "payoffs", payoffs)
         if len(payoffs) != len(actions):
@@ -72,22 +78,16 @@ class Game:
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return tuple(len(acts) for acts in self.actions)
+        return self._shape
 
     @property
     def num_profiles(self) -> int:
-        total = 1
-        for size in self.shape:
-            total *= size
-        return total
+        return self._num_profiles
 
     @property
     def strides(self) -> tuple[int, ...]:
         """Index of a profile = sum_i profile[i] * strides[i]; see `profile_index`."""
-        strides = [1] * self.num_players
-        for i in range(self.num_players - 2, -1, -1):
-            strides[i] = strides[i + 1] * len(self.actions[i + 1])
-        return tuple(strides)
+        return self._strides
 
     def profile_index(self, profile: Sequence[int]) -> int:
         """Lexicographic index of a profile; player 1 varies slowest."""

@@ -10,6 +10,7 @@ from eqcert.dynamics import (
     EXTERNAL_MW,
     INTERNAL_RM,
     DynamicsError,
+    _stationary,
     external_regret,
     internal_regret,
     run,
@@ -89,6 +90,102 @@ def test_regret_signs_match_polytope_membership():
                               for i in range(game.num_players))
             assert membership(cce, mu).is_member == no_external
             assert membership(ce, mu).is_member == no_internal
+
+
+def _reference_external_regret(game, i, mu):
+    """External regret by rebuilding each deviation profile: the reference."""
+    best = None
+    for dev in range(game.shape[i]):
+        gain = Fraction(0)
+        for profile, w in mu.weights.items():
+            others = tuple(a for j, a in enumerate(profile) if j != i)
+            gain += w * (game.u(i, game.insert_action(i, dev, others))
+                         - game.u(i, profile))
+        if best is None or gain > best:
+            best = gain
+    return best
+
+
+def _reference_internal_regret(game, i, mu):
+    """Internal regret by rebuilding each deviation profile: the reference."""
+    best = Fraction(0)
+    for rec in range(game.shape[i]):
+        for dev in range(game.shape[i]):
+            if dev == rec:
+                continue
+            gain = Fraction(0)
+            for profile, w in mu.weights.items():
+                if profile[i] != rec:
+                    continue
+                others = tuple(a for j, a in enumerate(profile) if j != i)
+                gain += w * (game.u(i, game.insert_action(i, dev, others))
+                             - game.u(i, profile))
+            if gain > best:
+                best = gain
+    return best
+
+
+@pytest.mark.parametrize("shape", ((2, 2), (3, 4), (2, 3, 2)))
+def test_strided_regrets_equal_profile_rebuilding_reference(shape):
+    rng = random.Random(sum(shape))
+    for game_seed in range(3):
+        game = random_game(shape, seed=game_seed)
+        for _ in range(8):
+            mu = _random_distribution(game, rng)
+            for i in range(game.num_players):
+                assert external_regret(game, i, mu) == _reference_external_regret(game, i, mu)
+                assert internal_regret(game, i, mu) == _reference_internal_regret(game, i, mu)
+
+
+# -- the regret-matching stationary distribution --------------------------------
+
+
+def _assert_invariant(positive, q):
+    k = len(q)
+    assert all(x >= 0.0 for x in q)
+    assert abs(sum(q) - 1.0) <= 1e-12
+    for b in range(k):
+        inflow = sum(q[a] * positive[a][b] for a in range(k) if a != b)
+        outflow = q[b] * sum(positive[b][c] for c in range(k) if c != b)
+        assert abs(inflow - outflow) <= 1e-12
+
+
+def test_stationary_balances_random_regret_chains():
+    rng = random.Random(12)
+    for k in range(2, 7):
+        for _ in range(40):
+            regrets = [[0.0 if a == b else rng.uniform(-1.0, 1.0) for b in range(k)]
+                       for a in range(k)]
+            positive = [[max(r, 0.0) for r in row] for row in regrets]
+            if not any(any(row) for row in positive):
+                continue
+            _assert_invariant(positive, _stationary(positive, k))
+
+
+def test_stationary_puts_all_mass_on_an_absorbing_action():
+    # every action flows into 2, which has no positive regret of its own
+    positive = [[0.0, 0.5, 1.0, 0.0],
+                [0.3, 0.0, 0.2, 0.0],
+                [0.0, 0.0, 0.0, 0.0],
+                [0.0, 0.0, 0.7, 0.0]]
+    q = _stationary(positive, 4)
+    assert q == [0.0, 0.0, 1.0, 0.0]
+    _assert_invariant(positive, q)
+
+
+def test_stationary_stays_inside_one_closed_class():
+    # {1, 3} and {2, 4} are closed classes; 0 and 5 are transient
+    positive = [[0.0, 0.4, 0.0, 0.0, 0.6, 0.0],
+                [0.0, 0.0, 0.0, 0.9, 0.0, 0.0],
+                [0.0, 0.0, 0.0, 0.0, 0.5, 0.0],
+                [0.0, 0.2, 0.0, 0.0, 0.0, 0.0],
+                [0.0, 0.0, 0.8, 0.0, 0.0, 0.0],
+                [0.3, 0.0, 0.1, 0.0, 0.0, 0.0]]
+    q = _stationary(positive, 6)
+    support = {a for a, x in enumerate(q) if x > 0.0}
+    assert support in ({1, 3}, {2, 4})
+    _assert_invariant(positive, q)
+    assert _stationary(positive, 6) == q
 
 
 # -- trajectory mechanics --------------------------------------------------------
@@ -173,6 +270,20 @@ def test_regret_matching_approaches_correlated_play():
     result = run(rps, INTERNAL_RM, 3000, seed=5)
     # bar: 2% of the payoff range (2) on every conditional regret
     assert result.max_internal_regret <= F(1, 25)
+
+
+def test_three_player_multiplicative_weights_is_pinned():
+    # multiplicative weights is a fixed sequence of float operations per
+    # seed; a change in how payoffs are read must not move it by one bit
+    game = random_game((2, 2, 2), seed=4)
+    result = run(game, EXTERNAL_MW, 600, seed=2, learning_rate=5.0)
+    assert result.empirical.weights == {
+        (0, 1, 0): F(71, 120), (0, 1, 1): F(13, 100),
+        (1, 1, 0): F(23, 100), (1, 1, 1): F(29, 600)}
+    assert result.final_strategies == (
+        (1.0, 0.17282640129777577),
+        (1.300777301640997e-26, 1.0),
+        (1.0, 0.30607655078707774))
 
 
 def test_three_player_run():

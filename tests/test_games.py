@@ -43,6 +43,17 @@ def test_strides_give_profile_index(shape):
         assert sum(a * s for a, s in zip(profile, strides)) == game.profile_index(profile)
 
 
+def test_derived_attributes_stay_out_of_equality():
+    import dataclasses
+    pd = generators.prisoners_dilemma()
+    again = Game(pd.actions, pd.payoffs, pd.name)
+    assert again == pd and hash(again) == hash(pd)
+    assert repr(again) == repr(pd) and "_shape" not in repr(pd)
+    wider = dataclasses.replace(pd, actions=(("c", "d", "e"), ("c", "d")),
+                                payoffs=((0,) * 6, (0,) * 6))
+    assert (wider.shape, wider.num_profiles, wider.strides) == ((3, 2), 6, (2, 1))
+
+
 def test_payoff_lookup_matches_matrix():
     pd = generators.prisoners_dilemma()
     assert pd.u(0, (0, 0)) == 2
