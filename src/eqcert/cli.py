@@ -195,7 +195,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
         elif family == "random":
             if args.seed is None:
                 raise CliError("random games need --seed")
-            shape = tuple(int(part) for part in args.shape.split(","))
+            try:
+                shape = tuple(int(part) for part in args.shape.split(","))
+            except ValueError as exc:
+                raise CliError("--shape must be comma-separated action counts, "
+                               f"got {args.shape!r}") from exc
+            if args.low > args.high:
+                raise CliError(f"--low {args.low} is above --high {args.high}")
             game = generators.random_game(shape, args.seed, args.low, args.high)
         else:
             raise CliError(f"unknown family {family!r}")
@@ -348,14 +354,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # -- parser ---------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="eqcert",
-        description="Equilibrium polytopes and uniqueness certificates "
-                    "for finite games, in exact arithmetic.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="polytope and uniqueness analysis")
+def _analyze_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("game", help="game JSON file")
     p.add_argument("--concepts", default="ne,ce,cce,ircp",
                    help="comma list from ne,ce,cce,ircp")
@@ -364,7 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", metavar="OUT", help="write the full report here")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("certify", help="uniqueness certificate or refutation")
+
+def _certify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("game", help="game JSON file")
     p.add_argument("--concept", choices=("ircp", "cce"), required=True)
     p.add_argument("--target", metavar="I,J,...",
@@ -372,7 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", metavar="OUT", help="write the proof object here")
     p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("generate", help="write a named example game")
+
+def _generate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("family", choices=("pd", "matching_pennies", "rps", "parking",
                                       "table2", "table3", "mp_type", "random"))
     p.add_argument("--m", type=int, default=3, help="parking: number of spots")
@@ -387,7 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="FILE", help="output path (default stdout)")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("contest", help="grid checks for ratio-form contests")
+
+def _contest_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("spec", help="contest JSON file")
     p.add_argument("--grid", required=True, help="grid JSON file")
     p.add_argument("--prop3", action="store_true",
@@ -401,7 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", metavar="OUT", help="write the check result here")
     p.set_defaults(func=cmd_contest)
 
-    p = sub.add_parser("simulate", help="no-regret dynamics on a game")
+
+def _simulate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("game", help="game JSON file")
     p.add_argument("--algo", choices=dynamics.ALGORITHMS, required=True)
     p.add_argument("--steps", type=int, required=True)
@@ -412,15 +415,48 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", metavar="OUT", help="write the run summary here")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("verify", help="re-check a report's embedded objects")
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("report", help="report JSON file")
     p.set_defaults(func=cmd_verify)
 
+
+# name -> (help line, function adding its arguments), in the order of `eqcert -h`.
+SUBCOMMANDS = {
+    "analyze": ("polytope and uniqueness analysis", _analyze_args),
+    "certify": ("uniqueness certificate or refutation", _certify_args),
+    "generate": ("write a named example game", _generate_args),
+    "contest": ("grid checks for ratio-form contests", _contest_args),
+    "simulate": ("no-regret dynamics on a game", _simulate_args),
+    "verify": ("re-check a report's embedded objects", _verify_args),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser; given a subcommand's name, only its subparser.
+
+    A parser for one subcommand parses that subcommand's arguments, prints
+    its help and reports its usage errors exactly as the full parser does:
+    its top-level usage line still names every subcommand.
+    """
+    parser = argparse.ArgumentParser(
+        prog="eqcert",
+        description="Equilibrium polytopes and uniqueness certificates "
+                    "for finite games, in exact arithmetic.")
+    # The full parser's usage line lists the choices itself; a one-subcommand
+    # parser gets the same text as its metavar.
+    metavar = None if command is None else "{" + ",".join(SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_line, add_args) in SUBCOMMANDS.items():
+        if command in (None, name):
+            add_args(sub.add_parser(name, help=help_line))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Build only the named subcommand's parser; anything else gets the full one.
+    parser = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

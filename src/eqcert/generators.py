@@ -120,6 +120,8 @@ def table3() -> Game:
 
 def random_game(shape: Sequence[int], seed: int, low: int = -3, high: int = 3) -> Game:
     """Seeded game with uniform integer payoffs in [low, high]."""
+    if low > high:
+        raise ValueError(f"payoff range [{low}, {high}] is empty")
     rng = random.Random(seed)
     actions = tuple(tuple(f"a{i}_{k}" for k in range(size))
                     for i, size in enumerate(shape))

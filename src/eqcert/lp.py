@@ -20,6 +20,14 @@ Every variable is nonnegative, since the LPs here are over probability
 weights.  A caller that needs a free variable splits it into two
 nonnegative columns itself, x = x+ - x- (see `zerosum._row_lp`).
 
+A caller that knows a vertex e_j of a system with one artificial, such as
+the simplex row of a CE or CCE system, sets `start = j` on the
+`ConstraintSystem`.  Phase 1 then begins with one crash pivot of x_j into the
+artificial's row, which gives the basis of e_j, and ends there.  A negative
+right-hand side after that pivot means e_j violates a row, and raises
+`SolverInvariantError`.  The CCE singleton test starts this way at the point
+mass of the game's only pure Nash equilibrium (see `polytopes.is_singleton`).
+
 `PolytopeSolver` factors the phase-1 work out of repeated optimization over
 one feasible system; singleton tests and coordinate bounds re-optimize many
 objectives against the same basis.
@@ -101,16 +109,25 @@ class LinearConstraint:
 
 @dataclass(frozen=True)
 class ConstraintSystem:
-    """Linear constraints over `num_vars` variables, every one of them >= 0."""
+    """Linear constraints over `num_vars` variables, every one of them >= 0.
+
+    `start`, when set, is a variable j whose unit vector e_j the caller
+    knows to satisfy every row; the solver then starts phase 1 at e_j.  The
+    system must have exactly one row that starts on an artificial (see the
+    module docstring).
+    """
 
     num_vars: int
     constraints: tuple[LinearConstraint, ...]
+    start: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "constraints", tuple(self.constraints))
         for row in self.constraints:
             if len(row.coeffs) != self.num_vars:
                 raise LpError("constraint width disagrees with num_vars")
+        if self.start is not None and not 0 <= self.start < self.num_vars:
+            raise LpError(f"start column {self.start} is not a variable")
 
     def contains(self, point: Sequence[Fraction]) -> bool:
         if len(point) != self.num_vars or any(x < 0 for x in point):
@@ -289,8 +306,29 @@ class _StandardForm:
 
     # -- phases -----------------------------------------------------------
 
+    def _crash(self, column: int) -> None:
+        """Pivot `column` into the only artificial's row: the basis of e_column.
+
+        That basis is feasible exactly when e_column satisfies every other
+        row.  A negative right-hand side after the pivot means it does not,
+        and raises.
+        """
+        if len(self.artificials) != 1:
+            raise LpError("a start column needs a system with exactly one artificial row")
+        self._pivot(self.basis.index(self.artificials[0]), column)
+        rhs = self.ncols
+        if any(row[rhs] < 0 for row in self.rows):
+            raise SolverInvariantError(
+                f"start column {column}'s unit vector violates a row of the system")
+
     def phase1(self) -> bool:
-        """Find a feasible basis; returns False when the system is infeasible."""
+        """Find a feasible basis; returns False when the system is infeasible.
+
+        With a start column set on the system, one crash pivot replaces the
+        artificial before the phase-1 objective is loaded.
+        """
+        if self.system.start is not None:
+            self._crash(self.system.start)
         if self.artificials:
             art_cost = [Fraction(0)] * self.num_y
             cost = art_cost + [Fraction(0)] * (self.ncols - self.num_y)

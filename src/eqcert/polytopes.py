@@ -8,11 +8,22 @@ coordinate bounds, decides singleton-ness with explicit witnesses, and
 checks extremality plus the support bound that extreme points obey.
 `GameAnalysis` holds these results for one game while one call runs, so a
 report and its certificates solve each polytope and maximin LP once.
+
+Singleton tests start from the pure Nash equilibria, whose point masses lie
+in all three polytopes.  Two of them refute singleton-ness with no LP.  One
+of them starts the CCE simplex at its point mass, which satisfies every CCE
+row, so phase 1 is a single pivot.  CE keeps the cold start: the point mass
+makes every CE row with another recommendation tight, and on random 8x8
+games the outside-support LP from that degenerate vertex took more pivots
+than the saved phase 1 on some seeds (seed 7: 791 -> 1060) and fewer on
+others, so CE waits for a pivot rule that does not stall there.  IRCP starts
+cold too: its rows at a positive security level keep artificials of their
+own, and a one-pivot start needs the simplex row to be the only one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -139,7 +150,7 @@ class GameAnalysis:
 
     def singleton(self, concept: str) -> SingletonResult:
         if concept not in self._singletons:
-            self._singletons[concept] = is_singleton(self.polytope(concept))
+            self._singletons[concept] = is_singleton(self.polytope(concept), self.pure_ne())
         return self._singletons[concept]
 
     def pure_ne(self) -> list[tuple[Profile, bool]]:
@@ -258,9 +269,33 @@ def singleton_over_system(game: Game, system: ConstraintSystem,
     return SingletonResult(base, None)
 
 
-def is_singleton(spec: PolytopeSpec) -> SingletonResult:
-    """Singleton decision for a solution-concept polytope; see singleton_over_system."""
-    return singleton_over_system(spec.game, spec.system, f"{spec.concept} polytope")
+def is_singleton(spec: PolytopeSpec,
+                 pure_ne: Sequence[tuple[Profile, bool]] | None = None) -> SingletonResult:
+    """Singleton decision for a solution-concept polytope, started from the pure NE.
+
+    With two or more pure NE, the point masses of the first two are the
+    witnesses, re-checked by exact membership, and no LP runs.  With exactly
+    one, a, the CCE test starts its simplex at delta(a)
+    (`ConstraintSystem.start`); CE and IRCP start cold (see the module
+    docstring).  The LPs are `singleton_over_system`'s.  `pure_ne` is the
+    `enumerate_pure_ne` list of the game, computed here when not given.
+    """
+    game = spec.game
+    if pure_ne is None:
+        pure_ne = enumerate_pure_ne(game)
+    if len(pure_ne) >= 2:
+        witnesses = (JointDistribution.point_mass(pure_ne[0][0]),
+                     JointDistribution.point_mass(pure_ne[1][0]))
+        for w in witnesses:
+            if not membership(spec, w).is_member:
+                raise SolverInvariantError(
+                    f"pure NE point mass failed the membership re-check in the "
+                    f"{spec.concept} polytope")
+        return SingletonResult(None, witnesses)
+    system = spec.system
+    if pure_ne and spec.concept == "cce":
+        system = replace(system, start=game.profile_index(pure_ne[0][0]))
+    return singleton_over_system(game, system, f"{spec.concept} polytope")
 
 
 def _active_rows(spec: PolytopeSpec, vector: Sequence[Fraction]) -> list[tuple[Fraction, ...]]:

@@ -229,7 +229,7 @@ def test_ircp_certificate_is_rechecked(monkeypatch):
     assert isinstance(certify_unique_ircp(_parking("3/5")), UniquenessCertificate)
     pair = (JointDistribution.point_mass((0, 0)), JointDistribution.point_mass((1, 1)))
     monkeypatch.setattr(polytopes, "is_singleton",
-                        lambda spec: polytopes.SingletonResult(None, pair))
+                        lambda spec, pure_ne=None: polytopes.SingletonResult(None, pair))
     with pytest.raises(SolverInvariantError, match="singleton test"):
         certify_unique_ircp(_parking("3/5"))
 

@@ -2,9 +2,11 @@
 
 import json
 
+import pytest
+
 from eqcert import dynamics
 from eqcert.certify import verify_certificate
-from eqcert.cli import main
+from eqcert.cli import SUBCOMMANDS, build_parser, main
 from eqcert.contests import (
     ContestSpec,
     LinearCost,
@@ -65,12 +67,20 @@ def test_generate_writes_to_stdout(capsys):
     assert game.shape == (3, 3)
 
 
-def test_generate_input_errors(tmp_path):
+def test_generate_input_errors(tmp_path, capsys):
     out = str(tmp_path / "g.json")
     assert main(["generate", "random", "--out", out]) == 2
     assert main(["generate", "mp_type", "--out", out]) == 2
     assert main(["generate", "mp_type", "--params", "1,2,3", "--out", out]) == 2
     assert main(["generate", "parking", "--t", "0.3333...", "--out", out]) == 2
+    capsys.readouterr()
+    for args, message in (
+            (["--low", "3", "--high", "1"], "error: --low 3 is above --high 1"),
+            (["--shape", "a,2"],
+             "error: --shape must be comma-separated action counts, got 'a,2'")):
+        assert main(["generate", "random", "--seed", "1", *args, "--out", out]) == 2
+        assert capsys.readouterr().err.strip() == message
+    assert not (tmp_path / "g.json").exists()
 
 
 # -- analyze ----------------------------------------------------------------------
@@ -398,3 +408,27 @@ def test_parser_exit_codes(capsys):
     assert main(["frobnicate"]) == 2
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def _parse_with(parser, argv, capsys):
+    """Exit code, stdout and stderr of parsing argv, as `main` maps them."""
+    try:
+        parser.parse_args(argv)
+        code = None
+    except SystemExit as exc:
+        code = 0 if exc.code in (0, None) else 2
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command", list(SUBCOMMANDS))
+def test_one_subcommand_parser_prints_what_the_full_parser_prints(command, capsys):
+    full = build_parser()
+    for rest in (["--help"], [], ["--bogus"], ["x", "y", "z", "w"], ["x", "--json"],
+                 ["x", "--steps", "many", "--seed", "1", "--algo", "nope"],
+                 ["random", "--seed", "one"]):
+        argv = [command, *rest]
+        code, out, err = _parse_with(full, argv, capsys)
+        assert code is not None, argv
+        assert main(argv) == code, argv
+        assert capsys.readouterr() == (out, err), argv

@@ -43,6 +43,12 @@ def test_strides_give_profile_index(shape):
         assert sum(a * s for a, s in zip(profile, strides)) == game.profile_index(profile)
 
 
+def test_random_game_rejects_an_empty_payoff_range():
+    assert set(generators.random_game((2, 2), 1, 2, 2).payoffs[0]) == {Fraction(2)}
+    with pytest.raises(ValueError, match=r"payoff range \[3, 1\] is empty"):
+        generators.random_game((2, 2), 1, 3, 1)
+
+
 def test_derived_attributes_stay_out_of_equality():
     import dataclasses
     pd = generators.prisoners_dilemma()

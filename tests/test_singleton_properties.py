@@ -1,0 +1,148 @@
+"""Property tests: singleton tests started from the pure Nash equilibria.
+
+`GameAnalysis.singleton` refutes every concept with no LP when a game has
+two or more pure NE, and starts the CCE simplex at the point mass of the
+only pure NE when there is one.  Its decisions must equal those of the
+cold-start `singleton_over_system` on the same system.  On the same games,
+each uniqueness certifier must return a certificate exactly when the cold
+singleton test finds a one-profile point.
+"""
+
+import random
+from dataclasses import replace
+from fractions import Fraction
+from unittest import mock
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+
+from eqcert import generators, polytopes  # noqa: E402
+from eqcert.certify import (  # noqa: E402
+    UniquenessCertificate,
+    certify_unique_ircp,
+    certify_unique_pure_cce,
+)
+from eqcert.games import Game, JointDistribution  # noqa: E402
+from eqcert.lp import LpError, PolytopeSolver, SolverInvariantError  # noqa: E402
+
+SHAPES = ((2, 2), (2, 3), (3, 3), (2, 2, 2))
+NE_COUNTS = ("none", "one", "several")
+
+
+def _ne_count(game: Game) -> str:
+    count = len(polytopes.enumerate_pure_ne(game))
+    return NE_COUNTS[min(count, 2)]
+
+
+@st.composite
+def _tied_game(draw):
+    """A small integer game with 0, 1 or at least 2 pure NE, as drawn.
+
+    Payoffs in [0, 2] or [0, 6] tie often, and ties make pure NE common, so
+    games come from a seeded generator until one has the wanted count.
+    """
+    wanted = draw(st.sampled_from(NE_COUNTS))
+    shape = draw(st.sampled_from(SHAPES))
+    high = draw(st.sampled_from((2, 6)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    size = 1
+    for k in shape:
+        size *= k
+    actions = tuple(tuple(f"p{i}a{k}" for k in range(n)) for i, n in enumerate(shape))
+    for _ in range(200):
+        payoffs = tuple(tuple(Fraction(rng.randint(0, high)) for _ in range(size))
+                        for _ in shape)
+        game = Game(actions, payoffs)
+        if _ne_count(game) == wanted:
+            return game
+    hypothesis.assume(False)
+
+
+def _cold(game: Game, concept: str) -> polytopes.SingletonResult:
+    return polytopes.singleton_over_system(game, polytopes.build_polytope(game, concept).system)
+
+
+@hypothesis.settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@hypothesis.given(_tied_game())
+def test_started_singleton_equals_cold_start(game):
+    pure = [p for p, _ in polytopes.enumerate_pure_ne(game)]
+    cold = {c: _cold(game, c) for c in polytopes.CONCEPTS}
+    systems = []
+    real = polytopes.singleton_over_system
+
+    def recording(game, system, what="polytope"):
+        systems.append(system)
+        return real(game, system, what)
+
+    analysis = polytopes.GameAnalysis(game)
+    with mock.patch.object(polytopes, "singleton_over_system", recording):
+        started = {c: analysis.singleton(c) for c in polytopes.CONCEPTS}
+    for concept in polytopes.CONCEPTS:
+        result, reference = started[concept], cold[concept]
+        assert result.is_singleton == reference.is_singleton, concept
+        assert result.point == reference.point, concept
+        if not result.is_singleton:
+            spec = analysis.polytope(concept)
+            first, second = result.witnesses
+            assert first != second
+            assert all(polytopes.membership(spec, w).is_member for w in (first, second))
+    if len(pure) >= 2:
+        assert systems == []
+        for concept in polytopes.CONCEPTS:
+            assert started[concept].witnesses == (JointDistribution.point_mass(pure[0]),
+                                                  JointDistribution.point_mass(pure[1]))
+    else:
+        # CE, CCE and IRCP in that order; only CCE starts at the pure NE.
+        starts = [system.start for system in systems]
+        assert starts == [None, game.profile_index(pure[0]) if pure else None, None]
+
+
+@hypothesis.settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@hypothesis.given(_tied_game())
+def test_certificate_exactly_when_singleton_is_a_point_mass(game):
+    for concept, certify in (("ircp", certify_unique_ircp), ("cce", certify_unique_pure_cce)):
+        singleton = _cold(game, concept)
+        point_mass = singleton.is_singleton and len(singleton.point.support()) == 1
+        result = certify(game)
+        assert isinstance(result, UniquenessCertificate) == point_mass, concept
+        if point_mass:
+            assert singleton.point == JointDistribution.point_mass(result.a_star), concept
+
+
+def test_pure_ne_witnesses_are_rechecked():
+    game = generators.random_game((8, 8), 1)  # three pure NE
+    analysis = polytopes.GameAnalysis(game)
+    rejected = polytopes.MembershipResult(False, ())
+    with mock.patch.object(polytopes, "membership", lambda spec, mu: rejected):
+        with pytest.raises(SolverInvariantError, match="membership re-check"):
+            analysis.singleton("cce")
+
+
+def test_start_column_must_be_a_member():
+    pd = generators.prisoners_dilemma()
+    system = polytopes.build_polytope(pd, "cce").system
+    # (d, d) is the pure NE; (c, c) violates both players' defect rows.
+    assert PolytopeSolver(replace(system, start=pd.profile_index((1, 1)))).feasible
+    with pytest.raises(SolverInvariantError, match="violates a row"):
+        PolytopeSolver(replace(system, start=pd.profile_index((0, 0))))
+
+
+def test_start_column_is_checked():
+    system = polytopes.build_polytope(generators.prisoners_dilemma(), "cce").system
+    with pytest.raises(LpError, match="not a variable"):
+        replace(system, start=4)
+    no_artificial = replace(system, constraints=system.constraints[:-1], start=0)
+    with pytest.raises(LpError, match="exactly one artificial"):
+        PolytopeSolver(no_artificial)
+
+
+def test_cce_phase1_is_one_pivot_from_the_pure_ne():
+    game = generators.random_game((8, 8), 7)  # one strict pure NE
+    (profile, strict), = polytopes.enumerate_pure_ne(game)
+    assert strict
+    system = polytopes.build_polytope(game, "cce").system
+    solver = PolytopeSolver(replace(system, start=game.profile_index(profile)))
+    assert solver._form.pivots_used == 1
+    assert solver.feasible_point() == JointDistribution.point_mass(profile).as_vector(game)
