@@ -1,9 +1,9 @@
 """Exact linear programming and vertex enumeration over the rationals.
 
 The solver is a two-phase primal simplex with Bland's anti-cycling rule.
-The working tableau is kept in integer form with one shared positive
-denominator (integer pivoting), so every pivot is exact integer arithmetic;
-results are reported as `Fraction`s.  Ties in the leaving-variable test are
+The working tableau is kept in integer form, each row with its own positive
+denominator (integer pivoting, see the last paragraph), so every pivot is
+exact integer arithmetic; results are reported as `Fraction`s.  Ties in the leaving-variable test are
 broken by lowest basis index, which together with Bland's entering rule
 makes every answer a deterministic function of the input.
 
@@ -32,13 +32,19 @@ mass of the game's only pure Nash equilibrium (see `polytopes.is_singleton`).
 one feasible system; singleton tests and coordinate bounds re-optimize many
 objectives against the same basis.
 
-A pivot updates each row with one integer comprehension and floor-divides
-every cell by the old determinant.  Integer pivoting guarantees that each of
-those divisions is exact, and the pivot checks it once per row instead of
-once per cell: the row's undivided entries must sum to `det` times the sum
-of the quotients.  The check is exact because `det > 0`, so every floor
-remainder lies in [0, det) and the remainders sum to 0 only if each is 0.
-A failed check raises `SolverInvariantError`.
+Each tableau row, and the reduced-cost row, carries its own positive scale:
+the basis determinant at which the row was last written, so the row holds
+its true entries times that scale.  A pivot leaves a row whose
+entering-column entry is 0 untouched, since its true entries do not change,
+and writes every other row at the new determinant.  The pivot row is first
+brought to the current determinant if it lags.  Each of these integer
+divisions is exact: its quotient is the row at a basis determinant, which is
+integral by Cramer's rule (fraction-free pivoting, Edmonds 1967, Bareiss
+1968).  The pivot checks this once per row instead of once per cell: the
+row's undivided entries must sum to the divisor times the sum of the
+quotients.  The check is exact because the divisor is positive, so every
+floor remainder lies in [0, divisor) and the remainders sum to 0 only if
+each is 0.  A failed check raises `SolverInvariantError`.
 """
 
 from __future__ import annotations
@@ -157,12 +163,19 @@ def _scaled_ints(values: Sequence[Fraction], denom: int) -> list[int]:
 
 
 class _StandardForm:
-    """min c.y, T y = b, y >= 0 over an integer tableau with common denominator.
+    """min c.y, T y = b, y >= 0 over an integer tableau with per-row scales.
 
     Rows are scaled to integers and negated so that b >= 0.  A `<=` row starts
     basic on its slack.  A `>=` row with b = 0 is negated to `<=` too: the
     origin satisfies it, so its slack is a feasible start at level 0.  Only
     `==` rows and `>=` rows with b > 0 start on an artificial for phase 1.
+
+    `det` is the current basis determinant.  `rows[r]` holds row r's true
+    entries times `scales[r]`, the basis determinant at which that row was
+    last written, and the reduced-cost row `z` holds its entries times
+    `scales[-1]`.  Every scale is positive, so signs and ratios within a row
+    read the same at any scale; only `point()` and the rows that an
+    objective combines need the scale itself.
     """
 
     def __init__(self, system: ConstraintSystem):
@@ -221,60 +234,87 @@ class _StandardForm:
         for row in self.rows:
             del row[self.ncols:-1]
         self.z: list[int] = [0] * (self.ncols + 1)
+        self.scales: list[int] = [1] * (m + 1)
 
     # -- tableau mechanics ------------------------------------------------
 
-    def _pivot(self, p: int, q: int) -> None:
-        """Integer pivot on entry (p, q): row <- (pval * row - factor * prow) / det.
+    def _at_det(self, r: int) -> list[int]:
+        """Row r at the current `det`, rewritten in place if its scale lags.
 
-        Integer pivoting makes every division by the old `det` exact; a
-        remainder means the tableau is corrupt.  The check runs once per
-        row: with `det > 0` every floor remainder lies in [0, det), so the
-        undivided row sums to `det` times the quotients' sum only if every
-        remainder is 0.  The undivided sum is pval * sum(row) - factor *
-        sum(prow), taken before the row is overwritten.
+        The quotient v * det / scale is the row at the current basis
+        determinant, integral by Cramer's rule, so each floor division is
+        exact; a remainder means the tableau is corrupt.  The check runs
+        once per row: with scale > 0 every floor remainder lies in
+        [0, scale), so det * sum(row) equals scale times the quotients' sum
+        only if every remainder is 0.
+        """
+        row, scale, det = self.rows[r], self.scales[r], self.det
+        if scale != det:
+            row_total = det * sum(row)
+            row[:] = [v * det // scale for v in row]
+            if row_total != scale * sum(row):
+                raise SolverInvariantError("integer pivot lost exact divisibility")
+            self.scales[r] = det
+        return row
+
+    def _pivot(self, p: int, q: int) -> None:
+        """Integer pivot on entry (p, q): row <- (pval * row - factor * prow) / scale.
+
+        The pivot row is brought to the current `det` first, so pval is the
+        new basis determinant.  A row whose entering-column entry is 0 keeps
+        its true entries, so it is left as it is, scale and all.  Every other
+        row r, the reduced-cost row included, is rewritten at the new
+        determinant as (pval * row - factor * prow) / scales[r], with factor
+        its raw entry in column q.  That quotient is integral by Cramer's
+        rule, so the division is exact; a remainder means the tableau is
+        corrupt.  The check runs once per row, as in `_at_det`: the
+        undivided sum pval * sum(row) - factor * sum(prow), taken before the
+        row is overwritten, must equal scales[r] times the quotients' sum.
+        The pivot row's entries are unchanged and it takes scale pval too.
         """
         if self.pivot_limit and self.pivots_used >= self.pivot_limit:
             raise PivotLimitExceeded(
                 f"simplex exceeded {self.pivot_limit} pivots ({PIVOT_LIMIT_ENV})"
             )
         self.pivots_used += 1
-        rows, det = self.rows, self.det
-        prow = rows[p]
+        scales = self.scales
+        prow = self._at_det(p)
         pval = prow[q]
         if pval <= 0:
             raise SolverInvariantError("pivot entry must be positive")
         psum = sum(prow)
-        for r, row in enumerate(itertools.chain(rows, (self.z,))):
-            if r == p:
-                continue
+        for r, row in enumerate(itertools.chain(self.rows, (self.z,))):
             factor = row[q]
-            if factor == 0:
-                if pval == det:
-                    continue
-                row_total = pval * sum(row)
-                row[:] = [v * pval // det for v in row]
-            else:
-                row_total = pval * sum(row) - factor * psum
-                row[:] = [(v * pval - factor * w) // det for v, w in zip(row, prow)]
-            if row_total != det * sum(row):
+            if factor == 0 or r == p:
+                continue
+            scale = scales[r]
+            row_total = pval * sum(row) - factor * psum
+            row[:] = [(v * pval - factor * w) // scale for v, w in zip(row, prow)]
+            if row_total != scale * sum(row):
                 raise SolverInvariantError("integer pivot lost exact divisibility")
+            scales[r] = pval
+        scales[p] = pval
         self.basis[p] = q
         self.det = pval
 
     def _load_objective(self, cost: Sequence[Fraction]) -> None:
-        """Reduced-cost row for `cost` (per y column) at the current basis."""
+        """Reduced-cost row for `cost` (per y column) at the current basis.
+
+        The row is written at the current `det`; only the rows whose basic
+        variable has a nonzero cost are read, and those are brought to `det`.
+        """
         denom = 1
         for c in cost:
             denom = _lcm(denom, c.denominator)
         ints = _scaled_ints(cost, denom) + [0] * (self.ncols - len(cost))
         det = self.det
         z = [v * det for v in ints] + [0]
-        for row, bvar in zip(self.rows, self.basis):
+        for r, bvar in enumerate(self.basis):
             cb = ints[bvar]
             if cb:
-                z = [v - cb * w for v, w in zip(z, row)]
+                z = [v - cb * w for v, w in zip(z, self._at_det(r))]
         self.z = z
+        self.scales[-1] = det
 
     def _bland_min(self) -> str:
         """Minimize the loaded objective from the current feasible basis."""
@@ -362,6 +402,7 @@ class _StandardForm:
             for r in reversed(drop_rows):
                 del self.rows[r]
                 del self.basis[r]
+                del self.scales[r]
         # Trim the artificial block.
         keep = self.num_y + self.num_slack
         if self.ncols > keep:
@@ -382,9 +423,9 @@ class _StandardForm:
         """Values of the system's variables at the current basis."""
         values = [Fraction(0)] * self.num_y
         rhs = self.ncols
-        for row, bvar in zip(self.rows, self.basis):
+        for row, bvar, scale in zip(self.rows, self.basis, self.scales):
             if bvar < self.num_y:
-                values[bvar] = Fraction(row[rhs], self.det)
+                values[bvar] = Fraction(row[rhs], scale)
         return tuple(values)
 
 

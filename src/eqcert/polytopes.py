@@ -348,26 +348,27 @@ def winkler_support_bound(spec: PolytopeSpec, mu: JointDistribution) -> WinklerR
 
 
 def enumerate_pure_ne(game: Game) -> list[tuple[Profile, bool]]:
-    """All pure Nash equilibria with a strictness flag, in lexicographic order."""
+    """All pure Nash equilibria with a strictness flag, in lexicographic order.
+
+    Profiles are visited in index order.  Player i's payoffs against a_-i
+    at the profile with index k sit every strides[i] entries from
+    k - a_i * strides[i], so one slice holds the profile's payoff and every
+    deviation's: it is an NE for i when none is larger, strictly when the
+    profile's payoff occurs once.
+    """
+    players = [(game.payoffs[i], game.strides[i], game.shape[i])
+               for i in range(game.num_players)]
     results = []
-    for profile in game.profiles():
-        is_ne = True
+    for k, profile in enumerate(game.profiles()):
         strict = True
-        for i in range(game.num_players):
-            base = game.u(i, profile)
-            others = tuple(a for j, a in enumerate(profile) if j != i)
-            for dev in range(game.shape[i]):
-                if dev == profile[i]:
-                    continue
-                alt = game.u(i, game.insert_action(i, dev, others))
-                if alt > base:
-                    is_ne = False
-                    break
-                if alt == base:
-                    strict = False
-            if not is_ne:
+        for (payoff, stride, size), action in zip(players, profile):
+            first = k - action * stride
+            column = payoff[first:first + size * stride:stride]
+            base = payoff[k]
+            if max(column) > base:
                 break
-        if is_ne:
+            strict = strict and column.count(base) == 1
+        else:
             results.append((profile, strict))
     return results
 

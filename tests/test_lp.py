@@ -73,8 +73,10 @@ def test_minimization_and_equality_rows():
 def test_free_variable_guarantee_lp():
     # max z with z <= each weighted column payoff, weights on a simplex; the
     # free z is split as z+ - z- over the last two columns.
-    # Regression: an intermediate pivot once skipped rescaling a row whose
-    # pivot-column entry was zero, breaking integer-pivot divisibility.
+    # An intermediate pivot meets a row whose pivot-column entry is zero.
+    # With one common denominator, skipping that row's rescale once broke
+    # integer-pivot divisibility; with per-row scales the row keeps its own
+    # scale, so skipping it is sound.
     rows = [
         ([3, 5, -1, 1], GREATER_EQUAL, 0),
         ([0, 1, -1, 1], GREATER_EQUAL, 0),
@@ -220,19 +222,45 @@ def test_pivot_limit_env(monkeypatch):
 # -- integer pivot ----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("column, other_entry", [(0, 2), (1, 0)])
-def test_pivot_detects_lost_divisibility(column, other_entry):
-    # Rows x1 + x2 + s1 = 3 and 2 x1 + s2 = 4 start with det = 1.  Pivoting
-    # on row 0 divides every other row by det; a det of 2 (which integer
-    # pivoting never produces here) leaves odd entries undivisible.  Column 0
-    # updates row 1 through its nonzero entry 2; column 1 meets row 1's zero
-    # entry with pval 1 != det, so row 1 is only rescaled.
+def _two_row_form():
+    # Rows x1 + x2 + s1 = 3 and 2 x1 + s2 = 4, both written at det = 1.
     form = _StandardForm(_system(2, [([1, 1], LESS_EQUAL, 3), ([2, 0], LESS_EQUAL, 4)]))
     assert form.rows == [[1, 1, 1, 0, 3], [2, 0, 0, 1, 4]]
+    assert form.det == 1 and form.scales == [1, 1, 1]
+    return form
+
+
+@pytest.mark.parametrize("column, other_entry", [(0, 2), (1, 0)])
+def test_pivot_detects_lost_divisibility(column, other_entry):
+    # Pivoting on row 0 divides each updated row by that row's own scale; a
+    # scale of 2 on row 1 (which integer pivoting never produces here)
+    # leaves odd entries undivisible.  Column 0 updates row 1 through its
+    # nonzero entry 2, so the pivot must raise.  Column 1 meets row 1's zero
+    # entry, so row 1 is left untouched, same object and same (corrupt)
+    # scale, and nothing reads it.
+    form = _two_row_form()
     assert form.rows[1][column] == other_entry
-    form.det = 2
+    form.scales[1] = 2
+    if other_entry:
+        with pytest.raises(SolverInvariantError, match="exact divisibility"):
+            form._pivot(0, column)
+        return
+    row = form.rows[1]
+    form._pivot(0, column)
+    assert form.rows[1] is row and row == [2, 0, 0, 1, 4]
+    assert form.scales == [1, 2, 1] and form.det == 1
+
+
+def test_pivot_detects_lost_divisibility_in_a_lagging_pivot_row():
+    # A pivot row whose scale differs from det is first brought to det as
+    # row * det / scale.  A scale of 2 against det 3 leaves odd entries
+    # undivisible, so the pivot raises before it touches any other row.
+    form = _two_row_form()
+    form.det = 3
+    form.scales[0] = 2
     with pytest.raises(SolverInvariantError, match="exact divisibility"):
-        form._pivot(0, column)
+        form._pivot(0, 0)
+    assert form.rows[1] == [2, 0, 0, 1, 4] and form.scales[1:] == [1, 1]
 
 
 # -- phase-1 starting basis -------------------------------------------------------

@@ -1,13 +1,20 @@
-"""Property test: the exact simplex against brute-force vertices on CE-shaped systems."""
+"""Property tests of the exact simplex.
+
+Brute-force vertices on CE-shaped systems, and the per-row-scale tableau
+against a common-denominator reference tableau, pivot by pivot.
+"""
 
 import itertools
+from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
+from eqcert import generators, zerosum  # noqa: E402
 from eqcert.lp import (  # noqa: E402
     EQUAL,
     GREATER_EQUAL,
@@ -16,9 +23,14 @@ from eqcert.lp import (  # noqa: E402
     ConstraintSystem,
     LinearConstraint,
     PolytopeSolver,
+    SolverInvariantError,
     _echelon_add,
+    _lcm,
+    _scaled_ints,
     _solve_echelon,
+    _StandardForm,
 )
+from eqcert.polytopes import build_polytope, enumerate_pure_ne  # noqa: E402
 
 _coeff = st.integers(min_value=-3, max_value=3)
 
@@ -73,3 +85,181 @@ def test_homogeneous_rows_match_brute_force_vertices(case):
     assert out.status == OPTIMAL
     assert system.contains(out.point)
     assert out.value == max(sum(c * v for c, v in zip(objective, vert)) for vert in verts)
+
+
+# -- per-row scales against one common denominator --------------------------------
+
+
+class _ReferenceForm(_StandardForm):
+    """The tableau with one common denominator `det` for every row.
+
+    `_pivot` rewrites every row at the new determinant, rows with a zero
+    entering-column entry included; `_load_objective` and `point` read every
+    row at `det`.  It ignores `scales`.
+    """
+
+    def __init__(self, system):
+        super().__init__(system)
+        self.trail = []
+
+    def _pivot(self, p, q):
+        self.pivots_used += 1
+        rows, det = self.rows, self.det
+        prow = rows[p]
+        pval = prow[q]
+        if pval <= 0:
+            raise SolverInvariantError("pivot entry must be positive")
+        psum = sum(prow)
+        for r, row in enumerate(itertools.chain(rows, (self.z,))):
+            if r == p:
+                continue
+            factor = row[q]
+            if factor == 0:
+                if pval == det:
+                    continue
+                row_total = pval * sum(row)
+                row[:] = [v * pval // det for v in row]
+            else:
+                row_total = pval * sum(row) - factor * psum
+                row[:] = [(v * pval - factor * w) // det for v, w in zip(row, prow)]
+            if row_total != det * sum(row):
+                raise SolverInvariantError("integer pivot lost exact divisibility")
+        self.basis[p] = q
+        self.det = pval
+        self.trail.append(self.snapshot())
+
+    def _load_objective(self, cost):
+        denom = 1
+        for c in cost:
+            denom = _lcm(denom, c.denominator)
+        ints = _scaled_ints(cost, denom) + [0] * (self.ncols - len(cost))
+        det = self.det
+        z = [v * det for v in ints] + [0]
+        for row, bvar in zip(self.rows, self.basis):
+            cb = ints[bvar]
+            if cb:
+                z = [v - cb * w for v, w in zip(z, row)]
+        self.z = z
+
+    def point(self):
+        values = [Fraction(0)] * self.num_y
+        for row, bvar in zip(self.rows, self.basis):
+            if bvar < self.num_y:
+                values[bvar] = Fraction(row[self.ncols], self.det)
+        return tuple(values)
+
+    def snapshot(self):
+        return (tuple(self.basis), self.pivots_used, self.det,
+                [list(row) for row in self.rows], list(self.z))
+
+
+class _ScaledForm(_StandardForm):
+    """The library's tableau, recording itself at `det` after every pivot."""
+
+    def __init__(self, system):
+        super().__init__(system)
+        self.trail = []
+
+    def _pivot(self, p, q):
+        super()._pivot(p, q)
+        self.trail.append(self.snapshot())
+
+    def snapshot(self):
+        det = self.det
+        at_det = []
+        for row, scale in zip(self.rows + [self.z], self.scales, strict=True):
+            # row * det / scale must be the common-denominator row exactly
+            assert scale > 0 and all(v * det % scale == 0 for v in row)
+            at_det.append([v * det // scale for v in row])
+        return tuple(self.basis), self.pivots_used, det, at_det[:-1], at_det[-1]
+
+
+def _assert_same_run(system, costs):
+    """Phase 1, then each cost in turn, warm-started: same pivots and tableaux."""
+    runs = []
+    for form in (_ScaledForm(system), _ReferenceForm(system)):
+        feasible = form.phase1()
+        outcomes = []
+        if feasible:
+            for cost in costs:
+                status = form.optimize(cost)
+                outcomes.append((status, form.point() if status == OPTIMAL else None))
+        runs.append((form, feasible, outcomes))
+    (scaled, *result), (reference, *expected) = runs
+    assert result == expected
+    assert len(scaled.trail) == len(reference.trail) == scaled.pivots_used
+    for got, want in zip(scaled.trail, reference.trail):
+        assert got == want
+
+
+@st.composite
+def _mixed_system(draw):
+    """A few `>=` and `==` rows with right-hand sides of either sign, and costs."""
+    n = draw(st.integers(min_value=2, max_value=5))
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        coeffs = tuple(Fraction(c) for c in draw(st.lists(_coeff, min_size=n, max_size=n)))
+        relation = draw(st.sampled_from((GREATER_EQUAL, EQUAL)))
+        rows.append(LinearConstraint(coeffs, relation, Fraction(draw(_coeff))))
+    costs = [tuple(Fraction(c) for c in draw(st.lists(_coeff, min_size=n, max_size=n)))
+             for _ in range(draw(st.integers(min_value=1, max_value=3)))]
+    return ConstraintSystem(n, tuple(rows)), costs
+
+
+def _unit_costs(n):
+    """Maximize, then minimize, each coordinate: a singleton test's objectives."""
+    costs = []
+    for k in range(n):
+        for sign in (-1, 1):
+            costs.append(tuple(Fraction(sign if j == k else 0) for j in range(n)))
+    return costs
+
+
+def _row_lp_system(matrix):
+    """The system `zerosum._row_lp` solves for `matrix`, taken from the call."""
+    systems = []
+
+    class Capture(PolytopeSolver):
+        def __init__(self, system):
+            systems.append(system)
+            super().__init__(system)
+
+    with mock.patch.object(zerosum, "PolytopeSolver", Capture):
+        zerosum._row_lp(matrix)
+    (system,) = systems
+    return system
+
+
+@hypothesis.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@hypothesis.given(_mixed_system())
+def test_scaled_tableau_equals_reference_on_mixed_systems(case):
+    system, costs = case
+    _assert_same_run(system, costs)
+
+
+@hypothesis.settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@hypothesis.given(st.sampled_from(((3, 3), (2, 2, 2))), st.integers(0, 10**6),
+                  st.sampled_from((1, 3)), st.sampled_from(("ce", "cce")))
+def test_scaled_tableau_equals_reference_on_game_polytopes(shape, seed, high, concept):
+    # Payoffs in [-3, high]; with high = 1 ties are common.  A CCE system of
+    # a game with exactly one pure NE also runs from its crash start.
+    game = generators.random_game(shape, seed, high=high)
+    system = build_polytope(game, concept).system
+    costs = _unit_costs(system.num_vars)
+    _assert_same_run(system, costs)
+    pure_ne = enumerate_pure_ne(game)
+    if concept == "cce" and len(pure_ne) == 1:
+        _assert_same_run(replace(system, start=game.profile_index(pure_ne[0][0])), costs)
+
+
+@hypothesis.settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@hypothesis.given(st.integers(2, 3).flatmap(
+    lambda rows: st.lists(st.lists(_coeff, min_size=rows, max_size=rows),
+                          min_size=2, max_size=4)))
+def test_scaled_tableau_equals_reference_on_maximin_lps(columns):
+    matrix = [[Fraction(columns[c][r]) for c in range(len(columns))]
+              for r in range(len(columns[0]))]
+    system = _row_lp_system(matrix)
+    n = system.num_vars
+    guarantee = tuple(Fraction(0) for _ in range(n - 2)) + (Fraction(-1), Fraction(1))
+    _assert_same_run(system, [guarantee] + _unit_costs(n))

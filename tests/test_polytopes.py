@@ -482,6 +482,47 @@ def test_stride_rows_equal_profile_rows(shape):
                                 == _reference_ce_row(game, i, rec, dev))
 
 
+def _reference_pure_ne(game):
+    """The pure-NE loop over profiles, one `game.u` call per deviation."""
+    results = []
+    for profile in game.profiles():
+        is_ne = True
+        strict = True
+        for i in range(game.num_players):
+            base = game.u(i, profile)
+            others = tuple(a for j, a in enumerate(profile) if j != i)
+            for dev in range(game.shape[i]):
+                if dev == profile[i]:
+                    continue
+                alt = game.u(i, game.insert_action(i, dev, others))
+                if alt > base:
+                    is_ne = False
+                    break
+                if alt == base:
+                    strict = False
+            if not is_ne:
+                break
+        if is_ne:
+            results.append((profile, strict))
+    return results
+
+
+def test_stride_pure_ne_equal_profile_loop():
+    # Random games, then integer games with payoffs in {0, 1} or {0, 1, 2},
+    # whose ties make weak equilibria common.
+    games = [generators.random_game(shape, seed)
+             for shape in ((2, 2), (3, 4), (2, 3, 2)) for seed in range(1, 9)]
+    games += [generators.random_game(shape, seed, low=0, high=high)
+              for shape in ((2, 2), (3, 4), (2, 3, 2)) for seed in range(1, 9)
+              for high in (1, 2)]
+    flags = set()
+    for game in games:
+        found = enumerate_pure_ne(game)
+        assert found == _reference_pure_ne(game), game.name
+        flags.update(strict for _, strict in found)
+    assert flags == {True, False}
+
+
 def _float_maximin(matrix):
     """max z over mixed rows x with x . column >= z for every column, via scipy."""
     from scipy.optimize import linprog
