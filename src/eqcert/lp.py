@@ -29,8 +29,22 @@ right-hand side after that pivot means e_j violates a row, and raises
 mass of the game's only pure Nash equilibrium (see `polytopes.is_singleton`).
 
 `PolytopeSolver` factors the phase-1 work out of repeated optimization over
-one feasible system; singleton tests and coordinate bounds re-optimize many
+one feasible system; singleton tests and coordinate bounds re-optimize several
 objectives against the same basis.
+
+`PolytopeSolver.pinning_objective` tells whether the current basic point x*
+is the system's only member.  The basis matrix is invertible, so every
+solution of the standard form, slacks included, is fixed by the values of
+its nonbasic columns; x* is the one where they are all 0.  Each column is
+nonnegative, so the sum of the nonbasic columns is 0 at x* and positive at
+every other member, and x* is the only member exactly when that sum's
+maximum over the system is its value at x*.  Dropped redundant `==` rows
+do not change the solution set.  The sum is written over the system's
+variables: a slack is b - a.x on a `<=` row a.x <= b and a.x - b on a `>=`
+row, in the row's original relation whatever negation the standard form
+applied, and up to the positive factor by which the standard form scaled
+the row.  So each nonbasic slack adds a_r on a `>=` row and -a_r on a `<=`
+row, and the constants are left out.
 
 Each tableau row, and the reduced-cost row, carries its own positive scale:
 the basis determinant at which the row was last written, so the row holds
@@ -459,6 +473,31 @@ class PolytopeSolver:
         point = self._form.point()
         value = sum((c * x for c, x in zip(objective, point) if x and c), Fraction(0))
         return LpOutcome(OPTIMAL, value, point)
+
+    def pinning_objective(self) -> tuple[Fraction, ...]:
+        """The sum of the nonbasic columns at the current basis, over the system's variables.
+
+        It is 1 on each nonbasic variable, plus a_r for each `>=` row r whose
+        slack is nonbasic and -a_r for each such `<=` row (see the module
+        docstring).  Its maximum over the system equals its value at the
+        current basic point exactly when that point is the only member.
+        """
+        if not self.feasible:
+            raise LpError("an infeasible system has no basis")
+        form = self._form
+        basic = set(form.basis)
+        objective = [Fraction(0) if j in basic else Fraction(1) for j in range(form.num_y)]
+        slack = form.num_y
+        for row in self.system.constraints:
+            if row.relation == EQUAL:
+                continue
+            if slack not in basic:
+                sign = 1 if row.relation == GREATER_EQUAL else -1
+                for j, c in enumerate(row.coeffs):
+                    if c:
+                        objective[j] += sign * c
+            slack += 1
+        return tuple(objective)
 
 
 # -- vertex enumeration ----------------------------------------------------

@@ -19,6 +19,13 @@ than the saved phase 1 on some seeds (seed 7: 791 -> 1060) and fewer on
 others, so CE waits for a pivot rule that does not stall there.  IRCP starts
 cold too: its rows at a positive security level keep artificials of their
 own, and a one-pivot start needs the simplex row to be the only one.
+
+From its phase-1 vertex x*, a singleton test runs at most two LPs
+(`singleton_over_system`): the mass outside supp(x*), which settles a point
+mass on its own, and then, for a larger support, the sum of the columns
+nonbasic at the basis of x* (`lp.PolytopeSolver.pinning_objective`).  Each
+singleton decision thus rests on at most two LP optima instead of one per
+support coordinate.
 """
 
 from __future__ import annotations
@@ -233,39 +240,41 @@ def coordinate_bounds(spec: PolytopeSpec, profile: Sequence[int],
 
 def singleton_over_system(game: Game, system: ConstraintSystem,
                           what: str = "polytope") -> SingletonResult:
-    """Singleton decision with constructive witnesses.
+    """Singleton decision with constructive witnesses, in at most two LPs.
 
-    Find one member mu; show every coordinate outside supp(mu) is identically
-    zero (one LP); then cap each support coordinate at its mu value (one LP
-    each).  Any slack produces a second, distinct member.  The system's
-    variables must be joint-distribution coordinates over `game`.
+    Phase 1 gives a vertex x*.  The first LP maximizes the mass outside
+    supp(x*); an optimum at any point but x* (a positive value included) is
+    a second member.  Otherwise every coordinate outside the support is
+    identically 0, so a point mass x* is the only member: the simplex row
+    fixes its lone coordinate.  For a larger support the second LP
+    maximizes `PolytopeSolver.pinning_objective` at the basis of x*, whose
+    maximum equals its value at x* exactly when x* is the only member; an
+    optimum at any other point is the second member.  The system's
+    variables must be joint-distribution coordinates over `game`, which its
+    rows force to sum to 1.
     """
     solver = PolytopeSolver(system)
     if not solver.feasible:
         raise SolverInvariantError(f"{what} is unexpectedly empty")
     base_point = solver.feasible_point()
     base = JointDistribution.from_vector(game, base_point)
-    num = game.num_profiles
-    support = {game.profile_index(p) for p in base.support()}
 
-    outside = [Fraction(1) if k not in support else Fraction(0) for k in range(num)]
-    if any(c != 0 for c in outside):
-        outcome = solver.optimize(outside, maximize=True)
+    def second_member(objective) -> JointDistribution | None:
+        outcome = solver.optimize(objective, maximize=True)
         if outcome.status != OPTIMAL:
             raise SolverInvariantError("support LP failed on a bounded polytope")
-        if outcome.value > 0:
-            return SingletonResult(
-                None, (base, JointDistribution.from_vector(game, outcome.point)))
+        if outcome.point == base_point:
+            return None
+        return JointDistribution.from_vector(game, outcome.point)
 
-    for k in sorted(support):
-        unit = [Fraction(0)] * num
-        unit[k] = Fraction(1)
-        outcome = solver.optimize(unit, maximize=True)
-        if outcome.status != OPTIMAL:
-            raise SolverInvariantError("support LP failed on a bounded polytope")
-        if outcome.value > base_point[k]:
-            return SingletonResult(
-                None, (base, JointDistribution.from_vector(game, outcome.point)))
+    outside = [Fraction(0) if x else Fraction(1) for x in base_point]
+    other = None
+    if any(outside):
+        other = second_member(outside)
+    if other is None and len(base.support()) > 1:
+        other = second_member(solver.pinning_objective())
+    if other is not None:
+        return SingletonResult(None, (base, other))
     return SingletonResult(base, None)
 
 

@@ -302,3 +302,90 @@ def test_homogeneous_row_bounds_the_optimum():
     assert out.status == OPTIMAL
     assert out.value == F(1, 2)
     assert out.point == (F(1, 2), F(1, 2))
+
+
+# -- pinning objective ------------------------------------------------------------
+
+# Each system lives on the simplex x1 + x2 = 1 and adds one row of the kind
+# named.  A segment case has a second member; a point case has only (1, 0).
+# Minimizing x1 first ends a segment case at a vertex where the added row is
+# tight and its slack nonbasic, so a wrong sign on that row reads the
+# segment as a point.
+PINNING_CASES = {
+    # -x1 <= -1/2: negated by the standard form to x1 >= 1/2.
+    "le-negative-rhs": ([([-1, 0], LESS_EQUAL, F(-1, 2))],
+                        [([-1, 0], LESS_EQUAL, -1)]),
+    # x1 - x2 >= 0: negated to -x1 + x2 <= 0, basic on its slack.
+    "ge-zero-rhs": ([([1, -1], GREATER_EQUAL, 0)],
+                    [([0, -1], GREATER_EQUAL, 0)]),
+    # x1 >= 1/2: a surplus plus an artificial.
+    "ge-positive-rhs": ([([1, 0], GREATER_EQUAL, F(1, 2))],
+                        [([1, 0], GREATER_EQUAL, 1)]),
+    # 2 x1 + 2 x2 = 2 repeats the simplex row; phase 1 drops it.
+    "eq-redundant": ([([2, 2], EQUAL, 2), ([1, -1], GREATER_EQUAL, 0)],
+                     [([2, 2], EQUAL, 2), ([0, 1], LESS_EQUAL, 0)]),
+}
+
+
+def _pinning_solver(extra_rows):
+    system = _system(2, [([1, 1], EQUAL, 1)] + extra_rows)
+    solver = PolytopeSolver(system)
+    assert solver.feasible
+    if extra_rows[0][1] == EQUAL:
+        assert len(solver._form.rows) == len(system.constraints) - 1
+    return system, solver
+
+
+def _nonbasic_sum(system, basis, point):
+    """Sum of the nonbasic columns at `point`, slacks in the rows' own units."""
+    total = sum((x for j, x in enumerate(point) if j not in basis), F(0))
+    slack = system.num_vars
+    for row in system.constraints:
+        if row.relation == EQUAL:
+            continue
+        if slack not in basis:
+            lhs = row.evaluate(point)
+            total += lhs - row.rhs if row.relation == GREATER_EQUAL else row.rhs - lhs
+        slack += 1
+    return total
+
+
+def _check_pinning(system, solver, members):
+    vertex = solver.feasible_point()
+    basis = set(solver._form.basis)
+    objective = solver.pinning_objective()
+    at_vertex = sum(c * x for c, x in zip(objective, vertex))
+    for point in members:
+        assert system.contains(point)
+        value = sum(c * x for c, x in zip(objective, point))
+        assert value - at_vertex == _nonbasic_sum(system, basis, point)
+    out = solver.optimize(objective, maximize=True)
+    assert out.status == OPTIMAL
+    return vertex, at_vertex, out
+
+
+@pytest.mark.parametrize("case", sorted(PINNING_CASES))
+def test_pinning_objective_rises_on_a_segment(case):
+    rows = PINNING_CASES[case][0]
+    system, solver = _pinning_solver(rows)
+    assert solver.optimize((F(1), F(0)), maximize=False).point == (F(1, 2), F(1, 2))
+    slack = system.num_vars + sum(row.relation != EQUAL for row in system.constraints) - 1
+    assert slack not in solver._form.basis
+    vertex, at_vertex, out = _check_pinning(
+        system, solver, [(F(1, 2), F(1, 2)), (F(3, 4), F(1, 4)), (F(1), F(0))])
+    assert vertex == (F(1, 2), F(1, 2))
+    assert out.value > at_vertex and out.point == (F(1), F(0))
+
+
+@pytest.mark.parametrize("case", sorted(PINNING_CASES))
+def test_pinning_objective_is_flat_on_a_point(case):
+    system, solver = _pinning_solver(PINNING_CASES[case][1])
+    vertex, at_vertex, out = _check_pinning(system, solver, [(F(1), F(0))])
+    assert vertex == (F(1), F(0))
+    assert out.value == at_vertex and out.point == vertex
+
+
+def test_pinning_objective_needs_a_feasible_system():
+    solver = PolytopeSolver(_system(1, [([1], LESS_EQUAL, -1)]))
+    with pytest.raises(LpError, match="no basis"):
+        solver.pinning_objective()

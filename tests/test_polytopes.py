@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from eqcert import generators, zerosum
+from eqcert.contests import ContestSpec, LinearCost, TullockRatio, discretize
 from eqcert.games import (
     JointDistribution,
     MixedAction,
@@ -14,9 +15,10 @@ from eqcert.games import (
     product_distribution,
     strategic_transform,
 )
-from eqcert.lp import EQUAL, GREATER_EQUAL, enumerate_vertices
+from eqcert.lp import EQUAL, GREATER_EQUAL, PolytopeSolver, enumerate_vertices
 from eqcert.polytopes import (
     Degenerate2x2Error,
+    GameAnalysis,
     PolytopeError,
     _cce_row,
     _ce_row,
@@ -141,6 +143,45 @@ def test_singleton_parking_ircp():
     res = is_singleton(build_polytope(g, "ircp"))
     assert res.is_singleton
     assert res.point.weights == {(0, 0): F(1)}
+
+
+SINGLETON_LP_GAMES = {
+    "tullock8": lambda: discretize(
+        ContestSpec(TullockRatio(1), (1, 1), (LinearCost(1), LinearCost(1))),
+        [Fraction(k, 8) for k in range(1, 9)]),
+    "parking": lambda: generators.parking(3, 1, Fraction(1, 4), Fraction(3, 5)),
+    "mp_type0": lambda: generators.random_mp_type(0),
+    "rps": generators.rock_paper_scissors,
+}
+
+
+# Each polytope is one point.  The first four are point masses, settled by
+# the outside-support LP alone; the others have supports of 4, 4 and 9
+# profiles (the RPS CE is uniform), so no outside LP runs and one
+# nonbasic-sum LP pins the point.
+@pytest.mark.parametrize("name, concept, support", [
+    ("tullock8", "cce", 1),
+    ("parking", "ce", 1),
+    ("parking", "cce", 1),
+    ("parking", "ircp", 1),
+    ("mp_type0", "ce", 4),
+    ("mp_type0", "cce", 4),
+    ("rps", "ce", 9),
+])
+def test_singleton_test_runs_one_lp(monkeypatch, name, concept, support):
+    analysis = GameAnalysis(SINGLETON_LP_GAMES[name]())
+    analysis.polytope(concept)  # the IRCP rows' maximin LPs run here
+    calls = []
+    optimize = PolytopeSolver.optimize
+
+    def counting(self, objective, maximize):
+        calls.append(objective)
+        return optimize(self, objective, maximize)
+
+    monkeypatch.setattr(PolytopeSolver, "optimize", counting)
+    result = analysis.singleton(concept)
+    assert result.is_singleton and len(result.point.support()) == support
+    assert len(calls) == 1
 
 
 def test_extreme_points():

@@ -6,6 +6,11 @@ only pure NE when there is one.  Its decisions must equal those of the
 cold-start `singleton_over_system` on the same system.  On the same games,
 each uniqueness certifier must return a certificate exactly when the cold
 singleton test finds a one-profile point.
+
+`singleton_over_system` runs at most two LPs.  The per-coordinate test it
+replaced, one LP outside the support and then one per support coordinate,
+is kept here as the reference: on every system both must give the same
+decision and point, and each witness pair must be two distinct members.
 """
 
 import random
@@ -25,7 +30,15 @@ from eqcert.certify import (  # noqa: E402
     certify_unique_pure_cce,
 )
 from eqcert.games import Game, JointDistribution  # noqa: E402
-from eqcert.lp import LpError, PolytopeSolver, SolverInvariantError  # noqa: E402
+from eqcert.lp import (  # noqa: E402
+    EQUAL,
+    OPTIMAL,
+    ConstraintSystem,
+    LinearConstraint,
+    LpError,
+    PolytopeSolver,
+    SolverInvariantError,
+)
 
 SHAPES = ((2, 2), (2, 3), (3, 3), (2, 2, 2))
 NE_COUNTS = ("none", "one", "several")
@@ -146,3 +159,78 @@ def test_cce_phase1_is_one_pivot_from_the_pure_ne():
     solver = PolytopeSolver(replace(system, start=game.profile_index(profile)))
     assert solver._form.pivots_used == 1
     assert solver.feasible_point() == JointDistribution.point_mass(profile).as_vector(game)
+
+
+def _per_coordinate_singleton(game: Game, system: ConstraintSystem) -> polytopes.SingletonResult:
+    """The reference: the outside-support LP, then one LP per support coordinate."""
+    solver = PolytopeSolver(system)
+    assert solver.feasible
+    base_point = solver.feasible_point()
+    base = JointDistribution.from_vector(game, base_point)
+    num = game.num_profiles
+    support = {game.profile_index(p) for p in base.support()}
+    outside = [Fraction(1) if k not in support else Fraction(0) for k in range(num)]
+    if any(c != 0 for c in outside):
+        outcome = solver.optimize(outside, maximize=True)
+        assert outcome.status == OPTIMAL
+        if outcome.value > 0:
+            return polytopes.SingletonResult(
+                None, (base, JointDistribution.from_vector(game, outcome.point)))
+    for k in sorted(support):
+        unit = [Fraction(0)] * num
+        unit[k] = Fraction(1)
+        outcome = solver.optimize(unit, maximize=True)
+        assert outcome.status == OPTIMAL
+        if outcome.value > base_point[k]:
+            return polytopes.SingletonResult(
+                None, (base, JointDistribution.from_vector(game, outcome.point)))
+    return polytopes.SingletonResult(base, None)
+
+
+def _utility_profile_system(game: Game, a_star) -> ConstraintSystem:
+    """{mu : E_mu u = u(a*)}, the system of `is_strict_fractional_gue`'s singleton test."""
+    base = game.payoff_vector(a_star)
+    rows = [LinearConstraint(tuple(game.payoffs[i]), EQUAL, base[i])
+            for i in range(game.num_players)]
+    rows.append(LinearConstraint((Fraction(1),) * game.num_profiles, EQUAL, Fraction(1)))
+    return ConstraintSystem(game.num_profiles, tuple(rows))
+
+
+@st.composite
+def _game_and_system(draw):
+    """A random integer or `random_mp_type` game, and one system over its profiles."""
+    if draw(st.booleans()):
+        game = generators.random_mp_type(draw(st.integers(0, 10**6)))
+    else:
+        shape = draw(st.sampled_from(SHAPES))
+        high = draw(st.sampled_from((1, 2, 3, 9)))
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        size = 1
+        for k in shape:
+            size *= k
+        actions = tuple(tuple(f"p{i}a{k}" for k in range(n)) for i, n in enumerate(shape))
+        game = Game(actions, tuple(
+            tuple(Fraction(rng.randint(-high, high)) for _ in range(size)) for _ in shape))
+    kind = draw(st.sampled_from(polytopes.CONCEPTS + ("gue",)))
+    if kind == "gue":
+        profile = game.profile_from_index(draw(st.integers(0, game.num_profiles - 1)))
+        return game, _utility_profile_system(game, profile)
+    system = polytopes.build_polytope(game, kind).system
+    pure = polytopes.enumerate_pure_ne(game)
+    if kind == "cce" and len(pure) == 1 and draw(st.booleans()):
+        system = replace(system, start=game.profile_index(pure[0][0]))
+    return game, system
+
+
+@hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@hypothesis.given(_game_and_system())
+def test_two_lp_singleton_equals_per_coordinate_reference(case):
+    game, system = case
+    result = polytopes.singleton_over_system(game, system)
+    reference = _per_coordinate_singleton(game, system)
+    assert result.is_singleton == reference.is_singleton
+    assert result.point == reference.point
+    if not result.is_singleton:
+        first, second = result.witnesses
+        assert first != second
+        assert all(system.contains(w.as_vector(game)) for w in (first, second))
