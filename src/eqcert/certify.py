@@ -661,6 +661,15 @@ def is_gue(game: Game, a_star: Sequence[int]) -> bool:
     return True
 
 
+def utility_profile_system(game: Game, a_star: Sequence[int]) -> ConstraintSystem:
+    """{mu : E_mu u = u(a*)}, the lotteries that match a_star's utility profile."""
+    base = game.payoff_vector(tuple(a_star))
+    rows = [LinearConstraint(tuple(game.payoffs[i]), EQUAL, base[i])
+            for i in range(game.num_players)]
+    rows.append(LinearConstraint((Fraction(1),) * game.num_profiles, EQUAL, Fraction(1)))
+    return ConstraintSystem(game.num_profiles, tuple(rows))
+
+
 def is_strict_fractional_gue(game: Game, a_star: Sequence[int]) -> bool:
     """Pareto optimal among lotteries, uniquely so in utilities, plus the guarantee.
 
@@ -689,10 +698,7 @@ def is_strict_fractional_gue(game: Game, a_star: Sequence[int]) -> bool:
     if outcome.value > 0:
         return False
     # Strictness: only delta(a*) achieves exactly the a* utility profile.
-    rows = [LinearConstraint(tuple(game.payoffs[i]), EQUAL, base[i]) for i in range(n)]
-    rows.append(LinearConstraint((Fraction(1),) * num, EQUAL, Fraction(1)))
-    system = ConstraintSystem(num, tuple(rows))
-    singleton = polytopes.singleton_over_system(game, system)
+    singleton = polytopes.singleton_over_system(game, utility_profile_system(game, a_star))
     return (singleton.is_singleton
             and singleton.point == JointDistribution.point_mass(a_star))
 

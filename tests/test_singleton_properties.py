@@ -28,13 +28,12 @@ from eqcert.certify import (  # noqa: E402
     UniquenessCertificate,
     certify_unique_ircp,
     certify_unique_pure_cce,
+    utility_profile_system,
 )
 from eqcert.games import Game, JointDistribution  # noqa: E402
 from eqcert.lp import (  # noqa: E402
-    EQUAL,
     OPTIMAL,
     ConstraintSystem,
-    LinearConstraint,
     LpError,
     PolytopeSolver,
     SolverInvariantError,
@@ -187,15 +186,6 @@ def _per_coordinate_singleton(game: Game, system: ConstraintSystem) -> polytopes
     return polytopes.SingletonResult(base, None)
 
 
-def _utility_profile_system(game: Game, a_star) -> ConstraintSystem:
-    """{mu : E_mu u = u(a*)}, the system of `is_strict_fractional_gue`'s singleton test."""
-    base = game.payoff_vector(a_star)
-    rows = [LinearConstraint(tuple(game.payoffs[i]), EQUAL, base[i])
-            for i in range(game.num_players)]
-    rows.append(LinearConstraint((Fraction(1),) * game.num_profiles, EQUAL, Fraction(1)))
-    return ConstraintSystem(game.num_profiles, tuple(rows))
-
-
 @st.composite
 def _game_and_system(draw):
     """A random integer or `random_mp_type` game, and one system over its profiles."""
@@ -214,7 +204,7 @@ def _game_and_system(draw):
     kind = draw(st.sampled_from(polytopes.CONCEPTS + ("gue",)))
     if kind == "gue":
         profile = game.profile_from_index(draw(st.integers(0, game.num_profiles - 1)))
-        return game, _utility_profile_system(game, profile)
+        return game, utility_profile_system(game, profile)
     system = polytopes.build_polytope(game, kind).system
     pure = polytopes.enumerate_pure_ne(game)
     if kind == "cce" and len(pure) == 1 and draw(st.booleans()):
