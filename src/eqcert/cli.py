@@ -95,6 +95,9 @@ def _profile_label(game: Game, profile) -> str:
 def cmd_analyze(args: argparse.Namespace) -> int:
     game = _load_game_file(args.game)
     concepts = tuple(c.strip() for c in args.concepts.split(",") if c.strip())
+    if not concepts:
+        raise CliError(f"--concepts names no concept, got {args.concepts!r}; "
+                       f"pick from {','.join(report.ALL_CONCEPTS)}")
     try:
         data = report.build_report(game, concepts, check_unique=args.check_unique)
     except report.ReportError as exc:

@@ -127,21 +127,21 @@ def _closed_class(positive: list[list[float]], k: int) -> list[int]:
     raise AssertionError("a finite chain has a closed class")
 
 
-def _stationary(positive: list[list[float]], k: int) -> list[float]:
+def _stationary(positive: list[list[float]], members: list[int], k: int) -> list[float]:
     """Invariant distribution of the positive-regret chain, solved directly.
 
     Off-diagonal flow a -> b is proportional to the positive conditional
     regret positive[a][b] of b against a; the inertia normalizer cancels
     out of q = qQ, so the balance equations are inflow = outflow,
     sum_a q_a positive[a][b] = q_b sum_c positive[b][c].  A reducible chain
-    has one invariant distribution per closed class; this takes the class
-    of `_closed_class`, solves its balance equations with one of them
-    replaced by sum q = 1 (float Gaussian elimination with partial
-    pivoting), and gives every other action zero weight.  Any invariant
-    distribution keeps the internal-regret guarantee (Blum and Mansour,
-    "From external to internal regret", JMLR 2007), so one class suffices.
+    has one invariant distribution per closed class; this takes `members`,
+    the class `_closed_class` gives for the chain, solves its balance
+    equations with one of them replaced by sum q = 1 (float Gaussian
+    elimination with partial pivoting), and gives every other action zero
+    weight.  Any invariant distribution keeps the internal-regret guarantee
+    (Blum and Mansour, "From external to internal regret", JMLR 2007), so
+    one class suffices.
     """
-    members = _closed_class(positive, k)
     m = len(members)
     # row r: inflow minus outflow of members[r]; row 0 becomes sum q = 1
     system = []
@@ -181,7 +181,10 @@ def run(game: Game, algorithm: str, steps: int, seed: int,
     stationary distribution of one closed class, solved directly rather
     than approximated (see `_stationary`; one class suffices by Blum and
     Mansour).  Each learner keeps only the sums it reads: cumulative
-    payoffs for external_mw, conditional regret sums for internal_rm.
+    payoffs for external_mw, conditional regret sums for internal_rm.  The
+    closed class depends only on which regret sums are positive, so
+    internal_rm keeps it per player and finds it again only when that
+    pattern changes.
     """
     if algorithm not in ALGORITHMS:
         raise DynamicsError(f"unknown algorithm {algorithm!r}")
@@ -203,6 +206,9 @@ def run(game: Game, algorithm: str, steps: int, seed: int,
     # internal: conditional regret sums S[played][alternative], per player
     regret_sum = [[[0.0] * shape[i] for _ in range(shape[i])] for i in range(n)]
 
+    # internal: each player's positive-regret pattern and its closed class
+    classes: list[tuple[tuple[bool, ...], list[int]]] = [((), [])] * n
+
     counts: Counter = Counter()
     strategies: list[tuple[float, ...]] = [()] * n
 
@@ -220,8 +226,11 @@ def run(game: Game, algorithm: str, steps: int, seed: int,
             else:
                 # constant payoffs and t = 1 both leave every regret sum at 0.0
                 positive = [[r if r > 0.0 else 0.0 for r in row] for row in regret_sum[i]]
-                if any(any(row) for row in positive):
-                    dist = _stationary(positive, k)
+                pattern = tuple(r > 0.0 for row in positive for r in row)
+                if any(pattern):
+                    if classes[i][0] != pattern:
+                        classes[i] = (pattern, _closed_class(positive, k))
+                    dist = _stationary(positive, classes[i][1], k)
                 else:
                     dist = [1.0] * k
             strategies[i] = tuple(dist)

@@ -9,6 +9,20 @@ checks extremality plus the support bound that extreme points obey.
 `GameAnalysis` holds these results for one game while one call runs, so a
 report and its certificates solve each polytope and maximin LP once.
 
+`GameAnalysis.singleton` decides the polytopes down the inclusion chain
+NE <= CE <= CCE <= IRCP.  CE is never empty (Hart and Schmeidler,
+"Existence of correlated equilibria", Math. OR 1989), so when a larger
+polytope is one point {x}, every smaller one is {x} as well.  CCE <= IRCP
+because a CCE pays player i at least max_d E u_i(d, mu_-i), which is at
+least the correlated minmax, and the correlated minmax equals the maximin
+level by LP duality.  A CE decision therefore first decides CCE: the CCE
+system has sum_i n_i incentive rows against sum_i n_i (n_i - 1) for CE, and
+its simplex starts at the pure NE.  A CCE decision uses an IRCP decision
+only when one is already kept, as in a report, which decides IRCP, CCE and
+CE in that order.  A point taken from the larger polytope runs no LP; it
+is re-checked by exact membership in the smaller polytope, and a failed
+re-check raises `SolverInvariantError`.
+
 Singleton tests start from the pure Nash equilibria, whose point masses lie
 in all three polytopes.  Two of them refute singleton-ness with no LP.  One
 of them starts the CCE simplex at its point mass, which satisfies every CCE
@@ -48,6 +62,8 @@ from .lp import (
 )
 
 CONCEPTS = ("ce", "cce", "ircp")
+# The next larger polytope in NE <= CE <= CCE <= IRCP.
+_LARGER = {"ce": "cce", "cce": "ircp"}
 
 
 class PolytopeError(ValueError):
@@ -135,7 +151,9 @@ class GameAnalysis:
     across calls.  Each result comes from the module function that computes
     it (`zerosum.maximin`, `build_polytope`, `is_singleton`,
     `enumerate_pure_ne`), so a re-check made on a kept result checks what
-    that function returned.
+    that function returned.  The one exception is a singleton decision
+    taken down the inclusion chain: it is the larger concept's point,
+    re-checked by exact membership in this concept's polytope.
     """
 
     def __init__(self, game: Game):
@@ -156,8 +174,28 @@ class GameAnalysis:
         return self._polytopes[concept]
 
     def singleton(self, concept: str) -> SingletonResult:
+        """The concept's singleton decision, taken down the inclusion chain.
+
+        A CE decision first decides CCE, the cheaper test (see the module
+        docstring).  When the kept decision of the next larger concept is a
+        singleton {x}, this one is {x} too, re-checked by exact membership
+        and with no LP; otherwise `is_singleton` decides it.
+        """
         if concept not in self._singletons:
-            self._singletons[concept] = is_singleton(self.polytope(concept), self.pure_ne())
+            if concept == "ce":
+                self.singleton("cce")
+            larger = _LARGER.get(concept)
+            kept = self._singletons.get(larger)
+            spec = self.polytope(concept)
+            if kept is not None and kept.is_singleton:
+                if not membership(spec, kept.point).is_member:
+                    raise SolverInvariantError(
+                        f"the singleton {larger} point failed the membership re-check "
+                        f"in the {concept} polytope")
+                result = kept
+            else:
+                result = is_singleton(spec, self.pure_ne())
+            self._singletons[concept] = result
         return self._singletons[concept]
 
     def pure_ne(self) -> list[tuple[Profile, bool]]:
@@ -282,11 +320,13 @@ def is_singleton(spec: PolytopeSpec,
                  pure_ne: Sequence[tuple[Profile, bool]] | None = None) -> SingletonResult:
     """Singleton decision for a solution-concept polytope, started from the pure NE.
 
-    With two or more pure NE, the point masses of the first two are the
-    witnesses, re-checked by exact membership, and no LP runs.  With exactly
-    one, a, the CCE test starts its simplex at delta(a)
-    (`ConstraintSystem.start`); CE and IRCP start cold (see the module
-    docstring).  The LPs are `singleton_over_system`'s.  `pure_ne` is the
+    This is one concept's own test; `GameAnalysis.singleton` calls it only
+    when no larger polytope of the inclusion chain is already known to be
+    one point (see the module docstring).  With two or more pure NE, the
+    point masses of the first two are the witnesses, re-checked by exact
+    membership, and no LP runs.  With exactly one, a, the CCE test starts
+    its simplex at delta(a) (`ConstraintSystem.start`); CE and IRCP start
+    cold (see the module docstring).  The LPs are `singleton_over_system`'s.  `pure_ne` is the
     `enumerate_pure_ne` list of the game, computed here when not given.
     """
     game = spec.game

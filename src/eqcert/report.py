@@ -102,8 +102,10 @@ def build_report(game: Game, concepts=ALL_CONCEPTS, check_unique: bool = False) 
         report["ne"] = section
         timing["ne"] = time.perf_counter() - t0
 
+    # Decided from the largest polytope down, so that a singleton settles
+    # every smaller concept with no LP (`GameAnalysis.singleton`).
     polytope_results: dict = {}
-    for concept in ("ce", "cce", "ircp"):
+    for concept in ("ircp", "cce", "ce"):
         if concept not in concepts:
             continue
         t0 = time.perf_counter()
@@ -117,7 +119,8 @@ def build_report(game: Game, concepts=ALL_CONCEPTS, check_unique: bool = False) 
         polytope_results[concept] = entry
         timing[concept] = time.perf_counter() - t0
     if polytope_results:
-        report["concepts"] = polytope_results
+        report["concepts"] = {c: polytope_results[c] for c in ("ce", "cce", "ircp")
+                              if c in polytope_results}
 
     if check_unique:
         t0 = time.perf_counter()

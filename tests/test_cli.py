@@ -109,13 +109,20 @@ def test_analyze_subset_of_concepts(tmp_path, capsys):
     assert "CCE: not a singleton" in out
 
 
-def test_analyze_input_errors(tmp_path):
+def test_analyze_input_errors(tmp_path, capsys):
     game_path = _generate(tmp_path, "pd.json", "pd")
     assert main(["analyze", str(tmp_path / "missing.json")]) == 2
     assert main(["analyze", str(game_path), "--concepts", "cce,quantal"]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{]")
     assert main(["analyze", str(bad)]) == 2
+    capsys.readouterr()
+    for named in ("", ",", " , "):
+        assert main(["analyze", str(game_path), "--concepts", named]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: --concepts names no concept, got {named!r}; "
+                                "pick from ne,ce,cce,ircp\n")
 
 
 # -- certify ----------------------------------------------------------------------
@@ -388,6 +395,25 @@ def test_solver_invariant_error_exits_3(tmp_path, capsys, monkeypatch):
     game_path = _generate(tmp_path, "pd.json", "pd")
     assert main(["analyze", str(game_path)]) == 3
     assert capsys.readouterr().err == "error: cce polytope is unexpectedly empty\n"
+
+
+def test_failed_chain_recheck_exits_3(tmp_path, capsys, monkeypatch):
+    from eqcert import polytopes
+
+    # Parking's IRCP is one point; the CCE polytope rejects it here.
+    real = polytopes.membership
+
+    def rejecting(spec, mu):
+        if spec.concept == "cce":
+            return polytopes.MembershipResult(False, ())
+        return real(spec, mu)
+
+    monkeypatch.setattr(polytopes, "membership", rejecting)
+    game_path = _generate(tmp_path, "parking.json", "parking")
+    assert main(["analyze", str(game_path)]) == 3
+    assert capsys.readouterr().err == (
+        "error: the singleton ircp point failed the membership re-check in the cce "
+        "polytope\n")
 
 
 def test_phase1_failure_exits_3(tmp_path, capsys, monkeypatch):

@@ -6,10 +6,12 @@ from fractions import Fraction
 import pytest
 
 from conftest import F
+from eqcert import dynamics
 from eqcert.dynamics import (
     EXTERNAL_MW,
     INTERNAL_RM,
     DynamicsError,
+    _closed_class,
     _stationary,
     external_regret,
     internal_regret,
@@ -18,6 +20,7 @@ from eqcert.dynamics import (
 from eqcert.games import JointDistribution
 from eqcert.generators import (
     matching_pennies,
+    parking,
     prisoners_dilemma,
     random_game,
     rock_paper_scissors,
@@ -150,6 +153,10 @@ def _assert_invariant(positive, q):
         assert abs(inflow - outflow) <= 1e-12
 
 
+def _stationary_of(positive, k):
+    return _stationary(positive, _closed_class(positive, k), k)
+
+
 def test_stationary_balances_random_regret_chains():
     rng = random.Random(12)
     for k in range(2, 7):
@@ -159,7 +166,7 @@ def test_stationary_balances_random_regret_chains():
             positive = [[max(r, 0.0) for r in row] for row in regrets]
             if not any(any(row) for row in positive):
                 continue
-            _assert_invariant(positive, _stationary(positive, k))
+            _assert_invariant(positive, _stationary_of(positive, k))
 
 
 def test_stationary_puts_all_mass_on_an_absorbing_action():
@@ -168,7 +175,7 @@ def test_stationary_puts_all_mass_on_an_absorbing_action():
                 [0.3, 0.0, 0.2, 0.0],
                 [0.0, 0.0, 0.0, 0.0],
                 [0.0, 0.0, 0.7, 0.0]]
-    q = _stationary(positive, 4)
+    q = _stationary_of(positive, 4)
     assert q == [0.0, 0.0, 1.0, 0.0]
     _assert_invariant(positive, q)
 
@@ -181,11 +188,42 @@ def test_stationary_stays_inside_one_closed_class():
                 [0.0, 0.2, 0.0, 0.0, 0.0, 0.0],
                 [0.0, 0.0, 0.8, 0.0, 0.0, 0.0],
                 [0.3, 0.0, 0.1, 0.0, 0.0, 0.0]]
-    q = _stationary(positive, 6)
+    q = _stationary_of(positive, 6)
     support = {a for a, x in enumerate(q) if x > 0.0}
     assert support in ({1, 3}, {2, 4})
     _assert_invariant(positive, q)
-    assert _stationary(positive, 6) == q
+    assert _stationary_of(positive, 6) == q
+
+
+# 600 steps solve 1195, 1198 and 1198 stationary distributions; the closed
+# class is searched for only when a player's positive-regret pattern changes.
+@pytest.mark.parametrize("make_game, searches", [
+    (rock_paper_scissors, 158),
+    (lambda: parking(3, 1, Fraction(1, 4), Fraction(3, 5)), 8),
+    (lambda: random_game((3, 3), seed=4), 3),
+], ids=["rps", "parking", "random3x3"])
+def test_kept_closed_class_equals_recomputing_it_every_step(monkeypatch, make_game,
+                                                            searches):
+    game = make_game()
+    found = []
+    real_class, real_stationary = dynamics._closed_class, dynamics._stationary
+
+    def counting(positive, k):
+        found.append(k)
+        return real_class(positive, k)
+
+    def recomputing(positive, members, k):
+        return real_stationary(positive, real_class(positive, k), k)
+
+    monkeypatch.setattr(dynamics, "_closed_class", counting)
+    kept = run(game, INTERNAL_RM, 600, seed=3)
+    assert len(found) == searches
+    monkeypatch.setattr(dynamics, "_stationary", recomputing)
+    reference = run(game, INTERNAL_RM, 600, seed=3)
+    assert reference.empirical == kept.empirical
+    assert reference.final_strategies == kept.final_strategies
+    assert reference.internal_regrets == kept.internal_regrets
+    assert reference.external_regrets == kept.external_regrets
 
 
 # -- trajectory mechanics --------------------------------------------------------

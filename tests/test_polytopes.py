@@ -179,7 +179,9 @@ def test_singleton_test_runs_one_lp(monkeypatch, name, concept, support):
         return optimize(self, objective, maximize)
 
     monkeypatch.setattr(PolytopeSolver, "optimize", counting)
-    result = analysis.singleton(concept)
+    # The concept's own test, not the chained decision, which may run the
+    # CCE test first or none at all.
+    result = is_singleton(analysis.polytope(concept), analysis.pure_ne())
     assert result.is_singleton and len(result.point.support()) == support
     assert len(calls) == 1
 

@@ -15,6 +15,7 @@ from eqcert.generators import (
     random_mp_type,
     rock_paper_scissors,
 )
+from eqcert.lp import PolytopeSolver
 from eqcert.report import (
     ReportError,
     build_report,
@@ -138,12 +139,49 @@ def test_analyze_and_verify_build_each_polytope_once(work_counts):
     assert verify["build"] == Counter({c: 1 for c in concepts})
 
 
-def test_analyze_runs_each_singleton_test_once(work_counts):
+# The singleton tests analyze runs, down the inclusion chain: parking's IRCP
+# is one point, which settles CCE and CE; RPS has no singleton above CE;
+# the Tullock 8x8 grid's CCE is one point and it asks for no CE.
+SINGLETON_TESTS = {
+    "parking": {"ircp polytope": 1},
+    "rps": {"ircp polytope": 1, "cce polytope": 1, "ce polytope": 1},
+    "tullock8": {"cce polytope": 1, "ircp polytope": 1},
+}
+
+
+def test_analyze_runs_each_singleton_test_once(request, work_counts):
     # Plain "polytope" is the GUE strictness test on its own system.
-    _, concepts, analyze, verify = work_counts
+    _, _, analyze, verify = work_counts
     named = {what: n for what, n in analyze["singleton"].items() if what != "polytope"}
-    assert named == {f"{c} polytope": 1 for c in concepts}
+    assert named == SINGLETON_TESTS[request.node.callspec.params["work_counts"]]
     assert not [what for what in verify["singleton"] if what != "polytope"]
+
+
+def test_singleton_ircp_builds_no_ce_or_cce_solver(monkeypatch):
+    # Parking's IRCP is one point, so CCE and CE are settled without an LP.
+    game = parking(3, 1, Fraction(1, 4), Fraction(3, 5))
+    solved = []
+    init = PolytopeSolver.__init__
+
+    def recording(self, system, *args, **kwargs):
+        solved.append(system.constraints)
+        return init(self, system, *args, **kwargs)
+
+    monkeypatch.setattr(PolytopeSolver, "__init__", recording)
+    data = build_report(game, ("ne", "ce", "cce", "ircp"), check_unique=True)
+    assert all(data["concepts"][c]["singleton"] for c in ("ce", "cce", "ircp"))
+    for concept in ("ce", "cce"):
+        assert polytopes.build_polytope(game, concept).system.constraints not in solved
+    assert polytopes.build_polytope(game, "ircp").system.constraints in solved
+
+
+def test_ce_alone_runs_the_cce_test_unreported(monkeypatch):
+    calls = _count_work(monkeypatch)
+    data = build_report(_tullock8(), ("ce",))
+    assert calls["singleton"] == Counter({"cce polytope": 1})
+    assert list(data["concepts"]) == ["ce"]
+    assert data["concepts"]["ce"]["point"] == {"9": "1"}  # both players bid 1/4
+    assert verify_report(data) == []
 
 
 def test_analyze_and_verify_solve_each_maximin_once(work_counts):

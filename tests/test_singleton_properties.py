@@ -7,6 +7,11 @@ cold-start `singleton_over_system` on the same system.  On the same games,
 each uniqueness certifier must return a certificate exactly when the cold
 singleton test finds a one-profile point.
 
+`GameAnalysis.singleton` also decides down the inclusion chain CE <= CCE <=
+IRCP: a singleton larger polytope settles the smaller ones with no LP.  In
+any order of the concepts, each chained decision must equal the concept's
+own `is_singleton` on a freshly built polytope.
+
 `singleton_over_system` runs at most two LPs.  The per-coordinate test it
 replaced, one LP outside the support and then one per support coordinate,
 is kept here as the reference: on every system both must give the same
@@ -81,11 +86,11 @@ def _cold(game: Game, concept: str) -> polytopes.SingletonResult:
 def test_started_singleton_equals_cold_start(game):
     pure = [p for p, _ in polytopes.enumerate_pure_ne(game)]
     cold = {c: _cold(game, c) for c in polytopes.CONCEPTS}
-    systems = []
+    starts = []
     real = polytopes.singleton_over_system
 
     def recording(game, system, what="polytope"):
-        systems.append(system)
+        starts.append((what, system.start))
         return real(game, system, what)
 
     analysis = polytopes.GameAnalysis(game)
@@ -101,14 +106,16 @@ def test_started_singleton_equals_cold_start(game):
             assert first != second
             assert all(polytopes.membership(spec, w).is_member for w in (first, second))
     if len(pure) >= 2:
-        assert systems == []
+        assert starts == []
         for concept in polytopes.CONCEPTS:
             assert started[concept].witnesses == (JointDistribution.point_mass(pure[0]),
                                                   JointDistribution.point_mass(pure[1]))
     else:
-        # CE, CCE and IRCP in that order; only CCE starts at the pure NE.
-        starts = [system.start for system in systems]
-        assert starts == [None, game.profile_index(pure[0]) if pure else None, None]
+        # Each test runs at most once, and only CCE starts at the pure NE.
+        assert len(starts) == len(dict(starts))
+        cce_start = game.profile_index(pure[0]) if pure else None
+        for what, start in starts:
+            assert start == (cce_start if what == "cce polytope" else None), what
 
 
 @hypothesis.settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -129,6 +136,17 @@ def test_pure_ne_witnesses_are_rechecked():
     rejected = polytopes.MembershipResult(False, ())
     with mock.patch.object(polytopes, "membership", lambda spec, mu: rejected):
         with pytest.raises(SolverInvariantError, match="membership re-check"):
+            analysis.singleton("cce")
+
+
+def test_chained_point_is_rechecked():
+    game = generators.parking(3, 1, Fraction(1, 4), Fraction(3, 5))  # one-point IRCP
+    analysis = polytopes.GameAnalysis(game)
+    assert analysis.singleton("ircp").is_singleton
+    rejected = polytopes.MembershipResult(False, ())
+    with mock.patch.object(polytopes, "membership", lambda spec, mu: rejected):
+        with pytest.raises(SolverInvariantError, match="singleton ircp point failed the "
+                           "membership re-check in the cce polytope"):
             analysis.singleton("cce")
 
 
@@ -187,20 +205,25 @@ def _per_coordinate_singleton(game: Game, system: ConstraintSystem) -> polytopes
 
 
 @st.composite
+def _small_game(draw):
+    """A random integer game of one of SHAPES, or a `random_mp_type` game."""
+    if draw(st.booleans()):
+        return generators.random_mp_type(draw(st.integers(0, 10**6)))
+    shape = draw(st.sampled_from(SHAPES))
+    high = draw(st.sampled_from((1, 2, 3, 9)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    size = 1
+    for k in shape:
+        size *= k
+    actions = tuple(tuple(f"p{i}a{k}" for k in range(n)) for i, n in enumerate(shape))
+    return Game(actions, tuple(
+        tuple(Fraction(rng.randint(-high, high)) for _ in range(size)) for _ in shape))
+
+
+@st.composite
 def _game_and_system(draw):
     """A random integer or `random_mp_type` game, and one system over its profiles."""
-    if draw(st.booleans()):
-        game = generators.random_mp_type(draw(st.integers(0, 10**6)))
-    else:
-        shape = draw(st.sampled_from(SHAPES))
-        high = draw(st.sampled_from((1, 2, 3, 9)))
-        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-        size = 1
-        for k in shape:
-            size *= k
-        actions = tuple(tuple(f"p{i}a{k}" for k in range(n)) for i, n in enumerate(shape))
-        game = Game(actions, tuple(
-            tuple(Fraction(rng.randint(-high, high)) for _ in range(size)) for _ in shape))
+    game = draw(_small_game())
     kind = draw(st.sampled_from(polytopes.CONCEPTS + ("gue",)))
     if kind == "gue":
         profile = game.profile_from_index(draw(st.integers(0, game.num_profiles - 1)))
@@ -224,3 +247,35 @@ def test_two_lp_singleton_equals_per_coordinate_reference(case):
         first, second = result.witnesses
         assert first != second
         assert all(system.contains(w.as_vector(game)) for w in (first, second))
+
+
+def _assert_chain_equals_own_tests(game, order):
+    analysis = polytopes.GameAnalysis(game)
+    chained = {c: analysis.singleton(c) for c in order}
+    for concept, result in chained.items():
+        spec = polytopes.build_polytope(game, concept)
+        own = polytopes.is_singleton(spec)
+        assert result.is_singleton == own.is_singleton, concept
+        assert result.point == own.point, concept
+        if not result.is_singleton:
+            first, second = result.witnesses
+            assert first != second
+            assert all(polytopes.membership(spec, w).is_member for w in (first, second))
+
+
+@hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@hypothesis.given(_small_game(), st.permutations(polytopes.CONCEPTS))
+def test_chained_decision_equals_own_test(game, order):
+    _assert_chain_equals_own_tests(game, order)
+
+
+# Random games rarely have a one-point IRCP; each of these does, so the
+# chain settles CCE and CE from it.
+@pytest.mark.parametrize("m", (3, 4))
+@pytest.mark.parametrize("fee", ("11/20", "3/5", "7/10", "3/4"))
+@pytest.mark.parametrize("order", (("ircp", "cce", "ce"), ("ce", "cce", "ircp")),
+                         ids=("down", "up"))
+def test_chained_decision_equals_own_test_on_parking(m, fee, order):
+    game = generators.parking(m, 1, Fraction(1, 4), Fraction(fee))
+    assert polytopes.is_singleton(polytopes.build_polytope(game, "ircp")).is_singleton
+    _assert_chain_equals_own_tests(game, order)
