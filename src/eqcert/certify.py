@@ -6,7 +6,10 @@ are strictly negative at every other profile (for IRCP uniqueness, gains
 are measured against a* itself; for unique pure CCE, against unilateral
 switches to a_i*).  Certificates are found by solving a small zero-sum
 game between a profile chooser and a player chooser; refutations always
-carry explicit polytope members that anyone can re-check.
+carry explicit polytope members that anyone can re-check.  The weighted
+gains of a certificate are summed over the players' integer payoffs
+(`Game.int_payoffs`), with gamma_i / d_i over one common denominator, and
+the slack is reported as a `Fraction`.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from . import polytopes, zerosum
@@ -125,26 +129,38 @@ def _normalize(gamma: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(Fraction(g) / total for g in gamma)
 
 
-def _weighted_slack(gamma: Sequence[Fraction],
-                    deltas: dict[Profile, tuple[Fraction, ...]]) -> Fraction | None:
-    """min over a != a* of -sum_i gamma_i * delta_i(a); None if some sum >= 0."""
-    slack: Fraction | None = None
-    for delta in deltas.values():
-        weighted = sum((g * d for g, d in zip(gamma, delta)), Fraction(0))
-        if weighted >= 0:
-            return None
-        margin = -weighted
-        if slack is None or margin < slack:
-            slack = margin
-    return slack
+def _gain_slack(game: Game, a_star: Profile, gamma: Sequence[Fraction],
+                concept: str) -> Fraction | None:
+    """min over a != a* of -sum_i gamma_i delta_i(a); None if some sum is >= 0.
 
-
-def _ircp_deltas(game: Game, a_star: Profile) -> dict[Profile, tuple[Fraction, ...]]:
-    base = game.payoff_vector(a_star)
-    return {
-        p: tuple(game.u(i, p) - base[i] for i in range(game.num_players))
-        for p in game.profiles() if p != a_star
-    }
+    delta_i(a) is u_i(a) - u_i(a*) for "ircp" and u_i(a) - u_i(a_i*, a_-i)
+    for "cce", whose gains are the IRCP gains of `games.cce_reduction`.
+    With player i's integer payoffs T_i = d_i u_i (`Game.int_payoffs`),
+    gamma_i delta_i(a) = (gamma_i / d_i) (T_i(a) - T_i(ref)).  The weights
+    gamma_i / d_i are put over one common denominator D as ints W_i, so each
+    weighted gain is the int sum_i W_i (T_i(a) - T_i(ref)) over D.
+    """
+    k_star = game.profile_index(a_star)
+    weights = [Fraction(g) / d for g, d in zip(gamma, game.payoff_scales)]
+    denom = lcm(*{w.denominator for w in weights})
+    gains = [0] * game.num_profiles
+    for i, (w, table) in enumerate(zip(weights, game.int_payoffs)):
+        weight = w.numerator * (denom // w.denominator)
+        if concept == "ircp":
+            base = table[k_star]
+            gains = [s + weight * (t - base) for s, t in zip(gains, table)]
+            continue
+        # T_i(a_i*, a_-i): in each block of size * stride indices, where
+        # a_-i's earlier players are fixed, the stride entries at a_i*.
+        stride, size = game.strides[i], game.shape[i]
+        at_star = stride * a_star[i]
+        ref: list[int] = []
+        for first in range(0, game.num_profiles, stride * size):
+            ref += table[first + at_star:first + at_star + stride] * size
+        gains = [s + weight * (t - r) for s, t, r in zip(gains, table, ref)]
+    del gains[k_star]
+    worst = max(gains)
+    return None if worst >= 0 else Fraction(-worst, denom)
 
 
 def _certificate(concept: str, a_star: Profile,
@@ -270,15 +286,14 @@ def _decide_ircp(analysis: polytopes.GameAnalysis,
                  JointDistribution({a_star: 1 - eps, dev_profile: eps})),
             )
 
-    deltas = _ircp_deltas(game, a_star)
     if gamma_hint is not None and len(gamma_hint) == n and all(
             Fraction(g) > 0 for g in gamma_hint):
-        slack = _weighted_slack(_normalize(gamma_hint), deltas)
+        slack = _gain_slack(game, a_star, _normalize(gamma_hint), "ircp")
         if slack is not None:
             return _certificate("ircp", a_star, gamma_hint, slack, game)
     if is_symmetric(game):
         uniform = (Fraction(1, n),) * n
-        slack = _weighted_slack(uniform, deltas)
+        slack = _gain_slack(game, a_star, uniform, "ircp")
         if slack is not None:
             return _certificate("ircp", a_star, uniform, slack, game)
 
@@ -289,7 +304,7 @@ def _decide_ircp(analysis: polytopes.GameAnalysis,
         if any(g <= 0 for g in gamma):
             raise SolverInvariantError(
                 "negative-value comparison game produced a boundary weight vector")
-        slack = _weighted_slack(gamma, deltas)
+        slack = _gain_slack(game, a_star, gamma, "ircp")
         if slack is None or slack != -value:
             raise SolverInvariantError("certificate slack disagrees with the game value")
         return _certificate("ircp", a_star, gamma, slack, game)
@@ -760,9 +775,7 @@ def verify_certificate(game: Game | polytopes.GameAnalysis, data: dict) -> list[
         problems.append("gamma must be strictly positive")
     if slack <= 0:
         problems.append("slack must be strictly positive")
-    reference = game if concept == "ircp" else cce_reduction(game, a_star)
-    deltas = _ircp_deltas(reference, a_star)
-    recomputed = _weighted_slack(gamma, deltas)
+    recomputed = _gain_slack(game, a_star, gamma, concept)
     if recomputed is None:
         problems.append("weighted gains are not strictly negative everywhere")
     elif recomputed != slack:

@@ -15,6 +15,8 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .rational import RationalFormatError, format_rational, parse_rational
@@ -26,8 +28,13 @@ class GameFormatError(ValueError):
     """A game file or game construction input is malformed."""
 
 
+def _as_fraction(value) -> Fraction:
+    """`value` as a Fraction; a Fraction is kept as it is, not wrapped again."""
+    return value if type(value) is Fraction else Fraction(value)
+
+
 def _as_fraction_tuple(values) -> tuple[Fraction, ...]:
-    return tuple(Fraction(v) for v in values)
+    return tuple(map(_as_fraction, values))
 
 
 @dataclass(frozen=True)
@@ -37,6 +44,10 @@ class Game:
     `strides[i]` is how far the profile index moves when player i's action
     goes up by one: the product of the later players' action counts.  The
     last player's stride is 1.
+
+    `int_payoffs[i]` is player i's payoff vector times `payoff_scales[i]`,
+    the lcm d_i of that player's payoff denominators, as ints.  Both are
+    computed on first use and, like the strides, are not dataclass fields.
     """
 
     actions: tuple[tuple[str, ...], ...]
@@ -88,6 +99,17 @@ class Game:
     def strides(self) -> tuple[int, ...]:
         """Index of a profile = sum_i profile[i] * strides[i]; see `profile_index`."""
         return self._strides
+
+    @cached_property
+    def payoff_scales(self) -> tuple[int, ...]:
+        """d_i, the least positive scale that makes player i's payoffs integers."""
+        return tuple(lcm(*{x.denominator for x in row}) for row in self.payoffs)
+
+    @cached_property
+    def int_payoffs(self) -> tuple[tuple[int, ...], ...]:
+        """payoffs[i] times payoff_scales[i], as ints."""
+        return tuple(tuple(x.numerator * (d // x.denominator) for x in row)
+                     for row, d in zip(self.payoffs, self.payoff_scales))
 
     def profile_index(self, profile: Sequence[int]) -> int:
         """Lexicographic index of a profile; player 1 varies slowest."""
@@ -228,7 +250,7 @@ class MixedAction:
     def __post_init__(self):
         cleaned = {}
         for action, w in self.weights.items():
-            w = Fraction(w)
+            w = _as_fraction(w)
             if w < 0:
                 raise GameFormatError(f"negative weight {w} on action {action}")
             if w > 0:
@@ -261,7 +283,7 @@ class JointDistribution:
     def __post_init__(self):
         cleaned = {}
         for profile, w in self.weights.items():
-            w = Fraction(w)
+            w = _as_fraction(w)
             if w < 0:
                 raise GameFormatError(f"negative probability {w} at {profile}")
             if w > 0:

@@ -104,7 +104,15 @@ class VertexEnumerationError(ValueError):
 
 @dataclass(frozen=True)
 class LinearConstraint:
-    coeffs: tuple[Fraction, ...]
+    """coeffs . x (relation) rhs.
+
+    `int` and `Fraction` coefficients are kept as they are, and any other
+    value is converted to a `Fraction`; `rhs` is a `Fraction`.  Integer rows
+    need no scaling in the standard form: `polytopes.build_polytope` writes
+    each incentive row over the player's integer payoffs.
+    """
+
+    coeffs: tuple[int | Fraction, ...]
     relation: str
     rhs: Fraction
 
@@ -112,8 +120,10 @@ class LinearConstraint:
         if self.relation not in _RELATIONS:
             raise LpError(f"unknown relation {self.relation!r}")
         object.__setattr__(self, "coeffs", tuple(
-            c if isinstance(c, Fraction) else Fraction(c) for c in self.coeffs))
-        object.__setattr__(self, "rhs", Fraction(self.rhs))
+            c if type(c) is int or type(c) is Fraction else Fraction(c)
+            for c in self.coeffs))
+        if type(self.rhs) is not Fraction:
+            object.__setattr__(self, "rhs", Fraction(self.rhs))
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
         return sum((c * x for c, x in zip(self.coeffs, point) if x and c), Fraction(0))
@@ -504,14 +514,18 @@ class PolytopeSolver:
 
 
 def _echelon_add(state: list[tuple[int, tuple[Fraction, ...], Fraction]],
-                 row: Sequence[Fraction], rhs: Fraction) -> tuple[str, tuple]:
-    """Reduce (row, rhs) against an echelon state; classify the result."""
+                 row: Sequence[int | Fraction], rhs: Fraction) -> tuple[str, tuple]:
+    """Reduce (row, rhs) against an echelon state; classify the result.
+
+    Rows may hold ints; the elimination factor is an exact `Fraction` even
+    when both of its entries are ints.
+    """
     row = list(row)
     for pivot_col, prow, prhs in state:
         factor = row[pivot_col]
         if factor == 0:
             continue
-        scale = factor / prow[pivot_col]
+        scale = Fraction(factor) / prow[pivot_col]
         for c in range(pivot_col, len(row)):
             row[c] -= scale * prow[c]
         rhs -= scale * prhs

@@ -9,6 +9,21 @@ checks extremality plus the support bound that extreme points obey.
 `GameAnalysis` holds these results for one game while one call runs, so a
 report and its certificates solve each polytope and maximin LP once.
 
+Every incentive row is linear in one player's payoffs, so a positive scale
+per player changes no polytope.  The rows are written from the integer
+payoffs `Game.int_payoffs`: each player's payoffs times d_i, the lcm of
+their denominators.  A CE or CCE row is divided by the gcd of its entries,
+and `PolytopeSpec.units` keeps the factor back to payoff units, so
+`membership` decides in ints and reports shortfalls in payoff units.  Each
+row is a positive multiple of the row over `Fraction` payoffs, so for a
+given objective the simplex makes the same pivots and finds the same
+points.  `lp.PolytopeSolver.pinning_objective` adds rows as they are
+stored, so its row weights differ from those of `Fraction` rows by
+positive factors; any positive weights decide singleton-ness alike, and
+only the second member of a refutation could differ.  The maximin LPs
+behind the IRCP security levels keep their `Fraction` rows; see
+`zerosum.maximin` for why.
+
 `GameAnalysis.singleton` decides the polytopes down the inclusion chain
 NE <= CE <= CCE <= IRCP.  CE is never empty (Hart and Schmeidler,
 "Existence of correlated equilibria", Math. OR 1989), so when a larger
@@ -46,6 +61,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from . import zerosum
@@ -83,14 +99,24 @@ class IncentiveInfo:
 
 @dataclass(frozen=True)
 class PolytopeSpec:
+    """One concept's system: incentive rows (with `incentive_info`), then the simplex row.
+
+    Each incentive row is a positive multiple of the row in payoff units;
+    `units[r]` is the factor that turns row r back into payoff units (see
+    `build_polytope`).
+    """
+
     game: Game
     concept: str
     system: ConstraintSystem
     incentive_info: tuple[IncentiveInfo, ...]
+    units: tuple[Fraction, ...]
 
 
 @dataclass(frozen=True)
 class Violation:
+    """A row that mu fails, and by how much, in payoff units."""
+
     info: IncentiveInfo
     shortfall: Fraction
 
@@ -120,26 +146,34 @@ class WinklerReport:
     bound_holds: bool
 
 
-def _cce_row(game: Game, player: int, deviation: int) -> tuple[Fraction, ...]:
-    """u_i(a) - u_i(deviation, a_-i) at every profile index k of a.
+def _cce_row(game: Game, player: int, deviation: int) -> list[int]:
+    """d_i (u_i(a) - u_i(deviation, a_-i)) at every profile index k of a, as ints.
 
-    Player i's action at k is (k // stride) % size, and the deviation moves
-    the index by (deviation - action) * stride.
+    d_i is the player's payoff scale (`Game.payoff_scales`).  Player i's
+    action at k is (k // stride) % size, and the deviation moves the index
+    by (deviation - action) * stride.
     """
     stride, size = game.strides[player], game.shape[player]
-    payoff = game.payoffs[player]
-    return tuple(payoff[k] - payoff[k + (deviation - (k // stride) % size) * stride]
-                 for k in range(game.num_profiles))
+    payoff = game.int_payoffs[player]
+    return [payoff[k] - payoff[k + (deviation - (k // stride) % size) * stride]
+            for k in range(game.num_profiles)]
 
 
-def _ce_row(game: Game, player: int, recommended: int, deviation: int) -> tuple[Fraction, ...]:
-    """u_i(a) - u_i(deviation, a_-i) where a_i is `recommended`, 0 elsewhere."""
+def _ce_row(game: Game, player: int, recommended: int, deviation: int) -> list[int]:
+    """d_i (u_i(a) - u_i(deviation, a_-i)) where a_i is `recommended`, 0 elsewhere."""
     stride, size = game.strides[player], game.shape[player]
-    payoff = game.payoffs[player]
+    payoff = game.int_payoffs[player]
     shift = (deviation - recommended) * stride
-    zero = Fraction(0)
-    return tuple(payoff[k] - payoff[k + shift] if (k // stride) % size == recommended
-                 else zero for k in range(game.num_profiles))
+    return [payoff[k] - payoff[k + shift] if (k // stride) % size == recommended
+            else 0 for k in range(game.num_profiles)]
+
+
+def _primitive(row: list[int]) -> tuple[tuple[int, ...], int]:
+    """The row divided by the gcd g of its entries, and g (1 for a zero row)."""
+    g = gcd(*row) or 1
+    if g == 1:
+        return tuple(row), 1
+    return tuple(v // g for v in row), g
 
 
 class GameAnalysis:
@@ -212,8 +246,15 @@ def analysis_of(game: Game | GameAnalysis) -> GameAnalysis:
 def build_polytope(game: Game | GameAnalysis, concept: str) -> PolytopeSpec:
     """Constraint system of one solution concept, incentive rows first.
 
-    The IRCP rows take their security levels from the context's maximin
-    results when a `GameAnalysis` is passed.
+    Every row holds ints, written from the players' integer payoffs
+    (`Game.int_payoffs`, player i's payoffs times d_i).  A positive scale of
+    a row changes no polytope, and integer rows need no scaling in the
+    tableau.  A CE or CCE row of player i is d_i times
+    its payoff gains, divided by the gcd g of its entries, so its unit is
+    g / d_i.  An IRCP row is (d_i u_i, d_i v_i) at security level v_i, so its
+    unit is 1 / d_i; its right-hand side stays a `Fraction`.  The simplex
+    row holds int 1s.  The IRCP rows take their security levels from the
+    context's maximin results when a `GameAnalysis` is passed.
     """
     if concept not in CONCEPTS:
         raise PolytopeError(f"unknown concept {concept!r}; pick one of {CONCEPTS}")
@@ -221,6 +262,15 @@ def build_polytope(game: Game | GameAnalysis, concept: str) -> PolytopeSpec:
     game = analysis.game
     rows: list[LinearConstraint] = []
     info: list[IncentiveInfo] = []
+    units: list[Fraction] = []
+    zero = Fraction(0)
+
+    def add_gains(gains: list[int], player: int, item: IncentiveInfo) -> None:
+        coeffs, g = _primitive(gains)
+        rows.append(LinearConstraint(coeffs, GREATER_EQUAL, zero))
+        info.append(item)
+        units.append(Fraction(g, game.payoff_scales[player]))
+
     if concept == "ce":
         for i in range(game.num_players):
             for rec in range(game.shape[i]):
@@ -228,35 +278,44 @@ def build_polytope(game: Game | GameAnalysis, concept: str) -> PolytopeSpec:
                     if dev == rec:
                         continue
                     label = f"ce:p{i}:{game.actions[i][rec]}->{game.actions[i][dev]}"
-                    rows.append(LinearConstraint(
-                        _ce_row(game, i, rec, dev), GREATER_EQUAL, Fraction(0)))
-                    info.append(IncentiveInfo("ce", i, rec, dev, label))
+                    add_gains(_ce_row(game, i, rec, dev), i,
+                              IncentiveInfo("ce", i, rec, dev, label))
     elif concept == "cce":
         for i in range(game.num_players):
             for dev in range(game.shape[i]):
                 label = f"cce:p{i}->{game.actions[i][dev]}"
-                rows.append(LinearConstraint(
-                    _cce_row(game, i, dev), GREATER_EQUAL, Fraction(0)))
-                info.append(IncentiveInfo("cce", i, None, dev, label))
+                add_gains(_cce_row(game, i, dev), i, IncentiveInfo("cce", i, None, dev, label))
     else:
         for i in range(game.num_players):
-            level = analysis.maximin(i).value
-            label = f"ircp:p{i}"
-            rows.append(LinearConstraint(tuple(game.payoffs[i]), GREATER_EQUAL, level))
-            info.append(IncentiveInfo("ircp", i, None, None, label))
-    rows.append(LinearConstraint((Fraction(1),) * game.num_profiles, EQUAL, Fraction(1)))
+            scale = game.payoff_scales[i]
+            rows.append(LinearConstraint(
+                game.int_payoffs[i], GREATER_EQUAL, scale * analysis.maximin(i).value))
+            info.append(IncentiveInfo("ircp", i, None, None, f"ircp:p{i}"))
+            units.append(Fraction(1, scale))
+    rows.append(LinearConstraint((1,) * game.num_profiles, EQUAL, Fraction(1)))
     system = ConstraintSystem(game.num_profiles, tuple(rows))
-    return PolytopeSpec(game, concept, system, tuple(info))
+    return PolytopeSpec(game, concept, system, tuple(info), tuple(units))
 
 
 def membership(spec: PolytopeSpec, mu: JointDistribution) -> MembershipResult:
-    """Exact membership; each violation reports the offending row and shortfall."""
-    vector = mu.as_vector(spec.game)
+    """Exact membership; each violation reports the offending row and shortfall.
+
+    mu is put over one common denominator D, as ints m_k, and each row is
+    summed over mu's support only: row r holds for mu exactly when
+    sum_k a_k m_k >= b D.  A shortfall is reported in payoff units, the
+    stored row's shortfall times `spec.units[r]`.
+    """
+    game = spec.game
+    weights = mu.weights
+    denom = lcm(*{w.denominator for w in weights.values()})
+    support = [(game.profile_index(p), w.numerator * (denom // w.denominator))
+               for p, w in weights.items()]
     violations = []
-    for row, info in zip(spec.system.constraints, spec.incentive_info):
-        lhs = row.evaluate(vector)
-        if lhs < row.rhs:
-            violations.append(Violation(info, row.rhs - lhs))
+    for row, info, unit in zip(spec.system.constraints, spec.incentive_info, spec.units):
+        coeffs, rhs = row.coeffs, row.rhs
+        lhs = sum(coeffs[k] * m for k, m in support)
+        if lhs * rhs.denominator < rhs.numerator * denom:
+            violations.append(Violation(info, unit * (rhs - Fraction(lhs, denom))))
     return MembershipResult(not violations, tuple(violations))
 
 

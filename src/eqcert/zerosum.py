@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .games import Game, MixedAction
+from .games import Game, MixedAction, _as_fraction_tuple
 from .lp import (
     EQUAL,
     GREATER_EQUAL,
@@ -42,7 +42,7 @@ class MatrixGame:
     col_keys: tuple = ()
 
     def __post_init__(self):
-        payoff = tuple(tuple(Fraction(x) for x in row) for row in self.payoff)
+        payoff = tuple(_as_fraction_tuple(row) for row in self.payoff)
         object.__setattr__(self, "payoff", payoff)
         if len(payoff) != len(self.row_labels) or not self.row_labels:
             raise ZeroSumError("need one payoff row per row label")
@@ -103,7 +103,13 @@ def maximin(game: Game, player: int) -> MaximinResult:
     """Player's exact security level and one strategy attaining it.
 
     One LP constraint per joint action of the opponents; the reported
-    strategy is the deterministic vertex the simplex lands on.
+    strategy is the deterministic vertex the simplex lands on.  The rows
+    stay over `Fraction` payoffs rather than `Game.int_payoffs`.  Each row
+    holds the guarantee columns -1 and +1, which keep its gcd at 1, so a
+    row scaled by the player's d_i could not be divided back down.  The
+    standard form scales it only by the lcm of its own denominators, while
+    d_i is the lcm over all of the player's payoffs: 47 bits on the 16x16
+    Tullock grid, whose payoff denominators have at most 9 bits.
     """
     value, strategy = _row_lp(_payoff_matrix(game, player))
     weights = {a: w for a, w in enumerate(strategy) if w != 0}

@@ -60,6 +60,36 @@ def test_derived_attributes_stay_out_of_equality():
     assert (wider.shape, wider.num_profiles, wider.strides) == ((3, 2), 6, (2, 1))
 
 
+def test_games_from_fractions_ints_and_strings_are_equal():
+    actions = (("a", "b"), ("a", "b"))
+    third = Fraction(1, 3)
+    from_fractions = Game(actions, ((third, Fraction(2), Fraction(-1), Fraction(0)),
+                                    (Fraction(5), Fraction(1, 2), Fraction(7, 4), Fraction(1))))
+    from_mixed = Game(actions, (("1/3", 2, -1, "0"), (5, "0.5", "7/4", 1)))
+    assert from_fractions == from_mixed and hash(from_fractions) == hash(from_mixed)
+    assert all(type(x) is Fraction for row in from_mixed.payoffs for x in row)
+    # A Fraction payoff is kept as it is, not wrapped again.
+    assert from_fractions.payoffs[0][0] is third
+    assert JointDistribution({(0, 0): third, (1, 1): Fraction(2, 3)}).weights[(0, 0)] is third
+    assert MixedAction(0, {0: third, 1: Fraction(2, 3)}).weights[0] is third
+    assert JointDistribution({(0, 0): "1/3", (1, 1): Fraction(2, 3)}) == JointDistribution(
+        {(0, 0): third, (1, 1): Fraction(2, 3)})
+    from eqcert.zerosum import MatrixGame
+    matrix = MatrixGame(("r",), ("c", "d"), ((third, 1),))
+    assert matrix.payoff[0][0] is third and matrix.payoff == ((third, Fraction(1)),)
+    assert MatrixGame(("r",), ("c", "d"), (("1/3", "1"),)) == matrix
+
+
+def test_integer_payoffs_scale_each_player_by_the_lcm_of_its_denominators():
+    game = Game((("a", "b"), ("a", "b")),
+                (("1/3", "1/2", -1, "5/6"), (2, 4, 6, 8)))
+    assert game.payoff_scales == (6, 1)
+    assert game.int_payoffs == ((2, 3, -6, 5), (2, 4, 6, 8))
+    assert all(type(t) is int for row in game.int_payoffs for t in row)
+    # Computed on first use and kept out of equality, like the strides.
+    assert game == Game(game.actions, game.payoffs) and "int_payoffs" not in repr(game)
+
+
 def test_payoff_lookup_matches_matrix():
     pd = generators.prisoners_dilemma()
     assert pd.u(0, (0, 0)) == 2

@@ -1,0 +1,176 @@
+"""Property tests: the integer payoff kernels against `Fraction` references.
+
+`Game.int_payoffs` holds each player's payoffs times d_i, the lcm of that
+player's denominators.  Three exact kernels run on it: `build_polytope`
+writes every row over it, `membership` sums each row over mu's support in
+ints, and `certify._gain_slack` computes the weighted gains of a uniqueness
+certificate.  Each must agree with the computation over `Fraction` payoffs
+that it replaced, kept here as the reference, on small games whose payoffs
+are not integers.
+"""
+
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+
+from eqcert import polytopes  # noqa: E402
+from eqcert.certify import _gain_slack, _normalize  # noqa: E402
+from eqcert.games import Game, JointDistribution, cce_reduction  # noqa: E402
+from test_polytopes import _reference_ce_row, _reference_cce_row  # noqa: E402
+
+SHAPES = ((2, 2), (2, 3), (3, 2), (3, 3), (2, 2, 2))
+
+
+def _ircp_deltas(game, a_star):
+    base = game.payoff_vector(a_star)
+    return {
+        p: tuple(game.u(i, p) - base[i] for i in range(game.num_players))
+        for p in game.profiles() if p != a_star
+    }
+
+
+def _weighted_slack(gamma, deltas):
+    """min over a != a* of -sum_i gamma_i * delta_i(a); None if some sum >= 0."""
+    slack = None
+    for delta in deltas.values():
+        weighted = sum((g * d for g, d in zip(gamma, delta)), Fraction(0))
+        if weighted >= 0:
+            return None
+        margin = -weighted
+        if slack is None or margin < slack:
+            slack = margin
+    return slack
+
+
+def _reference_slack(game, a_star, gamma, concept):
+    reference = game if concept == "ircp" else cce_reduction(game, a_star)
+    return _weighted_slack(gamma, _ircp_deltas(reference, a_star))
+
+
+@st.composite
+def _fraction_game(draw):
+    """A game of one of SHAPES with payoffs p/q, q in 1..12, and a profile a*.
+
+    With `peak` drawn, a*_i gets a bonus larger than the payoff range wherever
+    player i plays it, and a* a second one, so that a*_i is strictly
+    dominant and a* is every player's strict maximum: then the weighted
+    gains are negative for every positive gamma.
+    """
+    shape = draw(st.sampled_from(SHAPES))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    actions = tuple(tuple(f"p{i}a{k}" for k in range(n)) for i, n in enumerate(shape))
+    size = 1
+    for k in shape:
+        size *= k
+    payoffs = [[Fraction(rng.randint(-20, 20), rng.randint(1, 12)) for _ in range(size)]
+               for _ in shape]
+    game = Game(actions, tuple(map(tuple, payoffs)))
+    a_star = game.profile_from_index(draw(st.integers(0, size - 1)))
+    peak = draw(st.booleans())
+    if peak:
+        bonus = 41 + Fraction(1, draw(st.integers(2, 5)))
+        for i in range(len(shape)):
+            for k, profile in enumerate(game.profiles()):
+                if profile[i] == a_star[i]:
+                    payoffs[i][k] += bonus
+                if profile == a_star:
+                    payoffs[i][k] += bonus
+        game = Game(actions, tuple(map(tuple, payoffs)))
+    return game, a_star
+
+
+@st.composite
+def _gamma(draw, n):
+    """Positive weights as drawn, or with a zero or negative entry."""
+    low = draw(st.sampled_from((1, -2)))
+    return tuple(Fraction(draw(st.integers(low, 9)), draw(st.integers(1, 7)))
+                 for _ in range(n))
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@hypothesis.given(_fraction_game(), st.data())
+def test_gain_slack_equals_fraction_reference(case, data):
+    game, a_star = case
+    gamma = data.draw(_gamma(game.num_players))
+    weightings = [gamma]
+    if sum(gamma) > 0:
+        weightings.append(_normalize(gamma))
+    for concept in ("ircp", "cce"):
+        for weights in weightings:
+            assert (_gain_slack(game, a_star, weights, concept)
+                    == _reference_slack(game, a_star, weights, concept))
+
+
+def _reference_rows(game, concept, analysis):
+    """Each incentive row over `Fraction` payoffs, in `build_polytope`'s order."""
+    rows = []
+    for i, size in enumerate(game.shape):
+        if concept == "ircp":
+            rows.append((tuple(game.payoffs[i]), analysis.maximin(i).value))
+        elif concept == "cce":
+            rows += [(_reference_cce_row(game, i, dev), 0) for dev in range(size)]
+        else:
+            rows += [(_reference_ce_row(game, i, rec, dev), 0)
+                     for rec in range(size) for dev in range(size) if rec != dev]
+    return rows
+
+
+@hypothesis.settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@hypothesis.given(_fraction_game(), st.sampled_from(polytopes.CONCEPTS))
+def test_rows_are_positive_multiples_of_fraction_rows(case, concept):
+    game, _ = case
+    analysis = polytopes.GameAnalysis(game)
+    spec = analysis.polytope(concept)
+    reference = _reference_rows(game, concept, analysis)
+    incentive = spec.system.constraints[:len(spec.incentive_info)]
+    assert len(incentive) == len(reference) == len(spec.units)
+    for row, unit, (coeffs, rhs) in zip(incentive, spec.units, reference):
+        assert all(type(c) is int for c in row.coeffs)
+        assert unit > 0
+        assert tuple(unit * c for c in row.coeffs) == coeffs
+        assert unit * row.rhs == rhs
+        if concept != "ircp":
+            assert row.rhs == 0
+            assert math.gcd(*row.coeffs) in (0, 1)  # primitive
+    simplex = spec.system.constraints[-1]
+    assert simplex.coeffs == (1,) * game.num_profiles
+    assert all(type(c) is int for c in simplex.coeffs)
+
+
+@st.composite
+def _distribution(draw, game):
+    """A point mass, or random weights on a random support."""
+    num = game.num_profiles
+    if draw(st.booleans()):
+        return JointDistribution.point_mass(
+            game.profile_from_index(draw(st.integers(0, num - 1))))
+    support = draw(st.lists(st.integers(0, num - 1), min_size=1, max_size=num, unique=True))
+    raw = [draw(st.integers(1, 9)) for _ in support]
+    total = sum(raw)
+    return JointDistribution({game.profile_from_index(k): Fraction(w, total)
+                              for k, w in zip(support, raw)})
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@hypothesis.given(_fraction_game(), st.sampled_from(polytopes.CONCEPTS), st.data())
+def test_membership_equals_dense_fraction_loop(case, concept, data):
+    game, _ = case
+    mu = data.draw(_distribution(game))
+    analysis = polytopes.GameAnalysis(game)
+    spec = analysis.polytope(concept)
+    vector = mu.as_vector(game)
+    expected = []
+    for info, (coeffs, rhs) in zip(spec.incentive_info,
+                                   _reference_rows(game, concept, analysis)):
+        lhs = sum((c * x for c, x in zip(coeffs, vector)), Fraction(0))
+        if lhs < rhs:
+            expected.append((info.label, rhs - lhs))
+    result = polytopes.membership(spec, mu)
+    assert result.is_member == (not expected)
+    assert [(v.info.label, v.shortfall) for v in result.violations] == expected
+    assert all(type(v.shortfall) is Fraction for v in result.violations)

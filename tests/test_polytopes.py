@@ -1,5 +1,6 @@
 """Solution-concept polytopes: builders, membership, singletons, extremality."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -15,7 +16,15 @@ from eqcert.games import (
     product_distribution,
     strategic_transform,
 )
-from eqcert.lp import EQUAL, GREATER_EQUAL, PolytopeSolver, enumerate_vertices
+from eqcert.lp import (
+    EQUAL,
+    GREATER_EQUAL,
+    ConstraintSystem,
+    LinearConstraint,
+    PolytopeSolver,
+    _echelon_add,
+    enumerate_vertices,
+)
 from eqcert.polytopes import (
     Degenerate2x2Error,
     GameAnalysis,
@@ -246,6 +255,64 @@ def test_winkler_bound_on_every_rps_cce_vertex():
     for vert in enumerate_vertices(spec.system):
         mu = JointDistribution.from_vector(rps, vert)
         assert winkler_support_bound(spec, mu).bound_holds
+
+
+def _fraction_spec(spec):
+    """The same polytope with every incentive row back in payoff units, over Fractions."""
+    rows = [LinearConstraint(tuple(unit * c for c in row.coeffs), row.relation,
+                             unit * row.rhs)
+            for row, unit in zip(spec.system.constraints, spec.units)]
+    simplex = spec.system.constraints[-1]
+    rows.append(LinearConstraint(tuple(map(Fraction, simplex.coeffs)), EQUAL, simplex.rhs))
+    units = (Fraction(1),) * len(spec.units)
+    return dataclasses.replace(spec, system=ConstraintSystem(spec.system.num_vars, tuple(rows)),
+                               units=units)
+
+
+def _no_float(value):
+    if isinstance(value, (tuple, list)):
+        return all(_no_float(v) for v in value)
+    return not isinstance(value, float)
+
+
+def test_echelon_add_is_exact_on_int_rows():
+    state = []
+    for row in ((2, 3, 1), (3, 1, 4)):
+        kind, payload = _echelon_add(state, row, Fraction(0))
+        assert kind == "independent"
+        state.append(payload)
+    _, reduced, _ = state[1]
+    assert reduced == (0, Fraction(-7, 2), Fraction(5, 2))
+    assert _no_float(reduced)
+    assert _echelon_add(state, (5, 4, 5), Fraction(0))[0] == "dependent"
+
+
+@pytest.mark.parametrize("concept", ("ce", "cce", "ircp"))
+def test_extreme_point_checks_are_exact_on_integer_rows(concept):
+    # Parking's polytopes are the point delta(0, 0); RPS's CE is the uniform
+    # product.  The other RPS vertices come from enumeration, which over the
+    # 12 CE rows takes minutes and is left out.
+    parking = generators.parking(3, 1, F(1, 4), F(3, 5))
+    rps = generators.rock_paper_scissors()
+    cases = [(parking, [JointDistribution.point_mass((0, 0))]),
+             (rps, [_uniform_product(rps)] if concept == "ce" else [])]
+    for game, members in cases:
+        spec = build_polytope(game, concept)
+        reference = _fraction_spec(spec)
+        if not members:
+            vertices = enumerate_vertices(spec.system)
+            assert vertices == enumerate_vertices(reference.system)
+            assert all(type(x) is Fraction for vertex in vertices for x in vertex)
+            members = [JointDistribution.from_vector(game, v) for v in vertices[:5]]
+            members.append(members[0].mix(F(1, 2), members[-1]))
+        for mu in members:
+            extreme = is_extreme_point(spec, mu)
+            assert extreme is is_extreme_point(reference, mu)
+            if extreme:
+                report = winkler_support_bound(spec, mu)
+                assert report == winkler_support_bound(reference, mu)
+                assert _no_float(dataclasses.astuple(report))
+        assert any(is_extreme_point(spec, mu) for mu in members)
 
 
 def test_enumerate_pure_ne():
@@ -512,17 +579,33 @@ def _reference_ce_row(game, player, recommended, deviation):
     return tuple(coeffs)
 
 
+def _positive_multiple(row, reference):
+    """True iff row is an int vector equal to c * reference for a rational c > 0."""
+    if any(type(v) is not int for v in row) or len(row) != len(reference):
+        return False
+    pivot = next((k for k, r in enumerate(reference) if r), None)
+    if pivot is None:
+        return not any(row)
+    c = Fraction(row[pivot]) / reference[pivot]
+    return c > 0 and all(v == c * r for v, r in zip(row, reference))
+
+
 @pytest.mark.parametrize("shape", STRIDE_SHAPES)
 def test_stride_rows_equal_profile_rows(shape):
+    """Each stride-built row equals the profile-built row up to a positive factor."""
+    # Non-integer payoffs, so that each player's integer scale d_i exceeds 1.
     for seed in (1, 2):
-        game = generators.random_game(shape, seed)
+        base = generators.random_game(shape, seed)
+        game = affine_transform(base, [F(1, 3 + i) for i in range(len(shape))],
+                                [F(1, 2)] * len(shape))
         for i, size in enumerate(shape):
             for dev in range(size):
-                assert _cce_row(game, i, dev) == _reference_cce_row(game, i, dev)
+                assert _positive_multiple(_cce_row(game, i, dev),
+                                          _reference_cce_row(game, i, dev))
                 for rec in range(size):
                     if rec != dev:
-                        assert (_ce_row(game, i, rec, dev)
-                                == _reference_ce_row(game, i, rec, dev))
+                        assert _positive_multiple(_ce_row(game, i, rec, dev),
+                                                  _reference_ce_row(game, i, rec, dev))
 
 
 def _reference_pure_ne(game):
