@@ -6,7 +6,10 @@ are strictly negative at every other profile (for IRCP uniqueness, gains
 are measured against a* itself; for unique pure CCE, against unilateral
 switches to a_i*).  Certificates are found by solving a small zero-sum
 game between a profile chooser and a player chooser; refutations always
-carry explicit polytope members that anyone can re-check.  The weighted
+carry explicit polytope members that anyone can re-check.  At a strict NE
+a*, a pure CCE certificate is an IRCP one of v_i(a) = u_i(a) - u_i(a_i*,
+a_{-i}), found with no maximin LP: each level of v is 0, as a_i* gets 0
+against every a_{-i} and every other mix loses against a*_{-i}.  The weighted
 gains of a certificate are summed over the players' integer payoffs
 (`Game.int_payoffs`), with gamma_i / d_i over one common denominator, and
 the slack is reported as a `Fraction`.
@@ -28,6 +31,7 @@ from .games import (
     Profile,
     affine_transform,
     cce_reduction,
+    deviation_gains,
     is_symmetric,
     product_distribution,
 )
@@ -135,10 +139,11 @@ def _gain_slack(game: Game, a_star: Profile, gamma: Sequence[Fraction],
 
     delta_i(a) is u_i(a) - u_i(a*) for "ircp" and u_i(a) - u_i(a_i*, a_-i)
     for "cce", whose gains are the IRCP gains of `games.cce_reduction`.
-    With player i's integer payoffs T_i = d_i u_i (`Game.int_payoffs`),
-    gamma_i delta_i(a) = (gamma_i / d_i) (T_i(a) - T_i(ref)).  The weights
-    gamma_i / d_i are put over one common denominator D as ints W_i, so each
-    weighted gain is the int sum_i W_i (T_i(a) - T_i(ref)) over D.
+    The weights gamma_i / d_i are put over one common denominator D as ints
+    W_i, with d_i player i's payoff scale (`Game.payoff_scales`), so each
+    weighted gain is an int over D: sum_i W_i T_i(a) less its value at a*
+    for "ircp", with T_i = d_i u_i (`Game.int_payoffs`), and sum_i W_i
+    `games.deviation_gains(game, i, a_i*)` for "cce", which is 0 at a*.
     """
     k_star = game.profile_index(a_star)
     weights = [Fraction(g) / d for g, d in zip(gamma, game.payoff_scales)]
@@ -146,20 +151,11 @@ def _gain_slack(game: Game, a_star: Profile, gamma: Sequence[Fraction],
     gains = [0] * game.num_profiles
     for i, (w, table) in enumerate(zip(weights, game.int_payoffs)):
         weight = w.numerator * (denom // w.denominator)
-        if concept == "ircp":
-            base = table[k_star]
-            gains = [s + weight * (t - base) for s, t in zip(gains, table)]
-            continue
-        # T_i(a_i*, a_-i): in each block of size * stride indices, where
-        # a_-i's earlier players are fixed, the stride entries at a_i*.
-        stride, size = game.strides[i], game.shape[i]
-        at_star = stride * a_star[i]
-        ref: list[int] = []
-        for first in range(0, game.num_profiles, stride * size):
-            ref += table[first + at_star:first + at_star + stride] * size
-        gains = [s + weight * (t - r) for s, t, r in zip(gains, table, ref)]
-    del gains[k_star]
-    worst = max(gains)
+        if concept != "ircp":
+            table = deviation_gains(game, i, a_star[i])
+        gains = [s + weight * t for s, t in zip(gains, table)]
+    base = gains.pop(k_star)
+    worst = max(gains) - base
     return None if worst >= 0 else Fraction(-worst, denom)
 
 
@@ -286,16 +282,30 @@ def _decide_ircp(analysis: polytopes.GameAnalysis,
                  JointDistribution({a_star: 1 - eps, dev_profile: eps})),
             )
 
+    return _search_weights(game, a_star, gamma_hint, "ircp")
+
+
+def _search_weights(game: Game, a_star: Profile, gamma_hint: Sequence[Fraction] | None,
+                    concept: str) -> UniquenessCertificate | Refutation:
+    """The IRCP decision once a* is the one profile at the security levels.
+
+    It tries positive weights with negative weighted gains around a*:
+    `gamma_hint` (ignored unless positive and one per player), uniform ones
+    for a symmetric game, then the comparison game's, which exist exactly
+    when its value is negative.  Returns the certificate, named `concept`,
+    or the IRCP refutation of `game`.
+    """
+    n = game.num_players
     if gamma_hint is not None and len(gamma_hint) == n and all(
             Fraction(g) > 0 for g in gamma_hint):
         slack = _gain_slack(game, a_star, _normalize(gamma_hint), "ircp")
         if slack is not None:
-            return _certificate("ircp", a_star, gamma_hint, slack, game)
+            return _certificate(concept, a_star, gamma_hint, slack, game)
     if is_symmetric(game):
         uniform = (Fraction(1, n),) * n
         slack = _gain_slack(game, a_star, uniform, "ircp")
         if slack is not None:
-            return _certificate("ircp", a_star, uniform, slack, game)
+            return _certificate(concept, a_star, uniform, slack, game)
 
     aux = zerosum.build_theorem1_auxiliary(game, a_star)
     value, row_strategy, col_strategy = zerosum.matrix_value(aux)
@@ -307,7 +317,7 @@ def _decide_ircp(analysis: polytopes.GameAnalysis,
         slack = _gain_slack(game, a_star, gamma, "ircp")
         if slack is None or slack != -value:
             raise SolverInvariantError("certificate slack disagrees with the game value")
-        return _certificate("ircp", a_star, gamma, slack, game)
+        return _certificate(concept, a_star, gamma, slack, game)
 
     mu = JointDistribution(
         {p: w for p, w in zip(aux.row_keys, row_strategy) if w != 0})
@@ -341,28 +351,27 @@ def certify_unique_pure_cce(game: Game | polytopes.GameAnalysis,
                             ) -> UniquenessCertificate | Refutation:
     """Certify or refute that the CCE polytope is a single pure profile.
 
-    A unique pure CCE must sit at a strict pure NE, and uniqueness there is
-    equivalent to IRCP uniqueness of the reduced game v_i(a) = u_i(a) -
-    u_i(a_i*, a_{-i}).  Refutations carry two CCE members, or the single
-    mixed CCE when the polytope is a mixed singleton; they are re-checked
-    against the CCE polytope, which is built only when no certificate is found.
-    Given a `GameAnalysis`, the pure NE, the polytope and its singleton test
-    are the context's.
+    A unique pure CCE must sit at a strict pure NE a*, and uniqueness there
+    is equivalent to IRCP uniqueness of the reduced game v_i(a) = u_i(a) -
+    u_i(a_i*, a_{-i}).  Its security levels are all 0, attained by a_i*
+    alone (a_i* gets 0 against every a_{-i}; every other mix loses against
+    a*_{-i}), so only `_search_weights` runs, and not at all when the
+    context holds a CCE decision other than delta(a*).  Refutations carry
+    two CCE members, or the single mixed CCE when the polytope is a mixed
+    singleton; they are re-checked against the CCE polytope, which is built
+    only when no certificate is found.  Given a `GameAnalysis`, the pure NE,
+    the polytope, its singleton test and decision are the context's.
     """
     analysis = polytopes.analysis_of(game)
     game = analysis.game
     candidates = [p for p, strict in analysis.pure_ne() if strict]
     if len(candidates) == 1:
         a_star = candidates[0]
-        reduced = cce_reduction(game, a_star)
-        # In the reduced game a_i* is the unique pure maximin action, at level
-        # 0, so the decision needs only the levels, never the strategies.
-        result = _decide_ircp(polytopes.GameAnalysis(reduced), gamma_hint)
-        if isinstance(result, UniquenessCertificate):
-            if result.a_star != a_star:
-                raise SolverInvariantError(
-                    "reduced-game certificate landed on a different profile")
-            return _certificate("cce", a_star, result.gamma, result.slack, reduced)
+        kept = analysis.kept_singleton("cce")
+        if kept is None or kept.point == JointDistribution.point_mass(a_star):
+            found = _search_weights(cce_reduction(game, a_star), a_star, gamma_hint, "cce")
+            if isinstance(found, UniquenessCertificate):
+                return found
 
     spec = analysis.polytope("cce")
     if len(candidates) >= 2:
@@ -656,6 +665,7 @@ def conv_ne_vs_ircp(game: Game, ne_list: Sequence[JointDistribution],
 
 
 def _unilateral_guarantee(game: Game, a_star: Profile) -> bool:
+    game.profile_index(a_star)  # rejects a profile outside the game
     return all(_pure_guarantee(game, i, a_star[i]) >= game.u(i, a_star)
                for i in range(game.num_players))
 

@@ -197,23 +197,33 @@ def strategic_transform(game: Game, gamma: Sequence[Fraction],
     return Game(game.actions, tuple(payoffs), name or game.name)
 
 
+def deviation_gains(game: Game, player: int, deviation: int) -> list[int]:
+    """d_i (u_i(a) - u_i(deviation, a_-i)) at every profile index k of a, as ints.
+
+    d_i is the player's payoff scale (`Game.payoff_scales`).  Player i's
+    action at k is (k // stride) % size, and the deviation moves the index
+    by (deviation - action) * stride.  CCE rows, CCE certificate gains, the
+    profile-vs-deviation game and `cce_reduction` are built from it.
+    """
+    stride, size = game.strides[player], game.shape[player]
+    payoff = game.int_payoffs[player]
+    return [payoff[k] - payoff[k + (deviation - (k // stride) % size) * stride]
+            for k in range(game.num_profiles)]
+
+
 def cce_reduction(game: Game, a_star: Sequence[int]) -> Game:
     """Strategic transform v_i(a) = u_i(a) - u_i(a_i*, a_{-i}).
 
-    The reduced game has v_i(a_i*, a_{-i}) = 0 for every opponent profile;
+    Player i's payoffs are `deviation_gains(game, i, a_i*)` over d_i.  The
+    reduced game has v_i(a_i*, a_{-i}) = 0 for every opponent profile;
     its individually-rational profiles around a_star characterize whether
     a_star is the unique coarse correlated equilibrium of the original game.
     """
-    a_star = tuple(a_star)
-
-    def beta_for(i: int) -> Callable[[tuple[int, ...]], Fraction]:
-        def beta(others: tuple[int, ...]) -> Fraction:
-            return -game.u(i, game.insert_action(i, a_star[i], others))
-        return beta
-
-    ones = [Fraction(1)] * game.num_players
-    name = f"{game.name}@reduced" if game.name else None
-    return strategic_transform(game, ones, [beta_for(i) for i in range(game.num_players)], name)
+    game.profile_index(a_star)  # rejects a profile outside the game
+    payoffs = tuple(
+        tuple(Fraction(g, d) for g in deviation_gains(game, i, a_star[i]))
+        for i, d in enumerate(game.payoff_scales))
+    return Game(game.actions, payoffs, f"{game.name}@reduced" if game.name else None)
 
 
 def is_symmetric(game: Game) -> bool:

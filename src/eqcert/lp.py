@@ -67,7 +67,7 @@ import itertools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Sequence
 
 LESS_EQUAL = "<="
@@ -177,13 +177,12 @@ class LpOutcome:
     point: tuple[Fraction, ...] | None = None
 
 
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
-
-
-def _scaled_ints(values: Sequence[Fraction], denom: int) -> list[int]:
-    """`values` times `denom`, a common multiple of their denominators, as ints."""
-    return [v.numerator * (denom // v.denominator) for v in values]
+def _scaled_ints(values: Sequence[int | Fraction], denom: int = 1) -> tuple[list[int], int]:
+    """`values` times D as ints, and D, the lcm of `denom` and the `Fraction` denominators."""
+    denom = lcm(denom, *{v.denominator for v in values if type(v) is Fraction})
+    if denom == 1:
+        return [v.numerator for v in values], 1
+    return [v.numerator * (denom // v.denominator) for v in values], denom
 
 
 class _StandardForm:
@@ -217,10 +216,7 @@ class _StandardForm:
         scaled: list[tuple[list[int], str, int]] = []
         for row in system.constraints:
             rel, rhs = row.relation, row.rhs
-            denom = rhs.denominator
-            for c in row.coeffs:
-                denom = _lcm(denom, c.denominator)
-            ints = _scaled_ints(row.coeffs, denom)
+            ints, denom = _scaled_ints(row.coeffs, rhs.denominator)
             b = rhs.numerator * (denom // rhs.denominator)
             if b < 0 or (b == 0 and rel == GREATER_EQUAL):
                 ints = [-v for v in ints]
@@ -327,10 +323,7 @@ class _StandardForm:
         The row is written at the current `det`; only the rows whose basic
         variable has a nonzero cost are read, and those are brought to `det`.
         """
-        denom = 1
-        for c in cost:
-            denom = _lcm(denom, c.denominator)
-        ints = _scaled_ints(cost, denom) + [0] * (self.ncols - len(cost))
+        ints = _scaled_ints(cost)[0] + [0] * (self.ncols - len(cost))
         det = self.det
         z = [v * det for v in ints] + [0]
         for r, bvar in enumerate(self.basis):

@@ -65,7 +65,7 @@ from math import gcd, lcm
 from typing import Sequence
 
 from . import zerosum
-from .games import Game, JointDistribution, MixedAction, Profile
+from .games import Game, JointDistribution, MixedAction, Profile, deviation_gains
 from .lp import (
     EQUAL,
     GREATER_EQUAL,
@@ -146,19 +146,6 @@ class WinklerReport:
     bound_holds: bool
 
 
-def _cce_row(game: Game, player: int, deviation: int) -> list[int]:
-    """d_i (u_i(a) - u_i(deviation, a_-i)) at every profile index k of a, as ints.
-
-    d_i is the player's payoff scale (`Game.payoff_scales`).  Player i's
-    action at k is (k // stride) % size, and the deviation moves the index
-    by (deviation - action) * stride.
-    """
-    stride, size = game.strides[player], game.shape[player]
-    payoff = game.int_payoffs[player]
-    return [payoff[k] - payoff[k + (deviation - (k // stride) % size) * stride]
-            for k in range(game.num_profiles)]
-
-
 def _ce_row(game: Game, player: int, recommended: int, deviation: int) -> list[int]:
     """d_i (u_i(a) - u_i(deviation, a_-i)) where a_i is `recommended`, 0 elsewhere."""
     stride, size = game.strides[player], game.shape[player]
@@ -219,7 +206,7 @@ class GameAnalysis:
             if concept == "ce":
                 self.singleton("cce")
             larger = _LARGER.get(concept)
-            kept = self._singletons.get(larger)
+            kept = self.kept_singleton(larger)
             spec = self.polytope(concept)
             if kept is not None and kept.is_singleton:
                 if not membership(spec, kept.point).is_member:
@@ -231,6 +218,10 @@ class GameAnalysis:
                 result = is_singleton(spec, self.pure_ne())
             self._singletons[concept] = result
         return self._singletons[concept]
+
+    def kept_singleton(self, concept: str | None) -> SingletonResult | None:
+        """The concept's singleton decision if this context has made it; runs no LP."""
+        return self._singletons.get(concept)
 
     def pure_ne(self) -> list[tuple[Profile, bool]]:
         if self._pure_ne is None:
@@ -284,7 +275,8 @@ def build_polytope(game: Game | GameAnalysis, concept: str) -> PolytopeSpec:
         for i in range(game.num_players):
             for dev in range(game.shape[i]):
                 label = f"cce:p{i}->{game.actions[i][dev]}"
-                add_gains(_cce_row(game, i, dev), i, IncentiveInfo("cce", i, None, dev, label))
+                add_gains(deviation_gains(game, i, dev), i,
+                          IncentiveInfo("cce", i, None, dev, label))
     else:
         for i in range(game.num_players):
             scale = game.payoff_scales[i]

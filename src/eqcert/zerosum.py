@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .games import Game, MixedAction, _as_fraction_tuple
+from .games import Game, MixedAction, _as_fraction_tuple, deviation_gains
 from .lp import (
     EQUAL,
     GREATER_EQUAL,
@@ -195,26 +195,19 @@ def build_lemma3_auxiliary(game: Game) -> MatrixGame:
     """Profile-vs-deviation game whose optimal rows are exactly the CCEs.
 
     Rows are profiles b, columns are pairs (i, a_i); entry is
-    u_i(b) - u_i(a_i, b_{-i}).  A distribution over rows guarantees at
-    least 0 iff it satisfies every coarse deviation constraint, so the
-    game value is 0 whenever a CCE exists.
+    u_i(b) - u_i(a_i, b_{-i}), `games.deviation_gains` over d_i.  A
+    distribution over rows guarantees at least 0 iff it satisfies every
+    coarse deviation constraint, so the game value is 0 whenever a CCE
+    exists.
     """
     profiles = list(game.profiles())
-    cols: list[tuple[int, int]] = []
-    for i in range(game.num_players):
-        for a in range(game.shape[i]):
-            cols.append((i, a))
-    payoff = []
-    for b in profiles:
-        row = []
-        for i, a in cols:
-            others = tuple(x for j, x in enumerate(b) if j != i)
-            row.append(game.u(i, b) - game.u(i, game.insert_action(i, a, others)))
-        payoff.append(tuple(row))
+    cols = [(i, a) for i in range(game.num_players) for a in range(game.shape[i])]
+    columns = [[Fraction(g, game.payoff_scales[i]) for g in deviation_gains(game, i, a)]
+               for i, a in cols]
     return MatrixGame(
         row_labels=tuple(game.profile_label(p) for p in profiles),
         col_labels=tuple(f"p{i}->{game.actions[i][a]}" for i, a in cols),
-        payoff=tuple(payoff),
+        payoff=tuple(zip(*columns)),
         row_keys=tuple(profiles),
         col_keys=tuple(cols),
     )

@@ -1,0 +1,88 @@
+"""Property test: a pure CCE certificate without a second game analysis.
+
+At a strict pure NE a*, every security level of the reduced game
+v_i(a) = u_i(a) - u_i(a_i*, a_-i) is 0 and a_i* is each player's only
+maximin action, so `certify_unique_pure_cce` runs only the weight search
+of the IRCP decision on that game.  The full IRCP decision on a fresh
+analysis of the reduced game is kept here as the reference: both must give
+the same certificate, or the same refutation when no weights exist.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+
+from eqcert import polytopes  # noqa: E402
+from eqcert.certify import (  # noqa: E402
+    Refutation,
+    UniquenessCertificate,
+    _decide_ircp,
+    _search_weights,
+    certify_unique_pure_cce,
+)
+from eqcert.games import Game, cce_reduction  # noqa: E402
+
+SHAPES = ((2, 2), (2, 3), (3, 3), (2, 2, 2))
+
+
+@st.composite
+def _one_strict_ne_game(draw):
+    """A small game with exactly one strict pure NE, and that NE.
+
+    Payoffs are p/q with p in [-3, 3] and q in 1..3; games come from a
+    seeded generator until one has a single strict pure NE.
+    """
+    shape = draw(st.sampled_from(SHAPES))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    size = 1
+    for k in shape:
+        size *= k
+    actions = tuple(tuple(f"p{i}a{k}" for k in range(n)) for i, n in enumerate(shape))
+    for _ in range(200):
+        payoffs = tuple(tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                              for _ in range(size)) for _ in shape)
+        game = Game(actions, payoffs)
+        strict = [p for p, s in polytopes.enumerate_pure_ne(game) if s]
+        if len(strict) == 1:
+            return game, strict[0]
+    hypothesis.assume(False)
+
+
+@st.composite
+def _hint(draw, n):
+    """No hint, positive weights, or an invalid hint that must be ignored."""
+    kind = draw(st.sampled_from(("none", "positive", "invalid")))
+    if kind == "none":
+        return None
+    weights = [Fraction(draw(st.integers(1, 5)), draw(st.integers(1, 5))) for _ in range(n)]
+    if kind == "invalid":
+        weights[draw(st.integers(0, n - 1))] = Fraction(0)
+    return tuple(weights)
+
+
+@hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@hypothesis.given(_one_strict_ne_game(), st.data())
+def test_cce_certificate_equals_reduced_ircp_decision(case, data):
+    game, a_star = case
+    hint = data.draw(_hint(game.num_players))
+    reduced = cce_reduction(game, a_star)
+    reference = _decide_ircp(polytopes.GameAnalysis(reduced), hint)
+    found = _search_weights(reduced, a_star, hint, "cce")
+    result = certify_unique_pure_cce(game, hint)
+    decided = polytopes.GameAnalysis(game)
+    decided.singleton("cce")
+    assert certify_unique_pure_cce(decided, hint) == result
+    if isinstance(reference, UniquenessCertificate):
+        assert reference.a_star == a_star
+        for new in (found, result):
+            assert isinstance(new, UniquenessCertificate) and new.concept == "cce"
+            assert (new.a_star, new.gamma, new.slack, new.transformed_game) == (
+                reference.a_star, reference.gamma, reference.slack,
+                reference.transformed_game)
+    else:
+        assert isinstance(result, Refutation)
+        assert found == reference

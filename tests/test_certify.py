@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from eqcert import generators, polytopes
+from eqcert import generators, polytopes, zerosum
 from eqcert.certify import (
     CertificationError,
     HULL_EQUAL,
@@ -47,6 +47,7 @@ from eqcert.games import (
 from eqcert.polytopes import SolverInvariantError, build_polytope, membership, mixed_ne_2x2
 
 from conftest import F
+from test_report import _tullock8
 
 
 def _parking(t):
@@ -253,6 +254,20 @@ def test_cce_reduction_identity():
         assert inner.a_star == cert.a_star
         assert inner.gamma == cert.gamma
         assert inner.slack == cert.slack
+
+
+@pytest.mark.parametrize("make_game", (generators.prisoners_dilemma,
+                                       lambda: _parking("3/5"), _tullock8),
+                         ids=("pd", "parking", "tullock8"))
+def test_cce_certificate_solves_no_maximin(monkeypatch, make_game):
+    # Every security level of the reduced game is 0 at the strict NE, so
+    # certifying its unique pure CCE needs no maximin LP.
+    solved = []
+    maximin = zerosum.maximin
+    monkeypatch.setattr(zerosum, "maximin",
+                        lambda game, player: solved.append(player) or maximin(game, player))
+    assert isinstance(certify_unique_pure_cce(make_game()), UniquenessCertificate)
+    assert solved == []
 
 
 # -- classification -----------------------------------------------------------

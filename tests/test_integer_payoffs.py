@@ -1,12 +1,13 @@
 """Property tests: the integer payoff kernels against `Fraction` references.
 
 `Game.int_payoffs` holds each player's payoffs times d_i, the lcm of that
-player's denominators.  Three exact kernels run on it: `build_polytope`
+player's denominators.  Five exact computations run on it: `build_polytope`
 writes every row over it, `membership` sums each row over mu's support in
-ints, and `certify._gain_slack` computes the weighted gains of a uniqueness
-certificate.  Each must agree with the computation over `Fraction` payoffs
-that it replaced, kept here as the reference, on small games whose payoffs
-are not integers.
+ints, `certify._gain_slack` computes the weighted gains of a uniqueness
+certificate, and `games.cce_reduction` and the profile-vs-deviation game
+divide `games.deviation_gains` by d_i.  Each must agree with the
+computation over `Fraction` payoffs that it replaced, kept here as the
+reference, on small games whose payoffs are not integers.
 """
 
 import math
@@ -19,8 +20,14 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 from eqcert import polytopes  # noqa: E402
+from eqcert.zerosum import build_lemma3_auxiliary  # noqa: E402
 from eqcert.certify import _gain_slack, _normalize  # noqa: E402
-from eqcert.games import Game, JointDistribution, cce_reduction  # noqa: E402
+from eqcert.games import (  # noqa: E402
+    Game,
+    JointDistribution,
+    cce_reduction,
+    strategic_transform,
+)
 from test_polytopes import _reference_ce_row, _reference_cce_row  # noqa: E402
 
 SHAPES = ((2, 2), (2, 3), (3, 2), (3, 3), (2, 2, 2))
@@ -47,8 +54,17 @@ def _weighted_slack(gamma, deltas):
     return slack
 
 
+def _reference_reduction(game, a_star):
+    """v_i(a) = u_i(a) - u_i(a_i*, a_-i), as a strategic transform."""
+    def beta(i):
+        return lambda others: -game.u(i, game.insert_action(i, a_star[i], others))
+
+    ones = [Fraction(1)] * game.num_players
+    return strategic_transform(game, ones, [beta(i) for i in range(game.num_players)])
+
+
 def _reference_slack(game, a_star, gamma, concept):
-    reference = game if concept == "ircp" else cce_reduction(game, a_star)
+    reference = game if concept == "ircp" else _reference_reduction(game, a_star)
     return _weighted_slack(gamma, _ircp_deltas(reference, a_star))
 
 
@@ -104,6 +120,25 @@ def test_gain_slack_equals_fraction_reference(case, data):
         for weights in weightings:
             assert (_gain_slack(game, a_star, weights, concept)
                     == _reference_slack(game, a_star, weights, concept))
+
+
+@hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@hypothesis.given(_fraction_game())
+def test_cce_reduction_equals_strategic_transform(case):
+    game, a_star = case
+    reduced = cce_reduction(game, a_star)
+    reference = _reference_reduction(game, a_star)
+    assert reduced.payoffs == reference.payoffs
+    assert all(type(x) is Fraction for row in reduced.payoffs for x in row)
+
+
+@hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@hypothesis.given(_fraction_game())
+def test_lemma3_entries_equal_fraction_gains(case):
+    game, _ = case
+    aux = build_lemma3_auxiliary(game)
+    columns = [_reference_cce_row(game, i, a) for i, a in aux.col_keys]
+    assert aux.payoff == tuple(zip(*columns))
 
 
 def _reference_rows(game, concept, analysis):

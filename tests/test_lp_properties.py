@@ -5,6 +5,7 @@ against a common-denominator reference tableau, pivot by pivot.
 """
 
 import itertools
+import math
 from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
@@ -25,8 +26,6 @@ from eqcert.lp import (  # noqa: E402
     PolytopeSolver,
     SolverInvariantError,
     _echelon_add,
-    _lcm,
-    _scaled_ints,
     _solve_echelon,
     _StandardForm,
 )
@@ -129,10 +128,9 @@ class _ReferenceForm(_StandardForm):
         self.trail.append(self.snapshot())
 
     def _load_objective(self, cost):
-        denom = 1
-        for c in cost:
-            denom = _lcm(denom, c.denominator)
-        ints = _scaled_ints(cost, denom) + [0] * (self.ncols - len(cost))
+        denom = math.lcm(*(c.denominator for c in cost))
+        ints = [c.numerator * (denom // c.denominator) for c in cost]
+        ints += [0] * (self.ncols - len(cost))
         det = self.det
         z = [v * det for v in ints] + [0]
         for row, bvar in zip(self.rows, self.basis):

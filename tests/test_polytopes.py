@@ -13,6 +13,7 @@ from eqcert.games import (
     JointDistribution,
     MixedAction,
     affine_transform,
+    deviation_gains,
     product_distribution,
     strategic_transform,
 )
@@ -29,7 +30,6 @@ from eqcert.polytopes import (
     Degenerate2x2Error,
     GameAnalysis,
     PolytopeError,
-    _cce_row,
     _ce_row,
     build_polytope,
     coordinate_bounds,
@@ -600,7 +600,7 @@ def test_stride_rows_equal_profile_rows(shape):
                                 [F(1, 2)] * len(shape))
         for i, size in enumerate(shape):
             for dev in range(size):
-                assert _positive_multiple(_cce_row(game, i, dev),
+                assert _positive_multiple(deviation_gains(game, i, dev),
                                           _reference_cce_row(game, i, dev))
                 for rec in range(size):
                     if rec != dev:

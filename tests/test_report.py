@@ -6,12 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from eqcert import polytopes, zerosum
+from eqcert import certify, polytopes, zerosum
 from eqcert.contests import ContestSpec, LinearCost, TullockRatio, discretize
 from eqcert.generators import (
     matching_pennies,
     parking,
     prisoners_dilemma,
+    random_game,
     random_mp_type,
     rock_paper_scissors,
 )
@@ -191,6 +192,35 @@ def test_analyze_and_verify_solve_each_maximin_once(work_counts):
         assert {(game, i) for i in range(game.num_players)} <= set(calls["maximin"])
 
 
+@pytest.mark.parametrize("seed", (1, 3))
+def test_cce_certification_reuses_the_cce_decision(monkeypatch, seed):
+    # One strict NE and a CCE polytope that is not one point: the report has
+    # decided CCE before it certifies, so no comparison game can help.
+    game = random_game((4, 5), seed)
+    inside, solved = [], []
+    certify_cce, matrix_value = certify.certify_unique_pure_cce, zerosum.matrix_value
+
+    def tracking(*args, **kwargs):
+        inside.append(True)
+        try:
+            return certify_cce(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def counting(mg):
+        solved.append(bool(inside))
+        return matrix_value(mg)
+
+    monkeypatch.setattr(certify, "certify_unique_pure_cce", tracking)
+    monkeypatch.setattr(zerosum, "matrix_value", counting)
+    data = build_report(game, ("ne", "ce", "cce", "ircp"), check_unique=True)
+    assert [p["strict"] for p in data["ne"]["pure"]].count(True) == 1
+    assert data["concepts"]["cce"]["singleton"] is False
+    assert data["certificates"]["cce"]["type"] == "refutation"
+    assert True not in solved
+    assert verify_report(data) == []
+
+
 def test_save_load_round_trip():
     data = full_pd_report()
     assert verify_report(load_report(save_report(data))) == []
@@ -283,6 +313,12 @@ def test_verify_flags_tampered_gue_flag():
     data = full_pd_report()
     data["gue"][0]["gue"] = True
     assert any(p.startswith("gue[0]") for p in verify_report(data))
+
+
+def test_verify_names_a_gue_profile_outside_the_game():
+    data = full_pd_report()
+    data["gue"][0]["profile"] = [5, 5]
+    assert any("(5, 5) out of range" in p for p in verify_report(data))
 
 
 def test_degenerate_2x2_mixed_section():
