@@ -54,16 +54,25 @@ def _deviation_gains(game: Game, i: int, mu: JointDistribution) -> list[list[Fra
     return gains
 
 
-def external_regret(game: Game, i: int, mu: JointDistribution) -> Fraction:
-    """max over fixed actions of the exact gain from committing ex ante."""
-    gains = _deviation_gains(game, i, mu)
+def external_regret(game: Game, i: int, mu: JointDistribution,
+                    gains: list[list[Fraction]] | None = None) -> Fraction:
+    """max over fixed actions of the exact gain from committing ex ante.
+
+    `gains`, when given, is `_deviation_gains(game, i, mu)`, computed once by
+    a caller that wants both regrets.
+    """
+    if gains is None:
+        gains = _deviation_gains(game, i, mu)
     return max(sum(row[dev] for row in gains) for dev in range(game.shape[i]))
 
 
-def internal_regret(game: Game, i: int, mu: JointDistribution) -> Fraction:
-    """max over recommendation swaps of the exact conditional gain."""
+def internal_regret(game: Game, i: int, mu: JointDistribution,
+                    gains: list[list[Fraction]] | None = None) -> Fraction:
+    """max over recommendation swaps of the exact conditional gain; `gains` as above."""
+    if gains is None:
+        gains = _deviation_gains(game, i, mu)
     # gains[rec][rec] is 0, so the maximum is never negative
-    return max(max(row) for row in _deviation_gains(game, i, mu))
+    return max(max(row) for row in gains)
 
 
 @dataclass(frozen=True)
@@ -258,7 +267,8 @@ def run(game: Game, algorithm: str, steps: int, seed: int,
 
     empirical = JointDistribution(
         {p: Fraction(c, steps) for p, c in counts.items()})
-    ext = tuple(external_regret(game, i, empirical) for i in range(n))
-    internal = tuple(internal_regret(game, i, empirical) for i in range(n))
+    gains = [_deviation_gains(game, i, empirical) for i in range(n)]
+    ext = tuple(external_regret(game, i, empirical, gains[i]) for i in range(n))
+    internal = tuple(internal_regret(game, i, empirical, gains[i]) for i in range(n))
     return DynamicsRun(game, algorithm, steps, seed, learning_rate, empirical,
                        ext, internal, tuple(strategies))

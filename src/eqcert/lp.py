@@ -46,6 +46,17 @@ applied, and up to the positive factor by which the standard form scaled
 the row.  So each nonbasic slack adds a_r on a `>=` row and -a_r on a `<=`
 row, and the constants are left out.
 
+`PolytopeSolver.duals` reads the optimal row duals of the last `optimize`
+from the final tableau, with no further LP.  The reduced cost of a slack
+column is minus its row's simplex multiplier times the slack's sign in the
+standard form, so the multiplier is read from `z` at its scale.  The
+standard form keeps each row's factor: the row's integer scale, negated
+when the row was negated.  Multiplying by it undoes both, and gives the
+dual of the system row as written.  Sign rule: for a minimum the dual is
+>= 0 on a `>=` row and <= 0 on a `<=` row; for a maximum both flip.  An
+`==` row has no slack column, and its dual comes from the basic columns'
+zero reduced costs.
+
 Each tableau row, and the reduced-cost row, carries its own positive scale:
 the basis determinant at which the row was last written, so the row holds
 its true entries times that scale.  A pivot leaves a row whose
@@ -214,6 +225,8 @@ class _StandardForm:
         slack_base = self.num_y
         art_base = self.num_y + self.num_slack
         scaled: list[tuple[list[int], str, int]] = []
+        # Row r of the standard form is row_factors[r] times system row r.
+        self.row_factors: list[int] = []
         for row in system.constraints:
             rel, rhs = row.relation, row.rhs
             ints, denom = _scaled_ints(row.coeffs, rhs.denominator)
@@ -221,13 +234,20 @@ class _StandardForm:
             if b < 0 or (b == 0 and rel == GREATER_EQUAL):
                 ints = [-v for v in ints]
                 b = -b
+                denom = -denom
                 rel = {LESS_EQUAL: GREATER_EQUAL, GREATER_EQUAL: LESS_EQUAL, EQUAL: EQUAL}[rel]
             scaled.append((ints, rel, b))
+            self.row_factors.append(denom)
 
         self.rows: list[list[int]] = []
         self.basis: list[int] = []
         self.det = 1
         self.artificials: list[int] = []
+        # Per system row: its slack column and that column's entry (+1 on a
+        # `<=` row, -1 on a `>=` row of the standard form), None on `==`.
+        self.slacks: list[tuple[int, int] | None] = []
+        self.cost: list[Fraction] = []
+        self.cost_scale = 1
         slack_idx = slack_base
         art_idx = art_base
         ncols_guess = art_base + m  # upper bound; trimmed after phase 1
@@ -236,9 +256,11 @@ class _StandardForm:
             if rel == LESS_EQUAL:
                 row[slack_idx] = 1
                 self.basis.append(slack_idx)
+                self.slacks.append((slack_idx, 1))
                 slack_idx += 1
             elif rel == GREATER_EQUAL:
                 row[slack_idx] = -1
+                self.slacks.append((slack_idx, -1))
                 slack_idx += 1
                 row[art_idx] = 1
                 self.basis.append(art_idx)
@@ -248,6 +270,7 @@ class _StandardForm:
                 row[art_idx] = 1
                 self.basis.append(art_idx)
                 self.artificials.append(art_idx)
+                self.slacks.append(None)
                 art_idx += 1
             self.rows.append(row)
         self.ncols = art_idx
@@ -322,8 +345,12 @@ class _StandardForm:
 
         The row is written at the current `det`; only the rows whose basic
         variable has a nonzero cost are read, and those are brought to `det`.
+        The costs are first scaled to ints by `cost_scale`, the lcm of their
+        denominators, which does not move the optimum; `z` then holds the
+        reduced costs times `cost_scale` at its scale.
         """
-        ints = _scaled_ints(cost)[0] + [0] * (self.ncols - len(cost))
+        ints, self.cost_scale = _scaled_ints(cost)
+        ints += [0] * (self.ncols - len(cost))
         det = self.det
         z = [v * det for v in ints] + [0]
         for r, bvar in enumerate(self.basis):
@@ -431,6 +458,7 @@ class _StandardForm:
         return True
 
     def optimize(self, cost_y: Sequence[Fraction]) -> str:
+        self.cost = list(cost_y)
         self._load_objective(cost_y)
         return self._bland_min()
 
@@ -445,18 +473,64 @@ class _StandardForm:
                 values[bvar] = Fraction(row[rhs], scale)
         return tuple(values)
 
+    def duals(self) -> list[Fraction]:
+        """Optimal duals y of the last `optimize`, a minimization, one per system row.
+
+        Standard-form row r is f_r times system row r, where f_r =
+        `row_factors[r]` is the row's integer scale, negative when the row
+        was negated.  Its simplex multiplier pi_r is read from the reduced
+        cost of its slack column, whose only entry s_r (+1 or -1) sits in
+        row r: that cost is 0 - pi_r s_r, held in `z` times `cost_scale` at
+        `scales[-1]`.  So y_r = pi_r f_r = -s_r f_r z[slack] / (scales[-1]
+        cost_scale).  An `==` row has no slack column after phase 1.  The
+        `==` rows' duals solve the equations sum_r y_r a_rj = c_j of the
+        basic columns j of the system's variables, whose reduced costs are 0.
+        Every solution gives every column its reduced cost, since the basic
+        columns span the column space; a direction left free by a redundant
+        `==` row, which phase 1 dropped, is set to 0.
+        """
+        z, scale = self.z, self.scales[-1] * self.cost_scale
+        rows = self.system.constraints
+        y = [Fraction(0)] * len(rows)
+        for r, (slack, factor) in enumerate(zip(self.slacks, self.row_factors)):
+            if slack is not None and z[slack[0]]:
+                y[r] = Fraction(-slack[1] * factor * z[slack[0]], scale)
+        equalities = [r for r, slack in enumerate(self.slacks) if slack is None]
+        if not equalities:
+            return y
+        known = [(rows[r].coeffs, y[r]) for r in range(len(rows)) if y[r]]
+        state: list[tuple[int, tuple[Fraction, ...], Fraction]] = []
+        for j in self.basis:
+            if j >= self.num_y:
+                continue
+            coeffs = [rows[r].coeffs[j] for r in equalities]
+            if not any(coeffs):
+                continue
+            residual = self.cost[j] - sum((y_r * a[j] for a, y_r in known), Fraction(0))
+            kind, payload = _echelon_add(state, coeffs, residual)
+            if kind == "inconsistent":
+                raise SolverInvariantError("basic columns disagree on the equality duals")
+            if kind == "independent":
+                state.append(payload)
+                if len(state) == len(equalities):
+                    break
+        for r, value in zip(equalities, _solve_echelon(state, len(equalities))):
+            y[r] = value
+        return y
+
 
 class PolytopeSolver:
     """Re-optimizes many objectives over one constraint system, exactly.
 
     Phase 1 runs once at construction; each `optimize` call warm-starts from
-    the previous optimal basis.
+    the previous optimal basis, and `duals` reads its optimal dual.
     """
 
     def __init__(self, system: ConstraintSystem):
         self.system = system
         self._form = _StandardForm(system)
         self.feasible = self._form.phase1()
+        self._maximized: bool | None = None  # sense of the optimum loaded, if any
 
     def feasible_point(self) -> tuple[Fraction, ...] | None:
         if not self.feasible:
@@ -470,12 +544,29 @@ class PolytopeSolver:
             raise LpError("objective width disagrees with num_vars")
         objective = [Fraction(c) for c in objective]
         cost = [-c for c in objective] if maximize else objective
+        self._maximized = None
         status = self._form.optimize(cost)
         if status == UNBOUNDED:
             return LpOutcome(UNBOUNDED)
+        self._maximized = maximize
         point = self._form.point()
         value = sum((c * x for c, x in zip(objective, point) if x and c), Fraction(0))
         return LpOutcome(OPTIMAL, value, point)
+
+    def duals(self) -> tuple[Fraction, ...]:
+        """Optimal dual of the last `optimize`, one multiplier y_r per system row.
+
+        y_r is the rate at which the optimum moves with row r's right-hand
+        side, so sum_r b_r y_r equals the optimum.  For a minimum, y_r >= 0
+        on a `>=` row, y_r <= 0 on a `<=` row, y_r is free on an `==` row,
+        and sum_r y_r a_rj <= c_j for every variable j; for a maximum every
+        sign and that inequality flip.  It is read from the final tableau
+        with no further LP (see `_StandardForm.duals`).
+        """
+        if self._maximized is None:
+            raise LpError("duals need an optimal `optimize` call first")
+        y = self._form.duals()
+        return tuple(-v if v else v for v in y) if self._maximized else tuple(y)
 
     def pinning_objective(self) -> tuple[Fraction, ...]:
         """The sum of the nonbasic columns at the current basis, over the system's variables.

@@ -7,7 +7,8 @@ systems, decides membership with exact violation reports, computes
 coordinate bounds, decides singleton-ness with explicit witnesses, and
 checks extremality plus the support bound that extreme points obey.
 `GameAnalysis` holds these results for one game while one call runs, so a
-report and its certificates solve each polytope and maximin LP once.
+report and its certificates solve each polytope and maximin LP once, and a
+verification solves no maximin LP at all.
 
 Every incentive row is linear in one player's payoffs, so a positive scale
 per player changes no polytope.  The rows are written from the integer
@@ -172,20 +173,28 @@ class GameAnalysis:
     across calls.  Each result comes from the module function that computes
     it (`zerosum.maximin`, `build_polytope`, `is_singleton`,
     `enumerate_pure_ne`), so a re-check made on a kept result checks what
-    that function returned.  The one exception is a singleton decision
-    taken down the inclusion chain: it is the larger concept's point,
-    re-checked by exact membership in this concept's polytope.
+    that function returned.  There are two exceptions.  A singleton
+    decision taken down the inclusion chain is the larger concept's point,
+    re-checked by exact membership in this concept's polytope.  And a
+    verifier may pass `levels`, maximin results it has checked from their
+    certificates (`zerosum.check_maximin`): the context then keeps those
+    and never solves a maximin LP, and asking it for a player's result
+    that `levels` lacks raises `PolytopeError`.
     """
 
-    def __init__(self, game: Game):
+    def __init__(self, game: Game,
+                 levels: Sequence[zerosum.MaximinResult] | None = None):
         self.game = game
-        self._maximin: dict[int, zerosum.MaximinResult] = {}
+        self._maximin: dict[int, zerosum.MaximinResult] = dict(enumerate(levels or ()))
+        self._solves_maximin = levels is None
         self._polytopes: dict[str, PolytopeSpec] = {}
         self._singletons: dict[str, SingletonResult] = {}
         self._pure_ne: list[tuple[Profile, bool]] | None = None
 
     def maximin(self, player: int) -> zerosum.MaximinResult:
         if player not in self._maximin:
+            if not self._solves_maximin:
+                raise PolytopeError(f"no certified maximin level for player {player}")
             self._maximin[player] = zerosum.maximin(self.game, player)
         return self._maximin[player]
 

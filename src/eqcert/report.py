@@ -9,6 +9,18 @@ in lowest terms; round-trips are bit-exact.
 `build_report` and `verify_report` each make one `polytopes.GameAnalysis`
 per call, so their sections and certificates share every polytope,
 singleton test and maximin LP they compute; nothing is kept across calls.
+
+Report format, version 2.  `maximin` lists each player's security level.
+`maximin_certificates[i]` certifies level i with two exact distributions:
+`strategy`, player i's maximin strategy keyed by action index, and
+`punishment`, the opponents' correlated punishment keyed by the index of
+their joint action in `Game.opponent_profiles(i)` order (the opponents'
+actions in player order, the last varying fastest).  `verify_report`
+checks both bounds of each certificate exactly (`zerosum.check_maximin`)
+and takes the levels from there, so it solves no maximin LP; it rejects a
+report of another version.  `run` holds what differs between two runs on
+the same game, today `timing_ms`; `verify_report` ignores it, and every
+other key is a deterministic function of the game and the options.
 """
 
 from __future__ import annotations
@@ -16,8 +28,9 @@ from __future__ import annotations
 import contextlib
 import json
 import time
+from fractions import Fraction
 
-from . import certify, polytopes
+from . import certify, polytopes, zerosum
 from .games import (
     Game,
     GameFormatError,
@@ -29,7 +42,7 @@ from .lp import PivotLimitExceeded, SolverInvariantError
 from .polytopes import Degenerate2x2Error
 from .rational import format_rational, parse_rational
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 ALL_CONCEPTS = ("ne", "ce", "cce", "ircp")
 
 
@@ -37,14 +50,54 @@ class ReportError(ValueError):
     """Malformed report input."""
 
 
+def _weights_to_dict(weights) -> dict:
+    return {str(k): format_rational(w) for k, w in sorted(weights.items())}
+
+
 def _mixed_to_dict(m: MixedAction) -> dict:
-    return {"player": m.player,
-            "weights": {str(a): format_rational(w) for a, w in sorted(m.weights.items())}}
+    return {"player": m.player, "weights": _weights_to_dict(m.weights)}
 
 
 def _mixed_from_dict(data: dict) -> MixedAction:
     return MixedAction(int(data["player"]),
                        {int(a): parse_rational(w) for a, w in data["weights"].items()})
+
+
+def _maximin_to_dict(game: Game, player: int, result: zerosum.MaximinResult) -> dict:
+    index = {opp: c for c, opp in enumerate(game.opponent_profiles(player))}
+    return {"strategy": _weights_to_dict(result.strategy.weights),
+            "punishment": _weights_to_dict(
+                {index[opp]: w for opp, w in result.punishment.items()})}
+
+
+def _weights_from_dict(data, size: int, what: str) -> dict[int, Fraction]:
+    """A distribution over range(size), keyed by decimal index strings, exactly."""
+    if not isinstance(data, dict):
+        raise ReportError(f"{what} must be an object, got {type(data).__name__}")
+    weights = {}
+    for key, text in data.items():
+        if not (isinstance(key, str) and key.isdecimal() and int(key) < size):
+            raise ReportError(f"{what} key {key!r} is not an index below {size}")
+        if not isinstance(text, str):
+            raise ReportError(f"{what} weight {text!r} is not a rational string")
+        weight = parse_rational(text)
+        if weight < 0:
+            raise ReportError(f"{what} weight {text} is negative")
+        weights[int(key)] = weight
+    if sum(weights.values()) != 1:
+        raise ReportError(f"{what} weights do not sum to 1")
+    return weights
+
+
+def _maximin_from_dict(game: Game, player: int, level: Fraction,
+                       data) -> zerosum.MaximinResult:
+    if not isinstance(data, dict):
+        raise ReportError(f"expected an object, got {type(data).__name__}")
+    others = list(game.opponent_profiles(player))
+    strategy = _weights_from_dict(data.get("strategy"), game.shape[player], "strategy")
+    punishment = _weights_from_dict(data.get("punishment"), len(others), "punishment")
+    return zerosum.MaximinResult(level, MixedAction(player, strategy),
+                                 {others[c]: w for c, w in punishment.items()})
 
 
 def _certification_to_dict(game: Game, result) -> dict:
@@ -79,10 +132,10 @@ def build_report(game: Game, concepts=ALL_CONCEPTS, check_unique: bool = False) 
     started = time.perf_counter()
     analysis = polytopes.GameAnalysis(game)
 
-    report["maximin"] = [
-        format_rational(analysis.maximin(i).value)
-        for i in range(game.num_players)
-    ]
+    levels = [analysis.maximin(i) for i in range(game.num_players)]
+    report["maximin"] = [format_rational(result.value) for result in levels]
+    report["maximin_certificates"] = [_maximin_to_dict(game, i, result)
+                                      for i, result in enumerate(levels)]
 
     if "ne" in concepts:
         t0 = time.perf_counter()
@@ -157,7 +210,7 @@ def build_report(game: Game, concepts=ALL_CONCEPTS, check_unique: bool = False) 
         timing["certification"] = time.perf_counter() - t0
 
     timing["total"] = time.perf_counter() - started
-    report["timing_ms"] = {k: round(v * 1000.0, 3) for k, v in timing.items()}
+    report["run"] = {"timing_ms": {k: round(v * 1000.0, 3) for k, v in timing.items()}}
     return report
 
 
@@ -197,21 +250,63 @@ def _section(key: str, problems: list):
         problems.append(f"{key} unreadable: {type(exc).__name__}: {exc}")
 
 
+def _verified_levels(game: Game, report: dict,
+                     problems: list) -> list[zerosum.MaximinResult] | None:
+    """The claimed maximin levels with their certificates, if every one checks."""
+    claimed = [parse_rational(v) for v in report["maximin"]]
+    if len(claimed) != game.num_players:
+        problems.append(f"maximin lists {len(claimed)} levels for "
+                        f"{game.num_players} players")
+        return None
+    certificates = report.get("maximin_certificates")
+    if not isinstance(certificates, list) or len(certificates) != game.num_players:
+        problems.append("maximin levels need one certificate per player "
+                        "in maximin_certificates")
+        return None
+    results = []
+    for i, (level, data) in enumerate(zip(claimed, certificates)):
+        where = f"maximin_certificates[{i}]"
+        try:
+            result = _maximin_from_dict(game, i, level, data)
+        except ValueError as exc:
+            problems.append(f"{where} unreadable: {exc}")
+            continue
+        found = zerosum.check_maximin(game, i, result)
+        problems.extend(f"{where}: {problem}" for problem in found)
+        if not found:
+            results.append(result)
+    return results if len(results) == game.num_players else None
+
+
 def verify_report(report: dict) -> list[str]:
-    """Re-check everything checkable in a report; empty list means clean."""
+    """Re-check everything checkable in a report; empty list means clean.
+
+    No maximin LP runs: the IRCP checks use the levels of the report's
+    maximin certificates once both bounds of every one hold, and an IRCP
+    claim without such levels is a problem.
+    """
     problems: list[str] = []
     try:
         game = game_from_dict(report["game"])
     except (KeyError, GameFormatError) as exc:
         return [f"embedded game unreadable: {exc}"]
-    analysis = polytopes.GameAnalysis(game)
+    version = report.get("report_version")
+    if version != REPORT_VERSION:
+        return [f"report_version {version!r} is not {REPORT_VERSION}: its maximin "
+                "levels are uncertified; run analyze again"]
 
+    levels = None
     if "maximin" in report:
         with _section("maximin", problems):
-            claimed = [parse_rational(v) for v in report["maximin"]]
-            actual = [analysis.maximin(i).value for i in range(game.num_players)]
-            if actual != claimed:
-                problems.append("maximin levels do not match a recomputation")
+            levels = _verified_levels(game, report, problems)
+    analysis = polytopes.GameAnalysis(game, levels or ())
+
+    def uncertified(what: str, concept) -> bool:
+        """An IRCP claim with no certified levels to check it against."""
+        if concept != "ircp" or levels is not None:
+            return False
+        problems.append(f"{what}: no certified maximin levels to check an IRCP claim")
+        return True
 
     if "ne" in report:
         with _section("ne", problems):
@@ -222,6 +317,8 @@ def verify_report(report: dict) -> list[str]:
 
     with _section("concepts", problems):
         for concept, entry in report.get("concepts", {}).items():
+            if uncertified(f"concepts.{concept}", concept):
+                continue
             if entry.get("singleton"):
                 if "point" not in entry:
                     problems.append(
@@ -238,6 +335,8 @@ def verify_report(report: dict) -> list[str]:
 
     with _section("certificates", problems):
         for key, entry in report.get("certificates", {}).items():
+            if uncertified(f"certificates.{key}", entry.get("concept")):
+                continue
             if entry.get("type") == "certificate":
                 found = certify.verify_certificate(analysis, entry)
             else:

@@ -1,18 +1,29 @@
 """Exact zero-sum matrix game solving.
 
-Provides maximin values/strategies, the dual (punishment) side, a
+Provides maximin values with both optimal strategies, a
 strict-complementarity column strategy with maximal support, and the two
 auxiliary zero-sum games that drive the uniqueness certificates: the
 profile-vs-player game comparing welfare-weighted gains around a candidate
 profile, and the profile-vs-deviation game whose value pins down coarse
 correlated equilibria.
+
+Each game is one LP, `_row_lp`: the row player's guarantee, maximized.  Its
+optimal dual is an optimal column strategy (the punishment, in `maximin`),
+read from the final tableau (`lp.PolytopeSolver.duals`), so neither side
+needs a second LP.  The pair certifies the value: the row strategy
+guarantees at least v against every column, and the column strategy holds
+every row to at most v.  `matrix_value` re-checks both bounds exactly;
+`maximin` leaves that to `check_maximin`, which a verifier runs on a
+serialized result in integer arithmetic without any LP.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from math import lcm
+from typing import Mapping, Sequence
 
 from .games import Game, MixedAction, _as_fraction_tuple, deviation_gains
 from .lp import (
@@ -53,14 +64,29 @@ class MatrixGame:
 
 @dataclass(frozen=True)
 class MaximinResult:
+    """A player's security level with both halves of its certificate.
+
+    `strategy` guarantees the player at least `value` against every joint
+    action of the opponents; `punishment`, a correlated distribution over
+    those joint actions (opponent profiles in `Game.opponent_profiles`
+    form, zeros dropped), holds every reply of the player to at most
+    `value`.
+    """
+
     value: Fraction
     strategy: MixedAction
+    punishment: Mapping[tuple[int, ...], Fraction]
 
 
-def _row_lp(matrix: Sequence[Sequence[Fraction]]) -> tuple[Fraction, tuple[Fraction, ...]]:
+def _row_lp(matrix: Sequence[Sequence[Fraction]]
+            ) -> tuple[Fraction, tuple[Fraction, ...], tuple[Fraction, ...]]:
     """max z s.t. the mixed row strategy guarantees at least z against every column.
 
     The free guarantee is split as z = z+ - z-, the last two columns.
+    Returns the value, the optimal row strategy and an optimal column
+    strategy.  Column c's row is a `>=` row of a maximum, so its dual y_c
+    is <= 0; the dual constraints of z+ and z- make the -y_c sum to 1, and
+    those of the row strategy's weights hold every row to at most z.
     """
     num_rows = len(matrix)
     num_cols = len(matrix[0])
@@ -72,66 +98,110 @@ def _row_lp(matrix: Sequence[Sequence[Fraction]]) -> tuple[Fraction, tuple[Fract
         tuple([Fraction(1)] * num_rows + [Fraction(0)] * 2), EQUAL, Fraction(1)))
     system = ConstraintSystem(num_rows + 2, tuple(rows))
     objective = tuple([Fraction(0)] * num_rows + [Fraction(1), Fraction(-1)])
-    outcome = PolytopeSolver(system).optimize(objective, maximize=True)
+    solver = PolytopeSolver(system)
+    outcome = solver.optimize(objective, maximize=True)
     if outcome.status != OPTIMAL:
         raise SolverInvariantError("matrix game value LP must be solvable")
-    return outcome.value, outcome.point[:num_rows]
+    column = tuple(-y if y else y for y in solver.duals()[:num_cols])
+    return outcome.value, outcome.point[:num_rows], column
 
 
 def matrix_value(mg: MatrixGame) -> tuple[Fraction, tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """Value plus one optimal strategy per side; checks minimax equality exactly."""
-    value, row_strategy = _row_lp(mg.payoff)
-    transposed = [[-mg.payoff[r][c] for r in range(len(mg.row_labels))]
-                  for c in range(len(mg.col_labels))]
-    col_value, col_strategy = _row_lp(transposed)
-    if col_value != -value:
+    """Value plus one optimal strategy per side, from one LP.
+
+    Both strategies are re-checked exactly: the row strategy must guarantee
+    at least the value against every column, and the column strategy, a
+    distribution, must hold every row to at most the value.
+    """
+    value, row_strategy, col_strategy = _row_lp(mg.payoff)
+    payoff = mg.payoff
+    rows = [(r, x) for r, x in enumerate(row_strategy) if x]
+    cols = [(c, y) for c, y in enumerate(col_strategy) if y]
+    if (sum(col_strategy) != 1 or any(y < 0 for y in col_strategy)
+            or any(sum(x * payoff[r][c] for r, x in rows) < value
+                   for c in range(len(mg.col_labels)))
+            or any(sum(y * payoff_r[c] for c, y in cols) > value for payoff_r in payoff)):
         raise SolverInvariantError("minimax equality failed; simplex bug")
     return value, row_strategy, col_strategy
 
 
+def _opponent_bases(game: Game, player: int) -> list[int]:
+    """Profile index at which `player` plays action 0, per opponent joint action.
+
+    The profiles where the player plays action 0, in increasing index order,
+    are in `opponent_profiles` order; action a adds a * strides[player].
+    """
+    stride, size = game.strides[player], game.shape[player]
+    return [k for k in range(game.num_profiles) if (k // stride) % size == 0]
+
+
 def _payoff_matrix(game: Game, player: int) -> list[list[Fraction]]:
     """matrix[a][c] = u_player(a, c-th joint action in `opponent_profiles` order)."""
-    stride, size = game.strides[player], game.shape[player]
-    payoff = game.payoffs[player]
-    # Profile indices where the player plays action 0, in increasing order,
-    # which is `opponent_profiles` order; action a adds a * stride.
-    bases = [k for k in range(game.num_profiles) if (k // stride) % size == 0]
-    return [[payoff[base + a * stride] for base in bases] for a in range(size)]
+    stride, payoff = game.strides[player], game.payoffs[player]
+    bases = _opponent_bases(game, player)
+    return [[payoff[base + a * stride] for base in bases] for a in range(game.shape[player])]
 
 
 def maximin(game: Game, player: int) -> MaximinResult:
-    """Player's exact security level and one strategy attaining it.
+    """Player's exact security level, a strategy attaining it, and the punishment.
 
     One LP constraint per joint action of the opponents; the reported
-    strategy is the deterministic vertex the simplex lands on.  The rows
-    stay over `Fraction` payoffs rather than `Game.int_payoffs`.  Each row
-    holds the guarantee columns -1 and +1, which keep its gcd at 1, so a
-    row scaled by the player's d_i could not be divided back down.  The
-    standard form scales it only by the lcm of its own denominators, while
-    d_i is the lcm over all of the player's payoffs: 47 bits on the 16x16
-    Tullock grid, whose payoff denominators have at most 9 bits.
+    strategy is the deterministic vertex the simplex lands on, and the
+    punishment is that LP's optimal dual (see `_row_lp`), not re-checked
+    here (`check_maximin` does that).  The rows stay over `Fraction`
+    payoffs rather than `Game.int_payoffs`.  Each row holds the guarantee
+    columns -1 and +1, which keep its gcd at 1, so a row scaled by the
+    player's d_i could not be divided back down.  The standard form scales
+    it only by the lcm of its own denominators, while d_i is the lcm over
+    all of the player's payoffs: 47 bits on the 16x16 Tullock grid, whose
+    payoff denominators have at most 9 bits.
     """
-    value, strategy = _row_lp(_payoff_matrix(game, player))
+    value, strategy, punishment = _row_lp(_payoff_matrix(game, player))
     weights = {a: w for a, w in enumerate(strategy) if w != 0}
-    return MaximinResult(value, MixedAction(player, weights))
+    support = itertools.compress(game.opponent_profiles(player), punishment)
+    return MaximinResult(value, MixedAction(player, weights),
+                         dict(zip(support, (w for w in punishment if w))))
 
 
-def minimax_dual(game: Game, player: int) -> tuple[Fraction, dict[tuple[int, ...], Fraction]]:
-    """The opponents' best correlated punishment against `player`.
+def check_maximin(game: Game, player: int, result: MaximinResult) -> list[str]:
+    """Both bounds of a maximin certificate, exactly, with no LP; returns problems.
 
-    Returns the same value as `maximin` (checked exactly) together with a
-    distribution over the opponents' joint actions that caps the player's
-    best response at that value.
+    The strategy must guarantee at least `result.value` against every joint
+    action of the opponents, and the punishment, a distribution, must hold
+    every action of the player to at most it; together they pin the value.
+    Both sums run over the player's integer payoffs `Game.int_payoffs`
+    (payoffs times d_i) and over one support only, with the weights over a
+    common denominator D: v <= sum_a x_a u(a, c) reads
+    q * sum_a m_a U(a, c) >= p * D * d_i for v = p/q.
     """
-    others = list(game.opponent_profiles(player))
-    # Column side of the same matrix: minimize the row player's guarantee.
-    matrix = [[-x for x in column] for column in zip(*_payoff_matrix(game, player))]
-    neg_value, punishment = _row_lp(matrix)
-    value = -neg_value
-    if value != maximin(game, player).value:
-        raise SolverInvariantError("dual punishment value must equal the maximin value")
-    dist = {opp: w for opp, w in zip(others, punishment) if w != 0}
-    return value, dist
+    problems = []
+    payoff, d = game.int_payoffs[player], game.payoff_scales[player]
+    stride, value = game.strides[player], result.value
+    strategy, punishment = result.strategy.weights, result.punishment
+    if not all(0 <= a < game.shape[player] for a in strategy):
+        return ["strategy names an action outside the game"]
+    if not set(punishment) <= set(game.opponent_profiles(player)):
+        return ["punishment names a joint action outside the game"]
+    if any(w < 0 for w in punishment.values()) or sum(punishment.values()) != 1:
+        return ["punishment is not a distribution"]
+    denom = lcm(*{w.denominator for w in strategy.values()})
+    mass = [(a * stride, w.numerator * (denom // w.denominator)) for a, w in strategy.items()]
+    for c, base in enumerate(_opponent_bases(game, player)):
+        total = sum(m * payoff[base + shift] for shift, m in mass)
+        if total * value.denominator < value.numerator * denom * d:
+            problems.append(f"strategy guarantees less than {value} against opponent "
+                            f"joint action {c}")
+            break
+    denom = lcm(*{w.denominator for w in punishment.values()})
+    mass = [(game.profile_index(game.insert_action(player, 0, opp)),
+             w.numerator * (denom // w.denominator)) for opp, w in punishment.items()]
+    for a in range(game.shape[player]):
+        shift = a * stride
+        total = sum(m * payoff[base + shift] for base, m in mass)
+        if total * value.denominator > value.numerator * denom * d:
+            problems.append(f"punishment leaves action {a} more than {value}")
+            break
+    return problems
 
 
 def strict_complementary_strategy(mg: MatrixGame) -> MixedAction:

@@ -8,6 +8,9 @@ and every decision fingerprint (`perfbench/checks.py`) must equal the one
 recorded in `perfbench/fingerprints.json`.  The two modules are loaded by
 file path under private names, so their bare names shadow no other module,
 and nothing under `perfbench/` is written.
+
+The reports that variant 0 writes also gate what `verify` may run: no
+maximin LP on any workload, and no LP at all where no claim needs one.
 """
 
 import contextlib
@@ -18,7 +21,8 @@ from pathlib import Path
 
 import pytest
 
-from eqcert import cli
+from eqcert import cli, report, zerosum
+from eqcert.lp import PolytopeSolver
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -36,17 +40,51 @@ workloads = _load("workloads")
 checks = _load("checks")
 
 
-@pytest.mark.parametrize("workload", workloads.WORKLOADS)
-def test_variant_0_decisions_equal_recorded_fingerprints(workload, tmp_path):
-    expected = checks.load_expected()[workload]
-    ops = workloads.build(workload, 0, tmp_path)
+@pytest.fixture(scope="module", params=workloads.WORKLOADS)
+def variant_0(request, tmp_path_factory):
+    """Each command of the workload's variant 0 with its exit code, in run order."""
+    ops = workloads.build(request.param, 0, tmp_path_factory.mktemp(request.param))
     assert ops
-    mismatches = []
+    runs = []
     for op in [op for op in ops if not op.timed] + [op for op in ops if op.timed]:
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
-            rc = cli.main(list(op.argv))
+            runs.append((op, cli.main(list(op.argv))))
+    return request.param, runs
+
+
+def test_variant_0_decisions_equal_recorded_fingerprints(variant_0):
+    workload, runs = variant_0
+    expected = checks.load_expected()[workload]
+    mismatches = []
+    for op, rc in runs:
         fp = checks.fingerprint(op, rc)
         if rc != checks.expected_rc(op, fp) or fp != expected.get(op.key):
             mismatches.append((op.key, fp, expected.get(op.key)))
     assert mismatches == []
+
+
+def _verify_each_report(runs) -> list:
+    """verify_report on every report that a verify command of the variant reads."""
+    paths = [op.argv[1] for op, _ in runs if op.kind == "verify"]
+    assert paths
+    return [report.verify_report(report.load_report(Path(path).read_bytes()))
+            for path in paths]
+
+
+def _refuse(*args, **kwargs):
+    raise RuntimeError("verify must not solve this")
+
+
+def test_verify_solves_no_maximin_lp(variant_0, monkeypatch):
+    # The levels come from the reports' maximin certificates.
+    monkeypatch.setattr(zerosum, "maximin", _refuse)
+    assert all(problems == [] for problems in _verify_each_report(variant_0[1]))
+
+
+@pytest.mark.parametrize("variant_0", ["random-games", "tullock-grid"], indirect=True)
+def test_verify_builds_no_solver(variant_0, monkeypatch):
+    # Every claim of these reports re-checks without an LP.  On the other
+    # two workloads the strict fractional GUE flags still need one.
+    monkeypatch.setattr(PolytopeSolver, "__init__", _refuse)
+    assert all(problems == [] for problems in _verify_each_report(variant_0[1]))

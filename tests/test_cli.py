@@ -371,11 +371,81 @@ def test_pivot_limit_must_be_a_nonnegative_integer(tmp_path, capsys, monkeypatch
     assert main(["certify", str(game_path), "--concept", "cce"]) == 0
 
 
+def _set(path, value):
+    """Set data[path[0]]...[path[-1]] = value on a copy of a report."""
+    def forge(data):
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    return forge
+
+
+# Rock-paper-scissors: each maximin level is 0, certified by the uniform
+# strategy and the uniform punishment.
+MAXIMIN_FORGERIES = {
+    "punishment-weight": (
+        _set(("maximin_certificates", 0, "punishment"), {"0": "1/2", "1": "1/4", "2": "1/4"}),
+        "maximin_certificates[0]: punishment leaves action 1 more than 0"),
+    "strategy-weight": (
+        _set(("maximin_certificates", 1, "strategy"), {"0": "1/2", "1": "1/4", "2": "1/4"}),
+        "maximin_certificates[1]: strategy guarantees less than 0 against "
+        "opponent joint action 1"),
+    "level-up": (
+        _set(("maximin", 0), "1/1000"),
+        "maximin_certificates[0]: strategy guarantees less than 1/1000 against "
+        "opponent joint action 0"),
+    "level-down": (
+        _set(("maximin", 1), "-1/1000"),
+        "maximin_certificates[1]: punishment leaves action 0 more than -1/1000"),
+    "sum": (
+        _set(("maximin_certificates", 0, "strategy"), {"0": "1/3", "1": "1/3"}),
+        "maximin_certificates[0] unreadable: strategy weights do not sum to 1"),
+    "negative": (
+        _set(("maximin_certificates", 0, "punishment"), {"0": "-1/3", "1": "2/3", "2": "2/3"}),
+        "maximin_certificates[0] unreadable: punishment weight -1/3 is negative"),
+    "key-range": (
+        _set(("maximin_certificates", 1, "punishment"), {"3": "1"}),
+        "maximin_certificates[1] unreadable: punishment key '3' is not an index below 3"),
+    "json-type": (
+        _set(("maximin_certificates", 0, "strategy", "0"), 1),
+        "maximin_certificates[0] unreadable: strategy weight 1 is not a rational string"),
+    "list-type": (
+        _set(("maximin_certificates",), {"0": {}}),
+        "maximin levels need one certificate per player in maximin_certificates"),
+    "version-1": (
+        _set(("report_version",), 1),
+        "report_version 1 is not 2: its maximin levels are uncertified; run analyze again"),
+    "no-maximin": (
+        lambda data: data.pop("maximin"),
+        "concepts.ircp: no certified maximin levels to check an IRCP claim"),
+}
+
+
+@pytest.mark.parametrize("forgery", sorted(MAXIMIN_FORGERIES))
+def test_verify_rejects_a_forged_maximin_certificate(tmp_path, capsys, forgery):
+    from eqcert.generators import rock_paper_scissors
+
+    forge, first_problem = MAXIMIN_FORGERIES[forgery]
+    data = build_report(rock_paper_scissors(), ("ne", "cce", "ircp"))
+    assert data["maximin_certificates"][0] == {
+        "strategy": {"0": "1/3", "1": "1/3", "2": "1/3"},
+        "punishment": {"0": "1/3", "1": "1/3", "2": "1/3"}}
+    forge(data)
+    report_path = tmp_path / "report.json"
+    report_path.write_bytes(save_report(data))
+    assert main(["verify", str(report_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines()[0] == first_problem
+    assert err == ""
+
+
 def test_verify_under_pivot_limit_exits_3_not_1(tmp_path, capsys, monkeypatch):
     # The solver giving up is no verdict on the report: a gue entry whose
     # re-check hits the limit must not be listed as a problem.
     data = build_report(prisoners_dilemma(), ("ne",), check_unique=True)
-    data = {"game": data["game"], "gue": data["gue"]}
+    data = {"report_version": data["report_version"], "game": data["game"],
+            "gue": data["gue"]}
     report_path = tmp_path / "report.json"
     report_path.write_bytes(save_report(data))
     assert main(["verify", str(report_path)]) == 0

@@ -140,6 +140,27 @@ def test_strided_regrets_equal_profile_rebuilding_reference(shape):
                 assert internal_regret(game, i, mu) == _reference_internal_regret(game, i, mu)
 
 
+def test_run_builds_each_players_regret_table_once(monkeypatch):
+    # Both regrets of a player read one table of deviation gains, and each
+    # regret function still runs once per player.
+    game = random_game((3, 2, 2), seed=4)
+    expected = run(game, EXTERNAL_MW, 40, seed=2)
+    built, called = [], []
+    gains = dynamics._deviation_gains
+    monkeypatch.setattr(dynamics, "_deviation_gains",
+                        lambda g, i, mu: built.append(i) or gains(g, i, mu))
+    for name in ("external_regret", "internal_regret"):
+        real = getattr(dynamics, name)
+        monkeypatch.setattr(dynamics, name,
+                            lambda *args, real=real, name=name:
+                            called.append(name) or real(*args))
+    outcome = run(game, EXTERNAL_MW, 40, seed=2)
+    assert built == [0, 1, 2]
+    assert sorted(called) == ["external_regret"] * 3 + ["internal_regret"] * 3
+    assert outcome.external_regrets == expected.external_regrets
+    assert outcome.internal_regrets == expected.internal_regrets
+
+
 # -- the regret-matching stationary distribution --------------------------------
 
 

@@ -1,7 +1,8 @@
 """Property tests of the exact simplex.
 
-Brute-force vertices on CE-shaped systems, and the per-row-scale tableau
-against a common-denominator reference tableau, pivot by pivot.
+Brute-force vertices on CE-shaped systems, the per-row-scale tableau
+against a common-denominator reference tableau, pivot by pivot, and the
+optimal duals read from the final tableau against LP duality.
 """
 
 import itertools
@@ -20,6 +21,7 @@ from eqcert.lp import (  # noqa: E402
     EQUAL,
     GREATER_EQUAL,
     INFEASIBLE,
+    LESS_EQUAL,
     OPTIMAL,
     ConstraintSystem,
     LinearConstraint,
@@ -261,3 +263,69 @@ def test_scaled_tableau_equals_reference_on_maximin_lps(columns):
     n = system.num_vars
     guarantee = tuple(Fraction(0) for _ in range(n - 2)) + (Fraction(-1), Fraction(1))
     _assert_same_run(system, [guarantee] + _unit_costs(n))
+
+
+# -- optimal duals from the final tableau -----------------------------------------
+
+_fraction = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def _bounded_feasible_system(draw):
+    """Rows of every relation through a known point x0 >= 0, inside sum x <= B.
+
+    Row 0 is a `>=` row with a negative right-hand side, which the standard
+    form negates; the last row before the box repeats an `==` row times a
+    negative factor, so phase 1 finds it redundant and drops it.
+    """
+    n = draw(st.integers(min_value=2, max_value=4))
+    x0 = [Fraction(draw(st.integers(0, 3)), draw(st.integers(1, 2))) for _ in range(n)]
+
+    def through_x0(coeffs, relation, gap):
+        level = sum(c * x for c, x in zip(coeffs, x0))
+        rhs = {LESS_EQUAL: level + gap, GREATER_EQUAL: level - gap, EQUAL: level}[relation]
+        return LinearConstraint(tuple(coeffs), relation, rhs)
+
+    gap = st.integers(0, 2).map(Fraction)
+    rows = [through_x0([Fraction(-1)] * n, GREATER_EQUAL, draw(gap) + 1)]
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        coeffs = draw(st.lists(_fraction, min_size=n, max_size=n))
+        relation = draw(st.sampled_from((LESS_EQUAL, GREATER_EQUAL, EQUAL)))
+        rows.append(through_x0(coeffs, relation, draw(gap)))
+    equality = through_x0(draw(st.lists(_fraction, min_size=n, max_size=n).filter(any)),
+                          EQUAL, Fraction(0))
+    factor = draw(st.sampled_from((Fraction(-3, 2), Fraction(-1), Fraction(-2, 3))))
+    rows += [equality, LinearConstraint(tuple(c * factor for c in equality.coeffs),
+                                        EQUAL, equality.rhs * factor)]
+    rows.append(through_x0([Fraction(1)] * n, LESS_EQUAL, draw(gap)))
+    costs = [tuple(draw(st.lists(_fraction, min_size=n, max_size=n)))
+             for _ in range(draw(st.integers(min_value=1, max_value=3)))]
+    return ConstraintSystem(n, tuple(rows)), costs
+
+
+@hypothesis.settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@hypothesis.given(_bounded_feasible_system())
+def test_tableau_duals_are_optimal_duals(case):
+    # For a minimum: y >= 0 on `>=` rows, y <= 0 on `<=` rows, y^T A <= c,
+    # and b^T y equals the optimum (strong duality, exactly).  For a maximum
+    # the signs and the inequality flip.
+    system, costs = case
+    solver = PolytopeSolver(system)
+    assert solver.feasible
+    assert len(solver._form.rows) < len(system.constraints)  # the repeated row is dropped
+    rows = system.constraints
+    for cost in costs:
+        for maximize in (False, True):
+            out = solver.optimize(cost, maximize)
+            assert out.status == OPTIMAL
+            y = solver.duals()
+            sign = -1 if maximize else 1
+            assert len(y) == len(rows)
+            for row, y_r in zip(rows, y):
+                if row.relation == GREATER_EQUAL:
+                    assert sign * y_r >= 0
+                elif row.relation == LESS_EQUAL:
+                    assert sign * y_r <= 0
+            for j, c in enumerate(cost):
+                assert sign * sum(y_r * row.coeffs[j] for row, y_r in zip(rows, y)) <= sign * c
+            assert sum(row.rhs * y_r for row, y_r in zip(rows, y)) == out.value

@@ -33,8 +33,11 @@ def full_pd_report():
 
 def test_report_sections_for_prisoners_dilemma():
     data = full_pd_report()
-    assert data["report_version"] == 1
+    assert data["report_version"] == 2
     assert data["maximin"] == ["1", "1"]
+    # Defect guarantees 1, and the opponent's defection holds both actions to 1.
+    assert data["maximin_certificates"] == [
+        {"strategy": {"1": "1"}, "punishment": {"1": "1"}}] * 2
     assert data["ne"]["pure"] == [{"profile": [1, 1], "strict": True}]
     assert data["ne"]["mixed_2x2"]["status"] == "ok"
     assert data["concepts"]["cce"]["singleton"] is True
@@ -45,7 +48,15 @@ def test_report_sections_for_prisoners_dilemma():
     assert data["classification"]["variant"] == "unique_pure"
     assert data["gue"] == [
         {"profile": [1, 1], "gue": False, "strict_fractional_gue": False}]
-    assert "total" in data["timing_ms"]
+    assert list(data["run"]) == ["timing_ms"]
+    assert "total" in data["run"]["timing_ms"]
+    assert "timing_ms" not in data
+
+
+def test_two_runs_differ_only_in_the_run_block():
+    first, second = full_pd_report(), full_pd_report()
+    assert first.pop("run") != {} and second.pop("run") != {}
+    assert save_report(first) == save_report(second)
 
 
 def test_clean_reports_verify():
@@ -186,10 +197,12 @@ def test_ce_alone_runs_the_cce_test_unreported(monkeypatch):
 
 
 def test_analyze_and_verify_solve_each_maximin_once(work_counts):
+    # analyze solves each player's maximin LP once; verify solves none and
+    # reads the levels from the report's maximin certificates.
     game, _, analyze, verify = work_counts
-    for calls in (analyze, verify):
-        assert all(n == 1 for n in calls["maximin"].values()), calls["maximin"]
-        assert {(game, i) for i in range(game.num_players)} <= set(calls["maximin"])
+    assert all(n == 1 for n in analyze["maximin"].values()), analyze["maximin"]
+    assert {(game, i) for i in range(game.num_players)} <= set(analyze["maximin"])
+    assert not verify["maximin"]
 
 
 @pytest.mark.parametrize("seed", (1, 3))

@@ -1,5 +1,6 @@
-"""Maximin levels, dual punishments, and the auxiliary comparison games."""
+"""Maximin levels, their dual punishments, and the auxiliary comparison games."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -13,9 +14,9 @@ from eqcert.zerosum import (
     _payoff_matrix,
     build_lemma3_auxiliary,
     build_theorem1_auxiliary,
+    check_maximin,
     matrix_value,
     maximin,
-    minimax_dual,
     strict_complementary_strategy,
 )
 
@@ -70,27 +71,27 @@ def test_maximin_pd_defect():
 def test_maximin_three_player():
     g = generators.random_game((2, 2, 2), seed=3)
     for i in range(3):
-        v = maximin(g, i).value
-        assert min(g.payoffs[i]) <= v <= max(g.payoffs[i])
+        res = maximin(g, i)
+        assert min(g.payoffs[i]) <= res.value <= max(g.payoffs[i])
         # one dual constraint per opposing joint action: 4 of them
-        _, punishment = minimax_dual(g, i)
-        assert all(len(opp) == 2 for opp in punishment)
+        assert all(len(opp) == 2 for opp in res.punishment)
+        assert check_maximin(g, i, res) == []
 
 
 def test_minimax_dual_values_and_punishments():
     rps = generators.rock_paper_scissors()
-    value, punishment = minimax_dual(rps, 0)
-    assert value == 0
-    assert punishment == {(0,): F(1, 3), (1,): F(1, 3), (2,): F(1, 3)}
+    res = maximin(rps, 0)
+    assert res.value == 0
+    assert res.punishment == {(0,): F(1, 3), (1,): F(1, 3), (2,): F(1, 3)}
 
     mp = generators.matching_pennies()
-    assert minimax_dual(mp, 0)[0] == 0
-    assert minimax_dual(mp, 1)[0] == 0
+    assert maximin(mp, 0).value == 0
+    assert maximin(mp, 1).value == 0
 
     parking = generators.parking(3, 1, F(1, 4), F(3, 5))
-    value, punishment = minimax_dual(parking, 1)
-    assert value == F(3, 4)
-    assert sum(punishment.values()) == 1
+    res = maximin(parking, 1)
+    assert res.value == F(3, 4)
+    assert sum(res.punishment.values()) == 1
 
 
 def test_minimax_duality_random_sweep():
@@ -98,8 +99,8 @@ def test_minimax_duality_random_sweep():
         g = generators.random_game((2, 3), seed=seed)
         for i in range(2):
             res = maximin(g, i)
-            dual_value, punishment = minimax_dual(g, i)
-            assert dual_value == res.value
+            assert sum(res.punishment.values()) == 1
+            assert all(w > 0 for w in res.punishment.values())
             # the maximin strategy guarantees the value against every column
             for opp in g.opponent_profiles(i):
                 got = sum(w * g.u(i, g.insert_action(i, a, opp))
@@ -108,8 +109,39 @@ def test_minimax_duality_random_sweep():
             # the punishment caps every response at the value
             for a in range(g.shape[i]):
                 got = sum(w * g.u(i, g.insert_action(i, a, opp))
-                          for opp, w in punishment.items())
+                          for opp, w in res.punishment.items())
                 assert got <= res.value
+            assert check_maximin(g, i, res) == []
+
+
+def test_check_maximin_flags_each_bound():
+    g = generators.rock_paper_scissors()
+    res = maximin(g, 0)
+    assert check_maximin(g, 0, replace(res, value=F(1, 1000))) == [
+        "strategy guarantees less than 1/1000 against opponent joint action 0"]
+    assert check_maximin(g, 0, replace(res, value=F(-1, 1000))) == [
+        "punishment leaves action 0 more than -1/1000"]
+    skewed = {(0,): F(1, 2), (1,): F(1, 4), (2,): F(1, 4)}
+    assert check_maximin(g, 0, replace(res, punishment=skewed)) == [
+        "punishment leaves action 1 more than 0"]
+    assert check_maximin(g, 0, replace(res, punishment={(3,): F(1)})) == [
+        "punishment names a joint action outside the game"]
+    assert check_maximin(g, 0, replace(res, punishment={(0,): F(1, 2)})) == [
+        "punishment is not a distribution"]
+
+
+def test_matrix_value_column_strategy_is_the_dual_of_the_row_lp():
+    # Every mix of the two columns that puts at least 1/2 on column 1 holds
+    # both rows to the value 1.  The transposed LP of the column side lands
+    # on (1/2, 1/2); the row LP's dual, read from its final tableau, is the
+    # pure column 1.  Both are optimal, and matrix_value checks its own.
+    value, row, col = matrix_value(_mg([[2, 0], [1, 1]]))
+    assert value == 1
+    assert row == (F(0), F(1))
+    assert col == (F(0), F(1))
+    neg_value, transposed_vertex, _ = matrix_value(_mg([[-2, -1], [0, -1]]))
+    assert neg_value == -1
+    assert transposed_vertex == (F(1, 2), F(1, 2))
 
 
 def test_strict_complementary_matching_pennies():
