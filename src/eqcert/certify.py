@@ -38,7 +38,6 @@ from .games import (
 from .lp import (
     EQUAL,
     GREATER_EQUAL,
-    OPTIMAL,
     ConstraintSystem,
     LinearConstraint,
     PolytopeSolver,
@@ -686,46 +685,39 @@ def is_gue(game: Game, a_star: Sequence[int]) -> bool:
     return True
 
 
-def utility_profile_system(game: Game, a_star: Sequence[int]) -> ConstraintSystem:
-    """{mu : E_mu u = u(a*)}, the lotteries that match a_star's utility profile."""
-    base = game.payoff_vector(tuple(a_star))
-    rows = [LinearConstraint(tuple(game.payoffs[i]), EQUAL, base[i])
-            for i in range(game.num_players)]
-    rows.append(LinearConstraint((Fraction(1),) * game.num_profiles, EQUAL, Fraction(1)))
-    return ConstraintSystem(game.num_profiles, tuple(rows))
+def improvement_system(game: Game, a_star: Sequence[int]) -> ConstraintSystem:
+    """P(a*) = {mu : E_mu u >= u(a*)}, crash-started at delta(a*), which meets every row.
+
+    Player i's row d_i (u_i - u_i(a*)) >= 0 (`Game.int_payoffs`) starts on its
+    slack, so the simplex row is the only one on an artificial.
+    """
+    k_star = game.profile_index(a_star)
+    rows = [LinearConstraint(tuple(t - table[k_star] for t in table),
+                             GREATER_EQUAL, Fraction(0))
+            for table in game.int_payoffs]
+    rows.append(LinearConstraint((1,) * game.num_profiles, EQUAL, Fraction(1)))
+    return ConstraintSystem(game.num_profiles, tuple(rows), start=k_star)
 
 
 def is_strict_fractional_gue(game: Game, a_star: Sequence[int]) -> bool:
     """Pareto optimal among lotteries, uniquely so in utilities, plus the guarantee.
 
-    Three exact checks: the unilateral guarantee, a zero-value improvement
-    LP over all lotteries, and a singleton test on the lotteries that match
-    a_star's utility profile exactly.
+    Beyond the unilateral guarantee, the lottery conditions are one
+    singleton test: P(a*) = {mu : E_mu u >= u(a*)} (`improvement_system`)
+    must be {delta(a*)}.  That is the same as the two conditions it
+    replaces, no lottery Pareto-improves on a*, and delta(a*) is the only
+    lottery with E_mu u = u(a*).  If P(a*) = {delta(a*)}, an improving
+    lottery would be a second member of P(a*), and so would a second
+    lottery matching u(a*).  Conversely, if both conditions hold and mu is
+    in P(a*), then E_mu u = u(a*), since anything higher improves on a*,
+    and so mu = delta(a*).  Phase 1 is one crash pivot onto delta(a*), and
+    a point mass needs only the outside-support LP.
     """
     a_star = tuple(a_star)
     if not _unilateral_guarantee(game, a_star):
         return False
-    n, num = game.num_players, game.num_profiles
-    base = game.payoff_vector(a_star)
-    # Improvement LP: mu in the simplex, s_i >= 0, E_mu[u_i] >= u_i(a*) + s_i.
-    rows = []
-    for i in range(n):
-        coeffs = list(game.payoffs[i]) + [Fraction(0)] * n
-        coeffs[num + i] = Fraction(-1)
-        rows.append(LinearConstraint(tuple(coeffs), GREATER_EQUAL, base[i]))
-    rows.append(LinearConstraint(
-        tuple([Fraction(1)] * num + [Fraction(0)] * n), EQUAL, Fraction(1)))
-    system = ConstraintSystem(num + n, tuple(rows))
-    objective = tuple([Fraction(0)] * num + [Fraction(1)] * n)
-    outcome = PolytopeSolver(system).optimize(objective, maximize=True)
-    if outcome.status != OPTIMAL:
-        raise SolverInvariantError("improvement LP must be solvable")
-    if outcome.value > 0:
-        return False
-    # Strictness: only delta(a*) achieves exactly the a* utility profile.
-    singleton = polytopes.singleton_over_system(game, utility_profile_system(game, a_star))
-    return (singleton.is_singleton
-            and singleton.point == JointDistribution.point_mass(a_star))
+    singleton = polytopes.singleton_over_system(game, improvement_system(game, a_star))
+    return singleton.point == JointDistribution.point_mass(a_star)
 
 
 # -- serialization ------------------------------------------------------------

@@ -26,7 +26,8 @@ the simplex row of a CE or CCE system, sets `start = j` on the
 artificial's row, which gives the basis of e_j, and ends there.  A negative
 right-hand side after that pivot means e_j violates a row, and raises
 `SolverInvariantError`.  The CCE singleton test starts this way at the point
-mass of the game's only pure Nash equilibrium (see `polytopes.is_singleton`).
+mass of the game's only pure Nash equilibrium (see `polytopes.is_singleton`),
+and the strict fractional GUE test at delta(a*) (`certify.improvement_system`).
 
 `PolytopeSolver` factors the phase-1 work out of repeated optimization over
 one feasible system; singleton tests and coordinate bounds re-optimize several

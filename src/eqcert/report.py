@@ -376,11 +376,17 @@ def verify_report(report: dict) -> list[str]:
 
     with _section("gue", problems):
         for idx, entry in enumerate(report.get("gue", [])):
-            profile = tuple(int(x) for x in entry["profile"])
-            if certify.is_gue(game, profile) != bool(entry["gue"]):
-                problems.append(f"gue[{idx}]: pure-Pareto flag does not re-verify")
-            if certify.is_strict_fractional_gue(game, profile) != bool(
-                    entry["strict_fractional_gue"]):
-                problems.append(f"gue[{idx}]: lottery-Pareto flag does not re-verify")
+            # JSON null, 0, "1" or true must not stand in for a flag or an action.
+            profile, flags = entry["profile"], (entry["gue"], entry["strict_fractional_gue"])
+            if type(profile) is not list or any(type(a) is not int for a in profile):
+                problems.append(
+                    f"gue[{idx}]: profile must be a list of ints, got {json.dumps(profile)}")
+            elif any(type(flag) is not bool for flag in flags):
+                problems.append(f"gue[{idx}]: flags must be booleans, got {json.dumps(flags)}")
+            else:
+                if certify.is_gue(game, tuple(profile)) != flags[0]:
+                    problems.append(f"gue[{idx}]: pure-Pareto flag does not re-verify")
+                if certify.is_strict_fractional_gue(game, tuple(profile)) != flags[1]:
+                    problems.append(f"gue[{idx}]: lottery-Pareto flag does not re-verify")
 
     return problems

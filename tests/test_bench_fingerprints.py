@@ -10,7 +10,9 @@ file path under private names, so their bare names shadow no other module,
 and nothing under `perfbench/` is written.
 
 The reports that variant 0 writes also gate what `verify` may run: no
-maximin LP on any workload, and no LP at all where no claim needs one.
+maximin LP on any workload, no LP at all where no claim needs one, and
+otherwise one singleton test per strict fractional GUE flag whose profile
+meets the unilateral guarantee.
 """
 
 import contextlib
@@ -21,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from eqcert import cli, report, zerosum
+from eqcert import certify, cli, games, report, zerosum
 from eqcert.lp import PolytopeSolver
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -85,6 +87,33 @@ def test_verify_solves_no_maximin_lp(variant_0, monkeypatch):
 @pytest.mark.parametrize("variant_0", ["random-games", "tullock-grid"], indirect=True)
 def test_verify_builds_no_solver(variant_0, monkeypatch):
     # Every claim of these reports re-checks without an LP.  On the other
-    # two workloads the strict fractional GUE flags still need one.
+    # two workloads each strict fractional GUE flag whose profile meets the
+    # unilateral guarantee still needs one singleton test.
     monkeypatch.setattr(PolytopeSolver, "__init__", _refuse)
     assert all(problems == [] for problems in _verify_each_report(variant_0[1]))
+
+
+@pytest.mark.parametrize("variant_0", ["singleton-sweep", "dynamics"], indirect=True)
+def test_verify_builds_one_solver_per_guaranteed_gue_flag(variant_0, monkeypatch):
+    # The one LP-backed claim left is the strict fractional GUE flag, and it
+    # is one singleton test when the profile meets the unilateral guarantee.
+    built = []
+    real = PolytopeSolver.__init__
+
+    def counting(self, system):
+        built.append(system)
+        real(self, system)
+
+    monkeypatch.setattr(PolytopeSolver, "__init__", counting)
+    paths = [op.argv[1] for op, _ in variant_0[1] if op.kind == "verify"]
+    guaranteed = 0
+    for path in paths:
+        data = report.load_report(Path(path).read_bytes())
+        game = games.game_from_dict(data["game"])
+        expected = sum(certify._unilateral_guarantee(game, tuple(entry["profile"]))
+                       for entry in data.get("gue", []))
+        built.clear()
+        assert report.verify_report(data) == []
+        assert len(built) == expected, path
+        guaranteed += expected
+    assert guaranteed > 0

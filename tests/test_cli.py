@@ -440,6 +440,34 @@ def test_verify_rejects_a_forged_maximin_certificate(tmp_path, capsys, forgery):
     assert err == ""
 
 
+# Prisoner's dilemma: the one flagged profile is (1, 1), and both flags are false.
+GUE_FORGERIES = {
+    "flag-null": (_set(("gue", 0, "strict_fractional_gue"), None),
+                  "gue[0]: flags must be booleans, got [false, null]"),
+    "flag-zero": (_set(("gue", 0, "gue"), 0),
+                  "gue[0]: flags must be booleans, got [0, false]"),
+    "profile-strings": (_set(("gue", 0, "profile"), ["1", "1"]),
+                        'gue[0]: profile must be a list of ints, got ["1", "1"]'),
+    "profile-booleans": (_set(("gue", 0, "profile"), [True, True]),
+                         "gue[0]: profile must be a list of ints, got [true, true]"),
+}
+
+
+@pytest.mark.parametrize("forgery", sorted(GUE_FORGERIES))
+def test_verify_rejects_a_forged_gue_entry(tmp_path, capsys, forgery):
+    forge, problem = GUE_FORGERIES[forgery]
+    data = build_report(prisoners_dilemma(), ("ne",), check_unique=True)
+    assert data["gue"] == [
+        {"profile": [1, 1], "gue": False, "strict_fractional_gue": False}]
+    forge(data)
+    report_path = tmp_path / "report.json"
+    report_path.write_bytes(save_report(data))
+    assert main(["verify", str(report_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [problem]
+    assert err == ""
+
+
 def test_verify_under_pivot_limit_exits_3_not_1(tmp_path, capsys, monkeypatch):
     # The solver giving up is no verdict on the report: a gue entry whose
     # re-check hits the limit must not be listed as a problem.

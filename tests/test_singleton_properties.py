@@ -16,6 +16,8 @@ own `is_singleton` on a freshly built polytope.
 replaced, one LP outside the support and then one per support coordinate,
 is kept here as the reference: on every system both must give the same
 decision and point, and each witness pair must be two distinct members.
+The systems include `certify.improvement_system` at any profile a*, whose
+phase 1 is one crash pivot onto delta(a*).
 """
 
 import random
@@ -33,7 +35,7 @@ from eqcert.certify import (  # noqa: E402
     UniquenessCertificate,
     certify_unique_ircp,
     certify_unique_pure_cce,
-    utility_profile_system,
+    improvement_system,
 )
 from eqcert.games import Game, JointDistribution  # noqa: E402
 from eqcert.lp import (  # noqa: E402
@@ -227,7 +229,7 @@ def _game_and_system(draw):
     kind = draw(st.sampled_from(polytopes.CONCEPTS + ("gue",)))
     if kind == "gue":
         profile = game.profile_from_index(draw(st.integers(0, game.num_profiles - 1)))
-        return game, utility_profile_system(game, profile)
+        return game, improvement_system(game, profile)
     system = polytopes.build_polytope(game, kind).system
     pure = polytopes.enumerate_pure_ne(game)
     if kind == "cce" and len(pure) == 1 and draw(st.booleans()):
