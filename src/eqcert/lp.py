@@ -3,9 +3,10 @@
 The solver is a two-phase primal simplex with Bland's anti-cycling rule.
 The working tableau is kept in integer form, each row with its own positive
 denominator (integer pivoting, see the last paragraph), so every pivot is
-exact integer arithmetic; results are reported as `Fraction`s.  Ties in the leaving-variable test are
-broken by lowest basis index, which together with Bland's entering rule
-makes every answer a deterministic function of the input.
+exact integer arithmetic; results are reported as `Fraction`s.  Ties in the
+leaving-variable test are broken by the lowest basic variable, which
+together with Bland's entering rule makes every answer a deterministic
+function of the input.
 
 Phase 1 starts each row on its slack wherever it can.  A row is negated so
 that its right-hand side is nonnegative, and a `>=` row with right-hand side
@@ -50,7 +51,8 @@ row, and the constants are left out.
 `PolytopeSolver.duals` reads the optimal row duals of the last `optimize`
 from the final tableau, with no further LP.  The reduced cost of a slack
 column is minus its row's simplex multiplier times the slack's sign in the
-standard form, so the multiplier is read from `z` at its scale.  The
+standard form, so the multiplier is read from `z` at its scale, and is 0
+when the slack is basic.  The
 standard form keeps each row's factor: the row's integer scale, negated
 when the row was negated.  Multiplying by it undoes both, and gives the
 dual of the system row as written.  Sign rule: for a minimum the dual is
@@ -58,19 +60,30 @@ dual of the system row as written.  Sign rule: for a minimum the dual is
 `==` row has no slack column, and its dual comes from the basic columns'
 zero reduced costs.
 
-Each tableau row, and the reduced-cost row, carries its own positive scale:
-the basis determinant at which the row was last written, so the row holds
-its true entries times that scale.  A pivot leaves a row whose
-entering-column entry is 0 untouched, since its true entries do not change,
-and writes every other row at the new determinant.  The pivot row is first
-brought to the current determinant if it lags.  Each of these integer
-divisions is exact: its quotient is the row at a basis determinant, which is
-integral by Cramer's rule (fraction-free pivoting, Edmonds 1967, Bareiss
-1968).  The pivot checks this once per row instead of once per cell: the
-row's undivided entries must sum to the divisor times the sum of the
-quotients.  The check is exact because the divisor is positive, so every
-floor remainder lies in [0, divisor) and the remainders sum to 0 only if
-each is 0.  A failed check raises `SolverInvariantError`.
+The tableau is a dictionary (as in lrs, Avis 2000): each row, and the
+reduced-cost row, stores only the nonbasic columns and the right-hand side.
+Outside its own row a basic column is 0, and in it the row's scale, so
+nothing is lost.  Slot s of every row holds the column of variable
+`cols[s]`.  A pivot on row p and slot s swaps the entering variable
+`cols[s]` with the leaving `basis[p]`: the leaving column takes the slot
+the entering one held, and its new entries are written there by the same
+row update.  Bland's rule goes by variable, not by slot: the entering
+variable is the least one with a negative reduced cost, so the pivots are
+those of the full tableau.
+
+Each row carries its own positive scale: the basis determinant at which
+the row was last written, so the row holds its true entries times that
+scale.  A pivot leaves a row whose entering-column entry is 0 untouched,
+since its true entries do not change, and writes every other row at the new
+determinant.  The pivot row is first brought to the current determinant if
+it lags.  Each of these integer divisions is exact: its quotient is the row
+at a basis determinant, which is integral by Cramer's rule (fraction-free
+pivoting, Edmonds 1967, Bareiss 1968).  The pivot checks this once per row
+instead of once per cell: the row's undivided entries must sum to the
+divisor times the sum of the quotients.  The check is exact because the
+divisor is positive, so every floor remainder lies in [0, divisor) and the
+remainders sum to 0 only if each is 0.  A failed check raises
+`SolverInvariantError`.
 """
 
 from __future__ import annotations
@@ -198,12 +211,19 @@ def _scaled_ints(values: Sequence[int | Fraction], denom: int = 1) -> tuple[list
 
 
 class _StandardForm:
-    """min c.y, T y = b, y >= 0 over an integer tableau with per-row scales.
+    """min c.y, T y = b, y >= 0 over an integer dictionary with per-row scales.
 
     Rows are scaled to integers and negated so that b >= 0.  A `<=` row starts
     basic on its slack.  A `>=` row with b = 0 is negated to `<=` too: the
     origin satisfies it, so its slack is a feasible start at level 0.  Only
     `==` rows and `>=` rows with b > 0 start on an artificial for phase 1.
+
+    Variables are numbered [y | slacks | artificials].  Row r has basic
+    variable `basis[r]`, and every row stores `ncols` slots and then its
+    right-hand side: slot s holds the column of nonbasic variable `cols[s]`.
+    A pivot swaps `basis[p]` and `cols[s]`, so the leaving variable takes
+    the entering one's slot.  An artificial keeps its slot when it leaves
+    the basis, and phase 1 drops the artificials' slots at its end.
 
     `det` is the current basis determinant.  `rows[r]` holds row r's true
     entries times `scales[r]`, the basis determinant at which that row was
@@ -219,7 +239,7 @@ class _StandardForm:
         self.pivots_used = 0
         self.num_y = system.num_vars
 
-        # Normalize signs, scale to integers, lay out columns as
+        # Normalize signs, scale to integers, number the variables as
         # [y vars | slacks/surpluses | artificials].
         m = len(system.constraints)
         self.num_slack = sum(1 for row in system.constraints if row.relation != EQUAL)
@@ -242,6 +262,9 @@ class _StandardForm:
 
         self.rows: list[list[int]] = []
         self.basis: list[int] = []
+        # Slot s of every row holds the column of variable cols[s]; the y
+        # variables and the surpluses of `>=` rows start nonbasic.
+        self.cols: list[int] = list(range(self.num_y))
         self.det = 1
         self.artificials: list[int] = []
         # Per system row: its slack column and that column's entry (+1 on a
@@ -251,32 +274,29 @@ class _StandardForm:
         self.cost_scale = 1
         slack_idx = slack_base
         art_idx = art_base
-        ncols_guess = art_base + m  # upper bound; trimmed after phase 1
+        num_surplus = sum(1 for _, rel, _ in scaled if rel == GREATER_EQUAL)
         for ints, rel, b in scaled:
-            row = ints + [0] * (ncols_guess - self.num_y) + [b]
+            row = ints + [0] * num_surplus + [b]
             if rel == LESS_EQUAL:
-                row[slack_idx] = 1
                 self.basis.append(slack_idx)
                 self.slacks.append((slack_idx, 1))
                 slack_idx += 1
             elif rel == GREATER_EQUAL:
-                row[slack_idx] = -1
+                row[len(self.cols)] = -1
+                self.cols.append(slack_idx)
                 self.slacks.append((slack_idx, -1))
                 slack_idx += 1
-                row[art_idx] = 1
                 self.basis.append(art_idx)
                 self.artificials.append(art_idx)
                 art_idx += 1
             else:
-                row[art_idx] = 1
                 self.basis.append(art_idx)
                 self.artificials.append(art_idx)
                 self.slacks.append(None)
                 art_idx += 1
             self.rows.append(row)
-        self.ncols = art_idx
-        for row in self.rows:
-            del row[self.ncols:-1]
+        self.num_labels = art_idx  # variables, artificials included
+        self.ncols = len(self.cols)
         self.z: list[int] = [0] * (self.ncols + 1)
         self.scales: list[int] = [1] * (m + 1)
 
@@ -301,20 +321,25 @@ class _StandardForm:
             self.scales[r] = det
         return row
 
-    def _pivot(self, p: int, q: int) -> None:
-        """Integer pivot on entry (p, q): row <- (pval * row - factor * prow) / scale.
+    def _pivot(self, p: int, s: int) -> None:
+        """Integer pivot on row p and slot s: row <- (pval * row - factor * prow) / scale.
 
         The pivot row is brought to the current `det` first, so pval is the
-        new basis determinant.  A row whose entering-column entry is 0 keeps
-        its true entries, so it is left as it is, scale and all.  Every other
-        row r, the reduced-cost row included, is rewritten at the new
-        determinant as (pval * row - factor * prow) / scales[r], with factor
-        its raw entry in column q.  That quotient is integral by Cramer's
-        rule, so the division is exact; a remainder means the tableau is
-        corrupt.  The check runs once per row, as in `_at_det`: the
-        undivided sum pval * sum(row) - factor * sum(prow), taken before the
-        row is overwritten, must equal scales[r] times the quotients' sum.
-        The pivot row's entries are unchanged and it takes scale pval too.
+        new basis determinant.  The entering variable cols[s] becomes basic
+        in row p and the leaving variable basis[p] takes slot s.  Its column
+        was det in row p and 0 in every other row, so prow[s] is set to det
+        and the other rows' slot s to 0 before the update writes the
+        leaving column's new entries there.  A row whose slot-s entry is 0
+        keeps its true entries, so it is left as it is, scale and all.
+        Every other row r, the reduced-cost row included, is rewritten at
+        the new determinant as (pval * row - factor * prow) / scales[r],
+        with factor its raw entry in slot s.  That quotient is integral by
+        Cramer's rule, so the division is exact; a remainder means the
+        tableau is corrupt.  The check runs once per row, as in `_at_det`:
+        the undivided sum pval * sum(row) - factor * sum(prow), taken before
+        the row is overwritten, must equal scales[r] times the quotients'
+        sum.  The pivot row's entries are unchanged and it takes scale pval
+        too.
         """
         if self.pivot_limit and self.pivots_used >= self.pivot_limit:
             raise PivotLimitExceeded(
@@ -323,14 +348,16 @@ class _StandardForm:
         self.pivots_used += 1
         scales = self.scales
         prow = self._at_det(p)
-        pval = prow[q]
+        pval = prow[s]
         if pval <= 0:
             raise SolverInvariantError("pivot entry must be positive")
+        prow[s] = self.det
         psum = sum(prow)
         for r, row in enumerate(itertools.chain(self.rows, (self.z,))):
-            factor = row[q]
+            factor = row[s]
             if factor == 0 or r == p:
                 continue
+            row[s] = 0
             scale = scales[r]
             row_total = pval * sum(row) - factor * psum
             row[:] = [(v * pval - factor * w) // scale for v, w in zip(row, prow)]
@@ -338,11 +365,11 @@ class _StandardForm:
                 raise SolverInvariantError("integer pivot lost exact divisibility")
             scales[r] = pval
         scales[p] = pval
-        self.basis[p] = q
+        self.basis[p], self.cols[s] = self.cols[s], self.basis[p]
         self.det = pval
 
     def _load_objective(self, cost: Sequence[Fraction]) -> None:
-        """Reduced-cost row for `cost` (per y column) at the current basis.
+        """Reduced-cost row for `cost`, indexed by variable, at the current basis.
 
         The row is written at the current `det`; only the rows whose basic
         variable has a nonzero cost are read, and those are brought to `det`.
@@ -351,9 +378,9 @@ class _StandardForm:
         reduced costs times `cost_scale` at its scale.
         """
         ints, self.cost_scale = _scaled_ints(cost)
-        ints += [0] * (self.ncols - len(cost))
+        ints += [0] * (self.num_labels - len(cost))
         det = self.det
-        z = [v * det for v in ints] + [0]
+        z = [ints[label] * det for label in self.cols] + [0]
         for r, bvar in enumerate(self.basis):
             cb = ints[bvar]
             if cb:
@@ -362,16 +389,20 @@ class _StandardForm:
         self.scales[-1] = det
 
     def _bland_min(self) -> str:
-        """Minimize the loaded objective from the current feasible basis."""
-        rows, basis = self.rows, self.basis
+        """Minimize the loaded objective from the current feasible basis.
+
+        Bland's rule goes by variable, not by slot: the entering variable is
+        the least one with a negative reduced cost, and ratio-test ties go
+        to the least basic variable.
+        """
+        rows, basis, cols = self.rows, self.basis, self.cols
         rhs = self.ncols
         while True:
             entering = -1
             z = self.z
-            for j in range(self.ncols):
-                if z[j] < 0:
-                    entering = j
-                    break
+            for s in range(rhs):
+                if z[s] < 0 and (entering < 0 or cols[s] < cols[entering]):
+                    entering = s
             if entering < 0:
                 return OPTIMAL
             leaving = -1
@@ -400,7 +431,7 @@ class _StandardForm:
         """
         if len(self.artificials) != 1:
             raise LpError("a start column needs a system with exactly one artificial row")
-        self._pivot(self.basis.index(self.artificials[0]), column)
+        self._pivot(self.basis.index(self.artificials[0]), self.cols.index(column))
         rhs = self.ncols
         if any(row[rhs] < 0 for row in self.rows):
             raise SolverInvariantError(
@@ -415,8 +446,7 @@ class _StandardForm:
         if self.system.start is not None:
             self._crash(self.system.start)
         if self.artificials:
-            art_cost = [Fraction(0)] * self.num_y
-            cost = art_cost + [Fraction(0)] * (self.ncols - self.num_y)
+            cost = [Fraction(0)] * self.num_labels
             for a in self.artificials:
                 cost[a] = Fraction(1)
             self._load_objective(cost)
@@ -427,20 +457,22 @@ class _StandardForm:
             for r, bvar in enumerate(self.basis):
                 if bvar in art_set and self.rows[r][self.ncols] > 0:
                     return False
-            # Drive zero-level artificials out of the basis.
+            # Drive zero-level artificials out of the basis, each on the least
+            # non-artificial variable with a nonzero entry in its row.  Where
+            # that entry is negative the row is negated, which substitutes -a
+            # for its artificial a: a is 0, and its slot is dropped below.
+            live = self.num_y + self.num_slack
             drop_rows = []
             for r in range(len(self.rows)):
                 if self.basis[r] not in art_set:
                     continue
                 row = self.rows[r]
-                entering = -1
-                for j in range(self.num_y + self.num_slack):
-                    if row[j] != 0:
-                        entering = j
-                        break
-                if entering < 0:
+                entries = [(label, s) for s, label in enumerate(self.cols)
+                           if label < live and row[s] != 0]
+                if not entries:
                     drop_rows.append(r)
                     continue
+                entering = min(entries)[1]
                 if row[entering] < 0:
                     self.rows[r] = [-v for v in row]
                 self._pivot(r, entering)
@@ -448,13 +480,13 @@ class _StandardForm:
                 del self.rows[r]
                 del self.basis[r]
                 del self.scales[r]
-        # Trim the artificial block.
-        keep = self.num_y + self.num_slack
-        if self.ncols > keep:
-            for r in range(len(self.rows)):
-                row = self.rows[r]
-                self.rows[r] = row[:keep] + [row[-1]]
-            self.ncols = keep
+            # Drop the slots of the artificials that left the basis.
+            for s in reversed(range(self.ncols)):
+                if self.cols[s] >= live:
+                    del self.cols[s]
+                    for row in self.rows:
+                        del row[s]
+            self.ncols = len(self.cols)
             self.z = [0] * (self.ncols + 1)
         return True
 
@@ -481,20 +513,22 @@ class _StandardForm:
         `row_factors[r]` is the row's integer scale, negative when the row
         was negated.  Its simplex multiplier pi_r is read from the reduced
         cost of its slack column, whose only entry s_r (+1 or -1) sits in
-        row r: that cost is 0 - pi_r s_r, held in `z` times `cost_scale` at
-        `scales[-1]`.  So y_r = pi_r f_r = -s_r f_r z[slack] / (scales[-1]
-        cost_scale).  An `==` row has no slack column after phase 1.  The
-        `==` rows' duals solve the equations sum_r y_r a_rj = c_j of the
-        basic columns j of the system's variables, whose reduced costs are 0.
+        row r: that cost is 0 - pi_r s_r, held in `z` at the slack's slot
+        times `cost_scale` at `scales[-1]`, and 0 when the slack is basic.
+        So y_r = pi_r f_r = -s_r f_r z[slack] / (scales[-1] cost_scale).  An
+        `==` row has no slack column after phase 1.  The `==` rows' duals
+        solve the equations sum_r y_r a_rj = c_j of the basic columns j of
+        the system's variables, whose reduced costs are 0.
         Every solution gives every column its reduced cost, since the basic
         columns span the column space; a direction left free by a redundant
         `==` row, which phase 1 dropped, is set to 0.
         """
-        z, scale = self.z, self.scales[-1] * self.cost_scale
+        z = dict(zip(self.cols, self.z))  # by variable; a basic one is absent
+        scale = self.scales[-1] * self.cost_scale
         rows = self.system.constraints
         y = [Fraction(0)] * len(rows)
         for r, (slack, factor) in enumerate(zip(self.slacks, self.row_factors)):
-            if slack is not None and z[slack[0]]:
+            if slack is not None and z.get(slack[0]):
                 y[r] = Fraction(-slack[1] * factor * z[slack[0]], scale)
         equalities = [r for r, slack in enumerate(self.slacks) if slack is None]
         if not equalities:

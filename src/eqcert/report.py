@@ -315,33 +315,37 @@ def verify_report(report: dict) -> list[str]:
             if report["ne"].get("pure") != actual_pure:
                 problems.append("pure NE list does not match a recomputation")
 
+    # Each entry of `concepts`, `certificates` and `gue` has its own section,
+    # so one that cannot be read hides no problem in the entries after it.
     with _section("concepts", problems):
         for concept, entry in report.get("concepts", {}).items():
-            if uncertified(f"concepts.{concept}", concept):
-                continue
-            if entry.get("singleton"):
-                if "point" not in entry:
-                    problems.append(
-                        f"concepts.{concept} claims a singleton but has no point")
+            with _section(f"concepts.{concept}", problems):
+                if uncertified(f"concepts.{concept}", concept):
                     continue
-                _check_members(analysis, concept, [entry["point"]], problems,
-                               f"concepts.{concept}.point")
-            else:
-                witnesses = entry.get("witnesses", [])
-                if len(witnesses) != 2 or witnesses[0] == witnesses[1]:
-                    problems.append(f"concepts.{concept} needs two distinct witnesses")
-                _check_members(analysis, concept, witnesses, problems,
-                               f"concepts.{concept}.witnesses")
+                if entry.get("singleton"):
+                    if "point" not in entry:
+                        problems.append(
+                            f"concepts.{concept} claims a singleton but has no point")
+                        continue
+                    _check_members(analysis, concept, [entry["point"]], problems,
+                                   f"concepts.{concept}.point")
+                else:
+                    witnesses = entry.get("witnesses", [])
+                    if len(witnesses) != 2 or witnesses[0] == witnesses[1]:
+                        problems.append(f"concepts.{concept} needs two distinct witnesses")
+                    _check_members(analysis, concept, witnesses, problems,
+                                   f"concepts.{concept}.witnesses")
 
     with _section("certificates", problems):
         for key, entry in report.get("certificates", {}).items():
-            if uncertified(f"certificates.{key}", entry.get("concept")):
-                continue
-            if entry.get("type") == "certificate":
-                found = certify.verify_certificate(analysis, entry)
-            else:
-                found = certify.verify_refutation(analysis, entry)
-            problems.extend(f"certificates.{key}: {problem}" for problem in found)
+            with _section(f"certificates.{key}", problems):
+                if uncertified(f"certificates.{key}", entry.get("concept")):
+                    continue
+                if entry.get("type") == "certificate":
+                    found = certify.verify_certificate(analysis, entry)
+                else:
+                    found = certify.verify_refutation(analysis, entry)
+                problems.extend(f"certificates.{key}: {problem}" for problem in found)
 
     cls = report.get("classification")
     if cls:
@@ -376,17 +380,21 @@ def verify_report(report: dict) -> list[str]:
 
     with _section("gue", problems):
         for idx, entry in enumerate(report.get("gue", [])):
-            # JSON null, 0, "1" or true must not stand in for a flag or an action.
-            profile, flags = entry["profile"], (entry["gue"], entry["strict_fractional_gue"])
-            if type(profile) is not list or any(type(a) is not int for a in profile):
-                problems.append(
-                    f"gue[{idx}]: profile must be a list of ints, got {json.dumps(profile)}")
-            elif any(type(flag) is not bool for flag in flags):
-                problems.append(f"gue[{idx}]: flags must be booleans, got {json.dumps(flags)}")
-            else:
-                if certify.is_gue(game, tuple(profile)) != flags[0]:
-                    problems.append(f"gue[{idx}]: pure-Pareto flag does not re-verify")
-                if certify.is_strict_fractional_gue(game, tuple(profile)) != flags[1]:
-                    problems.append(f"gue[{idx}]: lottery-Pareto flag does not re-verify")
+            with _section(f"gue[{idx}]", problems):
+                # JSON null, 0, "1" or true must not stand in for a flag or an action.
+                profile = entry["profile"]
+                flags = (entry["gue"], entry["strict_fractional_gue"])
+                if type(profile) is not list or any(type(a) is not int for a in profile):
+                    problems.append(f"gue[{idx}]: profile must be a list of ints, "
+                                    f"got {json.dumps(profile)}")
+                elif any(type(flag) is not bool for flag in flags):
+                    problems.append(
+                        f"gue[{idx}]: flags must be booleans, got {json.dumps(flags)}")
+                else:
+                    if certify.is_gue(game, tuple(profile)) != flags[0]:
+                        problems.append(f"gue[{idx}]: pure-Pareto flag does not re-verify")
+                    if certify.is_strict_fractional_gue(game, tuple(profile)) != flags[1]:
+                        problems.append(
+                            f"gue[{idx}]: lottery-Pareto flag does not re-verify")
 
     return problems

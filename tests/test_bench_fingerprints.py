@@ -13,6 +13,10 @@ The reports that variant 0 writes also gate what `verify` may run: no
 maximin LP on any workload, no LP at all where no claim needs one, and
 otherwise one singleton test per strict fractional GUE flag whose profile
 meets the unilateral guarantee.
+
+`perfbench/tracing.py` reads the standard form's attributes after phase 1
+and after each `optimize`; a test runs it on CE, CCE and maximin systems, so
+that a change to the tableau layout cannot silently break its counters.
 """
 
 import contextlib
@@ -23,7 +27,7 @@ from pathlib import Path
 
 import pytest
 
-from eqcert import certify, cli, games, report, zerosum
+from eqcert import certify, cli, games, generators, polytopes, report, zerosum
 from eqcert.lp import PolytopeSolver
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -40,6 +44,7 @@ def _load(name: str):
 
 workloads = _load("workloads")
 checks = _load("checks")
+tracing = _load("tracing")
 
 
 @pytest.fixture(scope="module", params=workloads.WORKLOADS)
@@ -117,3 +122,30 @@ def test_verify_builds_one_solver_per_guaranteed_gue_flag(variant_0, monkeypatch
         assert len(built) == expected, path
         guaranteed += expected
     assert guaranteed > 0
+
+
+def test_tracer_reads_every_standard_form(monkeypatch):
+    # Every row holds ncols + 1 entries, as `Tracer.record_form` counts the
+    # tableau's cells, and the record runs after each phase 1 and optimize.
+    tracer = tracing.Tracer()
+    record = tracer.record_form
+    forms = []
+
+    def checked(form):
+        assert all(len(row) == form.ncols + 1 for row in form.rows)
+        forms.append(form)
+        record(form)
+
+    monkeypatch.setattr(tracer, "record_form", checked)
+    game = generators.random_game((3, 3), 5, high=1)
+    uninstall = tracing.install(tracer)
+    try:
+        for concept in ("ce", "cce"):
+            polytopes.is_singleton(polytopes.build_polytope(game, concept))
+        zerosum.maximin(game, 0)
+    finally:
+        uninstall()
+    assert tracer.counts["lp.solvers"] >= 3 and tracer.calls["lp.reopt"] > 0
+    assert len(forms) == tracer.counts["lp.solvers"] + tracer.calls["lp.reopt"]
+    assert tracer.counts["lp.phase1_pivots"] + tracer.counts["lp.reopt_pivots"] > 0
+    assert tracer.maxima["lp.max_tableau_cells"] > 0 and tracer.maxima["lp.max_entry_bits"] > 0

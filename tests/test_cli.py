@@ -468,6 +468,22 @@ def test_verify_rejects_a_forged_gue_entry(tmp_path, capsys, forgery):
     assert err == ""
 
 
+def test_verify_names_every_bad_gue_entry(tmp_path, capsys):
+    # An entry that cannot be read must not hide a forged flag after it.
+    data = build_report(parking(3, 1, "1/4", "3/5"), ("ne",), check_unique=True)
+    assert data["gue"] == [{"profile": [0, 0], "gue": True, "strict_fractional_gue": True}]
+    data["gue"] = [{"profile": [9, 9], "gue": False, "strict_fractional_gue": False},
+                   dict(data["gue"][0], strict_fractional_gue=False)]
+    report_path = tmp_path / "report.json"
+    report_path.write_bytes(save_report(data))
+    assert main(["verify", str(report_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [
+        "gue[0] unreadable: GameFormatError: profile (9, 9) out of range",
+        "gue[1]: lottery-Pareto flag does not re-verify"]
+    assert err == ""
+
+
 def test_verify_under_pivot_limit_exits_3_not_1(tmp_path, capsys, monkeypatch):
     # The solver giving up is no verdict on the report: a gue entry whose
     # re-check hits the limit must not be listed as a problem.

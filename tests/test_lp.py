@@ -223,9 +223,12 @@ def test_pivot_limit_env(monkeypatch):
 
 
 def _two_row_form():
-    # Rows x1 + x2 + s1 = 3 and 2 x1 + s2 = 4, both written at det = 1.
-    form = _StandardForm(_system(2, [([1, 1], LESS_EQUAL, 3), ([2, 0], LESS_EQUAL, 4)]))
-    assert form.rows == [[1, 1, 1, 0, 3], [2, 0, 0, 1, 4]]
+    # Rows x1 + x2 + s1 = 3 and 2 x1 + s2 = 5, both written at det = 1.  The
+    # slacks are basic, so each row stores the columns of x1 and x2 and the
+    # right-hand side.
+    form = _StandardForm(_system(2, [([1, 1], LESS_EQUAL, 3), ([2, 0], LESS_EQUAL, 5)]))
+    assert form.rows == [[1, 1, 3], [2, 0, 5]]
+    assert form.cols == [0, 1] and form.basis == [2, 3]
     assert form.det == 1 and form.scales == [1, 1, 1]
     return form
 
@@ -235,9 +238,10 @@ def test_pivot_detects_lost_divisibility(column, other_entry):
     # Pivoting on row 0 divides each updated row by that row's own scale; a
     # scale of 2 on row 1 (which integer pivoting never produces here)
     # leaves odd entries undivisible.  Column 0 updates row 1 through its
-    # nonzero entry 2, so the pivot must raise.  Column 1 meets row 1's zero
-    # entry, so row 1 is left untouched, same object and same (corrupt)
-    # scale, and nothing reads it.
+    # nonzero entry 2, and its right-hand side becomes (5 - 2 * 3) / 2, so
+    # the pivot must raise.  Column 1 meets row 1's zero entry, so row 1 is
+    # left untouched, same object and same (corrupt) scale, and nothing
+    # reads it; s1 leaves the basis and takes x2's slot.
     form = _two_row_form()
     assert form.rows[1][column] == other_entry
     form.scales[1] = 2
@@ -247,8 +251,9 @@ def test_pivot_detects_lost_divisibility(column, other_entry):
         return
     row = form.rows[1]
     form._pivot(0, column)
-    assert form.rows[1] is row and row == [2, 0, 0, 1, 4]
+    assert form.rows[1] is row and row == [2, 0, 5]
     assert form.scales == [1, 2, 1] and form.det == 1
+    assert form.cols == [0, 2] and form.basis == [1, 3]
 
 
 def test_pivot_detects_lost_divisibility_in_a_lagging_pivot_row():
@@ -260,7 +265,20 @@ def test_pivot_detects_lost_divisibility_in_a_lagging_pivot_row():
     form.scales[0] = 2
     with pytest.raises(SolverInvariantError, match="exact divisibility"):
         form._pivot(0, 0)
-    assert form.rows[1] == [2, 0, 0, 1, 4] and form.scales[1:] == [1, 1]
+    assert form.rows[1] == [2, 0, 5] and form.scales[1:] == [1, 1]
+
+
+def test_pivot_detects_lost_divisibility_in_the_leaving_column():
+    # Rows x1 + 2 x2 + s1 = 4 and x1 + s2 = 2.  Pivoting x1 into row 0 moves
+    # s1 into slot 0, where row 1's new entry is -factor * det / scale.  With
+    # row 1's scale corrupted to 2 that is -1/2, while its other entries,
+    # (0 - 2) / 2 and (2 - 4) / 2, stay integers: the row check must catch
+    # the one cell that only the leaving column occupies.
+    form = _StandardForm(_system(2, [([1, 2], LESS_EQUAL, 4), ([1, 0], LESS_EQUAL, 2)]))
+    assert form.rows == [[1, 2, 4], [1, 0, 2]] and form.cols == [0, 1]
+    form.scales[1] = 2
+    with pytest.raises(SolverInvariantError, match="exact divisibility"):
+        form._pivot(0, 0)
 
 
 # -- phase-1 starting basis -------------------------------------------------------

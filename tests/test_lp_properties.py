@@ -1,8 +1,9 @@
 """Property tests of the exact simplex.
 
-Brute-force vertices on CE-shaped systems, the per-row-scale tableau
-against a common-denominator reference tableau, pivot by pivot, and the
-optimal duals read from the final tableau against LP duality.
+Brute-force vertices on CE-shaped systems, the condensed per-row-scale
+dictionary against a dense common-denominator reference tableau, pivot by
+pivot, and the optimal duals read from the final tableau against LP
+duality.
 """
 
 import itertools
@@ -26,7 +27,7 @@ from eqcert.lp import (  # noqa: E402
     ConstraintSystem,
     LinearConstraint,
     PolytopeSolver,
-    SolverInvariantError,
+    UNBOUNDED,
     _echelon_add,
     _solve_echelon,
     _StandardForm,
@@ -88,43 +89,65 @@ def test_homogeneous_rows_match_brute_force_vertices(case):
     assert out.value == max(sum(c * v for c, v in zip(objective, vert)) for vert in verts)
 
 
-# -- per-row scales against one common denominator --------------------------------
+# -- the condensed dictionary against the dense tableau ---------------------------
 
 
-class _ReferenceForm(_StandardForm):
-    """The tableau with one common denominator `det` for every row.
+class _DenseForm:
+    """The tableau over every column, with one common denominator `det`.
 
-    `_pivot` rewrites every row at the new determinant, rows with a zero
-    entering-column entry included; `_load_objective` and `point` read every
-    row at `det`.  It ignores `scales`.
+    Columns are [y | slacks | artificials], numbered as the library numbers
+    its variables.  A pivot rewrites every row, basic columns included, at
+    the new determinant; the artificial columns are deleted after phase 1.
+    The pivot rules are the library's: Bland's by column, ratio-test ties to
+    the least basic column, a crash pivot at the system's start column, and
+    the phase-1 drive-out of zero-level artificials.
     """
 
     def __init__(self, system):
-        super().__init__(system)
+        self.system = system
+        self.num_y = n = system.num_vars
+        normalized = []
+        for row in system.constraints:
+            denom = math.lcm(row.rhs.denominator,
+                             *(Fraction(c).denominator for c in row.coeffs))
+            ints, b, rel = [int(c * denom) for c in row.coeffs], int(row.rhs * denom), row.relation
+            if b < 0 or (b == 0 and rel == GREATER_EQUAL):
+                ints, b = [-v for v in ints], -b
+                rel = {LESS_EQUAL: GREATER_EQUAL, GREATER_EQUAL: LESS_EQUAL, EQUAL: EQUAL}[rel]
+            normalized.append((ints, rel, b))
+        self.live = n + sum(rel != EQUAL for _, rel, _ in normalized)
+        self.ncols = self.live + sum(rel != LESS_EQUAL for _, rel, _ in normalized)
+        self.rows, self.basis, self.artificials = [], [], []
+        slack, art = n, self.live
+        for ints, rel, b in normalized:
+            row = ints + [0] * (self.ncols - n) + [b]
+            if rel != EQUAL:
+                row[slack] = 1 if rel == LESS_EQUAL else -1
+                if rel == LESS_EQUAL:
+                    self.basis.append(slack)
+                slack += 1
+            if rel != LESS_EQUAL:
+                row[art] = 1
+                self.basis.append(art)
+                self.artificials.append(art)
+                art += 1
+            self.rows.append(row)
+        self.det = 1
+        self.z = [0] * (self.ncols + 1)
+        self.pivots_used = 0
         self.trail = []
 
     def _pivot(self, p, q):
         self.pivots_used += 1
-        rows, det = self.rows, self.det
-        prow = rows[p]
+        det, prow = self.det, self.rows[p]
         pval = prow[q]
-        if pval <= 0:
-            raise SolverInvariantError("pivot entry must be positive")
-        psum = sum(prow)
-        for r, row in enumerate(itertools.chain(rows, (self.z,))):
-            if r == p:
-                continue
-            factor = row[q]
-            if factor == 0:
-                if pval == det:
-                    continue
-                row_total = pval * sum(row)
-                row[:] = [v * pval // det for v in row]
-            else:
-                row_total = pval * sum(row) - factor * psum
-                row[:] = [(v * pval - factor * w) // det for v, w in zip(row, prow)]
-            if row_total != det * sum(row):
-                raise SolverInvariantError("integer pivot lost exact divisibility")
+        assert pval > 0
+        for r, row in enumerate(self.rows + [self.z]):
+            if r != p:
+                factor = row[q]
+                cells = [divmod(v * pval - factor * w, det) for v, w in zip(row, prow)]
+                assert all(rem == 0 for _, rem in cells)
+                row[:] = [quotient for quotient, _ in cells]
         self.basis[p] = q
         self.det = pval
         self.trail.append(self.snapshot())
@@ -133,19 +156,60 @@ class _ReferenceForm(_StandardForm):
         denom = math.lcm(*(c.denominator for c in cost))
         ints = [c.numerator * (denom // c.denominator) for c in cost]
         ints += [0] * (self.ncols - len(cost))
-        det = self.det
-        z = [v * det for v in ints] + [0]
+        z = [v * self.det for v in ints] + [0]
         for row, bvar in zip(self.rows, self.basis):
-            cb = ints[bvar]
-            if cb:
-                z = [v - cb * w for v, w in zip(z, row)]
+            z = [v - ints[bvar] * w for v, w in zip(z, row)]
         self.z = z
+
+    def _bland_min(self):
+        while True:
+            entering = next((j for j in range(self.ncols) if self.z[j] < 0), None)
+            if entering is None:
+                return OPTIMAL
+            ratios = [(Fraction(row[-1], row[entering]), bvar, r)
+                      for r, (row, bvar) in enumerate(zip(self.rows, self.basis))
+                      if row[entering] > 0]
+            if not ratios:
+                return UNBOUNDED
+            self._pivot(min(ratios)[2], entering)
+
+    def phase1(self):
+        if self.system.start is not None:
+            (art,) = self.artificials
+            self._pivot(self.basis.index(art), self.system.start)
+        if not self.artificials:
+            return True
+        self._load_objective([Fraction(int(j in self.artificials)) for j in range(self.ncols)])
+        assert self._bland_min() == OPTIMAL
+        basic_artificials = [r for r, bvar in enumerate(self.basis) if bvar in self.artificials]
+        if any(self.rows[r][-1] > 0 for r in basic_artificials):
+            return False
+        for r in basic_artificials:
+            row = self.rows[r]
+            entering = next((j for j in range(self.live) if row[j]), None)
+            if entering is None:
+                continue
+            if row[entering] < 0:
+                # The row's artificial a is 0: negate the row and write -a
+                # for a, which keeps a's own entry.
+                row[:] = [v if j == self.basis[r] else -v for j, v in enumerate(row)]
+            self._pivot(r, entering)
+        kept = [r for r, bvar in enumerate(self.basis) if bvar not in self.artificials]
+        self.rows = [self.rows[r][:self.live] + [self.rows[r][-1]] for r in kept]
+        self.basis = [self.basis[r] for r in kept]
+        self.ncols = self.live
+        self.z = [0] * (self.ncols + 1)
+        return True
+
+    def optimize(self, cost):
+        self._load_objective(cost)
+        return self._bland_min()
 
     def point(self):
         values = [Fraction(0)] * self.num_y
         for row, bvar in zip(self.rows, self.basis):
             if bvar < self.num_y:
-                values[bvar] = Fraction(row[self.ncols], self.det)
+                values[bvar] = Fraction(row[-1], self.det)
         return tuple(values)
 
     def snapshot(self):
@@ -153,31 +217,40 @@ class _ReferenceForm(_StandardForm):
                 [list(row) for row in self.rows], list(self.z))
 
 
-class _ScaledForm(_StandardForm):
-    """The library's tableau, recording itself at `det` after every pivot."""
+class _CondensedForm(_StandardForm):
+    """The library's tableau, expanded to every column at `det` after each pivot."""
 
     def __init__(self, system):
         super().__init__(system)
         self.trail = []
 
-    def _pivot(self, p, q):
-        super()._pivot(p, q)
+    def _pivot(self, p, s):
+        super()._pivot(p, s)
         self.trail.append(self.snapshot())
 
     def snapshot(self):
+        # Slots and basic variables partition the variables still in play:
+        # every one of them during phase 1, none of the artificials after.
+        width = len(self.cols) + len(self.basis)
+        assert sorted(self.cols + self.basis) == list(range(width))
         det = self.det
-        at_det = []
-        for row, scale in zip(self.rows + [self.z], self.scales, strict=True):
+        dense = []
+        for r, (row, scale) in enumerate(zip(self.rows + [self.z], self.scales, strict=True)):
             # row * det / scale must be the common-denominator row exactly
             assert scale > 0 and all(v * det % scale == 0 for v in row)
-            at_det.append([v * det // scale for v in row])
-        return tuple(self.basis), self.pivots_used, det, at_det[:-1], at_det[-1]
+            full = [0] * width + [row[-1] * det // scale]
+            for label, v in zip(self.cols, row):
+                full[label] = v * det // scale
+            if r < len(self.basis):
+                full[self.basis[r]] = det
+            dense.append(full)
+        return tuple(self.basis), self.pivots_used, det, dense[:-1], dense[-1]
 
 
 def _assert_same_run(system, costs):
     """Phase 1, then each cost in turn, warm-started: same pivots and tableaux."""
     runs = []
-    for form in (_ScaledForm(system), _ReferenceForm(system)):
+    for form in (_CondensedForm(system), _DenseForm(system)):
         feasible = form.phase1()
         outcomes = []
         if feasible:
@@ -185,10 +258,10 @@ def _assert_same_run(system, costs):
                 status = form.optimize(cost)
                 outcomes.append((status, form.point() if status == OPTIMAL else None))
         runs.append((form, feasible, outcomes))
-    (scaled, *result), (reference, *expected) = runs
+    (condensed, *result), (reference, *expected) = runs
     assert result == expected
-    assert len(scaled.trail) == len(reference.trail) == scaled.pivots_used
-    for got, want in zip(scaled.trail, reference.trail):
+    assert len(condensed.trail) == len(reference.trail) == condensed.pivots_used
+    for got, want in zip(condensed.trail, reference.trail):
         assert got == want
 
 
@@ -230,8 +303,19 @@ def _row_lp_system(matrix):
     return system
 
 
+# -2 x1 - x2 >= -1 and 2 x1 + 2 x2 >= 2: phase 1 leaves the second row's
+# artificial basic at level 0, and the least variable with a nonzero entry in
+# its row, x1, no longer sits in the row's first slot.
+_DRIVE_OUT_BY_VARIABLE = (
+    ConstraintSystem(2, (
+        LinearConstraint((Fraction(-2), Fraction(-1)), GREATER_EQUAL, Fraction(-1)),
+        LinearConstraint((Fraction(2), Fraction(2)), GREATER_EQUAL, Fraction(2)))),
+    [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(-1))])
+
+
 @hypothesis.settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @hypothesis.given(_mixed_system())
+@hypothesis.example(_DRIVE_OUT_BY_VARIABLE)
 def test_scaled_tableau_equals_reference_on_mixed_systems(case):
     system, costs = case
     _assert_same_run(system, costs)

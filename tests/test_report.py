@@ -283,13 +283,13 @@ def test_verify_flags_unreadable_maximin():
     ("concepts", [],
      "concepts unreadable: AttributeError: 'list' object has no attribute 'items'"),
     ("concepts", {"cce": "x"},
-     "concepts unreadable: AttributeError: 'str' object has no attribute 'get'"),
+     "concepts.cce unreadable: AttributeError: 'str' object has no attribute 'get'"),
     ("concepts", {"xyz": {"singleton": True, "point": {"0": "1"}}},
-     "concepts unreadable: PolytopeError: unknown concept 'xyz'; "
+     "concepts.xyz unreadable: PolytopeError: unknown concept 'xyz'; "
      "pick one of ('ce', 'cce', 'ircp')"),
     ("ne", [], "ne unreadable: AttributeError: 'list' object has no attribute 'get'"),
     ("certificates", {"cce": "x"},
-     "certificates unreadable: AttributeError: 'str' object has no attribute 'get'"),
+     "certificates.cce unreadable: AttributeError: 'str' object has no attribute 'get'"),
     ("classification", {"variant": "unique_pure", "point": {"3": "1"}},
      "classification unreadable: KeyError: 'certificate'"),
 ], ids=["concepts-list", "concept-entry-str", "concept-unknown", "ne-list",
@@ -298,6 +298,21 @@ def test_verify_flags_malformed_section(section, value, expected):
     data = full_pd_report()
     data[section] = value
     assert verify_report(data) == [expected]
+
+
+def test_verify_reads_past_an_unreadable_entry():
+    # The first entry of `concepts` and of `certificates` cannot be read; the
+    # forgeries in the entries after them are still named.
+    data = full_pd_report()
+    data["concepts"]["ce"] = "x"
+    data["concepts"]["cce"]["point"] = {"0": "1"}
+    data["certificates"] = {"ircp": "x", "cce": dict(data["certificates"]["cce"], slack="7")}
+    problems = verify_report(data)
+    assert problems[:3] == [
+        "concepts.ce unreadable: AttributeError: 'str' object has no attribute 'get'",
+        "concepts.cce.point[0] is not a CCE member",
+        "certificates.ircp unreadable: AttributeError: 'str' object has no attribute 'get'"]
+    assert problems[3].startswith("certificates.cce: ") and len(problems) == 4
 
 
 def test_verify_flags_degenerate_witness_pair():
