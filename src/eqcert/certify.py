@@ -4,9 +4,9 @@ A uniqueness certificate for a profile a* consists of positive welfare
 weights gamma such that the gamma-weighted payoff gains relative to a*
 are strictly negative at every other profile (for IRCP uniqueness, gains
 are measured against a* itself; for unique pure CCE, against unilateral
-switches to a_i*).  Certificates are found by solving a small zero-sum
-game between a profile chooser and a player chooser; refutations always
-carry explicit polytope members that anyone can re-check.  At a strict NE
+switches to a_i*).  The weights are the dual of the LP that pins P(a*) =
+{mu : E_mu u >= u(a*)} to delta(a*) (`_improvement_singleton`); refutations
+always carry explicit polytope members that anyone can re-check.  At a strict NE
 a*, a pure CCE certificate is an IRCP one of v_i(a) = u_i(a) - u_i(a_i*,
 a_{-i}), found with no maximin LP: each level of v is 0, as a_i* gets 0
 against every a_{-i} and every other mix loses against a*_{-i}.  The weighted
@@ -18,6 +18,7 @@ the slack is reported as a `Fraction`.
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -187,24 +188,17 @@ def _verify_witnesses(spec: polytopes.PolytopeSpec,
         raise SolverInvariantError("refutation witnesses are not distinct")
 
 
-def _verify_ircp_singleton(analysis: polytopes.GameAnalysis, a_star: Profile) -> None:
-    # The point is None unless the polytope is a singleton.
-    if analysis.singleton("ircp").point != JointDistribution.point_mass(a_star):
-        raise SolverInvariantError(
-            "certificate disagrees with the polytope singleton test")
-
-
 def certify_unique_ircp(game: Game | polytopes.GameAnalysis,
                         gamma_hint: Sequence[Fraction] | None = None
                         ) -> UniquenessCertificate | Refutation:
     """Certify or refute that the IRCP polytope is one point.
 
-    A singleton IRCP forces a profile of unique pure maximin actions with
-    on-profile payoffs at the security levels; given that, the sign of the
-    profile-vs-player comparison game decides the question, yielding either
-    positive welfare weights (certificate) or a second polytope member
-    (refutation).  `gamma_hint` supplies candidate weights to try before the
-    zero-sum solve; invalid hints are ignored.  Every answer is re-checked
+    A singleton IRCP forces a profile a* of unique pure maximin actions with
+    on-profile payoffs at the security levels; given that, the singleton
+    test of P(a*) decides the question, yielding either positive welfare
+    weights (certificate) or a second polytope member (refutation).
+    `gamma_hint` supplies candidate weights to try before that LP; invalid
+    hints are ignored.  Every answer is re-checked
     against the polytope before it is returned: a refutation's witnesses by
     exact membership, a certificate by the singleton test.  Given a
     `GameAnalysis`, the polytope, its singleton test and the maximin LPs
@@ -214,7 +208,9 @@ def certify_unique_ircp(game: Game | polytopes.GameAnalysis,
     spec = analysis.polytope("ircp")
     result = _decide_ircp(analysis, gamma_hint)
     if isinstance(result, UniquenessCertificate):
-        _verify_ircp_singleton(analysis, result.a_star)
+        # The point is None unless the polytope is a singleton.
+        if analysis.singleton("ircp").point != JointDistribution.point_mass(result.a_star):
+            raise SolverInvariantError("certificate disagrees with the polytope singleton test")
     else:
         _verify_witnesses(spec, result.witnesses)
     return result
@@ -290,9 +286,12 @@ def _search_weights(game: Game, a_star: Profile, gamma_hint: Sequence[Fraction] 
 
     It tries positive weights with negative weighted gains around a*:
     `gamma_hint` (ignored unless positive and one per player), uniform ones
-    for a symmetric game, then the comparison game's, which exist exactly
-    when its value is negative.  Returns the certificate, named `concept`,
-    or the IRCP refutation of `game`.
+    for a symmetric game, then gamma_i ~ y_i d_i from the P(a*) test's dual
+    (`_improvement_singleton`).  Each is positive: with gamma_i = 0, the
+    profile where i alone leaves a* gives each other j at least u_j(a*),
+    a*_j being j's pure maximin action, so its weighted gain is >= 0.
+    Returns the certificate, named `concept`, or the IRCP refutation of
+    `game`, whose witnesses lie in P(a*), the IRCP polytope here.
     """
     n = game.num_players
     if gamma_hint is not None and len(gamma_hint) == n and all(
@@ -306,26 +305,15 @@ def _search_weights(game: Game, a_star: Profile, gamma_hint: Sequence[Fraction] 
         if slack is not None:
             return _certificate(concept, a_star, uniform, slack, game)
 
-    aux = zerosum.build_theorem1_auxiliary(game, a_star)
-    value, row_strategy, col_strategy = zerosum.matrix_value(aux)
-    if value < 0:
-        gamma = _normalize(col_strategy)
-        if any(g <= 0 for g in gamma):
-            raise SolverInvariantError(
-                "negative-value comparison game produced a boundary weight vector")
-        slack = _gain_slack(game, a_star, gamma, "ircp")
-        if slack is None or slack != -value:
-            raise SolverInvariantError("certificate slack disagrees with the game value")
-        return _certificate(concept, a_star, gamma, slack, game)
-
-    mu = JointDistribution(
-        {p: w for p, w in zip(aux.row_keys, row_strategy) if w != 0})
-    return Refutation(
-        "ircp",
-        "the profile-vs-player comparison game has nonnegative value, and its "
-        "maximizing distribution is a second member",
-        (JointDistribution.point_mass(a_star), mu),
-    )
+    singleton = _improvement_singleton(game, a_star)
+    if not singleton.is_singleton:
+        return Refutation("ircp", "a second distribution pays every player at least "
+                          "the candidate profile's payoffs", singleton.witnesses)
+    gamma = _normalize([y * d for y, d in zip(singleton.duals, game.payoff_scales)])
+    slack = _gain_slack(game, a_star, gamma, "ircp")
+    if slack is None or any(g <= 0 for g in gamma):
+        raise SolverInvariantError("the P(a*) dual gave a boundary weight or a gain >= 0")
+    return _certificate(concept, a_star, gamma, slack, game)
 
 
 def _deviation_payoffs(game: Game, player: int,
@@ -433,13 +421,15 @@ def is_matching_pennies_type(game: Game) -> bool:
     return False
 
 
-def _induced_2x2(game: Game, mu: JointDistribution) -> tuple[tuple[int, int], Game]:
-    """Subgame spanned by the two mixing players' supports, others fixed."""
+def _induced_2x2(game: Game, mu: JointDistribution) -> tuple[tuple[int, int], Game] | None:
+    """Subgame spanned by the two mixing players' supports, others fixed.
+
+    None unless exactly two players mix, each over two actions.
+    """
     marginals = [mu.marginal(game, i) for i in range(game.num_players)]
     mixers = [i for i, m in enumerate(marginals) if not m.is_pure]
     if len(mixers) != 2 or any(len(marginals[i].support()) != 2 for i in mixers):
-        raise SolverInvariantError(
-            "mixed singleton CCE must have exactly two players mixing over two actions")
+        return None
     i, j = mixers
     supp_i, supp_j = marginals[i].support(), marginals[j].support()
     fixed = [m.support()[0] for m in marginals]
@@ -484,10 +474,11 @@ def classify_unique_cce(game: Game | polytopes.GameAnalysis) -> CceClassificatio
             "a symmetric game cannot have a mixed singleton CCE")
     if not is_quasi_strict(game, mu):
         raise SolverInvariantError("a singleton CCE must be a quasi-strict NE")
-    mixers, subgame = _induced_2x2(game, mu)
-    if not is_matching_pennies_type(subgame):
-        raise SolverInvariantError(
-            "induced 2x2 subgame lacks the strict cyclic pattern")
+    induced = _induced_2x2(game, mu)
+    if induced is None or not is_matching_pennies_type(induced[1]):
+        raise SolverInvariantError("a mixed singleton CCE must span a 2x2 subgame "
+                                   "with the strict cyclic pattern")
+    mixers, subgame = induced
     ne = (mu.marginal(game, mixers[0]), mu.marginal(game, mixers[1]))
     pairs = [pair for pair in polytopes.mixed_ne_2x2(subgame)
              if not pair[0].is_pure and not pair[1].is_pure]
@@ -699,6 +690,16 @@ def improvement_system(game: Game, a_star: Sequence[int]) -> ConstraintSystem:
     return ConstraintSystem(game.num_profiles, tuple(rows), start=k_star)
 
 
+def _improvement_singleton(game: Game, a_star: Profile) -> polytopes.SingletonResult:
+    """The singleton test of P(a*), from delta(a*): that point or two members, delta(a*) first.
+
+    delta(a*) needs only the outside-support LP, max sum_{a != a*} mu(a) = 0.
+    Its dual y has sum_i y_i d_i (u_i(a) - u_i(a*)) <= -1 at each a != a*, as
+    row i of `improvement_system` is d_i (u_i - u_i(a*)).
+    """
+    return polytopes.singleton_over_system(game, improvement_system(game, a_star))
+
+
 def is_strict_fractional_gue(game: Game, a_star: Sequence[int]) -> bool:
     """Pareto optimal among lotteries, uniquely so in utilities, plus the guarantee.
 
@@ -710,17 +711,23 @@ def is_strict_fractional_gue(game: Game, a_star: Sequence[int]) -> bool:
     lottery would be a second member of P(a*), and so would a second
     lottery matching u(a*).  Conversely, if both conditions hold and mu is
     in P(a*), then E_mu u = u(a*), since anything higher improves on a*,
-    and so mu = delta(a*).  Phase 1 is one crash pivot onto delta(a*), and
-    a point mass needs only the outside-support LP.
+    and so mu = delta(a*).  The test is `_improvement_singleton`, the one
+    that `_search_weights` reads certificate weights from.
     """
     a_star = tuple(a_star)
     if not _unilateral_guarantee(game, a_star):
         return False
-    singleton = polytopes.singleton_over_system(game, improvement_system(game, a_star))
-    return singleton.point == JointDistribution.point_mass(a_star)
+    return _improvement_singleton(game, a_star).point == JointDistribution.point_mass(a_star)
 
 
 # -- serialization ------------------------------------------------------------
+
+
+def profile_from_json(data) -> Profile:
+    """A profile read from JSON: a list of ints, as 1.0, "1" or true is no action index."""
+    if type(data) is not list or any(type(a) is not int for a in data):
+        raise ValueError(f"profile must be a list of ints, got {json.dumps(data)}")
+    return tuple(data)
 
 
 def distribution_to_dict(game: Game, mu: JointDistribution) -> dict[str, str]:
@@ -765,7 +772,7 @@ def verify_certificate(game: Game | polytopes.GameAnalysis, data: dict) -> list[
     if concept not in ("ircp", "cce"):
         return [f"unknown certificate concept {concept!r}"]
     try:
-        a_star = tuple(int(x) for x in data["a_star"])
+        a_star = profile_from_json(data["a_star"])
         game.profile_index(a_star)  # rejects a profile outside the game
         gamma = [parse_rational(g) for g in data["gamma"]]
         slack = parse_rational(data["slack"])

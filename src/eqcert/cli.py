@@ -298,7 +298,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         # A bad certificate is an input error: reject it before any step runs.
         try:
             cert = json.loads(_read_bytes(args.certificate).decode("utf-8"))
-            a_star = tuple(int(x) for x in cert["a_star"])
+            a_star = certify.profile_from_json(cert["a_star"])
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise CliError(f"{args.certificate}: unreadable certificate: {exc}") from exc
         problems = certify.verify_certificate(game, cert)

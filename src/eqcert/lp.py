@@ -28,7 +28,7 @@ artificial's row, which gives the basis of e_j, and ends there.  A negative
 right-hand side after that pivot means e_j violates a row, and raises
 `SolverInvariantError`.  The CCE singleton test starts this way at the point
 mass of the game's only pure Nash equilibrium (see `polytopes.is_singleton`),
-and the strict fractional GUE test at delta(a*) (`certify.improvement_system`).
+and the P(a*) test of GUE and certificate weights at delta(a*) (`certify`).
 
 `PolytopeSolver` factors the phase-1 work out of repeated optimization over
 one feasible system; singleton tests and coordinate bounds re-optimize several

@@ -130,10 +130,16 @@ class MembershipResult:
 
 @dataclass(frozen=True)
 class SingletonResult:
-    """Either the unique member, or two distinct members as witnesses."""
+    """Either the unique member, or two distinct members as witnesses.
+
+    `duals`, one per system row, is the dual of the LP that pinned the point
+    (`singleton_over_system`); None for witnesses and for a point taken down
+    the inclusion chain, whose dual belongs to another system's rows.
+    """
 
     point: JointDistribution | None
     witnesses: tuple[JointDistribution, JointDistribution] | None
+    duals: tuple[Fraction, ...] | None = None
 
     @property
     def is_singleton(self) -> bool:
@@ -175,11 +181,11 @@ class GameAnalysis:
     `enumerate_pure_ne`), so a re-check made on a kept result checks what
     that function returned.  There are two exceptions.  A singleton
     decision taken down the inclusion chain is the larger concept's point,
-    re-checked by exact membership in this concept's polytope.  And a
-    verifier may pass `levels`, maximin results it has checked from their
-    certificates (`zerosum.check_maximin`): the context then keeps those
-    and never solves a maximin LP, and asking it for a player's result
-    that `levels` lacks raises `PolytopeError`.
+    re-checked by exact membership in this concept's polytope, with no
+    duals.  And a verifier may pass `levels`, maximin results it has
+    checked from their certificates (`zerosum.check_maximin`): the context
+    then keeps those and never solves a maximin LP, and asking it for a
+    player's result that `levels` lacks raises `PolytopeError`.
     """
 
     def __init__(self, game: Game,
@@ -222,7 +228,7 @@ class GameAnalysis:
                     raise SolverInvariantError(
                         f"the singleton {larger} point failed the membership re-check "
                         f"in the {concept} polytope")
-                result = kept
+                result = replace(kept, duals=None)
             else:
                 result = is_singleton(spec, self.pure_ne())
             self._singletons[concept] = result
@@ -347,9 +353,11 @@ def singleton_over_system(game: Game, system: ConstraintSystem,
     fixes its lone coordinate.  For a larger support the second LP
     maximizes `PolytopeSolver.pinning_objective` at the basis of x*, whose
     maximum equals its value at x* exactly when x* is the only member; an
-    optimum at any other point is the second member.  The system's
-    variables must be joint-distribution coordinates over `game`, which its
-    rows force to sum to 1.
+    optimum at any other point is the second member.  A singleton carries
+    the dual of the last LP (`PolytopeSolver.duals`), negated, as that LP
+    is a maximum, so that it is >= 0 on a `>=` row.  The system's variables
+    must be joint-distribution coordinates over `game`, which its rows
+    force to sum to 1.
     """
     solver = PolytopeSolver(system)
     if not solver.feasible:
@@ -373,7 +381,7 @@ def singleton_over_system(game: Game, system: ConstraintSystem,
         other = second_member(solver.pinning_objective())
     if other is not None:
         return SingletonResult(None, (base, other))
-    return SingletonResult(base, None)
+    return SingletonResult(base, None, tuple(-y for y in solver.duals()))
 
 
 def is_singleton(spec: PolytopeSpec,

@@ -359,16 +359,24 @@ def verify_report(report: dict) -> list[str]:
             elif variant == certify.UNIQUE_MIXED_2X2:
                 _check_members(analysis, "cce", [cls["point"]], problems,
                                "classification.point")
-                subgame = game_from_dict(cls["subgame"])
-                if not certify.is_matching_pennies_type(subgame):
-                    problems.append(
-                        "classification: subgame lacks the strict cyclic pattern")
                 mu = certify.distribution_from_dict(game, cls["point"])
-                marginals = [mu.marginal(game, i) for i in cls["mixers"]]
-                claimed = [_mixed_from_dict(m) for m in cls["ne"]]
-                if marginals != claimed:
-                    problems.append(
-                        "classification: stated NE disagrees with the point's marginals")
+                induced = certify._induced_2x2(game, mu) if mu.is_product(game) else None
+                if induced is None:
+                    problems.append("classification: point is not a product in which "
+                                    "two players mix over two actions each")
+                else:
+                    mixers, subgame = induced
+                    if cls["mixers"] != list(mixers) or cls["subgame"] != game_to_dict(subgame):
+                        problems.append(
+                            "classification: mixers or subgame disagree with the point")
+                    if not certify.is_matching_pennies_type(subgame):
+                        problems.append(
+                            "classification: subgame lacks the strict cyclic pattern")
+                    marginals = [mu.marginal(game, i) for i in mixers]
+                    claimed = [_mixed_from_dict(m) for m in cls["ne"]]
+                    if marginals != claimed:
+                        problems.append("classification: stated NE disagrees with the "
+                                        "point's marginals")
             elif variant == certify.NOT_UNIQUE:
                 witnesses = cls.get("witnesses", [])
                 if len(witnesses) != 2 or witnesses[0] == witnesses[1]:
@@ -381,19 +389,20 @@ def verify_report(report: dict) -> list[str]:
     with _section("gue", problems):
         for idx, entry in enumerate(report.get("gue", [])):
             with _section(f"gue[{idx}]", problems):
-                # JSON null, 0, "1" or true must not stand in for a flag or an action.
-                profile = entry["profile"]
+                # JSON null, 0 or "1" must not stand in for a flag.
                 flags = (entry["gue"], entry["strict_fractional_gue"])
-                if type(profile) is not list or any(type(a) is not int for a in profile):
-                    problems.append(f"gue[{idx}]: profile must be a list of ints, "
-                                    f"got {json.dumps(profile)}")
-                elif any(type(flag) is not bool for flag in flags):
+                try:
+                    profile = certify.profile_from_json(entry["profile"])
+                except ValueError as exc:
+                    problems.append(f"gue[{idx}]: {exc}")
+                    continue
+                if any(type(flag) is not bool for flag in flags):
                     problems.append(
                         f"gue[{idx}]: flags must be booleans, got {json.dumps(flags)}")
                 else:
-                    if certify.is_gue(game, tuple(profile)) != flags[0]:
+                    if certify.is_gue(game, profile) != flags[0]:
                         problems.append(f"gue[{idx}]: pure-Pareto flag does not re-verify")
-                    if certify.is_strict_fractional_gue(game, tuple(profile)) != flags[1]:
+                    if certify.is_strict_fractional_gue(game, profile) != flags[1]:
                         problems.append(
                             f"gue[{idx}]: lottery-Pareto flag does not re-verify")
 

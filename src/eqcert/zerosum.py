@@ -1,11 +1,11 @@
 """Exact zero-sum matrix game solving.
 
 Provides maximin values with both optimal strategies, a
-strict-complementarity column strategy with maximal support, and the two
-auxiliary zero-sum games that drive the uniqueness certificates: the
-profile-vs-player game comparing welfare-weighted gains around a candidate
-profile, and the profile-vs-deviation game whose value pins down coarse
-correlated equilibria.
+strict-complementarity column strategy with maximal support, and the
+profile-vs-deviation game whose optimal rows are the coarse correlated
+equilibria, which the quasi-strictness certificate factors.  The welfare
+weights of a uniqueness certificate come from a singleton test's dual
+instead (`certify._search_weights`).
 
 Each game is one LP, `_row_lp`: the row player's guarantee, maximized.  Its
 optimal dual is an optimal column strategy (the punishment, in `maximin`),
@@ -233,32 +233,6 @@ def strict_complementary_strategy(mg: MatrixGame) -> MixedAction:
             total[j] += outcome.point[j]
     weights = {c: w / num_cols for c, w in enumerate(total) if w != 0}
     return MixedAction(1, weights)
-
-
-def build_theorem1_auxiliary(game: Game, a_star: Sequence[int]) -> MatrixGame:
-    """Profile-vs-player comparison game around a candidate profile.
-
-    Rows are profiles other than a_star, columns are players; entry (a, i)
-    is u_i(a) - u_i(a_star).  Its value is negative exactly when some
-    positive welfare weights make every other profile strictly worse in
-    aggregate, which is what a uniqueness certificate needs.
-    """
-    a_star = tuple(a_star)
-    profiles = [p for p in game.profiles() if p != a_star]
-    if not profiles:
-        raise ZeroSumError("game has a single profile; comparison game is empty")
-    base = game.payoff_vector(a_star)
-    payoff = tuple(
-        tuple(game.u(i, p) - base[i] for i in range(game.num_players))
-        for p in profiles
-    )
-    return MatrixGame(
-        row_labels=tuple(game.profile_label(p) for p in profiles),
-        col_labels=tuple(f"p{i}" for i in range(game.num_players)),
-        payoff=payoff,
-        row_keys=tuple(profiles),
-        col_keys=tuple(range(game.num_players)),
-    )
 
 
 def build_lemma3_auxiliary(game: Game) -> MatrixGame:

@@ -1,12 +1,61 @@
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 
 from eqcert.games import Game
+from eqcert.zerosum import MatrixGame, maximin
 
 
 def F(x, y=None) -> Fraction:
     return Fraction(x) if y is None else Fraction(x, y)
+
+
+def build_theorem1_auxiliary(game: Game, a_star: Sequence[int]) -> MatrixGame:
+    """Profile-vs-player comparison game around a candidate profile (reference).
+
+    Rows are profiles other than a_star, columns are players; entry (a, i)
+    is u_i(a) - u_i(a_star).  Its value is negative exactly when some
+    nonnegative welfare weights make every other profile strictly worse in
+    aggregate.  The library reads such weights from the dual of the P(a*)
+    singleton test instead (`certify._search_weights`); tests compare the
+    two.
+    """
+    a_star = tuple(a_star)
+    profiles = [p for p in game.profiles() if p != a_star]
+    base = game.payoff_vector(a_star)
+    payoff = tuple(
+        tuple(game.u(i, p) - base[i] for i in range(game.num_players))
+        for p in profiles
+    )
+    return MatrixGame(
+        row_labels=tuple(game.profile_label(p) for p in profiles),
+        col_labels=tuple(f"p{i}" for i in range(game.num_players)),
+        payoff=payoff,
+        row_keys=tuple(profiles),
+        col_keys=tuple(range(game.num_players)),
+    )
+
+
+def unique_security_profile(g: Game):
+    """The only candidate point for a singleton IRCP, when well defined.
+
+    Each player needs exactly one pure action that guarantees the maximin
+    level, and the profile of those actions must pay every player that level.
+    """
+    profile = []
+    for i in range(g.num_players):
+        level = maximin(g, i).value
+        options = [a for a in range(g.shape[i])
+                   if min(g.u(i, g.insert_action(i, a, o))
+                          for o in g.opponent_profiles(i)) == level]
+        if len(options) != 1:
+            return None
+        profile.append(options[0])
+    a_star = tuple(profile)
+    if any(g.u(i, a_star) != maximin(g, i).value for i in range(g.num_players)):
+        return None
+    return a_star
 
 
 @pytest.fixture

@@ -5,7 +5,10 @@ into a temporary directory and each command line runs once through
 `eqcert.cli.main`: the untimed commands first, whose outputs later commands
 read, then the timed ones, as a benchmark run orders them.  Every exit code
 and every decision fingerprint (`perfbench/checks.py`) must equal the one
-recorded in `perfbench/fingerprints.json`.  The two modules are loaded by
+recorded in `perfbench/fingerprints.json`, and so must those of the analyze
+--check-unique and certify commands run again with `zerosum.matrix_value`
+made to raise, as certificate weights come from a singleton test's dual.
+The two modules are loaded by
 file path under private names, so their bare names shadow no other module,
 and nothing under `perfbench/` is written.
 
@@ -47,28 +50,38 @@ checks = _load("checks")
 tracing = _load("tracing")
 
 
-@pytest.fixture(scope="module", params=workloads.WORKLOADS)
-def variant_0(request, tmp_path_factory):
-    """Each command of the workload's variant 0 with its exit code, in run order."""
-    ops = workloads.build(request.param, 0, tmp_path_factory.mktemp(request.param))
-    assert ops
+def _run(ops) -> list:
+    """Each command with its exit code, untimed ones first, as a benchmark run orders them."""
     runs = []
     for op in [op for op in ops if not op.timed] + [op for op in ops if op.timed]:
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
             runs.append((op, cli.main(list(op.argv))))
-    return request.param, runs
+    return runs
 
 
-def test_variant_0_decisions_equal_recorded_fingerprints(variant_0):
-    workload, runs = variant_0
+def _mismatches(workload: str, runs) -> list:
+    """The commands whose exit code or fingerprint differs from the recorded one."""
     expected = checks.load_expected()[workload]
     mismatches = []
     for op, rc in runs:
         fp = checks.fingerprint(op, rc)
         if rc != checks.expected_rc(op, fp) or fp != expected.get(op.key):
             mismatches.append((op.key, fp, expected.get(op.key)))
-    assert mismatches == []
+    return mismatches
+
+
+@pytest.fixture(scope="module", params=workloads.WORKLOADS)
+def variant_0(request, tmp_path_factory):
+    """Each command of the workload's variant 0 with its exit code, in run order."""
+    ops = workloads.build(request.param, 0, tmp_path_factory.mktemp(request.param))
+    assert ops
+    return request.param, _run(ops)
+
+
+def test_variant_0_decisions_equal_recorded_fingerprints(variant_0):
+    workload, runs = variant_0
+    assert _mismatches(workload, runs) == []
 
 
 def _verify_each_report(runs) -> list:
@@ -80,7 +93,19 @@ def _verify_each_report(runs) -> list:
 
 
 def _refuse(*args, **kwargs):
-    raise RuntimeError("verify must not solve this")
+    raise RuntimeError("this must not be solved here")
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_certificates_solve_no_comparison_game(workload, tmp_path, monkeypatch):
+    # Every weight search is the P(a*) singleton test, whose dual holds the
+    # weights, so analyze --check-unique and certify decide alike without
+    # the zero-sum comparison game.
+    monkeypatch.setattr(zerosum, "matrix_value", _refuse)
+    ops = [op for op in workloads.build(workload, 0, tmp_path)
+           if op.kind == "certify" or (op.kind == "analyze" and "--check-unique" in op.argv)]
+    assert ops
+    assert _mismatches(workload, _run(ops)) == []
 
 
 def test_verify_solves_no_maximin_lp(variant_0, monkeypatch):

@@ -468,6 +468,43 @@ def test_verify_rejects_a_forged_gue_entry(tmp_path, capsys, forgery):
     assert err == ""
 
 
+# Prisoner's dilemma: the CCE certificate, in `certificates` and in the
+# classification, is at (d, d), profile [1, 1].
+A_STAR_FORGERIES = {"floats": [1.0, 1.9], "strings": ["1", "1"], "booleans": [True, True]}
+
+
+@pytest.mark.parametrize("forgery", sorted(A_STAR_FORGERIES))
+def test_verify_rejects_a_certificate_profile_that_is_not_ints(tmp_path, capsys, forgery):
+    a_star = A_STAR_FORGERIES[forgery]
+    data = build_report(prisoners_dilemma(), ("ne", "cce"), check_unique=True)
+    for certificate in (data["certificates"]["cce"], data["classification"]["certificate"]):
+        assert certificate["a_star"] == [1, 1]
+        certificate["a_star"] = a_star
+    report_path = tmp_path / "report.json"
+    report_path.write_bytes(save_report(data))
+    assert main(["verify", str(report_path)]) == 1
+    out, err = capsys.readouterr()
+    problem = f"unreadable certificate: profile must be a list of ints, got {json.dumps(a_star)}"
+    assert out.splitlines() == [f"certificates.cce: {problem}", f"classification: {problem}"]
+    assert err == ""
+
+
+@pytest.mark.parametrize("forgery", sorted(A_STAR_FORGERIES))
+def test_simulate_rejects_a_certificate_profile_that_is_not_ints(tmp_path, capsys, forgery):
+    game_path = _generate(tmp_path, "pd.json", "pd")
+    cert_path = tmp_path / "cert.json"
+    assert main(["certify", str(game_path), "--concept", "cce", "--json", str(cert_path)]) == 0
+    cert = json.loads(cert_path.read_text())
+    assert cert["a_star"] == [1, 1]
+    cert["a_star"] = A_STAR_FORGERIES[forgery]
+    cert_path.write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert main(["simulate", str(game_path), "--algo", "external_mw", "--steps", "10",
+                 "--seed", "1", "--certificate", str(cert_path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {cert_path}: unreadable certificate: profile must be a list of ints")
+
+
 def test_verify_names_every_bad_gue_entry(tmp_path, capsys):
     # An entry that cannot be read must not hide a forged flag after it.
     data = build_report(parking(3, 1, "1/4", "3/5"), ("ne",), check_unique=True)

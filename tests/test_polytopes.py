@@ -193,6 +193,26 @@ def test_singleton_test_runs_one_lp(monkeypatch, name, concept, support):
     result = is_singleton(analysis.polytope(concept), analysis.pure_ne())
     assert result.is_singleton and len(result.point.support()) == support
     assert len(calls) == 1
+    # The point carries that LP's dual y, >= 0 on the `>=` rows: the dual of
+    # min -c.x, so sum_r y_r a_r <= -c and sum_r y_r b_r = -max c.x.
+    rows, (objective,) = analysis.polytope(concept).system.constraints, calls
+    y = result.duals
+    assert len(y) == len(rows)
+    assert all(y_r >= 0 for y_r, row in zip(y, rows) if row.relation == ">=")
+    assert all(sum(y_r * row.coeffs[j] for y_r, row in zip(y, rows)) <= -c
+               for j, c in enumerate(objective))
+    value = sum(c * x for c, x in zip(objective, result.point.as_vector(analysis.game)))
+    assert sum(y_r * row.rhs for y_r, row in zip(y, rows)) == -value
+
+
+def test_a_singleton_taken_down_the_chain_carries_no_duals():
+    # Parking's CCE is one point, which settles CE with no LP; the CCE
+    # test's dual belongs to the CCE rows, not to the CE rows.
+    analysis = GameAnalysis(SINGLETON_LP_GAMES["parking"]())
+    cce = analysis.singleton("cce")
+    assert len(cce.duals) == len(analysis.polytope("cce").system.constraints)
+    ce = analysis.singleton("ce")
+    assert ce.point == cce.point and ce.duals is None
 
 
 def test_extreme_points():

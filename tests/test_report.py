@@ -8,6 +8,7 @@ import pytest
 
 from eqcert import certify, polytopes, zerosum
 from eqcert.contests import ContestSpec, LinearCost, TullockRatio, discretize
+from eqcert.games import game_to_dict
 from eqcert.generators import (
     matching_pennies,
     parking,
@@ -162,7 +163,8 @@ SINGLETON_TESTS = {
 
 
 def test_analyze_runs_each_singleton_test_once(request, work_counts):
-    # Plain "polytope" is the GUE strictness test on its own system.
+    # Plain "polytope" is the P(a*) test on its own system, which decides
+    # strict fractional GUE and finds the weights of a certificate.
     _, _, analyze, verify = work_counts
     named = {what: n for what, n in analyze["singleton"].items() if what != "polytope"}
     assert named == SINGLETON_TESTS[request.node.callspec.params["work_counts"]]
@@ -208,10 +210,11 @@ def test_analyze_and_verify_solve_each_maximin_once(work_counts):
 @pytest.mark.parametrize("seed", (1, 3))
 def test_cce_certification_reuses_the_cce_decision(monkeypatch, seed):
     # One strict NE and a CCE polytope that is not one point: the report has
-    # decided CCE before it certifies, so no comparison game can help.
+    # decided CCE before it certifies, so no P(a*) test of the reduced game
+    # can help, and no singleton test runs inside the certification.
     game = random_game((4, 5), seed)
     inside, solved = [], []
-    certify_cce, matrix_value = certify.certify_unique_pure_cce, zerosum.matrix_value
+    certify_cce, singleton = certify.certify_unique_pure_cce, polytopes.singleton_over_system
 
     def tracking(*args, **kwargs):
         inside.append(True)
@@ -220,12 +223,12 @@ def test_cce_certification_reuses_the_cce_decision(monkeypatch, seed):
         finally:
             inside.pop()
 
-    def counting(mg):
+    def counting(*args, **kwargs):
         solved.append(bool(inside))
-        return matrix_value(mg)
+        return singleton(*args, **kwargs)
 
     monkeypatch.setattr(certify, "certify_unique_pure_cce", tracking)
-    monkeypatch.setattr(zerosum, "matrix_value", counting)
+    monkeypatch.setattr(polytopes, "singleton_over_system", counting)
     data = build_report(game, ("ne", "ce", "cce", "ircp"), check_unique=True)
     assert [p["strict"] for p in data["ne"]["pure"]].count(True) == 1
     assert data["concepts"]["cce"]["singleton"] is False
@@ -335,6 +338,23 @@ def test_verify_flags_tampered_classification():
     renamed = copy.deepcopy(mixed)
     renamed["classification"]["variant"] = "mystery"
     assert any("unknown variant" in p for p in verify_report(renamed))
+
+
+def test_verify_recomputes_the_classification_subgame():
+    data = build_report(matching_pennies(), ("ne", "cce"), check_unique=True)
+    assert data["classification"]["mixers"] == [0, 1]
+    data["classification"]["subgame"] = game_to_dict(random_mp_type(7))
+    assert verify_report(data) == [
+        "classification: mixers or subgame disagree with the point"]
+
+
+@pytest.mark.parametrize("point", ({"0": "1"}, {"0": "1/2", "3": "1/2"}))
+def test_verify_flags_a_classification_point_that_is_no_two_mixer_product(point):
+    # A pure point, and one whose marginals both mix but which is no product.
+    data = build_report(matching_pennies(), ("ne", "cce"), check_unique=True)
+    data["classification"]["point"] = point
+    assert ("classification: point is not a product in which two players mix over "
+            "two actions each") in verify_report(data)
 
 
 def test_verify_flags_tampered_gue_flag():

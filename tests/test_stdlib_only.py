@@ -1,5 +1,6 @@
 """The library imports nothing outside the standard library at run time,
-and every name a module imports is used there or exported."""
+every name a module imports is used there or exported, and every private
+top-level function or class is referred to somewhere in the library."""
 
 import ast
 import sys
@@ -68,3 +69,50 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """Private top-level functions and classes that no module refers to.
+
+    `sources` maps module names to their source.  A reference is a name or
+    an attribute read anywhere (`_f`, `lp._f`), or a name imported with
+    `from`; one inside the definition itself, such as a recursive call,
+    does not count.
+    """
+    defined: list[tuple[str, str]] = []
+    references: list[tuple[tuple[str, str], str]] = []  # (enclosing definition, name)
+    for module, source in sources.items():
+        for statement in ast.parse(source).body:
+            owner = (module, getattr(statement, "name", ""))
+            if (isinstance(statement, (ast.FunctionDef, ast.ClassDef))
+                    and statement.name.startswith("_")
+                    and not statement.name.startswith("__")):
+                defined.append(owner)
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name):
+                    references.append((owner, node.id))
+                elif isinstance(node, ast.Attribute):
+                    references.append((owner, node.attr))
+                elif isinstance(node, ast.ImportFrom):
+                    references += [(owner, alias.name) for alias in node.names]
+    return [f"{module}.{name}" for module, name in defined
+            if not any(ref == name and owner != (module, name) for owner, ref in references)]
+
+
+def test_unreferenced_private_names_are_found():
+    sources = {
+        "a": ("def _called():\n    pass\n"
+              "def _recursive(n):\n    return _recursive(n - 1)\n"
+              "class _Lonely:\n    def _method(self):\n        pass\n"
+              "def _imported():\n    pass\n"
+              "def _attribute():\n    pass\n"
+              "def __getattr__(name):\n    pass\n"
+              "def public():\n    return _called()\n"),
+        "b": "from .a import _imported\nfrom . import a\nX = a._attribute\n",
+    }
+    assert unreferenced_private_names(sources) == ["a._recursive", "a._Lonely"]
+
+
+def test_every_private_function_and_class_is_referenced():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    assert unreferenced_private_names(sources) == []

@@ -1,4 +1,4 @@
-"""Maximin levels, their dual punishments, and the auxiliary comparison games."""
+"""Maximin levels, their dual punishments, and the auxiliary zero-sum games."""
 
 from dataclasses import replace
 from fractions import Fraction
@@ -13,14 +13,13 @@ from eqcert.zerosum import (
     ZeroSumError,
     _payoff_matrix,
     build_lemma3_auxiliary,
-    build_theorem1_auxiliary,
     check_maximin,
     matrix_value,
     maximin,
     strict_complementary_strategy,
 )
 
-from conftest import F
+from conftest import F, build_theorem1_auxiliary, unique_security_profile
 
 
 def _mg(rows):
@@ -220,23 +219,6 @@ def test_theorem1_auxiliary_parking_negative_value():
     assert value < 0
 
 
-def _unique_security_profile(g):
-    """The only candidate point for a singleton IRCP, when well defined."""
-    profile = []
-    for i in range(g.num_players):
-        level = maximin(g, i).value
-        options = [a for a in range(g.shape[i])
-                   if min(g.u(i, g.insert_action(i, a, o))
-                          for o in g.opponent_profiles(i)) == level]
-        if len(options) != 1:
-            return None
-        profile.append(options[0])
-    a_star = tuple(profile)
-    if any(g.u(i, a_star) != maximin(g, i).value for i in range(g.num_players)):
-        return None
-    return a_star
-
-
 def test_theorem1_value_sign_matches_ircp_certification():
     certified = refuted = 0
     for seed in range(40):
@@ -249,7 +231,7 @@ def test_theorem1_value_sign_matches_ircp_certification():
             assert value < 0
         else:
             refuted += 1
-            a_star = _unique_security_profile(g)
+            a_star = unique_security_profile(g)
             if a_star is not None:
                 aux = build_theorem1_auxiliary(g, a_star)
                 value, _, _ = matrix_value(aux)
