@@ -230,7 +230,9 @@ def cmd_contest(args: argparse.Namespace) -> int:
         anchor = _parse_rationals(args.a_star)
         if len(anchor) != 2:
             raise CliError("--a-star needs two efforts")
-        gamma = _parse_rationals(args.gamma) if args.gamma else None
+        gamma = _parse_rationals(args.gamma) if args.gamma is not None else None
+        if gamma is not None and (len(gamma) != 2 or any(g <= 0 for g in gamma)):
+            raise CliError("--gamma needs two positive weights")
         try:
             result = contests.verify_prop3(spec, anchor, grids, gamma=gamma)
         except contests.EvaluationDomainError as exc:
@@ -262,7 +264,7 @@ def cmd_contest(args: argparse.Namespace) -> int:
             c = parse_rational(args.c)
         except RationalFormatError as exc:
             raise CliError(f"--c: {exc}") from exc
-        flat = sorted(set(grids[0]) | set(grids[1]))
+        flat = contests._sorted_grid(grids[0] + grids[1])
         try:
             ok = contests.ratio_band_check(spec.success, c, flat)
         except contests.EvaluationDomainError as exc:

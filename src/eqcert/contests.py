@@ -6,6 +6,13 @@ t^r/(1+t^r) and the admissible band around them.  Utilities are
 u_i(a) = v_i p_i(a) - c_i(a_i).  Everything evaluates exactly on rational
 grids or raises EvaluationDomainError; discretized grid games feed the
 uniqueness certification pipeline with the proof weights 1/v_i.
+
+A grid check evaluates each player's utility once per grid profile.  The
+Proposition 3 check scales each player's utilities to ints by their lcm
+denominator and decides every strict-NE gain and every sign of the local
+potential by integer comparison; the band check decides its two strict
+inequalities with integer cross-products.  A Fraction is built only for a
+reported violation.
 """
 
 from __future__ import annotations
@@ -13,11 +20,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .certify import Refutation, UniquenessCertificate, certify_unique_pure_cce
 from .games import Game
-from .rational import format_rational, fraction_power, parse_rational
+from .rational import format_rational, iroot, parse_rational
 
 
 class EvaluationDomainError(ValueError):
@@ -71,13 +79,17 @@ class TullockRatio:
             raise EvaluationDomainError("tullock exponent must be positive")
 
     def at(self, t: Fraction) -> Fraction:
+        """P / (P + Q) with P/Q = t^r; p^m/q^m is in lowest terms, so t^r is
+        rational exactly when both n-th roots are integers (t = p/q, r = m/n)."""
         if t <= 0:
             raise EvaluationDomainError("share functions take positive ratios")
-        power = fraction_power(t, self.r)
-        if power is None:
+        m, n = self.r.numerator, self.r.denominator
+        p_root, p_exact = iroot(t.numerator ** m, n)
+        q_root, q_exact = iroot(t.denominator ** m, n)
+        if not (p_exact and q_exact):
             raise EvaluationDomainError(
                 f"{format_rational(t)}^{format_rational(self.r)} is not rational")
-        return power / (1 + power)
+        return Fraction(p_root, p_root + q_root)
 
 
 @dataclass(frozen=True)
@@ -205,7 +217,11 @@ def contest_utility(spec, i: int, a: Sequence[Fraction]) -> Fraction:
 
 def local_potential(spec, a_star: Sequence[Fraction], a: Sequence[Fraction],
                     gamma: Sequence[Fraction]) -> Fraction:
-    """Phi(a) = sum_i gamma_i (u_i(a) - u_i(a_i*, a_-i)); zero at a = a*."""
+    """Phi(a) = sum_i gamma_i (u_i(a) - u_i(a_i*, a_-i)); zero at a = a*.
+
+    The pointwise form: verify_prop3 gets the same values from one integer
+    utility table.
+    """
     a_star = tuple(Fraction(x) for x in a_star)
     a = tuple(Fraction(x) for x in a)
     total = Fraction(0)
@@ -283,18 +299,55 @@ class Prop3Report:
         return not self.strict_ne_violations and not self.potential_violations
 
 
+def _sorted_grid(grid) -> tuple[Fraction, ...]:
+    """Distinct efforts of one grid in increasing order.
+
+    Duplicates are found by (numerator, denominator) and the order by the
+    int key x * D, D the lcm of the grid's denominators.
+    """
+    efforts = {}
+    for x in grid:
+        x = Fraction(x)
+        efforts.setdefault((x.numerator, x.denominator), x)
+    if not efforts:
+        raise EvaluationDomainError("effort grids must be nonempty")
+    scale = lcm(*(d for _, d in efforts))
+    return tuple(sorted(efforts.values(),
+                        key=lambda x: x.numerator * (scale // x.denominator)))
+
+
 def _normalize_grids(grids) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     if len(grids) == 2 and not isinstance(grids[0], (int, Fraction, str)):
-        pair = (grids[0], grids[1])
-    else:
-        pair = (grids, grids)
-    out = []
-    for grid in pair:
-        efforts = sorted({Fraction(x) for x in grid})
-        if not efforts:
-            raise EvaluationDomainError("effort grids must be nonempty")
-        out.append(tuple(efforts))
-    return tuple(out)
+        return _sorted_grid(grids[0]), _sorted_grid(grids[1])
+    grid = _sorted_grid(grids)
+    return grid, grid
+
+
+def _utility_table(spec, grid1: Sequence[Fraction], grid2: Sequence[Fraction]
+                   ) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """Both players' utilities at every grid profile, grid1's effort slowest."""
+    u1, u2 = [], []
+    for x in grid1:
+        for y in grid2:
+            u1.append(spec.utility(0, (x, y)))
+            u2.append(spec.utility(1, (x, y)))
+    return tuple(u1), tuple(u2)
+
+
+def _scaled(row: Sequence[Fraction]) -> tuple[list[int], int]:
+    """row times d as ints, and d, the lcm of row's denominators."""
+    d = lcm(*{x.denominator for x in row})
+    return [x.numerator * (d // x.denominator) for x in row], d
+
+
+def _positive_weights(gamma) -> tuple[Fraction, Fraction]:
+    try:
+        weights = tuple(Fraction(g) for g in gamma)
+    except (TypeError, ValueError) as exc:
+        raise EvaluationDomainError("gamma must be two positive rationals") from exc
+    if len(weights) != 2 or any(g <= 0 for g in weights):
+        raise EvaluationDomainError("gamma must be two positive rationals")
+    return weights
 
 
 def verify_prop3(spec, a_star: Sequence[Fraction], grids,
@@ -303,34 +356,46 @@ def verify_prop3(spec, a_star: Sequence[Fraction], grids,
 
     An empty violation list is a complete uniqueness proof for the induced
     grid game and necessary-condition sampling for the continuum claim.
+    With u_i = U_i / d_i over ints U_i and W_i = gamma_i / d_i = w_i / den,
+    Phi * den = w_1 dU_1 + w_2 dU_2, so every sign is an int comparison.
     """
     grid1, grid2 = _normalize_grids(grids)
     a_star = (Fraction(a_star[0]), Fraction(a_star[1]))
-    if a_star[0] not in grid1 or a_star[1] not in grid2:
-        raise EvaluationDomainError("the anchor profile must lie on the grid")
-    if gamma is None:
-        gamma = spec.proof_weights()
-    gamma = (Fraction(gamma[0]), Fraction(gamma[1]))
+    try:
+        i_star, j_star = grid1.index(a_star[0]), grid2.index(a_star[1])
+    except ValueError:
+        raise EvaluationDomainError("the anchor profile must lie on the grid") from None
+    gamma = _positive_weights(spec.proof_weights() if gamma is None else gamma)
 
-    base = (spec.utility(0, a_star), spec.utility(1, a_star))
+    table1, table2 = _utility_table(spec, grid1, grid2)
+    (u1, d1), (u2, d2) = _scaled(table1), _scaled(table2)
+    n2 = len(grid2)
+    star = i_star * n2 + j_star
+
     ne_violations = []
-    for i, grid in enumerate((grid1, grid2)):
-        for x in grid:
-            if x == a_star[i]:
-                continue
-            profile = (x, a_star[1]) if i == 0 else (a_star[0], x)
-            gain = spec.utility(i, profile) - base[i]
-            if gain >= 0:
-                ne_violations.append((i, x, gain))
+    for i, x in enumerate(grid1):
+        gain = u1[i * n2 + j_star] - u1[star]
+        if gain >= 0 and i != i_star:
+            ne_violations.append((0, x, Fraction(gain, d1)))
+    for j, y in enumerate(grid2):
+        gain = u2[i_star * n2 + j] - u2[star]
+        if gain >= 0 and j != j_star:
+            ne_violations.append((1, y, Fraction(gain, d2)))
 
+    weight1, weight2 = gamma[0] / d1, gamma[1] / d2
+    den = lcm(weight1.denominator, weight2.denominator)
+    w1 = weight1.numerator * (den // weight1.denominator)
+    w2 = weight2.numerator * (den // weight2.denominator)
+    anchor_row = u1[i_star * n2:(i_star + 1) * n2]  # u_1(a_1*, y)
     potential_violations = []
-    for x in grid1:
-        for y in grid2:
-            if (x, y) == a_star:
-                continue
-            value = local_potential(spec, a_star, (x, y), gamma)
-            if value >= 0:
-                potential_violations.append(((x, y), value))
+    for i, x in enumerate(grid1):
+        row = i * n2
+        anchor_column = u2[row + j_star]  # u_2(x, a_2*)
+        for j, y in enumerate(grid2):
+            scaled = (w1 * (u1[row + j] - anchor_row[j])
+                      + w2 * (u2[row + j] - anchor_column))
+            if scaled >= 0 and row + j != star:
+                potential_violations.append(((x, y), Fraction(scaled, den)))
 
     return Prop3Report(a_star, gamma, (grid1, grid2),
                        tuple(ne_violations), tuple(potential_violations))
@@ -349,20 +414,28 @@ def ratio_band_check(f, c: Fraction, grid: Sequence[Fraction]) -> bool:
 
     Also requires f(1) = 1/2 and the share identity f(t) + f(1/t) = 1 at
     the grid points.  Envelope functions themselves fail: the band is open.
+    With t = p/q, c = cn/cd and f(t) = a/b, the band
+    1/2 + c (1 - 1/t) < f(t) < 1/2 - c (1 - t) reads
+    (b - 2a) cd p < 2b cn (q - p) < (b - 2a) cd q.
     """
     c = Fraction(c)
     if not 0 < c <= Fraction(1, 2):
         raise EvaluationDomainError("band parameter must lie in (0, 1/2]")
     if f.at(Fraction(1)) != Fraction(1, 2):
         return False
+    cn, cd = c.numerator, c.denominator
     for t in grid:
         t = Fraction(t)
-        if not 0 < t < 1:
+        p, q = t.numerator, t.denominator
+        if not 0 < p < q:
             raise EvaluationDomainError("band grid ratios must lie in (0, 1)")
         value = f.at(t)
-        if f.at(1 / t) != 1 - value:
+        if f.at(Fraction(q, p)) != 1 - value:
             return False
-        if not Fraction(1, 2) + c * (1 - 1 / t) < value < Fraction(1, 2) - c * (1 - t):
+        a, b = value.numerator, value.denominator
+        gap = (b - 2 * a) * cd
+        width = 2 * b * cn * (q - p)
+        if not gap * p < width < gap * q:
             return False
     return True
 
@@ -375,12 +448,7 @@ def discretize(spec, grids, name: str | None = None) -> Game:
     grid1, grid2 = _normalize_grids(grids)
     actions = (tuple(format_rational(x) for x in grid1),
                tuple(format_rational(x) for x in grid2))
-    u1, u2 = [], []
-    for x in grid1:
-        for y in grid2:
-            u1.append(spec.utility(0, (x, y)))
-            u2.append(spec.utility(1, (x, y)))
-    return Game(actions, (tuple(u1), tuple(u2)),
+    return Game(actions, _utility_table(spec, grid1, grid2),
                 name or f"contest {len(grid1)}x{len(grid2)}")
 
 

@@ -3,8 +3,8 @@
 Every certified quantity in this package is a `fractions.Fraction`; floats
 never enter a certificate, a polytope computation, or a file we emit.  This
 module fixes the text conventions for rationals ("p/q", integers, finite
-decimals) and provides the integer/fraction root helpers that contest
-success functions need to stay inside exact arithmetic.
+decimals) and provides the integer root that contest success functions
+need to stay inside exact arithmetic.
 """
 
 from __future__ import annotations
@@ -69,30 +69,3 @@ def iroot(n: int, k: int) -> tuple[int, bool]:
     while r ** k > n:
         r -= 1
     return r, r ** k == n
-
-
-def fraction_root(x: Fraction, k: int) -> Fraction | None:
-    """Exact k-th root of x >= 0, or None when no rational root exists."""
-    if x < 0:
-        raise ValueError("fraction_root of a negative rational")
-    num_root, num_exact = iroot(x.numerator, k)
-    if not num_exact:
-        return None
-    den_root, den_exact = iroot(x.denominator, k)
-    if not den_exact:
-        return None
-    return Fraction(num_root, den_root)
-
-
-def fraction_power(x: Fraction, r: Fraction) -> Fraction | None:
-    """Exact x**r for x > 0 and rational r, or None when irrational."""
-    if x <= 0:
-        raise ValueError("fraction_power requires a positive base")
-    r = Fraction(r)
-    if r == 0:
-        return Fraction(1)
-    if r < 0:
-        inverse = fraction_power(x, -r)
-        return None if inverse is None else 1 / inverse
-    powered = x ** r.numerator
-    return fraction_root(powered, r.denominator)

@@ -4,11 +4,43 @@ from typing import Sequence
 import pytest
 
 from eqcert.games import Game
+from eqcert.rational import iroot
 from eqcert.zerosum import MatrixGame, maximin
 
 
 def F(x, y=None) -> Fraction:
     return Fraction(x) if y is None else Fraction(x, y)
+
+
+def fraction_root(x: Fraction, k: int) -> Fraction | None:
+    """Exact k-th root of x >= 0, or None when no rational root exists (reference)."""
+    if x < 0:
+        raise ValueError("fraction_root of a negative rational")
+    num_root, num_exact = iroot(x.numerator, k)
+    if not num_exact:
+        return None
+    den_root, den_exact = iroot(x.denominator, k)
+    if not den_exact:
+        return None
+    return Fraction(num_root, den_root)
+
+
+def fraction_power(x: Fraction, r: Fraction) -> Fraction | None:
+    """Exact x**r for x > 0 and rational r, or None when irrational (reference).
+
+    `contests.TullockRatio.at` takes the roots of t's numerator and
+    denominator itself; tests compare it with power / (1 + power).
+    """
+    if x <= 0:
+        raise ValueError("fraction_power requires a positive base")
+    r = Fraction(r)
+    if r == 0:
+        return Fraction(1)
+    if r < 0:
+        inverse = fraction_power(x, -r)
+        return None if inverse is None else 1 / inverse
+    powered = x ** r.numerator
+    return fraction_root(powered, r.denominator)
 
 
 def build_theorem1_auxiliary(game: Game, a_star: Sequence[int]) -> MatrixGame:

@@ -193,6 +193,30 @@ def test_contest_prop3_pass_and_fail(tmp_path, capsys):
     assert "prop3 check: failed" in capsys.readouterr().out
 
 
+def test_contest_prop3_rejects_a_bad_gamma(tmp_path, capsys):
+    spec_path, _ = _write_tullock(tmp_path)
+    grid_path = tmp_path / "grid3.json"
+    grid_path.write_text(json.dumps(["1/8", "1/4", "3/8"]))
+    for gamma in ("1", "1,2,3", "0,1", "1,-1/2"):
+        assert main(["contest", str(spec_path), "--grid", str(grid_path),
+                     "--prop3", "--a-star", "1/4,1/4", "--gamma", gamma]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --gamma needs two positive weights\n"
+    assert main(["contest", str(spec_path), "--grid", str(grid_path),
+                 "--prop3", "--a-star", "1/4,1/4", "--gamma", ""]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_contest_prop3_on_a_one_effort_grid(tmp_path, capsys):
+    spec_path, _ = _write_tullock(tmp_path)
+    grid_path = tmp_path / "grid1.json"
+    grid_path.write_text(json.dumps(["1/4"]))
+    assert main(["contest", str(spec_path), "--grid", str(grid_path),
+                 "--prop3", "--a-star", "1/4,1/4"]) == 0
+    assert "prop3 check: passed" in capsys.readouterr().out
+
+
 def test_contest_band_checks(tmp_path, capsys):
     spec_path, _ = _write_tullock(tmp_path)
     ratio_path = tmp_path / "ratios.json"

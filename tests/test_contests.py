@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import F
+from eqcert import contests
 from eqcert.certify import (UniquenessCertificate, certificate_to_dict,
                             verify_certificate)
 from eqcert.contests import (
@@ -37,6 +38,7 @@ from eqcert.contests import (
     tullock_term_certificate,
     verify_prop3,
 )
+from eqcert.games import Game
 from eqcert.polytopes import build_polytope, is_singleton
 
 
@@ -303,6 +305,73 @@ def test_prop3_anchor_must_lie_on_grid():
     grid = [F(k, 8) for k in range(1, 9)]
     with pytest.raises(EvaluationDomainError):
         verify_prop3(spec, (F(1, 3), F(1, 3)), grid)
+
+
+def test_prop3_rejects_gamma_that_is_not_two_positive_weights():
+    spec = standard_tullock()
+    grid = [F(1, 8), F(1, 4), F(3, 8)]
+    for gamma in ((F(1),), (F(1), F(2), F(3)), (F(0), F(1)), (F(1), F(-1, 2)),
+                  ("x", F(1))):
+        with pytest.raises(EvaluationDomainError, match="two positive rationals"):
+            verify_prop3(spec, (F(1, 4), F(1, 4)), grid, gamma=gamma)
+
+
+def test_prop3_on_a_one_effort_grid():
+    report = verify_prop3(standard_tullock(), (F(1, 4), F(1, 4)), [F(1, 4)])
+    assert report.ok
+    assert report.grids == ((F(1, 4),), (F(1, 4),))
+
+
+class _CountingSpec:
+    """Wraps a contest and counts its utility evaluations."""
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.calls = 0
+
+    def utility(self, i, a):
+        self.calls += 1
+        return self.spec.utility(i, a)
+
+    def proof_weights(self):
+        return self.spec.proof_weights()
+
+
+def test_grid_checks_evaluate_each_utility_once():
+    grids = ([F(k, 8) for k in range(1, 6)], [F(k, 16) for k in range(1, 8)])
+    for anchor, spec in (((F(1, 4), F(1, 4)), standard_tullock()),
+                         ((F(3, 8), F(1, 16)), standard_tullock(2))):
+        counting = _CountingSpec(spec)
+        verify_prop3(counting, anchor, grids)
+        assert counting.calls == 2 * 5 * 7
+        counting = _CountingSpec(spec)
+        discretize(counting, grids)
+        assert counting.calls == 2 * 5 * 7
+
+
+def test_grid_checks_build_no_game(monkeypatch):
+    # a one-effort grid is valid here, and a Game needs two actions per player
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid check built a Game")
+
+    monkeypatch.setattr(Game, "__post_init__", refuse)
+    monkeypatch.setattr(contests, "discretize", refuse)
+    grid = [F(k, 8) for k in range(1, 9)]
+    assert verify_prop3(standard_tullock(), (F(1, 4), F(1, 4)), grid).ok
+    assert not verify_prop3(standard_tullock(), (F(1, 8), F(1, 8)), grid).ok
+    assert ratio_band_check(TullockRatio(1), F(1, 4), grid[:-1])
+
+
+def test_normalize_grids_matches_sorted_set():
+    mixed = [F(3, 4), 1, F(1, 6), "1/3", F(2, 6), 0, F(5, 12), 1, F(3, 4), "-1/2"]
+    reference = tuple(sorted({Fraction(x) for x in mixed}))
+    assert contests._normalize_grids(mixed) == (reference, reference)
+    other = [F(7, 9), F(1, 9), F(2, 3), F(1, 9), 2]
+    assert contests._normalize_grids((mixed, other)) == (
+        reference, tuple(sorted({Fraction(x) for x in other})))
+    assert contests._normalize_grids([F(1, 2), F(2, 4)]) == ((F(1, 2),), (F(1, 2),))
+    with pytest.raises(EvaluationDomainError):
+        contests._normalize_grids(([F(1)], []))
 
 
 # -- the admissible band ---------------------------------------------------------

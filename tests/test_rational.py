@@ -2,13 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from eqcert.rational import (
-    RationalFormatError,
-    format_rational,
-    fraction_power,
-    fraction_root,
-    parse_rational,
-)
+from conftest import fraction_power, fraction_root
+from eqcert.rational import RationalFormatError, format_rational, parse_rational
 
 
 def test_parse_simple_forms():
@@ -39,6 +34,10 @@ def test_format_lowest_terms():
 def test_round_trip():
     for text in ("0", "1", "-7", "22/7", "-3/5", "1000000007/3"):
         assert format_rational(parse_rational(text)) == text
+
+
+# fraction_root and fraction_power live in conftest as the reference of
+# contests.TullockRatio.at; these pin the reference itself.
 
 
 def test_fraction_root_exact_and_missing():
