@@ -13,18 +13,20 @@ against every a_{-i} and every other mix loses against a*_{-i}.  The weighted
 gains of a certificate are summed over the players' integer payoffs
 (`Game.int_payoffs`), with gamma_i / d_i over one common denominator, and
 the slack is reported as a `Fraction`.
+
+Certificates and refutations are written and read here; their witnesses take
+the JSON form of `games` and are re-checked by `polytopes.membership_problems`.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from . import polytopes, zerosum
+from . import games, polytopes, zerosum
 from .games import (
     Game,
     JointDistribution,
@@ -181,11 +183,10 @@ def _pure_guarantee(game: Game, player: int, action: int) -> Fraction:
 
 def _verify_witnesses(spec: polytopes.PolytopeSpec,
                       witnesses: Sequence[JointDistribution]) -> None:
-    for w in witnesses:
-        if not polytopes.membership(spec, w).is_member:
-            raise SolverInvariantError("refutation witness failed membership re-check")
-    if len(witnesses) == 2 and witnesses[0] == witnesses[1]:
-        raise SolverInvariantError("refutation witnesses are not distinct")
+    """The check `verify_refutation` makes, on the solver's own witnesses."""
+    problems = polytopes.membership_problems(spec, witnesses, "refutation witness")
+    if problems:
+        raise SolverInvariantError(f"membership re-check: {'; '.join(problems)}")
 
 
 def certify_unique_ircp(game: Game | polytopes.GameAnalysis,
@@ -723,26 +724,6 @@ def is_strict_fractional_gue(game: Game, a_star: Sequence[int]) -> bool:
 # -- serialization ------------------------------------------------------------
 
 
-def profile_from_json(data) -> Profile:
-    """A profile read from JSON: a list of ints, as 1.0, "1" or true is no action index."""
-    if type(data) is not list or any(type(a) is not int for a in data):
-        raise ValueError(f"profile must be a list of ints, got {json.dumps(data)}")
-    return tuple(data)
-
-
-def distribution_to_dict(game: Game, mu: JointDistribution) -> dict[str, str]:
-    return {str(game.profile_index(p)): format_rational(w)
-            for p, w in sorted(mu.weights.items())}
-
-
-def distribution_from_dict(game: Game, data: dict) -> JointDistribution:
-    weights = {}
-    for key, value in data.items():
-        profile = game.profile_from_index(int(key))
-        weights[profile] = parse_rational(value)
-    return JointDistribution(weights)
-
-
 def certificate_to_dict(cert: UniquenessCertificate) -> dict:
     return {
         "concept": cert.concept,
@@ -756,7 +737,7 @@ def refutation_to_dict(game: Game, ref: Refutation) -> dict:
     return {
         "concept": ref.concept,
         "reason": ref.reason,
-        "witnesses": [distribution_to_dict(game, w) for w in ref.witnesses],
+        "witnesses": [games.distribution_to_dict(game, w) for w in ref.witnesses],
     }
 
 
@@ -772,7 +753,7 @@ def verify_certificate(game: Game | polytopes.GameAnalysis, data: dict) -> list[
     if concept not in ("ircp", "cce"):
         return [f"unknown certificate concept {concept!r}"]
     try:
-        a_star = profile_from_json(data["a_star"])
+        a_star = games.profile_from_json(data["a_star"])
         game.profile_index(a_star)  # rejects a profile outside the game
         gamma = [parse_rational(g) for g in data["gamma"]]
         slack = parse_rational(data["slack"])
@@ -810,27 +791,21 @@ def verify_refutation(game: Game | polytopes.GameAnalysis, data: dict) -> list[s
     """
     analysis = polytopes.analysis_of(game)
     game = analysis.game
-    problems = []
     concept = data.get("concept")
     if concept not in ("ircp", "cce"):
         return [f"unknown refutation concept {concept!r}"]
     try:
-        witnesses = [distribution_from_dict(game, w) for w in data["witnesses"]]
+        witnesses = [games.distribution_from_dict(game, w, f"witnesses[{idx}]")
+                     for idx, w in enumerate(data["witnesses"])]
     except Exception as exc:
         return [f"unreadable witnesses: {exc}"]
-    spec = analysis.polytope(concept)
-    for idx, w in enumerate(witnesses):
-        result = polytopes.membership(spec, w)
-        if not result.is_member:
-            problems.append(f"witness {idx} is not a {concept.upper()} member")
-    if len(witnesses) == 2:
-        if witnesses[0] == witnesses[1]:
-            problems.append("witnesses are identical")
-    elif len(witnesses) == 1:
+    problems = polytopes.membership_problems(analysis.polytope(concept), witnesses,
+                                             "witnesses")
+    if len(witnesses) == 1:
         if concept != "cce":
             problems.append("single-witness refutations only apply to the CCE concept")
         elif len(witnesses[0].support()) == 1:
             problems.append("a lone pure witness cannot refute pure uniqueness")
-    else:
+    elif len(witnesses) != 2:
         problems.append("refutations carry one or two witnesses")
     return problems

@@ -15,7 +15,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import certify, contests, dynamics, generators, report
+from . import certify, contests, dynamics, games, generators, report
 from .games import (
     Game,
     GameFormatError,
@@ -160,8 +160,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
         _write_text(args.json, json.dumps(payload, indent=2))
     print(f"refuted: {result.reason}")
     for idx, witness in enumerate(payload["witnesses"]):
-        parts = ", ".join(f"{p}: {w}" for p, w in sorted(witness.items(),
-                                                         key=lambda kv: int(kv[0])))
+        parts = ", ".join(f"{p}: {w}" for p, w in witness.items())
         print(f"witness {idx}: {{{parts}}}")
     return 1
 
@@ -259,25 +258,22 @@ def cmd_contest(args: argparse.Namespace) -> int:
               f"{len(result.potential_violations)} potential violations)")
         return 1
 
-    if args.band:
-        try:
-            c = parse_rational(args.c)
-        except RationalFormatError as exc:
-            raise CliError(f"--c: {exc}") from exc
-        flat = contests._sorted_grid(grids[0] + grids[1])
-        try:
-            ok = contests.ratio_band_check(spec.success, c, flat)
-        except contests.EvaluationDomainError as exc:
-            raise CliError(str(exc)) from exc
-        payload = {"mode": "band", "ok": ok, "c": format_rational(c),
-                   "points": len(flat)}
-        if args.json:
-            _write_text(args.json, json.dumps(payload, indent=2))
-        print(f"band check at c = {format_rational(c)}: "
-              f"{'passed' if ok else 'failed'} on {len(flat)} ratios")
-        return 0 if ok else 1
-
-    raise CliError("contest needs --prop3 or --band")
+    # --band: the parser takes exactly one of --prop3 and --band.
+    try:
+        c = parse_rational(args.c)
+    except RationalFormatError as exc:
+        raise CliError(f"--c: {exc}") from exc
+    flat = contests._sorted_grid(grids[0] + grids[1])
+    try:
+        ok = contests.ratio_band_check(spec.success, c, flat)
+    except contests.EvaluationDomainError as exc:
+        raise CliError(str(exc)) from exc
+    payload = {"mode": "band", "ok": ok, "c": format_rational(c), "points": len(flat)}
+    if args.json:
+        _write_text(args.json, json.dumps(payload, indent=2))
+    print(f"band check at c = {format_rational(c)}: "
+          f"{'passed' if ok else 'failed'} on {len(flat)} ratios")
+    return 0 if ok else 1
 
 
 # -- simulate -------------------------------------------------------------------
@@ -300,7 +296,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         # A bad certificate is an input error: reject it before any step runs.
         try:
             cert = json.loads(_read_bytes(args.certificate).decode("utf-8"))
-            a_star = certify.profile_from_json(cert["a_star"])
+            a_star = games.profile_from_json(cert["a_star"])
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise CliError(f"{args.certificate}: unreadable certificate: {exc}") from exc
         problems = certify.verify_certificate(game, cert)
@@ -318,7 +314,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "steps": outcome.steps,
         "seed": outcome.seed,
         "learning_rate": format_rational(rate),
-        "empirical": certify.distribution_to_dict(game, outcome.empirical),
+        "empirical": games.distribution_to_dict(game, outcome.empirical),
         "external_regret": [format_rational(r) for r in outcome.external_regrets],
         "internal_regret": [format_rational(r) for r in outcome.internal_regrets],
     }
@@ -397,10 +393,11 @@ def _generate_args(p: argparse.ArgumentParser) -> None:
 def _contest_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("spec", help="contest JSON file")
     p.add_argument("--grid", required=True, help="grid JSON file")
-    p.add_argument("--prop3", action="store_true",
-                   help="strict-NE and potential-sign check on the grid")
-    p.add_argument("--band", action="store_true",
-                   help="admissible-band check of the share function")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--prop3", action="store_true",
+                      help="strict-NE and potential-sign check on the grid")
+    mode.add_argument("--band", action="store_true",
+                      help="admissible-band check of the share function")
     p.add_argument("--a-star", dest="a_star", metavar="X,Y",
                    help="prop3: anchor efforts")
     p.add_argument("--gamma", metavar="G1,G2", help="prop3: override the weights")

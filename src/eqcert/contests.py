@@ -25,7 +25,7 @@ from typing import Sequence
 
 from .certify import Refutation, UniquenessCertificate, certify_unique_pure_cce
 from .games import Game
-from .rational import format_rational, iroot, parse_rational
+from .rational import RationalFormatError, format_rational, iroot, parse_rational
 
 
 class EvaluationDomainError(ValueError):
@@ -307,7 +307,10 @@ def _sorted_grid(grid) -> tuple[Fraction, ...]:
     """
     efforts = {}
     for x in grid:
-        x = Fraction(x)
+        try:
+            x = parse_rational(x)
+        except RationalFormatError as exc:
+            raise EvaluationDomainError(str(exc)) from None
         efforts.setdefault((x.numerator, x.denominator), x)
     if not efforts:
         raise EvaluationDomainError("effort grids must be nonempty")
@@ -317,7 +320,10 @@ def _sorted_grid(grid) -> tuple[Fraction, ...]:
 
 
 def _normalize_grids(grids) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    if len(grids) == 2 and not isinstance(grids[0], (int, Fraction, str)):
+    """Per-player grids if grids[0] is a list or tuple; else one grid for both."""
+    if grids and isinstance(grids[0], (list, tuple)):
+        if len(grids) != 2 or not isinstance(grids[1], (list, tuple)):
+            raise EvaluationDomainError("per-player grids come as two lists")
         return _sorted_grid(grids[0]), _sorted_grid(grids[1])
     grid = _sorted_grid(grids)
     return grid, grid
@@ -559,11 +565,4 @@ def load_grid(data: bytes | str):
         raw = raw.get("grids", raw.get("grid"))
     if not isinstance(raw, list) or not raw:
         raise EvaluationDomainError("grid file must hold a nonempty list")
-    if isinstance(raw[0], list):
-        if len(raw) != 2:
-            raise EvaluationDomainError("per-player grids come as two lists")
-        return _normalize_grids((
-            [parse_rational(x) for x in raw[0]],
-            [parse_rational(x) for x in raw[1]],
-        ))
-    return _normalize_grids([parse_rational(x) for x in raw])
+    return _normalize_grids(raw)

@@ -7,6 +7,12 @@ fastest).  `Game.strides` gives that index as arithmetic: the profile
 action from a to b moves the index by (b - a) * strides[i].
 `JointDistribution` and `MixedAction` are the exact probability objects
 used by every polytope and certificate computation.
+
+Their one JSON form lives here too.  A profile is a list of JSON ints.
+Weights map decimal index strings to rational strings: a distribution is
+keyed by profile index, a mixed action (`{"player": i, "weights": ...}`)
+by action index.  The readers check keys and JSON types only; sign and sum
+are checked once, by the object they build.
 """
 
 from __future__ import annotations
@@ -420,6 +426,56 @@ def game_from_dict(data: dict) -> Game:
     if name is not None and not isinstance(name, str):
         raise GameFormatError("name must be a string")
     return Game(tuple(tuple(a) for a in actions), payoffs, name)
+
+
+def profile_from_json(data) -> Profile:
+    """A profile read from JSON: a list of ints, as 1.0, "1" or true is no action index."""
+    if type(data) is not list or any(type(a) is not int for a in data):
+        raise GameFormatError(f"profile must be a list of ints, got {json.dumps(data)}")
+    return tuple(data)
+
+
+def weights_to_dict(weights: Mapping[int, Fraction]) -> dict[str, str]:
+    return {str(k): format_rational(w) for k, w in sorted(weights.items())}
+
+
+def weights_from_dict(data, size: int, what: str) -> dict[int, Fraction]:
+    """Rational strings keyed by decimal indices below `size`; sum and sign unchecked."""
+    if not isinstance(data, dict):
+        raise GameFormatError(f"{what} must be an object, got {type(data).__name__}")
+    weights = {}
+    for key, text in data.items():
+        if not (isinstance(key, str) and key.isdecimal() and int(key) < size):
+            raise GameFormatError(f"{what} key {key!r} is not an index below {size}")
+        if not isinstance(text, str):
+            raise GameFormatError(f"{what} weight {text!r} is not a rational string")
+        weights[int(key)] = parse_rational(text)
+    return weights
+
+
+def distribution_to_dict(game: Game, mu: JointDistribution) -> dict[str, str]:
+    return weights_to_dict({game.profile_index(p): w for p, w in mu.weights.items()})
+
+
+def distribution_from_dict(game: Game, data, what: str) -> JointDistribution:
+    weights = weights_from_dict(data, game.num_profiles, what)
+    return JointDistribution({game.profile_from_index(k): w for k, w in weights.items()})
+
+
+def mixed_to_dict(m: MixedAction) -> dict:
+    return {"player": m.player, "weights": weights_to_dict(m.weights)}
+
+
+def mixed_from_dict(game: Game, data, what: str) -> MixedAction:
+    """A mixed action whose `player` is a JSON int naming a player of `game`."""
+    if not isinstance(data, dict):
+        raise GameFormatError(f"{what} must be an object, got {type(data).__name__}")
+    player = data.get("player")
+    if type(player) is not int or not 0 <= player < game.num_players:
+        raise GameFormatError(f"{what} player {json.dumps(player)} is not a player "
+                              "of the game")
+    weights = weights_from_dict(data.get("weights"), game.shape[player], f"{what} weights")
+    return MixedAction(player, weights)
 
 
 def save_game(game: Game) -> bytes:

@@ -326,6 +326,20 @@ def membership(spec: PolytopeSpec, mu: JointDistribution) -> MembershipResult:
     return MembershipResult(not violations, tuple(violations))
 
 
+def membership_problems(spec: PolytopeSpec, dists: Sequence[JointDistribution],
+                        label: str) -> list[str]:
+    """Problem lines for claimed members: each non-member, and a pair of equal ones.
+
+    Parsed distributions are compared, so one point in two spellings is no
+    pair.  The solver's re-check of its own witnesses and `verify` both use it.
+    """
+    problems = [f"{label}[{idx}] is not a {spec.concept.upper()} member"
+                for idx, mu in enumerate(dists) if not membership(spec, mu).is_member]
+    if len(dists) == 2 and dists[0] == dists[1]:
+        problems.append(f"{label}[0] and {label}[1] are the same distribution")
+    return problems
+
+
 def coordinate_bounds(spec: PolytopeSpec, profile: Sequence[int],
                       solver: PolytopeSolver | None = None) -> tuple[Fraction, Fraction]:
     """Exact min and max probability the polytope allows on one profile."""
@@ -403,11 +417,9 @@ def is_singleton(spec: PolytopeSpec,
     if len(pure_ne) >= 2:
         witnesses = (JointDistribution.point_mass(pure_ne[0][0]),
                      JointDistribution.point_mass(pure_ne[1][0]))
-        for w in witnesses:
-            if not membership(spec, w).is_member:
-                raise SolverInvariantError(
-                    f"pure NE point mass failed the membership re-check in the "
-                    f"{spec.concept} polytope")
+        problems = membership_problems(spec, witnesses, "pure NE point mass")
+        if problems:
+            raise SolverInvariantError(f"membership re-check: {'; '.join(problems)}")
         return SingletonResult(None, witnesses)
     system = spec.system
     if pure_ne and spec.concept == "cce":

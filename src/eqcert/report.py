@@ -3,8 +3,10 @@
 A report embeds the game it talks about, so the verifier can re-derive
 everything from the report file alone: witnesses are re-tested for
 membership, certificates re-checked against the payoffs, pure-NE lists
-recomputed, GUE flags re-evaluated.  Rationals are serialized as strings
-in lowest terms; round-trips are bit-exact.
+recomputed, GUE flags re-evaluated.  Distributions, mixed actions and
+profiles take the one JSON form of `games` both ways, and witnesses are
+compared as parsed distributions (`polytopes.membership_problems`), so one
+point written twice, in any spelling, is no pair.
 
 `build_report` and `verify_report` each make one `polytopes.GameAnalysis`
 per call, so their sections and certificates share every polytope,
@@ -30,14 +32,8 @@ import json
 import time
 from fractions import Fraction
 
-from . import certify, polytopes, zerosum
-from .games import (
-    Game,
-    GameFormatError,
-    MixedAction,
-    game_from_dict,
-    game_to_dict,
-)
+from . import certify, games, polytopes, zerosum
+from .games import Game, GameFormatError, JointDistribution, MixedAction
 from .lp import PivotLimitExceeded, SolverInvariantError
 from .polytopes import Degenerate2x2Error
 from .rational import format_rational, parse_rational
@@ -50,52 +46,21 @@ class ReportError(ValueError):
     """Malformed report input."""
 
 
-def _weights_to_dict(weights) -> dict:
-    return {str(k): format_rational(w) for k, w in sorted(weights.items())}
-
-
-def _mixed_to_dict(m: MixedAction) -> dict:
-    return {"player": m.player, "weights": _weights_to_dict(m.weights)}
-
-
-def _mixed_from_dict(data: dict) -> MixedAction:
-    return MixedAction(int(data["player"]),
-                       {int(a): parse_rational(w) for a, w in data["weights"].items()})
-
-
 def _maximin_to_dict(game: Game, player: int, result: zerosum.MaximinResult) -> dict:
     index = {opp: c for c, opp in enumerate(game.opponent_profiles(player))}
-    return {"strategy": _weights_to_dict(result.strategy.weights),
-            "punishment": _weights_to_dict(
+    return {"strategy": games.weights_to_dict(result.strategy.weights),
+            "punishment": games.weights_to_dict(
                 {index[opp]: w for opp, w in result.punishment.items()})}
-
-
-def _weights_from_dict(data, size: int, what: str) -> dict[int, Fraction]:
-    """A distribution over range(size), keyed by decimal index strings, exactly."""
-    if not isinstance(data, dict):
-        raise ReportError(f"{what} must be an object, got {type(data).__name__}")
-    weights = {}
-    for key, text in data.items():
-        if not (isinstance(key, str) and key.isdecimal() and int(key) < size):
-            raise ReportError(f"{what} key {key!r} is not an index below {size}")
-        if not isinstance(text, str):
-            raise ReportError(f"{what} weight {text!r} is not a rational string")
-        weight = parse_rational(text)
-        if weight < 0:
-            raise ReportError(f"{what} weight {text} is negative")
-        weights[int(key)] = weight
-    if sum(weights.values()) != 1:
-        raise ReportError(f"{what} weights do not sum to 1")
-    return weights
 
 
 def _maximin_from_dict(game: Game, player: int, level: Fraction,
                        data) -> zerosum.MaximinResult:
+    """Read as written; `zerosum.check_maximin` checks the punishment's sign and sum."""
     if not isinstance(data, dict):
         raise ReportError(f"expected an object, got {type(data).__name__}")
     others = list(game.opponent_profiles(player))
-    strategy = _weights_from_dict(data.get("strategy"), game.shape[player], "strategy")
-    punishment = _weights_from_dict(data.get("punishment"), len(others), "punishment")
+    strategy = games.weights_from_dict(data.get("strategy"), game.shape[player], "strategy")
+    punishment = games.weights_from_dict(data.get("punishment"), len(others), "punishment")
     return zerosum.MaximinResult(level, MixedAction(player, strategy),
                                  {others[c]: w for c, w in punishment.items()})
 
@@ -109,16 +74,15 @@ def _certification_to_dict(game: Game, result) -> dict:
 def _classification_to_dict(game: Game, cls: certify.CceClassification) -> dict:
     out: dict = {"variant": cls.variant}
     if cls.point is not None:
-        out["point"] = certify.distribution_to_dict(game, cls.point)
+        out["point"] = games.distribution_to_dict(game, cls.point)
     if cls.variant == certify.UNIQUE_PURE:
         out["certificate"] = certify.certificate_to_dict(cls.certificate)
     elif cls.variant == certify.UNIQUE_MIXED_2X2:
         out["mixers"] = list(cls.mixers)
-        out["subgame"] = game_to_dict(cls.subgame)
-        out["ne"] = [_mixed_to_dict(m) for m in cls.ne]
+        out["subgame"] = games.game_to_dict(cls.subgame)
+        out["ne"] = [games.mixed_to_dict(m) for m in cls.ne]
     else:
-        out["witnesses"] = [certify.distribution_to_dict(game, w)
-                            for w in cls.witnesses]
+        out["witnesses"] = [games.distribution_to_dict(game, w) for w in cls.witnesses]
     return out
 
 
@@ -127,7 +91,7 @@ def build_report(game: Game, concepts=ALL_CONCEPTS, check_unique: bool = False) 
     unknown = [c for c in concepts if c not in ALL_CONCEPTS]
     if unknown:
         raise ReportError(f"unknown concepts: {', '.join(unknown)}")
-    report: dict = {"report_version": REPORT_VERSION, "game": game_to_dict(game)}
+    report: dict = {"report_version": REPORT_VERSION, "game": games.game_to_dict(game)}
     timing: dict = {}
     started = time.perf_counter()
     analysis = polytopes.GameAnalysis(game)
@@ -147,7 +111,7 @@ def build_report(game: Game, concepts=ALL_CONCEPTS, check_unique: bool = False) 
                 pairs = polytopes.mixed_ne_2x2(game)
                 section["mixed_2x2"] = {
                     "status": "ok",
-                    "equilibria": [[_mixed_to_dict(a), _mixed_to_dict(b)]
+                    "equilibria": [[games.mixed_to_dict(a), games.mixed_to_dict(b)]
                                    for a, b in pairs],
                 }
             except Degenerate2x2Error:
@@ -165,9 +129,9 @@ def build_report(game: Game, concepts=ALL_CONCEPTS, check_unique: bool = False) 
         singleton = analysis.singleton(concept)
         entry: dict = {"singleton": singleton.is_singleton}
         if singleton.is_singleton:
-            entry["point"] = certify.distribution_to_dict(game, singleton.point)
+            entry["point"] = games.distribution_to_dict(game, singleton.point)
         else:
-            entry["witnesses"] = [certify.distribution_to_dict(game, w)
+            entry["witnesses"] = [games.distribution_to_dict(game, w)
                                   for w in singleton.witnesses]
         polytope_results[concept] = entry
         timing[concept] = time.perf_counter() - t0
@@ -229,16 +193,6 @@ def load_report(data: bytes | str) -> dict:
     return raw
 
 
-def _check_members(analysis: polytopes.GameAnalysis, concept: str, dists: list,
-                   problems: list, where: str) -> None:
-    """Membership of each distribution in the context's polytope."""
-    spec = analysis.polytope(concept)
-    for idx, data in enumerate(dists):
-        mu = certify.distribution_from_dict(analysis.game, data)
-        if not polytopes.membership(spec, mu).is_member:
-            problems.append(f"{where}[{idx}] is not a {concept.upper()} member")
-
-
 @contextlib.contextmanager
 def _section(key: str, problems: list):
     """Report a section that cannot be read (wrong JSON type, missing field) as a problem."""
@@ -287,7 +241,7 @@ def verify_report(report: dict) -> list[str]:
     """
     problems: list[str] = []
     try:
-        game = game_from_dict(report["game"])
+        game = games.game_from_dict(report["game"])
     except (KeyError, GameFormatError) as exc:
         return [f"embedded game unreadable: {exc}"]
     version = report.get("report_version")
@@ -300,6 +254,14 @@ def verify_report(report: dict) -> list[str]:
         with _section("maximin", problems):
             levels = _verified_levels(game, report, problems)
     analysis = polytopes.GameAnalysis(game, levels or ())
+
+    def check_members(concept: str, dists, where: str) -> list[JointDistribution]:
+        """Read `dists`; name each non-member of the polytope, and an equal pair."""
+        spec = analysis.polytope(concept)
+        parsed = [games.distribution_from_dict(game, data, f"{where}[{idx}]")
+                  for idx, data in enumerate(dists)]
+        problems.extend(polytopes.membership_problems(spec, parsed, where))
+        return parsed
 
     def uncertified(what: str, concept) -> bool:
         """An IRCP claim with no certified levels to check it against."""
@@ -327,14 +289,12 @@ def verify_report(report: dict) -> list[str]:
                         problems.append(
                             f"concepts.{concept} claims a singleton but has no point")
                         continue
-                    _check_members(analysis, concept, [entry["point"]], problems,
-                                   f"concepts.{concept}.point")
+                    check_members(concept, [entry["point"]], f"concepts.{concept}.point")
                 else:
                     witnesses = entry.get("witnesses", [])
-                    if len(witnesses) != 2 or witnesses[0] == witnesses[1]:
+                    if len(witnesses) != 2:
                         problems.append(f"concepts.{concept} needs two distinct witnesses")
-                    _check_members(analysis, concept, witnesses, problems,
-                                   f"concepts.{concept}.witnesses")
+                    check_members(concept, witnesses, f"concepts.{concept}.witnesses")
 
     with _section("certificates", problems):
         for key, entry in report.get("certificates", {}).items():
@@ -354,35 +314,33 @@ def verify_report(report: dict) -> list[str]:
             if variant == certify.UNIQUE_PURE:
                 for problem in certify.verify_certificate(analysis, cls["certificate"]):
                     problems.append(f"classification: {problem}")
-                _check_members(analysis, "cce", [cls["point"]], problems,
-                               "classification.point")
+                check_members("cce", [cls["point"]], "classification.point")
             elif variant == certify.UNIQUE_MIXED_2X2:
-                _check_members(analysis, "cce", [cls["point"]], problems,
-                               "classification.point")
-                mu = certify.distribution_from_dict(game, cls["point"])
+                [mu] = check_members("cce", [cls["point"]], "classification.point")
                 induced = certify._induced_2x2(game, mu) if mu.is_product(game) else None
                 if induced is None:
                     problems.append("classification: point is not a product in which "
                                     "two players mix over two actions each")
                 else:
                     mixers, subgame = induced
-                    if cls["mixers"] != list(mixers) or cls["subgame"] != game_to_dict(subgame):
+                    if (cls["mixers"] != list(mixers)
+                            or cls["subgame"] != games.game_to_dict(subgame)):
                         problems.append(
                             "classification: mixers or subgame disagree with the point")
                     if not certify.is_matching_pennies_type(subgame):
                         problems.append(
                             "classification: subgame lacks the strict cyclic pattern")
                     marginals = [mu.marginal(game, i) for i in mixers]
-                    claimed = [_mixed_from_dict(m) for m in cls["ne"]]
+                    claimed = [games.mixed_from_dict(game, m, f"ne[{k}]")
+                               for k, m in enumerate(cls["ne"])]
                     if marginals != claimed:
                         problems.append("classification: stated NE disagrees with the "
                                         "point's marginals")
             elif variant == certify.NOT_UNIQUE:
                 witnesses = cls.get("witnesses", [])
-                if len(witnesses) != 2 or witnesses[0] == witnesses[1]:
+                if len(witnesses) != 2:
                     problems.append("classification needs two distinct witnesses")
-                _check_members(analysis, "cce", witnesses, problems,
-                               "classification.witnesses")
+                check_members("cce", witnesses, "classification.witnesses")
             else:
                 problems.append(f"classification: unknown variant {variant!r}")
 
@@ -392,7 +350,7 @@ def verify_report(report: dict) -> list[str]:
                 # JSON null, 0 or "1" must not stand in for a flag.
                 flags = (entry["gue"], entry["strict_fractional_gue"])
                 try:
-                    profile = certify.profile_from_json(entry["profile"])
+                    profile = games.profile_from_json(entry["profile"])
                 except ValueError as exc:
                     problems.append(f"gue[{idx}]: {exc}")
                     continue

@@ -20,6 +20,8 @@ meets the unilateral guarantee.
 `perfbench/tracing.py` reads the standard form's attributes after phase 1
 and after each `optimize`; a test runs it on CE, CCE and maximin systems, so
 that a change to the tableau layout cannot silently break its counters.
+Another test checks that every function it wraps by module and name still
+exists.
 """
 
 import contextlib
@@ -174,3 +176,12 @@ def test_tracer_reads_every_standard_form(monkeypatch):
     assert len(forms) == tracer.counts["lp.solvers"] + tracer.calls["lp.reopt"]
     assert tracer.counts["lp.phase1_pivots"] + tracer.counts["lp.reopt_pivots"] > 0
     assert tracer.maxima["lp.max_tableau_cells"] > 0 and tracer.maxima["lp.max_entry_bits"] > 0
+
+
+def test_every_traced_function_exists():
+    # `tracing.install` looks each span's function up by module and name; a
+    # renamed or moved function would stop `perfbench/run.py --trace 1`.
+    missing = [f"eqcert.{module}.{name}" for module, name, _ in tracing.FUNCTION_SPANS
+               if not callable(getattr(importlib.import_module(f"eqcert.{module}"), name, None))]
+    assert missing == []
+

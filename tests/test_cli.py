@@ -243,6 +243,16 @@ def test_contest_input_errors(tmp_path):
                  "--prop3", "--a-star", "1/4,1/4"]) == 2
 
 
+def test_contest_prop3_and_band_together_is_a_usage_error(tmp_path, capsys):
+    # Each alone runs (see above); together, neither check runs.
+    spec_path, grid_path = _write_tullock(tmp_path)
+    assert main(["contest", str(spec_path), "--grid", str(grid_path),
+                 "--prop3", "--a-star", "1/4,1/4", "--band", "--c", "1/4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --band: not allowed with argument --prop3" in captured.err
+
+
 def test_contest_band_rejects_unreadable_c(tmp_path, capsys):
     spec_path, _ = _write_tullock(tmp_path)
     ratio_path = tmp_path / "ratios.json"
@@ -424,10 +434,10 @@ MAXIMIN_FORGERIES = {
         "maximin_certificates[1]: punishment leaves action 0 more than -1/1000"),
     "sum": (
         _set(("maximin_certificates", 0, "strategy"), {"0": "1/3", "1": "1/3"}),
-        "maximin_certificates[0] unreadable: strategy weights do not sum to 1"),
+        "maximin_certificates[0] unreadable: mixed action weights must sum to 1"),
     "negative": (
         _set(("maximin_certificates", 0, "punishment"), {"0": "-1/3", "1": "2/3", "2": "2/3"}),
-        "maximin_certificates[0] unreadable: punishment weight -1/3 is negative"),
+        "maximin_certificates[0]: punishment is not a distribution"),
     "key-range": (
         _set(("maximin_certificates", 1, "punishment"), {"3": "1"}),
         "maximin_certificates[1] unreadable: punishment key '3' is not an index below 3"),

@@ -374,6 +374,23 @@ def test_normalize_grids_matches_sorted_set():
         contests._normalize_grids(([F(1)], []))
 
 
+def test_grids_refuse_floats():
+    # A two-entry float grid is one grid, not a pair of per-player grids, and
+    # no float is read as its binary fraction.
+    spec = standard_tullock()
+    with pytest.raises(EvaluationDomainError, match="refusing float 0.1"):
+        verify_prop3(spec, (F(1, 10), F(1, 10)), [0.1, 0.2])
+    for grid in ([0.25, 0.5, 0.125], [F(1, 4), 0.5], ([F(1, 4)], [0.5]), [True, F(1, 2)]):
+        with pytest.raises(EvaluationDomainError):
+            contests._normalize_grids(grid)
+        with pytest.raises(EvaluationDomainError):
+            discretize(spec, grid)
+    with pytest.raises(EvaluationDomainError, match="two lists"):
+        contests._normalize_grids(([F(1, 4)], [F(1, 2)], [F(3, 4)]))
+    assert contests._normalize_grids(((F(1, 2), "1/4"), [1])) == (
+        (F(1, 4), F(1, 2)), (F(1),))
+
+
 # -- the admissible band ---------------------------------------------------------
 
 

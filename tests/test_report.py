@@ -321,7 +321,66 @@ def test_verify_reads_past_an_unreadable_entry():
 def test_verify_flags_degenerate_witness_pair():
     data = build_report(rock_paper_scissors(), ("cce",))
     data["concepts"]["cce"]["witnesses"] = [data["concepts"]["cce"]["witnesses"][0]] * 2
-    assert any("two distinct witnesses" in p for p in verify_report(data))
+    assert verify_report(data) == [
+        "concepts.cce.witnesses[0] and concepts.cce.witnesses[1] are the same distribution"]
+
+
+# One point written twice, in two spellings: a zero-padded key, and a weight
+# not in lowest terms.  Witnesses are compared as parsed distributions.
+RESPELLED_PAIRS = ([{"3": "1"}, {"03": "1"}], [{"3": "1"}, {"3": "2/2"}])
+
+
+@pytest.mark.parametrize("pair", RESPELLED_PAIRS, ids=["zero-padded", "unreduced"])
+def test_verify_flags_one_point_written_twice_as_witnesses(pair):
+    # PD's CE and CCE are the one point delta(d, d), at profile index 3.
+    data = full_pd_report()
+    data["concepts"]["cce"] = {"singleton": False, "witnesses": copy.deepcopy(pair)}
+    data["concepts"]["ce"] = {"singleton": False, "witnesses": copy.deepcopy(pair)}
+    data["classification"] = {"variant": "not_unique", "witnesses": copy.deepcopy(pair)}
+    assert verify_report(data) == [
+        f"{where}.witnesses[0] and {where}.witnesses[1] are the same distribution"
+        for where in ("concepts.ce", "concepts.cce", "classification")]
+
+
+def test_verify_exits_1_on_a_parking_report_whose_points_are_written_twice(
+        tmp_path, capsys):
+    # Parking m = 3 at fee 3/5: IRCP, CCE and CE are one certified point.
+    from eqcert.cli import main
+
+    data = build_report(parking(3, 1, Fraction(1, 4), Fraction(3, 5)),
+                        ("ne", "ce", "cce", "ircp"), check_unique=True)
+    assert data["certificates"]["ircp"]["type"] == "certificate"
+    for concept, entry in data["concepts"].items():
+        [(key, weight)] = entry.pop("point").items()
+        entry.update(singleton=False, witnesses=[{key: weight}, {"0" + key: "2/2"}])
+    path = tmp_path / "forged.json"
+    path.write_bytes(save_report(data))
+    assert main(["verify", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [
+        f"concepts.{c}.witnesses[0] and concepts.{c}.witnesses[1] are the same distribution"
+        for c in ("ce", "cce", "ircp")]
+    assert err == ""
+
+
+def test_verify_rejects_a_mixed_action_player_that_is_no_json_int():
+    data = build_report(random_mp_type(8), ("ne", "cce"), check_unique=True)
+    assert data["classification"]["variant"] == "unique_mixed_2x2"
+    assert verify_report(data) == []
+    for player, shown in ((0.5, "0.5"), (True, "true"), ("0", '"0"'), (7, "7")):
+        forged = copy.deepcopy(data)
+        forged["classification"]["ne"][0]["player"] = player
+        assert verify_report(forged) == [
+            f"classification unreadable: GameFormatError: ne[0] player {shown} is not "
+            "a player of the game"]
+
+
+def test_verify_rejects_a_json_number_weight_in_a_point():
+    data = full_pd_report()
+    data["concepts"]["cce"]["point"] = {"3": 1}
+    assert verify_report(data) == [
+        "concepts.cce unreadable: GameFormatError: concepts.cce.point[0] weight 1 "
+        "is not a rational string"]
 
 
 def test_verify_flags_tampered_certificate():

@@ -142,3 +142,40 @@ def test_decisions_survive_reordering_players(case):
     decisions = _decisions(game, _analyze(game))
     reordered = _reorder_players(game, order)
     assert _decisions(reordered, _analyze(reordered), order=order) == decisions
+
+
+def _respelled(dist: dict) -> dict:
+    """The same distribution, each key zero-padded and each weight p/q written 2p/2q."""
+    weights = {key: Fraction(text) for key, text in dist.items()}
+    return {"0" + key: f"{2 * w.numerator}/{2 * w.denominator}" for key, w in weights.items()}
+
+
+def _witness_pairs(report: dict):
+    """Each entry holding a witness pair, with the line `verify` gives for one point twice."""
+    same = "are the same distribution"
+    for concept, entry in report["concepts"].items():
+        if not entry["singleton"]:
+            where = f"concepts.{concept}.witnesses"
+            yield entry, f"{where}[0] and {where}[1] {same}"
+    for key, entry in report["certificates"].items():
+        if entry["type"] == "refutation" and len(entry["witnesses"]) == 2:
+            yield entry, f"certificates.{key}: witnesses[0] and witnesses[1] {same}"
+    if report["classification"]["variant"] == "not_unique":
+        where = "classification.witnesses"
+        yield report["classification"], f"{where}[0] and {where}[1] {same}"
+
+
+# A forged refutation: each witness pair [w, w'] becomes w and w re-spelled.
+# Witnesses are compared as distributions, so `verify` names every pair.
+@hypothesis.settings(max_examples=40, deadline=None, derandomize=True,
+                     suppress_health_check=list(hypothesis.HealthCheck))
+@hypothesis.given(st.composite(lambda draw: _draw_game(draw, SHAPES[:3]))())
+def test_one_point_written_twice_is_no_witness_pair(game):
+    report = _analyze(game)
+    expected = []
+    for entry, line in _witness_pairs(report):
+        first = entry["witnesses"][0]
+        entry["witnesses"] = [first, _respelled(first)]
+        expected.append(line)
+    hypothesis.assume(expected)
+    assert verify_report(report) == expected
