@@ -5,8 +5,9 @@ weights gamma such that the gamma-weighted payoff gains relative to a*
 are strictly negative at every other profile (for IRCP uniqueness, gains
 are measured against a* itself; for unique pure CCE, against unilateral
 switches to a_i*).  The weights are the dual of the LP that pins P(a*) =
-{mu : E_mu u >= u(a*)} to delta(a*) (`_improvement_singleton`); refutations
-always carry explicit polytope members that anyone can re-check.  At a strict NE
+{mu : E_mu u >= u(a*)} to delta(a*), the test that decides IRCP and strict
+fractional GUE, kept by `polytopes.GameAnalysis.improvement`; refutations
+carry explicit polytope members that anyone can re-check.  At a strict NE
 a*, a pure CCE certificate is an IRCP one of v_i(a) = u_i(a) - u_i(a_i*,
 a_{-i}), found with no maximin LP: each level of v is 0, as a_i* gets 0
 against every a_{-i} and every other mix loses against a*_{-i}.  The weighted
@@ -20,7 +21,6 @@ the JSON form of `games` and are re-checked by `polytopes.membership_problems`.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -40,7 +40,6 @@ from .games import (
 )
 from .lp import (
     EQUAL,
-    GREATER_EQUAL,
     ConstraintSystem,
     LinearConstraint,
     PolytopeSolver,
@@ -79,7 +78,7 @@ class EnforcementCheck:
 
 def _check_enforcement_at(game: Game, a_star: Profile) -> EnforcementCheck:
     zero = all(x == 0 for x in game.payoff_vector(a_star))
-    guarantee = all(_pure_guarantee(game, i, a_star[i]) >= 0
+    guarantee = all(games.pure_guarantee(game, i, a_star[i]) >= 0
                     for i in range(game.num_players))
     negative = all(
         sum(game.payoff_vector(p), Fraction(0)) < 0
@@ -174,164 +173,54 @@ def _certificate(concept: str, a_star: Profile,
     return UniquenessCertificate(concept, tuple(a_star), gamma, slack, transformed)
 
 
-def _pure_guarantee(game: Game, player: int, action: int) -> Fraction:
-    return min(
-        game.u(player, game.insert_action(player, action, others))
-        for others in game.opponent_profiles(player)
-    )
-
-
-def _verify_witnesses(spec: polytopes.PolytopeSpec,
-                      witnesses: Sequence[JointDistribution]) -> None:
-    """The check `verify_refutation` makes, on the solver's own witnesses."""
-    problems = polytopes.membership_problems(spec, witnesses, "refutation witness")
-    if problems:
-        raise SolverInvariantError(f"membership re-check: {'; '.join(problems)}")
-
-
-def certify_unique_ircp(game: Game | polytopes.GameAnalysis,
-                        gamma_hint: Sequence[Fraction] | None = None
+def certify_unique_ircp(game: Game | polytopes.GameAnalysis
                         ) -> UniquenessCertificate | Refutation:
     """Certify or refute that the IRCP polytope is one point.
 
-    A singleton IRCP forces a profile a* of unique pure maximin actions with
-    on-profile payoffs at the security levels; given that, the singleton
-    test of P(a*) decides the question, yielding either positive welfare
-    weights (certificate) or a second polytope member (refutation).
-    `gamma_hint` supplies candidate weights to try before that LP; invalid
-    hints are ignored.  Every answer is re-checked
-    against the polytope before it is returned: a refutation's witnesses by
-    exact membership, a certificate by the singleton test.  Given a
-    `GameAnalysis`, the polytope, its singleton test and the maximin LPs
-    are the context's.
+    Converts the context's IRCP decision (`GameAnalysis.singleton`):
+    witnesses into a refutation with the decision's reason, the point
+    delta(a*) into weights (`_search_weights`), whose negative weighted
+    gains and enforcement form (`_certificate`) prove it again.
     """
     analysis = polytopes.analysis_of(game)
-    spec = analysis.polytope("ircp")
-    result = _decide_ircp(analysis, gamma_hint)
-    if isinstance(result, UniquenessCertificate):
-        # The point is None unless the polytope is a singleton.
-        if analysis.singleton("ircp").point != JointDistribution.point_mass(result.a_star):
-            raise SolverInvariantError("certificate disagrees with the polytope singleton test")
-    else:
-        _verify_witnesses(spec, result.witnesses)
-    return result
+    singleton = analysis.singleton("ircp")
+    if not singleton.is_singleton:
+        return Refutation("ircp", singleton.reason, singleton.witnesses)
+    [a_star] = singleton.point.support()
+    return _search_weights(analysis, analysis.game, a_star, "ircp")
 
 
-def _decide_ircp(analysis: polytopes.GameAnalysis,
-                 gamma_hint: Sequence[Fraction] | None
-                 ) -> UniquenessCertificate | Refutation:
-    """The IRCP decision at the context's security levels, without re-checks."""
-    game = analysis.game
-    n = game.num_players
-    levels = [analysis.maximin(i).value for i in range(n)]
-    # Every player needs a pure action attaining the security level.
-    pure_options = [
-        [a for a in range(game.shape[i]) if _pure_guarantee(game, i, a) == levels[i]]
-        for i in range(n)
-    ]
-    for i in range(n):
-        if not pure_options[i]:
-            nu = [analysis.maximin(j).strategy for j in range(n)]
-            base = product_distribution(game, nu)
-            gaps = _deviation_payoffs(game, i, nu)
-            best = max(range(game.shape[i]), key=lambda a: (gaps[a], -a))
-            swapped = nu.copy()
-            swapped[i] = MixedAction.point_mass(i, best)
-            return Refutation(
-                "ircp",
-                f"player {i} has no pure maximin action, so no single profile "
-                "can pin the polytope",
-                (base, product_distribution(game, swapped)),
-            )
-    for i in range(n):
-        if len(pure_options[i]) > 1:
-            a_star = tuple(opts[0] for opts in pure_options)
-            alt = list(a_star)
-            alt[i] = pure_options[i][1]
-            return Refutation(
-                "ircp",
-                f"player {i} has several pure maximin actions; swapping them "
-                "gives distinct point-mass members",
-                (JointDistribution.point_mass(a_star),
-                 JointDistribution.point_mass(tuple(alt))),
-            )
+def _search_weights(analysis: polytopes.GameAnalysis, game: Game, a_star: Profile,
+                    concept: str, gamma_hint: Sequence[Fraction] | None = None
+                    ) -> UniquenessCertificate | None:
+    """The `concept` certificate pinning P(a*) of `game` to delta(a*), or None.
 
-    a_star = tuple(opts[0] for opts in pure_options)
-    for i in range(n):
-        level = levels[i]
-        if game.u(i, a_star) > level:
-            # Mix a little of a deviation into player i's action; everyone
-            # still clears the security levels.
-            dev = 0 if a_star[i] != 0 else 1
-            dev_profile = game.insert_action(
-                i, dev, tuple(a for j, a in enumerate(a_star) if j != i))
-            dev_payoff = game.u(i, dev_profile)
-            if dev_payoff >= level:
-                eps = Fraction(1, 2)
-            else:
-                eps = (game.u(i, a_star) - level) / (2 * (game.u(i, a_star) - dev_payoff))
-            return Refutation(
-                "ircp",
-                f"player {i} earns strictly above the security level at the "
-                "candidate profile, leaving room for a second member",
-                (JointDistribution.point_mass(a_star),
-                 JointDistribution({a_star: 1 - eps, dev_profile: eps})),
-            )
-
-    return _search_weights(game, a_star, gamma_hint, "ircp")
-
-
-def _search_weights(game: Game, a_star: Profile, gamma_hint: Sequence[Fraction] | None,
-                    concept: str) -> UniquenessCertificate | Refutation:
-    """The IRCP decision once a* is the one profile at the security levels.
-
-    It tries positive weights with negative weighted gains around a*:
-    `gamma_hint` (ignored unless positive and one per player), uniform ones
-    for a symmetric game, then gamma_i ~ y_i d_i from the P(a*) test's dual
-    (`_improvement_singleton`).  Each is positive: with gamma_i = 0, the
-    profile where i alone leaves a* gives each other j at least u_j(a*),
-    a*_j being j's pure maximin action, so its weighted gain is >= 0.
-    Returns the certificate, named `concept`, or the IRCP refutation of
-    `game`, whose witnesses lie in P(a*), the IRCP polytope here.
+    `game` is the context's game, or its CCE reduction at a*; in both, a*_i
+    is player i's only pure maximin action and u(a*) is at the levels.  It
+    tries `gamma_hint` (ignored unless positive and one per player), uniform
+    weights for a symmetric game, then gamma_i ~ y_i d_i from the dual of
+    the kept P(a*) test, None when that finds a second member.  Each is
+    positive: with gamma_i = 0, the weighted gain is >= 0 where i alone
+    leaves a*, as each other j, playing its pure maximin action, gets at
+    least u_j(a*).
     """
     n = game.num_players
+    tries = [(Fraction(1, n),) * n] if is_symmetric(game) else []
     if gamma_hint is not None and len(gamma_hint) == n and all(
             Fraction(g) > 0 for g in gamma_hint):
-        slack = _gain_slack(game, a_star, _normalize(gamma_hint), "ircp")
+        tries.insert(0, gamma_hint)
+    for gamma in tries:
+        slack = _gain_slack(game, a_star, _normalize(gamma), "ircp")
         if slack is not None:
-            return _certificate(concept, a_star, gamma_hint, slack, game)
-    if is_symmetric(game):
-        uniform = (Fraction(1, n),) * n
-        slack = _gain_slack(game, a_star, uniform, "ircp")
-        if slack is not None:
-            return _certificate(concept, a_star, uniform, slack, game)
-
-    singleton = _improvement_singleton(game, a_star)
+            return _certificate(concept, a_star, gamma, slack, game)
+    singleton = analysis.improvement(a_star, game)
     if not singleton.is_singleton:
-        return Refutation("ircp", "a second distribution pays every player at least "
-                          "the candidate profile's payoffs", singleton.witnesses)
+        return None
     gamma = _normalize([y * d for y, d in zip(singleton.duals, game.payoff_scales)])
     slack = _gain_slack(game, a_star, gamma, "ircp")
     if slack is None or any(g <= 0 for g in gamma):
         raise SolverInvariantError("the P(a*) dual gave a boundary weight or a gain >= 0")
     return _certificate(concept, a_star, gamma, slack, game)
-
-
-def _deviation_payoffs(game: Game, player: int,
-                       mixed: Sequence[MixedAction]) -> list[Fraction]:
-    """Expected payoff to each pure action of `player` against the others' mix."""
-    out = []
-    others_mix = [m for j, m in enumerate(mixed) if j != player]
-    others_support = [m.support() for m in others_mix]
-    for action in range(game.shape[player]):
-        total = Fraction(0)
-        for combo in itertools.product(*others_support):
-            w = Fraction(1)
-            for m, a in zip(others_mix, combo):
-                w *= m.prob(a)
-            total += w * game.u(player, game.insert_action(player, action, combo))
-        out.append(total)
-    return out
 
 
 def certify_unique_pure_cce(game: Game | polytopes.GameAnalysis,
@@ -357,8 +246,9 @@ def certify_unique_pure_cce(game: Game | polytopes.GameAnalysis,
         a_star = candidates[0]
         kept = analysis.kept_singleton("cce")
         if kept is None or kept.point == JointDistribution.point_mass(a_star):
-            found = _search_weights(cce_reduction(game, a_star), a_star, gamma_hint, "cce")
-            if isinstance(found, UniquenessCertificate):
+            found = _search_weights(analysis, cce_reduction(game, a_star), a_star, "cce",
+                                    gamma_hint)
+            if found is not None:
                 return found
 
     spec = analysis.polytope("cce")
@@ -382,7 +272,7 @@ def certify_unique_pure_cce(game: Game | polytopes.GameAnalysis,
             refutation = Refutation(
                 "cce", "the unique coarse correlated equilibrium is mixed",
                 (singleton.point,))
-    _verify_witnesses(spec, refutation.witnesses)
+    polytopes.recheck_members(spec, refutation.witnesses, "refutation witness")
     return refutation
 
 
@@ -504,7 +394,7 @@ def _require_product(game: Game, nu: JointDistribution) -> list[MixedAction]:
 def _is_equilibrium(game: Game, nu: JointDistribution, quasi_strict: bool) -> bool:
     mixed = _require_product(game, nu)
     for i in range(game.num_players):
-        payoffs = _deviation_payoffs(game, i, mixed)
+        payoffs = games.deviation_payoffs(game, i, mixed)
         expected = nu.expected_utility(game, i)
         support = set(mixed[i].support())
         for a, p in enumerate(payoffs):
@@ -657,7 +547,7 @@ def conv_ne_vs_ircp(game: Game, ne_list: Sequence[JointDistribution],
 
 def _unilateral_guarantee(game: Game, a_star: Profile) -> bool:
     game.profile_index(a_star)  # rejects a profile outside the game
-    return all(_pure_guarantee(game, i, a_star[i]) >= game.u(i, a_star)
+    return all(games.pure_guarantee(game, i, a_star[i]) >= game.u(i, a_star)
                for i in range(game.num_players))
 
 
@@ -677,48 +567,26 @@ def is_gue(game: Game, a_star: Sequence[int]) -> bool:
     return True
 
 
-def improvement_system(game: Game, a_star: Sequence[int]) -> ConstraintSystem:
-    """P(a*) = {mu : E_mu u >= u(a*)}, crash-started at delta(a*), which meets every row.
-
-    Player i's row d_i (u_i - u_i(a*)) >= 0 (`Game.int_payoffs`) starts on its
-    slack, so the simplex row is the only one on an artificial.
-    """
-    k_star = game.profile_index(a_star)
-    rows = [LinearConstraint(tuple(t - table[k_star] for t in table),
-                             GREATER_EQUAL, Fraction(0))
-            for table in game.int_payoffs]
-    rows.append(LinearConstraint((1,) * game.num_profiles, EQUAL, Fraction(1)))
-    return ConstraintSystem(game.num_profiles, tuple(rows), start=k_star)
-
-
-def _improvement_singleton(game: Game, a_star: Profile) -> polytopes.SingletonResult:
-    """The singleton test of P(a*), from delta(a*): that point or two members, delta(a*) first.
-
-    delta(a*) needs only the outside-support LP, max sum_{a != a*} mu(a) = 0.
-    Its dual y has sum_i y_i d_i (u_i(a) - u_i(a*)) <= -1 at each a != a*, as
-    row i of `improvement_system` is d_i (u_i - u_i(a*)).
-    """
-    return polytopes.singleton_over_system(game, improvement_system(game, a_star))
-
-
-def is_strict_fractional_gue(game: Game, a_star: Sequence[int]) -> bool:
+def is_strict_fractional_gue(game: Game | polytopes.GameAnalysis,
+                             a_star: Sequence[int]) -> bool:
     """Pareto optimal among lotteries, uniquely so in utilities, plus the guarantee.
 
     Beyond the unilateral guarantee, the lottery conditions are one
-    singleton test: P(a*) = {mu : E_mu u >= u(a*)} (`improvement_system`)
-    must be {delta(a*)}.  That is the same as the two conditions it
-    replaces, no lottery Pareto-improves on a*, and delta(a*) is the only
-    lottery with E_mu u = u(a*).  If P(a*) = {delta(a*)}, an improving
-    lottery would be a second member of P(a*), and so would a second
-    lottery matching u(a*).  Conversely, if both conditions hold and mu is
-    in P(a*), then E_mu u = u(a*), since anything higher improves on a*,
-    and so mu = delta(a*).  The test is `_improvement_singleton`, the one
-    that `_search_weights` reads certificate weights from.
+    singleton test: P(a*) = {mu : E_mu u >= u(a*)}
+    (`polytopes.improvement_system`) must be {delta(a*)}.  That is the same
+    as the two conditions it replaces, no lottery Pareto-improves on a*,
+    and delta(a*) is the only lottery with E_mu u = u(a*).  If P(a*) =
+    {delta(a*)}, an improving lottery would be a second member of P(a*),
+    and so would a second lottery matching u(a*).  Conversely, if both
+    conditions hold and mu is in P(a*), then E_mu u = u(a*), since anything
+    higher improves on a*, and so mu = delta(a*).  The test is the
+    context's kept one (`GameAnalysis.improvement`).
     """
+    analysis = polytopes.analysis_of(game)
     a_star = tuple(a_star)
-    if not _unilateral_guarantee(game, a_star):
+    if not _unilateral_guarantee(analysis.game, a_star):
         return False
-    return _improvement_singleton(game, a_star).point == JointDistribution.point_mass(a_star)
+    return analysis.improvement(a_star).point == JointDistribution.point_mass(a_star)
 
 
 # -- serialization ------------------------------------------------------------

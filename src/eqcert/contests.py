@@ -346,14 +346,15 @@ def _scaled(row: Sequence[Fraction]) -> tuple[list[int], int]:
     return [x.numerator * (d // x.denominator) for x in row], d
 
 
-def _positive_weights(gamma) -> tuple[Fraction, Fraction]:
+def _pair(values, expected: str) -> tuple[Fraction, Fraction]:
+    """Two rationals read with `parse_rational`, so a float is refused."""
     try:
-        weights = tuple(Fraction(g) for g in gamma)
-    except (TypeError, ValueError) as exc:
-        raise EvaluationDomainError("gamma must be two positive rationals") from exc
-    if len(weights) != 2 or any(g <= 0 for g in weights):
-        raise EvaluationDomainError("gamma must be two positive rationals")
-    return weights
+        pair = tuple(parse_rational(x) for x in values)
+    except (TypeError, RationalFormatError) as exc:
+        raise EvaluationDomainError(f"{expected}: {exc}") from None
+    if len(pair) != 2:
+        raise EvaluationDomainError(expected)
+    return pair
 
 
 def verify_prop3(spec, a_star: Sequence[Fraction], grids,
@@ -366,12 +367,15 @@ def verify_prop3(spec, a_star: Sequence[Fraction], grids,
     Phi * den = w_1 dU_1 + w_2 dU_2, so every sign is an int comparison.
     """
     grid1, grid2 = _normalize_grids(grids)
-    a_star = (Fraction(a_star[0]), Fraction(a_star[1]))
+    a_star = _pair(a_star, "the anchor profile must be two rationals")
     try:
         i_star, j_star = grid1.index(a_star[0]), grid2.index(a_star[1])
     except ValueError:
         raise EvaluationDomainError("the anchor profile must lie on the grid") from None
-    gamma = _positive_weights(spec.proof_weights() if gamma is None else gamma)
+    gamma = _pair(spec.proof_weights() if gamma is None else gamma,
+                  "gamma must be two positive rationals")
+    if any(g <= 0 for g in gamma):
+        raise EvaluationDomainError("gamma must be two positive rationals")
 
     table1, table2 = _utility_table(spec, grid1, grid2)
     (u1, d1), (u2, d2) = _scaled(table1), _scaled(table2)
@@ -463,7 +467,7 @@ def discretize_and_certify(spec, a_star: Sequence[Fraction], grids,
                            ) -> tuple[Game, UniquenessCertificate | Refutation]:
     """Grid game plus its unique-CCE decision, seeded with the proof weights."""
     grid1, grid2 = _normalize_grids(grids)
-    a_star = (Fraction(a_star[0]), Fraction(a_star[1]))
+    a_star = _pair(a_star, "the anchor profile must be two rationals")
     if a_star[0] not in grid1 or a_star[1] not in grid2:
         raise EvaluationDomainError("the anchor profile must lie on the grid")
     game = discretize(spec, (grid1, grid2), name)

@@ -387,6 +387,29 @@ def product_distribution(game: Game, mixed: Sequence[MixedAction]) -> JointDistr
     return JointDistribution(weights)
 
 
+def pure_guarantee(game: Game, player: int, action: int) -> Fraction:
+    """The least payoff that `action` gives `player` against any opponent profile."""
+    return min(game.u(player, game.insert_action(player, action, others))
+               for others in game.opponent_profiles(player))
+
+
+def deviation_payoffs(game: Game, player: int,
+                      mixed: Sequence[MixedAction]) -> list[Fraction]:
+    """Expected payoff to each pure action of `player` against the others' mix."""
+    out = []
+    others_mix = [m for j, m in enumerate(mixed) if j != player]
+    others_support = [m.support() for m in others_mix]
+    for action in range(game.shape[player]):
+        total = Fraction(0)
+        for combo in itertools.product(*others_support):
+            w = Fraction(1)
+            for m, a in zip(others_mix, combo):
+                w *= m.prob(a)
+            total += w * game.u(player, game.insert_action(player, action, combo))
+        out.append(total)
+    return out
+
+
 def total_variation(mu: JointDistribution, nu: JointDistribution) -> Fraction:
     """Total-variation distance between two joint distributions."""
     profiles = set(mu.support()) | set(nu.support())
@@ -428,10 +451,10 @@ def game_from_dict(data: dict) -> Game:
     return Game(tuple(tuple(a) for a in actions), payoffs, name)
 
 
-def profile_from_json(data) -> Profile:
+def profile_from_json(data, what: str = "profile") -> Profile:
     """A profile read from JSON: a list of ints, as 1.0, "1" or true is no action index."""
     if type(data) is not list or any(type(a) is not int for a in data):
-        raise GameFormatError(f"profile must be a list of ints, got {json.dumps(data)}")
+        raise GameFormatError(f"{what} must be a list of ints, got {json.dumps(data)}")
     return tuple(data)
 
 

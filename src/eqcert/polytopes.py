@@ -7,8 +7,8 @@ systems, decides membership with exact violation reports, computes
 coordinate bounds, decides singleton-ness with explicit witnesses, and
 checks extremality plus the support bound that extreme points obey.
 `GameAnalysis` holds these results for one game while one call runs, so a
-report and its certificates solve each polytope and maximin LP once, and a
-verification solves no maximin LP at all.
+report and its certificates solve each polytope, P(a*) and maximin LP once,
+and a verification solves no maximin LP at all.
 
 Every incentive row is linear in one player's payoffs, so a positive scale
 per player changes no polytope.  The rows are written from the integer
@@ -25,8 +25,15 @@ only the second member of a refutation could differ.  The maximin LPs
 behind the IRCP security levels keep their `Fraction` rows; see
 `zerosum.maximin` for why.
 
-`GameAnalysis.singleton` decides the polytopes down the inclusion chain
-NE <= CE <= CCE <= IRCP.  CE is never empty (Hart and Schmeidler,
+The IRCP polytope can be one point only at delta(a*), a*_i player i's
+only pure maximin action, where u(a*) is at the levels; it is then P(a*) =
+{mu : E_mu u >= u(a*)} (`improvement_system`), whose simplex starts at
+delta(a*) in one pivot.  The IRCP decision (`_ircp_decision`) reads the
+kept P(a*) test there, which the GUE flag and certificates read too, and
+elsewhere builds two members with no LP.
+
+`GameAnalysis.singleton` decides the other polytopes down the inclusion
+chain NE <= CE <= CCE <= IRCP.  CE is never empty (Hart and Schmeidler,
 "Existence of correlated equilibria", Math. OR 1989), so when a larger
 polytope is one point {x}, every smaller one is {x} as well.  CCE <= IRCP
 because a CCE pays player i at least max_d E u_i(d, mu_-i), which is at
@@ -46,9 +53,7 @@ row, so phase 1 is a single pivot.  CE keeps the cold start: the point mass
 makes every CE row with another recommendation tight, and on random 8x8
 games the outside-support LP from that degenerate vertex took more pivots
 than the saved phase 1 on some seeds (seed 7: 791 -> 1060) and fewer on
-others, so CE waits for a pivot rule that does not stall there.  IRCP starts
-cold too: its rows at a positive security level keep artificials of their
-own, and a one-pivot start needs the simplex row to be the only one.
+others, so CE waits for a pivot rule that does not stall there.
 
 From its phase-1 vertex x*, a singleton test runs at most two LPs
 (`singleton_over_system`): the mass outside supp(x*), which settles a point
@@ -65,7 +70,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from . import zerosum
+from . import games, zerosum
 from .games import Game, JointDistribution, MixedAction, Profile, deviation_gains
 from .lp import (
     EQUAL,
@@ -134,12 +139,15 @@ class SingletonResult:
 
     `duals`, one per system row, is the dual of the LP that pinned the point
     (`singleton_over_system`); None for witnesses and for a point taken down
-    the inclusion chain, whose dual belongs to another system's rows.
+    the inclusion chain, whose dual belongs to another system's rows.  An
+    IRCP point's duals are over the rows of P(a*) (`improvement_system`).
+    `reason` says why an IRCP decision holds its witnesses, else None.
     """
 
     point: JointDistribution | None
     witnesses: tuple[JointDistribution, JointDistribution] | None
     duals: tuple[Fraction, ...] | None = None
+    reason: str | None = None
 
     @property
     def is_singleton(self) -> bool:
@@ -174,12 +182,13 @@ class GameAnalysis:
     """Results about one game, each computed on first use and then kept.
 
     It holds each player's maximin result, each concept's polytope and
-    singleton decision, and the pure-NE list.  A context lives for one call
-    (one report, one verification) and is then dropped; nothing is shared
-    across calls.  Each result comes from the module function that computes
-    it (`zerosum.maximin`, `build_polytope`, `is_singleton`,
-    `enumerate_pure_ne`), so a re-check made on a kept result checks what
-    that function returned.  There are two exceptions.  A singleton
+    singleton decision, each P(a*) singleton test, and the pure-NE list.  A
+    context lives for one call (one report, one verification) and is then
+    dropped; nothing is shared across calls.  Each result comes from the
+    module function that computes it (`zerosum.maximin`, `build_polytope`,
+    `is_singleton`, `singleton_over_system`, `enumerate_pure_ne`), so a
+    re-check made on a kept result checks what that function returned,
+    but for three.  The IRCP decision is `_ircp_decision`'s.  A singleton
     decision taken down the inclusion chain is the larger concept's point,
     re-checked by exact membership in this concept's polytope, with no
     duals.  And a verifier may pass `levels`, maximin results it has
@@ -195,6 +204,7 @@ class GameAnalysis:
         self._solves_maximin = levels is None
         self._polytopes: dict[str, PolytopeSpec] = {}
         self._singletons: dict[str, SingletonResult] = {}
+        self._improvements: dict[ConstraintSystem, SingletonResult] = {}
         self._pure_ne: list[tuple[Profile, bool]] | None = None
 
     def maximin(self, player: int) -> zerosum.MaximinResult:
@@ -212,10 +222,12 @@ class GameAnalysis:
     def singleton(self, concept: str) -> SingletonResult:
         """The concept's singleton decision, taken down the inclusion chain.
 
-        A CE decision first decides CCE, the cheaper test (see the module
-        docstring).  When the kept decision of the next larger concept is a
-        singleton {x}, this one is {x} too, re-checked by exact membership
-        and with no LP; otherwise `is_singleton` decides it.
+        The IRCP decision is `_ircp_decision`'s, its point or witnesses
+        re-checked by exact membership.  A CE decision first decides CCE,
+        the cheaper test (see the module docstring).  When the kept decision
+        of the next larger concept is a singleton {x}, this one is {x} too,
+        re-checked by exact membership and with no LP; otherwise
+        `is_singleton` decides it.
         """
         if concept not in self._singletons:
             if concept == "ce":
@@ -223,7 +235,10 @@ class GameAnalysis:
             larger = _LARGER.get(concept)
             kept = self.kept_singleton(larger)
             spec = self.polytope(concept)
-            if kept is not None and kept.is_singleton:
+            if concept == "ircp":
+                result = _ircp_decision(self)
+                recheck_members(spec, result.witnesses or (result.point,), "ircp decision")
+            elif kept is not None and kept.is_singleton:
                 if not membership(spec, kept.point).is_member:
                     raise SolverInvariantError(
                         f"the singleton {larger} point failed the membership re-check "
@@ -237,6 +252,17 @@ class GameAnalysis:
     def kept_singleton(self, concept: str | None) -> SingletonResult | None:
         """The concept's singleton decision if this context has made it; runs no LP."""
         return self._singletons.get(concept)
+
+    def improvement(self, a_star: Profile, game: Game | None = None) -> SingletonResult:
+        """The singleton test of P(a*) over this game or `game`, kept per system.
+
+        `game` is a CCE reduction, whose P(a*) equals this game's where each
+        a_i* pays a constant, as paying does in parking.
+        """
+        system = improvement_system(game or self.game, a_star)
+        if system not in self._improvements:
+            self._improvements[system] = singleton_over_system(self.game, system, "P(a*)")
+        return self._improvements[system]
 
     def pure_ne(self) -> list[tuple[Profile, bool]]:
         if self._pure_ne is None:
@@ -340,6 +366,14 @@ def membership_problems(spec: PolytopeSpec, dists: Sequence[JointDistribution],
     return problems
 
 
+def recheck_members(spec: PolytopeSpec, dists: Sequence[JointDistribution],
+                    label: str) -> None:
+    """The solver's re-check of its own members: `membership_problems`, or raise."""
+    problems = membership_problems(spec, dists, label)
+    if problems:
+        raise SolverInvariantError(f"membership re-check: {'; '.join(problems)}")
+
+
 def coordinate_bounds(spec: PolytopeSpec, profile: Sequence[int],
                       solver: PolytopeSolver | None = None) -> tuple[Fraction, Fraction]:
     """Exact min and max probability the polytope allows on one profile."""
@@ -408,8 +442,9 @@ def is_singleton(spec: PolytopeSpec,
     point masses of the first two are the witnesses, re-checked by exact
     membership, and no LP runs.  With exactly one, a, the CCE test starts
     its simplex at delta(a) (`ConstraintSystem.start`); CE and IRCP start
-    cold (see the module docstring).  The LPs are `singleton_over_system`'s.  `pure_ne` is the
-    `enumerate_pure_ne` list of the game, computed here when not given.
+    cold; on an IRCP spec it is only the tests' reference for
+    `_ircp_decision`.  The LPs are `singleton_over_system`'s.  `pure_ne` is
+    the `enumerate_pure_ne` list of the game, computed here when not given.
     """
     game = spec.game
     if pure_ne is None:
@@ -417,14 +452,76 @@ def is_singleton(spec: PolytopeSpec,
     if len(pure_ne) >= 2:
         witnesses = (JointDistribution.point_mass(pure_ne[0][0]),
                      JointDistribution.point_mass(pure_ne[1][0]))
-        problems = membership_problems(spec, witnesses, "pure NE point mass")
-        if problems:
-            raise SolverInvariantError(f"membership re-check: {'; '.join(problems)}")
+        recheck_members(spec, witnesses, "pure NE point mass")
         return SingletonResult(None, witnesses)
     system = spec.system
     if pure_ne and spec.concept == "cce":
         system = replace(system, start=game.profile_index(pure_ne[0][0]))
     return singleton_over_system(game, system, f"{spec.concept} polytope")
+
+
+def improvement_system(game: Game, a_star: Sequence[int]) -> ConstraintSystem:
+    """P(a*) = {mu : E_mu u >= u(a*)}, crash-started at delta(a*), which meets every row.
+
+    Player i's row d_i (u_i - u_i(a*)) >= 0 (`Game.int_payoffs`) starts on its
+    slack, so the simplex row is the only one on an artificial.  delta(a*)
+    needs only the outside-support LP, max sum_{a != a*} mu(a) = 0, whose
+    dual y has sum_i y_i d_i (u_i(a) - u_i(a*)) <= -1 at each a != a*.
+    """
+    k_star = game.profile_index(a_star)
+    rows = [LinearConstraint(tuple(t - table[k_star] for t in table),
+                             GREATER_EQUAL, Fraction(0))
+            for table in game.int_payoffs]
+    rows.append(LinearConstraint((1,) * game.num_profiles, EQUAL, Fraction(1)))
+    return ConstraintSystem(game.num_profiles, tuple(rows), start=k_star)
+
+
+def _ircp_decision(analysis: GameAnalysis) -> SingletonResult:
+    """The IRCP decision at the context's security levels, before its re-check.
+
+    A singleton IRCP is delta(a*), a*_i player i's only pure maximin action,
+    with u(a*) at the levels; the IRCP polytope is then P(a*), and the kept
+    P(a*) test decides it.  Otherwise two members are built with no LP.
+    """
+    game = analysis.game
+    n = game.num_players
+    levels = [analysis.maximin(i).value for i in range(n)]
+    options = [[a for a in range(game.shape[i])
+                if games.pure_guarantee(game, i, a) == levels[i]] for i in range(n)]
+    for i in range(n):
+        if not options[i]:
+            # The maximin strategies, and i's best reply to the others', clear the levels.
+            nu = [analysis.maximin(j).strategy for j in range(n)]
+            payoffs = games.deviation_payoffs(game, i, nu)
+            swapped = nu.copy()
+            swapped[i] = MixedAction.point_mass(
+                i, max(range(game.shape[i]), key=lambda a: (payoffs[a], -a)))
+            return SingletonResult(None, (games.product_distribution(game, nu),
+                                          games.product_distribution(game, swapped)),
+                                   reason=f"player {i} has no pure maximin action, so no "
+                                   "single profile can pin the polytope")
+    a_star = tuple(opts[0] for opts in options)
+    star = JointDistribution.point_mass(a_star)
+    for i in range(n):
+        if len(options[i]) > 1:
+            alt = game.insert_action(i, options[i][1], a_star[:i] + a_star[i + 1:])
+            return SingletonResult(None, (star, JointDistribution.point_mass(alt)),
+                                   reason=f"player {i} has several pure maximin actions; "
+                                   "swapping them gives distinct point-mass members")
+    for i in range(n):
+        if game.u(i, a_star) > levels[i]:
+            # Mix a little of a deviation into i's action; all still clear the levels.
+            dev = game.insert_action(i, 0 if a_star[i] else 1, a_star[:i] + a_star[i + 1:])
+            gap, dev_gap = game.u(i, a_star) - levels[i], game.u(i, a_star) - game.u(i, dev)
+            eps = Fraction(1, 2) if dev_gap <= gap else gap / (2 * dev_gap)
+            return SingletonResult(
+                None, (star, JointDistribution({a_star: 1 - eps, dev: eps})),
+                reason=f"player {i} earns strictly above the security level at the "
+                "candidate profile, leaving room for a second member")
+    result = analysis.improvement(a_star)
+    return result if result.is_singleton else replace(
+        result, reason="a second distribution pays every player at least the candidate "
+        "profile's payoffs")
 
 
 def _active_rows(spec: PolytopeSpec, vector: Sequence[Fraction]) -> list[tuple[Fraction, ...]]:

@@ -86,6 +86,16 @@ def _classification_to_dict(game: Game, cls: certify.CceClassification) -> dict:
     return out
 
 
+def _mixed_2x2(game: Game) -> list | str | None:
+    """The NE of a 2x2 game (`polytopes.mixed_ne_2x2`) or "degenerate"; None if not 2x2."""
+    if game.shape != (2, 2):
+        return None
+    try:
+        return polytopes.mixed_ne_2x2(game)
+    except Degenerate2x2Error:
+        return "degenerate"
+
+
 def build_report(game: Game, concepts=ALL_CONCEPTS, check_unique: bool = False) -> dict:
     """Analyze the game and assemble the full machine-readable report."""
     unknown = [c for c in concepts if c not in ALL_CONCEPTS]
@@ -106,16 +116,15 @@ def build_report(game: Game, concepts=ALL_CONCEPTS, check_unique: bool = False) 
         pure = [{"profile": list(p), "strict": strict}
                 for p, strict in analysis.pure_ne()]
         section: dict = {"pure": pure}
-        if game.shape == (2, 2):
-            try:
-                pairs = polytopes.mixed_ne_2x2(game)
-                section["mixed_2x2"] = {
-                    "status": "ok",
-                    "equilibria": [[games.mixed_to_dict(a), games.mixed_to_dict(b)]
-                                   for a, b in pairs],
-                }
-            except Degenerate2x2Error:
-                section["mixed_2x2"] = {"status": "degenerate"}
+        pairs = _mixed_2x2(game)
+        if pairs == "degenerate":
+            section["mixed_2x2"] = {"status": "degenerate"}
+        elif pairs is not None:
+            section["mixed_2x2"] = {
+                "status": "ok",
+                "equilibria": [[games.mixed_to_dict(a), games.mixed_to_dict(b)]
+                               for a, b in pairs],
+            }
         report["ne"] = section
         timing["ne"] = time.perf_counter() - t0
 
@@ -153,24 +162,14 @@ def build_report(game: Game, concepts=ALL_CONCEPTS, check_unique: bool = False) 
             report["classification"] = _classification_to_dict(game, classification)
         report["certificates"] = certificates
 
-        flagged: list = []
-        seen = set()
         candidates = [p for p, strict in analysis.pure_ne() if strict]
-        for key in ("ircp", "cce"):
-            entry = certificates.get(key)
-            if entry and entry["type"] == "certificate":
-                candidates.append(tuple(entry["a_star"]))
-        for profile in candidates:
-            profile = tuple(profile)
-            if profile in seen:
-                continue
-            seen.add(profile)
-            flagged.append({
-                "profile": list(profile),
-                "gue": certify.is_gue(game, profile),
-                "strict_fractional_gue": certify.is_strict_fractional_gue(game, profile),
-            })
-        report["gue"] = flagged
+        candidates += [tuple(entry["a_star"]) for entry in certificates.values()
+                       if entry["type"] == "certificate"]
+        report["gue"] = [{
+            "profile": list(profile),
+            "gue": certify.is_gue(game, profile),
+            "strict_fractional_gue": certify.is_strict_fractional_gue(analysis, profile),
+        } for profile in dict.fromkeys(candidates)]
         timing["certification"] = time.perf_counter() - t0
 
     timing["total"] = time.perf_counter() - started
@@ -276,6 +275,15 @@ def verify_report(report: dict) -> list[str]:
                            for p, s in analysis.pure_ne()]
             if report["ne"].get("pure") != actual_pure:
                 problems.append("pure NE list does not match a recomputation")
+            # Read back into `_mixed_2x2`'s form; anything else is no match.
+            claimed = report["ne"].get("mixed_2x2")
+            if claimed == {"status": "degenerate"}:
+                claimed = "degenerate"
+            elif isinstance(claimed, dict) and claimed.get("status") == "ok":
+                claimed = [tuple(games.mixed_from_dict(game, m, f"mixed_2x2.equilibria[{k}]")
+                                 for m in pair) for k, pair in enumerate(claimed["equilibria"])]
+            if claimed != _mixed_2x2(game):
+                problems.append("ne.mixed_2x2 does not match a recomputation")
 
     # Each entry of `concepts`, `certificates` and `gue` has its own section,
     # so one that cannot be read hides no problem in the entries after it.
@@ -323,7 +331,7 @@ def verify_report(report: dict) -> list[str]:
                                     "two players mix over two actions each")
                 else:
                     mixers, subgame = induced
-                    if (cls["mixers"] != list(mixers)
+                    if (games.profile_from_json(cls["mixers"], "mixers") != mixers
                             or cls["subgame"] != games.game_to_dict(subgame)):
                         problems.append(
                             "classification: mixers or subgame disagree with the point")
@@ -360,7 +368,7 @@ def verify_report(report: dict) -> list[str]:
                 else:
                     if certify.is_gue(game, profile) != flags[0]:
                         problems.append(f"gue[{idx}]: pure-Pareto flag does not re-verify")
-                    if certify.is_strict_fractional_gue(game, profile) != flags[1]:
+                    if certify.is_strict_fractional_gue(analysis, profile) != flags[1]:
                         problems.append(
                             f"gue[{idx}]: lottery-Pareto flag does not re-verify")
 

@@ -7,8 +7,9 @@ read, then the timed ones, as a benchmark run orders them.  Every exit code
 and every decision fingerprint (`perfbench/checks.py`) must equal the one
 recorded in `perfbench/fingerprints.json`, and so must those of the analyze
 --check-unique and certify commands run again with `zerosum.matrix_value`
-made to raise, as certificate weights come from a singleton test's dual.
-The two modules are loaded by
+made to raise, as certificate weights come from a singleton test's dual,
+and again with `polytopes.is_singleton` made to raise on an IRCP polytope,
+as the IRCP decision reads the P(a*) test instead.  The two modules are loaded by
 file path under private names, so their bare names shadow no other module,
 and nothing under `perfbench/` is written.
 
@@ -106,6 +107,24 @@ def test_certificates_solve_no_comparison_game(workload, tmp_path, monkeypatch):
     monkeypatch.setattr(zerosum, "matrix_value", _refuse)
     ops = [op for op in workloads.build(workload, 0, tmp_path)
            if op.kind == "certify" or (op.kind == "analyze" and "--check-unique" in op.argv)]
+    assert ops
+    assert _mismatches(workload, _run(ops)) == []
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_no_command_runs_the_cold_ircp_test(workload, tmp_path, monkeypatch):
+    # The IRCP decision reads the kept P(a*) test, or builds its witnesses
+    # with no LP; `is_singleton` on an IRCP spec is the tests' reference only.
+    own_test = polytopes.is_singleton
+
+    def refusing_ircp(spec, pure_ne=None):
+        if spec.concept == "ircp":
+            _refuse()
+        return own_test(spec, pure_ne)
+
+    monkeypatch.setattr(polytopes, "is_singleton", refusing_ircp)
+    ops = [op for op in workloads.build(workload, 0, tmp_path)
+           if op.kind in ("analyze", "certify")]
     assert ops
     assert _mismatches(workload, _run(ops)) == []
 

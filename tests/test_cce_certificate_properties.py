@@ -3,9 +3,10 @@
 At a strict pure NE a*, every security level of the reduced game
 v_i(a) = u_i(a) - u_i(a_i*, a_-i) is 0 and a_i* is each player's only
 maximin action, so `certify_unique_pure_cce` runs only the weight search
-of the IRCP decision on that game.  The full IRCP decision on a fresh
-analysis of the reduced game is kept here as the reference: both must give
-the same certificate, or the same refutation when no weights exist.
+of the IRCP decision on that game.  The full IRCP certification of the
+reduced game is kept here as the reference: both must certify alike, with
+the same weights unless a hint that works gives its own, and the weight
+search must find none where the reference refutes.
 """
 
 import random
@@ -20,8 +21,11 @@ from eqcert import polytopes  # noqa: E402
 from eqcert.certify import (  # noqa: E402
     Refutation,
     UniquenessCertificate,
-    _decide_ircp,
+    _certificate,
+    _gain_slack,
+    _normalize,
     _search_weights,
+    certify_unique_ircp,
     certify_unique_pure_cce,
 )
 from eqcert.games import Game, cce_reduction  # noqa: E402
@@ -70,14 +74,18 @@ def test_cce_certificate_equals_reduced_ircp_decision(case, data):
     game, a_star = case
     hint = data.draw(_hint(game.num_players))
     reduced = cce_reduction(game, a_star)
-    reference = _decide_ircp(polytopes.GameAnalysis(reduced), hint)
-    found = _search_weights(reduced, a_star, hint, "cce")
+    reference = certify_unique_ircp(reduced)
+    found = _search_weights(polytopes.GameAnalysis(game), reduced, a_star, "cce", hint)
     result = certify_unique_pure_cce(game, hint)
     decided = polytopes.GameAnalysis(game)
     decided.singleton("cce")
     assert certify_unique_pure_cce(decided, hint) == result
     if isinstance(reference, UniquenessCertificate):
         assert reference.a_star == a_star
+        if hint is not None and all(g > 0 for g in hint):
+            slack = _gain_slack(reduced, a_star, _normalize(hint), "ircp")
+            if slack is not None:
+                reference = _certificate("ircp", a_star, hint, slack, reduced)
         for new in (found, result):
             assert isinstance(new, UniquenessCertificate) and new.concept == "cce"
             assert (new.a_star, new.gamma, new.slack, new.transformed_game) == (
@@ -85,4 +93,4 @@ def test_cce_certificate_equals_reduced_ircp_decision(case, data):
                 reference.transformed_game)
     else:
         assert isinstance(result, Refutation)
-        assert found == reference
+        assert found is None

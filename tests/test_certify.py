@@ -1,6 +1,7 @@
 """Uniqueness certificates, refutations, classifications, and GUE checks."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -155,15 +156,6 @@ def test_ircp_refuted_when_profile_beats_security_level():
     assert membership(spec, a).is_member and membership(spec, b).is_member
 
 
-def test_ircp_gamma_hint_shortcut():
-    hinted = certify_unique_ircp(_parking("3/5"), gamma_hint=(F(1), F(1)))
-    assert isinstance(hinted, UniquenessCertificate)
-    assert hinted.gamma == (F(1, 2), F(1, 2))
-    # nonsense hints are ignored, not fatal
-    bad = certify_unique_ircp(_parking("3/5"), gamma_hint=(F(-1), F(1)))
-    assert isinstance(bad, UniquenessCertificate)
-
-
 # -- unique pure CCE ----------------------------------------------------------
 
 
@@ -226,13 +218,24 @@ def test_cce_refutations_are_rechecked(monkeypatch, coordination):
             certify_unique_pure_cce(game)
 
 
-def test_ircp_certificate_is_rechecked(monkeypatch):
-    assert isinstance(certify_unique_ircp(_parking("3/5")), UniquenessCertificate)
-    pair = (JointDistribution.point_mass((0, 0)), JointDistribution.point_mass((1, 1)))
-    monkeypatch.setattr(polytopes, "is_singleton",
-                        lambda spec, pure_ne=None: polytopes.SingletonResult(None, pair))
-    with pytest.raises(SolverInvariantError, match="singleton test"):
-        certify_unique_ircp(_parking("3/5"))
+def test_ircp_certificate_rejects_a_corrupted_kept_dual(monkeypatch):
+    # Doubling one player's payoffs breaks parking's symmetry, so the weights
+    # come from the dual of the kept P(a*) test; a zero there is rejected.
+    base = _parking("3/5")
+    game = Game(base.actions, (base.payoffs[0], tuple(2 * x for x in base.payoffs[1])))
+    cert = certify_unique_ircp(game)
+    assert isinstance(cert, UniquenessCertificate) and cert.a_star == (0, 0)
+    real = polytopes.singleton_over_system
+
+    def zero_first_dual(game, system, what="polytope"):
+        result = real(game, system, what)
+        return replace(result, duals=(F(0),) + result.duals[1:])
+
+    monkeypatch.setattr(polytopes, "singleton_over_system", zero_first_dual)
+    analysis = polytopes.GameAnalysis(game)
+    assert analysis.singleton("ircp").duals[0] == 0
+    with pytest.raises(SolverInvariantError, match="P\\(a\\*\\) dual gave a boundary weight"):
+        certify_unique_ircp(analysis)
 
 
 def test_cce_refuted_table3_despite_strict_ne():

@@ -307,6 +307,22 @@ def test_prop3_anchor_must_lie_on_grid():
         verify_prop3(spec, (F(1, 3), F(1, 3)), grid)
 
 
+def test_prop3_and_certify_refuse_a_float_anchor_or_gamma():
+    # 0.25 and 0.5 are exact binary fractions, so `Fraction` would take them.
+    spec = standard_tullock()
+    grid = [F(1, 8), F(1, 4), F(3, 8)]
+    assert verify_prop3(spec, ("1/4", "1/4"), grid, gamma=("1/2", "1/2")).ok
+    for anchor, gamma in (((0.25, 0.25), None), ((F(1, 4), F(1, 4)), (0.5, 0.5)),
+                          ((True, F(1, 4)), None)):
+        with pytest.raises(EvaluationDomainError):
+            verify_prop3(spec, anchor, grid, gamma=gamma)
+    with pytest.raises(EvaluationDomainError, match="anchor profile must be two "
+                       "rationals: refusing float 0.25"):
+        discretize_and_certify(spec, (0.25, 0.25), grid)
+    with pytest.raises(EvaluationDomainError, match="anchor profile must be two rationals"):
+        verify_prop3(spec, (F(1, 4),), grid)
+
+
 def test_prop3_rejects_gamma_that_is_not_two_positive_weights():
     spec = standard_tullock()
     grid = [F(1, 8), F(1, 4), F(3, 8)]

@@ -8,7 +8,7 @@ import pytest
 
 from eqcert import certify, polytopes, zerosum
 from eqcert.contests import ContestSpec, LinearCost, TullockRatio, discretize
-from eqcert.games import game_to_dict
+from eqcert.games import Game, game_to_dict
 from eqcert.generators import (
     matching_pennies,
     parking,
@@ -152,41 +152,93 @@ def test_analyze_and_verify_build_each_polytope_once(work_counts):
     assert verify["build"] == Counter({c: 1 for c in concepts})
 
 
-# The singleton tests analyze runs, down the inclusion chain: parking's IRCP
-# is one point, which settles CCE and CE; RPS has no singleton above CE;
-# the Tullock 8x8 grid's CCE is one point and it asks for no CE.
+# The singleton tests analyze runs.  Parking's IRCP is one point, decided by
+# the P(a*) test at (pay, pay) that its GUE flag reads too, and it settles
+# CCE and CE down the inclusion chain.  The IRCP decisions of RPS (no pure
+# maximin action) and of the Tullock 8x8 grid (a* pays above the level) run
+# no LP; RPS has no singleton above CE, and the grid's CCE is one point and
+# it asks for no CE.
 SINGLETON_TESTS = {
-    "parking": {"ircp polytope": 1},
-    "rps": {"ircp polytope": 1, "cce polytope": 1, "ce polytope": 1},
-    "tullock8": {"cce polytope": 1, "ircp polytope": 1},
+    "parking": {"P(a*)": 1},
+    "rps": {"cce polytope": 1, "ce polytope": 1},
+    "tullock8": {"cce polytope": 1},
 }
 
 
 def test_analyze_runs_each_singleton_test_once(request, work_counts):
-    # Plain "polytope" is the P(a*) test on its own system, which decides
-    # strict fractional GUE and finds the weights of a certificate.
+    # verify runs no polytope's test, only the P(a*) test of a GUE flag.
     _, _, analyze, verify = work_counts
-    named = {what: n for what, n in analyze["singleton"].items() if what != "polytope"}
-    assert named == SINGLETON_TESTS[request.node.callspec.params["work_counts"]]
-    assert not [what for what in verify["singleton"] if what != "polytope"]
+    assert analyze["singleton"] == SINGLETON_TESTS[request.node.callspec.params["work_counts"]]
+    assert set(verify["singleton"]) <= {"P(a*)"}
 
 
-def test_singleton_ircp_builds_no_ce_or_cce_solver(monkeypatch):
-    # Parking's IRCP is one point, so CCE and CE are settled without an LP.
-    game = parking(3, 1, Fraction(1, 4), Fraction(3, 5))
+def _record_solvers(monkeypatch) -> list:
+    """The system of every `PolytopeSolver` built from now on."""
     solved = []
     init = PolytopeSolver.__init__
 
     def recording(self, system, *args, **kwargs):
-        solved.append(system.constraints)
+        solved.append(system)
         return init(self, system, *args, **kwargs)
 
     monkeypatch.setattr(PolytopeSolver, "__init__", recording)
+    return solved
+
+
+def test_singleton_ircp_builds_no_ce_or_cce_solver(monkeypatch):
+    # Parking's IRCP is one point, decided by the P(a*) test at (pay, pay):
+    # one solver beside the maximin LPs, and none for a polytope's system.
+    game = parking(3, 1, Fraction(1, 4), Fraction(3, 5))
+    solved = _record_solvers(monkeypatch)
     data = build_report(game, ("ne", "ce", "cce", "ircp"), check_unique=True)
     assert all(data["concepts"][c]["singleton"] for c in ("ce", "cce", "ircp"))
-    for concept in ("ce", "cce"):
-        assert polytopes.build_polytope(game, concept).system.constraints not in solved
-    assert polytopes.build_polytope(game, "ircp").system.constraints in solved
+    for concept in ("ce", "cce", "ircp"):
+        assert polytopes.build_polytope(game, concept).system not in solved
+    assert solved.count(polytopes.improvement_system(game, (0, 0))) == 1
+
+
+# Games whose IRCP decision takes each path: a certificate from uniform
+# weights (parking) or from the P(a*) dual (doubled parking, whose CCE
+# reduction at (pay, pay) has the same P(a*) system), no pure maximin action
+# (RPS, a random 3x3 game, an mp_type game), several (the zero game), a*
+# above the level (Tullock 8x8), and a second member of P(a*) (PD).
+def _doubled_parking():
+    base = parking(3, 1, Fraction(1, 4), Fraction(3, 5))
+    return Game(base.actions, (base.payoffs[0], tuple(2 * x for x in base.payoffs[1])))
+
+
+IRCP_PATH_GAMES = {
+    "parking": lambda: parking(3, 1, Fraction(1, 4), Fraction(3, 5)),
+    "doubled-parking": _doubled_parking,
+    "rps": rock_paper_scissors,
+    "zero": lambda: Game((("a", "b"), ("a", "b")), ((Fraction(0),) * 4,) * 2),
+    "tullock8": _tullock8,
+    "pd": prisoners_dilemma,
+    "random-3x3": lambda: random_game((3, 3), 7),
+    "mp_type": lambda: random_mp_type(3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IRCP_PATH_GAMES))
+def test_ircp_polytope_reaches_no_solver_and_no_system_is_solved_twice(name, monkeypatch):
+    game = IRCP_PATH_GAMES[name]()
+    ircp = polytopes.build_polytope(game, "ircp").system
+    solved = _record_solvers(monkeypatch)
+    tested = []
+    singleton = polytopes.singleton_over_system
+
+    def recording(game, system, what="polytope"):
+        tested.append(system)
+        return singleton(game, system, what)
+
+    monkeypatch.setattr(polytopes, "singleton_over_system", recording)
+    for run in (lambda: build_report(game, ("ne", "ce", "cce", "ircp"), check_unique=True),
+                lambda: certify.certify_unique_ircp(game)):
+        solved.clear()
+        tested.clear()
+        run()
+        assert ircp not in solved
+        assert len(set(tested)) == len(tested)
 
 
 def test_ce_alone_runs_the_cce_test_unreported(monkeypatch):
@@ -443,3 +495,44 @@ def test_matching_pennies_report():
     assert data["concepts"]["cce"]["singleton"] is True
     assert data["classification"]["variant"] == "unique_mixed_2x2"
     assert verify_report(data) == []
+
+
+MIXED_2X2_FORGERIES = {
+    # (C, C) is no Nash equilibrium of PD.
+    "not an equilibrium": (prisoners_dilemma, {"status": "ok", "equilibria": [
+        [{"player": 0, "weights": {"0": "1"}}, {"player": 1, "weights": {"0": "1"}}]]}),
+    "missing one": (matching_pennies, {"status": "ok", "equilibria": []}),
+    "not degenerate": (prisoners_dilemma, {"status": "degenerate"}),
+    "degenerate": (lambda: Game((("a", "b"), ("a", "b")), ((0,) * 4, (0,) * 4)),
+                   {"status": "ok", "equilibria": []}),
+    "not 2x2": (rock_paper_scissors, {"status": "degenerate"}),
+}
+
+
+@pytest.mark.parametrize("forgery", sorted(MIXED_2X2_FORGERIES))
+def test_verify_recomputes_the_mixed_2x2_equilibria(forgery):
+    make_game, section = MIXED_2X2_FORGERIES[forgery]
+    data = build_report(make_game(), ("ne",))
+    assert verify_report(data) == []
+    data["ne"]["mixed_2x2"] = section
+    assert verify_report(data) == ["ne.mixed_2x2 does not match a recomputation"]
+
+
+def test_verify_reads_mixed_2x2_equilibria_in_any_spelling():
+    data = build_report(prisoners_dilemma(), ("ne",))
+    [[first, second]] = data["ne"]["mixed_2x2"]["equilibria"]
+    first["weights"] = {"0": "0", "1": "2/2"}
+    assert verify_report(data) == []
+    first["player"] = True
+    assert verify_report(data) == [
+        "ne unreadable: GameFormatError: mixed_2x2.equilibria[0] player true is not "
+        "a player of the game"]
+
+
+def test_verify_reads_classification_mixers_as_json_ints():
+    data = build_report(random_mp_type(8), ("ne", "cce"), check_unique=True)
+    assert data["classification"]["mixers"] == [0, 1]
+    data["classification"]["mixers"] = [False, True]
+    assert verify_report(data) == [
+        "classification unreadable: GameFormatError: mixers must be a list of ints, "
+        "got [false, true]"]

@@ -1,9 +1,10 @@
 """Property tests: singleton tests started from the pure Nash equilibria.
 
-`GameAnalysis.singleton` refutes every concept with no LP when a game has
-two or more pure NE, and starts the CCE simplex at the point mass of the
-only pure NE when there is one.  Its decisions must equal those of the
-cold-start `singleton_over_system` on the same system.  On the same games,
+`GameAnalysis.singleton` refutes CE and CCE with no LP when a game has two
+or more pure NE, and starts the CCE simplex at the point mass of the only
+pure NE when there is one; its IRCP decision runs at most the P(a*) test,
+started at delta(a*).  Its decisions must equal those of the cold-start
+`singleton_over_system` on each concept's own system.  On the same games,
 each uniqueness certifier must return a certificate exactly when the cold
 singleton test finds a one-profile point.
 
@@ -16,7 +17,7 @@ own `is_singleton` on a freshly built polytope.
 replaced, one LP outside the support and then one per support coordinate,
 is kept here as the reference: on every system both must give the same
 decision and point, and each witness pair must be two distinct members.
-The systems include `certify.improvement_system` at any profile a*, whose
+The systems include `polytopes.improvement_system` at any profile a*, whose
 phase 1 is one crash pivot onto delta(a*).
 """
 
@@ -35,7 +36,6 @@ from eqcert.certify import (  # noqa: E402
     UniquenessCertificate,
     certify_unique_ircp,
     certify_unique_pure_cce,
-    improvement_system,
 )
 from eqcert.games import Game, JointDistribution  # noqa: E402
 from eqcert.lp import (  # noqa: E402
@@ -107,9 +107,15 @@ def test_started_singleton_equals_cold_start(game):
             first, second = result.witnesses
             assert first != second
             assert all(polytopes.membership(spec, w).is_member for w in (first, second))
+    # The IRCP decision runs at most the P(a*) test, crash-started at a*,
+    # and never the IRCP polytope's own.
+    p_tests = [start for what, start in starts if what == "P(a*)"]
+    assert len(p_tests) <= 1 and None not in p_tests
+    starts = [(what, start) for what, start in starts if what != "P(a*)"]
+    assert "ircp polytope" not in dict(starts)
     if len(pure) >= 2:
         assert starts == []
-        for concept in polytopes.CONCEPTS:
+        for concept in ("ce", "cce"):
             assert started[concept].witnesses == (JointDistribution.point_mass(pure[0]),
                                                   JointDistribution.point_mass(pure[1]))
     else:
@@ -229,7 +235,7 @@ def _game_and_system(draw):
     kind = draw(st.sampled_from(polytopes.CONCEPTS + ("gue",)))
     if kind == "gue":
         profile = game.profile_from_index(draw(st.integers(0, game.num_profiles - 1)))
-        return game, improvement_system(game, profile)
+        return game, polytopes.improvement_system(game, profile)
     system = polytopes.build_polytope(game, kind).system
     pure = polytopes.enumerate_pure_ne(game)
     if kind == "cce" and len(pure) == 1 and draw(st.booleans()):

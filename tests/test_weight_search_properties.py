@@ -1,8 +1,8 @@
 """Property test: certificate weights from the dual of the P(a*) singleton test.
 
 `certify._search_weights` reads welfare weights from the optimal dual of
-the LP that pins P(a*) = {mu : E_mu u >= u(a*)} to delta(a*), and refutes
-with that test's second member.  The profile-vs-player comparison game it
+the LP that pins P(a*) = {mu : E_mu u >= u(a*)} to delta(a*), the test a
+`GameAnalysis` keeps, and finds none where that test has a second member.  The profile-vs-player comparison game it
 replaced (`build_theorem1_auxiliary` in conftest) is the reference: weights
 with every other profile's weighted gain negative exist exactly when its
 value is negative, and no weights reach a larger slack than -value.
@@ -23,13 +23,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from eqcert.certify import (  # noqa: E402
-    Refutation,
-    UniquenessCertificate,
-    _improvement_singleton,
-    _search_weights,
-    improvement_system,
-)
+from eqcert.certify import UniquenessCertificate, _search_weights  # noqa: E402
+from eqcert.polytopes import GameAnalysis, improvement_system  # noqa: E402
 from eqcert.games import Game, JointDistribution, cce_reduction  # noqa: E402
 from eqcert.zerosum import matrix_value  # noqa: E402
 
@@ -54,14 +49,15 @@ def _game(draw):
 
 def _check_weight_search(game: Game, a_star) -> None:
     value, _, _ = matrix_value(build_theorem1_auxiliary(game, a_star))
-    found = _search_weights(game, a_star, None, "cce")
+    analysis = GameAnalysis(game)
+    found = _search_weights(analysis, game, a_star, "cce")
     assert isinstance(found, UniquenessCertificate) == (value < 0)
     if isinstance(found, UniquenessCertificate):
         assert all(g > 0 for g in found.gamma)
         assert 0 < found.slack <= -value
     else:
-        assert isinstance(found, Refutation)
-        first, second = found.witnesses
+        assert found is None
+        first, second = analysis.improvement(a_star).witnesses
         point = JointDistribution.point_mass(a_star)
         assert first == point and second != point
         assert improvement_system(game, a_star).contains(second.as_vector(game))
@@ -73,7 +69,7 @@ def test_dual_weights_exist_exactly_when_the_comparison_game_is_negative(game):
     for a_star in game.profiles():
         _check_weight_search(cce_reduction(game, a_star), a_star)
         value, _, _ = matrix_value(build_theorem1_auxiliary(game, a_star))
-        assert _improvement_singleton(game, a_star).is_singleton == (value < 0)
+        assert GameAnalysis(game).improvement(a_star).is_singleton == (value < 0)
     a_star = unique_security_profile(game)
     if a_star is not None:
         _check_weight_search(game, a_star)
