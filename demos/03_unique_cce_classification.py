@@ -40,7 +40,7 @@ for game in (prisoners_dilemma(), matching_pennies(), random_mp_type(seed=8),
         print(f"  mixers {cls.mixers}, NE weights {' x '.join(parts)}")
     else:
         assert cls.variant == NOT_UNIQUE
-        print(f"  two distinct CCE witnesses returned")
+        print("  the CCE polytope holds two distinct members")
     print()
 
 # Uniqueness forces structure.  The mixed variant is always quasi-strict

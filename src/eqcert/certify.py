@@ -263,15 +263,14 @@ def certify_unique_pure_cce(game: Game | polytopes.GameAnalysis,
     else:
         singleton = analysis.singleton("cce")
         if not singleton.is_singleton:
-            refutation = Refutation("cce", "the polytope holds two distinct members",
+            refutation = Refutation("cce", CCE_REFUTATION_REASONS[NOT_UNIQUE],
                                     singleton.witnesses)
         elif len(singleton.point.support()) == 1:
             raise SolverInvariantError(
                 "polytope collapsed to a pure point that certification rejected")
         else:
-            refutation = Refutation(
-                "cce", "the unique coarse correlated equilibrium is mixed",
-                (singleton.point,))
+            refutation = Refutation("cce", CCE_REFUTATION_REASONS[UNIQUE_MIXED_2X2],
+                                    (singleton.point,))
     polytopes.recheck_members(spec, refutation.witnesses, "refutation witness")
     return refutation
 
@@ -282,6 +281,11 @@ def certify_unique_pure_cce(game: Game | polytopes.GameAnalysis,
 UNIQUE_PURE = "unique_pure"
 UNIQUE_MIXED_2X2 = "unique_mixed_2x2"
 NOT_UNIQUE = "not_unique"
+# Why a unique pure CCE is refuted, by the variant that refutes it.
+CCE_REFUTATION_REASONS = {
+    NOT_UNIQUE: "the polytope holds two distinct members",
+    UNIQUE_MIXED_2X2: "the unique coarse correlated equilibrium is mixed",
+}
 
 
 @dataclass(frozen=True)
@@ -292,7 +296,6 @@ class CceClassification:
     mixers: tuple[int, int] | None = None
     subgame: Game | None = None
     ne: tuple[MixedAction, ...] | None = None
-    witnesses: tuple[JointDistribution, ...] | None = None
 
 
 def is_matching_pennies_type(game: Game) -> bool:
@@ -350,7 +353,7 @@ def classify_unique_cce(game: Game | polytopes.GameAnalysis) -> CceClassificatio
     game = analysis.game
     singleton = analysis.singleton("cce")
     if not singleton.is_singleton:
-        return CceClassification(NOT_UNIQUE, witnesses=singleton.witnesses)
+        return CceClassification(NOT_UNIQUE)
     mu = singleton.point
     if len(mu.support()) == 1:
         certificate = certify_unique_pure_cce(analysis)

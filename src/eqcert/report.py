@@ -12,7 +12,7 @@ point written twice, in any spelling, is no pair.
 per call, so their sections and certificates share every polytope,
 singleton test and maximin LP they compute; nothing is kept across calls.
 
-Report format, version 2.  `maximin` lists each player's security level.
+Report format, version 3.  `maximin` lists each player's security level.
 `maximin_certificates[i]` certifies level i with two exact distributions:
 `strategy`, player i's maximin strategy keyed by action index, and
 `punishment`, the opponents' correlated punishment keyed by the index of
@@ -23,6 +23,22 @@ and takes the levels from there, so it solves no maximin LP; it rejects a
 report of another version.  `run` holds what differs between two runs on
 the same game, today `timing_ms`; `verify_report` ignores it, and every
 other key is a deterministic function of the game and the options.
+
+`concepts.<c>` is the only place a joint distribution is written:
+`{"singleton": true, "point": ...}` or `{"singleton": false, "witnesses":
+[two members]}`.  The sections that rest on it refer to it by key.
+`certificates.<c>` (c is ircp or cce) holds `type` and `concept`, which is
+c, and then `a_star`, `gamma` and `slack` for a certificate, which needs
+`concepts.<c>` to be the singleton delta(a*), or `reason` for a
+refutation, which needs it to hold two witnesses or, for cce, a mixed
+point.  `classification` holds its `variant`: `not_unique` needs two CCE
+witnesses, `unique_pure` a point mass with a `certificates.cce`
+certificate at its profile, and `unique_mixed_2x2` a mixed point, from
+which `verify_report` recomputes the variant's `mixers`, `subgame` and
+`ne`.  An entry key that `verify_report` does not read is a problem, and
+so is a singleton claim that the recomputed pure NE or another concept
+rules out (`_agreement_problems`).  Each distribution is read and
+membership-checked once.
 """
 
 from __future__ import annotations
@@ -33,13 +49,20 @@ import time
 from fractions import Fraction
 
 from . import certify, games, polytopes, zerosum
-from .games import Game, GameFormatError, JointDistribution, MixedAction
+from .games import Game, GameFormatError, JointDistribution, MixedAction, Profile
 from .lp import PivotLimitExceeded, SolverInvariantError
 from .polytopes import Degenerate2x2Error
 from .rational import format_rational, parse_rational
 
-REPORT_VERSION = 2
+REPORT_VERSION = 3
 ALL_CONCEPTS = ("ne", "ce", "cce", "ircp")
+# The keys `verify_report` reads in an entry, by its kind; any other key is
+# a claim it would not check, and so a problem.
+_CONCEPT_KEYS = {True: {"singleton", "point"}, False: {"singleton", "witnesses"}}
+_CERTIFICATE_KEYS = {"certificate": {"type", "concept", "a_star", "gamma", "slack"},
+                     "refutation": {"type", "concept", "reason"}}
+_CLASSIFICATION_KEYS = {certify.NOT_UNIQUE: {"variant"}, certify.UNIQUE_PURE: {"variant"},
+                        certify.UNIQUE_MIXED_2X2: {"variant", "mixers", "subgame", "ne"}}
 
 
 class ReportError(ValueError):
@@ -65,24 +88,19 @@ def _maximin_from_dict(game: Game, player: int, level: Fraction,
                                  {others[c]: w for c, w in punishment.items()})
 
 
-def _certification_to_dict(game: Game, result) -> dict:
+def _certification_to_dict(result: certify.UniquenessCertificate | certify.Refutation) -> dict:
+    """A certificate, or a refutation's reason: `concepts` holds the refuting members."""
     if isinstance(result, certify.UniquenessCertificate):
         return {"type": "certificate", **certify.certificate_to_dict(result)}
-    return {"type": "refutation", **certify.refutation_to_dict(game, result)}
+    return {"type": "refutation", "concept": result.concept, "reason": result.reason}
 
 
-def _classification_to_dict(game: Game, cls: certify.CceClassification) -> dict:
+def _classification_to_dict(cls: certify.CceClassification) -> dict:
     out: dict = {"variant": cls.variant}
-    if cls.point is not None:
-        out["point"] = games.distribution_to_dict(game, cls.point)
-    if cls.variant == certify.UNIQUE_PURE:
-        out["certificate"] = certify.certificate_to_dict(cls.certificate)
-    elif cls.variant == certify.UNIQUE_MIXED_2X2:
+    if cls.variant == certify.UNIQUE_MIXED_2X2:
         out["mixers"] = list(cls.mixers)
         out["subgame"] = games.game_to_dict(cls.subgame)
         out["ne"] = [games.mixed_to_dict(m) for m in cls.ne]
-    else:
-        out["witnesses"] = [games.distribution_to_dict(game, w) for w in cls.witnesses]
     return out
 
 
@@ -152,14 +170,16 @@ def build_report(game: Game, concepts=ALL_CONCEPTS, check_unique: bool = False) 
         t0 = time.perf_counter()
         certificates: dict = {}
         if "ircp" in concepts:
-            certificates["ircp"] = _certification_to_dict(
-                game, certify.certify_unique_ircp(analysis))
+            certificates["ircp"] = _certification_to_dict(certify.certify_unique_ircp(analysis))
         if "cce" in concepts:
             classification = certify.classify_unique_cce(analysis)
-            # Only the unique_pure variant carries a certificate.
-            cce = classification.certificate or certify.certify_unique_pure_cce(analysis)
-            certificates["cce"] = _certification_to_dict(game, cce)
-            report["classification"] = _classification_to_dict(game, classification)
+            # Only the unique_pure variant carries a certificate; the others refute.
+            certificates["cce"] = (
+                _certification_to_dict(classification.certificate)
+                if classification.certificate is not None else
+                {"type": "refutation", "concept": "cce",
+                 "reason": certify.CCE_REFUTATION_REASONS[classification.variant]})
+            report["classification"] = _classification_to_dict(classification)
         report["certificates"] = certificates
 
         candidates = [p for p, strict in analysis.pure_ne() if strict]
@@ -231,6 +251,87 @@ def _verified_levels(game: Game, report: dict,
     return results if len(results) == game.num_players else None
 
 
+def _unread_keys(entry: dict, read: set) -> list[str]:
+    """A problem line naming the keys of `entry` outside `read`: claims nothing checks."""
+    extra = sorted(set(entry) - read)
+    return [f"unread keys {', '.join(map(repr, extra))}"] if extra else []
+
+
+def _agreement_problems(pure_ne: list, decided: dict) -> list[str]:
+    """Singleton claims that the pure NE or the other concepts rule out, with no LP.
+
+    Each pure NE's point mass lies in CE <= CCE <= IRCP.  So with two pure
+    NE no concept is one point, and with one, a, every singleton is delta(a),
+    which leaves no mixed CCE point for a `unique_mixed_2x2` classification.
+    Two members of a smaller polytope lie in every larger one, so a refuted
+    concept refutes every larger one, and every singleton claim names one
+    point.  `decided` is `verify_report`'s: each concept's point, or None.
+    """
+    points = [(c, mu) for c, mu in decided.items() if mu is not None]
+    if len(pure_ne) >= 2:
+        return [f"concepts.{c} claims a singleton, but the game has {len(pure_ne)} pure NE"
+                for c, _ in points]
+    if pure_ne:
+        named = "the one pure NE's point mass"
+        target = JointDistribution.point_mass(pure_ne[0][0])
+    elif points:
+        named, target = f"concepts.{points[0][0]}.point", points[0][1]
+    problems = []
+    for concept, mu in points:
+        if mu != target:
+            problems.append(f"concepts.{concept}.point is not {named}")
+        refuted = [c for c in polytopes.CONCEPTS[:polytopes.CONCEPTS.index(concept)]
+                   if c in decided and decided[c] is None]
+        if refuted:
+            problems.append(f"concepts.{concept} claims a singleton, but "
+                            f"concepts.{refuted[0]} holds two members")
+    return problems
+
+
+def _classification_problems(game: Game, cls: dict, decided: dict,
+                             certified: dict) -> list[str]:
+    """What the classification claims that `concepts.cce` and `certificates.cce` do not back.
+
+    `decided` and `certified` are `verify_report`'s: each concept's point (None
+    for a witness pair) and each certificate's profile, once checked.  The
+    mixers, subgame and NE of a `unique_mixed_2x2` variant are recomputed from
+    the point.
+    """
+    variant = cls.get("variant")
+    if variant not in _CLASSIFICATION_KEYS:
+        return [f"unknown variant {variant!r}"]
+    problems = _unread_keys(cls, _CLASSIFICATION_KEYS[variant])
+    if "cce" not in decided:
+        return problems + ["concepts.cce is missing or unreadable"]
+    mu = decided["cce"]
+    if variant == certify.NOT_UNIQUE:
+        return problems + ([] if mu is None else
+                           ["not_unique, but concepts.cce claims a singleton"])
+    if mu is None:
+        return problems + [f"{variant}, but concepts.cce holds two witnesses"]
+    if variant == certify.UNIQUE_PURE:
+        support = mu.support()
+        if len(support) != 1 or certified.get("cce") != support[0]:
+            problems.append("unique_pure needs concepts.cce at a point mass and a checked "
+                            "certificates.cce certificate at its profile")
+        return problems
+    induced = certify._induced_2x2(game, mu) if mu.is_product(game) else None
+    if induced is None:
+        return problems + ["concepts.cce.point is not a product in which two players "
+                           "mix over two actions each"]
+    mixers, subgame = induced
+    if (games.profile_from_json(cls["mixers"], "mixers") != mixers
+            or cls["subgame"] != games.game_to_dict(subgame)):
+        problems.append("mixers or subgame disagree with concepts.cce.point")
+    if not certify.is_matching_pennies_type(subgame):
+        problems.append("subgame lacks the strict cyclic pattern")
+    marginals = [mu.marginal(game, i) for i in mixers]
+    claimed = [games.mixed_from_dict(game, m, f"ne[{k}]") for k, m in enumerate(cls["ne"])]
+    if marginals != claimed:
+        problems.append("stated NE disagrees with the marginals of concepts.cce.point")
+    return problems
+
+
 def verify_report(report: dict) -> list[str]:
     """Re-check everything checkable in a report; empty list means clean.
 
@@ -245,22 +346,15 @@ def verify_report(report: dict) -> list[str]:
         return [f"embedded game unreadable: {exc}"]
     version = report.get("report_version")
     if version != REPORT_VERSION:
-        return [f"report_version {version!r} is not {REPORT_VERSION}: its maximin "
-                "levels are uncertified; run analyze again"]
+        return [f"report_version {json.dumps(version)} is not {REPORT_VERSION}; "
+                "run analyze again"]
 
     levels = None
     if "maximin" in report:
         with _section("maximin", problems):
             levels = _verified_levels(game, report, problems)
     analysis = polytopes.GameAnalysis(game, levels or ())
-
-    def check_members(concept: str, dists, where: str) -> list[JointDistribution]:
-        """Read `dists`; name each non-member of the polytope, and an equal pair."""
-        spec = analysis.polytope(concept)
-        parsed = [games.distribution_from_dict(game, data, f"{where}[{idx}]")
-                  for idx, data in enumerate(dists)]
-        problems.extend(polytopes.membership_problems(spec, parsed, where))
-        return parsed
+    pure_ne = analysis.pure_ne()
 
     def uncertified(what: str, concept) -> bool:
         """An IRCP claim with no certified levels to check it against."""
@@ -271,8 +365,7 @@ def verify_report(report: dict) -> list[str]:
 
     if "ne" in report:
         with _section("ne", problems):
-            actual_pure = [{"profile": list(p), "strict": s}
-                           for p, s in analysis.pure_ne()]
+            actual_pure = [{"profile": list(p), "strict": s} for p, s in pure_ne]
             if report["ne"].get("pure") != actual_pure:
                 problems.append("pure NE list does not match a recomputation")
             # Read back into `_mixed_2x2`'s form; anything else is no match.
@@ -287,70 +380,87 @@ def verify_report(report: dict) -> list[str]:
 
     # Each entry of `concepts`, `certificates` and `gue` has its own section,
     # so one that cannot be read hides no problem in the entries after it.
+    # Every distribution is written once, under `concepts`, and read and
+    # membership-checked once here: `decided` keeps each concept's point, or
+    # None for a witness pair, and the certificates and the classification
+    # are checked against it.
+    decided: dict[str, JointDistribution | None] = {}
     with _section("concepts", problems):
         for concept, entry in report.get("concepts", {}).items():
-            with _section(f"concepts.{concept}", problems):
-                if uncertified(f"concepts.{concept}", concept):
+            where = f"concepts.{concept}"
+            with _section(where, problems):
+                if uncertified(where, concept):
                     continue
-                if entry.get("singleton"):
+                spec = analysis.polytope(concept)
+                singleton = entry.get("singleton")
+                if type(singleton) is not bool:
+                    problems.append(f"{where}: singleton must be a boolean, "
+                                    f"got {json.dumps(singleton)}")
+                    continue
+                problems.extend(f"{where}: {problem}"
+                                for problem in _unread_keys(entry, _CONCEPT_KEYS[singleton]))
+                if singleton:
                     if "point" not in entry:
-                        problems.append(
-                            f"concepts.{concept} claims a singleton but has no point")
+                        problems.append(f"{where} claims a singleton but has no point")
                         continue
-                    check_members(concept, [entry["point"]], f"concepts.{concept}.point")
+                    dists = [entry["point"]]
+                    where += ".point"
                 else:
-                    witnesses = entry.get("witnesses", [])
-                    if len(witnesses) != 2:
-                        problems.append(f"concepts.{concept} needs two distinct witnesses")
-                    check_members(concept, witnesses, f"concepts.{concept}.witnesses")
+                    dists = entry.get("witnesses", [])
+                    if len(dists) != 2:
+                        problems.append(f"{where} needs two distinct witnesses")
+                    where += ".witnesses"
+                parsed = [games.distribution_from_dict(game, data, f"{where}[{idx}]")
+                          for idx, data in enumerate(dists)]
+                problems.extend(polytopes.membership_problems(spec, parsed, where))
+                decided[concept] = parsed[0] if singleton else None
+    problems.extend(_agreement_problems(pure_ne, decided))
 
+    certified: dict[str, Profile] = {}
     with _section("certificates", problems):
         for key, entry in report.get("certificates", {}).items():
-            with _section(f"certificates.{key}", problems):
-                if uncertified(f"certificates.{key}", entry.get("concept")):
+            where = f"certificates.{key}"
+            with _section(where, problems):
+                kind, concept = entry.get("type"), entry.get("concept")
+                if kind not in _CERTIFICATE_KEYS:
+                    problems.append(f"{where}: unknown type {json.dumps(kind)}")
                     continue
-                if entry.get("type") == "certificate":
+                problems.extend(f"{where}: {problem}"
+                                for problem in _unread_keys(entry, _CERTIFICATE_KEYS[kind]))
+                if key not in ("ircp", "cce"):
+                    problems.append(f"{where}: only ircp and cce uniqueness is certified")
+                    continue
+                if concept != key:
+                    problems.append(f"{where}: concept {json.dumps(concept)} is not its key")
+                    continue
+                if uncertified(where, key):
+                    continue
+                if key not in decided:
+                    problems.append(f"{where}: concepts.{key} is missing or unreadable")
+                    continue
+                if kind == "certificate":
                     found = certify.verify_certificate(analysis, entry)
+                    problems.extend(f"{where}: {problem}" for problem in found)
+                    if found:
+                        continue
+                    a_star = games.profile_from_json(entry["a_star"])
+                    if decided[key] != JointDistribution.point_mass(a_star):
+                        problems.append(f"{where}: concepts.{key} is not the singleton "
+                                        f"at the certified profile {a_star}")
+                    else:
+                        certified[key] = a_star
                 else:
-                    found = certify.verify_refutation(analysis, entry)
-                problems.extend(f"certificates.{key}: {problem}" for problem in found)
+                    if type(entry.get("reason")) is not str:
+                        problems.append(f"{where}: reason must be a string")
+                    point = decided[key]
+                    if point is not None and (key != "cce" or len(point.support()) == 1):
+                        problems.append(f"{where}: concepts.{key} claims a singleton the "
+                                        "refutation denies")
 
-    cls = report.get("classification")
-    if cls:
+    if "classification" in report:
         with _section("classification", problems):
-            variant = cls.get("variant")
-            if variant == certify.UNIQUE_PURE:
-                for problem in certify.verify_certificate(analysis, cls["certificate"]):
-                    problems.append(f"classification: {problem}")
-                check_members("cce", [cls["point"]], "classification.point")
-            elif variant == certify.UNIQUE_MIXED_2X2:
-                [mu] = check_members("cce", [cls["point"]], "classification.point")
-                induced = certify._induced_2x2(game, mu) if mu.is_product(game) else None
-                if induced is None:
-                    problems.append("classification: point is not a product in which "
-                                    "two players mix over two actions each")
-                else:
-                    mixers, subgame = induced
-                    if (games.profile_from_json(cls["mixers"], "mixers") != mixers
-                            or cls["subgame"] != games.game_to_dict(subgame)):
-                        problems.append(
-                            "classification: mixers or subgame disagree with the point")
-                    if not certify.is_matching_pennies_type(subgame):
-                        problems.append(
-                            "classification: subgame lacks the strict cyclic pattern")
-                    marginals = [mu.marginal(game, i) for i in mixers]
-                    claimed = [games.mixed_from_dict(game, m, f"ne[{k}]")
-                               for k, m in enumerate(cls["ne"])]
-                    if marginals != claimed:
-                        problems.append("classification: stated NE disagrees with the "
-                                        "point's marginals")
-            elif variant == certify.NOT_UNIQUE:
-                witnesses = cls.get("witnesses", [])
-                if len(witnesses) != 2:
-                    problems.append("classification needs two distinct witnesses")
-                check_members("cce", witnesses, "classification.witnesses")
-            else:
-                problems.append(f"classification: unknown variant {variant!r}")
+            problems.extend(f"classification: {problem}" for problem in _classification_problems(
+                game, report["classification"], decided, certified))
 
     with _section("gue", problems):
         for idx, entry in enumerate(report.get("gue", [])):

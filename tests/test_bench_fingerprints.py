@@ -16,7 +16,8 @@ and nothing under `perfbench/` is written.
 The reports that variant 0 writes also gate what `verify` may run: no
 maximin LP on any workload, no LP at all where no claim needs one, and
 otherwise one singleton test per strict fractional GUE flag whose profile
-meets the unilateral guarantee.
+meets the unilateral guarantee; and one membership check per distribution,
+as each is written once, under `concepts`.
 
 `perfbench/tracing.py` reads the standard form's attributes after phase 1
 and after each `optimize`; a test runs it on CE, CCE and maximin systems, so
@@ -168,6 +169,35 @@ def test_verify_builds_one_solver_per_guaranteed_gue_flag(variant_0, monkeypatch
         assert len(built) == expected, path
         guaranteed += expected
     assert guaranteed > 0
+
+
+# `polytopes.membership` calls that verifying every report of variant 0
+# makes: one per distribution, as each is written once, under `concepts`.
+MEMBERSHIP_CHECKS = {"random-games": 137, "singleton-sweep": 97, "tullock-grid": 6, "dynamics": 15}
+
+
+def test_verify_checks_each_distribution_once(variant_0, monkeypatch):
+    # A certificate holds weights or a reason, and the classification its
+    # variant, plus a mixed variant's mixers, subgame and NE, which are no
+    # joint distributions; every distribution sits under `concepts`.
+    workload, runs = variant_0
+    checked = []
+    membership = polytopes.membership
+    monkeypatch.setattr(polytopes, "membership",
+                        lambda spec, mu: checked.append(mu) or membership(spec, mu))
+    total = 0
+    for path in [op.argv[1] for op, _ in runs if op.kind == "verify"]:
+        data = report.load_report(Path(path).read_bytes())
+        for entry in data.get("certificates", {}).values():
+            assert set(entry) <= {"type", "concept", "a_star", "gamma", "slack", "reason"}
+        assert set(data.get("classification", {})) <= {"variant", "mixers", "subgame", "ne"}
+        written = sum(1 if entry["singleton"] else len(entry["witnesses"])
+                      for entry in data.get("concepts", {}).values())
+        checked.clear()
+        assert report.verify_report(data) == []
+        assert len(checked) == written, path
+        total += written
+    assert total == MEMBERSHIP_CHECKS[workload]
 
 
 def test_tracer_reads_every_standard_form(monkeypatch):

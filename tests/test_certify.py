@@ -296,9 +296,13 @@ def test_classify_mp_type_games():
 
 
 def test_classify_rps_not_unique():
-    res = classify_unique_cce(generators.rock_paper_scissors())
+    # The witnesses are the context's CCE decision; a report writes them once,
+    # under concepts.cce.
+    analysis = polytopes.GameAnalysis(generators.rock_paper_scissors())
+    res = classify_unique_cce(analysis)
     assert res.variant == NOT_UNIQUE
-    assert res.witnesses is not None and len(res.witnesses) == 2
+    assert res.point is None and res.certificate is None
+    assert len(analysis.kept_singleton("cce").witnesses) == 2
 
 
 def test_classify_symmetric_singletons_are_pure():

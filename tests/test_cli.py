@@ -449,7 +449,7 @@ MAXIMIN_FORGERIES = {
         "maximin levels need one certificate per player in maximin_certificates"),
     "version-1": (
         _set(("report_version",), 1),
-        "report_version 1 is not 2: its maximin levels are uncertified; run analyze again"),
+        "report_version 1 is not 3; run analyze again"),
     "no-maximin": (
         lambda data: data.pop("maximin"),
         "concepts.ircp: no certified maximin levels to check an IRCP claim"),
@@ -502,8 +502,8 @@ def test_verify_rejects_a_forged_gue_entry(tmp_path, capsys, forgery):
     assert err == ""
 
 
-# Prisoner's dilemma: the CCE certificate, in `certificates` and in the
-# classification, is at (d, d), profile [1, 1].
+# Prisoner's dilemma: the CCE certificate is at (d, d), profile [1, 1], and
+# the unique_pure classification rests on it.
 A_STAR_FORGERIES = {"floats": [1.0, 1.9], "strings": ["1", "1"], "booleans": [True, True]}
 
 
@@ -511,15 +511,18 @@ A_STAR_FORGERIES = {"floats": [1.0, 1.9], "strings": ["1", "1"], "booleans": [Tr
 def test_verify_rejects_a_certificate_profile_that_is_not_ints(tmp_path, capsys, forgery):
     a_star = A_STAR_FORGERIES[forgery]
     data = build_report(prisoners_dilemma(), ("ne", "cce"), check_unique=True)
-    for certificate in (data["certificates"]["cce"], data["classification"]["certificate"]):
-        assert certificate["a_star"] == [1, 1]
-        certificate["a_star"] = a_star
+    certificate = data["certificates"]["cce"]
+    assert certificate["a_star"] == [1, 1]
+    certificate["a_star"] = a_star
     report_path = tmp_path / "report.json"
     report_path.write_bytes(save_report(data))
     assert main(["verify", str(report_path)]) == 1
     out, err = capsys.readouterr()
     problem = f"unreadable certificate: profile must be a list of ints, got {json.dumps(a_star)}"
-    assert out.splitlines() == [f"certificates.cce: {problem}", f"classification: {problem}"]
+    assert out.splitlines() == [
+        f"certificates.cce: {problem}",
+        "classification: unique_pure needs concepts.cce at a point mass and a checked "
+        "certificates.cce certificate at its profile"]
     assert err == ""
 
 

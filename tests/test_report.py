@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from eqcert import certify, polytopes, zerosum
+from eqcert import certify, games, polytopes, zerosum
 from eqcert.contests import ContestSpec, LinearCost, TullockRatio, discretize
-from eqcert.games import Game, game_to_dict
+from eqcert.games import Game, MixedAction, game_to_dict
 from eqcert.generators import (
     matching_pennies,
     parking,
@@ -34,7 +34,7 @@ def full_pd_report():
 
 def test_report_sections_for_prisoners_dilemma():
     data = full_pd_report()
-    assert data["report_version"] == 2
+    assert data["report_version"] == 3
     assert data["maximin"] == ["1", "1"]
     # Defect guarantees 1, and the opponent's defection holds both actions to 1.
     assert data["maximin_certificates"] == [
@@ -44,9 +44,15 @@ def test_report_sections_for_prisoners_dilemma():
     assert data["concepts"]["cce"]["singleton"] is True
     assert data["concepts"]["ircp"]["singleton"] is False
     assert len(data["concepts"]["ircp"]["witnesses"]) == 2
-    assert data["certificates"]["cce"]["type"] == "certificate"
-    assert data["certificates"]["ircp"]["type"] == "refutation"
-    assert data["classification"]["variant"] == "unique_pure"
+    # Each distribution is written once, under `concepts`: the certificate
+    # section holds weights or a reason, and the classification its variant.
+    assert data["certificates"] == {
+        "ircp": {"type": "refutation", "concept": "ircp",
+                 "reason": "a second distribution pays every player at least the "
+                 "candidate profile's payoffs"},
+        "cce": {"type": "certificate", "concept": "cce", "a_star": [1, 1],
+                "gamma": ["1/2", "1/2"], "slack": "1/2"}}
+    assert data["classification"] == {"variant": "unique_pure"}
     assert data["gue"] == [
         {"profile": [1, 1], "gue": False, "strict_fractional_gue": False}]
     assert list(data["run"]) == ["timing_ms"]
@@ -334,25 +340,42 @@ def test_verify_flags_unreadable_maximin():
     assert any(p.startswith("maximin unreadable") for p in problems)
 
 
+# The certificates and the classification refer to `concepts`, and the
+# classification's unique_pure variant to the CCE certificate, so a section
+# that cannot be read leaves each claim that rests on it unbacked too.
+UNBACKED = {
+    "ircp": "certificates.ircp: concepts.ircp is missing or unreadable",
+    "cce": "certificates.cce: concepts.cce is missing or unreadable",
+    "classification": "classification: concepts.cce is missing or unreadable",
+    "pure": "classification: unique_pure needs concepts.cce at a point mass and a checked "
+            "certificates.cce certificate at its profile",
+}
+
+
 @pytest.mark.parametrize("section, value, expected", [
     ("concepts", [],
-     "concepts unreadable: AttributeError: 'list' object has no attribute 'items'"),
+     ["concepts unreadable: AttributeError: 'list' object has no attribute 'items'",
+      UNBACKED["ircp"], UNBACKED["cce"], UNBACKED["classification"]]),
     ("concepts", {"cce": "x"},
-     "concepts.cce unreadable: AttributeError: 'str' object has no attribute 'get'"),
+     ["concepts.cce unreadable: AttributeError: 'str' object has no attribute 'get'",
+      UNBACKED["ircp"], UNBACKED["cce"], UNBACKED["classification"]]),
     ("concepts", {"xyz": {"singleton": True, "point": {"0": "1"}}},
-     "concepts.xyz unreadable: PolytopeError: unknown concept 'xyz'; "
-     "pick one of ('ce', 'cce', 'ircp')"),
-    ("ne", [], "ne unreadable: AttributeError: 'list' object has no attribute 'get'"),
+     ["concepts.xyz unreadable: PolytopeError: unknown concept 'xyz'; "
+      "pick one of ('ce', 'cce', 'ircp')",
+      UNBACKED["ircp"], UNBACKED["cce"], UNBACKED["classification"]]),
+    ("ne", [], ["ne unreadable: AttributeError: 'list' object has no attribute 'get'"]),
     ("certificates", {"cce": "x"},
-     "certificates.cce unreadable: AttributeError: 'str' object has no attribute 'get'"),
+     ["certificates.cce unreadable: AttributeError: 'str' object has no attribute 'get'",
+      UNBACKED["pure"]]),
+    # A v2 classification: its point is a copy that v3 no longer reads.
     ("classification", {"variant": "unique_pure", "point": {"3": "1"}},
-     "classification unreadable: KeyError: 'certificate'"),
+     ["classification: unread keys 'point'"]),
 ], ids=["concepts-list", "concept-entry-str", "concept-unknown", "ne-list",
         "certificate-str", "classification-no-certificate"])
 def test_verify_flags_malformed_section(section, value, expected):
     data = full_pd_report()
     data[section] = value
-    assert verify_report(data) == [expected]
+    assert verify_report(data) == expected
 
 
 def test_verify_reads_past_an_unreadable_entry():
@@ -363,11 +386,13 @@ def test_verify_reads_past_an_unreadable_entry():
     data["concepts"]["cce"]["point"] = {"0": "1"}
     data["certificates"] = {"ircp": "x", "cce": dict(data["certificates"]["cce"], slack="7")}
     problems = verify_report(data)
-    assert problems[:3] == [
+    assert problems[:4] == [
         "concepts.ce unreadable: AttributeError: 'str' object has no attribute 'get'",
         "concepts.cce.point[0] is not a CCE member",
+        "concepts.cce.point is not the one pure NE's point mass",
         "certificates.ircp unreadable: AttributeError: 'str' object has no attribute 'get'"]
-    assert problems[3].startswith("certificates.cce: ") and len(problems) == 4
+    assert problems[4].startswith("certificates.cce: slack mismatch")
+    assert problems[5:] == [UNBACKED["pure"]]
 
 
 def test_verify_flags_degenerate_witness_pair():
@@ -384,14 +409,16 @@ RESPELLED_PAIRS = ([{"3": "1"}, {"03": "1"}], [{"3": "1"}, {"3": "2/2"}])
 
 @pytest.mark.parametrize("pair", RESPELLED_PAIRS, ids=["zero-padded", "unreduced"])
 def test_verify_flags_one_point_written_twice_as_witnesses(pair):
-    # PD's CE and CCE are the one point delta(d, d), at profile index 3.
+    # PD's CE and CCE are the one point delta(d, d), at profile index 3.  A
+    # pair is written only under `concepts`; the classification refers to it.
     data = full_pd_report()
     data["concepts"]["cce"] = {"singleton": False, "witnesses": copy.deepcopy(pair)}
     data["concepts"]["ce"] = {"singleton": False, "witnesses": copy.deepcopy(pair)}
-    data["classification"] = {"variant": "not_unique", "witnesses": copy.deepcopy(pair)}
+    data["classification"] = {"variant": "not_unique"}
     assert verify_report(data) == [
         f"{where}.witnesses[0] and {where}.witnesses[1] are the same distribution"
-        for where in ("concepts.ce", "concepts.cce", "classification")]
+        for where in ("concepts.ce", "concepts.cce")] + [
+        "certificates.cce: concepts.cce is not the singleton at the certified profile (1, 1)"]
 
 
 def test_verify_exits_1_on_a_parking_report_whose_points_are_written_twice(
@@ -411,7 +438,10 @@ def test_verify_exits_1_on_a_parking_report_whose_points_are_written_twice(
     out, err = capsys.readouterr()
     assert out.splitlines() == [
         f"concepts.{c}.witnesses[0] and concepts.{c}.witnesses[1] are the same distribution"
-        for c in ("ce", "cce", "ircp")]
+        for c in ("ce", "cce", "ircp")] + [
+        f"certificates.{c}: concepts.{c} is not the singleton at the certified profile (0, 0)"
+        for c in ("ircp", "cce")] + [
+        "classification: unique_pure, but concepts.cce holds two witnesses"]
     assert err == ""
 
 
@@ -432,7 +462,7 @@ def test_verify_rejects_a_json_number_weight_in_a_point():
     data["concepts"]["cce"]["point"] = {"3": 1}
     assert verify_report(data) == [
         "concepts.cce unreadable: GameFormatError: concepts.cce.point[0] weight 1 "
-        "is not a rational string"]
+        "is not a rational string", UNBACKED["cce"], UNBACKED["classification"]]
 
 
 def test_verify_flags_tampered_certificate():
@@ -456,16 +486,17 @@ def test_verify_recomputes_the_classification_subgame():
     assert data["classification"]["mixers"] == [0, 1]
     data["classification"]["subgame"] = game_to_dict(random_mp_type(7))
     assert verify_report(data) == [
-        "classification: mixers or subgame disagree with the point"]
+        "classification: mixers or subgame disagree with concepts.cce.point"]
 
 
 @pytest.mark.parametrize("point", ({"0": "1"}, {"0": "1/2", "3": "1/2"}))
 def test_verify_flags_a_classification_point_that_is_no_two_mixer_product(point):
-    # A pure point, and one whose marginals both mix but which is no product.
+    # A pure point, and one whose marginals both mix but which is no product;
+    # the classification reads its point from concepts.cce.
     data = build_report(matching_pennies(), ("ne", "cce"), check_unique=True)
-    data["classification"]["point"] = point
-    assert ("classification: point is not a product in which two players mix over "
-            "two actions each") in verify_report(data)
+    data["concepts"]["cce"]["point"] = point
+    assert ("classification: concepts.cce.point is not a product in which two players "
+            "mix over two actions each") in verify_report(data)
 
 
 def test_verify_flags_tampered_gue_flag():
@@ -536,3 +567,104 @@ def test_verify_reads_classification_mixers_as_json_ints():
     assert verify_report(data) == [
         "classification unreadable: GameFormatError: mixers must be a list of ints, "
         "got [false, true]"]
+
+
+# Forgeries that verified clean while sections were never compared.  Each
+# edits a report in place; the games they need follow.
+def coordination() -> Game:
+    """Both players get 2 at (a, a), 1 at (b, b) and 0 elsewhere: two strict pure NE."""
+    return Game((("a", "b"), ("a", "b")), ((Fraction(2), Fraction(0), Fraction(0),
+                                            Fraction(1)),) * 2, "coordination")
+
+
+def pennies_and_x() -> Game:
+    """Matching pennies on H, T; -5 to both where exactly one plays x; (10, 10) at (x, x)."""
+    u0 = (1, -1, -5, -1, 1, -5, -5, -5, 10)
+    u1 = (-1, 1, -5, 1, -1, -5, -5, -5, 10)
+    return Game((("H", "T", "x"),) * 2, (tuple(map(Fraction, u0)), tuple(map(Fraction, u1))),
+                "pennies_and_x")
+
+
+def every_concept_at(key: str):
+    """Claim every concept a singleton at the point mass on profile index `key`."""
+    def forge(report: dict) -> None:
+        for concept in report["concepts"]:
+            report["concepts"][concept] = {"singleton": True, "point": {key: "1"}}
+    return forge
+
+
+def forge_mixed_classification(report: dict) -> None:
+    """Claim the matching-pennies product as the unique CE and CCE, classified with the
+    subgame, mixers and NE recomputed from it, and refute a unique pure CCE."""
+    game = games.game_from_dict(report["game"])
+    half = {0: Fraction(1, 2), 1: Fraction(1, 2)}
+    mu = games.product_distribution(game, [MixedAction(0, half), MixedAction(1, half)])
+    mixers, subgame = certify._induced_2x2(game, mu)
+    for concept in ("ce", "cce"):
+        report["concepts"][concept] = {"singleton": True,
+                                       "point": games.distribution_to_dict(game, mu)}
+    report["certificates"]["cce"] = {
+        "type": "refutation", "concept": "cce",
+        "reason": "the unique coarse correlated equilibrium is mixed"}
+    report["classification"] = {
+        "variant": "unique_mixed_2x2", "mixers": list(mixers),
+        "subgame": game_to_dict(subgame),
+        "ne": [games.mixed_to_dict(mu.marginal(game, i)) for i in mixers]}
+
+
+def ircp_singleton_at(point: dict):
+    """Claim IRCP a singleton at `point`, an IRCP member."""
+    def forge(report: dict) -> None:
+        report["concepts"]["ircp"] = {"singleton": True, "point": point}
+    return forge
+
+
+def file_cce_certificate_as_ircp(report: dict) -> None:
+    """Prisoner's dilemma: file the CCE certificate at (d, d) as IRCP's, and claim
+    IRCP the singleton at it."""
+    report["certificates"]["ircp"] = copy.deepcopy(report["certificates"]["cce"])
+    report["concepts"]["ircp"] = {"singleton": True, "point": {"3": "1"}}
+
+
+TWO_NE = [f"concepts.{c} claims a singleton, but the game has 2 pure NE"
+          for c in ("ce", "cce", "ircp")]
+COORDINATION_CHECKED = TWO_NE + [
+    "certificates.ircp: concepts.ircp claims a singleton the refutation denies",
+    "certificates.cce: concepts.cce claims a singleton the refutation denies",
+    "classification: not_unique, but concepts.cce claims a singleton"]
+FORGERIES = {
+    "pd-key-swap": (prisoners_dilemma, True, file_cce_certificate_as_ircp,
+                    ['certificates.ircp: concept "cce" is not its key']),
+    "coordination-0": (coordination, False, every_concept_at("0"), TWO_NE),
+    "coordination-3": (coordination, False, every_concept_at("3"), TWO_NE),
+    "coordination-0-check-unique": (coordination, True, every_concept_at("0"),
+                                    COORDINATION_CHECKED),
+    "coordination-3-check-unique": (coordination, True, every_concept_at("3"),
+                                    COORDINATION_CHECKED),
+    "pennies-and-x": (pennies_and_x, True, forge_mixed_classification, [
+        f"concepts.{c}.point is not the one pure NE's point mass" for c in ("ce", "cce")]),
+    # No pure NE, and CE is the uniform point in both games.  Rock-paper-
+    # scissors' CCE holds two members, so IRCP is no singleton.  In matching
+    # pennies, a singleton IRCP could only be the CE point.
+    "rps-ircp": (rock_paper_scissors, False,
+                 ircp_singleton_at({str(k): "1/9" for k in range(9)}), [
+                     "concepts.ircp claims a singleton, but concepts.cce holds two members"]),
+    "pennies-ircp": (matching_pennies, False, ircp_singleton_at({"0": "1/2", "1": "1/2"}), [
+        "concepts.ircp.point is not concepts.ce.point"]),
+}
+
+
+@pytest.mark.parametrize("forgery", sorted(FORGERIES))
+def test_verify_exits_1_on_sections_that_contradict_each_other(forgery, tmp_path, capsys):
+    from eqcert.cli import main
+
+    make_game, check_unique, forge, expected = FORGERIES[forgery]
+    data = build_report(make_game(), check_unique=check_unique)
+    assert verify_report(data) == []
+    forge(data)
+    path = tmp_path / "forged.json"
+    path.write_bytes(save_report(data))
+    assert main(["verify", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines() == expected
+    assert err == ""
