@@ -32,7 +32,12 @@ and the P(a*) test of GUE and certificate weights at delta(a*) (`certify`).
 
 `PolytopeSolver` factors the phase-1 work out of repeated optimization over
 one feasible system; singleton tests and coordinate bounds re-optimize several
-objectives against the same basis.
+objectives against the same basis.  `optimize` runs to an optimum.
+`step_off` maximizes only until the basic point first moves, at the first
+nondegenerate pivot: no other pivot improves the objective, so the point
+there beats the start point and differs from it, and a path with no such
+pivot ends at an optimum at the start point.  A singleton test needs no
+more (`polytopes.singleton_over_system`).
 
 `PolytopeSolver.pinning_objective` tells whether the current basic point x*
 is the system's only member.  The basis matrix is invertible, so every
@@ -48,15 +53,15 @@ applied, and up to the positive factor by which the standard form scaled
 the row.  So each nonbasic slack adds a_r on a `>=` row and -a_r on a `<=`
 row, and the constants are left out.
 
-`PolytopeSolver.duals` reads the optimal row duals of the last `optimize`
-from the final tableau, with no further LP.  The reduced cost of a slack
-column is minus its row's simplex multiplier times the slack's sign in the
-standard form, so the multiplier is read from `z` at its scale, and is 0
-when the slack is basic.  The
-standard form keeps each row's factor: the row's integer scale, negated
-when the row was negated.  Multiplying by it undoes both, and gives the
-dual of the system row as written.  Sign rule: for a minimum the dual is
->= 0 on a `>=` row and <= 0 on a `<=` row; for a maximum both flip.  An
+`PolytopeSolver.duals` reads the optimal row duals of the last optimum
+reached, by `optimize` or by a `step_off` that never moved, from the final
+tableau, with no further LP.  The reduced cost of a slack column is minus
+its row's simplex multiplier times the slack's sign in the standard form,
+so the multiplier is read from `z` at its scale, and is 0 when the slack is
+basic.  The standard form keeps each row's factor: the row's integer scale,
+negated when the row was negated.  Multiplying by it undoes both, and gives
+the dual of the system row as written.  Sign rule: for a minimum the dual
+is >= 0 on a `>=` row and <= 0 on a `<=` row; for a maximum both flip.  An
 `==` row has no slack column, and its dual comes from the basic columns'
 zero reduced costs.
 
@@ -193,6 +198,7 @@ class ConstraintSystem:
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
+MOVED = "moved"  # a stopped run left the start point (`PolytopeSolver.step_off`)
 
 
 @dataclass(frozen=True)
@@ -388,12 +394,15 @@ class _StandardForm:
         self.z = z
         self.scales[-1] = det
 
-    def _bland_min(self) -> str:
+    def _bland_min(self, stop_on_move: bool = False) -> str:
         """Minimize the loaded objective from the current feasible basis.
 
         Bland's rule goes by variable, not by slot: the entering variable is
         the least one with a negative reduced cost, and ratio-test ties go
-        to the least basic variable.
+        to the least basic variable.  With `stop_on_move` it returns MOVED
+        right after the first nondegenerate pivot, one whose ratio-test
+        minimum `best_num` is positive: the only kind that moves the basic
+        point, and the only kind that lowers the objective.
         """
         rows, basis, cols = self.rows, self.basis, self.cols
         rhs = self.ncols
@@ -419,6 +428,8 @@ class _StandardForm:
             if leaving < 0:
                 return UNBOUNDED
             self._pivot(leaving, entering)
+            if stop_on_move and best_num > 0:
+                return MOVED
 
     # -- phases -----------------------------------------------------------
 
@@ -490,10 +501,10 @@ class _StandardForm:
             self.z = [0] * (self.ncols + 1)
         return True
 
-    def optimize(self, cost_y: Sequence[Fraction]) -> str:
+    def optimize(self, cost_y: Sequence[Fraction], stop_on_move: bool = False) -> str:
         self.cost = list(cost_y)
         self._load_objective(cost_y)
-        return self._bland_min()
+        return self._bland_min(stop_on_move)
 
     # -- solution readout ---------------------------------------------------
 
@@ -507,7 +518,7 @@ class _StandardForm:
         return tuple(values)
 
     def duals(self) -> list[Fraction]:
-        """Optimal duals y of the last `optimize`, a minimization, one per system row.
+        """Optimal duals y of the last minimization run to its optimum, one per system row.
 
         Standard-form row r is f_r times system row r, where f_r =
         `row_factors[r]` is the row's integer scale, negative when the row
@@ -557,8 +568,9 @@ class _StandardForm:
 class PolytopeSolver:
     """Re-optimizes many objectives over one constraint system, exactly.
 
-    Phase 1 runs once at construction; each `optimize` call warm-starts from
-    the previous optimal basis, and `duals` reads its optimal dual.
+    Phase 1 runs once at construction; each `optimize` or `step_off` call
+    warm-starts from the basis the previous one left, and `duals` reads the
+    dual of the last optimum reached.
     """
 
     def __init__(self, system: ConstraintSystem):
@@ -572,11 +584,14 @@ class PolytopeSolver:
             return None
         return self._form.point()
 
+    def _check_width(self, objective: Sequence[Fraction]) -> None:
+        if len(objective) != self.system.num_vars:
+            raise LpError("objective width disagrees with num_vars")
+
     def optimize(self, objective: Sequence[Fraction], maximize: bool) -> LpOutcome:
         if not self.feasible:
             return LpOutcome(INFEASIBLE)
-        if len(objective) != self.system.num_vars:
-            raise LpError("objective width disagrees with num_vars")
+        self._check_width(objective)
         objective = [Fraction(c) for c in objective]
         cost = [-c for c in objective] if maximize else objective
         self._maximized = None
@@ -588,8 +603,32 @@ class PolytopeSolver:
         value = sum((c * x for c, x in zip(objective, point) if x and c), Fraction(0))
         return LpOutcome(OPTIMAL, value, point)
 
+    def step_off(self, objective: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
+        """Maximize `objective` from the current basis until the basic point moves.
+
+        Bland's path stops at its first nondegenerate pivot (see
+        `_StandardForm._bland_min`), and the point there is returned: a
+        member at which the objective is larger than at the start point x*,
+        so a member other than x*.  Its pivots are a prefix of those of
+        `optimize(objective, maximize=True)`.  When that path reaches an
+        optimum with no such pivot, x* is optimal, the method returns None,
+        and only then may `duals` be read.  The system must be bounded, as
+        a polytope is: an unbounded objective raises `SolverInvariantError`.
+        """
+        if not self.feasible:
+            raise LpError("an infeasible system has no basis")
+        self._check_width(objective)
+        self._maximized = None
+        status = self._form.optimize([-Fraction(c) for c in objective], stop_on_move=True)
+        if status == UNBOUNDED:
+            raise SolverInvariantError("step_off met an unbounded objective")
+        if status == MOVED:
+            return self._form.point()
+        self._maximized = True
+        return None
+
     def duals(self) -> tuple[Fraction, ...]:
-        """Optimal dual of the last `optimize`, one multiplier y_r per system row.
+        """Optimal dual of the last optimum reached, one multiplier y_r per system row.
 
         y_r is the rate at which the optimum moves with row r's right-hand
         side, so sum_r b_r y_r equals the optimum.  For a minimum, y_r >= 0
@@ -599,7 +638,8 @@ class PolytopeSolver:
         with no further LP (see `_StandardForm.duals`).
         """
         if self._maximized is None:
-            raise LpError("duals need an optimal `optimize` call first")
+            raise LpError("duals need an optimum: an optimal `optimize`, or a "
+                          "`step_off` that returned None")
         y = self._form.duals()
         return tuple(-v if v else v for v in y) if self._maximized else tuple(y)
 

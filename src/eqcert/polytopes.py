@@ -51,16 +51,18 @@ in all three polytopes.  Two of them refute singleton-ness with no LP.  One
 of them starts the CCE simplex at its point mass, which satisfies every CCE
 row, so phase 1 is a single pivot.  CE keeps the cold start: the point mass
 makes every CE row with another recommendation tight, and on random 8x8
-games the outside-support LP from that degenerate vertex took more pivots
-than the saved phase 1 on some seeds (seed 7: 791 -> 1060) and fewer on
-others, so CE waits for a pivot rule that does not stall there.
+games the crash there moves the pivots of a whole report both ways, even
+with the early stop below (seed 7: 278 -> 1102, seed 9: 960 -> 82), so CE
+waits for a pivot rule that does not stall at that degenerate vertex.
 
 From its phase-1 vertex x*, a singleton test runs at most two LPs
 (`singleton_over_system`): the mass outside supp(x*), which settles a point
 mass on its own, and then, for a larger support, the sum of the columns
 nonbasic at the basis of x* (`lp.PolytopeSolver.pinning_objective`).  Each
-singleton decision thus rests on at most two LP optima instead of one per
-support coordinate.
+LP stops at its first pivot that leaves x* (`lp.PolytopeSolver.step_off`),
+whose point is the second member of a refutation; only a singleton runs
+its last LP to the optimum, at x*.  Each decision thus rests on at most two
+LPs instead of one per support coordinate.
 """
 
 from __future__ import annotations
@@ -395,40 +397,32 @@ def singleton_over_system(game: Game, system: ConstraintSystem,
     """Singleton decision with constructive witnesses, in at most two LPs.
 
     Phase 1 gives a vertex x*.  The first LP maximizes the mass outside
-    supp(x*); an optimum at any point but x* (a positive value included) is
-    a second member.  Otherwise every coordinate outside the support is
-    identically 0, so a point mass x* is the only member: the simplex row
+    supp(x*).  When x* is its optimum, every coordinate outside the support
+    is identically 0, so a point mass x* is the only member: the simplex row
     fixes its lone coordinate.  For a larger support the second LP
     maximizes `PolytopeSolver.pinning_objective` at the basis of x*, whose
-    maximum equals its value at x* exactly when x* is the only member; an
-    optimum at any other point is the second member.  A singleton carries
-    the dual of the last LP (`PolytopeSolver.duals`), negated, as that LP
-    is a maximum, so that it is >= 0 on a `>=` row.  The system's variables
-    must be joint-distribution coordinates over `game`, which its rows
-    force to sum to 1.
+    maximum equals its value at x* exactly when x* is the only member.
+    Each LP runs by `PolytopeSolver.step_off`, which stops at the first
+    pivot that leaves x*: a refutation needs a second member, not an
+    optimum, and the point there is one.  A singleton carries the dual of
+    the last LP (`PolytopeSolver.duals`), which reached its optimum at x*,
+    negated, as that LP is a maximum, so that it is >= 0 on a `>=` row.
+    The system's variables must be joint-distribution coordinates over
+    `game`, which its rows force to sum to 1.
     """
     solver = PolytopeSolver(system)
     if not solver.feasible:
         raise SolverInvariantError(f"{what} is unexpectedly empty")
     base_point = solver.feasible_point()
     base = JointDistribution.from_vector(game, base_point)
-
-    def second_member(objective) -> JointDistribution | None:
-        outcome = solver.optimize(objective, maximize=True)
-        if outcome.status != OPTIMAL:
-            raise SolverInvariantError("support LP failed on a bounded polytope")
-        if outcome.point == base_point:
-            return None
-        return JointDistribution.from_vector(game, outcome.point)
-
     outside = [Fraction(0) if x else Fraction(1) for x in base_point]
     other = None
     if any(outside):
-        other = second_member(outside)
+        other = solver.step_off(outside)
     if other is None and len(base.support()) > 1:
-        other = second_member(solver.pinning_objective())
+        other = solver.step_off(solver.pinning_objective())
     if other is not None:
-        return SingletonResult(None, (base, other))
+        return SingletonResult(None, (base, JointDistribution.from_vector(game, other)))
     return SingletonResult(base, None, tuple(-y for y in solver.duals()))
 
 

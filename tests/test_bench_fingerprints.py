@@ -19,6 +19,12 @@ otherwise one singleton test per strict fractional GUE flag whose profile
 meets the unilateral guarantee; and one membership check per distribution,
 as each is written once, under `concepts`.
 
+Every `certify --json` refutation of variant 0 must re-check clean by
+`certify.verify_refutation`, which no CLI command runs on such a bare file.
+The pivots that variant 0's command lines take, summed per command kind,
+must equal recorded counts: exact arithmetic and Bland's rule repeat them
+exactly, so any change to the LP path shows there.
+
 `perfbench/tracing.py` reads the standard form's attributes after phase 1
 and after each `optimize`; a test runs it on CE, CCE and maximin systems, so
 that a change to the tableau layout cannot silently break its counters.
@@ -29,13 +35,15 @@ exists.
 import contextlib
 import importlib.util
 import io
+import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from eqcert import certify, cli, games, generators, polytopes, report, zerosum
-from eqcert.lp import PolytopeSolver
+from eqcert.lp import PolytopeSolver, _StandardForm
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -54,10 +62,15 @@ checks = _load("checks")
 tracing = _load("tracing")
 
 
+def _in_run_order(ops) -> list:
+    """Untimed commands first, as a benchmark run orders them."""
+    return [op for op in ops if not op.timed] + [op for op in ops if op.timed]
+
+
 def _run(ops) -> list:
-    """Each command with its exit code, untimed ones first, as a benchmark run orders them."""
+    """Each command with its exit code, in run order."""
     runs = []
-    for op in [op for op in ops if not op.timed] + [op for op in ops if op.timed]:
+    for op in _in_run_order(ops):
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
             runs.append((op, cli.main(list(op.argv))))
@@ -198,6 +211,52 @@ def test_verify_checks_each_distribution_once(variant_0, monkeypatch):
         assert len(checked) == written, path
         total += written
     assert total == MEMBERSHIP_CHECKS[workload]
+
+
+# Refutations among variant 0's `certify --json` files.
+CERTIFY_REFUTATIONS = {"random-games": 46, "singleton-sweep": 26, "tullock-grid": 2, "dynamics": 1}
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_certify_refutations_recheck_clean(workload, tmp_path):
+    # No CLI command re-checks the witnesses of a bare refutation file.
+    ops = [op for op in workloads.build(workload, 0, tmp_path) if op.kind == "certify"]
+    refutations = 0
+    for op, _ in _run(ops):
+        data = json.loads(Path(op.output).read_text())
+        if "witnesses" in data:
+            game = games.load_game(Path(op.argv[1]).read_bytes())
+            assert certify.verify_refutation(game, data) == [], op.key
+            refutations += 1
+    assert refutations == CERTIFY_REFUTATIONS[workload]
+
+
+# Pivots of every LP that variant 0's command lines solve, summed per kind:
+# `_StandardForm.pivots_used` over phase 1 and every re-optimization.
+PIVOTS = {
+    "random-games": {"analyze": 567, "certify": 319, "verify": 0},
+    "singleton-sweep": {"analyze": 359, "certify": 319, "verify": 61},
+    "tullock-grid": {"analyze": 37, "certify": 68, "verify": 0, "contest": 0},
+    "dynamics": {"analyze": 59, "certify": 35, "verify": 12, "simulate": 0},
+}
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_variant_0_pivots_per_command_kind(workload, tmp_path, monkeypatch):
+    forms = []
+    init = _StandardForm.__init__
+
+    def recording(self, system):
+        init(self, system)
+        forms.append(self)
+
+    monkeypatch.setattr(_StandardForm, "__init__", recording)
+    pivots = Counter()
+    for op in _in_run_order(workloads.build(workload, 0, tmp_path)):
+        forms.clear()
+        _run([op])
+        pivots[op.kind] += sum(form.pivots_used for form in forms)
+    assert dict(pivots) == PIVOTS[workload]
 
 
 def test_tracer_reads_every_standard_form(monkeypatch):

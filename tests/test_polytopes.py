@@ -167,7 +167,8 @@ SINGLETON_LP_GAMES = {
 # Each polytope is one point.  The first four are point masses, settled by
 # the outside-support LP alone; the others have supports of 4, 4 and 9
 # profiles (the RPS CE is uniform), so no outside LP runs and one
-# nonbasic-sum LP pins the point.
+# nonbasic-sum LP pins the point.  Each LP is one `step_off` call that
+# reaches its optimum at the point.
 @pytest.mark.parametrize("name, concept, support", [
     ("tullock8", "cce", 1),
     ("parking", "ce", 1),
@@ -181,13 +182,13 @@ def test_singleton_test_runs_one_lp(monkeypatch, name, concept, support):
     analysis = GameAnalysis(SINGLETON_LP_GAMES[name]())
     analysis.polytope(concept)  # the IRCP rows' maximin LPs run here
     calls = []
-    optimize = PolytopeSolver.optimize
+    step_off = PolytopeSolver.step_off
 
-    def counting(self, objective, maximize):
+    def counting(self, objective):
         calls.append(objective)
-        return optimize(self, objective, maximize)
+        return step_off(self, objective)
 
-    monkeypatch.setattr(PolytopeSolver, "optimize", counting)
+    monkeypatch.setattr(PolytopeSolver, "step_off", counting)
     # The concept's own test, not the chained decision, which may run the
     # CCE test first or none at all.
     result = is_singleton(analysis.polytope(concept), analysis.pure_ne())

@@ -19,8 +19,16 @@ is kept here as the reference: on every system both must give the same
 decision and point, and each witness pair must be two distinct members.
 The systems include `polytopes.improvement_system` at any profile a*, whose
 phase 1 is one crash pivot onto delta(a*).
+
+Each of its LPs stops at the first pivot that leaves the phase-1 vertex x*
+(`PolytopeSolver.step_off`).  The path it cuts short, both LPs run to their
+optima by `PolytopeSolver.optimize`, is kept here as the second reference:
+the decision, the point and its duals must be the reference's, a second
+member must be a member other than x*, no test may take more pivots, and a
+stop that left x* leaves no dual to read.
 """
 
+import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -32,6 +40,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 from eqcert import generators, polytopes  # noqa: E402
+from eqcert.contests import ContestSpec, LinearCost, TullockRatio, discretize  # noqa: E402
 from eqcert.certify import (  # noqa: E402
     UniquenessCertificate,
     certify_unique_ircp,
@@ -287,3 +296,106 @@ def test_chained_decision_equals_own_test_on_parking(m, fee, order):
     game = generators.parking(m, 1, Fraction(1, 4), Fraction(fee))
     assert polytopes.is_singleton(polytopes.build_polytope(game, "ircp")).is_singleton
     _assert_chain_equals_own_tests(game, order)
+
+
+def _run_to_optimum(game: Game, system: ConstraintSystem):
+    """The reference: both LPs to their optima by `optimize`, and the pivots used."""
+    solver = PolytopeSolver(system)
+    assert solver.feasible
+    base_point = solver.feasible_point()
+    base = JointDistribution.from_vector(game, base_point)
+
+    def second_member(objective):
+        outcome = solver.optimize(objective, maximize=True)
+        assert outcome.status == OPTIMAL
+        if outcome.point == base_point:
+            return None
+        return JointDistribution.from_vector(game, outcome.point)
+
+    outside = [Fraction(0) if x else Fraction(1) for x in base_point]
+    other = second_member(outside) if any(outside) else None
+    if other is None and len(base.support()) > 1:
+        other = second_member(solver.pinning_objective())
+    if other is not None:
+        result = polytopes.SingletonResult(None, (base, other))
+    else:
+        result = polytopes.SingletonResult(base, None, tuple(-y for y in solver.duals()))
+    return result, solver._form.pivots_used
+
+
+def _assert_step_off_equals_run_to_optimum(game: Game, system: ConstraintSystem) -> None:
+    solvers = []
+    real = polytopes.PolytopeSolver
+
+    def recording(system):
+        solvers.append(real(system))
+        return solvers[-1]
+
+    with mock.patch.object(polytopes, "PolytopeSolver", recording):
+        result = polytopes.singleton_over_system(game, system)
+    (solver,) = solvers
+    reference, reference_pivots = _run_to_optimum(game, system)
+    assert result.is_singleton == reference.is_singleton
+    assert result.point == reference.point
+    assert result.duals == reference.duals
+    assert solver._form.pivots_used <= reference_pivots
+    if not result.is_singleton:
+        base, second = result.witnesses
+        assert base == reference.witnesses[0]
+        assert second != base and system.contains(second.as_vector(game))
+        with pytest.raises(LpError, match="duals need an optimum"):
+            solver.duals()
+
+
+def _singleton_systems(game: Game) -> list[ConstraintSystem]:
+    """The CE and CCE systems, the CCE one also started at an only pure NE, and P(a*).
+
+    P(a*) is taken at each pure NE and at the first and last profiles.
+    """
+    systems = [polytopes.build_polytope(game, c).system for c in ("ce", "cce")]
+    pure = [p for p, _ in polytopes.enumerate_pure_ne(game)]
+    if len(pure) == 1:
+        systems.append(replace(systems[1], start=game.profile_index(pure[0])))
+    profiles = {*pure, game.profile_from_index(0),
+                game.profile_from_index(game.num_profiles - 1)}
+    systems += [polytopes.improvement_system(game, a) for a in sorted(profiles)]
+    return systems
+
+
+@st.composite
+def _dominance_solvable_game(draw):
+    """A random integer game of one of SHAPES in which each player has a strictly dominant action."""
+    shape = draw(st.sampled_from(SHAPES))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    dominant = [rng.randrange(k) for k in shape]
+    actions = tuple(tuple(f"p{i}a{k}" for k in range(n)) for i, n in enumerate(shape))
+    profiles = list(itertools.product(*(range(k) for k in shape)))  # in index order
+    return Game(actions, tuple(
+        tuple(Fraction(rng.randint(-3, 3) + (7 if p[i] == dominant[i] else 0))
+              for p in profiles)
+        for i in range(len(shape))))
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@hypothesis.given(st.one_of(_small_game(), _tied_game(), _dominance_solvable_game()))
+def test_step_off_equals_run_to_optimum(game):
+    for system in _singleton_systems(game):
+        _assert_step_off_equals_run_to_optimum(game, system)
+
+
+NAMED_GAMES = {
+    **{f"parking-m{m}-t{fee}": (lambda m=m, fee=fee: generators.parking(
+        m, 1, Fraction(1, 4), Fraction(fee)))
+       for m in (3, 4, 5) for fee in ("11/20", "3/5", "7/10", "3/4")},
+    "tullock8": lambda: discretize(
+        ContestSpec(TullockRatio(1), (1, 1), (LinearCost(1), LinearCost(1))),
+        [Fraction(k, 8) for k in range(1, 9)]),
+    "rps": generators.rock_paper_scissors,
+}
+
+
+@pytest.mark.parametrize("name", NAMED_GAMES)
+def test_step_off_equals_run_to_optimum_on_named_games(name):
+    game = NAMED_GAMES[name]()
+    for system in _singleton_systems(game):
+        _assert_step_off_equals_run_to_optimum(game, system)
