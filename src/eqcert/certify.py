@@ -13,7 +13,11 @@ a_{-i}), found with no maximin LP: each level of v is 0, as a_i* gets 0
 against every a_{-i} and every other mix loses against a*_{-i}.  The weighted
 gains of a certificate are summed over the players' integer payoffs
 (`Game.int_payoffs`), with gamma_i / d_i over one common denominator, and
-the slack is reported as a `Fraction`.
+the slack is reported as a `Fraction`.  The solver's re-check and
+`verify_certificate` are one check on the payoffs alone, with no maximin
+level and no LP (`_certificate_problems`).  The CCE question is decided once
+(`_cce_decision`), and `certify_unique_pure_cce` and `classify_unique_cce`
+convert that decision.
 
 Certificates and refutations are written and read here; their witnesses take
 the JSON form of `games` and are re-checked by `polytopes.membership_problems`.
@@ -40,6 +44,7 @@ from .games import (
 )
 from .lp import (
     EQUAL,
+    MAX_VERTEX_VARS,
     ConstraintSystem,
     LinearConstraint,
     PolytopeSolver,
@@ -76,17 +81,6 @@ class EnforcementCheck:
                 and self.unilateral_guarantee and self.welfare_negative_elsewhere)
 
 
-def _check_enforcement_at(game: Game, a_star: Profile) -> EnforcementCheck:
-    zero = all(x == 0 for x in game.payoff_vector(a_star))
-    guarantee = all(games.pure_guarantee(game, i, a_star[i]) >= 0
-                    for i in range(game.num_players))
-    negative = all(
-        sum(game.payoff_vector(p), Fraction(0)) < 0
-        for p in game.profiles() if p != a_star
-    )
-    return EnforcementCheck(a_star, zero, guarantee, negative)
-
-
 def check_enforcement(game: Game) -> EnforcementCheck:
     """Locate the self-enforcing profile, if any.
 
@@ -100,14 +94,15 @@ def check_enforcement(game: Game) -> EnforcementCheck:
     for profile in game.profiles():
         if any(x != 0 for x in game.payoff_vector(profile)):
             continue
-        check = _check_enforcement_at(game, profile)
+        guarantee = all(games.pure_guarantee(game, i, profile[i]) >= 0
+                        for i in range(game.num_players))
+        negative = all(sum(game.payoff_vector(p), Fraction(0)) < 0
+                       for p in game.profiles() if p != profile)
+        check = EnforcementCheck(profile, True, guarantee, negative)
         if check.holds:
             return check
-        if first_zero is None:
-            first_zero = check
-    if first_zero is not None:
-        return first_zero
-    return EnforcementCheck(None, False, False, False)
+        first_zero = first_zero or check
+    return first_zero or EnforcementCheck(None, False, False, False)
 
 
 # -- certificates and refutations --------------------------------------------
@@ -160,16 +155,47 @@ def _gain_slack(game: Game, a_star: Profile, gamma: Sequence[Fraction],
     return None if worst >= 0 else Fraction(-worst, denom)
 
 
+def _certificate_problems(game: Game, concept: str, a_star: Profile,
+                          gamma: Sequence[Fraction], slack: Fraction) -> list[str]:
+    """What keeps gamma from putting `game` in enforcement form at a*; no LP runs.
+
+    Weights and slack must be positive, the slack `_gain_slack`'s.  For
+    "ircp" each a*_i must guarantee u_i(a*) (`_unilateral_guarantee`), so
+    every IRCP member pays i at least u_i(a*) and negative gains leave only
+    delta(a*).  A negative "cce" gain gamma_i (u_i(a_i, a*_-i) - u_i(a*))
+    already makes a* a strict NE.
+    """
+    problems = []
+    if any(g <= 0 for g in gamma):
+        problems.append("gamma must be strictly positive")
+    if slack <= 0:
+        problems.append("slack must be strictly positive")
+    recomputed = _gain_slack(game, a_star, gamma, concept)
+    if recomputed is None:
+        problems.append("weighted gains are not strictly negative everywhere")
+    elif recomputed != slack:
+        problems.append(
+            f"slack mismatch: certificate says {slack}, recomputation gives {recomputed}")
+    if concept == "ircp" and not _unilateral_guarantee(game, a_star):
+        problems.append("some player's action at the certified profile does not "
+                        "guarantee the certified payoff")
+    return problems
+
+
 def _certificate(concept: str, a_star: Profile,
                  gamma: Sequence[Fraction], slack: Fraction,
                  base_game: Game) -> UniquenessCertificate:
-    """Assemble and re-verify a certificate; the transform must be enforcement form."""
+    """Assemble a certificate and re-check it as an IRCP one of `base_game`.
+
+    `base_game` is the context's game, or its CCE reduction at a*, whose
+    IRCP gains are the game's CCE gains and where each a*_i guarantees 0.
+    """
     gamma = _normalize(gamma)
+    problems = _certificate_problems(base_game, "ircp", a_star, gamma, slack)
+    if problems:
+        raise SolverInvariantError(f"certificate re-check: {'; '.join(problems)}")
     beta = tuple(-g * base_game.u(i, a_star) for i, g in enumerate(gamma))
     transformed = affine_transform(base_game, gamma, beta)
-    check = _check_enforcement_at(transformed, a_star)
-    if not check.holds:
-        raise SolverInvariantError("certificate transform failed the enforcement check")
     return UniquenessCertificate(concept, tuple(a_star), gamma, slack, transformed)
 
 
@@ -223,55 +249,52 @@ def _search_weights(analysis: polytopes.GameAnalysis, game: Game, a_star: Profil
     return _certificate(concept, a_star, gamma, slack, game)
 
 
+def _cce_decision(analysis: polytopes.GameAnalysis,
+                  gamma_hint: Sequence[Fraction] | None = None
+                  ) -> UniquenessCertificate | polytopes.SingletonResult:
+    """The one CCE decision: a certificate at a*, or the CCE singleton test.
+
+    A unique pure CCE sits at a strict pure NE a*, where it is the IRCP
+    certificate of the reduced game (see the module docstring).  So with one
+    strict pure NE `_search_weights` runs first, unless the context holds a
+    CCE decision other than delta(a*).  Otherwise the context's CCE
+    singleton test decides: two members, or a mixed point.  A pure point
+    there is one the weight search must have certified, so it raises.
+    """
+    strict = [p for p, is_strict in analysis.pure_ne() if is_strict]
+    if len(strict) == 1:
+        a_star, kept = strict[0], analysis.kept_singleton("cce")
+        if kept is None or kept.point == JointDistribution.point_mass(a_star):
+            found = _search_weights(analysis, cce_reduction(analysis.game, a_star), a_star,
+                                    "cce", gamma_hint)
+            if found is not None:
+                return found
+    singleton = analysis.singleton("cce")
+    if singleton.is_singleton and len(singleton.point.support()) == 1:
+        raise SolverInvariantError("pure singleton CCE must admit a uniqueness certificate")
+    return singleton
+
+
 def certify_unique_pure_cce(game: Game | polytopes.GameAnalysis,
                             gamma_hint: Sequence[Fraction] | None = None
                             ) -> UniquenessCertificate | Refutation:
     """Certify or refute that the CCE polytope is a single pure profile.
 
-    A unique pure CCE must sit at a strict pure NE a*, and uniqueness there
-    is equivalent to IRCP uniqueness of the reduced game v_i(a) = u_i(a) -
-    u_i(a_i*, a_{-i}).  Its security levels are all 0, attained by a_i*
-    alone (a_i* gets 0 against every a_{-i}; every other mix loses against
-    a*_{-i}), so only `_search_weights` runs, and not at all when the
-    context holds a CCE decision other than delta(a*).  Refutations carry
-    two CCE members, or the single mixed CCE when the polytope is a mixed
-    singleton; they are re-checked against the CCE polytope, which is built
-    only when no certificate is found.  Given a `GameAnalysis`, the pure NE,
-    the polytope, its singleton test and decision are the context's.
+    Converts the CCE decision (`_cce_decision`): a certificate as it is,
+    two members or the single mixed CCE into a refutation with the reason
+    `CCE_REFUTATION_REASONS` gives its variant, re-checked against the CCE
+    polytope.  Given a `GameAnalysis`, the pure NE, the polytope, its
+    singleton test and decision are the context's.
     """
     analysis = polytopes.analysis_of(game)
-    game = analysis.game
-    candidates = [p for p, strict in analysis.pure_ne() if strict]
-    if len(candidates) == 1:
-        a_star = candidates[0]
-        kept = analysis.kept_singleton("cce")
-        if kept is None or kept.point == JointDistribution.point_mass(a_star):
-            found = _search_weights(analysis, cce_reduction(game, a_star), a_star, "cce",
-                                    gamma_hint)
-            if found is not None:
-                return found
-
-    spec = analysis.polytope("cce")
-    if len(candidates) >= 2:
-        refutation = Refutation(
-            "cce",
-            "two strict pure equilibria exist and each is a coarse correlated "
-            "equilibrium on its own",
-            (JointDistribution.point_mass(candidates[0]),
-             JointDistribution.point_mass(candidates[1])),
-        )
-    else:
-        singleton = analysis.singleton("cce")
-        if not singleton.is_singleton:
-            refutation = Refutation("cce", CCE_REFUTATION_REASONS[NOT_UNIQUE],
-                                    singleton.witnesses)
-        elif len(singleton.point.support()) == 1:
-            raise SolverInvariantError(
-                "polytope collapsed to a pure point that certification rejected")
-        else:
-            refutation = Refutation("cce", CCE_REFUTATION_REASONS[UNIQUE_MIXED_2X2],
-                                    (singleton.point,))
-    polytopes.recheck_members(spec, refutation.witnesses, "refutation witness")
+    decision = _cce_decision(analysis, gamma_hint)
+    if isinstance(decision, UniquenessCertificate):
+        return decision
+    variant = UNIQUE_MIXED_2X2 if decision.is_singleton else NOT_UNIQUE
+    refutation = Refutation("cce", CCE_REFUTATION_REASONS[variant],
+                            decision.witnesses or (decision.point,))
+    polytopes.recheck_members(analysis.polytope("cce"), refutation.witnesses,
+                              "refutation witness")
     return refutation
 
 
@@ -351,16 +374,13 @@ def classify_unique_cce(game: Game | polytopes.GameAnalysis) -> CceClassificatio
     """
     analysis = polytopes.analysis_of(game)
     game = analysis.game
-    singleton = analysis.singleton("cce")
-    if not singleton.is_singleton:
+    decision = _cce_decision(analysis)
+    if isinstance(decision, UniquenessCertificate):
+        return CceClassification(UNIQUE_PURE, certificate=decision,
+                                 point=JointDistribution.point_mass(decision.a_star))
+    if not decision.is_singleton:
         return CceClassification(NOT_UNIQUE)
-    mu = singleton.point
-    if len(mu.support()) == 1:
-        certificate = certify_unique_pure_cce(analysis)
-        if not isinstance(certificate, UniquenessCertificate):
-            raise SolverInvariantError(
-                "pure singleton CCE must admit a uniqueness certificate")
-        return CceClassification(UNIQUE_PURE, point=mu, certificate=certificate)
+    mu = decision.point
     if not mu.is_product(game):
         raise SolverInvariantError("mixed singleton CCE must be a product distribution")
     if is_symmetric(game):
@@ -511,14 +531,13 @@ class HullComparison:
     witness: JointDistribution | None = None
 
 
-def conv_ne_vs_ircp(game: Game, ne_list: Sequence[JointDistribution],
-                    max_dim: int = 12) -> HullComparison:
+def conv_ne_vs_ircp(game: Game, ne_list: Sequence[JointDistribution]) -> HullComparison:
     """Is the convex hull of the given equilibria the whole IRCP polytope?
 
     Every IRCP vertex is tested for hull membership by a small feasibility
     LP; the first vertex outside the hull is returned as a witness.  Games
-    with more profiles than `max_dim` are declared inconclusive because the
-    vertex oracle is combinatorial.
+    with more profiles than `lp.MAX_VERTEX_VARS` are declared inconclusive
+    because the vertex oracle is combinatorial.
     """
     for nu in ne_list:
         if not is_nash(game, nu):
@@ -527,9 +546,9 @@ def conv_ne_vs_ircp(game: Game, ne_list: Sequence[JointDistribution],
     for nu in ne_list:
         if not polytopes.membership(spec, nu).is_member:
             raise SolverInvariantError("an equilibrium fell outside the IRCP polytope")
-    if game.num_profiles > max_dim:
+    if game.num_profiles > MAX_VERTEX_VARS:
         return HullComparison(HULL_INCONCLUSIVE)
-    vertices = enumerate_vertices(spec.system, max_dim=max_dim)
+    vertices = enumerate_vertices(spec.system)
     ne_vectors = [nu.as_vector(game) for nu in ne_list]
     for vertex in vertices:
         rows = []
@@ -612,14 +631,11 @@ def refutation_to_dict(game: Game, ref: Refutation) -> dict:
     }
 
 
-def verify_certificate(game: Game | polytopes.GameAnalysis, data: dict) -> list[str]:
+def verify_certificate(game: Game, data: dict) -> list[str]:
     """Re-check a serialized certificate against a game; returns problems found.
 
-    Given a `GameAnalysis`, the maximin levels and pure NE are the context's.
+    After parsing, the check is the solver's own (`_certificate_problems`).
     """
-    analysis = polytopes.analysis_of(game)
-    game = analysis.game
-    problems = []
     concept = data.get("concept")
     if concept not in ("ircp", "cce"):
         return [f"unknown certificate concept {concept!r}"]
@@ -632,27 +648,7 @@ def verify_certificate(game: Game | polytopes.GameAnalysis, data: dict) -> list[
         return [f"unreadable certificate: {exc}"]
     if len(gamma) != game.num_players:
         return ["gamma length disagrees with the player count"]
-    if any(g <= 0 for g in gamma):
-        problems.append("gamma must be strictly positive")
-    if slack <= 0:
-        problems.append("slack must be strictly positive")
-    recomputed = _gain_slack(game, a_star, gamma, concept)
-    if recomputed is None:
-        problems.append("weighted gains are not strictly negative everywhere")
-    elif recomputed != slack:
-        problems.append(
-            f"slack mismatch: certificate says {slack}, recomputation gives {recomputed}")
-    if concept == "ircp":
-        # Weighted negativity pins the polytope only together with the levels.
-        for i in range(game.num_players):
-            if analysis.maximin(i).value != game.u(i, a_star):
-                problems.append(
-                    f"player {i}'s security level differs from the certified payoff")
-    else:
-        pure = dict(analysis.pure_ne())
-        if not pure.get(a_star, False):
-            problems.append("certified profile is not a strict pure NE")
-    return problems
+    return _certificate_problems(game, concept, a_star, gamma, slack)
 
 
 def verify_refutation(game: Game | polytopes.GameAnalysis, data: dict) -> list[str]:

@@ -132,6 +132,9 @@ class VertexEnumerationError(ValueError):
     """Vertex enumeration was asked for an unbounded or oversized region."""
 
 
+MAX_VERTEX_VARS = 12  # the most variables `enumerate_vertices` takes
+
+
 @dataclass(frozen=True)
 class LinearConstraint:
     """coeffs . x (relation) rhs.
@@ -707,16 +710,16 @@ def _solve_echelon(state: list[tuple[int, tuple[Fraction, ...], Fraction]],
     return tuple(x)
 
 
-def enumerate_vertices(system: ConstraintSystem, max_dim: int = 12) -> list[tuple[Fraction, ...]]:
+def enumerate_vertices(system: ConstraintSystem) -> list[tuple[Fraction, ...]]:
     """All vertices of a bounded polyhedron, exactly.
 
     Enumerates full-rank subsets of tight constraints, so the cost is
-    combinatorial in the constraint count; refuse anything above `max_dim`
-    variables.  Raises on unbounded regions; returns [] when infeasible.
+    combinatorial in the constraint count; refuse anything above
+    `MAX_VERTEX_VARS` variables.  Raises on unbounded regions; [] if infeasible.
     """
     n = system.num_vars
-    if n > max_dim:
-        raise VertexEnumerationError(f"{n} variables exceeds the cap of {max_dim}")
+    if n > MAX_VERTEX_VARS:
+        raise VertexEnumerationError(f"{n} variables exceeds the cap of {MAX_VERTEX_VARS}")
 
     solver = PolytopeSolver(system)
     if not solver.feasible:

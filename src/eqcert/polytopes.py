@@ -376,10 +376,9 @@ def recheck_members(spec: PolytopeSpec, dists: Sequence[JointDistribution],
         raise SolverInvariantError(f"membership re-check: {'; '.join(problems)}")
 
 
-def coordinate_bounds(spec: PolytopeSpec, profile: Sequence[int],
-                      solver: PolytopeSolver | None = None) -> tuple[Fraction, Fraction]:
+def coordinate_bounds(spec: PolytopeSpec, profile: Sequence[int]) -> tuple[Fraction, Fraction]:
     """Exact min and max probability the polytope allows on one profile."""
-    solver = solver or PolytopeSolver(spec.system)
+    solver = PolytopeSolver(spec.system)
     if not solver.feasible:
         raise SolverInvariantError(f"{spec.concept} polytope is unexpectedly empty")
     k = spec.game.profile_index(profile)

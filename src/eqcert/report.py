@@ -439,7 +439,7 @@ def verify_report(report: dict) -> list[str]:
                     problems.append(f"{where}: concepts.{key} is missing or unreadable")
                     continue
                 if kind == "certificate":
-                    found = certify.verify_certificate(analysis, entry)
+                    found = certify.verify_certificate(game, entry)
                     problems.extend(f"{where}: {problem}" for problem in found)
                     if found:
                         continue

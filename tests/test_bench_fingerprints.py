@@ -20,7 +20,8 @@ meets the unilateral guarantee; and one membership check per distribution,
 as each is written once, under `concepts`.
 
 Every `certify --json` refutation of variant 0 must re-check clean by
-`certify.verify_refutation`, which no CLI command runs on such a bare file.
+`certify.verify_refutation`, which no CLI command runs on such a bare file,
+and every certificate by `certify.verify_certificate` with no LP solver built.
 The pivots that variant 0's command lines take, summed per command kind,
 must equal recorded counts: exact arithmetic and Bland's rule repeat them
 exactly, so any change to the LP path shows there.
@@ -229,6 +230,22 @@ def test_certify_refutations_recheck_clean(workload, tmp_path):
             assert certify.verify_refutation(game, data) == [], op.key
             refutations += 1
     assert refutations == CERTIFY_REFUTATIONS[workload]
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_certify_certificates_verify_without_a_solver(workload, tmp_path, monkeypatch):
+    # A bare certificate file carries no levels; its check is on the payoffs alone.
+    ops = [op for op in workloads.build(workload, 0, tmp_path) if op.kind == "certify"]
+    runs = _run(ops)
+    monkeypatch.setattr(PolytopeSolver, "__init__", _refuse)
+    certificates = 0
+    for op, _ in runs:
+        data = json.loads(Path(op.output).read_text())
+        if "gamma" in data:
+            game = games.load_game(Path(op.argv[1]).read_bytes())
+            assert certify.verify_certificate(game, data) == [], op.key
+            certificates += 1
+    assert certificates > 0
 
 
 # Pivots of every LP that variant 0's command lines solve, summed per kind:

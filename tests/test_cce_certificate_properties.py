@@ -7,6 +7,9 @@ of the IRCP decision on that game.  The full IRCP certification of the
 reduced game is kept here as the reference: both must certify alike, with
 the same weights unless a hint that works gives its own, and the weight
 search must find none where the reference refutes.
+
+A bare `certify_unique_pure_cce` and a report's `certificates.cce` read
+the same CCE decision, so they agree on the type, profile and reason.
 """
 
 import random
@@ -17,7 +20,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from eqcert import polytopes  # noqa: E402
+from eqcert import generators, polytopes  # noqa: E402
 from eqcert.certify import (  # noqa: E402
     Refutation,
     UniquenessCertificate,
@@ -29,6 +32,7 @@ from eqcert.certify import (  # noqa: E402
     certify_unique_pure_cce,
 )
 from eqcert.games import Game, cce_reduction  # noqa: E402
+from eqcert.report import build_report  # noqa: E402
 
 SHAPES = ((2, 2), (2, 3), (3, 3), (2, 2, 2))
 
@@ -94,3 +98,19 @@ def test_cce_certificate_equals_reduced_ircp_decision(case, data):
     else:
         assert isinstance(result, Refutation)
         assert found is None
+
+
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@hypothesis.given(st.builds(generators.random_game, st.sampled_from(SHAPES),
+                            st.integers(0, 2**32 - 1)))
+@hypothesis.example(generators.random_game((4, 4), 15))  # two strict pure NE
+@hypothesis.example(generators.random_game((2, 2, 2), 1008))  # two strict pure NE
+@hypothesis.example(generators.matching_pennies())  # a mixed singleton
+def test_bare_certification_agrees_with_the_report(game):
+    bare = certify_unique_pure_cce(game)
+    if isinstance(bare, UniquenessCertificate):
+        expected = ("certificate", list(bare.a_star), None)
+    else:
+        expected = ("refutation", None, bare.reason)
+    entry = build_report(game, check_unique=True)["certificates"]["cce"]
+    assert (entry["type"], entry.get("a_star"), entry.get("reason")) == expected

@@ -15,7 +15,7 @@ from eqcert.contests import (
 )
 from eqcert.games import load_game
 from eqcert.generators import parking, prisoners_dilemma
-from eqcert.lp import PIVOT_LIMIT_ENV
+from eqcert.lp import PIVOT_LIMIT_ENV, PolytopeSolver
 from eqcert.polytopes import SolverInvariantError
 from eqcert.report import build_report, load_report, save_report, verify_report
 
@@ -298,6 +298,25 @@ def test_simulate_run_and_certificate_distance(tmp_path, capsys):
     payload = json.loads(out_path.read_text())
     assert payload["steps"] == 400
     assert float(payload["tv_to_certificate"].split("/")[0]) >= 0
+
+
+@pytest.mark.parametrize("m", (3, 4, 5))
+def test_ircp_certificate_file_checks_without_a_solver(tmp_path, capsys, monkeypatch, m):
+    # A bare certificate file carries no maximin levels, and needs none.
+    game_path = _generate(tmp_path, "parking.json", "parking", "--m", str(m))
+    cert_path = tmp_path / "cert.json"
+    assert main(["certify", str(game_path), "--concept", "ircp",
+                 "--json", str(cert_path)]) == 0
+
+    def refuse(self, system):
+        raise AssertionError("an LP was built to check a certificate")
+
+    monkeypatch.setattr(PolytopeSolver, "__init__", refuse)
+    payload = json.loads(cert_path.read_text())
+    assert verify_certificate(load_game(game_path.read_bytes()), payload) == []
+    assert main(["simulate", str(game_path), "--algo", "external_mw", "--steps", "20",
+                 "--seed", "1", "--certificate", str(cert_path)]) == 0
+    assert "total variation to certified profile (pay, pay)" in capsys.readouterr().out
 
 
 def test_simulate_internal_rm(tmp_path, capsys):

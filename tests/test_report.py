@@ -272,12 +272,12 @@ def test_cce_certification_reuses_the_cce_decision(monkeypatch, seed):
     # can help, and no singleton test runs inside the certification.
     game = random_game((4, 5), seed)
     inside, solved = [], []
-    certify_cce, singleton = certify.certify_unique_pure_cce, polytopes.singleton_over_system
+    classify, singleton = certify.classify_unique_cce, polytopes.singleton_over_system
 
     def tracking(*args, **kwargs):
         inside.append(True)
         try:
-            return certify_cce(*args, **kwargs)
+            return classify(*args, **kwargs)
         finally:
             inside.pop()
 
@@ -285,7 +285,7 @@ def test_cce_certification_reuses_the_cce_decision(monkeypatch, seed):
         solved.append(bool(inside))
         return singleton(*args, **kwargs)
 
-    monkeypatch.setattr(certify, "certify_unique_pure_cce", tracking)
+    monkeypatch.setattr(certify, "classify_unique_cce", tracking)
     monkeypatch.setattr(polytopes, "singleton_over_system", counting)
     data = build_report(game, ("ne", "ce", "cce", "ircp"), check_unique=True)
     assert [p["strict"] for p in data["ne"]["pure"]].count(True) == 1
