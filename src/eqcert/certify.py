@@ -17,7 +17,8 @@ the slack is reported as a `Fraction`.  The solver's re-check and
 `verify_certificate` are one check on the payoffs alone, with no maximin
 level and no LP (`_certificate_problems`).  The CCE question is decided once
 (`_cce_decision`), and `certify_unique_pure_cce` and `classify_unique_cce`
-convert that decision.
+convert that decision.  Its reduced P(a*) test also decides a one-point CCE
+(`polytopes.GameAnalysis.singleton`), so a report then solves no CCE LP.
 
 Certificates and refutations are written and read here; their witnesses take
 the JSON form of `games` and are re-checked by `polytopes.membership_problems`.
@@ -257,9 +258,10 @@ def _cce_decision(analysis: polytopes.GameAnalysis,
     A unique pure CCE sits at a strict pure NE a*, where it is the IRCP
     certificate of the reduced game (see the module docstring).  So with one
     strict pure NE `_search_weights` runs first, unless the context holds a
-    CCE decision other than delta(a*).  Otherwise the context's CCE
-    singleton test decides: two members, or a mixed point.  A pure point
-    there is one the weight search must have certified, so it raises.
+    CCE decision other than delta(a*); its last try is the kept reduced
+    P(a*) test, which the context's CCE decision reads too.  Otherwise that
+    decision stands: two members, or a mixed point.  A pure point there is
+    one the weight search must have certified, so it raises.
     """
     strict = [p for p, is_strict in analysis.pure_ne() if is_strict]
     if len(strict) == 1:
@@ -283,8 +285,9 @@ def certify_unique_pure_cce(game: Game | polytopes.GameAnalysis,
     Converts the CCE decision (`_cce_decision`): a certificate as it is,
     two members or the single mixed CCE into a refutation with the reason
     `CCE_REFUTATION_REASONS` gives its variant, re-checked against the CCE
-    polytope.  Given a `GameAnalysis`, the pure NE, the polytope, its
-    singleton test and decision are the context's.
+    polytope unless `polytopes.is_singleton` did (two pure NE).  Given a
+    `GameAnalysis`, the pure NE, the polytope, its singleton test and
+    decision are the context's.
     """
     analysis = polytopes.analysis_of(game)
     decision = _cce_decision(analysis, gamma_hint)
@@ -293,8 +296,9 @@ def certify_unique_pure_cce(game: Game | polytopes.GameAnalysis,
     variant = UNIQUE_MIXED_2X2 if decision.is_singleton else NOT_UNIQUE
     refutation = Refutation("cce", CCE_REFUTATION_REASONS[variant],
                             decision.witnesses or (decision.point,))
-    polytopes.recheck_members(analysis.polytope("cce"), refutation.witnesses,
-                              "refutation witness")
+    if len(analysis.pure_ne()) < 2:  # `is_singleton` re-checked pure-NE witnesses
+        polytopes.recheck_members(analysis.polytope("cce"), refutation.witnesses,
+                                  "refutation witness")
     return refutation
 
 

@@ -46,6 +46,13 @@ CE in that order.  A point taken from the larger polytope runs no LP; it
 is re-checked by exact membership in the smaller polytope, and a failed
 re-check raises `SolverInvariantError`.
 
+With no larger singleton kept, a CCE decision at a lone strict pure NE a*
+first reads the kept test of P(a*) over v_i(a) = u_i(a) - u_i(a*_i, a_-i)
+(`games.cce_reduction`), whose dual `certify` reads for the weights: CCE =
+{delta(a*)} exactly when it is one point.  A rival, b != a* where every
+player gains weakly over a*_i, makes delta(b) a second member and skips the
+test; anything but a point leaves the decision to the CCE LP.
+
 Singleton tests start from the pure Nash equilibria, whose point masses lie
 in all three polytopes.  Two of them refute singleton-ness with no LP.  One
 of them starts the CCE simplex at its point mass, which satisfies every CCE
@@ -142,7 +149,8 @@ class SingletonResult:
     `duals`, one per system row, is the dual of the LP that pinned the point
     (`singleton_over_system`); None for witnesses and for a point taken down
     the inclusion chain, whose dual belongs to another system's rows.  An
-    IRCP point's duals are over the rows of P(a*) (`improvement_system`).
+    IRCP point's duals, and a CCE point's from the reduced test, are over
+    the rows of P(a*) (`improvement_system`).
     `reason` says why an IRCP decision holds its witnesses, else None.
     """
 
@@ -191,12 +199,12 @@ class GameAnalysis:
     `is_singleton`, `singleton_over_system`, `enumerate_pure_ne`), so a
     re-check made on a kept result checks what that function returned,
     but for three.  The IRCP decision is `_ircp_decision`'s.  A singleton
-    decision taken down the inclusion chain is the larger concept's point,
-    re-checked by exact membership in this concept's polytope, with no
-    duals.  And a verifier may pass `levels`, maximin results it has
-    checked from their certificates (`zerosum.check_maximin`): the context
-    then keeps those and never solves a maximin LP, and asking it for a
-    player's result that `levels` lacks raises `PolytopeError`.
+    taken down the inclusion chain, with no duals, or from the reduced
+    P(a*) test is another test's point, re-checked by exact membership in
+    this concept's polytope.  And a verifier may pass `levels`, maximin
+    results it has checked from their certificates (`zerosum.check_maximin`):
+    the context then keeps those and never solves a maximin LP, and asking
+    it for a player's result that `levels` lacks raises `PolytopeError`.
     """
 
     def __init__(self, game: Game,
@@ -228,8 +236,9 @@ class GameAnalysis:
         re-checked by exact membership.  A CE decision first decides CCE,
         the cheaper test (see the module docstring).  When the kept decision
         of the next larger concept is a singleton {x}, this one is {x} too,
-        re-checked by exact membership and with no LP; otherwise
-        `is_singleton` decides it.
+        re-checked by exact membership and with no LP.  Otherwise a CCE
+        decision takes a singleton reduced P(a*) test (`_reduced_cce_point`),
+        re-checked likewise, and `is_singleton` decides the rest.
         """
         if concept not in self._singletons:
             if concept == "ce":
@@ -246,10 +255,23 @@ class GameAnalysis:
                         f"the singleton {larger} point failed the membership re-check "
                         f"in the {concept} polytope")
                 result = replace(kept, duals=None)
+            elif concept == "cce" and (result := self._reduced_cce_point()) is not None:
+                recheck_members(spec, (result.point,), "reduced P(a*) point")
             else:
                 result = is_singleton(spec, self.pure_ne())
             self._singletons[concept] = result
         return self._singletons[concept]
+
+    def _reduced_cce_point(self) -> SingletonResult | None:
+        """The reduced P(a*) test at a lone strict pure NE a*, if it is one point."""
+        if [strict for _, strict in self.pure_ne()] != [True]:
+            return None
+        [(a_star, _)] = self.pure_ne()
+        gains = zip(*(deviation_gains(self.game, i, a) for i, a in enumerate(a_star)))
+        if sum(min(column) >= 0 for column in gains) > 1:  # a* and a rival
+            return None
+        test = self.improvement(a_star, games.cce_reduction(self.game, a_star))
+        return test if test.is_singleton else None
 
     def kept_singleton(self, concept: str | None) -> SingletonResult | None:
         """The concept's singleton decision if this context has made it; runs no LP."""

@@ -22,6 +22,8 @@ as each is written once, under `concepts`.
 Every `certify --json` refutation of variant 0 must re-check clean by
 `certify.verify_refutation`, which no CLI command runs on such a bare file,
 and every certificate by `certify.verify_certificate` with no LP solver built.
+No analyze command whose report certifies a unique pure CCE builds a solver
+on the CCE polytope's system, as the reduced P(a*) test decides that CCE.
 The pivots that variant 0's command lines take, summed per command kind,
 must equal recorded counts: exact arithmetic and Bland's rule repeat them
 exactly, so any change to the LP path shows there.
@@ -34,6 +36,7 @@ exists.
 """
 
 import contextlib
+import dataclasses
 import importlib.util
 import io
 import json
@@ -248,11 +251,37 @@ def test_certify_certificates_verify_without_a_solver(workload, tmp_path, monkey
     assert certificates > 0
 
 
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_a_certified_cce_builds_no_cce_solver(workload, tmp_path, monkeypatch):
+    # At a lone strict pure NE the reduced P(a*) test decides a one-point
+    # CCE and gives the certificate's weights, so no CCE LP runs.
+    built = []
+    init = PolytopeSolver.__init__
+
+    def recording(self, system):
+        built.append(dataclasses.replace(system, start=None))
+        init(self, system)
+
+    monkeypatch.setattr(PolytopeSolver, "__init__", recording)
+    certified = 0
+    for op in _in_run_order(workloads.build(workload, 0, tmp_path)):
+        built.clear()
+        _run([op])
+        if op.kind != "analyze":
+            continue
+        data = json.loads(Path(op.output).read_text())
+        if data["certificates"]["cce"]["type"] == "certificate":
+            game = games.game_from_dict(data["game"])
+            assert polytopes.build_polytope(game, "cce").system not in built, op.key
+            certified += 1
+    assert certified > 0
+
+
 # Pivots of every LP that variant 0's command lines solve, summed per kind:
 # `_StandardForm.pivots_used` over phase 1 and every re-optimization.
 PIVOTS = {
-    "random-games": {"analyze": 567, "certify": 319, "verify": 0},
-    "singleton-sweep": {"analyze": 359, "certify": 319, "verify": 61},
+    "random-games": {"analyze": 566, "certify": 319, "verify": 0},
+    "singleton-sweep": {"analyze": 321, "certify": 319, "verify": 61},
     "tullock-grid": {"analyze": 37, "certify": 68, "verify": 0, "contest": 0},
     "dynamics": {"analyze": 59, "certify": 35, "verify": 12, "simulate": 0},
 }

@@ -218,6 +218,24 @@ def test_cce_refutations_are_rechecked(monkeypatch, coordination):
             certify_unique_pure_cce(game)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: generators.random_game((4, 4), 15),  # three pure NE, two of them strict
+    generators.rock_paper_scissors,  # no pure NE: the CCE LP finds the witnesses
+    generators.matching_pennies,  # one mixed CCE
+])
+def test_cce_refutation_checks_each_witness_once(monkeypatch, make):
+    # `is_singleton` re-checks the point masses of two pure NE, and the
+    # refutation re-checks only members that an LP found.
+    game = make()
+    checked = []
+    real = polytopes.membership
+    monkeypatch.setattr(polytopes, "membership",
+                        lambda spec, mu: checked.append(mu) or real(spec, mu))
+    result = certify_unique_pure_cce(game)
+    assert isinstance(result, Refutation)
+    assert checked == list(result.witnesses)
+
+
 def test_ircp_certificate_rejects_a_corrupted_kept_dual(monkeypatch):
     # Doubling one player's payoffs breaks parking's symmetry, so the weights
     # come from the dual of the kept P(a*) test; a zero there is rejected.

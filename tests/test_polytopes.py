@@ -13,6 +13,7 @@ from eqcert.games import (
     JointDistribution,
     MixedAction,
     affine_transform,
+    cce_reduction,
     deviation_gains,
     product_distribution,
     strategic_transform,
@@ -34,6 +35,7 @@ from eqcert.polytopes import (
     build_polytope,
     coordinate_bounds,
     enumerate_pure_ne,
+    improvement_system,
     is_extreme_point,
     is_singleton,
     membership,
@@ -207,11 +209,14 @@ def test_singleton_test_runs_one_lp(monkeypatch, name, concept, support):
 
 
 def test_a_singleton_taken_down_the_chain_carries_no_duals():
-    # Parking's CCE is one point, which settles CE with no LP; the CCE
-    # test's dual belongs to the CCE rows, not to the CE rows.
+    # Parking's CCE is one point, decided at its strict NE (pay, pay) by the
+    # P(a*) test of the CCE reduction, which settles CE with no LP; that
+    # test's dual belongs to its own rows, not to the CE rows.
     analysis = GameAnalysis(SINGLETON_LP_GAMES["parking"]())
     cce = analysis.singleton("cce")
-    assert len(cce.duals) == len(analysis.polytope("cce").system.constraints)
+    reduced = improvement_system(cce_reduction(analysis.game, (0, 0)), (0, 0))
+    assert len(cce.duals) == len(reduced.constraints)
+    assert cce.duals == analysis.improvement((0, 0), cce_reduction(analysis.game, (0, 0))).duals
     ce = analysis.singleton("ce")
     assert ce.point == cce.point and ce.duals is None
 

@@ -162,12 +162,13 @@ def test_analyze_and_verify_build_each_polytope_once(work_counts):
 # the P(a*) test at (pay, pay) that its GUE flag reads too, and it settles
 # CCE and CE down the inclusion chain.  The IRCP decisions of RPS (no pure
 # maximin action) and of the Tullock 8x8 grid (a* pays above the level) run
-# no LP; RPS has no singleton above CE, and the grid's CCE is one point and
-# it asks for no CE.
+# no LP; RPS has no singleton above CE.  The grid's CCE is one point, decided
+# at its strict pure NE by the P(a*) test of the CCE reduction, whose dual
+# gives the CCE certificate too, and it asks for no CE.
 SINGLETON_TESTS = {
     "parking": {"P(a*)": 1},
     "rps": {"cce polytope": 1, "ce polytope": 1},
-    "tullock8": {"cce polytope": 1},
+    "tullock8": {"P(a*)": 1},
 }
 
 
@@ -250,7 +251,7 @@ def test_ircp_polytope_reaches_no_solver_and_no_system_is_solved_twice(name, mon
 def test_ce_alone_runs_the_cce_test_unreported(monkeypatch):
     calls = _count_work(monkeypatch)
     data = build_report(_tullock8(), ("ce",))
-    assert calls["singleton"] == Counter({"cce polytope": 1})
+    assert calls["singleton"] == Counter({"P(a*)": 1})  # the reduced P(a*) at the NE
     assert list(data["concepts"]) == ["ce"]
     assert data["concepts"]["ce"]["point"] == {"9": "1"}  # both players bid 1/4
     assert verify_report(data) == []

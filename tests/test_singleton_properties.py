@@ -101,7 +101,7 @@ def test_started_singleton_equals_cold_start(game):
     real = polytopes.singleton_over_system
 
     def recording(game, system, what="polytope"):
-        starts.append((what, system.start))
+        starts.append((what, system))
         return real(game, system, what)
 
     analysis = polytopes.GameAnalysis(game)
@@ -116,11 +116,13 @@ def test_started_singleton_equals_cold_start(game):
             first, second = result.witnesses
             assert first != second
             assert all(polytopes.membership(spec, w).is_member for w in (first, second))
-    # The IRCP decision runs at most the P(a*) test, crash-started at a*,
-    # and never the IRCP polytope's own.
-    p_tests = [start for what, start in starts if what == "P(a*)"]
-    assert len(p_tests) <= 1 and None not in p_tests
-    starts = [(what, start) for what, start in starts if what != "P(a*)"]
+    # The IRCP decision runs at most the P(a*) test, and the CCE decision at
+    # most that of the CCE reduction, each crash-started at a* and run at
+    # most once per system; the IRCP polytope's own test never runs.
+    p_tests = [system for what, system in starts if what == "P(a*)"]
+    assert len(p_tests) == len(set(p_tests)) <= 2
+    assert None not in [system.start for system in p_tests]
+    starts = [(what, system.start) for what, system in starts if what != "P(a*)"]
     assert "ircp polytope" not in dict(starts)
     if len(pure) >= 2:
         assert starts == []
