@@ -256,16 +256,18 @@ def _cce_decision(analysis: polytopes.GameAnalysis,
     """The one CCE decision: a certificate at a*, or the CCE singleton test.
 
     A unique pure CCE sits at a strict pure NE a*, where it is the IRCP
-    certificate of the reduced game (see the module docstring).  So with one
-    strict pure NE `_search_weights` runs first, unless the context holds a
-    CCE decision other than delta(a*); its last try is the kept reduced
-    P(a*) test, which the context's CCE decision reads too.  Otherwise that
-    decision stands: two members, or a mixed point.  A pure point there is
-    one the weight search must have certified, so it raises.
+    certificate of the reduced game (see the module docstring).  So at the
+    context's CCE candidate, the lone strict pure NE with no rival (no LP),
+    `_search_weights` runs first, unless the context holds a CCE decision
+    other than delta(a*); its last try is the kept reduced P(a*) test, which
+    the context's CCE decision reads too.  A rival leaves no weights to
+    find.  Otherwise that decision stands: two members, or a mixed point.
+    A pure point there is one the weight search must have certified, so it
+    raises.
     """
-    strict = [p for p, is_strict in analysis.pure_ne() if is_strict]
-    if len(strict) == 1:
-        a_star, kept = strict[0], analysis.kept_singleton("cce")
+    a_star = analysis.cce_candidate()
+    if a_star is not None:
+        kept = analysis.kept_singleton("cce")
         if kept is None or kept.point == JointDistribution.point_mass(a_star):
             found = _search_weights(analysis, cce_reduction(analysis.game, a_star), a_star,
                                     "cce", gamma_hint)

@@ -6,6 +6,13 @@ Exit codes are a stable contract: 0 = success / certificate / check passed,
 (including an EQCERT_LP_PIVOT_LIMIT that is not a nonnegative integer),
 3 = the exact solver gave up (pivot limit from EQCERT_LP_PIVOT_LIMIT) or
 failed an internal consistency check, so no answer was reached.
+
+`main` builds a subcommand's parser, or the full one, on its first call that
+needs it and keeps it for the rest of the process, so repeated calls in one
+process parse with no rebuild; importing this module builds none.  A parser
+holds no state of a call: each parse makes a fresh `Namespace`, and help and
+usage errors look up `sys.stdout`, `sys.stderr` and the terminal width when
+they print.  Nothing a command computes is kept across calls.
 """
 
 from __future__ import annotations
@@ -455,10 +462,18 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+# Parsers that `main` has built, by subcommand name; None keys the full parser.
+# Each holds the `cmd_*` function it was built with (`set_defaults(func=...)`).
+_PARSERS: dict[str | None, argparse.ArgumentParser] = {}
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # Build only the named subcommand's parser; anything else gets the full one.
-    parser = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None)
+    # Only the named subcommand's parser; anything else gets the full one.
+    command = argv[0] if argv and argv[0] in SUBCOMMANDS else None
+    parser = _PARSERS.get(command)
+    if parser is None:
+        parser = _PARSERS[command] = build_parser(command)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

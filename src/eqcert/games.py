@@ -429,6 +429,13 @@ def game_to_dict(game: Game) -> dict:
 
 
 def game_from_dict(data: dict) -> Game:
+    """The game that `game_to_dict` wrote, its payoffs read by `parse_rational`.
+
+    A payoff string is parsed once per call: later copies of the same string
+    reuse its `Fraction`.  Only `str` payoffs are kept that way, as ints,
+    floats and booleans that compare equal (1, 1.0, True) must each be read,
+    or refused, on their own.
+    """
     if not isinstance(data, dict):
         raise GameFormatError("game file must contain a JSON object")
     for key in ("players", "actions", "payoffs"):
@@ -439,10 +446,18 @@ def game_from_dict(data: dict) -> Game:
         raise GameFormatError("actions must be a list of per-player label lists")
     if data["players"] != len(actions):
         raise GameFormatError("player count disagrees with the actions table")
+    parsed: dict[str, Fraction] = {}
+
+    def read(x) -> Fraction:
+        if type(x) is not str:
+            return parse_rational(x)
+        value = parsed.get(x)
+        if value is None:
+            value = parsed[x] = parse_rational(x)
+        return value
+
     try:
-        payoffs = tuple(
-            tuple(parse_rational(x) for x in row) for row in data["payoffs"]
-        )
+        payoffs = tuple(tuple(map(read, row)) for row in data["payoffs"])
     except RationalFormatError as exc:
         raise GameFormatError(str(exc)) from exc
     name = data.get("name")

@@ -51,7 +51,8 @@ first reads the kept test of P(a*) over v_i(a) = u_i(a) - u_i(a*_i, a_-i)
 (`games.cce_reduction`), whose dual `certify` reads for the weights: CCE =
 {delta(a*)} exactly when it is one point.  A rival, b != a* where every
 player gains weakly over a*_i, makes delta(b) a second member and skips the
-test; anything but a point leaves the decision to the CCE LP.
+test, here and in `certify` (`GameAnalysis.cce_candidate`); anything but a
+point leaves the decision to the CCE LP.
 
 Singleton tests start from the pure Nash equilibria, whose point masses lie
 in all three polytopes.  Two of them refute singleton-ness with no LP.  One
@@ -263,15 +264,30 @@ class GameAnalysis:
         return self._singletons[concept]
 
     def _reduced_cce_point(self) -> SingletonResult | None:
-        """The reduced P(a*) test at a lone strict pure NE a*, if it is one point."""
-        if [strict for _, strict in self.pure_ne()] != [True]:
-            return None
-        [(a_star, _)] = self.pure_ne()
-        gains = zip(*(deviation_gains(self.game, i, a) for i, a in enumerate(a_star)))
-        if sum(min(column) >= 0 for column in gains) > 1:  # a* and a rival
+        """The reduced P(a*) test at the CCE candidate a*, if it is one point."""
+        a_star = self.cce_candidate()
+        if a_star is None:
             return None
         test = self.improvement(a_star, games.cce_reduction(self.game, a_star))
         return test if test.is_singleton else None
+
+    def cce_candidate(self) -> Profile | None:
+        """The lone strict pure NE a*, unless a rival refutes it; runs no LP.
+
+        A rival is b != a* where every player gains weakly over a*_i, that is
+        v_i(b) >= 0 in `games.cce_reduction` at a*: delta(b) is a second
+        member of that game's P(a*), and no positive weights make
+        sum_i gamma_i v_i(b) negative.  Any other pure NE is a rival.  Only
+        a candidate can be the unique CCE's profile.
+        """
+        strict = [p for p, is_strict in self.pure_ne() if is_strict]
+        if len(strict) != 1:
+            return None
+        [a_star] = strict
+        gains = zip(*(deviation_gains(self.game, i, a) for i, a in enumerate(a_star)))
+        if sum(min(column) >= 0 for column in gains) > 1:  # a* and a rival
+            return None
+        return a_star
 
     def kept_singleton(self, concept: str | None) -> SingletonResult | None:
         """The concept's singleton decision if this context has made it; runs no LP."""

@@ -280,8 +280,8 @@ def test_a_certified_cce_builds_no_cce_solver(workload, tmp_path, monkeypatch):
 # Pivots of every LP that variant 0's command lines solve, summed per kind:
 # `_StandardForm.pivots_used` over phase 1 and every re-optimization.
 PIVOTS = {
-    "random-games": {"analyze": 566, "certify": 319, "verify": 0},
-    "singleton-sweep": {"analyze": 321, "certify": 319, "verify": 61},
+    "random-games": {"analyze": 566, "certify": 289, "verify": 0},
+    "singleton-sweep": {"analyze": 321, "certify": 315, "verify": 61},
     "tullock-grid": {"analyze": 37, "certify": 68, "verify": 0, "contest": 0},
     "dynamics": {"analyze": 59, "certify": 35, "verify": 12, "simulate": 0},
 }

@@ -236,6 +236,26 @@ def test_cce_refutation_checks_each_witness_once(monkeypatch, make):
     assert checked == list(result.witnesses)
 
 
+@pytest.mark.parametrize("shape, seed", [((4, 4), 13), ((4, 4), 14), ((4, 4), 16),
+                                         ((3, 3), 3)])
+def test_cce_refutation_at_a_rival_runs_no_p_a_star_test(monkeypatch, shape, seed):
+    # One strict pure NE a*, and a rival b != a* where every player gains
+    # weakly over a*_i: no positive weights make sum_i gamma_i v_i(b)
+    # negative, so the CCE LP alone decides.
+    game = generators.random_game(shape, seed)
+    analysis = polytopes.GameAnalysis(game)
+    assert [strict for _, strict in analysis.pure_ne()].count(True) == 1
+    assert analysis.cce_candidate() is None
+    tests = []
+    real = polytopes.singleton_over_system
+    monkeypatch.setattr(polytopes, "singleton_over_system",
+                        lambda g, system, what="polytope":
+                        tests.append(what) or real(g, system, what))
+    result = certify_unique_pure_cce(analysis)
+    assert isinstance(result, Refutation)
+    assert tests == ["cce polytope"]
+
+
 def test_ircp_certificate_rejects_a_corrupted_kept_dual(monkeypatch):
     # Doubling one player's payoffs breaks parking's symmetry, so the weights
     # come from the dual of the kept P(a*) test; a zero there is rejected.

@@ -1,10 +1,15 @@
 """End-to-end coverage of the command-line interface and its exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from eqcert import dynamics
+from eqcert import cli, dynamics
 from eqcert.certify import verify_certificate
 from eqcert.cli import SUBCOMMANDS, build_parser, main
 from eqcert.contests import (
@@ -655,7 +660,9 @@ def _parse_with(parser, argv, capsys):
 
 
 @pytest.mark.parametrize("command", list(SUBCOMMANDS))
-def test_one_subcommand_parser_prints_what_the_full_parser_prints(command, capsys):
+def test_one_subcommand_parser_prints_what_the_full_parser_prints(command, capsys,
+                                                                   monkeypatch):
+    monkeypatch.setattr(cli, "_PARSERS", {})
     full = build_parser()
     for rest in (["--help"], [], ["--bogus"], ["x", "y", "z", "w"], ["x", "--json"],
                  ["x", "--steps", "many", "--seed", "1", "--algo", "nope"],
@@ -663,5 +670,81 @@ def test_one_subcommand_parser_prints_what_the_full_parser_prints(command, capsy
         argv = [command, *rest]
         code, out, err = _parse_with(full, argv, capsys)
         assert code is not None, argv
-        assert main(argv) == code, argv
-        assert capsys.readouterr() == (out, err), argv
+        # The first call builds the subcommand's parser, the second reuses it.
+        for _ in range(2):
+            assert main(argv) == code, argv
+            assert capsys.readouterr() == (out, err), argv
+
+
+def _every_parser_argv(tmp_path) -> list[list[str]]:
+    """Valid command lines of every subcommand, usage errors and help requests."""
+    game = str(_generate(tmp_path, "pd.json", "pd"))
+    spec, grid = (str(path) for path in _write_tullock(tmp_path))
+    report_path = str(tmp_path / "report.json")
+    return [
+        ["analyze", game, "--check-unique", "--json", report_path],
+        ["certify", game, "--concept", "cce", "--target", "1,1"],
+        ["certify", game, "--concept", "ircp"],
+        ["verify", report_path],
+        ["generate", "random", "--shape", "2,3", "--seed", "4"],
+        ["contest", spec, "--grid", grid, "--prop3", "--a-star", "1/4,1/4"],
+        ["simulate", game, "--algo", "external_mw", "--steps", "20", "--seed", "1"],
+        ["certify", game, "--concept", "ne"], ["contest", spec, "--grid", grid],
+        ["simulate", game], ["verify"], ["frobnicate"], [],
+        ["--help"], ["analyze", "--help"], ["generate", "--help"],
+    ]
+
+
+def test_repeated_calls_print_alike(tmp_path, capsys, monkeypatch):
+    # A kept parser holds nothing of a call: each command prints and exits
+    # alike on its first call and after usage errors in between.
+    monkeypatch.setattr(cli, "_PARSERS", {})
+    commands = _every_parser_argv(tmp_path)
+    first = [(main(argv), capsys.readouterr()) for argv in commands]
+    assert [code for code, _ in first[:7]] == [0, 0, 1, 0, 0, 0, 0]  # PD's IRCP: refuted
+    assert all(code == 2 for code, _ in first[7:13])
+    for argv, seen in zip(commands, first):
+        for bad in (["certify", commands[1][1]], ["analyze", "--bogus"]):
+            assert main(bad) == 2
+        capsys.readouterr()
+        assert (main(argv), capsys.readouterr()) == seen, argv
+
+
+def test_main_builds_each_parser_once(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_PARSERS", {})
+    built = Counter()
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda command=None: built.update([command]) or build(command))
+    commands = _every_parser_argv(tmp_path)
+    for _ in range(3):
+        for argv in commands:
+            main(argv)
+    capsys.readouterr()
+    assert built == Counter([None, *SUBCOMMANDS])
+
+
+def test_importing_the_cli_builds_no_parser():
+    # A parser built at import would add to the start-up of every process.
+    script = "\n".join([
+        "import argparse",
+        "built = []",
+        "init = argparse.ArgumentParser.__init__",
+        "def counting(self, *args, **kwargs):",
+        "    built.append(self)",
+        "    init(self, *args, **kwargs)",
+        "argparse.ArgumentParser.__init__ = counting",
+        "import eqcert.cli",
+        "print(len(built))",
+        "eqcert.cli.main(['--help'])",
+        "print(len(built) > 0)",
+    ])
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, timeout=60)
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stdout.decode().splitlines()[0] == "0"
+    assert done.stdout.decode().splitlines()[-1] == "True"

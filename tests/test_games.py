@@ -21,6 +21,7 @@ from eqcert.games import (
     strategic_transform,
     total_variation,
 )
+from eqcert.rational import RationalFormatError, parse_rational
 
 
 def test_profile_indexing_row_major():
@@ -218,3 +219,43 @@ def test_load_game_rejects_malformed():
         load_game(b"{ not json")
     with pytest.raises(GameFormatError):
         load_game(b'{"actions": [["a"]], "payoffs": [["0"]]}')
+
+
+def _read_one_by_one(data: dict) -> Game:
+    """A reference reader: every payoff through `parse_rational`, no string read once."""
+    try:
+        payoffs = tuple(tuple(parse_rational(x) for x in row) for row in data["payoffs"])
+    except RationalFormatError as exc:
+        raise GameFormatError(str(exc)) from exc
+    return Game(tuple(tuple(a) for a in data["actions"]), payoffs)
+
+
+@pytest.mark.parametrize("pair", [
+    ["1", True], [True, "1"], [1, 1.0], [1.0, 1], ["1", 1], [1, "1"], ["1", "1.0"],
+    ["1", "x"], ["x", 1.0], [1.0, "x"], [" 1 ", "1"], ["2/2", "1"], ["", "1"],
+    ["1/0", "1"], ["1", None],
+])
+def test_payoff_strings_read_once_keep_the_json_type_rules(pair):
+    # Each distinct string is parsed once per file; an int, float or boolean
+    # that equals an earlier string's value is still read, or refused, alone.
+    data = {"players": 2, "actions": [["a", "b"], ["c", "d"]],
+            "payoffs": [pair + pair, pair[::-1] + pair]}
+    try:
+        expected = _read_one_by_one(data)
+    except GameFormatError as exc:
+        with pytest.raises(GameFormatError) as raised:
+            game_from_dict(data)
+        assert str(raised.value) == str(exc)
+    else:
+        assert game_from_dict(data) == expected
+
+
+def test_equal_payoff_strings_read_as_one_value():
+    data = {"players": 2, "actions": [["a", "b"], ["c", "d"]],
+            "payoffs": [[" 1 ", "1", "2/2", "1.0"], ["1", "1", "-3/6", "-0.5"]]}
+    game = game_from_dict(data)
+    assert game.payoffs == ((Fraction(1),) * 4, (1, 1, Fraction(-1, 2), Fraction(-1, 2)))
+    assert all(type(x) is Fraction for row in game.payoffs for x in row)
+    data["payoffs"][1][3] = "1/2x"
+    with pytest.raises(GameFormatError, match="'1/2x'"):
+        game_from_dict(data)
