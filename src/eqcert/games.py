@@ -387,10 +387,37 @@ def product_distribution(game: Game, mixed: Sequence[MixedAction]) -> JointDistr
     return JointDistribution(weights)
 
 
+def opponent_bases(game: Game, player: int) -> list[int]:
+    """Profile index at which `player` plays action 0, per opponent joint action.
+
+    The bases are in `opponent_profiles` order, which is increasing index
+    order; action a against the same joint action sits a * strides[player]
+    further on.
+    """
+    stride, size = game.strides[player], game.shape[player]
+    return [block + k for block in range(0, game.num_profiles, stride * size)
+            for k in range(stride)]
+
+
+def int_payoff_row(game: Game, player: int, action: int,
+                   bases: Sequence[int] | None = None) -> list[int]:
+    """d_i u_i(action, c) for each opponent joint action c, as ints.
+
+    The row is `Game.int_payoffs` read at `opponent_bases(game, player)`
+    shifted by action * strides[player], so it is in `opponent_profiles`
+    order; a caller reading several rows computes the bases once.
+    """
+    if not 0 <= action < game.shape[player]:
+        raise GameFormatError(f"player {player} has no action {action}")
+    if bases is None:
+        bases = opponent_bases(game, player)
+    payoff, shift = game.int_payoffs[player], action * game.strides[player]
+    return [payoff[base + shift] for base in bases]
+
+
 def pure_guarantee(game: Game, player: int, action: int) -> Fraction:
     """The least payoff that `action` gives `player` against any opponent profile."""
-    return min(game.u(player, game.insert_action(player, action, others))
-               for others in game.opponent_profiles(player))
+    return Fraction(min(int_payoff_row(game, player, action)), game.payoff_scales[player])
 
 
 def deviation_payoffs(game: Game, player: int,

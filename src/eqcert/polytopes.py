@@ -21,9 +21,10 @@ given objective the simplex makes the same pivots and finds the same
 points.  `lp.PolytopeSolver.pinning_objective` adds rows as they are
 stored, so its row weights differ from those of `Fraction` rows by
 positive factors; any positive weights decide singleton-ness alike, and
-only the second member of a refutation could differ.  The maximin LPs
-behind the IRCP security levels keep their `Fraction` rows; see
-`zerosum.maximin` for why.
+only the second member of a refutation could differ.  A security level
+behind the IRCP rows is read off the integer payoffs where the player's
+payoffs have a pure saddle point; elsewhere its maximin LP keeps `Fraction`
+rows (see `zerosum.maximin`).
 
 The IRCP polytope can be one point only at delta(a*), a*_i player i's
 only pure maximin action, where u(a*) is at the levels; it is then P(a*) =
@@ -609,11 +610,11 @@ def enumerate_pure_ne(game: Game) -> list[tuple[Profile, bool]]:
 
     Profiles are visited in index order.  Player i's payoffs against a_-i
     at the profile with index k sit every strides[i] entries from
-    k - a_i * strides[i], so one slice holds the profile's payoff and every
-    deviation's: it is an NE for i when none is larger, strictly when the
-    profile's payoff occurs once.
+    k - a_i * strides[i], so one slice of `Game.int_payoffs` holds the
+    profile's payoff and every deviation's: it is an NE for i when none is
+    larger, strictly when the profile's payoff occurs once.
     """
-    players = [(game.payoffs[i], game.strides[i], game.shape[i])
+    players = [(game.int_payoffs[i], game.strides[i], game.shape[i])
                for i in range(game.num_players)]
     results = []
     for k, profile in enumerate(game.profiles()):

@@ -7,12 +7,16 @@ equilibria, which the quasi-strictness certificate factors.  The welfare
 weights of a uniqueness certificate come from a singleton test's dual
 instead (`certify._search_weights`).
 
-Each game is one LP, `_row_lp`: the row player's guarantee, maximized.  Its
+A pair of optimal strategies certifies a game's value v: the row strategy
+guarantees at least v against every column, and the column strategy holds
+every row to at most v.  Where the payoffs have a pure saddle point, max_r
+min_c u(r, c) = min_c max_r u(r, c), that common number is v, and a pure
+row and a pure column certify it (von Neumann's minimax theorem), so
+`maximin` reads the level off the integer payoffs with no LP.  Otherwise
+the game is one LP, `_row_lp`: the row player's guarantee, maximized.  Its
 optimal dual is an optimal column strategy (the punishment, in `maximin`),
 read from the final tableau (`lp.PolytopeSolver.duals`), so neither side
-needs a second LP.  The pair certifies the value: the row strategy
-guarantees at least v against every column, and the column strategy holds
-every row to at most v.  `matrix_value` re-checks both bounds exactly;
+needs a second LP.  `matrix_value` re-checks both bounds exactly;
 `maximin` leaves that to `check_maximin`, which a verifier runs on a
 serialized result in integer arithmetic without any LP.
 """
@@ -25,7 +29,14 @@ from fractions import Fraction
 from math import lcm
 from typing import Mapping, Sequence
 
-from .games import Game, MixedAction, _as_fraction_tuple, deviation_gains
+from .games import (
+    Game,
+    MixedAction,
+    _as_fraction_tuple,
+    deviation_gains,
+    int_payoff_row,
+    opponent_bases,
+)
 from .lp import (
     EQUAL,
     GREATER_EQUAL,
@@ -125,29 +136,27 @@ def matrix_value(mg: MatrixGame) -> tuple[Fraction, tuple[Fraction, ...], tuple[
     return value, row_strategy, col_strategy
 
 
-def _opponent_bases(game: Game, player: int) -> list[int]:
-    """Profile index at which `player` plays action 0, per opponent joint action.
-
-    The profiles where the player plays action 0, in increasing index order,
-    are in `opponent_profiles` order; action a adds a * strides[player].
-    """
-    stride, size = game.strides[player], game.shape[player]
-    return [k for k in range(game.num_profiles) if (k // stride) % size == 0]
-
-
 def _payoff_matrix(game: Game, player: int) -> list[list[Fraction]]:
     """matrix[a][c] = u_player(a, c-th joint action in `opponent_profiles` order)."""
     stride, payoff = game.strides[player], game.payoffs[player]
-    bases = _opponent_bases(game, player)
+    bases = opponent_bases(game, player)
     return [[payoff[base + a * stride] for base in bases] for a in range(game.shape[player])]
 
 
 def maximin(game: Game, player: int) -> MaximinResult:
     """Player's exact security level, a strategy attaining it, and the punishment.
 
-    One LP constraint per joint action of the opponents; the reported
-    strategy is the deterministic vertex the simplex lands on, and the
-    punishment is that LP's optimal dual (see `_row_lp`), not re-checked
+    First the pure saddle test, over the player's integer payoffs
+    `Game.int_payoffs`: each action's pure guarantee (its least payoff) and
+    each opponent joint action's best-reply payoff (the most any action
+    gets against it).  When the largest guarantee equals the least
+    best-reply payoff, that number over d_i is the level, certified by the
+    lowest-index action that guarantees it and the lowest-index joint
+    action that holds every action to it, and no LP is solved.
+
+    Otherwise one LP constraint per joint action of the opponents; the
+    reported strategy is the deterministic vertex the simplex lands on, and
+    the punishment is that LP's optimal dual (see `_row_lp`), not re-checked
     here (`check_maximin` does that).  The rows stay over `Fraction`
     payoffs rather than `Game.int_payoffs`.  Each row holds the guarantee
     columns -1 and +1, which keep its gcd at 1, so a row scaled by the
@@ -156,6 +165,16 @@ def maximin(game: Game, player: int) -> MaximinResult:
     all of the player's payoffs: 47 bits on the 16x16 Tullock grid, whose
     payoff denominators have at most 9 bits.
     """
+    bases = opponent_bases(game, player)
+    rows = [int_payoff_row(game, player, a, bases) for a in range(game.shape[player])]
+    floors = [min(row) for row in rows]
+    ceilings = [max(column) for column in zip(*rows)]
+    level = max(floors)
+    if level == min(ceilings):
+        others = game.profile_from_index(bases[ceilings.index(level)])
+        return MaximinResult(Fraction(level, game.payoff_scales[player]),
+                             MixedAction.point_mass(player, floors.index(level)),
+                             {others[:player] + others[player + 1:]: Fraction(1)})
     value, strategy, punishment = _row_lp(_payoff_matrix(game, player))
     weights = {a: w for a, w in enumerate(strategy) if w != 0}
     support = itertools.compress(game.opponent_profiles(player), punishment)
@@ -186,7 +205,7 @@ def check_maximin(game: Game, player: int, result: MaximinResult) -> list[str]:
         return ["punishment is not a distribution"]
     denom = lcm(*{w.denominator for w in strategy.values()})
     mass = [(a * stride, w.numerator * (denom // w.denominator)) for a, w in strategy.items()]
-    for c, base in enumerate(_opponent_bases(game, player)):
+    for c, base in enumerate(opponent_bases(game, player)):
         total = sum(m * payoff[base + shift] for shift, m in mass)
         if total * value.denominator < value.numerator * denom * d:
             problems.append(f"strategy guarantees less than {value} against opponent "

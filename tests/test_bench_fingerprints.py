@@ -32,11 +32,13 @@ exactly, so any change to the LP path shows there.
 and after each `optimize`; a test runs it on CE, CCE and maximin systems, so
 that a change to the tableau layout cannot silently break its counters.
 Another test checks that every function it wraps by module and name still
-exists.
+exists.  The trajectories of the dynamics workload's simulate command lines,
+which the fingerprints do not record, must equal recorded digests.
 """
 
 import contextlib
 import dataclasses
+import hashlib
 import importlib.util
 import io
 import json
@@ -46,7 +48,7 @@ from pathlib import Path
 
 import pytest
 
-from eqcert import certify, cli, games, generators, polytopes, report, zerosum
+from eqcert import certify, cli, dynamics, games, generators, polytopes, report, zerosum
 from eqcert.lp import PolytopeSolver, _StandardForm
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -280,10 +282,10 @@ def test_a_certified_cce_builds_no_cce_solver(workload, tmp_path, monkeypatch):
 # Pivots of every LP that variant 0's command lines solve, summed per kind:
 # `_StandardForm.pivots_used` over phase 1 and every re-optimization.
 PIVOTS = {
-    "random-games": {"analyze": 566, "certify": 289, "verify": 0},
-    "singleton-sweep": {"analyze": 321, "certify": 315, "verify": 61},
-    "tullock-grid": {"analyze": 37, "certify": 68, "verify": 0, "contest": 0},
-    "dynamics": {"analyze": 59, "certify": 35, "verify": 12, "simulate": 0},
+    "random-games": {"analyze": 480, "certify": 203, "verify": 0},
+    "singleton-sweep": {"analyze": 199, "certify": 193, "verify": 61},
+    "tullock-grid": {"analyze": 29, "certify": 60, "verify": 0, "contest": 0},
+    "dynamics": {"analyze": 45, "certify": 17, "verify": 12, "simulate": 0},
 }
 
 
@@ -323,13 +325,59 @@ def test_tracer_reads_every_standard_form(monkeypatch):
     try:
         for concept in ("ce", "cce"):
             polytopes.is_singleton(polytopes.build_polytope(game, concept))
-        zerosum.maximin(game, 0)
+        # Matching pennies has no pure saddle point, so its maximin is an LP.
+        zerosum.maximin(generators.matching_pennies(), 0)
     finally:
         uninstall()
     assert tracer.counts["lp.solvers"] >= 3 and tracer.calls["lp.reopt"] > 0
     assert len(forms) == tracer.counts["lp.solvers"] + tracer.calls["lp.reopt"]
     assert tracer.counts["lp.phase1_pivots"] + tracer.counts["lp.reopt_pivots"] > 0
     assert tracer.maxima["lp.max_tableau_cells"] > 0 and tracer.maxima["lp.max_entry_bits"] > 0
+
+
+# sha256 of `repr(sorted(empirical.weights.items()))` and of
+# `repr(final_strategies)` for each simulate command line of the dynamics
+# workload's variant 0, whose fingerprints record only `certificate_profile`.
+TRAJECTORIES = {
+    "pd.external_mw-s0": (
+        "b320a16d9fb7b5eae618a03358e37cca780a50dacb9549454f2aff2c46aff8ae",
+        "f33463ce496eefa96995ad7965dce610d999f43399815e4aa838f3c5e93ee280"),
+    "parking.external_mw-s1": (
+        "5643aaf53abc911715e7bf83903626cee259233d584807bf47a9679cd5b4403a",
+        "4b9c3343631f90b9c829a48b2dd0cb3a416709c2aaad712e82ec7379ad6f95c1"),
+    "tullock16.external_mw-s2": (
+        "6d605e12cecb0ce9997b6b8518a7d083c0445b93aafd0d7f88c09afb2eaeb2d5",
+        "8c907ee06c978dc25f8b86bf467d37c4f870752033cae9e50d1bbec233827df7"),
+    "rps.internal_rm-s3": (
+        "2a887669bc84f4bf333b50d2f79f1d2b1f6b2d36b141205bf23f28733ca9eaf7",
+        "11da1c5cea1530cb0202050594566071a2710373e68616ff4a1ca704ffa5479a"),
+    "parking.internal_rm-s4": (
+        "5cd3d7e888c85241683bc4c3a0630b88e5d3367eab6f0008730cfe3e75b2215c",
+        "ebe050fd6fe25f97a010fbd82a621304ba9f823a3001282ae3942ebd0e0e4970"),
+}
+
+
+def test_dynamics_trajectories_equal_recorded_digests(tmp_path, monkeypatch):
+    # The benchmark checks a simulate command only by its certificate
+    # profile, so a changed trajectory would pass it unseen.
+    outcomes = []
+    run = dynamics.run
+
+    def recording(*args, **kwargs):
+        outcomes.append(run(*args, **kwargs))
+        return outcomes[-1]
+
+    monkeypatch.setattr(dynamics, "run", recording)
+    ops = [op for op in _in_run_order(workloads.build("dynamics", 0, tmp_path))
+           if op.kind == "simulate" or not op.timed]
+    runs = _run(ops)
+    assert [op.key for op, rc in runs if rc != 0] == []
+    simulated = [op.key for op, _ in runs if op.kind == "simulate"]
+    digests = {key: tuple(hashlib.sha256(repr(value).encode()).hexdigest()
+                          for value in (sorted(outcome.empirical.weights.items()),
+                                        outcome.final_strategies))
+               for key, outcome in zip(simulated, outcomes, strict=True)}
+    assert digests == TRAJECTORIES
 
 
 def test_every_traced_function_exists():

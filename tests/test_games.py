@@ -16,7 +16,9 @@ from eqcert.games import (
     game_to_dict,
     is_symmetric,
     load_game,
+    opponent_bases,
     product_distribution,
+    pure_guarantee,
     save_game,
     strategic_transform,
     total_variation,
@@ -120,6 +122,27 @@ def test_insert_action_rebuilds_profiles():
             full = three.insert_action(player, 0, others)
             assert full[player] == 0
             assert len(full) == three.num_players
+
+
+def test_pure_guarantee_reads_integer_payoffs_at_the_opponent_bases(monkeypatch):
+    games = [generators.random_game(shape, seed, high=high)
+             for shape in ((2, 2), (3, 4), (2, 3, 2)) for seed in (1, 2) for high in (1, 3)]
+    games.append(generators.parking(3, 1, Fraction(1, 4), Fraction(3, 5)))
+    expected = [[[min(g.u(i, g.insert_action(i, a, others))
+                      for others in g.opponent_profiles(i))
+                  for a in range(g.shape[i])] for i in range(g.num_players)] for g in games]
+    for g in games:
+        for i in range(g.num_players):
+            assert opponent_bases(g, i) == [g.profile_index(g.insert_action(i, 0, others))
+                                            for others in g.opponent_profiles(i)]
+    monkeypatch.setattr(Game, "u", None)
+    for g, levels in zip(games, expected):
+        assert [[pure_guarantee(g, i, a) for a in range(g.shape[i])]
+                for i in range(g.num_players)] == levels
+        for i in range(g.num_players):
+            for a in (-1, g.shape[i]):
+                with pytest.raises(GameFormatError):
+                    pure_guarantee(g, i, a)
 
 
 def test_affine_transform_rescales_per_player():

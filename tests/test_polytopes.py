@@ -660,13 +660,17 @@ def _reference_pure_ne(game):
 
 
 def test_stride_pure_ne_equal_profile_loop():
-    # Random games, then integer games with payoffs in {0, 1} or {0, 1, 2},
-    # whose ties make weak equilibria common.
+    # `enumerate_pure_ne` compares integer payoffs, the reference `Fraction`
+    # ones.  Random games, then integer games with payoffs in {0, 1},
+    # {0, 1, 2} or {-3, ..., 1}, whose ties make weak equilibria common, then
+    # parking games, whose payoffs are rational.
     games = [generators.random_game(shape, seed)
              for shape in ((2, 2), (3, 4), (2, 3, 2)) for seed in range(1, 9)]
-    games += [generators.random_game(shape, seed, low=0, high=high)
+    games += [generators.random_game(shape, seed, low=low, high=high)
               for shape in ((2, 2), (3, 4), (2, 3, 2)) for seed in range(1, 9)
-              for high in (1, 2)]
+              for low, high in ((0, 1), (0, 2), (-3, 1))]
+    games += [generators.parking(m, 1, F(1, 4), F(fee))
+              for m in (3, 4) for fee in ("2/5", "1/2", "3/5", "3/4")]
     flags = set()
     for game in games:
         found = enumerate_pure_ne(game)

@@ -1,5 +1,7 @@
 """Maximin levels, their dual punishments, and the auxiliary zero-sum games."""
 
+import itertools
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -7,7 +9,15 @@ import pytest
 
 from eqcert import generators
 from eqcert.certify import UniquenessCertificate, certify_unique_ircp
-from eqcert.lp import EQUAL, GREATER_EQUAL, ConstraintSystem, LinearConstraint, enumerate_vertices
+from eqcert.games import Game
+from eqcert.lp import (
+    EQUAL,
+    GREATER_EQUAL,
+    ConstraintSystem,
+    LinearConstraint,
+    PolytopeSolver,
+    enumerate_vertices,
+)
 from eqcert.zerosum import (
     MatrixGame,
     ZeroSumError,
@@ -75,6 +85,37 @@ def test_maximin_three_player():
         # one dual constraint per opposing joint action: 4 of them
         assert all(len(opp) == 2 for opp in res.punishment)
         assert check_maximin(g, i, res) == []
+
+
+def _strictly_dominant_game():
+    """Three players, each of whose action 1 beats action 0 by at least 1."""
+    rng = random.Random(3)
+    profiles = list(itertools.product(range(2), repeat=3))
+    payoffs = tuple(tuple(F(3 * p[i] + rng.randint(0, 2)) for p in profiles)
+                    for i in range(3))
+    return Game((("a", "b"),) * 3, payoffs)
+
+
+@pytest.mark.parametrize("game, solved", (
+    (generators.prisoners_dilemma(), False),
+    (generators.parking(3, 1, F(1, 4), F(3, 5)), False),
+    (_strictly_dominant_game(), False),
+    (generators.rock_paper_scissors(), True),
+), ids=("pd", "parking", "dominant", "rps"))
+def test_maximin_solves_an_lp_only_without_a_pure_saddle_point(game, solved, monkeypatch):
+    # A dominant action guarantees what every best reply gets against the
+    # joint action at which it pays least: a pure saddle point.  RPS has none.
+    built = []
+    init = PolytopeSolver.__init__
+    monkeypatch.setattr(PolytopeSolver, "__init__",
+                        lambda self, system: built.append(system) or init(self, system))
+    for i in range(game.num_players):
+        built.clear()
+        result = maximin(game, i)
+        assert len(built) == solved
+        if not solved:
+            assert result.strategy.is_pure and len(result.punishment) == 1
+        assert check_maximin(game, i, result) == []
 
 
 def test_minimax_dual_values_and_punishments():
