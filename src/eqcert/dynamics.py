@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .games import Game, JointDistribution
+from .games import Game, JointDistribution, gain_table, integer_weights
 
 EXTERNAL_MW = "external_mw"
 INTERNAL_RM = "internal_rm"
@@ -32,47 +32,32 @@ class DynamicsError(ValueError):
     """Bad inputs to a dynamics run."""
 
 
-def _deviation_gains(game: Game, i: int, mu: JointDistribution) -> list[list[Fraction]]:
-    """gains[rec][dev] = sum of mu(a) * (u_i(dev, a_-i) - u_i(a)) over a with a_i = rec.
+def _deviation_gains(game: Game, i: int, mu: JointDistribution) -> tuple[list[list[int]], int]:
+    """Player i's `gain_table` over supp(mu), and the D d_i that the regrets divide it by.
 
-    Each support profile is visited once; its deviations are read through
-    `Game.strides` rather than by rebuilding profiles.
+    An entry [rec][dev] is minus the gain from playing dev whenever rec is played.
     """
-    k = game.shape[i]
-    stride = game.strides[i]
-    payoff = game.payoffs[i]
-    gains = [[Fraction(0)] * k for _ in range(k)]
-    for profile, w in mu.weights.items():
-        index = game.profile_index(profile)
-        rec = profile[i]
-        realized = payoff[index]
-        base = index - rec * stride
-        row = gains[rec]
-        for dev in range(k):
-            if dev != rec:
-                row[dev] += w * (payoff[base + dev * stride] - realized)
-    return gains
+    support, denom = integer_weights(game, mu)
+    return gain_table(game, i, support), denom * game.payoff_scales[i]
 
 
 def external_regret(game: Game, i: int, mu: JointDistribution,
-                    gains: list[list[Fraction]] | None = None) -> Fraction:
+                    gains: tuple[list[list[int]], int] | None = None) -> Fraction:
     """max over fixed actions of the exact gain from committing ex ante.
 
     `gains`, when given, is `_deviation_gains(game, i, mu)`, computed once by
     a caller that wants both regrets.
     """
-    if gains is None:
-        gains = _deviation_gains(game, i, mu)
-    return max(sum(row[dev] for row in gains) for dev in range(game.shape[i]))
+    table, unit = gains or _deviation_gains(game, i, mu)
+    return Fraction(-min(map(sum, zip(*table))), unit)
 
 
 def internal_regret(game: Game, i: int, mu: JointDistribution,
-                    gains: list[list[Fraction]] | None = None) -> Fraction:
+                    gains: tuple[list[list[int]], int] | None = None) -> Fraction:
     """max over recommendation swaps of the exact conditional gain; `gains` as above."""
-    if gains is None:
-        gains = _deviation_gains(game, i, mu)
-    # gains[rec][rec] is 0, so the maximum is never negative
-    return max(max(row) for row in gains)
+    table, unit = gains or _deviation_gains(game, i, mu)
+    # the diagonal is 0, so the maximum is never negative
+    return Fraction(-min(map(min, table)), unit)
 
 
 @dataclass(frozen=True)

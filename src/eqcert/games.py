@@ -237,22 +237,24 @@ def is_symmetric(game: Game) -> bool:
 
     True iff all players share one action set and for every permutation pi
     of the players and every profile a, the profile that assigns player
-    pi(j) the action a_j gives player pi(i) what a gave player i.
+    pi(j) the action a_j gives player pi(i) what a gave player i.  Such pi
+    form a group, so the swaps of player 0 with each other player j decide
+    it; a swap moves profile index k by (a_j - a_0) (strides[0] - strides[j])
+    and permutes player j's payoffs into player 0's, so all players share
+    one payoff scale and `Game.int_payoffs` compare directly.
     """
     first = game.actions[0]
-    if any(acts != first for acts in game.actions[1:]):
+    if any(acts != first for acts in game.actions[1:]) or len(set(game.payoff_scales)) > 1:
         return False
-    n = game.num_players
-    for pi in itertools.permutations(range(n)):
-        if pi == tuple(range(n)):
-            continue
-        for profile in game.profiles():
-            permuted = [0] * n
-            for j in range(n):
-                permuted[pi[j]] = profile[j]
-            for i in range(n):
-                if game.u(pi[i], permuted) != game.u(i, profile):
-                    return False
+    n, size, strides, payoffs = game.num_players, len(first), game.strides, game.int_payoffs
+    for j in range(1, n):
+        step = strides[0] - strides[j]
+        swapped = [k + ((k // strides[j]) % size - (k // strides[0]) % size) * step
+                   for k in range(game.num_profiles)]
+        # player i at the swapped profile is paid what pi(i) is; pi(0) = j, pi(j) = 0
+        if any(tuple(map(payoffs[i].__getitem__, swapped))
+               != payoffs[j if i == 0 else 0 if i == j else i] for i in range(n)):
+            return False
     return True
 
 
@@ -385,6 +387,33 @@ def product_distribution(game: Game, mixed: Sequence[MixedAction]) -> JointDistr
             w *= m.prob(a)
         weights[tuple(profile)] = w
     return JointDistribution(weights)
+
+
+def integer_weights(game: Game, mu: JointDistribution) -> tuple[list[tuple[int, int]], int]:
+    """mu over one common denominator D: (index k, D mu(a)) for each a in supp(mu), and D."""
+    weights = mu.weights
+    denom = lcm(*{w.denominator for w in weights.values()})
+    return [(game.profile_index(p), w.numerator * (denom // w.denominator))
+            for p, w in weights.items()], denom
+
+
+def gain_table(game: Game, player: int, support: Sequence[tuple[int, int]]) -> list[list[int]]:
+    """t[r][d] = sum of m d_i (u_i(a) - u_i(d, a_-i)) over (k, m) in `support` with a_i = r.
+
+    a is the profile at index k and d_i the payoff scale: over the D of
+    `integer_weights`, t[r][d] / (D d_i) is what following r earns over
+    deviating to d, summed with mu's weights.  The diagonal is 0.
+    """
+    stride, size = game.strides[player], game.shape[player]
+    payoff = game.int_payoffs[player]
+    table = [[0] * size for _ in range(size)]
+    for k, m in support:
+        rec = (k // stride) % size
+        first = k - rec * stride
+        realized, row = payoff[k], table[rec]
+        for dev, alt in enumerate(payoff[first:first + size * stride:stride]):
+            row[dev] += m * (realized - alt)
+    return table
 
 
 def opponent_bases(game: Game, player: int) -> list[int]:

@@ -11,20 +11,20 @@ report and its certificates solve each polytope, P(a*) and maximin LP once,
 and a verification solves no maximin LP at all.
 
 Every incentive row is linear in one player's payoffs, so a positive scale
-per player changes no polytope.  The rows are written from the integer
-payoffs `Game.int_payoffs`: each player's payoffs times d_i, the lcm of
-their denominators.  A CE or CCE row is divided by the gcd of its entries,
-and `PolytopeSpec.units` keeps the factor back to payoff units, so
-`membership` decides in ints and reports shortfalls in payoff units.  Each
-row is a positive multiple of the row over `Fraction` payoffs, so for a
-given objective the simplex makes the same pivots and finds the same
-points.  `lp.PolytopeSolver.pinning_objective` adds rows as they are
-stored, so its row weights differ from those of `Fraction` rows by
-positive factors; any positive weights decide singleton-ness alike, and
-only the second member of a refutation could differ.  A security level
-behind the IRCP rows is read off the integer payoffs where the player's
-payoffs have a pure saddle point; elsewhere its maximin LP keeps `Fraction`
-rows (see `zerosum.maximin`).
+per player changes no polytope.  All of it runs on the integer payoffs
+`Game.int_payoffs`, each player's payoffs times d_i, the lcm of their
+denominators.  `membership` sums them over a distribution's support and
+writes no row.  The rows are written only for an LP, vertex enumeration or
+an extreme-point test (`PolytopeSpec.system`), each a positive multiple of
+the row over `Fraction` payoffs, so for a given objective the simplex
+makes the same pivots and finds the same points.
+`lp.PolytopeSolver.pinning_objective` adds rows as they are stored, so
+its row weights differ from those of `Fraction` rows by positive factors;
+any positive weights decide singleton-ness alike, and only the second
+member of a refutation could differ.  A security level behind the IRCP
+rows is read off the integer payoffs where the player's payoffs have a
+pure saddle point; elsewhere its maximin LP keeps `Fraction` rows (see
+`zerosum.maximin`).
 
 The IRCP polytope can be one point only at delta(a*), a*_i player i's
 only pure maximin action, where u(a*) is at the levels; it is then P(a*) =
@@ -78,7 +78,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd, lcm
+from functools import cached_property
+from math import gcd
 from typing import Sequence
 
 from . import games, zerosum
@@ -116,18 +117,28 @@ class IncentiveInfo:
 
 @dataclass(frozen=True)
 class PolytopeSpec:
-    """One concept's system: incentive rows (with `incentive_info`), then the simplex row.
+    """One concept's polytope: the game, the concept and, for IRCP, the security levels.
 
-    Each incentive row is a positive multiple of the row in payoff units;
-    `units[r]` is the factor that turns row r back into payoff units (see
-    `build_polytope`).
+    `system`, the incentive rows (named by `incentive_info`) then the
+    simplex row, is written on first read (`write_rows`); `membership`
+    reads no row.
     """
 
     game: Game
     concept: str
-    system: ConstraintSystem
-    incentive_info: tuple[IncentiveInfo, ...]
-    units: tuple[Fraction, ...]
+    levels: tuple[Fraction, ...] | None = None
+
+    @cached_property
+    def system(self) -> ConstraintSystem:
+        return write_rows(self)
+
+    @cached_property
+    def incentive_info(self) -> tuple[IncentiveInfo, ...]:
+        game, concept = self.game, self.concept
+        return tuple(_info(game, concept, i, rec, dev) for i, size in enumerate(game.shape)
+                     for rec in (range(size) if concept == "ce" else (None,))
+                     for dev in (range(size) if concept != "ircp" else (None,))
+                     if rec is None or dev != rec)
 
 
 @dataclass(frozen=True)
@@ -182,12 +193,18 @@ def _ce_row(game: Game, player: int, recommended: int, deviation: int) -> list[i
             else 0 for k in range(game.num_profiles)]
 
 
-def _primitive(row: list[int]) -> tuple[tuple[int, ...], int]:
-    """The row divided by the gcd g of its entries, and g (1 for a zero row)."""
-    g = gcd(*row) or 1
-    if g == 1:
-        return tuple(row), 1
-    return tuple(v // g for v in row), g
+def _primitive(row: list[int]) -> tuple[int, ...]:
+    """The row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return tuple(v // g for v in row) if g > 1 else tuple(row)
+
+
+def _info(game: Game, concept: str, player: int, rec: int | None,
+          dev: int | None) -> IncentiveInfo:
+    acts = game.actions[player]
+    label = (f"{concept}:p{player}" + (f":{acts[rec]}" if rec is not None else "")
+             + (f"->{acts[dev]}" if dev is not None else ""))
+    return IncentiveInfo(concept, player, rec, dev, label)
 
 
 class GameAnalysis:
@@ -317,79 +334,63 @@ def analysis_of(game: Game | GameAnalysis) -> GameAnalysis:
 
 
 def build_polytope(game: Game | GameAnalysis, concept: str) -> PolytopeSpec:
-    """Constraint system of one solution concept, incentive rows first.
-
-    Every row holds ints, written from the players' integer payoffs
-    (`Game.int_payoffs`, player i's payoffs times d_i).  A positive scale of
-    a row changes no polytope, and integer rows need no scaling in the
-    tableau.  A CE or CCE row of player i is d_i times
-    its payoff gains, divided by the gcd g of its entries, so its unit is
-    g / d_i.  An IRCP row is (d_i u_i, d_i v_i) at security level v_i, so its
-    unit is 1 / d_i; its right-hand side stays a `Fraction`.  The simplex
-    row holds int 1s.  The IRCP rows take their security levels from the
-    context's maximin results when a `GameAnalysis` is passed.
-    """
+    """One concept's `PolytopeSpec`, no row written; IRCP levels from the context's maximin."""
     if concept not in CONCEPTS:
         raise PolytopeError(f"unknown concept {concept!r}; pick one of {CONCEPTS}")
     analysis = analysis_of(game)
     game = analysis.game
-    rows: list[LinearConstraint] = []
-    info: list[IncentiveInfo] = []
-    units: list[Fraction] = []
-    zero = Fraction(0)
+    levels = (tuple(analysis.maximin(i).value for i in range(game.num_players))
+              if concept == "ircp" else None)
+    return PolytopeSpec(game, concept, levels)
 
-    def add_gains(gains: list[int], player: int, item: IncentiveInfo) -> None:
-        coeffs, g = _primitive(gains)
-        rows.append(LinearConstraint(coeffs, GREATER_EQUAL, zero))
-        info.append(item)
-        units.append(Fraction(g, game.payoff_scales[player]))
 
-    if concept == "ce":
-        for i in range(game.num_players):
-            for rec in range(game.shape[i]):
-                for dev in range(game.shape[i]):
-                    if dev == rec:
-                        continue
-                    label = f"ce:p{i}:{game.actions[i][rec]}->{game.actions[i][dev]}"
-                    add_gains(_ce_row(game, i, rec, dev), i,
-                              IncentiveInfo("ce", i, rec, dev, label))
-    elif concept == "cce":
-        for i in range(game.num_players):
-            for dev in range(game.shape[i]):
-                label = f"cce:p{i}->{game.actions[i][dev]}"
-                add_gains(deviation_gains(game, i, dev), i,
-                          IncentiveInfo("cce", i, None, dev, label))
-    else:
-        for i in range(game.num_players):
-            scale = game.payoff_scales[i]
-            rows.append(LinearConstraint(
-                game.int_payoffs[i], GREATER_EQUAL, scale * analysis.maximin(i).value))
-            info.append(IncentiveInfo("ircp", i, None, None, f"ircp:p{i}"))
-            units.append(Fraction(1, scale))
+def write_rows(spec: PolytopeSpec) -> ConstraintSystem:
+    """The constraint system of `spec`, in ints, which need no scaling in the tableau.
+
+    A CE or CCE row of player i is d_i times its payoff gains over their gcd;
+    an IRCP row is (d_i u_i, d_i v_i) at level v_i, its right side a `Fraction`.
+    """
+    game = spec.game
+    rows = []
+    for info in spec.incentive_info:
+        i, rec, dev = info.player, info.recommended, info.deviation
+        if spec.concept == "ircp":
+            rows.append(LinearConstraint(game.int_payoffs[i], GREATER_EQUAL,
+                                         game.payoff_scales[i] * spec.levels[i]))
+        else:
+            gains = deviation_gains(game, i, dev) if rec is None else _ce_row(game, i, rec, dev)
+            rows.append(LinearConstraint(_primitive(gains), GREATER_EQUAL, Fraction(0)))
     rows.append(LinearConstraint((1,) * game.num_profiles, EQUAL, Fraction(1)))
-    system = ConstraintSystem(game.num_profiles, tuple(rows))
-    return PolytopeSpec(game, concept, system, tuple(info), tuple(units))
+    return ConstraintSystem(game.num_profiles, tuple(rows))
 
 
 def membership(spec: PolytopeSpec, mu: JointDistribution) -> MembershipResult:
     """Exact membership; each violation reports the offending row and shortfall.
 
-    mu is put over one common denominator D, as ints m_k, and each row is
-    summed over mu's support only: row r holds for mu exactly when
-    sum_k a_k m_k >= b D.  A shortfall is reported in payoff units, the
-    stored row's shortfall times `spec.units[r]`.
+    Decided from `Game.int_payoffs` over supp(mu), with no row written: with
+    mu's weights m_k over one denominator D (`games.integer_weights`), a CE
+    row holds when its entry of `games.gain_table` is >= 0, a CCE row when
+    its column sum is, and an IRCP row when sum_k m_k d_i u_i(a_k) >=
+    d_i v_i D.  Violations come in row order, shortfalls in payoff units.
     """
-    game = spec.game
-    weights = mu.weights
-    denom = lcm(*{w.denominator for w in weights.values()})
-    support = [(game.profile_index(p), w.numerator * (denom // w.denominator))
-               for p, w in weights.items()]
+    game, concept = spec.game, spec.concept
+    support, denom = games.integer_weights(game, mu)
     violations = []
-    for row, info, unit in zip(spec.system.constraints, spec.incentive_info, spec.units):
-        coeffs, rhs = row.coeffs, row.rhs
-        lhs = sum(coeffs[k] * m for k, m in support)
-        if lhs * rhs.denominator < rhs.numerator * denom:
-            violations.append(Violation(info, unit * (rhs - Fraction(lhs, denom))))
+    for i, scale in enumerate(game.payoff_scales):
+        unit = denom * scale  # each row sum below is over unit
+        if concept == "ircp":
+            level = spec.levels[i]
+            lhs = sum(m * game.int_payoffs[i][k] for k, m in support)
+            sums = [(lhs * level.denominator - level.numerator * unit, None, None)]
+            unit *= level.denominator
+        elif concept == "cce":
+            table = games.gain_table(game, i, support)
+            sums = [(t, None, dev) for dev, t in enumerate(map(sum, zip(*table)))]
+        else:
+            sums = [(t, rec, dev) for rec, row in enumerate(games.gain_table(game, i, support))
+                    for dev, t in enumerate(row)]
+        violations += (Violation(_info(game, concept, i, rec, dev), Fraction(-t, unit))
+                       for t, rec, dev in sums if t < 0)
     return MembershipResult(not violations, tuple(violations))
 
 
@@ -518,8 +519,11 @@ def _ircp_decision(analysis: GameAnalysis) -> SingletonResult:
     game = analysis.game
     n = game.num_players
     levels = [analysis.maximin(i).value for i in range(n)]
-    options = [[a for a in range(game.shape[i])
-                if games.pure_guarantee(game, i, a) == levels[i]] for i in range(n)]
+    options = []
+    for i, level in enumerate(levels):  # a pure maximin action's least int payoff is d_i v_i
+        bases, floor = games.opponent_bases(game, i), level * game.payoff_scales[i]
+        options.append([a for a in range(game.shape[i])
+                        if min(games.int_payoff_row(game, i, a, bases)) == floor])
     for i in range(n):
         if not options[i]:
             # The maximin strategies, and i's best reply to the others', clear the levels.
@@ -596,11 +600,8 @@ def winkler_support_bound(spec: PolytopeSpec, mu: JointDistribution) -> WinklerR
     if not is_extreme_point(spec, mu):
         raise PolytopeError("support bound applies to extreme points only")
     vector = mu.as_vector(spec.game)
-    active = []
-    for row, _ in zip(spec.system.constraints, spec.incentive_info):
-        if row.evaluate(vector) == row.rhs:
-            active.append(row.coeffs)
-    k = _rank(active)
+    k = _rank([row.coeffs for row in spec.system.constraints[:-1]  # the incentive rows
+               if row.evaluate(vector) == row.rhs])
     support_size = len(mu.support())
     return WinklerReport(support_size, k, support_size <= k + 1)
 

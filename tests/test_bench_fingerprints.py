@@ -16,8 +16,9 @@ and nothing under `perfbench/` is written.
 The reports that variant 0 writes also gate what `verify` may run: no
 maximin LP on any workload, no LP at all where no claim needs one, and
 otherwise one singleton test per strict fractional GUE flag whose profile
-meets the unilateral guarantee; and one membership check per distribution,
-as each is written once, under `concepts`.
+meets the unilateral guarantee; one membership check per distribution,
+as each is written once, under `concepts`; and no CE, CCE or IRCP row
+written (`polytopes.write_rows`).
 
 Every `certify --json` refutation of variant 0 must re-check clean by
 `certify.verify_refutation`, which no CLI command runs on such a bare file,
@@ -217,6 +218,15 @@ def test_verify_checks_each_distribution_once(variant_0, monkeypatch):
         assert len(checked) == written, path
         total += written
     assert total == MEMBERSHIP_CHECKS[workload]
+
+
+def test_verify_writes_no_polytope_row(variant_0, monkeypatch):
+    # Membership reads the integer payoffs over each distribution's support,
+    # and no claim that verify re-checks needs a CE, CCE or IRCP row.
+    written = []
+    monkeypatch.setattr(polytopes, "write_rows", lambda spec: written.append(spec) or _refuse())
+    assert all(problems == [] for problems in _verify_each_report(variant_0[1]))
+    assert written == []
 
 
 # Refutations among variant 0's `certify --json` files.

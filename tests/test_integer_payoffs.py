@@ -1,15 +1,18 @@
 """Property tests: the integer payoff kernels against `Fraction` references.
 
 `Game.int_payoffs` holds each player's payoffs times d_i, the lcm of that
-player's denominators.  Five exact computations run on it: `build_polytope`
-writes every row over it, `membership` sums each row over mu's support in
+player's denominators.  Six exact computations run on it: `write_rows`
+writes every row over it, `membership` sums it over mu's support in
 ints, `certify._gain_slack` computes the weighted gains of a uniqueness
-certificate, and `games.cce_reduction` and the profile-vs-deviation game
-divide `games.deviation_gains` by d_i.  Each must agree with the
-computation over `Fraction` payoffs that it replaced, kept here as the
-reference, on small games whose payoffs are not integers.
+certificate, `games.cce_reduction` and the profile-vs-deviation game
+divide `games.deviation_gains` by d_i, and `games.is_symmetric` compares
+it under player swaps.  Each must agree with the computation over
+`Fraction` payoffs that it replaced, kept here as the reference, on small
+games whose payoffs are not integers; `is_symmetric` also on parking
+games and on symmetric games and near misses.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -19,13 +22,14 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from eqcert import polytopes  # noqa: E402
+from eqcert import generators, polytopes  # noqa: E402
 from eqcert.zerosum import build_lemma3_auxiliary  # noqa: E402
 from eqcert.certify import _gain_slack, _normalize  # noqa: E402
 from eqcert.games import (  # noqa: E402
     Game,
     JointDistribution,
     cce_reduction,
+    is_symmetric,
     strategic_transform,
 )
 from test_polytopes import _reference_ce_row, _reference_cce_row  # noqa: E402
@@ -142,7 +146,7 @@ def test_lemma3_entries_equal_fraction_gains(case):
 
 
 def _reference_rows(game, concept, analysis):
-    """Each incentive row over `Fraction` payoffs, in `build_polytope`'s order."""
+    """Each incentive row over `Fraction` payoffs, in `write_rows`' order."""
     rows = []
     for i, size in enumerate(game.shape):
         if concept == "ircp":
@@ -163,10 +167,15 @@ def test_rows_are_positive_multiples_of_fraction_rows(case, concept):
     spec = analysis.polytope(concept)
     reference = _reference_rows(game, concept, analysis)
     incentive = spec.system.constraints[:len(spec.incentive_info)]
-    assert len(incentive) == len(reference) == len(spec.units)
-    for row, unit, (coeffs, rhs) in zip(incentive, spec.units, reference):
+    assert len(incentive) == len(reference)
+    for row, info, (coeffs, rhs) in zip(incentive, spec.incentive_info, reference):
+        # d_i times the payoff row, over the gcd g of those ints for CE and CCE
+        d = game.payoff_scales[info.player]
+        scaled = [d * c for c in coeffs]
+        assert all(x.denominator == 1 for x in scaled)
+        g = 1 if concept == "ircp" else math.gcd(*map(int, scaled)) or 1
+        unit = Fraction(g, d)
         assert all(type(c) is int for c in row.coeffs)
-        assert unit > 0
         assert tuple(unit * c for c in row.coeffs) == coeffs
         assert unit * row.rhs == rhs
         if concept != "ircp":
@@ -209,3 +218,77 @@ def test_membership_equals_dense_fraction_loop(case, concept, data):
     assert result.is_member == (not expected)
     assert [(v.info.label, v.shortfall) for v in result.violations] == expected
     assert all(type(v.shortfall) is Fraction for v in result.violations)
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@hypothesis.given(_fraction_game(), st.sampled_from(polytopes.CONCEPTS), st.data())
+def test_violations_name_their_rows_and_write_none(case, concept, data):
+    game, _ = case
+    mu = data.draw(_distribution(game))
+    spec = polytopes.GameAnalysis(game).polytope(concept)
+    violations = polytopes.membership(spec, mu).violations
+    assert "system" not in vars(spec)  # membership wrote no row
+    names = iter(spec.incentive_info)
+    assert all(v.info in names for v in violations)  # in row order
+
+
+def _reference_is_symmetric(game):
+    """The role-permutation definition, over every permutation and `Game.u`."""
+    first = game.actions[0]
+    if any(acts != first for acts in game.actions[1:]):
+        return False
+    n = game.num_players
+    for pi in itertools.permutations(range(n)):
+        for profile in game.profiles():
+            permuted = [0] * n
+            for j in range(n):
+                permuted[pi[j]] = profile[j]
+            if any(game.u(pi[i], permuted) != game.u(i, profile) for i in range(n)):
+                return False
+    return True
+
+
+@st.composite
+def _role_game(draw):
+    """A parking game, or a 2- or 3-player game on one action set, and its kind.
+
+    A "symmetric" game pays player i f(a_i, sorted a_-i); an "edited" one
+    changes one payoff of it, by an integer or by 1/7, which also changes
+    that player's payoff scale; a "relabeled" one renames one player's
+    action; a "random" one draws every payoff.
+    """
+    kind = draw(st.sampled_from(("parking", "symmetric", "edited", "relabeled", "random")))
+    if kind == "parking":
+        return generators.parking(draw(st.integers(2, 4)), 1, Fraction(1, 4),
+                                  Fraction(draw(st.integers(1, 9)), 10)), kind
+    n, m = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    values = {}
+
+    def value(key):
+        return values.setdefault(key, Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+
+    profiles = list(itertools.product(range(m), repeat=n))
+    payoffs = [[value((p[i], tuple(sorted(p[:i] + p[i + 1:])))) for p in profiles]
+               for i in range(n)]
+    actions = [tuple(f"a{k}" for k in range(m))] * n
+    if kind == "edited":
+        i, k = draw(st.integers(0, n - 1)), draw(st.integers(0, len(profiles) - 1))
+        payoffs[i][k] += draw(st.sampled_from((Fraction(1), Fraction(1, 7))))
+    elif kind == "relabeled":
+        actions[-1] = actions[-1][:-1] + ("other",)
+    elif kind == "random":
+        payoffs = [[value(("random", i, k)) for k in range(len(profiles))] for i in range(n)]
+    return Game(tuple(actions), tuple(map(tuple, payoffs))), kind
+
+
+@hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@hypothesis.given(_role_game())
+def test_is_symmetric_equals_the_permutation_definition(case):
+    game, kind = case
+    expected = _reference_is_symmetric(game)
+    assert is_symmetric(game) is expected
+    if kind == "symmetric":
+        assert expected
+    elif kind in ("edited", "relabeled"):
+        assert not expected

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -284,15 +285,29 @@ def test_winkler_bound_on_every_rps_cce_vertex():
 
 
 def _fraction_spec(spec):
-    """The same polytope with every incentive row back in payoff units, over Fractions."""
-    rows = [LinearConstraint(tuple(unit * c for c in row.coeffs), row.relation,
-                             unit * row.rhs)
-            for row, unit in zip(spec.system.constraints, spec.units)]
+    """The same polytope with every incentive row back in payoff units, over Fractions.
+
+    A CE or CCE row of player i is d_i times its payoff gains over the gcd g
+    of those ints, so its unit is g / d_i; an IRCP row's is 1 / d_i.  The
+    copy's `system`, a cached property, is set before anything reads it.
+    """
+    game = spec.game
+    rows = []
+    for row, info in zip(spec.system.constraints, spec.incentive_info):
+        if info.kind == "ircp":
+            g = 1
+        elif info.kind == "cce":
+            g = math.gcd(*deviation_gains(game, info.player, info.deviation)) or 1
+        else:
+            g = math.gcd(*_ce_row(game, info.player, info.recommended, info.deviation)) or 1
+        unit = Fraction(g, game.payoff_scales[info.player])
+        rows.append(LinearConstraint(tuple(unit * c for c in row.coeffs), row.relation,
+                                     unit * row.rhs))
     simplex = spec.system.constraints[-1]
     rows.append(LinearConstraint(tuple(map(Fraction, simplex.coeffs)), EQUAL, simplex.rhs))
-    units = (Fraction(1),) * len(spec.units)
-    return dataclasses.replace(spec, system=ConstraintSystem(spec.system.num_vars, tuple(rows)),
-                               units=units)
+    reference = dataclasses.replace(spec)
+    vars(reference)["system"] = ConstraintSystem(spec.system.num_vars, tuple(rows))
+    return reference
 
 
 def _no_float(value):
