@@ -6,22 +6,29 @@ CE polytope.  Each regret-matching step plays the stationary distribution
 of one closed class of the positive-regret chain, solved directly rather
 than approximated; one class is enough because any stationary
 distribution keeps the internal-regret bound (Blum and Mansour, "From
-external to internal regret", JMLR 2007).  Weight updates run in
-floating point for speed, but the empirical distribution is exact
-(integer play counts over steps) and all reported regrets are computed
-from it in rational arithmetic, so polytope membership of the outcome can
-be checked exactly.
+external to internal regret", JMLR 2007).
+
+Per step, a learner does work in its own actions only.  Each player reads
+its payoffs against the realized opponents from a column table built once
+per run; multiplicative weights adds that column to its cumulative
+payoffs, and regret matching adds it, less the realized payoff, to the
+regret sums of the played action alone, updating that row's positive part
+and signs.  Play is counted per profile index.  Weights and regret sums
+run in floating point, but they only pick the actions: the empirical
+distribution is exact (integer play counts over steps) and all reported
+regrets are computed from it in rational arithmetic, so polytope
+membership of the outcome can be checked exactly.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
-from .games import Game, JointDistribution, gain_table, integer_weights
+from .games import Game, JointDistribution, gain_table, integer_weights, opponent_bases
 
 EXTERNAL_MW = "external_mw"
 INTERNAL_RM = "internal_rm"
@@ -79,17 +86,6 @@ class DynamicsRun:
     @property
     def max_internal_regret(self) -> Fraction:
         return max(self.internal_regrets)
-
-
-def _sample(weights: list[float], rng: random.Random) -> int:
-    total = sum(weights)
-    r = rng.random() * total
-    acc = 0.0
-    for a, w in enumerate(weights):
-        acc += w
-        if r < acc:
-            return a
-    return len(weights) - 1
 
 
 def _closed_class(positive: list[list[float]], k: int) -> list[int]:
@@ -174,11 +170,23 @@ def run(game: Game, algorithm: str, steps: int, seed: int,
     positive conditional regrets, uniform while no regret is positive: the
     stationary distribution of one closed class, solved directly rather
     than approximated (see `_stationary`; one class suffices by Blum and
-    Mansour).  Each learner keeps only the sums it reads: cumulative
-    payoffs for external_mw, conditional regret sums for internal_rm.  The
-    closed class depends only on which regret sums are positive, so
-    internal_rm keeps it per player and finds it again only when that
-    pattern changes.
+    Mansour).  Each player samples its action by one `random()` draw times
+    the float sum of its weights: the first action whose running sum of
+    weights exceeds it, or the last action if none does.
+
+    Each learner keeps only the sums it reads.  Before the first step, each
+    player gets a column table: entry k is the player's float payoff for
+    each own action against the opponents of profile k, one list shared by
+    the profiles that differ only in the player's own action.  A step then
+    adds the column of the realized profile to external_mw's cumulative
+    payoffs, or, for internal_rm, adds it less the realized payoff to the
+    regret sums of the played action only, and recomputes the positive
+    part and signs of that one row.  The closed class depends only on which
+    regret sums are positive, so internal_rm keeps it per player and drops
+    it when a sign in the played row flips.  Play is counted per profile
+    index, and profiles and strategy tuples are built once, after the last
+    step.  Floats only pick the actions: the empirical distribution is the
+    exact play counts, and the regrets are computed from it exactly.
     """
     if algorithm not in ALGORITHMS:
         raise DynamicsError(f"unknown algorithm {algorithm!r}")
@@ -190,70 +198,88 @@ def run(game: Game, algorithm: str, steps: int, seed: int,
     n = game.num_players
     shape = game.shape
     rng = random.Random(seed)
-    payoff = [[float(x) for x in game.payoffs[i]] for i in range(n)]
-    ranges = [max(payoff[i]) - min(payoff[i]) if payoff[i] else 0.0 for i in range(n)]
     strides = game.strides
     external = algorithm == EXTERNAL_MW
+    ranges = []
+    # columns[i][k]: player i's payoff for each own action against profile k's opponents
+    columns = []
+    for i in range(n):
+        payoff = [float(x) for x in game.payoffs[i]]
+        ranges.append(max(payoff) - min(payoff))
+        stride, k = strides[i], shape[i]
+        table = [None] * game.num_profiles
+        for base in opponent_bases(game, i):
+            column = payoff[base:base + k * stride:stride]
+            table[base:base + k * stride:stride] = [column] * k
+        columns.append(table)
+    uniform = [[1.0] * k for k in shape]
 
     # external: cumulative payoff of each fixed action vs realized play
-    cumulative = [[0.0] * shape[i] for i in range(n)]
-    # internal: conditional regret sums S[played][alternative], per player
-    regret_sum = [[[0.0] * shape[i] for _ in range(shape[i])] for i in range(n)]
+    cumulative = [[0.0] * k for k in shape]
+    # internal: conditional regret sums S[played][alternative], their
+    # positive parts and signs, how many are positive, and the kept class
+    regret_sum = [[[0.0] * k for _ in range(k)] for k in shape]
+    positive = [[[0.0] * k for _ in range(k)] for k in shape]
+    pattern = [[[False] * k for _ in range(k)] for k in shape]
+    positives = [0] * n
+    members: list[list[int] | None] = [None] * n
 
-    # internal: each player's positive-regret pattern and its closed class
-    classes: list[tuple[tuple[bool, ...], list[int]]] = [((), [])] * n
-
-    counts: Counter = Counter()
-    strategies: list[tuple[float, ...]] = [()] * n
+    counts = [0] * game.num_profiles
+    played = [0] * n
+    strategies = list(uniform)
 
     for t in range(1, steps + 1):
-        profile = []
-        for i in range(n):
-            k = shape[i]
-            if external:
-                if ranges[i] == 0.0:
-                    dist = [1.0] * k
-                else:
-                    eta = learning_rate / (ranges[i] * math.sqrt(t))
-                    top = max(cumulative[i])
-                    dist = [math.exp(eta * (c - top)) for c in cumulative[i]]
-            else:
-                # constant payoffs and t = 1 both leave every regret sum at 0.0
-                positive = [[r if r > 0.0 else 0.0 for r in row] for row in regret_sum[i]]
-                pattern = tuple(r > 0.0 for row in positive for r in row)
-                if any(pattern):
-                    if classes[i][0] != pattern:
-                        classes[i] = (pattern, _closed_class(positive, k))
-                    dist = _stationary(positive, classes[i][1], k)
-                else:
-                    dist = [1.0] * k
-            strategies[i] = tuple(dist)
-            profile.append(_sample(dist, rng))
-
+        root = math.sqrt(t)
         index = 0
         for i in range(n):
-            index += profile[i] * strides[i]
-        counts[tuple(profile)] += 1
+            if external:
+                if ranges[i] == 0.0:
+                    dist = uniform[i]
+                else:
+                    eta = learning_rate / (ranges[i] * root)
+                    row = cumulative[i]
+                    top = max(row)
+                    dist = [math.exp(eta * (c - top)) for c in row]
+            elif positives[i]:
+                if members[i] is None:
+                    members[i] = _closed_class(positive[i], shape[i])
+                dist = _stationary(positive[i], members[i], shape[i])
+            else:
+                # constant payoffs and t = 1 both leave every regret sum at 0.0
+                dist = uniform[i]
+            strategies[i] = dist
+            # the first a with r below the running sum; past the end, the last action
+            r = rng.random() * sum(dist)
+            acc = 0.0
+            for a, w in enumerate(dist):
+                acc += w
+                if r < acc:
+                    break
+            played[i] = a
+            index += a * strides[i]
+        counts[index] += 1
 
         for i in range(n):
-            stride = strides[i]
-            base = index - profile[i] * stride
-            # player i's payoff for each own action against the realized opponents
-            column = payoff[i][base:base + shape[i] * stride:stride]
+            column = columns[i][index]
             if external:
-                row = cumulative[i]
-                for a, alt in enumerate(column):
-                    row[a] += alt
+                cumulative[i] = list(map(add, cumulative[i], column))
             else:
-                realized = payoff[i][index]
-                row = regret_sum[i][profile[i]]
-                for a, alt in enumerate(column):
-                    row[a] += alt - realized
+                a = played[i]
+                realized = column[a]
+                sums = [s + (alt - realized) for s, alt in zip(regret_sum[i][a], column)]
+                regret_sum[i][a] = sums
+                positive[i][a] = [s if s > 0.0 else 0.0 for s in sums]
+                signs = [s > 0.0 for s in sums]
+                before = pattern[i][a]
+                if signs != before:
+                    pattern[i][a] = signs
+                    positives[i] += signs.count(True) - before.count(True)
+                    members[i] = None
 
     empirical = JointDistribution(
-        {p: Fraction(c, steps) for p, c in counts.items()})
+        {game.profile_from_index(k): Fraction(c, steps) for k, c in enumerate(counts) if c})
     gains = [_deviation_gains(game, i, empirical) for i in range(n)]
     ext = tuple(external_regret(game, i, empirical, gains[i]) for i in range(n))
     internal = tuple(internal_regret(game, i, empirical, gains[i]) for i in range(n))
     return DynamicsRun(game, algorithm, steps, seed, learning_rate, empirical,
-                       ext, internal, tuple(strategies))
+                       ext, internal, tuple(map(tuple, strategies)))

@@ -279,7 +279,7 @@ class _StandardForm:
         # Per system row: its slack column and that column's entry (+1 on a
         # `<=` row, -1 on a `>=` row of the standard form), None on `==`.
         self.slacks: list[tuple[int, int] | None] = []
-        self.cost: list[Fraction] = []
+        self.cost: list[int | Fraction] = []
         self.cost_scale = 1
         slack_idx = slack_base
         art_idx = art_base
@@ -377,7 +377,7 @@ class _StandardForm:
         self.basis[p], self.cols[s] = self.cols[s], self.basis[p]
         self.det = pval
 
-    def _load_objective(self, cost: Sequence[Fraction]) -> None:
+    def _load_objective(self, cost: Sequence[int | Fraction]) -> None:
         """Reduced-cost row for `cost`, indexed by variable, at the current basis.
 
         The row is written at the current `det`; only the rows whose basic
@@ -504,7 +504,7 @@ class _StandardForm:
             self.z = [0] * (self.ncols + 1)
         return True
 
-    def optimize(self, cost_y: Sequence[Fraction], stop_on_move: bool = False) -> str:
+    def optimize(self, cost_y: Sequence[int | Fraction], stop_on_move: bool = False) -> str:
         self.cost = list(cost_y)
         self._load_objective(cost_y)
         return self._bland_min(stop_on_move)
@@ -606,7 +606,7 @@ class PolytopeSolver:
         value = sum((c * x for c, x in zip(objective, point) if x and c), Fraction(0))
         return LpOutcome(OPTIMAL, value, point)
 
-    def step_off(self, objective: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
+    def step_off(self, objective: Sequence[int | Fraction]) -> tuple[Fraction, ...] | None:
         """Maximize `objective` from the current basis until the basic point moves.
 
         Bland's path stops at its first nondegenerate pivot (see
@@ -617,12 +617,13 @@ class PolytopeSolver:
         optimum with no such pivot, x* is optimal, the method returns None,
         and only then may `duals` be read.  The system must be bounded, as
         a polytope is: an unbounded objective raises `SolverInvariantError`.
+        The objective's entries may be ints or `Fraction`s.
         """
         if not self.feasible:
             raise LpError("an infeasible system has no basis")
         self._check_width(objective)
         self._maximized = None
-        status = self._form.optimize([-Fraction(c) for c in objective], stop_on_move=True)
+        status = self._form.optimize([-c for c in objective], stop_on_move=True)
         if status == UNBOUNDED:
             raise SolverInvariantError("step_off met an unbounded objective")
         if status == MOVED:

@@ -454,7 +454,7 @@ def singleton_over_system(game: Game, system: ConstraintSystem,
         raise SolverInvariantError(f"{what} is unexpectedly empty")
     base_point = solver.feasible_point()
     base = JointDistribution.from_vector(game, base_point)
-    outside = [Fraction(0) if x else Fraction(1) for x in base_point]
+    outside = [0 if x else 1 for x in base_point]
     other = None
     if any(outside):
         other = solver.step_off(outside)

@@ -44,9 +44,13 @@ def parse_rational(value) -> Fraction:
     raise RationalFormatError(f"cannot parse {value!r} as a rational")
 
 
-def format_rational(value: Fraction) -> str:
-    """Canonical text form: lowest terms, "p/q", integers without "/1"."""
-    return str(Fraction(value))
+def format_rational(value: Fraction | int | str) -> str:
+    """Canonical text form: lowest terms, "p/q", integers without "/1".
+
+    A `Fraction` is already in lowest terms and is printed as it is; any
+    other value is read as a `Fraction` first.
+    """
+    return str(value) if type(value) is Fraction else str(Fraction(value))
 
 
 def iroot(n: int, k: int) -> tuple[int, bool]:

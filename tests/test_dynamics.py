@@ -1,9 +1,13 @@
 """Seeded learning runs and the exact regret accounting behind them."""
 
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import F
 from eqcert import dynamics
@@ -17,7 +21,7 @@ from eqcert.dynamics import (
     internal_regret,
     run,
 )
-from eqcert.games import JointDistribution
+from eqcert.games import Game, JointDistribution
 from eqcert.generators import (
     matching_pennies,
     parking,
@@ -298,7 +302,6 @@ def test_run_guards():
 
 
 def test_constant_payoffs_leave_no_regret():
-    from eqcert.games import Game
     flat = Game((("a", "b"), ("a", "b")), ((0, 0, 0, 0), (0, 0, 0, 0)), "flat")
     result = run(flat, EXTERNAL_MW, 400, seed=9)
     assert result.max_external_regret == 0
@@ -351,3 +354,128 @@ def test_three_player_run():
     assert all(len(p) == 3 for p in result.empirical.weights)
     assert len(result.external_regrets) == 3
     assert result.max_external_regret <= F(1, 10)
+
+
+# -- the step loop against a frozen copy of its earlier form ---------------------
+
+
+def _frozen_sample(weights, rng):
+    total = sum(weights)
+    r = rng.random() * total
+    acc = 0.0
+    for a, w in enumerate(weights):
+        acc += w
+        if r < acc:
+            return a
+    return len(weights) - 1
+
+
+def _frozen_run(game, algorithm, steps, seed, learning_rate):
+    """`run`'s step loop before its column tables, kept verbatim as the oracle.
+
+    It slices each payoff column out at every step, rebuilds every
+    player's positive regrets and their sign pattern at every
+    regret-matching step, and counts play in a `Counter` of profiles.
+    Returns the empirical distribution and the final strategies.
+    """
+    n = game.num_players
+    shape = game.shape
+    rng = random.Random(seed)
+    payoff = [[float(x) for x in game.payoffs[i]] for i in range(n)]
+    ranges = [max(payoff[i]) - min(payoff[i]) if payoff[i] else 0.0 for i in range(n)]
+    strides = game.strides
+    external = algorithm == EXTERNAL_MW
+    cumulative = [[0.0] * shape[i] for i in range(n)]
+    regret_sum = [[[0.0] * shape[i] for _ in range(shape[i])] for i in range(n)]
+    classes = [((), [])] * n
+    counts = Counter()
+    strategies = [()] * n
+
+    for t in range(1, steps + 1):
+        profile = []
+        for i in range(n):
+            k = shape[i]
+            if external:
+                if ranges[i] == 0.0:
+                    dist = [1.0] * k
+                else:
+                    eta = learning_rate / (ranges[i] * math.sqrt(t))
+                    top = max(cumulative[i])
+                    dist = [math.exp(eta * (c - top)) for c in cumulative[i]]
+            else:
+                positive = [[r if r > 0.0 else 0.0 for r in row] for row in regret_sum[i]]
+                pattern = tuple(r > 0.0 for row in positive for r in row)
+                if any(pattern):
+                    if classes[i][0] != pattern:
+                        classes[i] = (pattern, dynamics._closed_class(positive, k))
+                    dist = dynamics._stationary(positive, classes[i][1], k)
+                else:
+                    dist = [1.0] * k
+            strategies[i] = tuple(dist)
+            profile.append(_frozen_sample(dist, rng))
+
+        index = 0
+        for i in range(n):
+            index += profile[i] * strides[i]
+        counts[tuple(profile)] += 1
+
+        for i in range(n):
+            stride = strides[i]
+            base = index - profile[i] * stride
+            column = payoff[i][base:base + shape[i] * stride:stride]
+            if external:
+                row = cumulative[i]
+                for a, alt in enumerate(column):
+                    row[a] += alt
+            else:
+                realized = payoff[i][index]
+                row = regret_sum[i][profile[i]]
+                for a, alt in enumerate(column):
+                    row[a] += alt - realized
+
+    empirical = JointDistribution({p: Fraction(c, steps) for p, c in counts.items()})
+    return empirical, tuple(strategies)
+
+
+SHAPES = ((2, 2), (2, 3), (3, 3), (4, 2), (3, 5), (2, 2, 2), (3, 2, 2), (3, 3, 3))
+
+
+@st.composite
+def _small_game(draw):
+    """A 2- or 3-player game of small integers over 1, 3 or 10, which tie often.
+
+    Thirds and tenths are inexact in floating point, so a reordered float
+    sum shows; integers are exact and tie the cumulative payoffs.  One
+    player may get constant payoffs, whose span 0.0 takes multiplicative
+    weights' uniform branch and leaves every regret sum at 0.0.
+    """
+    shape = draw(st.sampled_from(SHAPES))
+    size = math.prod(shape)
+    denominator = draw(st.sampled_from((1, 3, 10)))
+    payoffs = [draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))
+               for _ in shape]
+    flat = draw(st.sampled_from((None,) + tuple(range(len(shape)))))
+    if flat is not None:
+        payoffs[flat] = [draw(st.integers(-3, 3))] * size
+    actions = tuple(tuple(f"a{k}" for k in range(m)) for m in shape)
+    return Game(actions, tuple(tuple(Fraction(x, denominator) for x in row)
+                               for row in payoffs))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_small_game(), st.sampled_from((EXTERNAL_MW, INTERNAL_RM)),
+       st.integers(1, 300), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from((0.05, 0.5, 1.0, 5.0, 40.0)))
+@example(rock_paper_scissors(), INTERNAL_RM, 300, 5, 0.5)
+@example(matching_pennies(), EXTERNAL_MW, 300, 3, 5.0)
+@example(Game((("a", "b"), ("a", "b")), ((0, 0, 0, 0), (1, 1, 1, 1))), INTERNAL_RM, 50, 1, 0.5)
+def test_run_repeats_the_frozen_step_loop(game, algorithm, steps, seed, rate):
+    outcome = run(game, algorithm, steps, seed, rate)
+    empirical, strategies = _frozen_run(game, algorithm, steps, seed, rate)
+    assert outcome.empirical == empirical
+    assert outcome.final_strategies == strategies
+    n = game.num_players
+    assert outcome.external_regrets == tuple(external_regret(game, i, empirical)
+                                             for i in range(n))
+    assert outcome.internal_regrets == tuple(internal_regret(game, i, empirical)
+                                             for i in range(n))

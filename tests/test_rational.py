@@ -31,6 +31,16 @@ def test_format_lowest_terms():
     assert format_rational(Fraction(0)) == "0"
 
 
+def test_format_reads_ints_and_strings_as_fractions():
+    assert format_rational(7) == "7"
+    assert format_rational(-3) == "-3"
+    assert format_rational(0) == "0"
+    assert format_rational("6/8") == "3/4"
+    assert format_rational("-4/2") == "-2"
+    assert format_rational("0.25") == "1/4"
+    assert format_rational(" 5 ") == "5"
+
+
 def test_round_trip():
     for text in ("0", "1", "-7", "22/7", "-3/5", "1000000007/3"):
         assert format_rational(parse_rational(text)) == text
