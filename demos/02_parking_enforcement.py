@@ -16,6 +16,7 @@ from eqcert.certify import (
     certify_unique_ircp,
     check_enforcement,
 )
+from eqcert.games import affine_transform
 from eqcert.generators import parking
 
 M, V, C = 3, Fraction(1), Fraction(1, 4)
@@ -43,7 +44,9 @@ print()
 # welfare everywhere else.  That structure is checkable line by line.
 game = parking(M, V, C, Fraction(3, 5))
 cert = certify_unique_ircp(game)
-check = check_enforcement(cert.transformed_game)
+transformed = affine_transform(game, cert.gamma,
+                               [-g * game.u(i, cert.a_star) for i, g in enumerate(cert.gamma)])
+check = check_enforcement(transformed)
 print(f"transformed game at t = 3/5 is in enforcement form: {check.holds}")
 print(f"  zero at target:            {check.zero_at_star}")
 print(f"  unilateral guarantee:      {check.unilateral_guarantee}")

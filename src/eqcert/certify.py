@@ -4,21 +4,21 @@ A uniqueness certificate for a profile a* consists of positive welfare
 weights gamma such that the gamma-weighted payoff gains relative to a*
 are strictly negative at every other profile (for IRCP uniqueness, gains
 are measured against a* itself; for unique pure CCE, against unilateral
-switches to a_i*).  The weights are the dual of the LP that pins P(a*) =
-{mu : E_mu u >= u(a*)} to delta(a*), the test that decides IRCP and strict
-fractional GUE, kept by `polytopes.GameAnalysis.improvement`; refutations
-carry explicit polytope members that anyone can re-check.  At a strict NE
-a*, a pure CCE certificate is an IRCP one of v_i(a) = u_i(a) - u_i(a_i*,
-a_{-i}), found with no maximin LP: each level of v is 0, as a_i* gets 0
-against every a_{-i} and every other mix loses against a*_{-i}.  The weighted
-gains of a certificate are summed over the players' integer payoffs
-(`Game.int_payoffs`), with gamma_i / d_i over one common denominator, and
-the slack is reported as a `Fraction`.  The solver's re-check and
-`verify_certificate` are one check on the payoffs alone, with no maximin
-level and no LP (`_certificate_problems`).  The CCE question is decided once
+switches to a_i*).  Such weights pin P(a*) = {mu : E_mu u >= u(a*)} to
+delta(a*): over the game for IRCP and strict fractional GUE, over v_i(a) =
+u_i(a) - u_i(a_i*, a_{-i}) (`games.cce_reduction`) for a pure CCE.  One
+kept search finds them, `polytopes.GameAnalysis.weights`, which decides
+those questions too, so a certificate is only (concept, a*, gamma, slack);
+refutations carry explicit polytope members that anyone can re-check.  At
+a strict NE a*, a pure CCE certificate needs no maximin LP: each level of
+v is 0, as a_i* gets 0 against every a_{-i} and every other mix loses
+against a*_{-i}.  The weighted gains of a certificate are summed over the
+players' integer payoffs (`games._gain_slack`), and the slack is reported
+as a `Fraction`.  The solver's re-check and `verify_certificate` are one
+call on the game's payoffs alone, with no maximin level and no LP
+(`_certificate_problems`).  The CCE question is decided once
 (`_cce_decision`), and `certify_unique_pure_cce` and `classify_unique_cce`
-convert that decision.  Its reduced P(a*) test also decides a one-point CCE
-(`polytopes.GameAnalysis.singleton`), so a report then solves no CCE LP.
+convert that decision.
 
 Certificates and refutations are written and read here; their witnesses take
 the JSON form of `games` and are re-checked by `polytopes.membership_problems`.
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from . import games, polytopes, zerosum
@@ -37,9 +36,8 @@ from .games import (
     JointDistribution,
     MixedAction,
     Profile,
-    affine_transform,
-    cce_reduction,
-    deviation_gains,
+    _gain_slack,
+    _normalize,
     is_symmetric,
     product_distribution,
 )
@@ -115,7 +113,6 @@ class UniquenessCertificate:
     a_star: Profile
     gamma: tuple[Fraction, ...]
     slack: Fraction
-    transformed_game: Game
 
 
 @dataclass(frozen=True)
@@ -125,46 +122,15 @@ class Refutation:
     witnesses: tuple[JointDistribution, ...]  # two members, or one mixed CCE
 
 
-def _normalize(gamma: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    total = sum((Fraction(g) for g in gamma), Fraction(0))
-    return tuple(Fraction(g) / total for g in gamma)
-
-
-def _gain_slack(game: Game, a_star: Profile, gamma: Sequence[Fraction],
-                concept: str) -> Fraction | None:
-    """min over a != a* of -sum_i gamma_i delta_i(a); None if some sum is >= 0.
-
-    delta_i(a) is u_i(a) - u_i(a*) for "ircp" and u_i(a) - u_i(a_i*, a_-i)
-    for "cce", whose gains are the IRCP gains of `games.cce_reduction`.
-    The weights gamma_i / d_i are put over one common denominator D as ints
-    W_i, with d_i player i's payoff scale (`Game.payoff_scales`), so each
-    weighted gain is an int over D: sum_i W_i T_i(a) less its value at a*
-    for "ircp", with T_i = d_i u_i (`Game.int_payoffs`), and sum_i W_i
-    `games.deviation_gains(game, i, a_i*)` for "cce", which is 0 at a*.
-    """
-    k_star = game.profile_index(a_star)
-    weights = [Fraction(g) / d for g, d in zip(gamma, game.payoff_scales)]
-    denom = lcm(*{w.denominator for w in weights})
-    gains = [0] * game.num_profiles
-    for i, (w, table) in enumerate(zip(weights, game.int_payoffs)):
-        weight = w.numerator * (denom // w.denominator)
-        if concept != "ircp":
-            table = deviation_gains(game, i, a_star[i])
-        gains = [s + weight * t for s, t in zip(gains, table)]
-    base = gains.pop(k_star)
-    worst = max(gains) - base
-    return None if worst >= 0 else Fraction(-worst, denom)
-
-
 def _certificate_problems(game: Game, concept: str, a_star: Profile,
                           gamma: Sequence[Fraction], slack: Fraction) -> list[str]:
     """What keeps gamma from putting `game` in enforcement form at a*; no LP runs.
 
-    Weights and slack must be positive, the slack `_gain_slack`'s.  For
-    "ircp" each a*_i must guarantee u_i(a*) (`_unilateral_guarantee`), so
-    every IRCP member pays i at least u_i(a*) and negative gains leave only
-    delta(a*).  A negative "cce" gain gamma_i (u_i(a_i, a*_-i) - u_i(a*))
-    already makes a* a strict NE.
+    Weights and slack must be positive, the slack `games._gain_slack`'s.
+    For "ircp" each a*_i must guarantee u_i(a*) (`_unilateral_guarantee`),
+    so every IRCP member pays i at least u_i(a*) and negative gains leave
+    only delta(a*).  A negative "cce" gain gamma_i (u_i(a_i, a*_-i) -
+    u_i(a*)) already makes a* a strict NE.
     """
     problems = []
     if any(g <= 0 for g in gamma):
@@ -183,21 +149,13 @@ def _certificate_problems(game: Game, concept: str, a_star: Profile,
     return problems
 
 
-def _certificate(concept: str, a_star: Profile,
-                 gamma: Sequence[Fraction], slack: Fraction,
-                 base_game: Game) -> UniquenessCertificate:
-    """Assemble a certificate and re-check it as an IRCP one of `base_game`.
-
-    `base_game` is the context's game, or its CCE reduction at a*, whose
-    IRCP gains are the game's CCE gains and where each a*_i guarantees 0.
-    """
-    gamma = _normalize(gamma)
-    problems = _certificate_problems(base_game, "ircp", a_star, gamma, slack)
+def _certificate(game: Game, concept: str, a_star: Profile,
+                 gamma: tuple[Fraction, ...], slack: Fraction) -> UniquenessCertificate:
+    """The certificate, re-checked by the call `verify_certificate` makes."""
+    problems = _certificate_problems(game, concept, a_star, gamma, slack)
     if problems:
         raise SolverInvariantError(f"certificate re-check: {'; '.join(problems)}")
-    beta = tuple(-g * base_game.u(i, a_star) for i, g in enumerate(gamma))
-    transformed = affine_transform(base_game, gamma, beta)
-    return UniquenessCertificate(concept, tuple(a_star), gamma, slack, transformed)
+    return UniquenessCertificate(concept, tuple(a_star), gamma, slack)
 
 
 def certify_unique_ircp(game: Game | polytopes.GameAnalysis
@@ -206,48 +164,14 @@ def certify_unique_ircp(game: Game | polytopes.GameAnalysis
 
     Converts the context's IRCP decision (`GameAnalysis.singleton`):
     witnesses into a refutation with the decision's reason, the point
-    delta(a*) into weights (`_search_weights`), whose negative weighted
-    gains and enforcement form (`_certificate`) prove it again.
+    delta(a*) into the weights that decided it (`GameAnalysis.weights`).
     """
     analysis = polytopes.analysis_of(game)
     singleton = analysis.singleton("ircp")
     if not singleton.is_singleton:
         return Refutation("ircp", singleton.reason, singleton.witnesses)
     [a_star] = singleton.point.support()
-    return _search_weights(analysis, analysis.game, a_star, "ircp")
-
-
-def _search_weights(analysis: polytopes.GameAnalysis, game: Game, a_star: Profile,
-                    concept: str, gamma_hint: Sequence[Fraction] | None = None
-                    ) -> UniquenessCertificate | None:
-    """The `concept` certificate pinning P(a*) of `game` to delta(a*), or None.
-
-    `game` is the context's game, or its CCE reduction at a*; in both, a*_i
-    is player i's only pure maximin action and u(a*) is at the levels.  It
-    tries `gamma_hint` (ignored unless positive and one per player), uniform
-    weights for a symmetric game, then gamma_i ~ y_i d_i from the dual of
-    the kept P(a*) test, None when that finds a second member.  Each is
-    positive: with gamma_i = 0, the weighted gain is >= 0 where i alone
-    leaves a*, as each other j, playing its pure maximin action, gets at
-    least u_j(a*).
-    """
-    n = game.num_players
-    tries = [(Fraction(1, n),) * n] if is_symmetric(game) else []
-    if gamma_hint is not None and len(gamma_hint) == n and all(
-            Fraction(g) > 0 for g in gamma_hint):
-        tries.insert(0, gamma_hint)
-    for gamma in tries:
-        slack = _gain_slack(game, a_star, _normalize(gamma), "ircp")
-        if slack is not None:
-            return _certificate(concept, a_star, gamma, slack, game)
-    singleton = analysis.improvement(a_star, game)
-    if not singleton.is_singleton:
-        return None
-    gamma = _normalize([y * d for y, d in zip(singleton.duals, game.payoff_scales)])
-    slack = _gain_slack(game, a_star, gamma, "ircp")
-    if slack is None or any(g <= 0 for g in gamma):
-        raise SolverInvariantError("the P(a*) dual gave a boundary weight or a gain >= 0")
-    return _certificate(concept, a_star, gamma, slack, game)
+    return _certificate(analysis.game, "ircp", a_star, *analysis.weights(a_star, "ircp"))
 
 
 def _cce_decision(analysis: polytopes.GameAnalysis,
@@ -255,24 +179,29 @@ def _cce_decision(analysis: polytopes.GameAnalysis,
                   ) -> UniquenessCertificate | polytopes.SingletonResult:
     """The one CCE decision: a certificate at a*, or the CCE singleton test.
 
-    A unique pure CCE sits at a strict pure NE a*, where it is the IRCP
-    certificate of the reduced game (see the module docstring).  So at the
-    context's CCE candidate, the lone strict pure NE with no rival (no LP),
-    `_search_weights` runs first, unless the context holds a CCE decision
-    other than delta(a*); its last try is the kept reduced P(a*) test, which
-    the context's CCE decision reads too.  A rival leaves no weights to
-    find.  Otherwise that decision stands: two members, or a mixed point.
-    A pure point there is one the weight search must have certified, so it
-    raises.
+    A unique pure CCE sits at a strict pure NE a*, where its weights pin
+    the reduced P(a*) (see the module docstring).  So at the context's CCE
+    candidate, the lone strict pure NE with no rival (no LP), weights are
+    sought first, unless the context holds a CCE decision other than
+    delta(a*): `gamma_hint` (ignored unless positive and one per player),
+    then `GameAnalysis.weights`, which the context's CCE decision reads
+    too.  A rival leaves no weights to find.  Otherwise that decision
+    stands: two members, or a mixed point.  A pure point there is one the
+    weights must have certified, so it raises.
     """
-    a_star = analysis.cce_candidate()
+    game, a_star = analysis.game, analysis.cce_candidate()
     if a_star is not None:
         kept = analysis.kept_singleton("cce")
         if kept is None or kept.point == JointDistribution.point_mass(a_star):
-            found = _search_weights(analysis, cce_reduction(analysis.game, a_star), a_star,
-                                    "cce", gamma_hint)
+            found = None
+            if gamma_hint is not None and len(gamma_hint) == game.num_players and all(
+                    Fraction(g) > 0 for g in gamma_hint):
+                gamma = _normalize(gamma_hint)
+                slack = _gain_slack(game, a_star, gamma, "cce")
+                found = None if slack is None else (gamma, slack)
+            found = found or analysis.weights(a_star, "cce")
             if found is not None:
-                return found
+                return _certificate(game, "cce", a_star, *found)
     singleton = analysis.singleton("cce")
     if singleton.is_singleton and len(singleton.point.support()) == 1:
         raise SolverInvariantError("pure singleton CCE must admit a uniqueness certificate")
@@ -607,14 +536,15 @@ def is_strict_fractional_gue(game: Game | polytopes.GameAnalysis,
     {delta(a*)}, an improving lottery would be a second member of P(a*),
     and so would a second lottery matching u(a*).  Conversely, if both
     conditions hold and mu is in P(a*), then E_mu u = u(a*), since anything
-    higher improves on a*, and so mu = delta(a*).  The test is the
-    context's kept one (`GameAnalysis.improvement`).
+    higher improves on a*, and so mu = delta(a*).  The answer is the
+    context's kept weight search (`GameAnalysis.weights`), which needs the
+    guarantee tested first.
     """
     analysis = polytopes.analysis_of(game)
     a_star = tuple(a_star)
     if not _unilateral_guarantee(analysis.game, a_star):
         return False
-    return analysis.improvement(a_star).point == JointDistribution.point_mass(a_star)
+    return analysis.weights(a_star, "ircp") is not None
 
 
 # -- serialization ------------------------------------------------------------

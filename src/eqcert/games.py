@@ -416,6 +416,37 @@ def gain_table(game: Game, player: int, support: Sequence[tuple[int, int]]) -> l
     return table
 
 
+def _normalize(gamma: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    total = sum((Fraction(g) for g in gamma), Fraction(0))
+    return tuple(Fraction(g) / total for g in gamma)
+
+
+def _gain_slack(game: Game, a_star: Profile, gamma: Sequence[Fraction],
+                concept: str) -> Fraction | None:
+    """min over a != a* of -sum_i gamma_i delta_i(a); None if some sum is >= 0.
+
+    delta_i(a) is u_i(a) - u_i(a*) for "ircp" and u_i(a) - u_i(a_i*, a_-i)
+    for "cce", whose gains are the IRCP gains of `cce_reduction`.
+    The weights gamma_i / d_i are put over one common denominator D as ints
+    W_i, with d_i player i's payoff scale (`Game.payoff_scales`), so each
+    weighted gain is an int over D: sum_i W_i T_i(a) less its value at a*
+    for "ircp", with T_i = d_i u_i (`Game.int_payoffs`), and sum_i W_i
+    `deviation_gains(game, i, a_i*)` for "cce", which is 0 at a*.
+    """
+    k_star = game.profile_index(a_star)
+    weights = [Fraction(g) / d for g, d in zip(gamma, game.payoff_scales)]
+    denom = lcm(*{w.denominator for w in weights})
+    gains = [0] * game.num_profiles
+    for i, (w, table) in enumerate(zip(weights, game.int_payoffs)):
+        weight = w.numerator * (denom // w.denominator)
+        if concept != "ircp":
+            table = deviation_gains(game, i, a_star[i])
+        gains = [s + weight * t for s, t in zip(gains, table)]
+    base = gains.pop(k_star)
+    worst = max(gains) - base
+    return None if worst >= 0 else Fraction(-worst, denom)
+
+
 def opponent_bases(game: Game, player: int) -> list[int]:
     """Profile index at which `player` plays action 0, per opponent joint action.
 

@@ -28,7 +28,8 @@ artificial's row, which gives the basis of e_j, and ends there.  A negative
 right-hand side after that pivot means e_j violates a row, and raises
 `SolverInvariantError`.  The CCE singleton test starts this way at the point
 mass of the game's only pure Nash equilibrium (see `polytopes.is_singleton`),
-and the P(a*) test of GUE and certificate weights at delta(a*) (`certify`).
+and the P(a*) test behind GUE flags and certificate weights at delta(a*)
+(`polytopes.GameAnalysis.weights`).
 
 `PolytopeSolver` factors the phase-1 work out of repeated optimization over
 one feasible system; singleton tests and coordinate bounds re-optimize several

@@ -28,10 +28,12 @@ pure saddle point; elsewhere its maximin LP keeps `Fraction` rows (see
 
 The IRCP polytope can be one point only at delta(a*), a*_i player i's
 only pure maximin action, where u(a*) is at the levels; it is then P(a*) =
-{mu : E_mu u >= u(a*)} (`improvement_system`), whose simplex starts at
-delta(a*) in one pivot.  The IRCP decision (`_ircp_decision`) reads the
-kept P(a*) test there, which the GUE flag and certificates read too, and
-elsewhere builds two members with no LP.
+{mu : E_mu u >= u(a*)} (`improvement_system`).  Whether P(a*) is delta(a*)
+is asked once per a*, of the game or of its CCE reduction, by
+`GameAnalysis.weights`: uniform weights where that game is symmetric, else
+the dual of the P(a*) test, whose simplex starts at delta(a*) in one pivot.
+The IRCP decision (`_ircp_decision`) asks it there, as the GUE flag and
+certificates do, and elsewhere builds two members with no LP.
 
 `GameAnalysis.singleton` decides the other polytopes down the inclusion
 chain NE <= CE <= CCE <= IRCP.  CE is never empty (Hart and Schmeidler,
@@ -48,12 +50,12 @@ is re-checked by exact membership in the smaller polytope, and a failed
 re-check raises `SolverInvariantError`.
 
 With no larger singleton kept, a CCE decision at a lone strict pure NE a*
-first reads the kept test of P(a*) over v_i(a) = u_i(a) - u_i(a*_i, a_-i)
-(`games.cce_reduction`), whose dual `certify` reads for the weights: CCE =
-{delta(a*)} exactly when it is one point.  A rival, b != a* where every
-player gains weakly over a*_i, makes delta(b) a second member and skips the
-test, here and in `certify` (`GameAnalysis.cce_candidate`); anything but a
-point leaves the decision to the CCE LP.
+first asks `GameAnalysis.weights` about P(a*) over v_i(a) = u_i(a) -
+u_i(a*_i, a_-i) (`games.cce_reduction`), whose weights `certify` reads for
+the certificate: CCE = {delta(a*)} exactly when it is one point.  A rival,
+b != a* where every player gains weakly over a*_i, makes delta(b) a second
+member and skips the question, here and in `certify`
+(`GameAnalysis.cce_candidate`); no weights leave the decision to the CCE LP.
 
 Singleton tests start from the pure Nash equilibria, whose point masses lie
 in all three polytopes.  Two of them refute singleton-ness with no LP.  One
@@ -160,10 +162,10 @@ class SingletonResult:
     """Either the unique member, or two distinct members as witnesses.
 
     `duals`, one per system row, is the dual of the LP that pinned the point
-    (`singleton_over_system`); None for witnesses and for a point taken down
-    the inclusion chain, whose dual belongs to another system's rows.  An
-    IRCP point's duals, and a CCE point's from the reduced test, are over
-    the rows of P(a*) (`improvement_system`).
+    (`singleton_over_system`); None for witnesses, for a point taken down
+    the inclusion chain, whose dual belongs to another system's rows, and
+    for an IRCP or CCE point decided at a*, whose certificate is the
+    context's weights (`GameAnalysis.weights`).
     `reason` says why an IRCP decision holds its witnesses, else None.
     """
 
@@ -211,19 +213,21 @@ class GameAnalysis:
     """Results about one game, each computed on first use and then kept.
 
     It holds each player's maximin result, each concept's polytope and
-    singleton decision, each P(a*) singleton test, and the pure-NE list.  A
-    context lives for one call (one report, one verification) and is then
-    dropped; nothing is shared across calls.  Each result comes from the
-    module function that computes it (`zerosum.maximin`, `build_polytope`,
-    `is_singleton`, `singleton_over_system`, `enumerate_pure_ne`), so a
-    re-check made on a kept result checks what that function returned,
-    but for three.  The IRCP decision is `_ircp_decision`'s.  A singleton
-    taken down the inclusion chain, with no duals, or from the reduced
-    P(a*) test is another test's point, re-checked by exact membership in
-    this concept's polytope.  And a verifier may pass `levels`, maximin
-    results it has checked from their certificates (`zerosum.check_maximin`):
-    the context then keeps those and never solves a maximin LP, and asking
-    it for a player's result that `levels` lacks raises `PolytopeError`.
+    singleton decision, each P(a*) singleton test and weight search, and
+    the pure-NE list.  A context lives for one call (one report, one
+    verification) and is then dropped; nothing is shared across calls.
+    Each result comes from the module function that computes it
+    (`zerosum.maximin`, `build_polytope`, `is_singleton`,
+    `singleton_over_system`, `enumerate_pure_ne`), so a re-check made on a
+    kept result checks what that function returned, but for four.  The
+    weights are `weights`'s, and the IRCP decision is `_ircp_decision`'s.
+    A singleton taken down the inclusion chain, with no duals, and a CCE
+    point pinned by the reduced P(a*) weights are re-checked by exact
+    membership in this concept's polytope.  And a verifier may pass
+    `levels`, maximin results it has checked from their certificates
+    (`zerosum.check_maximin`): the context then keeps those and never
+    solves a maximin LP, and asking it for a player's result that `levels`
+    lacks raises `PolytopeError`.
     """
 
     def __init__(self, game: Game,
@@ -234,6 +238,7 @@ class GameAnalysis:
         self._polytopes: dict[str, PolytopeSpec] = {}
         self._singletons: dict[str, SingletonResult] = {}
         self._improvements: dict[ConstraintSystem, SingletonResult] = {}
+        self._weights: dict[tuple[str, Profile], tuple | None] = {}
         self._pure_ne: list[tuple[Profile, bool]] | None = None
 
     def maximin(self, player: int) -> zerosum.MaximinResult:
@@ -256,8 +261,9 @@ class GameAnalysis:
         the cheaper test (see the module docstring).  When the kept decision
         of the next larger concept is a singleton {x}, this one is {x} too,
         re-checked by exact membership and with no LP.  Otherwise a CCE
-        decision takes a singleton reduced P(a*) test (`_reduced_cce_point`),
-        re-checked likewise, and `is_singleton` decides the rest.
+        decision is delta(a*) where `weights` pins the reduced P(a*) at the
+        CCE candidate a*, re-checked likewise, and `is_singleton` decides
+        the rest.
         """
         if concept not in self._singletons:
             if concept == "ce":
@@ -274,20 +280,14 @@ class GameAnalysis:
                         f"the singleton {larger} point failed the membership re-check "
                         f"in the {concept} polytope")
                 result = replace(kept, duals=None)
-            elif concept == "cce" and (result := self._reduced_cce_point()) is not None:
+            elif (concept == "cce" and (a_star := self.cce_candidate()) is not None
+                  and self.weights(a_star, "cce") is not None):
+                result = SingletonResult(JointDistribution.point_mass(a_star), None)
                 recheck_members(spec, (result.point,), "reduced P(a*) point")
             else:
                 result = is_singleton(spec, self.pure_ne())
             self._singletons[concept] = result
         return self._singletons[concept]
-
-    def _reduced_cce_point(self) -> SingletonResult | None:
-        """The reduced P(a*) test at the CCE candidate a*, if it is one point."""
-        a_star = self.cce_candidate()
-        if a_star is None:
-            return None
-        test = self.improvement(a_star, games.cce_reduction(self.game, a_star))
-        return test if test.is_singleton else None
 
     def cce_candidate(self) -> Profile | None:
         """The lone strict pure NE a*, unless a rival refutes it; runs no LP.
@@ -321,6 +321,38 @@ class GameAnalysis:
         if system not in self._improvements:
             self._improvements[system] = singleton_over_system(self.game, system, "P(a*)")
         return self._improvements[system]
+
+    def weights(self, a_star: Profile, concept: str
+                ) -> tuple[tuple[Fraction, ...], Fraction] | None:
+        """Positive weights, summing to 1, that pin P(a*) to delta(a*), and their slack.
+
+        P(a*) is over this game for "ircp" and over `games.cce_reduction` at
+        a* for "cce", and each a*_i must guarantee u_i(a*) in that game, as
+        it always does in the reduction.  Uniform weights are tried first
+        where that game is symmetric, then gamma_i ~ y_i d_i from the dual y
+        of the kept P(a*) test (`improvement`); there are none when that
+        test finds a second member.  Each dual weight is positive: with gamma_i = 0, the
+        weighted gain is >= 0 where i alone leaves a*, as each other j gets
+        at least u_j(a*).  The slack is `games._gain_slack`'s over this
+        game, the one a certificate's check recomputes.
+        """
+        key = (concept, tuple(a_star))
+        if key in self._weights:
+            return self._weights[key]
+        game = self.game if concept == "ircp" else games.cce_reduction(self.game, a_star)
+        found = None
+        if games.is_symmetric(game):
+            uniform = (Fraction(1, game.num_players),) * game.num_players
+            slack = games._gain_slack(self.game, a_star, uniform, concept)
+            found = None if slack is None else (uniform, slack)
+        if found is None and (test := self.improvement(a_star, game)).is_singleton:
+            gamma = games._normalize([y * d for y, d in zip(test.duals, game.payoff_scales)])
+            slack = games._gain_slack(self.game, a_star, gamma, concept)
+            if slack is None or any(g <= 0 for g in gamma):
+                raise SolverInvariantError("the P(a*) dual gave a boundary weight or a gain >= 0")
+            found = (gamma, slack)
+        self._weights[key] = found
+        return found
 
     def pure_ne(self) -> list[tuple[Profile, bool]]:
         if self._pure_ne is None:
@@ -513,8 +545,9 @@ def _ircp_decision(analysis: GameAnalysis) -> SingletonResult:
     """The IRCP decision at the context's security levels, before its re-check.
 
     A singleton IRCP is delta(a*), a*_i player i's only pure maximin action,
-    with u(a*) at the levels; the IRCP polytope is then P(a*), and the kept
-    P(a*) test decides it.  Otherwise two members are built with no LP.
+    with u(a*) at the levels; the IRCP polytope is then P(a*), and
+    `GameAnalysis.weights` decides it, with the P(a*) test's witnesses when
+    there are none.  Otherwise two members are built with no LP.
     """
     game = analysis.game
     n = game.num_players
@@ -554,10 +587,10 @@ def _ircp_decision(analysis: GameAnalysis) -> SingletonResult:
                 None, (star, JointDistribution({a_star: 1 - eps, dev: eps})),
                 reason=f"player {i} earns strictly above the security level at the "
                 "candidate profile, leaving room for a second member")
-    result = analysis.improvement(a_star)
-    return result if result.is_singleton else replace(
-        result, reason="a second distribution pays every player at least the candidate "
-        "profile's payoffs")
+    if analysis.weights(a_star, "ircp") is not None:
+        return SingletonResult(star, None)
+    return replace(analysis.improvement(a_star), reason="a second distribution pays "
+                   "every player at least the candidate profile's payoffs")
 
 
 def _active_rows(spec: PolytopeSpec, vector: Sequence[Fraction]) -> list[tuple[Fraction, ...]]:

@@ -4,8 +4,8 @@ Provides maximin values with both optimal strategies, a
 strict-complementarity column strategy with maximal support, and the
 profile-vs-deviation game whose optimal rows are the coarse correlated
 equilibria, which the quasi-strictness certificate factors.  The welfare
-weights of a uniqueness certificate come from a singleton test's dual
-instead (`certify._search_weights`).
+weights of a uniqueness certificate come from uniform weights or a
+singleton test's dual instead (`polytopes.GameAnalysis.weights`).
 
 A pair of optimal strategies certifies a game's value v: the row strategy
 guarantees at least v against every column, and the column strategy holds

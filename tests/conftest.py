@@ -49,9 +49,9 @@ def build_theorem1_auxiliary(game: Game, a_star: Sequence[int]) -> MatrixGame:
     Rows are profiles other than a_star, columns are players; entry (a, i)
     is u_i(a) - u_i(a_star).  Its value is negative exactly when some
     nonnegative welfare weights make every other profile strictly worse in
-    aggregate.  The library reads such weights from the dual of the P(a*)
-    singleton test instead (`certify._search_weights`); tests compare the
-    two.
+    aggregate.  The library tries uniform weights on a symmetric game and
+    then reads them from the dual of the P(a*) singleton test instead
+    (`polytopes.GameAnalysis.weights`); tests compare the two.
     """
     a_star = tuple(a_star)
     profiles = [p for p in game.profiles() if p != a_star]

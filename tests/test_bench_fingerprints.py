@@ -7,16 +7,18 @@ read, then the timed ones, as a benchmark run orders them.  Every exit code
 and every decision fingerprint (`perfbench/checks.py`) must equal the one
 recorded in `perfbench/fingerprints.json`, and so must those of the analyze
 --check-unique and certify commands run again with `zerosum.matrix_value`
-made to raise, as certificate weights come from a singleton test's dual,
-and again with `polytopes.is_singleton` made to raise on an IRCP polytope,
-as the IRCP decision reads the P(a*) test instead.  The two modules are loaded by
+made to raise, as certificate weights are uniform or come from a singleton
+test's dual, and again with `polytopes.is_singleton` made to raise on an
+IRCP polytope, as the IRCP decision reads the weight search
+(`polytopes.GameAnalysis.weights`) instead.  The two modules are loaded by
 file path under private names, so their bare names shadow no other module,
 and nothing under `perfbench/` is written.
 
 The reports that variant 0 writes also gate what `verify` may run: no
 maximin LP on any workload, no LP at all where no claim needs one, and
 otherwise one singleton test per strict fractional GUE flag whose profile
-meets the unilateral guarantee; one membership check per distribution,
+meets the unilateral guarantee and that uniform weights do not settle; one
+membership check per distribution,
 as each is written once, under `concepts`; and no CE, CCE or IRCP row
 written (`polytopes.write_rows`).
 
@@ -24,7 +26,7 @@ Every `certify --json` refutation of variant 0 must re-check clean by
 `certify.verify_refutation`, which no CLI command runs on such a bare file,
 and every certificate by `certify.verify_certificate` with no LP solver built.
 No analyze command whose report certifies a unique pure CCE builds a solver
-on the CCE polytope's system, as the reduced P(a*) test decides that CCE.
+on the CCE polytope's system, as the reduced P(a*) weights decide that CCE.
 The pivots that variant 0's command lines take, summed per command kind,
 must equal recorded counts: exact arithmetic and Bland's rule repeat them
 exactly, so any change to the LP path shows there.
@@ -45,6 +47,7 @@ import io
 import json
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -122,9 +125,9 @@ def _refuse(*args, **kwargs):
 
 @pytest.mark.parametrize("workload", workloads.WORKLOADS)
 def test_certificates_solve_no_comparison_game(workload, tmp_path, monkeypatch):
-    # Every weight search is the P(a*) singleton test, whose dual holds the
-    # weights, so analyze --check-unique and certify decide alike without
-    # the zero-sum comparison game.
+    # Every weight search tries uniform weights, then the P(a*) singleton
+    # test, whose dual holds the weights, so analyze --check-unique and
+    # certify decide alike without the zero-sum comparison game.
     monkeypatch.setattr(zerosum, "matrix_value", _refuse)
     ops = [op for op in workloads.build(workload, 0, tmp_path)
            if op.kind == "certify" or (op.kind == "analyze" and "--check-unique" in op.argv)]
@@ -134,7 +137,7 @@ def test_certificates_solve_no_comparison_game(workload, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("workload", workloads.WORKLOADS)
 def test_no_command_runs_the_cold_ircp_test(workload, tmp_path, monkeypatch):
-    # The IRCP decision reads the kept P(a*) test, or builds its witnesses
+    # The IRCP decision reads the kept weight search, or builds its witnesses
     # with no LP; `is_singleton` on an IRCP spec is the tests' reference only.
     own_test = polytopes.is_singleton
 
@@ -168,7 +171,8 @@ def test_verify_builds_no_solver(variant_0, monkeypatch):
 @pytest.mark.parametrize("variant_0", ["singleton-sweep", "dynamics"], indirect=True)
 def test_verify_builds_one_solver_per_guaranteed_gue_flag(variant_0, monkeypatch):
     # The one LP-backed claim left is the strict fractional GUE flag, and it
-    # is one singleton test when the profile meets the unilateral guarantee.
+    # is one singleton test when the profile meets the unilateral guarantee,
+    # unless uniform weights on a symmetric game settle it.
     built = []
     real = PolytopeSolver.__init__
 
@@ -178,17 +182,26 @@ def test_verify_builds_one_solver_per_guaranteed_gue_flag(variant_0, monkeypatch
 
     monkeypatch.setattr(PolytopeSolver, "__init__", counting)
     paths = [op.argv[1] for op, _ in variant_0[1] if op.kind == "verify"]
-    guaranteed = 0
+    tested = settled = 0
     for path in paths:
         data = report.load_report(Path(path).read_bytes())
         game = games.game_from_dict(data["game"])
-        expected = sum(certify._unilateral_guarantee(game, tuple(entry["profile"]))
-                       for entry in data.get("gue", []))
+        symmetric = games.is_symmetric(game)
+        uniform = (Fraction(1, game.num_players),) * game.num_players
+        expected = 0
+        for entry in data.get("gue", []):
+            profile = tuple(entry["profile"])
+            if not certify._unilateral_guarantee(game, profile):
+                continue
+            if symmetric and games._gain_slack(game, profile, uniform, "ircp") is not None:
+                settled += 1
+            else:
+                expected += 1
         built.clear()
         assert report.verify_report(data) == []
         assert len(built) == expected, path
-        guaranteed += expected
-    assert guaranteed > 0
+        tested += expected
+    assert tested > 0 and settled > 0
 
 
 # `polytopes.membership` calls that verifying every report of variant 0
@@ -265,8 +278,8 @@ def test_certify_certificates_verify_without_a_solver(workload, tmp_path, monkey
 
 @pytest.mark.parametrize("workload", workloads.WORKLOADS)
 def test_a_certified_cce_builds_no_cce_solver(workload, tmp_path, monkeypatch):
-    # At a lone strict pure NE the reduced P(a*) test decides a one-point
-    # CCE and gives the certificate's weights, so no CCE LP runs.
+    # At a lone strict pure NE the reduced P(a*) weights decide a one-point
+    # CCE and are the certificate's weights, so no CCE LP runs.
     built = []
     init = PolytopeSolver.__init__
 
@@ -293,9 +306,9 @@ def test_a_certified_cce_builds_no_cce_solver(workload, tmp_path, monkeypatch):
 # `_StandardForm.pivots_used` over phase 1 and every re-optimization.
 PIVOTS = {
     "random-games": {"analyze": 480, "certify": 203, "verify": 0},
-    "singleton-sweep": {"analyze": 199, "certify": 193, "verify": 61},
-    "tullock-grid": {"analyze": 29, "certify": 60, "verify": 0, "contest": 0},
-    "dynamics": {"analyze": 45, "certify": 17, "verify": 12, "simulate": 0},
+    "singleton-sweep": {"analyze": 145, "certify": 143, "verify": 11},
+    "tullock-grid": {"analyze": 0, "certify": 60, "verify": 0, "contest": 0},
+    "dynamics": {"analyze": 31, "certify": 2, "verify": 2, "simulate": 0},
 }
 
 

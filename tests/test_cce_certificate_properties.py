@@ -2,11 +2,11 @@
 
 At a strict pure NE a*, every security level of the reduced game
 v_i(a) = u_i(a) - u_i(a_i*, a_-i) is 0 and a_i* is each player's only
-maximin action, so `certify_unique_pure_cce` runs only the weight search
-of the IRCP decision on that game.  The full IRCP certification of the
-reduced game is kept here as the reference: both must certify alike, with
-the same weights unless a hint that works gives its own, and the weight
-search must find none where the reference refutes.
+maximin action, so `certify_unique_pure_cce` asks only
+`GameAnalysis.weights` whether that game's P(a*) is delta(a*).  The full
+IRCP certification of the reduced game is kept here as the reference: both
+must certify alike, with the same weights unless a hint that works gives
+its own, and `weights` must find none where the reference refutes.
 
 A bare `certify_unique_pure_cce` and a report's `certificates.cce` read
 the same CCE decision, so they agree on the type, profile and reason.
@@ -24,14 +24,10 @@ from eqcert import generators, polytopes  # noqa: E402
 from eqcert.certify import (  # noqa: E402
     Refutation,
     UniquenessCertificate,
-    _certificate,
-    _gain_slack,
-    _normalize,
-    _search_weights,
     certify_unique_ircp,
     certify_unique_pure_cce,
 )
-from eqcert.games import Game, cce_reduction  # noqa: E402
+from eqcert.games import Game, _gain_slack, _normalize, cce_reduction  # noqa: E402
 from eqcert.report import build_report  # noqa: E402
 
 SHAPES = ((2, 2), (2, 3), (3, 3), (2, 2, 2))
@@ -79,22 +75,20 @@ def test_cce_certificate_equals_reduced_ircp_decision(case, data):
     hint = data.draw(_hint(game.num_players))
     reduced = cce_reduction(game, a_star)
     reference = certify_unique_ircp(reduced)
-    found = _search_weights(polytopes.GameAnalysis(game), reduced, a_star, "cce", hint)
+    found = polytopes.GameAnalysis(game).weights(a_star, "cce")
     result = certify_unique_pure_cce(game, hint)
     decided = polytopes.GameAnalysis(game)
     decided.singleton("cce")
     assert certify_unique_pure_cce(decided, hint) == result
     if isinstance(reference, UniquenessCertificate):
         assert reference.a_star == a_star
+        assert found == (reference.gamma, reference.slack)
         if hint is not None and all(g > 0 for g in hint):
             slack = _gain_slack(reduced, a_star, _normalize(hint), "ircp")
             if slack is not None:
-                reference = _certificate("ircp", a_star, hint, slack, reduced)
-        for new in (found, result):
-            assert isinstance(new, UniquenessCertificate) and new.concept == "cce"
-            assert (new.a_star, new.gamma, new.slack, new.transformed_game) == (
-                reference.a_star, reference.gamma, reference.slack,
-                reference.transformed_game)
+                found = (_normalize(hint), slack)
+        assert isinstance(result, UniquenessCertificate) and result.concept == "cce"
+        assert (result.a_star, result.gamma, result.slack) == (a_star, *found)
     else:
         assert isinstance(result, Refutation)
         assert found is None

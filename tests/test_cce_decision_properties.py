@@ -1,9 +1,10 @@
 """Property test: the CCE decision against the CCE polytope's own singleton test.
 
-At a lone strict pure NE a*, `GameAnalysis.singleton("cce")` reads the
-reduced P(a*) test, P(a*) of `games.cce_reduction(game, a*)`, unless an
-LP-free scan finds a profile where every player gains weakly over a*_i; a
-one-point test decides CCE = {delta(a*)} with no CCE LP.  Every other case
+At a lone strict pure NE a*, `GameAnalysis.singleton("cce")` asks
+`GameAnalysis.weights` about the reduced P(a*), P(a*) of
+`games.cce_reduction(game, a*)`, unless an LP-free scan finds a profile
+where every player gains weakly over a*_i; weights decide CCE =
+{delta(a*)} with no CCE LP.  Every other case
 goes to `is_singleton`.  The CCE polytope's own test is the reference, both
 cold (`singleton_over_system` on the bare system) and started at the pure
 NE (`is_singleton`): the decision must give the same flag and point, and

@@ -25,13 +25,12 @@ st = pytest.importorskip("hypothesis.strategies")
 from eqcert import zerosum  # noqa: E402
 from eqcert.certify import (  # noqa: E402
     UniquenessCertificate,
-    _gain_slack,
     certificate_to_dict,
     certify_unique_ircp,
     certify_unique_pure_cce,
     verify_certificate,
 )
-from eqcert.games import Game  # noqa: E402
+from eqcert.games import Game, _gain_slack  # noqa: E402
 from eqcert.generators import parking  # noqa: E402
 from eqcert.lp import PolytopeSolver  # noqa: E402
 from eqcert.polytopes import enumerate_pure_ne  # noqa: E402

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from eqcert import generators, polytopes, zerosum
+from eqcert import certify, generators, polytopes, zerosum
 from eqcert.certify import (
     CertificationError,
     HULL_EQUAL,
@@ -48,11 +48,19 @@ from eqcert.games import (
 from eqcert.polytopes import SolverInvariantError, build_polytope, membership, mixed_ne_2x2
 
 from conftest import F
-from test_report import _tullock8
+from test_report import _doubled_parking, _tullock8
 
 
 def _parking(t):
     return generators.parking(3, 1, F(1, 4), F(t))
+
+
+def _enforcement_form(game, cert):
+    """The game the certificate's weights put in enforcement form at a*."""
+    if cert.concept == "cce":
+        game = cce_reduction(game, cert.a_star)
+    return affine_transform(game, cert.gamma,
+                            [-g * game.u(i, cert.a_star) for i, g in enumerate(cert.gamma)])
 
 
 def _uniform_product(game):
@@ -100,13 +108,14 @@ def test_ircp_certificates_across_towing_fees():
     slacks = {"11/20": F(1, 40), "3/5": F(1, 20), "7/10": F(1, 10),
               "3/4": F(1, 8), "4/5": F(3, 20)}
     for t, expected_slack in slacks.items():
-        cert = certify_unique_ircp(_parking(t))
+        game = _parking(t)
+        cert = certify_unique_ircp(game)
         assert isinstance(cert, UniquenessCertificate)
         assert cert.concept == "ircp"
         assert cert.a_star == (0, 0)
         assert cert.gamma == (F(1, 2), F(1, 2))
         assert cert.slack == expected_slack
-        inner = check_enforcement(cert.transformed_game)
+        inner = check_enforcement(_enforcement_form(game, cert))
         assert inner.holds and inner.a_star == (0, 0)
 
 
@@ -160,13 +169,14 @@ def test_ircp_refuted_when_profile_beats_security_level():
 
 
 def test_cce_certificate_pd():
-    cert = certify_unique_pure_cce(generators.prisoners_dilemma())
+    pd = generators.prisoners_dilemma()
+    cert = certify_unique_pure_cce(pd)
     assert isinstance(cert, UniquenessCertificate)
     assert cert.concept == "cce"
     assert cert.a_star == (1, 1)
     assert cert.gamma == (F(1, 2), F(1, 2))
     assert cert.slack == F(1, 2)
-    assert check_enforcement(cert.transformed_game).holds
+    assert check_enforcement(_enforcement_form(pd, cert)).holds
 
 
 def test_cce_certificate_parking():
@@ -259,8 +269,7 @@ def test_cce_refutation_at_a_rival_runs_no_p_a_star_test(monkeypatch, shape, see
 def test_ircp_certificate_rejects_a_corrupted_kept_dual(monkeypatch):
     # Doubling one player's payoffs breaks parking's symmetry, so the weights
     # come from the dual of the kept P(a*) test; a zero there is rejected.
-    base = _parking("3/5")
-    game = Game(base.actions, (base.payoffs[0], tuple(2 * x for x in base.payoffs[1])))
+    game = _doubled_parking()
     cert = certify_unique_ircp(game)
     assert isinstance(cert, UniquenessCertificate) and cert.a_star == (0, 0)
     real = polytopes.singleton_over_system
@@ -271,9 +280,33 @@ def test_ircp_certificate_rejects_a_corrupted_kept_dual(monkeypatch):
 
     monkeypatch.setattr(polytopes, "singleton_over_system", zero_first_dual)
     analysis = polytopes.GameAnalysis(game)
-    assert analysis.singleton("ircp").duals[0] == 0
-    with pytest.raises(SolverInvariantError, match="P\\(a\\*\\) dual gave a boundary weight"):
-        certify_unique_ircp(analysis)
+    assert analysis.improvement((0, 0)).duals[0] == 0
+    for run in (lambda: analysis.weights((0, 0), "ircp"),
+                lambda: certify_unique_ircp(polytopes.GameAnalysis(game))):
+        with pytest.raises(SolverInvariantError, match="P\\(a\\*\\) dual gave a boundary weight"):
+            run()
+
+
+@pytest.mark.parametrize("run, make_game", [
+    (certify_unique_ircp, lambda: _parking("3/5")),
+    (certify_unique_ircp, _doubled_parking),
+    (certify_unique_pure_cce, generators.prisoners_dilemma),
+    (certify_unique_pure_cce, _doubled_parking),
+], ids=("ircp-parking", "ircp-doubled-parking", "cce-pd", "cce-doubled-parking"))
+def test_solver_and_verifier_run_one_certificate_check(monkeypatch, run, make_game):
+    # The solver re-checks its certificate with the call `verify_certificate`
+    # makes: the same game, concept, profile, weights and slack.
+    game, checks = make_game(), []
+    real = certify._certificate_problems
+
+    def recording(game, concept, a_star, gamma, slack):
+        checks.append((game, concept, tuple(a_star), tuple(gamma), slack))
+        return real(game, concept, a_star, gamma, slack)
+
+    monkeypatch.setattr(certify, "_certificate_problems", recording)
+    result = run(game)
+    assert verify_certificate(game, certificate_to_dict(result)) == []
+    assert len(checks) == 2 and checks[0] == checks[1]
 
 
 def test_cce_refuted_table3_despite_strict_ne():

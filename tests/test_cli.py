@@ -405,12 +405,12 @@ def test_verify_detects_tampering(tmp_path, capsys):
 
 
 def test_pivot_limit_exits_3(tmp_path, capsys, monkeypatch):
-    game_path = _generate(tmp_path, "pd.json", "pd")
-    # PD's levels sit at pure saddle points, so its IRCP certificate takes
-    # one pivot; rock-paper-scissors has none, and its maximin LPs take more.
+    # PD's levels sit at pure saddle points and uniform weights certify its
+    # CCE, so its LPs stay within 2 pivots; rock-paper-scissors has no pure
+    # saddle point, and its maximin LPs take more.
     rps_path = _generate(tmp_path, "rps.json", "rps")
     monkeypatch.setenv(PIVOT_LIMIT_ENV, "2")
-    assert main(["analyze", str(game_path)]) == 3
+    assert main(["analyze", str(rps_path)]) == 3
     assert main(["certify", str(rps_path), "--concept", "ircp"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: simplex exceeded 2 pivots")

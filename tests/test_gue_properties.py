@@ -142,11 +142,20 @@ def test_only_the_guarantee_fails():
     assert not certify.is_strict_fractional_gue(game, a_star)
 
 
-@pytest.mark.parametrize("game, a_star, expected", [
-    (generators.parking(3, 1, Fraction(1, 4), Fraction(3, 5)), (0, 0), True),
-    (generators.table3(), (0, 0), False),
-], ids=["parking", "table3"])
-def test_one_solver_and_one_phase1_pivot(game, a_star, expected):
+def _doubled_parking() -> Game:
+    base = generators.parking(3, 1, Fraction(1, 4), Fraction(3, 5))
+    return Game(base.actions, (base.payoffs[0], tuple(2 * x for x in base.payoffs[1])))
+
+
+# At most one solver, whose phase 1 is one pivot from delta(a*).  Uniform
+# weights settle symmetric parking with none.  Doubling one player's payoffs
+# breaks the symmetry, and table3 is refuted, so both take the P(a*) test.
+@pytest.mark.parametrize("game, a_star, expected, pivots", [
+    (generators.parking(3, 1, Fraction(1, 4), Fraction(3, 5)), (0, 0), True, []),
+    (_doubled_parking(), (0, 0), True, [1]),
+    (generators.table3(), (0, 0), False, [1]),
+], ids=["parking", "doubled-parking", "table3"])
+def test_one_solver_and_one_phase1_pivot(game, a_star, expected, pivots):
     phase1_pivots = []
     real = PolytopeSolver.__init__
 
@@ -156,4 +165,4 @@ def test_one_solver_and_one_phase1_pivot(game, a_star, expected):
 
     with mock.patch.object(PolytopeSolver, "__init__", counting):
         assert certify.is_strict_fractional_gue(game, a_star) == expected
-    assert phase1_pivots == [1]
+    assert phase1_pivots == pivots

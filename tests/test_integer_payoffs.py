@@ -3,7 +3,7 @@
 `Game.int_payoffs` holds each player's payoffs times d_i, the lcm of that
 player's denominators.  Six exact computations run on it: `write_rows`
 writes every row over it, `membership` sums it over mu's support in
-ints, `certify._gain_slack` computes the weighted gains of a uniqueness
+ints, `games._gain_slack` computes the weighted gains of a uniqueness
 certificate, `games.cce_reduction` and the profile-vs-deviation game
 divide `games.deviation_gains` by d_i, and `games.is_symmetric` compares
 it under player swaps.  Each must agree with the computation over
@@ -24,10 +24,11 @@ st = pytest.importorskip("hypothesis.strategies")
 
 from eqcert import generators, polytopes  # noqa: E402
 from eqcert.zerosum import build_lemma3_auxiliary  # noqa: E402
-from eqcert.certify import _gain_slack, _normalize  # noqa: E402
 from eqcert.games import (  # noqa: E402
     Game,
     JointDistribution,
+    _gain_slack,
+    _normalize,
     cce_reduction,
     is_symmetric,
     strategic_transform,

@@ -3,7 +3,8 @@
 `GameAnalysis.singleton("ircp")` solves no LP over the IRCP polytope.  It
 builds two members with no LP where a player has no pure maximin action,
 has several, or earns above its level at the profile a* of those actions,
-and otherwise reads the P(a*) test, P(a*) being the IRCP polytope there.
+and otherwise asks `GameAnalysis.weights` whether P(a*), the IRCP polytope
+there, is delta(a*).
 The cold singleton test of the IRCP polytope (`is_singleton`) is the
 reference: both must give the same decision and the same point, and each
 witness pair must be two distinct IRCP members.

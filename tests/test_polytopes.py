@@ -8,9 +8,10 @@ from fractions import Fraction
 
 import pytest
 
-from eqcert import generators, zerosum
+from eqcert import generators, polytopes, zerosum
 from eqcert.contests import ContestSpec, LinearCost, TullockRatio, discretize
 from eqcert.games import (
+    Game,
     JointDistribution,
     MixedAction,
     affine_transform,
@@ -209,17 +210,28 @@ def test_singleton_test_runs_one_lp(monkeypatch, name, concept, support):
     assert sum(y_r * row.rhs for y_r, row in zip(y, rows)) == -value
 
 
-def test_a_singleton_taken_down_the_chain_carries_no_duals():
+def test_a_singleton_taken_down_the_chain_carries_no_duals(monkeypatch):
     # Parking's CCE is one point, decided at its strict NE (pay, pay) by the
-    # P(a*) test of the CCE reduction, which settles CE with no LP; that
-    # test's dual belongs to its own rows, not to the CE rows.
-    analysis = GameAnalysis(SINGLETON_LP_GAMES["parking"]())
-    cce = analysis.singleton("cce")
-    reduced = improvement_system(cce_reduction(analysis.game, (0, 0)), (0, 0))
-    assert len(cce.duals) == len(reduced.constraints)
-    assert cce.duals == analysis.improvement((0, 0), cce_reduction(analysis.game, (0, 0))).duals
-    ce = analysis.singleton("ce")
-    assert ce.point == cce.point and ce.duals is None
+    # weights that pin the P(a*) of its CCE reduction: uniform ones, or with
+    # one player's payoffs doubled, the dual of that P(a*) test.  The point
+    # carries no LP duals, as its certificate is the context's weights, and
+    # it settles CE with no LP.
+    base = SINGLETON_LP_GAMES["parking"]()
+    doubled = Game(base.actions, (base.payoffs[0], tuple(2 * x for x in base.payoffs[1])))
+    tested = []
+    real = polytopes.singleton_over_system
+    monkeypatch.setattr(polytopes, "singleton_over_system",
+                        lambda g, system, what="polytope":
+                        tested.append(system) or real(g, system, what))
+    for game, tests in ((base, []), (doubled, [(0, 0)])):
+        tested.clear()
+        analysis = GameAnalysis(game)
+        cce = analysis.singleton("cce")
+        assert cce.point == JointDistribution.point_mass((0, 0)) and cce.duals is None
+        assert analysis.weights((0, 0), "cce") is not None
+        assert tested == [improvement_system(cce_reduction(game, a), a) for a in tests]
+        ce = analysis.singleton("ce")
+        assert ce.point == cce.point and ce.duals is None
 
 
 def test_extreme_points():

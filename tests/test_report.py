@@ -158,17 +158,17 @@ def test_analyze_and_verify_build_each_polytope_once(work_counts):
     assert verify["build"] == Counter({c: 1 for c in concepts})
 
 
-# The singleton tests analyze runs.  Parking's IRCP is one point, decided by
-# the P(a*) test at (pay, pay) that its GUE flag reads too, and it settles
+# The singleton tests analyze runs.  Parking's IRCP is one point, decided at
+# (pay, pay) by uniform weights, which its GUE flag reads too, and it settles
 # CCE and CE down the inclusion chain.  The IRCP decisions of RPS (no pure
 # maximin action) and of the Tullock 8x8 grid (a* pays above the level) run
 # no LP; RPS has no singleton above CE.  The grid's CCE is one point, decided
-# at its strict pure NE by the P(a*) test of the CCE reduction, whose dual
-# gives the CCE certificate too, and it asks for no CE.
+# at its strict pure NE by uniform weights on its symmetric CCE reduction,
+# which are the CCE certificate too, and it asks for no CE.
 SINGLETON_TESTS = {
-    "parking": {"P(a*)": 1},
+    "parking": {},
     "rps": {"cce polytope": 1, "ce polytope": 1},
-    "tullock8": {"P(a*)": 1},
+    "tullock8": {},
 }
 
 
@@ -193,15 +193,18 @@ def _record_solvers(monkeypatch) -> list:
 
 
 def test_singleton_ircp_builds_no_ce_or_cce_solver(monkeypatch):
-    # Parking's IRCP is one point, decided by the P(a*) test at (pay, pay):
-    # one solver beside the maximin LPs, and none for a polytope's system.
-    game = parking(3, 1, Fraction(1, 4), Fraction(3, 5))
+    # Parking's IRCP is one point, decided at (pay, pay) by uniform weights,
+    # or with one player's payoffs doubled by the P(a*) test there: no
+    # solver beside the maximin LPs, or one, and none for a polytope's system.
     solved = _record_solvers(monkeypatch)
-    data = build_report(game, ("ne", "ce", "cce", "ircp"), check_unique=True)
-    assert all(data["concepts"][c]["singleton"] for c in ("ce", "cce", "ircp"))
-    for concept in ("ce", "cce", "ircp"):
-        assert polytopes.build_polytope(game, concept).system not in solved
-    assert solved.count(polytopes.improvement_system(game, (0, 0))) == 1
+    for game, tests in ((parking(3, 1, Fraction(1, 4), Fraction(3, 5)), 0),
+                        (_doubled_parking(), 1)):
+        solved.clear()
+        data = build_report(game, ("ne", "ce", "cce", "ircp"), check_unique=True)
+        assert all(data["concepts"][c]["singleton"] for c in ("ce", "cce", "ircp"))
+        for concept in ("ce", "cce", "ircp"):
+            assert polytopes.build_polytope(game, concept).system not in solved
+        assert solved.count(polytopes.improvement_system(game, (0, 0))) == tests
 
 
 # Games whose IRCP decision takes each path: a certificate from uniform
@@ -248,10 +251,34 @@ def test_ircp_polytope_reaches_no_solver_and_no_system_is_solved_twice(name, mon
         assert len(set(tested)) == len(tested)
 
 
+@pytest.mark.parametrize("m", (3, 4, 5))
+def test_symmetric_parking_certifies_and_verifies_with_no_solver(monkeypatch, m):
+    # Parking's levels sit at pure saddle points, and uniform weights pin
+    # P(a*) at (pay, pay) over the game and over its CCE reduction.
+    game = parking(m, 1, Fraction(1, 4), Fraction(3, 5))
+    data = build_report(game, check_unique=True)
+    solved = _record_solvers(monkeypatch)
+    assert isinstance(certify.certify_unique_ircp(game), certify.UniquenessCertificate)
+    assert isinstance(certify.certify_unique_pure_cce(game), certify.UniquenessCertificate)
+    assert certify.is_strict_fractional_gue(game, (0, 0))
+    assert verify_report(data) == []
+    assert solved == []
+
+
+def test_doubled_parking_certifies_its_ircp_with_one_p_a_star_solver(monkeypatch):
+    # Doubling one player's payoffs breaks the symmetry: the weights come
+    # from the dual of the P(a*) test, and its levels from pure saddle points.
+    game = _doubled_parking()
+    solved = _record_solvers(monkeypatch)
+    assert isinstance(certify.certify_unique_ircp(game), certify.UniquenessCertificate)
+    assert solved == [polytopes.improvement_system(game, (0, 0))]
+
+
 def test_ce_alone_runs_the_cce_test_unreported(monkeypatch):
     calls = _count_work(monkeypatch)
     data = build_report(_tullock8(), ("ce",))
-    assert calls["singleton"] == Counter({"P(a*)": 1})  # the reduced P(a*) at the NE
+    # Uniform weights pin the reduced P(a*) at the NE of the symmetric grid.
+    assert calls["singleton"] == Counter()
     assert list(data["concepts"]) == ["ce"]
     assert data["concepts"]["ce"]["point"] == {"9": "1"}  # both players bid 1/4
     assert verify_report(data) == []
