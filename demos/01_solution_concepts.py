@@ -9,7 +9,8 @@ from fractions import Fraction
 
 from eqcert.generators import rock_paper_scissors
 from eqcert.games import JointDistribution
-from eqcert.polytopes import build_polytope, coordinate_bounds, is_singleton, membership
+from eqcert.polytopes import build_polytope, is_singleton, membership
+from eqcert.theory import coordinate_bounds
 
 rps = rock_paper_scissors()
 print(f"game: {rps.name}, shape {rps.shape}")

@@ -14,10 +14,9 @@ from eqcert.certify import (
     Refutation,
     UniquenessCertificate,
     certify_unique_ircp,
-    check_enforcement,
 )
-from eqcert.games import affine_transform
 from eqcert.generators import parking
+from eqcert.theory import affine_transform, check_enforcement
 
 M, V, C = 3, Fraction(1), Fraction(1, 4)
 print(f"free spots m={M}, spot value v={V}, legal fee c={C}")

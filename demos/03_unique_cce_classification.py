@@ -12,9 +12,7 @@ from eqcert.certify import (
     UNIQUE_MIXED_2X2,
     UNIQUE_PURE,
     classify_unique_cce,
-    combinatorics_bound,
     is_quasi_strict,
-    quasi_strictness_certificate,
 )
 from eqcert.generators import (
     matching_pennies,
@@ -22,7 +20,13 @@ from eqcert.generators import (
     random_mp_type,
     rock_paper_scissors,
 )
-from eqcert.polytopes import build_polytope, is_extreme_point, winkler_support_bound
+from eqcert.polytopes import build_polytope
+from eqcert.theory import (
+    combinatorics_bound,
+    is_extreme_point,
+    quasi_strictness_certificate,
+    winkler_support_bound,
+)
 
 for game in (prisoners_dilemma(), matching_pennies(), random_mp_type(seed=8),
              rock_paper_scissors()):

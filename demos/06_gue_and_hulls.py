@@ -13,14 +13,13 @@ from fractions import Fraction
 
 from eqcert import generators
 from eqcert.certify import (
-    HULL_EQUAL,
     certify_unique_ircp,
-    conv_ne_vs_ircp,
     is_gue,
     is_strict_fractional_gue,
 )
 from eqcert.games import Game, JointDistribution
 from eqcert.polytopes import build_polytope, membership
+from eqcert.theory import HULL_EQUAL, conv_ne_vs_ircp
 
 F = Fraction
 

@@ -7,112 +7,4 @@ certificates (welfare weights turning the game into an enforcement form)
 or refutations (pairs of distinct members) for uniqueness claims.
 """
 
-from .certify import (
-    CceClassification,
-    CertificationError,
-    EnforcementCheck,
-    ExtremeNeReport,
-    HullComparison,
-    QuasiStrictCertificate,
-    Refutation,
-    UniquenessCertificate,
-    certify_unique_ircp,
-    certify_unique_pure_cce,
-    check_enforcement,
-    classify_extreme_ne,
-    classify_unique_cce,
-    combinatorics_bound,
-    conv_ne_vs_ircp,
-    is_gue,
-    is_matching_pennies_type,
-    is_quasi_strict,
-    is_strict_fractional_gue,
-    quasi_strictness_certificate,
-    verify_certificate,
-    verify_refutation,
-)
-from .games import (
-    Game,
-    GameFormatError,
-    JointDistribution,
-    MixedAction,
-    affine_transform,
-    cce_reduction,
-    game_from_dict,
-    game_to_dict,
-    load_game,
-    product_distribution,
-    save_game,
-    strategic_transform,
-    total_variation,
-)
-from .polytopes import (
-    CONCEPTS,
-    MembershipResult,
-    PolytopeSpec,
-    SingletonResult,
-    build_polytope,
-    coordinate_bounds,
-    enumerate_pure_ne,
-    is_extreme_point,
-    is_singleton,
-    membership,
-    mixed_ne_2x2,
-    winkler_support_bound,
-)
-from .zerosum import check_maximin, matrix_value, maximin
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CONCEPTS",
-    "CceClassification",
-    "CertificationError",
-    "EnforcementCheck",
-    "ExtremeNeReport",
-    "Game",
-    "GameFormatError",
-    "HullComparison",
-    "JointDistribution",
-    "MembershipResult",
-    "MixedAction",
-    "PolytopeSpec",
-    "QuasiStrictCertificate",
-    "Refutation",
-    "SingletonResult",
-    "UniquenessCertificate",
-    "affine_transform",
-    "build_polytope",
-    "cce_reduction",
-    "certify_unique_ircp",
-    "certify_unique_pure_cce",
-    "check_enforcement",
-    "check_maximin",
-    "classify_extreme_ne",
-    "classify_unique_cce",
-    "combinatorics_bound",
-    "conv_ne_vs_ircp",
-    "coordinate_bounds",
-    "enumerate_pure_ne",
-    "game_from_dict",
-    "game_to_dict",
-    "is_extreme_point",
-    "is_gue",
-    "is_matching_pennies_type",
-    "is_quasi_strict",
-    "is_singleton",
-    "is_strict_fractional_gue",
-    "load_game",
-    "matrix_value",
-    "maximin",
-    "membership",
-    "mixed_ne_2x2",
-    "product_distribution",
-    "quasi_strictness_certificate",
-    "save_game",
-    "strategic_transform",
-    "total_variation",
-    "verify_certificate",
-    "verify_refutation",
-    "winkler_support_bound",
-]

@@ -1,4 +1,4 @@
-"""Uniqueness certificates, refutations, and structure tests.
+"""Uniqueness certificates, refutations, and the classification of a unique CCE.
 
 A uniqueness certificate for a profile a* consists of positive welfare
 weights gamma such that the gamma-weighted payoff gains relative to a*
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from . import games, polytopes, zerosum
+from . import games, polytopes
 from .games import (
     Game,
     JointDistribution,
@@ -39,69 +39,13 @@ from .games import (
     _gain_slack,
     _normalize,
     is_symmetric,
-    product_distribution,
 )
-from .lp import (
-    EQUAL,
-    MAX_VERTEX_VARS,
-    ConstraintSystem,
-    LinearConstraint,
-    PolytopeSolver,
-    SolverInvariantError,
-    enumerate_vertices,
-)
+from .lp import SolverInvariantError
 from .rational import format_rational, parse_rational
 
 
 class CertificationError(ValueError):
     """Bad inputs to a certification operation."""
-
-
-# -- enforcement-form checks -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EnforcementCheck:
-    """Condition-by-condition test of the self-enforcing normal form.
-
-    A game is in enforcement form at a* when every player gets zero at a*,
-    no unilateral opponent change pushes a player below zero, and total
-    payoff is strictly negative everywhere else.
-    """
-
-    a_star: Profile | None
-    zero_at_star: bool
-    unilateral_guarantee: bool
-    welfare_negative_elsewhere: bool
-
-    @property
-    def holds(self) -> bool:
-        return (self.a_star is not None and self.zero_at_star
-                and self.unilateral_guarantee and self.welfare_negative_elsewhere)
-
-
-def check_enforcement(game: Game) -> EnforcementCheck:
-    """Locate the self-enforcing profile, if any.
-
-    At most one profile can qualify: the welfare condition makes every
-    other profile strictly welfare-negative, while a qualifying profile has
-    welfare zero.  Candidates are scanned in lexicographic order and the
-    first full match is returned; with no match, the first all-zero-payoff
-    profile (if any) is reported with its failing conditions.
-    """
-    first_zero: EnforcementCheck | None = None
-    for profile in game.profiles():
-        if any(x != 0 for x in game.payoff_vector(profile)):
-            continue
-        guarantee = all(games.pure_guarantee(game, i, profile[i]) >= 0
-                        for i in range(game.num_players))
-        negative = all(sum(game.payoff_vector(p), Fraction(0)) < 0
-                       for p in game.profiles() if p != profile)
-        check = EnforcementCheck(profile, True, guarantee, negative)
-        if check.holds:
-            return check
-        first_zero = first_zero or check
-    return first_zero or EnforcementCheck(None, False, False, False)
 
 
 # -- certificates and refutations --------------------------------------------
@@ -340,7 +284,7 @@ def classify_unique_cce(game: Game | polytopes.GameAnalysis) -> CceClassificatio
                              subgame=subgame, ne=ne)
 
 
-# -- quasi-strictness and extremality ----------------------------------------
+# -- quasi-strictness --------------------------------------------------------
 
 
 def _require_product(game: Game, nu: JointDistribution) -> list[MixedAction]:
@@ -361,142 +305,9 @@ def _is_equilibrium(game: Game, nu: JointDistribution, quasi_strict: bool) -> bo
     return True
 
 
-def is_nash(game: Game, nu: JointDistribution) -> bool:
-    """Exact best-response check for a product distribution."""
-    return _is_equilibrium(game, nu, quasi_strict=False)
-
-
 def is_quasi_strict(game: Game, nu: JointDistribution) -> bool:
     """NE where every action outside the support loses strictly."""
     return _is_equilibrium(game, nu, quasi_strict=True)
-
-
-@dataclass(frozen=True)
-class QuasiStrictCertificate:
-    eta: tuple[Fraction, ...]
-    sigma: tuple[MixedAction, ...]
-
-
-def quasi_strictness_certificate(game: Game, mu: JointDistribution) -> QuasiStrictCertificate:
-    """Factor a strict-complementary strategy of the profile-vs-deviation game.
-
-    For a unique CCE mu, the maximal-support optimal column strategy tau
-    factors as tau(i, a_i) = eta(i) * sigma_i(a_i) with every eta(i) > 0 and
-    sigma equal to mu's marginals, which exhibits mu as a quasi-strict NE.
-    Factorization failure means mu is not a unique CCE.
-    """
-    aux = zerosum.build_lemma3_auxiliary(game)
-    tau = zerosum.strict_complementary_strategy(aux)
-    eta = [Fraction(0)] * game.num_players
-    per_player: list[dict[int, Fraction]] = [dict() for _ in range(game.num_players)]
-    for col, (i, a) in enumerate(aux.col_keys):
-        w = tau.prob(col)
-        if w > 0:
-            eta[i] += w
-            per_player[i][a] = w
-    if any(e == 0 for e in eta):
-        raise CertificationError(
-            "factorization failed: some player never appears in the "
-            "strict-complementary strategy; mu cannot be a unique CCE")
-    sigma = tuple(
-        MixedAction(i, {a: w / eta[i] for a, w in per_player[i].items()})
-        for i in range(game.num_players)
-    )
-    for i in range(game.num_players):
-        if sigma[i].weights != mu.marginal(game, i).weights:
-            raise CertificationError(
-                "factorization failed: recovered strategies disagree with mu; "
-                "mu cannot be a unique CCE")
-    if product_distribution(game, sigma) != mu:
-        raise CertificationError(
-            "factorization failed: mu is not the product of the recovered strategies")
-    return QuasiStrictCertificate(tuple(eta), sigma)
-
-
-def combinatorics_bound(support_sizes: Sequence[int]) -> bool:
-    """Support-count test for the mixing players of an extreme NE.
-
-    Takes the support sizes of the mixing players only (each >= 2) and
-    tests product <= 1 + sum; only {2,2} and {2,3} survive with two or
-    more mixers, which pins the shapes an extreme quasi-strict NE can have.
-    """
-    if any(k < 2 for k in support_sizes):
-        raise CertificationError("support sizes of mixing players are at least 2")
-    product = 1
-    for k in support_sizes:
-        product *= k
-    return product <= 1 + sum(support_sizes)
-
-
-@dataclass(frozen=True)
-class ExtremeNeReport:
-    support_sizes: tuple[int, ...]
-    predicted_extreme: bool
-    measured_extreme: bool
-
-
-def classify_extreme_ne(game: Game, nu: JointDistribution) -> ExtremeNeReport:
-    """Compare the shape rule for extremality against the rank computation.
-
-    The shape rule: a quasi-strict NE is extreme in the CCE polytope iff it
-    is pure or exactly two players mix, each over two actions.
-    """
-    if not is_quasi_strict(game, nu):
-        raise CertificationError("extremality classification needs a quasi-strict NE")
-    mixed = _require_product(game, nu)
-    sizes = tuple(len(m.support()) for m in mixed)
-    mixing = [k for k in sizes if k >= 2]
-    predicted = len(mixing) == 0 or (len(mixing) == 2 and all(k == 2 for k in mixing))
-    spec = polytopes.build_polytope(game, "cce")
-    measured = polytopes.is_extreme_point(spec, nu)
-    return ExtremeNeReport(sizes, predicted, measured)
-
-
-# -- hull comparison ----------------------------------------------------------
-
-
-HULL_EQUAL = "equal"
-HULL_PROPER_SUBSET = "proper_subset"
-HULL_INCONCLUSIVE = "inconclusive"
-
-
-@dataclass(frozen=True)
-class HullComparison:
-    status: str
-    witness: JointDistribution | None = None
-
-
-def conv_ne_vs_ircp(game: Game, ne_list: Sequence[JointDistribution]) -> HullComparison:
-    """Is the convex hull of the given equilibria the whole IRCP polytope?
-
-    Every IRCP vertex is tested for hull membership by a small feasibility
-    LP; the first vertex outside the hull is returned as a witness.  Games
-    with more profiles than `lp.MAX_VERTEX_VARS` are declared inconclusive
-    because the vertex oracle is combinatorial.
-    """
-    for nu in ne_list:
-        if not is_nash(game, nu):
-            raise CertificationError("conv_ne_vs_ircp expects Nash equilibria")
-    spec = polytopes.build_polytope(game, "ircp")
-    for nu in ne_list:
-        if not polytopes.membership(spec, nu).is_member:
-            raise SolverInvariantError("an equilibrium fell outside the IRCP polytope")
-    if game.num_profiles > MAX_VERTEX_VARS:
-        return HullComparison(HULL_INCONCLUSIVE)
-    vertices = enumerate_vertices(spec.system)
-    ne_vectors = [nu.as_vector(game) for nu in ne_list]
-    for vertex in vertices:
-        rows = []
-        for k in range(game.num_profiles):
-            coeffs = tuple(vec[k] for vec in ne_vectors)
-            rows.append(LinearConstraint(coeffs, EQUAL, vertex[k]))
-        rows.append(LinearConstraint((Fraction(1),) * len(ne_list), EQUAL, Fraction(1)))
-        system = ConstraintSystem(len(ne_list), tuple(rows))
-        if not PolytopeSolver(system).feasible:
-            return HullComparison(
-                HULL_PROPER_SUBSET,
-                JointDistribution.from_vector(game, vertex))
-    return HullComparison(HULL_EQUAL)
 
 
 # -- guaranteed-utility efficiency --------------------------------------------

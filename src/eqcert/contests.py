@@ -25,7 +25,13 @@ from typing import Sequence
 
 from .certify import Refutation, UniquenessCertificate, certify_unique_pure_cce
 from .games import Game
-from .rational import RationalFormatError, format_rational, iroot, parse_rational
+from .rational import (
+    RationalFormatError,
+    format_rational,
+    iroot,
+    parse_rational,
+    scaled_ints,
+)
 
 
 class EvaluationDomainError(ValueError):
@@ -340,12 +346,6 @@ def _utility_table(spec, grid1: Sequence[Fraction], grid2: Sequence[Fraction]
     return tuple(u1), tuple(u2)
 
 
-def _scaled(row: Sequence[Fraction]) -> tuple[list[int], int]:
-    """row times d as ints, and d, the lcm of row's denominators."""
-    d = lcm(*{x.denominator for x in row})
-    return [x.numerator * (d // x.denominator) for x in row], d
-
-
 def _pair(values, expected: str) -> tuple[Fraction, Fraction]:
     """Two rationals read with `parse_rational`, so a float is refused."""
     try:
@@ -378,7 +378,7 @@ def verify_prop3(spec, a_star: Sequence[Fraction], grids,
         raise EvaluationDomainError("gamma must be two positive rationals")
 
     table1, table2 = _utility_table(spec, grid1, grid2)
-    (u1, d1), (u2, d2) = _scaled(table1), _scaled(table2)
+    (u1, d1), (u2, d2) = scaled_ints(table1), scaled_ints(table2)
     n2 = len(grid2)
     star = i_star * n2 + j_star
 
@@ -392,10 +392,7 @@ def verify_prop3(spec, a_star: Sequence[Fraction], grids,
         if gain >= 0 and j != j_star:
             ne_violations.append((1, y, Fraction(gain, d2)))
 
-    weight1, weight2 = gamma[0] / d1, gamma[1] / d2
-    den = lcm(weight1.denominator, weight2.denominator)
-    w1 = weight1.numerator * (den // weight1.denominator)
-    w2 = weight2.numerator * (den // weight2.denominator)
+    (w1, w2), den = scaled_ints([gamma[0] / d1, gamma[1] / d2])
     anchor_row = u1[i_star * n2:(i_star + 1) * n2]  # u_1(a_1*, y)
     potential_violations = []
     for i, x in enumerate(grid1):

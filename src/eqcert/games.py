@@ -22,10 +22,9 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
-from .rational import RationalFormatError, format_rational, parse_rational
+from .rational import RationalFormatError, format_rational, parse_rational, scaled_ints
 
 Profile = tuple[int, ...]
 
@@ -107,15 +106,18 @@ class Game:
         return self._strides
 
     @cached_property
+    def _scaled_payoffs(self) -> tuple[tuple[list[int], int], ...]:
+        return tuple(map(scaled_ints, self.payoffs))
+
+    @cached_property
     def payoff_scales(self) -> tuple[int, ...]:
         """d_i, the least positive scale that makes player i's payoffs integers."""
-        return tuple(lcm(*{x.denominator for x in row}) for row in self.payoffs)
+        return tuple(d for _, d in self._scaled_payoffs)
 
     @cached_property
     def int_payoffs(self) -> tuple[tuple[int, ...], ...]:
         """payoffs[i] times payoff_scales[i], as ints."""
-        return tuple(tuple(x.numerator * (d // x.denominator) for x in row)
-                     for row, d in zip(self.payoffs, self.payoff_scales))
+        return tuple(tuple(ints) for ints, _ in self._scaled_payoffs)
 
     def profile_index(self, profile: Sequence[int]) -> int:
         """Lexicographic index of a profile; player 1 varies slowest."""
@@ -161,46 +163,6 @@ class Game:
         profile = list(others)
         profile.insert(player, action)
         return tuple(profile)
-
-
-def affine_transform(game: Game, gamma: Sequence[Fraction], beta: Sequence[Fraction],
-                     name: str | None = None) -> Game:
-    """Positive per-player rescale plus constant shift: v_i = gamma_i * u_i + beta_i."""
-    gamma = _as_fraction_tuple(gamma)
-    beta = _as_fraction_tuple(beta)
-    if len(gamma) != game.num_players or len(beta) != game.num_players:
-        raise GameFormatError("need one gamma and one beta per player")
-    if any(g <= 0 for g in gamma):
-        raise GameFormatError("affine transform weights must be positive")
-    payoffs = tuple(
-        tuple(gamma[i] * x + beta[i] for x in game.payoffs[i])
-        for i in range(game.num_players)
-    )
-    return Game(game.actions, payoffs, name or game.name)
-
-
-def strategic_transform(game: Game, gamma: Sequence[Fraction],
-                        beta: Sequence[Callable[[tuple[int, ...]], Fraction]],
-                        name: str | None = None) -> Game:
-    """v_i(a) = gamma_i * u_i(a) + beta_i(a_{-i}); best replies are unchanged.
-
-    Each beta_i maps the opponents' joint action (player order, without i)
-    to a rational offset.
-    """
-    gamma = _as_fraction_tuple(gamma)
-    if len(gamma) != game.num_players or len(beta) != game.num_players:
-        raise GameFormatError("need one gamma and one beta per player")
-    if any(g <= 0 for g in gamma):
-        raise GameFormatError("strategic transform weights must be positive")
-    payoffs = []
-    for i in range(game.num_players):
-        row = [Fraction(0)] * game.num_profiles
-        for profile in game.profiles():
-            others = tuple(a for j, a in enumerate(profile) if j != i)
-            k = game.profile_index(profile)
-            row[k] = gamma[i] * game.payoffs[i][k] + Fraction(beta[i](others))
-        payoffs.append(tuple(row))
-    return Game(game.actions, tuple(payoffs), name or game.name)
 
 
 def deviation_gains(game: Game, player: int, deviation: int) -> list[int]:
@@ -391,10 +353,8 @@ def product_distribution(game: Game, mixed: Sequence[MixedAction]) -> JointDistr
 
 def integer_weights(game: Game, mu: JointDistribution) -> tuple[list[tuple[int, int]], int]:
     """mu over one common denominator D: (index k, D mu(a)) for each a in supp(mu), and D."""
-    weights = mu.weights
-    denom = lcm(*{w.denominator for w in weights.values()})
-    return [(game.profile_index(p), w.numerator * (denom // w.denominator))
-            for p, w in weights.items()], denom
+    masses, denom = scaled_ints(list(mu.weights.values()))
+    return [(game.profile_index(p), m) for p, m in zip(mu.weights, masses)], denom
 
 
 def gain_table(game: Game, player: int, support: Sequence[tuple[int, int]]) -> list[list[int]]:
@@ -434,11 +394,9 @@ def _gain_slack(game: Game, a_star: Profile, gamma: Sequence[Fraction],
     `deviation_gains(game, i, a_i*)` for "cce", which is 0 at a*.
     """
     k_star = game.profile_index(a_star)
-    weights = [Fraction(g) / d for g, d in zip(gamma, game.payoff_scales)]
-    denom = lcm(*{w.denominator for w in weights})
+    weights, denom = scaled_ints([Fraction(g) / d for g, d in zip(gamma, game.payoff_scales)])
     gains = [0] * game.num_profiles
-    for i, (w, table) in enumerate(zip(weights, game.int_payoffs)):
-        weight = w.numerator * (denom // w.denominator)
+    for i, (weight, table) in enumerate(zip(weights, game.int_payoffs)):
         if concept != "ircp":
             table = deviation_gains(game, i, a_star[i])
         gains = [s + weight * t for s, t in zip(gains, table)]

@@ -1,4 +1,4 @@
-"""Exact linear programming and vertex enumeration over the rationals.
+"""Exact linear programming over the rationals.
 
 The solver is a two-phase primal simplex with Bland's anti-cycling rule.
 The working tableau is kept in integer form, each row with its own positive
@@ -32,8 +32,8 @@ and the P(a*) test behind GUE flags and certificate weights at delta(a*)
 (`polytopes.GameAnalysis.weights`).
 
 `PolytopeSolver` factors the phase-1 work out of repeated optimization over
-one feasible system; singleton tests and coordinate bounds re-optimize several
-objectives against the same basis.  `optimize` runs to an optimum.
+one feasible system; a singleton test re-optimizes several objectives
+against the same basis.  `optimize` runs to an optimum.
 `step_off` maximizes only until the basic point first moves, at the first
 nondegenerate pivot: no other pivot improves the objective, so the point
 there beats the start point and differs from it, and a path with no such
@@ -98,8 +98,9 @@ import itertools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
+
+from .rational import scaled_ints
 
 LESS_EQUAL = "<="
 EQUAL = "=="
@@ -129,20 +130,13 @@ def pivot_limit() -> int:
     return int(text)
 
 
-class VertexEnumerationError(ValueError):
-    """Vertex enumeration was asked for an unbounded or oversized region."""
-
-
-MAX_VERTEX_VARS = 12  # the most variables `enumerate_vertices` takes
-
-
 @dataclass(frozen=True)
 class LinearConstraint:
     """coeffs . x (relation) rhs.
 
     `int` and `Fraction` coefficients are kept as they are, and any other
     value is converted to a `Fraction`; `rhs` is a `Fraction`.  Integer rows
-    need no scaling in the standard form: `polytopes.build_polytope` writes
+    need no scaling in the standard form: `polytopes.write_rows` writes
     each incentive row over the player's integer payoffs.
     """
 
@@ -212,14 +206,6 @@ class LpOutcome:
     point: tuple[Fraction, ...] | None = None
 
 
-def _scaled_ints(values: Sequence[int | Fraction], denom: int = 1) -> tuple[list[int], int]:
-    """`values` times D as ints, and D, the lcm of `denom` and the `Fraction` denominators."""
-    denom = lcm(denom, *{v.denominator for v in values if type(v) is Fraction})
-    if denom == 1:
-        return [v.numerator for v in values], 1
-    return [v.numerator * (denom // v.denominator) for v in values], denom
-
-
 class _StandardForm:
     """min c.y, T y = b, y >= 0 over an integer dictionary with per-row scales.
 
@@ -260,7 +246,7 @@ class _StandardForm:
         self.row_factors: list[int] = []
         for row in system.constraints:
             rel, rhs = row.relation, row.rhs
-            ints, denom = _scaled_ints(row.coeffs, rhs.denominator)
+            ints, denom = scaled_ints(row.coeffs, rhs.denominator)
             b = rhs.numerator * (denom // rhs.denominator)
             if b < 0 or (b == 0 and rel == GREATER_EQUAL):
                 ints = [-v for v in ints]
@@ -387,7 +373,7 @@ class _StandardForm:
         denominators, which does not move the optimum; `z` then holds the
         reduced costs times `cost_scale` at its scale.
         """
-        ints, self.cost_scale = _scaled_ints(cost)
+        ints, self.cost_scale = scaled_ints(cost)
         ints += [0] * (self.num_labels - len(cost))
         det = self.det
         z = [ints[label] * det for label in self.cols] + [0]
@@ -674,7 +660,7 @@ class PolytopeSolver:
         return tuple(objective)
 
 
-# -- vertex enumeration ----------------------------------------------------
+# -- echelon elimination ---------------------------------------------------
 
 
 def _echelon_add(state: list[tuple[int, tuple[Fraction, ...], Fraction]],
@@ -710,66 +696,3 @@ def _solve_echelon(state: list[tuple[int, tuple[Fraction, ...], Fraction]],
             total -= row[c] * x[c]
         x[pivot_col] = total / row[pivot_col]
     return tuple(x)
-
-
-def enumerate_vertices(system: ConstraintSystem) -> list[tuple[Fraction, ...]]:
-    """All vertices of a bounded polyhedron, exactly.
-
-    Enumerates full-rank subsets of tight constraints, so the cost is
-    combinatorial in the constraint count; refuse anything above
-    `MAX_VERTEX_VARS` variables.  Raises on unbounded regions; [] if infeasible.
-    """
-    n = system.num_vars
-    if n > MAX_VERTEX_VARS:
-        raise VertexEnumerationError(f"{n} variables exceeds the cap of {MAX_VERTEX_VARS}")
-
-    solver = PolytopeSolver(system)
-    if not solver.feasible:
-        return []
-    for j in range(n):
-        unit = [Fraction(0)] * n
-        unit[j] = Fraction(1)
-        for maximize in (True, False):
-            if solver.optimize(unit, maximize).status == UNBOUNDED:
-                raise VertexEnumerationError("region is unbounded; vertices are not exhaustive")
-
-    eqs: list[tuple[tuple[Fraction, ...], Fraction]] = []
-    ineqs: list[tuple[tuple[Fraction, ...], Fraction]] = []  # normalized to <=
-    for row in system.constraints:
-        if row.relation == EQUAL:
-            eqs.append((row.coeffs, row.rhs))
-        elif row.relation == LESS_EQUAL:
-            ineqs.append((row.coeffs, row.rhs))
-        else:
-            ineqs.append((tuple(-c for c in row.coeffs), -row.rhs))
-    for j in range(n):
-        unit = [Fraction(0)] * n
-        unit[j] = Fraction(-1)
-        ineqs.append((tuple(unit), Fraction(0)))  # x_j >= 0
-
-    state: list[tuple[int, tuple[Fraction, ...], Fraction]] = []
-    for coeffs, rhs in eqs:
-        kind, payload = _echelon_add(state, coeffs, rhs)
-        if kind == "independent":
-            state.append(payload)
-        elif kind == "inconsistent":
-            return []
-
-    found: set[tuple[Fraction, ...]] = set()
-
-    def dfs(start: int, state: list, depth_needed: int) -> None:
-        if depth_needed == 0:
-            x = _solve_echelon(state, n)
-            if system.contains(x):
-                found.add(x)
-            return
-        for idx in range(start, len(ineqs) - depth_needed + 1):
-            coeffs, rhs = ineqs[idx]
-            kind, payload = _echelon_add(state, coeffs, rhs)
-            if kind == "independent":
-                state.append(payload)
-                dfs(idx + 1, state, depth_needed - 1)
-                state.pop()
-
-    dfs(0, state, n - len(state))
-    return sorted(found)

@@ -3,9 +3,8 @@
 Correlated equilibria (CE), coarse correlated equilibria (CCE), and
 individually rational correlated profiles (IRCP) are each a finite list of
 linear incentive rows over profile probabilities.  This module builds those
-systems, decides membership with exact violation reports, computes
-coordinate bounds, decides singleton-ness with explicit witnesses, and
-checks extremality plus the support bound that extreme points obey.
+systems, decides membership with exact violation reports, and decides
+singleton-ness with explicit witnesses.
 `GameAnalysis` holds these results for one game while one call runs, so a
 report and its certificates solve each polytope, P(a*) and maximin LP once,
 and a verification solves no maximin LP at all.
@@ -14,17 +13,17 @@ Every incentive row is linear in one player's payoffs, so a positive scale
 per player changes no polytope.  All of it runs on the integer payoffs
 `Game.int_payoffs`, each player's payoffs times d_i, the lcm of their
 denominators.  `membership` sums them over a distribution's support and
-writes no row.  The rows are written only for an LP, vertex enumeration or
-an extreme-point test (`PolytopeSpec.system`), each a positive multiple of
-the row over `Fraction` payoffs, so for a given objective the simplex
-makes the same pivots and finds the same points.
+writes no row.  The rows are written only when an LP reads them
+(`PolytopeSpec.system`), each a positive multiple of the row over
+`Fraction` payoffs, so for a given objective the simplex makes the same
+pivots and finds the same points.
 `lp.PolytopeSolver.pinning_objective` adds rows as they are stored, so
 its row weights differ from those of `Fraction` rows by positive factors;
 any positive weights decide singleton-ness alike, and only the second
 member of a refutation could differ.  A security level behind the IRCP
 rows is read off the integer payoffs where the player's payoffs have a
-pure saddle point; elsewhere its maximin LP keeps `Fraction` rows (see
-`zerosum.maximin`).
+pure saddle point, and elsewhere from a maximin LP over the same integer
+payoffs (`zerosum.maximin`).
 
 The IRCP polytope can be one point only at delta(a*), a*_i player i's
 only pure maximin action, where u(a*) is at the levels; it is then P(a*) =
@@ -89,12 +88,10 @@ from .games import Game, JointDistribution, MixedAction, Profile, deviation_gain
 from .lp import (
     EQUAL,
     GREATER_EQUAL,
-    OPTIMAL,
     ConstraintSystem,
     LinearConstraint,
     PolytopeSolver,
     SolverInvariantError,
-    _echelon_add,
 )
 
 CONCEPTS = ("ce", "cce", "ircp")
@@ -177,13 +174,6 @@ class SingletonResult:
     @property
     def is_singleton(self) -> bool:
         return self.point is not None
-
-
-@dataclass(frozen=True)
-class WinklerReport:
-    support_size: int
-    active_incentive_rank: int
-    bound_holds: bool
 
 
 def _ce_row(game: Game, player: int, recommended: int, deviation: int) -> list[int]:
@@ -448,21 +438,6 @@ def recheck_members(spec: PolytopeSpec, dists: Sequence[JointDistribution],
         raise SolverInvariantError(f"membership re-check: {'; '.join(problems)}")
 
 
-def coordinate_bounds(spec: PolytopeSpec, profile: Sequence[int]) -> tuple[Fraction, Fraction]:
-    """Exact min and max probability the polytope allows on one profile."""
-    solver = PolytopeSolver(spec.system)
-    if not solver.feasible:
-        raise SolverInvariantError(f"{spec.concept} polytope is unexpectedly empty")
-    k = spec.game.profile_index(profile)
-    unit = [Fraction(0)] * spec.game.num_profiles
-    unit[k] = Fraction(1)
-    low = solver.optimize(unit, maximize=False)
-    high = solver.optimize(unit, maximize=True)
-    if low.status != OPTIMAL or high.status != OPTIMAL:
-        raise SolverInvariantError("coordinate bound LP failed on a bounded polytope")
-    return low.value, high.value
-
-
 def singleton_over_system(game: Game, system: ConstraintSystem,
                           what: str = "polytope") -> SingletonResult:
     """Singleton decision with constructive witnesses, in at most two LPs.
@@ -591,52 +566,6 @@ def _ircp_decision(analysis: GameAnalysis) -> SingletonResult:
         return SingletonResult(star, None)
     return replace(analysis.improvement(a_star), reason="a second distribution pays "
                    "every player at least the candidate profile's payoffs")
-
-
-def _active_rows(spec: PolytopeSpec, vector: Sequence[Fraction]) -> list[tuple[Fraction, ...]]:
-    rows: list[tuple[Fraction, ...]] = []
-    for row in spec.system.constraints:
-        if row.relation == EQUAL or row.evaluate(vector) == row.rhs:
-            rows.append(row.coeffs)
-    num = len(vector)
-    for k, x in enumerate(vector):
-        if x == 0:
-            unit = [Fraction(0)] * num
-            unit[k] = Fraction(1)
-            rows.append(tuple(unit))
-    return rows
-
-
-def _rank(rows: list[tuple[Fraction, ...]]) -> int:
-    state: list = []
-    for row in rows:
-        kind, payload = _echelon_add(state, row, Fraction(0))
-        if kind == "independent":
-            state.append(payload)
-    return len(state)
-
-
-def is_extreme_point(spec: PolytopeSpec, mu: JointDistribution) -> bool:
-    """True iff the rows active at mu have full column rank."""
-    if not membership(spec, mu).is_member:
-        raise PolytopeError("mu is not a member of the polytope")
-    vector = mu.as_vector(spec.game)
-    return _rank(_active_rows(spec, vector)) == spec.game.num_profiles
-
-
-def winkler_support_bound(spec: PolytopeSpec, mu: JointDistribution) -> WinklerReport:
-    """Support bound for extreme points: |supp(mu)| <= k + 1.
-
-    k counts linearly independent incentive rows active at mu; the simplex
-    itself contributes the +1.  Requires mu to be an extreme point.
-    """
-    if not is_extreme_point(spec, mu):
-        raise PolytopeError("support bound applies to extreme points only")
-    vector = mu.as_vector(spec.game)
-    k = _rank([row.coeffs for row in spec.system.constraints[:-1]  # the incentive rows
-               if row.evaluate(vector) == row.rhs])
-    support_size = len(mu.support())
-    return WinklerReport(support_size, k, support_size <= k + 1)
 
 
 def enumerate_pure_ne(game: Game) -> list[tuple[Profile, bool]]:

@@ -4,12 +4,16 @@ Every certified quantity in this package is a `fractions.Fraction`; floats
 never enter a certificate, a polytope computation, or a file we emit.  This
 module fixes the text conventions for rationals ("p/q", integers, finite
 decimals) and provides the integer root that contest success functions
-need to stay inside exact arithmetic.
+need to stay inside exact arithmetic.  `scaled_ints` puts rationals over
+one common denominator as ints, so that sums and comparisons of them run
+in integer arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from typing import Sequence
 
 
 class RationalFormatError(ValueError):
@@ -51,6 +55,14 @@ def format_rational(value: Fraction | int | str) -> str:
     other value is read as a `Fraction` first.
     """
     return str(value) if type(value) is Fraction else str(Fraction(value))
+
+
+def scaled_ints(values: Sequence[int | Fraction], denom: int = 1) -> tuple[list[int], int]:
+    """`values` times D as ints, and D, the lcm of `denom` and the `Fraction` denominators."""
+    denom = lcm(denom, *{v.denominator for v in values if type(v) is Fraction})
+    if denom == 1:
+        return [v.numerator for v in values], 1
+    return [v.numerator * (denom // v.denominator) for v in values], denom
 
 
 def iroot(n: int, k: int) -> tuple[int, bool]:

@@ -15,8 +15,6 @@ from pathlib import Path
 from conftest import F
 from eqcert import generators
 from eqcert.certify import (
-    HULL_EQUAL,
-    HULL_PROPER_SUBSET,
     UNIQUE_MIXED_2X2,
     UNIQUE_PURE,
     Refutation,
@@ -24,9 +22,7 @@ from eqcert.certify import (
     certificate_to_dict,
     certify_unique_ircp,
     certify_unique_pure_cce,
-    classify_extreme_ne,
     classify_unique_cce,
-    conv_ne_vs_ircp,
     is_gue,
     is_quasi_strict,
     is_strict_fractional_gue,
@@ -56,10 +52,16 @@ from eqcert.polytopes import (
     Degenerate2x2Error,
     build_polytope,
     enumerate_pure_ne,
-    is_extreme_point,
     is_singleton,
     membership,
     mixed_ne_2x2,
+)
+from eqcert.theory import (
+    HULL_EQUAL,
+    HULL_PROPER_SUBSET,
+    classify_extreme_ne,
+    conv_ne_vs_ircp,
+    is_extreme_point,
 )
 
 PILOT = Path(__file__).parent / "data" / "dynamics_pilot.json"

@@ -9,9 +9,6 @@ import pytest
 from eqcert import certify, generators, polytopes, zerosum
 from eqcert.certify import (
     CertificationError,
-    HULL_EQUAL,
-    HULL_INCONCLUSIVE,
-    HULL_PROPER_SUBSET,
     NOT_UNIQUE,
     Refutation,
     UNIQUE_MIXED_2X2,
@@ -20,17 +17,11 @@ from eqcert.certify import (
     certificate_to_dict,
     certify_unique_ircp,
     certify_unique_pure_cce,
-    check_enforcement,
-    classify_extreme_ne,
     classify_unique_cce,
-    combinatorics_bound,
-    conv_ne_vs_ircp,
     is_gue,
     is_matching_pennies_type,
-    is_nash,
     is_quasi_strict,
     is_strict_fractional_gue,
-    quasi_strictness_certificate,
     refutation_to_dict,
     verify_certificate,
     verify_refutation,
@@ -39,13 +30,24 @@ from eqcert.games import (
     Game,
     JointDistribution,
     MixedAction,
-    affine_transform,
     cce_reduction,
     distribution_from_dict,
     distribution_to_dict,
     product_distribution,
 )
 from eqcert.polytopes import SolverInvariantError, build_polytope, membership, mixed_ne_2x2
+from eqcert.theory import (
+    HULL_EQUAL,
+    HULL_INCONCLUSIVE,
+    HULL_PROPER_SUBSET,
+    affine_transform,
+    check_enforcement,
+    classify_extreme_ne,
+    combinatorics_bound,
+    conv_ne_vs_ircp,
+    is_nash,
+    quasi_strictness_certificate,
+)
 
 from conftest import F
 from test_report import _doubled_parking, _tullock8

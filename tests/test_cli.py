@@ -1,5 +1,6 @@
 """End-to-end coverage of the command-line interface and its exit codes."""
 
+import ast
 import json
 import os
 import subprocess
@@ -727,6 +728,14 @@ def test_main_builds_each_parser_once(tmp_path, capsys, monkeypatch):
     assert built == Counter([None, *SUBCOMMANDS])
 
 
+def _src_env() -> dict:
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
 def test_importing_the_cli_builds_no_parser():
     # A parser built at import would add to the start-up of every process.
     script = "\n".join([
@@ -742,12 +751,62 @@ def test_importing_the_cli_builds_no_parser():
         "eqcert.cli.main(['--help'])",
         "print(len(built) > 0)",
     ])
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    done = subprocess.run([sys.executable, "-c", script], env=env,
+    done = subprocess.run([sys.executable, "-c", script], env=_src_env(),
                           capture_output=True, timeout=60)
     assert done.returncode == 0, done.stderr.decode()
     assert done.stdout.decode().splitlines()[0] == "0"
     assert done.stdout.decode().splitlines()[-1] == "True"
+
+
+def _theory_names() -> list[str]:
+    """Every name that `eqcert.theory` defines at top level."""
+    path = Path(__file__).resolve().parent.parent / "src" / "eqcert" / "theory.py"
+    names = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [target.id for target in node.targets]
+    return names
+
+
+def test_commands_load_no_theory(tmp_path):
+    # One of each subcommand in a fresh process: none may load
+    # `eqcert.theory`, and no module it loads may define a name of it.
+    game, report_path, cert_path = (str(tmp_path / name)
+                                    for name in ("parking.json", "report.json", "cert.json"))
+    spec, grid = (str(path) for path in _write_tullock(tmp_path))
+    ratios = tmp_path / "ratios.json"
+    ratios.write_text(json.dumps([f"{k}/8" for k in range(1, 8)]))
+    commands = [
+        ["generate", "parking", "--out", game],
+        ["analyze", game, "--check-unique", "--json", report_path],
+        ["certify", game, "--concept", "ircp"],
+        ["certify", game, "--concept", "cce", "--json", cert_path],
+        ["verify", report_path],
+        ["contest", spec, "--grid", grid, "--prop3", "--a-star", "1/4,1/4"],
+        ["contest", spec, "--grid", str(ratios), "--band", "--c", "1/4"],
+        ["simulate", game, "--algo", "external_mw", "--steps", "20", "--seed", "1",
+         "--certificate", cert_path],
+    ]
+    names = _theory_names()
+    assert "conv_ne_vs_ircp" in names and "HULL_EQUAL" in names
+    script = "\n".join([
+        "import contextlib, io, json, sys",
+        "from eqcert.cli import main",
+        "commands, names = json.loads(sys.argv[1])",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    codes = [main(argv) for argv in commands]",
+        "loaded = {key: module for key, module in sys.modules.items()",
+        "          if key == 'eqcert' or key.startswith('eqcert.')}",
+        "defined = [f'{key}.{name}' for key, module in sorted(loaded.items())",
+        "           for name in names if hasattr(module, name)]",
+        "print(json.dumps([codes, sorted(loaded), defined]))",
+    ])
+    done = subprocess.run([sys.executable, "-c", script, json.dumps([commands, names])],
+                          env=_src_env(), capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr.decode()
+    codes, loaded, defined = json.loads(done.stdout)
+    assert codes == [0] * len(commands)
+    assert "eqcert.cli" in loaded and "eqcert.theory" not in loaded
+    assert defined == []

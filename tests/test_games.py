@@ -10,7 +10,6 @@ from eqcert.games import (
     GameFormatError,
     JointDistribution,
     MixedAction,
-    affine_transform,
     cce_reduction,
     game_from_dict,
     game_to_dict,
@@ -20,10 +19,10 @@ from eqcert.games import (
     product_distribution,
     pure_guarantee,
     save_game,
-    strategic_transform,
     total_variation,
 )
 from eqcert.rational import RationalFormatError, parse_rational
+from eqcert.theory import affine_transform, strategic_transform
 
 
 def test_profile_indexing_row_major():

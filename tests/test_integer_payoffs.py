@@ -23,7 +23,6 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 from eqcert import generators, polytopes  # noqa: E402
-from eqcert.zerosum import build_lemma3_auxiliary  # noqa: E402
 from eqcert.games import (  # noqa: E402
     Game,
     JointDistribution,
@@ -31,8 +30,8 @@ from eqcert.games import (  # noqa: E402
     _normalize,
     cce_reduction,
     is_symmetric,
-    strategic_transform,
 )
+from eqcert.theory import build_lemma3_auxiliary, strategic_transform  # noqa: E402
 from test_polytopes import _reference_ce_row, _reference_cce_row  # noqa: E402
 
 SHAPES = ((2, 2), (2, 3), (3, 2), (3, 3), (2, 2, 2))

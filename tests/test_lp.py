@@ -19,11 +19,10 @@ from eqcert.lp import (
     PivotLimitExceeded,
     PolytopeSolver,
     SolverInvariantError,
-    VertexEnumerationError,
     _StandardForm,
-    enumerate_vertices,
 )
 from eqcert.polytopes import build_polytope
+from eqcert.theory import VertexEnumerationError, enumerate_vertices
 
 from conftest import F
 

@@ -2,12 +2,14 @@
 
 Where a player's payoffs have a pure saddle point, max_a min_c u(a, c) =
 min_c max_a u(a, c), `maximin` reads the level off the integer payoffs and
-solves no LP.  The LP `_row_lp` over the same payoff matrix is the
-reference: at a saddle point the levels must agree and the certificate must
-be the lowest-index action and opponent joint action at that level;
-elsewhere the result must be the LP's, unchanged.  Every result must pass
-`check_maximin`.  Payoffs are drawn from few values, so ties, several saddle
-actions and several saddle joint actions are common.
+solves no LP.  The LP `_row_lp` over the same integer rows is the
+reference, and over the payoffs as `Fraction`s it must find the same
+strategies and the level itself: at a saddle point the levels must agree
+and the certificate must be the lowest-index action and opponent joint
+action at that level; elsewhere the result must be the LP's, unchanged.
+Every result must pass `check_maximin`.  Payoffs are drawn from few values,
+so ties, several saddle actions and several saddle joint actions are
+common.
 """
 
 import random
@@ -19,8 +21,8 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 from eqcert import generators  # noqa: E402
-from eqcert.games import Game  # noqa: E402
-from eqcert.zerosum import _payoff_matrix, _row_lp, check_maximin, maximin  # noqa: E402
+from eqcert.games import Game, int_payoff_row  # noqa: E402
+from eqcert.zerosum import _row_lp, check_maximin, maximin  # noqa: E402
 
 SHAPES = ((2, 2), (2, 3), (3, 2), (3, 3), (2, 2, 2), (3, 2, 2), (2, 3, 2))
 
@@ -52,12 +54,17 @@ def _game(draw):
 @hypothesis.example(generators.prisoners_dilemma())
 def test_saddle_point_levels_equal_the_lp(game):
     for i in range(game.num_players):
-        matrix = _payoff_matrix(game, i)
-        floors = [min(row) for row in matrix]
-        ceilings = [max(column) for column in zip(*matrix)]
-        value, strategy, punishment = _row_lp(matrix)
+        rows = [int_payoff_row(game, i, a) for a in range(game.shape[i])]
+        floors = [min(row) for row in rows]
+        ceilings = [max(column) for column in zip(*rows)]
+        value, strategy, punishment = _row_lp(rows)
+        # Over the payoffs themselves the LP takes the same path: only the
+        # guarantee's scale d_i differs.
+        d = game.payoff_scales[i]
+        assert _row_lp([[Fraction(x, d) for x in row] for row in rows]) == (
+            value / d, strategy, punishment)
         result = maximin(game, i)
-        assert result.value == value
+        assert result.value == value / d
         assert check_maximin(game, i, result) == []
         opponents = list(game.opponent_profiles(i))
         if max(floors) == min(ceilings):

@@ -14,11 +14,9 @@ from eqcert.games import (
     Game,
     JointDistribution,
     MixedAction,
-    affine_transform,
     cce_reduction,
     deviation_gains,
     product_distribution,
-    strategic_transform,
 )
 from eqcert.lp import (
     EQUAL,
@@ -27,7 +25,6 @@ from eqcert.lp import (
     LinearConstraint,
     PolytopeSolver,
     _echelon_add,
-    enumerate_vertices,
 )
 from eqcert.polytopes import (
     Degenerate2x2Error,
@@ -35,13 +32,18 @@ from eqcert.polytopes import (
     PolytopeError,
     _ce_row,
     build_polytope,
-    coordinate_bounds,
     enumerate_pure_ne,
     improvement_system,
-    is_extreme_point,
     is_singleton,
     membership,
     mixed_ne_2x2,
+)
+from eqcert.theory import (
+    affine_transform,
+    coordinate_bounds,
+    enumerate_vertices,
+    is_extreme_point,
+    strategic_transform,
     winkler_support_bound,
 )
 

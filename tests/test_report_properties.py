@@ -22,9 +22,10 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 from eqcert import games, polytopes  # noqa: E402
-from eqcert.games import Game, affine_transform  # noqa: E402
+from eqcert.games import Game  # noqa: E402
 from eqcert.generators import parking, prisoners_dilemma  # noqa: E402
 from eqcert.report import build_report, verify_report  # noqa: E402
+from eqcert.theory import affine_transform  # noqa: E402
 from test_report import (  # noqa: E402
     coordination,
     every_concept_at,

@@ -1,6 +1,9 @@
 """The library imports nothing outside the standard library at run time,
 every name a module imports is used there or exported, and every private
-top-level function or class is referred to somewhere in the library."""
+top-level function or class is referred to somewhere in the library.  No
+module but `theory` imports `theory`, which only the demos and tests use,
+and the package `__init__` imports no submodule, so a command loads only
+the modules it runs."""
 
 import ast
 import sys
@@ -32,6 +35,41 @@ def test_module_imports_only_the_standard_library(path):
     outside = [name for name in _absolute_imports(path)
                if name not in sys.stdlib_module_names]
     assert outside == []
+
+
+def package_imports(source: str) -> set[str]:
+    """The package's submodules that `source` imports, by relative or absolute name."""
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[1] for alias in node.names
+                      if alias.name.startswith("eqcert.")}
+        elif isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0:
+                if parts[0] != "eqcert":
+                    continue
+                parts = parts[1:] or [""]
+            names |= {parts[0]} if parts[0] else {alias.name for alias in node.names}
+    return names
+
+
+def test_package_imports_are_found():
+    source = ("from __future__ import annotations\nimport json\n"
+              "from . import games, lp\nfrom .theory import affine_transform\n"
+              "import eqcert.report\nfrom eqcert.cli import main\n"
+              "from eqcert import dynamics\n")
+    assert package_imports(source) == {"games", "lp", "theory", "report", "cli",
+                                       "dynamics"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_theory_imports_theory_and_init_imports_nothing(path):
+    imported = package_imports(path.read_text(encoding="utf-8"))
+    if path.name == "__init__.py":
+        assert imported == set()
+    elif path.stem != "theory":
+        assert "theory" not in imported
 
 
 def _exported(tree: ast.Module) -> set[str]:

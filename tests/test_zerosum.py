@@ -9,25 +9,20 @@ import pytest
 
 from eqcert import generators
 from eqcert.certify import UniquenessCertificate, certify_unique_ircp
-from eqcert.games import Game
+from eqcert.games import Game, int_payoff_row, opponent_bases
 from eqcert.lp import (
     EQUAL,
     GREATER_EQUAL,
     ConstraintSystem,
     LinearConstraint,
     PolytopeSolver,
-    enumerate_vertices,
 )
-from eqcert.zerosum import (
-    MatrixGame,
-    ZeroSumError,
-    _payoff_matrix,
+from eqcert.theory import (
     build_lemma3_auxiliary,
-    check_maximin,
-    matrix_value,
-    maximin,
+    enumerate_vertices,
     strict_complementary_strategy,
 )
+from eqcert.zerosum import MatrixGame, ZeroSumError, check_maximin, matrix_value, maximin
 
 from conftest import F, build_theorem1_auxiliary, unique_security_profile
 
@@ -309,10 +304,17 @@ def test_lemma3_entries_vanish_under_nash_indifference():
 
 @pytest.mark.parametrize("shape", ((2, 2), (3, 4), (4, 3, 2), (2, 3, 2, 2)))
 def test_stride_payoff_matrix_equals_profile_matrix(shape):
-    for seed in (1, 2):
-        game = generators.random_game(shape, seed)
+    # The rows of maximin's LP: d_i u_i(a, c) for each action a, over the
+    # opponent joint actions c in `opponent_profiles` order.
+    for seed, divisor in ((1, 1), (2, 6)):
+        base = generators.random_game(shape, seed)
+        game = Game(base.actions, tuple(tuple(x / divisor for x in row)
+                                        for row in base.payoffs))
         for i in range(game.num_players):
-            reference = [[game.u(i, game.insert_action(i, a, opp))
+            d = game.payoff_scales[i]
+            reference = [[game.u(i, game.insert_action(i, a, opp)) * d
                           for opp in game.opponent_profiles(i)]
                          for a in range(game.shape[i])]
-            assert _payoff_matrix(game, i) == reference
+            bases = opponent_bases(game, i)
+            assert [int_payoff_row(game, i, a, bases)
+                    for a in range(game.shape[i])] == reference
