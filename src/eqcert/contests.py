@@ -488,8 +488,14 @@ def success_to_dict(f) -> dict:
     raise EvaluationDomainError(f"unknown share function {type(f).__name__}")
 
 
+def _descriptor(data, what: str) -> dict:
+    if not isinstance(data, dict):
+        raise EvaluationDomainError(f"{what} must be a JSON object, got {json.dumps(data)}")
+    return data
+
+
 def success_from_dict(data: dict):
-    kind = data.get("kind")
+    kind = _descriptor(data, "a share function").get("kind")
     if kind == "tullock":
         return TullockRatio(parse_rational(data["r"]))
     if kind == "band_upper":
@@ -515,11 +521,14 @@ def cost_to_dict(cost) -> dict:
 
 
 def cost_from_dict(data: dict):
-    kind = data.get("kind")
+    kind = _descriptor(data, "a cost function").get("kind")
     if kind == "linear":
         return LinearCost(parse_rational(data["slope"]))
     if kind == "power":
-        return PowerCost(parse_rational(data["coefficient"]), int(data["exponent"]))
+        exponent = data["exponent"]
+        if type(exponent) is not int:
+            raise EvaluationDomainError(f"cost exponent must be a JSON int, got {json.dumps(exponent)}")
+        return PowerCost(parse_rational(data["coefficient"]), exponent)
     raise EvaluationDomainError(f"unknown cost function kind {kind!r}")
 
 
@@ -533,6 +542,8 @@ def contest_to_dict(spec: ContestSpec) -> dict:
 
 def contest_from_dict(data: dict) -> ContestSpec:
     try:
+        if not isinstance(data["values"], list) or not isinstance(data["costs"], list):
+            raise EvaluationDomainError("contest values and costs must be JSON lists")
         return ContestSpec(
             success_from_dict(data["success"]),
             tuple(parse_rational(v) for v in data["values"]),

@@ -489,8 +489,13 @@ def game_from_dict(data: dict) -> Game:
     actions = data["actions"]
     if not isinstance(actions, list) or not all(isinstance(a, list) for a in actions):
         raise GameFormatError("actions must be a list of per-player label lists")
+    if type(data["players"]) is not int:
+        raise GameFormatError(f"players must be an int, got {json.dumps(data['players'])}")
     if data["players"] != len(actions):
         raise GameFormatError("player count disagrees with the actions table")
+    rows = data["payoffs"]
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise GameFormatError("payoffs must be a list of per-player payoff lists")
     parsed: dict[str, Fraction] = {}
 
     def read(x) -> Fraction:
@@ -502,7 +507,7 @@ def game_from_dict(data: dict) -> Game:
         return value
 
     try:
-        payoffs = tuple(tuple(map(read, row)) for row in data["payoffs"])
+        payoffs = tuple(tuple(map(read, row)) for row in rows)
     except RationalFormatError as exc:
         raise GameFormatError(str(exc)) from exc
     name = data.get("name")

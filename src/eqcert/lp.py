@@ -56,15 +56,17 @@ row, and the constants are left out.
 
 `PolytopeSolver.duals` reads the optimal row duals of the last optimum
 reached, by `optimize` or by a `step_off` that never moved, from the final
-tableau, with no further LP.  The reduced cost of a slack column is minus
-its row's simplex multiplier times the slack's sign in the standard form,
-so the multiplier is read from `z` at its scale, and is 0 when the slack is
-basic.  The standard form keeps each row's factor: the row's integer scale,
-negated when the row was negated.  Multiplying by it undoes both, and gives
-the dual of the system row as written.  Sign rule: for a minimum the dual
-is >= 0 on a `>=` row and <= 0 on a `<=` row; for a maximum both flip.  An
-`==` row has no slack column, and its dual comes from the basic columns'
-zero reduced costs.
+tableau, with no further LP.  Every row has a column of its own: its slack,
+or on an `==` row its artificial, which phase 1 keeps after the priced
+slots, so it is never priced and never enters.  That column's reduced cost
+is minus the row's simplex multiplier times the column's sign in the
+standard form, so the multiplier is read from `z` at its scale, and is 0
+when the column is basic, as it is on a redundant row that phase 1 dropped.
+The standard form keeps each row's factor: the row's integer scale, negated
+when the row was negated.  Multiplying by it undoes both, and gives the
+dual of the system row as written.  The duals are those of the minimum the
+tableau reached, which for a maximum is the minimum of minus the objective:
+each is >= 0 on a `>=` row and <= 0 on a `<=` row.
 
 The tableau is a dictionary (as in lrs, Avis 2000): each row, and the
 reduced-cost row, stores only the nonbasic columns and the right-hand side.
@@ -219,7 +221,11 @@ class _StandardForm:
     right-hand side: slot s holds the column of nonbasic variable `cols[s]`.
     A pivot swaps `basis[p]` and `cols[s]`, so the leaving variable takes
     the entering one's slot.  An artificial keeps its slot when it leaves
-    the basis, and phase 1 drops the artificials' slots at its end.
+    the basis.  At its end phase 1 moves the `==` rows' artificials after
+    the other slots and drops the other artificials' slots; only the first
+    `npriced` slots are priced.  System row r's dual is read from the
+    column of variable `dual_cols[r]`, whose entry in the standard form is
+    `signs[dual_cols[r]]` in row r and 0 elsewhere.
 
     `det` is the current basis determinant.  `rows[r]` holds row r's true
     entries times `scales[r]`, the basis determinant at which that row was
@@ -263,10 +269,12 @@ class _StandardForm:
         self.cols: list[int] = list(range(self.num_y))
         self.det = 1
         self.artificials: list[int] = []
-        # Per system row: its slack column and that column's entry (+1 on a
-        # `<=` row, -1 on a `>=` row of the standard form), None on `==`.
-        self.slacks: list[tuple[int, int] | None] = []
-        self.cost: list[int | Fraction] = []
+        # Per system row: its slack, or its artificial on an `==` row.
+        self.dual_cols: list[int] = []
+        # Per slack or artificial: its column's entry in its own row (+1 on
+        # a slack of a `<=` row, -1 on a surplus, +1 on an artificial until
+        # phase 1 negates the row it is basic in).
+        self.signs: dict[int, int] = {}
         self.cost_scale = 1
         slack_idx = slack_base
         art_idx = art_base
@@ -275,24 +283,25 @@ class _StandardForm:
             row = ints + [0] * num_surplus + [b]
             if rel == LESS_EQUAL:
                 self.basis.append(slack_idx)
-                self.slacks.append((slack_idx, 1))
+                self.dual_cols.append(slack_idx)
+                self.signs[slack_idx] = 1
                 slack_idx += 1
             elif rel == GREATER_EQUAL:
                 row[len(self.cols)] = -1
                 self.cols.append(slack_idx)
-                self.slacks.append((slack_idx, -1))
+                self.dual_cols.append(slack_idx)
+                self.signs[slack_idx] = -1
                 slack_idx += 1
-                self.basis.append(art_idx)
-                self.artificials.append(art_idx)
-                art_idx += 1
             else:
+                self.dual_cols.append(art_idx)
+            if rel != LESS_EQUAL:
                 self.basis.append(art_idx)
                 self.artificials.append(art_idx)
-                self.slacks.append(None)
+                self.signs[art_idx] = 1
                 art_idx += 1
             self.rows.append(row)
         self.num_labels = art_idx  # variables, artificials included
-        self.ncols = len(self.cols)
+        self.ncols = self.npriced = len(self.cols)
         self.z: list[int] = [0] * (self.ncols + 1)
         self.scales: list[int] = [1] * (m + 1)
 
@@ -395,11 +404,11 @@ class _StandardForm:
         point, and the only kind that lowers the objective.
         """
         rows, basis, cols = self.rows, self.basis, self.cols
-        rhs = self.ncols
+        rhs, priced = self.ncols, self.npriced
         while True:
             entering = -1
             z = self.z
-            for s in range(rhs):
+            for s in range(priced):
                 if z[s] < 0 and (entering < 0 or cols[s] < cols[entering]):
                     entering = s
             if entering < 0:
@@ -447,9 +456,9 @@ class _StandardForm:
         if self.system.start is not None:
             self._crash(self.system.start)
         if self.artificials:
-            cost = [Fraction(0)] * self.num_labels
+            cost = [0] * self.num_labels
             for a in self.artificials:
-                cost[a] = Fraction(1)
+                cost[a] = 1
             self._load_objective(cost)
             status = self._bland_min()
             if status != OPTIMAL:
@@ -461,11 +470,12 @@ class _StandardForm:
             # Drive zero-level artificials out of the basis, each on the least
             # non-artificial variable with a nonzero entry in its row.  Where
             # that entry is negative the row is negated, which substitutes -a
-            # for its artificial a: a is 0, and its slot is dropped below.
+            # for its artificial a, so the sign of a's column flips.  A row
+            # with no such entry is redundant and is dropped.
             live = self.num_y + self.num_slack
             drop_rows = []
-            for r in range(len(self.rows)):
-                if self.basis[r] not in art_set:
+            for r, a in enumerate(self.basis):
+                if a not in art_set:
                     continue
                 row = self.rows[r]
                 entries = [(label, s) for s, label in enumerate(self.cols)
@@ -476,23 +486,25 @@ class _StandardForm:
                 entering = min(entries)[1]
                 if row[entering] < 0:
                     self.rows[r] = [-v for v in row]
+                    self.signs[a] = -self.signs[a]
                 self._pivot(r, entering)
             for r in reversed(drop_rows):
                 del self.rows[r]
                 del self.basis[r]
                 del self.scales[r]
-            # Drop the slots of the artificials that left the basis.
-            for s in reversed(range(self.ncols)):
-                if self.cols[s] >= live:
-                    del self.cols[s]
-                    for row in self.rows:
-                        del row[s]
+            # Keep the `==` rows' artificials after the priced slots, and drop
+            # the other artificials' slots.
+            kept = set(self.dual_cols)
+            order = [s for s, label in enumerate(self.cols) if label < live]
+            self.npriced = len(order)
+            order += [s for s, label in enumerate(self.cols) if label >= live and label in kept]
+            self.cols = [self.cols[s] for s in order]
+            self.rows = [[row[s] for s in order] + [row[-1]] for row in self.rows]
             self.ncols = len(self.cols)
             self.z = [0] * (self.ncols + 1)
         return True
 
     def optimize(self, cost_y: Sequence[int | Fraction], stop_on_move: bool = False) -> str:
-        self.cost = list(cost_y)
         self._load_objective(cost_y)
         return self._bland_min(stop_on_move)
 
@@ -513,46 +525,15 @@ class _StandardForm:
         Standard-form row r is f_r times system row r, where f_r =
         `row_factors[r]` is the row's integer scale, negative when the row
         was negated.  Its simplex multiplier pi_r is read from the reduced
-        cost of its slack column, whose only entry s_r (+1 or -1) sits in
-        row r: that cost is 0 - pi_r s_r, held in `z` at the slack's slot
-        times `cost_scale` at `scales[-1]`, and 0 when the slack is basic.
-        So y_r = pi_r f_r = -s_r f_r z[slack] / (scales[-1] cost_scale).  An
-        `==` row has no slack column after phase 1.  The `==` rows' duals
-        solve the equations sum_r y_r a_rj = c_j of the basic columns j of
-        the system's variables, whose reduced costs are 0.
-        Every solution gives every column its reduced cost, since the basic
-        columns span the column space; a direction left free by a redundant
-        `==` row, which phase 1 dropped, is set to 0.
+        cost of its own column c = `dual_cols[r]`, whose only entry s_r =
+        `signs[c]` sits in row r: that cost is 0 - pi_r s_r, held in `z` at
+        c's slot times `cost_scale` at `scales[-1]`, and 0 when c is basic.
+        So y_r = pi_r f_r = -s_r f_r z[c] / (scales[-1] cost_scale).
         """
         z = dict(zip(self.cols, self.z))  # by variable; a basic one is absent
         scale = self.scales[-1] * self.cost_scale
-        rows = self.system.constraints
-        y = [Fraction(0)] * len(rows)
-        for r, (slack, factor) in enumerate(zip(self.slacks, self.row_factors)):
-            if slack is not None and z.get(slack[0]):
-                y[r] = Fraction(-slack[1] * factor * z[slack[0]], scale)
-        equalities = [r for r, slack in enumerate(self.slacks) if slack is None]
-        if not equalities:
-            return y
-        known = [(rows[r].coeffs, y[r]) for r in range(len(rows)) if y[r]]
-        state: list[tuple[int, tuple[Fraction, ...], Fraction]] = []
-        for j in self.basis:
-            if j >= self.num_y:
-                continue
-            coeffs = [rows[r].coeffs[j] for r in equalities]
-            if not any(coeffs):
-                continue
-            residual = self.cost[j] - sum((y_r * a[j] for a, y_r in known), Fraction(0))
-            kind, payload = _echelon_add(state, coeffs, residual)
-            if kind == "inconsistent":
-                raise SolverInvariantError("basic columns disagree on the equality duals")
-            if kind == "independent":
-                state.append(payload)
-                if len(state) == len(equalities):
-                    break
-        for r, value in zip(equalities, _solve_echelon(state, len(equalities))):
-            y[r] = value
-        return y
+        return [Fraction(-self.signs[c] * factor * z[c], scale) if z.get(c) else Fraction(0)
+                for c, factor in zip(self.dual_cols, self.row_factors)]
 
 
 class PolytopeSolver:
@@ -567,7 +548,7 @@ class PolytopeSolver:
         self.system = system
         self._form = _StandardForm(system)
         self.feasible = self._form.phase1()
-        self._maximized: bool | None = None  # sense of the optimum loaded, if any
+        self._optimal = False  # whether the last call reached an optimum
 
     def feasible_point(self) -> tuple[Fraction, ...] | None:
         if not self.feasible:
@@ -584,11 +565,11 @@ class PolytopeSolver:
         self._check_width(objective)
         objective = [Fraction(c) for c in objective]
         cost = [-c for c in objective] if maximize else objective
-        self._maximized = None
+        self._optimal = False
         status = self._form.optimize(cost)
         if status == UNBOUNDED:
             return LpOutcome(UNBOUNDED)
-        self._maximized = maximize
+        self._optimal = True
         point = self._form.point()
         value = sum((c * x for c, x in zip(objective, point) if x and c), Fraction(0))
         return LpOutcome(OPTIMAL, value, point)
@@ -609,44 +590,45 @@ class PolytopeSolver:
         if not self.feasible:
             raise LpError("an infeasible system has no basis")
         self._check_width(objective)
-        self._maximized = None
+        self._optimal = False
         status = self._form.optimize([-c for c in objective], stop_on_move=True)
         if status == UNBOUNDED:
             raise SolverInvariantError("step_off met an unbounded objective")
         if status == MOVED:
             return self._form.point()
-        self._maximized = True
+        self._optimal = True
         return None
 
     def duals(self) -> tuple[Fraction, ...]:
         """Optimal dual of the last optimum reached, one multiplier y_r per system row.
 
-        y_r is the rate at which the optimum moves with row r's right-hand
-        side, so sum_r b_r y_r equals the optimum.  For a minimum, y_r >= 0
-        on a `>=` row, y_r <= 0 on a `<=` row, y_r is free on an `==` row,
-        and sum_r y_r a_rj <= c_j for every variable j; for a maximum every
-        sign and that inequality flip.  It is read from the final tableau
-        with no further LP (see `_StandardForm.duals`).
+        It is the dual of the minimum the tableau reached, min c.x, where c
+        is the objective of a minimization and minus the objective of a
+        maximization.  y_r is the rate at which that minimum moves with row
+        r's right-hand side, so sum_r b_r y_r equals it.  y_r >= 0 on a `>=`
+        row, y_r <= 0 on a `<=` row, y_r is free on an `==` row, and sum_r
+        y_r a_rj <= c_j for every variable j.  It is read from the final
+        tableau with no further LP (see `_StandardForm.duals`).
         """
-        if self._maximized is None:
+        if not self._optimal:
             raise LpError("duals need an optimum: an optimal `optimize`, or a "
                           "`step_off` that returned None")
-        y = self._form.duals()
-        return tuple(-v if v else v for v in y) if self._maximized else tuple(y)
+        return tuple(self._form.duals())
 
-    def pinning_objective(self) -> tuple[Fraction, ...]:
+    def pinning_objective(self) -> tuple[int | Fraction, ...]:
         """The sum of the nonbasic columns at the current basis, over the system's variables.
 
         It is 1 on each nonbasic variable, plus a_r for each `>=` row r whose
         slack is nonbasic and -a_r for each such `<=` row (see the module
-        docstring).  Its maximum over the system equals its value at the
-        current basic point exactly when that point is the only member.
+        docstring), so it is over the ints when those rows are.  Its maximum
+        over the system equals its value at the current basic point exactly
+        when that point is the only member.
         """
         if not self.feasible:
             raise LpError("an infeasible system has no basis")
         form = self._form
         basic = set(form.basis)
-        objective = [Fraction(0) if j in basic else Fraction(1) for j in range(form.num_y)]
+        objective = [0 if j in basic else 1 for j in range(form.num_y)]
         slack = form.num_y
         for row in self.system.constraints:
             if row.relation == EQUAL:
@@ -658,41 +640,3 @@ class PolytopeSolver:
                         objective[j] += sign * c
             slack += 1
         return tuple(objective)
-
-
-# -- echelon elimination ---------------------------------------------------
-
-
-def _echelon_add(state: list[tuple[int, tuple[Fraction, ...], Fraction]],
-                 row: Sequence[int | Fraction], rhs: Fraction) -> tuple[str, tuple]:
-    """Reduce (row, rhs) against an echelon state; classify the result.
-
-    Rows may hold ints; the elimination factor is an exact `Fraction` even
-    when both of its entries are ints.
-    """
-    row = list(row)
-    for pivot_col, prow, prhs in state:
-        factor = row[pivot_col]
-        if factor == 0:
-            continue
-        scale = Fraction(factor) / prow[pivot_col]
-        for c in range(pivot_col, len(row)):
-            row[c] -= scale * prow[c]
-        rhs -= scale * prhs
-    for c, v in enumerate(row):
-        if v != 0:
-            return "independent", (c, tuple(row), rhs)
-    if rhs != 0:
-        return "inconsistent", ()
-    return "dependent", ()
-
-
-def _solve_echelon(state: list[tuple[int, tuple[Fraction, ...], Fraction]],
-                   num_vars: int) -> tuple[Fraction, ...]:
-    x = [Fraction(0)] * num_vars
-    for pivot_col, row, rhs in sorted(state, key=lambda item: -item[0]):
-        total = rhs
-        for c in range(pivot_col + 1, num_vars):
-            total -= row[c] * x[c]
-        x[pivot_col] = total / row[pivot_col]
-    return tuple(x)

@@ -159,10 +159,12 @@ class SingletonResult:
     """Either the unique member, or two distinct members as witnesses.
 
     `duals`, one per system row, is the dual of the LP that pinned the point
-    (`singleton_over_system`); None for witnesses, for a point taken down
-    the inclusion chain, whose dual belongs to another system's rows, and
-    for an IRCP or CCE point decided at a*, whose certificate is the
-    context's weights (`GameAnalysis.weights`).
+    (`singleton_over_system`), as `PolytopeSolver.duals` reads it: that of
+    min -c.x for the maximized objective c, >= 0 on a `>=` row.  It is None
+    for witnesses, for a point taken down the inclusion chain, whose dual
+    belongs to another system's rows, and for an IRCP or CCE point decided
+    at a*, whose certificate is the context's weights
+    (`GameAnalysis.weights`).
     `reason` says why an IRCP decision holds its witnesses, else None.
     """
 
@@ -451,8 +453,8 @@ def singleton_over_system(game: Game, system: ConstraintSystem,
     Each LP runs by `PolytopeSolver.step_off`, which stops at the first
     pivot that leaves x*: a refutation needs a second member, not an
     optimum, and the point there is one.  A singleton carries the dual of
-    the last LP (`PolytopeSolver.duals`), which reached its optimum at x*,
-    negated, as that LP is a maximum, so that it is >= 0 on a `>=` row.
+    the last LP (`PolytopeSolver.duals`), which reached its optimum at x*:
+    the dual of min -c.x for that LP's objective c, >= 0 on a `>=` row.
     The system's variables must be joint-distribution coordinates over
     `game`, which its rows force to sum to 1.
     """
@@ -469,7 +471,7 @@ def singleton_over_system(game: Game, system: ConstraintSystem,
         other = solver.step_off(solver.pinning_objective())
     if other is not None:
         return SingletonResult(None, (base, JointDistribution.from_vector(game, other)))
-    return SingletonResult(base, None, tuple(-y for y in solver.duals()))
+    return SingletonResult(base, None, solver.duals())
 
 
 def is_singleton(spec: PolytopeSpec,

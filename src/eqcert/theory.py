@@ -39,8 +39,6 @@ from .lp import (
     LinearConstraint,
     PolytopeSolver,
     SolverInvariantError,
-    _echelon_add,
-    _solve_echelon,
 )
 from .polytopes import PolytopeError, PolytopeSpec, build_polytope, membership
 from .zerosum import MatrixGame, matrix_value
@@ -89,6 +87,42 @@ def strategic_transform(game: Game, gamma: Sequence[Fraction],
 
 
 # -- vertex enumeration ----------------------------------------------------
+
+
+def _echelon_add(state: list[tuple[int, tuple[Fraction, ...], Fraction]],
+                 row: Sequence[int | Fraction], rhs: Fraction) -> tuple[str, tuple]:
+    """Reduce (row, rhs) against an echelon state; classify the result.
+
+    Rows may hold ints; the elimination factor is an exact `Fraction` even
+    when both of its entries are ints.
+    """
+    row = list(row)
+    for pivot_col, prow, prhs in state:
+        factor = row[pivot_col]
+        if factor == 0:
+            continue
+        scale = Fraction(factor) / prow[pivot_col]
+        for c in range(pivot_col, len(row)):
+            row[c] -= scale * prow[c]
+        rhs -= scale * prhs
+    for c, v in enumerate(row):
+        if v != 0:
+            return "independent", (c, tuple(row), rhs)
+    if rhs != 0:
+        return "inconsistent", ()
+    return "dependent", ()
+
+
+def _solve_echelon(state: list[tuple[int, tuple[Fraction, ...], Fraction]],
+                   num_vars: int) -> tuple[Fraction, ...]:
+    x = [Fraction(0)] * num_vars
+    for pivot_col, row, rhs in sorted(state, key=lambda item: -item[0]):
+        total = rhs
+        for c in range(pivot_col + 1, num_vars):
+            total -= row[c] * x[c]
+        x[pivot_col] = total / row[pivot_col]
+    return tuple(x)
+
 
 
 class VertexEnumerationError(ValueError):

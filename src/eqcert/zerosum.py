@@ -97,10 +97,10 @@ def _row_lp(rows: Sequence[Sequence[int]]
     guarantee column scaled by 1/D, which changes no pivot of Bland's path
     and no column row's dual.  The free guarantee is split as z = z+ - z-,
     the last two columns.  Returns z, the optimal row strategy and an
-    optimal column strategy.  Column c's row is a `>=` row of a maximum, so
-    its dual y_c is <= 0; the dual constraints of z+ and z- make the -y_c
-    sum to 1, and those of the row strategy's weights hold every row to at
-    most z.
+    optimal column strategy.  The solver reads the dual of min -z, so
+    column c's `>=` row has a dual y_c >= 0; the dual constraints of z+ and
+    z- make the y_c sum to 1, and those of the row strategy's weights hold
+    every row to at most z.
     """
     num_rows = len(rows)
     constraints = [LinearConstraint((*column, -1, 1), GREATER_EQUAL, Fraction(0))
@@ -110,7 +110,7 @@ def _row_lp(rows: Sequence[Sequence[int]]
     outcome = solver.optimize((0,) * num_rows + (1, -1), maximize=True)
     if outcome.status != OPTIMAL:
         raise SolverInvariantError("matrix game value LP must be solvable")
-    column = tuple(-y if y else y for y in solver.duals()[:-1])
+    column = solver.duals()[:-1]
     return outcome.value, outcome.point[:num_rows], column
 
 

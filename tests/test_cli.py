@@ -16,6 +16,7 @@ from eqcert.cli import SUBCOMMANDS, build_parser, main
 from eqcert.contests import (
     ContestSpec,
     LinearCost,
+    PowerCost,
     TullockRatio,
     save_contest,
 )
@@ -232,6 +233,43 @@ def test_contest_band_checks(tmp_path, capsys):
     assert "band check at c = 1/4: passed" in capsys.readouterr().out
     assert main(["contest", str(spec_path), "--grid", str(ratio_path),
                  "--band", "--c", "1/2"]) == 1
+
+
+@pytest.mark.parametrize("kind, changes", [
+    ("game", {"payoffs": 5}),
+    ("game", {"payoffs": [5, 6]}),
+    ("game", {"players": True}),
+    ("contest", {"exponent": "x"}),
+    ("contest", {"exponent": 2.7}),
+    ("contest", {"exponent": True}),
+    ("contest", {"success": "tullock"}),
+], ids=("payoffs-int", "payoffs-flat", "players-bool", "exponent-str", "exponent-float",
+        "exponent-bool", "success-str"))
+def test_malformed_game_and_contest_files_exit_2(kind, changes, tmp_path, capsys):
+    # A malformed field is an input error: exit 2 and one `error:` line.  The
+    # file without that change is read and checked.
+    if kind == "game":
+        data = {"players": 1, "actions": [["a", "b"]], "payoffs": [["0", "1"]]}
+        argv = ["analyze"]
+    else:
+        spec = ContestSpec(TullockRatio(1), (1, 1), (PowerCost(1, 2), PowerCost(1, 2)))
+        data = json.loads(save_contest(spec))
+        ratio_path = tmp_path / "ratios.json"
+        ratio_path.write_text(json.dumps([f"{k}/8" for k in range(1, 8)]))
+        argv = ["contest", "--grid", str(ratio_path), "--band", "--c", "1/4"]
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(data))
+    assert main([argv[0], str(path), *argv[1:]]) == 0
+    if "exponent" in changes:
+        data["costs"][1]["exponent"] = changes["exponent"]
+    else:
+        data.update(changes)
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_contest_input_errors(tmp_path):

@@ -553,6 +553,21 @@ def test_serialization_rejects_unknown_kinds():
         success_to_dict(LinearCost(1))
     with pytest.raises(EvaluationDomainError):
         cost_from_dict({"kind": "cubic"})
+    # A descriptor that is no object, or an exponent that is no JSON int.
+    for success in ("tullock", ["tullock"], {"kind": "mix", "alpha": "1/2", "components": ["x"]}):
+        with pytest.raises(EvaluationDomainError, match="share function must be a JSON object"):
+            success_from_dict(success)
+    for exponent in ("x", "2", 2.7, 2.0, True, None):
+        with pytest.raises(EvaluationDomainError, match="exponent must be a JSON int"):
+            cost_from_dict({"kind": "power", "coefficient": "1", "exponent": exponent})
+    assert cost_from_dict({"kind": "power", "coefficient": "1", "exponent": 2}) == PowerCost(1, 2)
+    with pytest.raises(EvaluationDomainError, match="cost function must be a JSON object"):
+        cost_from_dict("linear")
+    tullock = {"kind": "tullock", "r": "1"}
+    linear = {"kind": "linear", "slope": "1"}
+    for values, costs in (("12", [linear, linear]), (["1", "1"], {"0": linear, "1": linear})):
+        with pytest.raises(EvaluationDomainError, match="values and costs must be JSON lists"):
+            contest_from_dict({"success": tullock, "values": values, "costs": costs})
     with pytest.raises(EvaluationDomainError):
         contest_from_dict({"success": {"kind": "tullock", "r": "1"}})
     with pytest.raises(EvaluationDomainError):

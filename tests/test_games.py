@@ -241,6 +241,14 @@ def test_load_game_rejects_malformed():
         load_game(b"{ not json")
     with pytest.raises(GameFormatError):
         load_game(b'{"actions": [["a"]], "payoffs": [["0"]]}')
+    # players must be a JSON int, and payoffs a list of lists: "00" is no row.
+    for players, payoffs in (('"1"', '[["0", "0"]]'), ("true", '[["0", "0"]]'),
+                             ("1.0", '[["0", "0"]]'), ("1", "5"), ("1", "[5, 6]"),
+                             ("1", '["00"]'), ("1", '{"0": ["0", "0"]}')):
+        text = f'{{"players": {players}, "actions": [["a", "b"]], "payoffs": {payoffs}}}'
+        with pytest.raises(GameFormatError, match="players must be an int|payoffs must be"):
+            load_game(text)
+    assert load_game('{"players": 1, "actions": [["a", "b"]], "payoffs": [["0", "0"]]}')
 
 
 def _read_one_by_one(data: dict) -> Game:

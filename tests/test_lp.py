@@ -402,6 +402,17 @@ def test_pinning_objective_is_flat_on_a_point(case):
     assert out.value == at_vertex and out.point == vertex
 
 
+@pytest.mark.parametrize("concept", ("ce", "cce", "ircp"))
+def test_pinning_objective_is_over_the_ints_on_int_rows(concept):
+    # Polytope rows are written over integer payoffs, so the objective is
+    # built from ints alone, and it adds at least one nonbasic slack's row.
+    game = generators.random_game((3, 3), 4)
+    solver = PolytopeSolver(build_polytope(game, concept).system)
+    objective = solver.pinning_objective()
+    assert all(type(c) is int for c in objective)
+    assert any(c not in (0, 1) for c in objective)
+
+
 def test_pinning_objective_needs_a_feasible_system():
     solver = PolytopeSolver(_system(1, [([1], LESS_EQUAL, -1)]))
     with pytest.raises(LpError, match="no basis"):

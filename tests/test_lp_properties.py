@@ -28,11 +28,10 @@ from eqcert.lp import (  # noqa: E402
     LinearConstraint,
     PolytopeSolver,
     UNBOUNDED,
-    _echelon_add,
-    _solve_echelon,
     _StandardForm,
 )
 from eqcert.polytopes import build_polytope, enumerate_pure_ne  # noqa: E402
+from eqcert.theory import _echelon_add, _solve_echelon  # noqa: E402
 
 _coeff = st.integers(min_value=-3, max_value=3)
 
@@ -97,10 +96,11 @@ class _DenseForm:
 
     Columns are [y | slacks | artificials], numbered as the library numbers
     its variables.  A pivot rewrites every row, basic columns included, at
-    the new determinant; the artificial columns are deleted after phase 1.
-    The pivot rules are the library's: Bland's by column, ratio-test ties to
-    the least basic column, a crash pivot at the system's start column, and
-    the phase-1 drive-out of zero-level artificials.
+    the new determinant.  After phase 1 the `==` rows' artificial columns
+    stay, unpriced, and the other artificial columns are deleted.  The pivot
+    rules are the library's: Bland's by column, ratio-test ties to the least
+    basic column, a crash pivot at the system's start column, and the
+    phase-1 drive-out of zero-level artificials.
     """
 
     def __init__(self, system):
@@ -117,7 +117,8 @@ class _DenseForm:
             normalized.append((ints, rel, b))
         self.live = n + sum(rel != EQUAL for _, rel, _ in normalized)
         self.ncols = self.live + sum(rel != LESS_EQUAL for _, rel, _ in normalized)
-        self.rows, self.basis, self.artificials = [], [], []
+        self.priced = self.ncols
+        self.rows, self.basis, self.artificials, self.equality_artificials = [], [], [], []
         slack, art = n, self.live
         for ints, rel, b in normalized:
             row = ints + [0] * (self.ncols - n) + [b]
@@ -130,6 +131,8 @@ class _DenseForm:
                 row[art] = 1
                 self.basis.append(art)
                 self.artificials.append(art)
+                if rel == EQUAL:
+                    self.equality_artificials.append(art)
                 art += 1
             self.rows.append(row)
         self.det = 1
@@ -163,7 +166,7 @@ class _DenseForm:
 
     def _bland_min(self):
         while True:
-            entering = next((j for j in range(self.ncols) if self.z[j] < 0), None)
+            entering = next((j for j in range(self.priced) if self.z[j] < 0), None)
             if entering is None:
                 return OPTIMAL
             ratios = [(Fraction(row[-1], row[entering]), bvar, r)
@@ -195,9 +198,11 @@ class _DenseForm:
                 row[:] = [v if j == self.basis[r] else -v for j, v in enumerate(row)]
             self._pivot(r, entering)
         kept = [r for r, bvar in enumerate(self.basis) if bvar not in self.artificials]
-        self.rows = [self.rows[r][:self.live] + [self.rows[r][-1]] for r in kept]
+        dropped = set(self.basis) & set(self.artificials)  # basic in a redundant row
+        columns = [*range(self.live), *(a for a in self.equality_artificials if a not in dropped), -1]
+        self.rows = [[self.rows[r][j] for j in columns] for r in kept]
         self.basis = [self.basis[r] for r in kept]
-        self.ncols = self.live
+        self.priced, self.ncols = self.live, len(columns) - 1
         self.z = [0] * (self.ncols + 1)
         return True
 
@@ -223,26 +228,41 @@ class _CondensedForm(_StandardForm):
     def __init__(self, system):
         super().__init__(system)
         self.trail = []
+        self.phase1_done = False
 
     def _pivot(self, p, s):
         super()._pivot(p, s)
         self.trail.append(self.snapshot())
 
+    def phase1(self):
+        feasible = super().phase1()
+        self.phase1_done = True
+        return feasible
+
     def snapshot(self):
         # Slots and basic variables partition the variables still in play:
-        # every one of them during phase 1, none of the artificials after.
-        width = len(self.cols) + len(self.basis)
-        assert sorted(self.cols + self.basis) == list(range(width))
+        # every one of them during phase 1.  After it the artificials left
+        # are `==` rows' artificials, each nonbasic in a slot after the
+        # priced ones.
+        live = self.num_y + self.num_slack
+        in_play = sorted(self.cols + self.basis)
+        if self.phase1_done:
+            assert in_play[:live] == list(range(live))
+            assert set(in_play[live:]) <= set(self.dual_cols)
+            assert sorted(self.cols[self.npriced:]) == in_play[live:]
+        else:
+            assert in_play == list(range(self.num_labels))
+        position = {label: k for k, label in enumerate(in_play)}
         det = self.det
         dense = []
         for r, (row, scale) in enumerate(zip(self.rows + [self.z], self.scales, strict=True)):
             # row * det / scale must be the common-denominator row exactly
             assert scale > 0 and all(v * det % scale == 0 for v in row)
-            full = [0] * width + [row[-1] * det // scale]
+            full = [0] * len(in_play) + [row[-1] * det // scale]
             for label, v in zip(self.cols, row):
-                full[label] = v * det // scale
+                full[position[label]] = v * det // scale
             if r < len(self.basis):
-                full[self.basis[r]] = det
+                full[position[self.basis[r]]] = det
             dense.append(full)
         return tuple(self.basis), self.pivots_used, det, dense[:-1], dense[-1]
 
@@ -387,12 +407,27 @@ def _bounded_feasible_system(draw):
     return ConstraintSystem(n, tuple(rows)), costs
 
 
+# The second row is negated to a nonnegative right-hand side, 4 x1 + 9 x2 = 18,
+# as is the third, its repeat.  Phase 1 leaves the second row's artificial
+# basic at level 0 with a negative entry for x1, so the drive-out negates the
+# row and flips that artificial's sign.  The row's dual is nonzero at every
+# optimum but the first cost's minimum.
+_DRIVE_OUT_NEGATES_AN_EQUALITY = (
+    ConstraintSystem(2, (
+        LinearConstraint((Fraction(-1), Fraction(-1)), GREATER_EQUAL, Fraction(-4)),
+        LinearConstraint((Fraction(-2, 3), Fraction(-3, 2)), EQUAL, Fraction(-3)),
+        LinearConstraint((Fraction(4, 9), Fraction(1)), EQUAL, Fraction(2)),
+        LinearConstraint((Fraction(1), Fraction(1)), LESS_EQUAL, Fraction(2)))),
+    [(Fraction(1), Fraction(0)), (Fraction(2, 3), Fraction(-1))])
+
+
 @hypothesis.settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @hypothesis.given(_bounded_feasible_system())
+@hypothesis.example(_DRIVE_OUT_NEGATES_AN_EQUALITY)
 def test_tableau_duals_are_optimal_duals(case):
-    # For a minimum: y >= 0 on `>=` rows, y <= 0 on `<=` rows, y^T A <= c,
-    # and b^T y equals the optimum (strong duality, exactly).  For a maximum
-    # the signs and the inequality flip.
+    # The duals are those of min c.x, with c the cost, or minus the cost of
+    # a maximum: y >= 0 on `>=` rows, y <= 0 on `<=` rows, y^T A <= c, and
+    # b^T y equals that minimum (strong duality, exactly).
     system, costs = case
     solver = PolytopeSolver(system)
     assert solver.feasible
@@ -403,13 +438,14 @@ def test_tableau_duals_are_optimal_duals(case):
             out = solver.optimize(cost, maximize)
             assert out.status == OPTIMAL
             y = solver.duals()
-            sign = -1 if maximize else 1
+            minimized = [-c for c in cost] if maximize else cost
             assert len(y) == len(rows)
             for row, y_r in zip(rows, y):
                 if row.relation == GREATER_EQUAL:
-                    assert sign * y_r >= 0
+                    assert y_r >= 0
                 elif row.relation == LESS_EQUAL:
-                    assert sign * y_r <= 0
-            for j, c in enumerate(cost):
-                assert sign * sum(y_r * row.coeffs[j] for row, y_r in zip(rows, y)) <= sign * c
-            assert sum(row.rhs * y_r for row, y_r in zip(rows, y)) == out.value
+                    assert y_r <= 0
+            for j, c in enumerate(minimized):
+                assert sum(y_r * row.coeffs[j] for row, y_r in zip(rows, y)) <= c
+            minimum = -out.value if maximize else out.value
+            assert sum(row.rhs * y_r for row, y_r in zip(rows, y)) == minimum

@@ -24,7 +24,6 @@ from eqcert.lp import (
     ConstraintSystem,
     LinearConstraint,
     PolytopeSolver,
-    _echelon_add,
 )
 from eqcert.polytopes import (
     Degenerate2x2Error,
@@ -39,6 +38,7 @@ from eqcert.polytopes import (
     mixed_ne_2x2,
 )
 from eqcert.theory import (
+    _echelon_add,
     affine_transform,
     coordinate_bounds,
     enumerate_vertices,

@@ -321,7 +321,7 @@ def _run_to_optimum(game: Game, system: ConstraintSystem):
     if other is not None:
         result = polytopes.SingletonResult(None, (base, other))
     else:
-        result = polytopes.SingletonResult(base, None, tuple(-y for y in solver.duals()))
+        result = polytopes.SingletonResult(base, None, solver.duals())
     return result, solver._form.pivots_used
 
 
