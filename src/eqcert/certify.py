@@ -1,24 +1,25 @@
 """Uniqueness certificates, refutations, and the classification of a unique CCE.
 
 A uniqueness certificate for a profile a* consists of positive welfare
-weights gamma such that the gamma-weighted payoff gains relative to a*
-are strictly negative at every other profile (for IRCP uniqueness, gains
-are measured against a* itself; for unique pure CCE, against unilateral
-switches to a_i*).  Such weights pin P(a*) = {mu : E_mu u >= u(a*)} to
-delta(a*): over the game for IRCP and strict fractional GUE, over v_i(a) =
-u_i(a) - u_i(a_i*, a_{-i}) (`games.cce_reduction`) for a pure CCE.  One
+weights gamma such that the gamma-weighted gains sum_i gamma_i delta_i(a)
+are strictly negative at every other profile a.  For IRCP uniqueness and
+strict fractional GUE the gain is delta_i(a) = u_i(a) - u_i(a*); for a
+unique pure CCE it is u_i(a) - u_i(a_i*, a_{-i}), the gain over switching
+to a_i*.  Both are one integer gain table (`games.gain_rows`), and such
+weights pin P(a*) = {mu : E_mu delta_i >= 0 for all i} to delta(a*).  One
 kept search finds them, `polytopes.GameAnalysis.weights`, which decides
 those questions too, so a certificate is only (concept, a*, gamma, slack);
 refutations carry explicit polytope members that anyone can re-check.  At
-a strict NE a*, a pure CCE certificate needs no maximin LP: each level of
-v is 0, as a_i* gets 0 against every a_{-i} and every other mix loses
+a strict NE a*, a pure CCE certificate needs no maximin LP: the CCE gain
+is 0 wherever player i plays a_i*, and every other mix of i's loses
 against a*_{-i}.  The weighted gains of a certificate are summed over the
-players' integer payoffs (`games._gain_slack`), and the slack is reported
-as a `Fraction`.  The solver's re-check and `verify_certificate` are one
-call on the game's payoffs alone, with no maximin level and no LP
-(`_certificate_problems`).  The CCE question is decided once
-(`_cce_decision`), and `certify_unique_pure_cce` and `classify_unique_cce`
-convert that decision.
+gain table in ints (`games._gain_slack`), and the slack is reported as a
+`Fraction`; the unilateral guarantee and the pure-Pareto GUE flag compare
+the table's entries with 0.  The solver's re-check and
+`verify_certificate` are one call on the game's payoffs alone, with no
+maximin level and no LP (`_certificate_problems`).  The CCE question is
+decided once (`_cce_decision`), and `certify_unique_pure_cce` and
+`classify_unique_cce` convert that decision.
 
 Certificates and refutations are written and read here; their witnesses take
 the JSON form of `games` and are re-checked by `polytopes.membership_problems`.
@@ -38,6 +39,7 @@ from .games import (
     Profile,
     _gain_slack,
     _normalize,
+    gain_rows,
     is_symmetric,
 )
 from .lp import SolverInvariantError
@@ -124,12 +126,12 @@ def _cce_decision(analysis: polytopes.GameAnalysis,
     """The one CCE decision: a certificate at a*, or the CCE singleton test.
 
     A unique pure CCE sits at a strict pure NE a*, where its weights pin
-    the reduced P(a*) (see the module docstring).  So at the context's CCE
-    candidate, the lone strict pure NE with no rival (no LP), weights are
-    sought first, unless the context holds a CCE decision other than
-    delta(a*): `gamma_hint` (ignored unless positive and one per player),
-    then `GameAnalysis.weights`, which the context's CCE decision reads
-    too.  A rival leaves no weights to find.  Otherwise that decision
+    the P(a*) of the CCE gains (see the module docstring).  So at the
+    context's CCE candidate, the lone strict pure NE with no rival (no LP),
+    weights are sought first, unless the context holds a CCE decision
+    other than delta(a*): `gamma_hint` (ignored unless positive and one per
+    player), then `GameAnalysis.weights`, which the context's CCE decision
+    reads too.  A rival leaves no weights to find.  Otherwise that decision
     stands: two members, or a mixed point.  A pure point there is one the
     weights must have certified, so it raises.
     """
@@ -314,25 +316,22 @@ def is_quasi_strict(game: Game, nu: JointDistribution) -> bool:
 
 
 def _unilateral_guarantee(game: Game, a_star: Profile) -> bool:
-    game.profile_index(a_star)  # rejects a profile outside the game
-    return all(games.pure_guarantee(game, i, a_star[i]) >= game.u(i, a_star)
-               for i in range(game.num_players))
+    """Whether each a*_i guarantees u_i(a*): i's IRCP gain is >= 0 wherever i plays a*_i."""
+    rows = gain_rows(game, a_star, "ircp")
+    return all(min(row[base + a * game.strides[i]] for base in games.opponent_bases(game, i))
+               >= 0 for i, (a, row) in enumerate(zip(a_star, rows)))
 
 
 def is_gue(game: Game, a_star: Sequence[int]) -> bool:
-    """Pareto optimal among pure profiles plus the unilateral guarantee."""
+    """Pareto optimal among pure profiles plus the unilateral guarantee.
+
+    Both read the IRCP gain table at a* (`games.gain_rows`): no column may
+    be >= 0 in every entry with one entry > 0.
+    """
     a_star = tuple(a_star)
-    if not _unilateral_guarantee(game, a_star):
-        return False
-    base = game.payoff_vector(a_star)
-    for profile in game.profiles():
-        if profile == a_star:
-            continue
-        other = game.payoff_vector(profile)
-        if all(o >= b for o, b in zip(other, base)) and any(
-                o > b for o, b in zip(other, base)):
-            return False
-    return True
+    return _unilateral_guarantee(game, a_star) and not any(
+        min(column) >= 0 and max(column) > 0
+        for column in zip(*gain_rows(game, a_star, "ircp")))
 
 
 def is_strict_fractional_gue(game: Game | polytopes.GameAnalysis,

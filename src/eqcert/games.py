@@ -22,6 +22,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Iterator, Mapping, Sequence
 
 from .rational import RationalFormatError, format_rational, parse_rational, scaled_ints
@@ -170,8 +171,8 @@ def deviation_gains(game: Game, player: int, deviation: int) -> list[int]:
 
     d_i is the player's payoff scale (`Game.payoff_scales`).  Player i's
     action at k is (k // stride) % size, and the deviation moves the index
-    by (deviation - action) * stride.  CCE rows, CCE certificate gains, the
-    profile-vs-deviation game and `cce_reduction` are built from it.
+    by (deviation - action) * stride.  CCE rows, the CCE gain table
+    (`gain_rows`) and the profile-vs-deviation game are built from it.
     """
     stride, size = game.strides[player], game.shape[player]
     payoff = game.int_payoffs[player]
@@ -179,19 +180,18 @@ def deviation_gains(game: Game, player: int, deviation: int) -> list[int]:
             for k in range(game.num_profiles)]
 
 
-def cce_reduction(game: Game, a_star: Sequence[int]) -> Game:
-    """Strategic transform v_i(a) = u_i(a) - u_i(a_i*, a_{-i}).
+def gain_rows(game: Game, a_star: Sequence[int], concept: str) -> list[list[int]]:
+    """The gain table at a*: d_i delta_i(a) at every profile index, one row per player.
 
-    Player i's payoffs are `deviation_gains(game, i, a_i*)` over d_i.  The
-    reduced game has v_i(a_i*, a_{-i}) = 0 for every opponent profile;
-    its individually-rational profiles around a_star characterize whether
-    a_star is the unique coarse correlated equilibrium of the original game.
+    delta_i(a) is u_i(a) - u_i(a*) for "ircp" and u_i(a) - u_i(a_i*, a_-i)
+    for "cce", and d_i is player i's payoff scale, so each entry is an int.
+    Certificates, the P(a*) test and the GUE flags all ask whether positive
+    weights make sum_i gamma_i delta_i(a) negative at every a != a*.
     """
-    game.profile_index(a_star)  # rejects a profile outside the game
-    payoffs = tuple(
-        tuple(Fraction(g, d) for g in deviation_gains(game, i, a_star[i]))
-        for i, d in enumerate(game.payoff_scales))
-    return Game(game.actions, payoffs, f"{game.name}@reduced" if game.name else None)
+    k_star = game.profile_index(a_star)  # rejects a profile outside the game
+    if concept == "ircp":
+        return [[t - table[k_star] for t in table] for table in game.int_payoffs]
+    return [deviation_gains(game, i, a) for i, a in enumerate(a_star)]
 
 
 def is_symmetric(game: Game) -> bool:
@@ -199,23 +199,33 @@ def is_symmetric(game: Game) -> bool:
 
     True iff all players share one action set and for every permutation pi
     of the players and every profile a, the profile that assigns player
-    pi(j) the action a_j gives player pi(i) what a gave player i.  Such pi
-    form a group, so the swaps of player 0 with each other player j decide
-    it; a swap moves profile index k by (a_j - a_0) (strides[0] - strides[j])
-    and permutes player j's payoffs into player 0's, so all players share
-    one payoff scale and `Game.int_payoffs` compare directly.
+    pi(j) the action a_j gives player pi(i) what a gave player i.
+    """
+    return _swaps_fix(game, game.int_payoffs)
+
+
+def _swaps_fix(game: Game, rows: Sequence[Sequence[int]]) -> bool:
+    """Whether all players share one action set and every permutation of them fixes `rows`.
+
+    Row i is player i's payoffs or gains times d_i (`Game.int_payoffs`,
+    `gain_rows`), compared at the lcm of the scales.  The permutations form
+    a group, so the swaps of player 0 with each other player j decide it; a
+    swap moves profile index k by (a_j - a_0) (strides[0] - strides[j]).
     """
     first = game.actions[0]
-    if any(acts != first for acts in game.actions[1:]) or len(set(game.payoff_scales)) > 1:
+    if any(acts != first for acts in game.actions[1:]):
         return False
-    n, size, strides, payoffs = game.num_players, len(first), game.strides, game.int_payoffs
+    common = lcm(*game.payoff_scales)
+    rows = [row if d == common else [v * (common // d) for v in row]
+            for row, d in zip(rows, game.payoff_scales)]
+    n, size, strides = game.num_players, len(first), game.strides
     for j in range(1, n):
         step = strides[0] - strides[j]
         swapped = [k + ((k // strides[j]) % size - (k // strides[0]) % size) * step
                    for k in range(game.num_profiles)]
-        # player i at the swapped profile is paid what pi(i) is; pi(0) = j, pi(j) = 0
-        if any(tuple(map(payoffs[i].__getitem__, swapped))
-               != payoffs[j if i == 0 else 0 if i == j else i] for i in range(n)):
+        # player i at the swapped profile gets what pi(i) does; pi(0) = j, pi(j) = 0
+        if any(tuple(map(rows[i].__getitem__, swapped))
+               != tuple(rows[j if i == 0 else 0 if i == j else i]) for i in range(n)):
             return False
     return True
 
@@ -280,8 +290,7 @@ class JointDistribution:
     def from_vector(cls, game: Game, vector: Sequence[Fraction]) -> "JointDistribution":
         if len(vector) != game.num_profiles:
             raise GameFormatError("vector length must equal the number of profiles")
-        return cls({game.profile_from_index(k): Fraction(v)
-                    for k, v in enumerate(vector) if Fraction(v) != 0})
+        return cls({game.profile_from_index(k): v for k, v in enumerate(vector) if v})
 
     @classmethod
     def uniform(cls, profiles: Sequence[Sequence[int]]) -> "JointDistribution":
@@ -385,23 +394,17 @@ def _gain_slack(game: Game, a_star: Profile, gamma: Sequence[Fraction],
                 concept: str) -> Fraction | None:
     """min over a != a* of -sum_i gamma_i delta_i(a); None if some sum is >= 0.
 
-    delta_i(a) is u_i(a) - u_i(a*) for "ircp" and u_i(a) - u_i(a_i*, a_-i)
-    for "cce", whose gains are the IRCP gains of `cce_reduction`.
-    The weights gamma_i / d_i are put over one common denominator D as ints
-    W_i, with d_i player i's payoff scale (`Game.payoff_scales`), so each
-    weighted gain is an int over D: sum_i W_i T_i(a) less its value at a*
-    for "ircp", with T_i = d_i u_i (`Game.int_payoffs`), and sum_i W_i
-    `deviation_gains(game, i, a_i*)` for "cce", which is 0 at a*.
+    The gains are the concept's gain table (`gain_rows`), d_i delta_i(a)
+    with d_i player i's payoff scale.  The weights gamma_i / d_i are put
+    over one common denominator D as ints W_i, so each weighted gain is the
+    int sum_i W_i d_i delta_i(a) over D.
     """
-    k_star = game.profile_index(a_star)
     weights, denom = scaled_ints([Fraction(g) / d for g, d in zip(gamma, game.payoff_scales)])
     gains = [0] * game.num_profiles
-    for i, (weight, table) in enumerate(zip(weights, game.int_payoffs)):
-        if concept != "ircp":
-            table = deviation_gains(game, i, a_star[i])
-        gains = [s + weight * t for s, t in zip(gains, table)]
-    base = gains.pop(k_star)
-    worst = max(gains) - base
+    for weight, row in zip(weights, gain_rows(game, a_star, concept)):
+        gains = [s + weight * t for s, t in zip(gains, row)]
+    del gains[game.profile_index(a_star)]  # 0 there
+    worst = max(gains)
     return None if worst >= 0 else Fraction(-worst, denom)
 
 
@@ -431,11 +434,6 @@ def int_payoff_row(game: Game, player: int, action: int,
         bases = opponent_bases(game, player)
     payoff, shift = game.int_payoffs[player], action * game.strides[player]
     return [payoff[base + shift] for base in bases]
-
-
-def pure_guarantee(game: Game, player: int, action: int) -> Fraction:
-    """The least payoff that `action` gives `player` against any opponent profile."""
-    return Fraction(min(int_payoff_row(game, player, action)), game.payoff_scales[player])
 
 
 def deviation_payoffs(game: Game, player: int,
@@ -487,8 +485,9 @@ def game_from_dict(data: dict) -> Game:
         if key not in data:
             raise GameFormatError(f"game file is missing {key!r}")
     actions = data["actions"]
-    if not isinstance(actions, list) or not all(isinstance(a, list) for a in actions):
-        raise GameFormatError("actions must be a list of per-player label lists")
+    if not isinstance(actions, list) or not all(
+            isinstance(acts, list) and all(type(a) is str for a in acts) for acts in actions):
+        raise GameFormatError("actions must be a list of per-player lists of string labels")
     if type(data["players"]) is not int:
         raise GameFormatError(f"players must be an int, got {json.dumps(data['players'])}")
     if data["players"] != len(actions):

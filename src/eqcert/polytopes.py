@@ -26,12 +26,13 @@ pure saddle point, and elsewhere from a maximin LP over the same integer
 payoffs (`zerosum.maximin`).
 
 The IRCP polytope can be one point only at delta(a*), a*_i player i's
-only pure maximin action, where u(a*) is at the levels; it is then P(a*) =
-{mu : E_mu u >= u(a*)} (`improvement_system`).  Whether P(a*) is delta(a*)
-is asked once per a*, of the game or of its CCE reduction, by
-`GameAnalysis.weights`: uniform weights where that game is symmetric, else
-the dual of the P(a*) test, whose simplex starts at delta(a*) in one pivot.
-The IRCP decision (`_ircp_decision`) asks it there, as the GUE flag and
+only pure maximin action, where u(a*) is at the levels; it is then P(a*)
+= {mu : E_mu delta_i >= 0} over the gains delta_i(a) = u_i(a) - u_i(a*)
+(`games.gain_rows`, `improvement_system`).  Whether P(a*) is delta(a*) is
+asked once per (concept, a*) by `GameAnalysis.weights`: uniform weights
+where every swap of players fixes the game or its gains, else the dual of
+the P(a*) test, whose simplex starts at delta(a*) in one pivot.  The IRCP
+decision (`_ircp_decision`) asks it there, as the GUE flag and
 certificates do, and elsewhere builds two members with no LP.
 
 `GameAnalysis.singleton` decides the other polytopes down the inclusion
@@ -49,8 +50,8 @@ is re-checked by exact membership in the smaller polytope, and a failed
 re-check raises `SolverInvariantError`.
 
 With no larger singleton kept, a CCE decision at a lone strict pure NE a*
-first asks `GameAnalysis.weights` about P(a*) over v_i(a) = u_i(a) -
-u_i(a*_i, a_-i) (`games.cce_reduction`), whose weights `certify` reads for
+first asks `GameAnalysis.weights` about P(a*) over the "cce" gains
+delta_i(a) = u_i(a) - u_i(a*_i, a_-i), whose weights `certify` reads for
 the certificate: CCE = {delta(a*)} exactly when it is one point.  A rival,
 b != a* where every player gains weakly over a*_i, makes delta(b) a second
 member and skips the question, here and in `certify`
@@ -214,7 +215,7 @@ class GameAnalysis:
     kept result checks what that function returned, but for four.  The
     weights are `weights`'s, and the IRCP decision is `_ircp_decision`'s.
     A singleton taken down the inclusion chain, with no duals, and a CCE
-    point pinned by the reduced P(a*) weights are re-checked by exact
+    point pinned by the "cce" P(a*) weights are re-checked by exact
     membership in this concept's polytope.  And a verifier may pass
     `levels`, maximin results it has checked from their certificates
     (`zerosum.check_maximin`): the context then keeps those and never
@@ -253,7 +254,7 @@ class GameAnalysis:
         the cheaper test (see the module docstring).  When the kept decision
         of the next larger concept is a singleton {x}, this one is {x} too,
         re-checked by exact membership and with no LP.  Otherwise a CCE
-        decision is delta(a*) where `weights` pins the reduced P(a*) at the
+        decision is delta(a*) where `weights` pins the "cce" P(a*) at the
         CCE candidate a*, re-checked likewise, and `is_singleton` decides
         the rest.
         """
@@ -284,17 +285,17 @@ class GameAnalysis:
     def cce_candidate(self) -> Profile | None:
         """The lone strict pure NE a*, unless a rival refutes it; runs no LP.
 
-        A rival is b != a* where every player gains weakly over a*_i, that is
-        v_i(b) >= 0 in `games.cce_reduction` at a*: delta(b) is a second
-        member of that game's P(a*), and no positive weights make
-        sum_i gamma_i v_i(b) negative.  Any other pure NE is a rival.  Only
-        a candidate can be the unique CCE's profile.
+        A rival is b != a* where every player gains weakly over a*_i, a
+        column of the "cce" gain table at a* (`games.gain_rows`) with no
+        negative entry: delta(b) is a second member of the "cce" P(a*).
+        Any other pure NE is a rival.  Only a candidate can be the unique
+        CCE's profile.
         """
         strict = [p for p, is_strict in self.pure_ne() if is_strict]
         if len(strict) != 1:
             return None
         [a_star] = strict
-        gains = zip(*(deviation_gains(self.game, i, a) for i, a in enumerate(a_star)))
+        gains = zip(*games.gain_rows(self.game, a_star, "cce"))
         if sum(min(column) >= 0 for column in gains) > 1:  # a* and a rival
             return None
         return a_star
@@ -303,13 +304,13 @@ class GameAnalysis:
         """The concept's singleton decision if this context has made it; runs no LP."""
         return self._singletons.get(concept)
 
-    def improvement(self, a_star: Profile, game: Game | None = None) -> SingletonResult:
-        """The singleton test of P(a*) over this game or `game`, kept per system.
+    def improvement(self, a_star: Profile, concept: str) -> SingletonResult:
+        """The singleton test of the concept's P(a*) (`improvement_system`), kept per system.
 
-        `game` is a CCE reduction, whose P(a*) equals this game's where each
-        a_i* pays a constant, as paying does in parking.
+        The "ircp" and "cce" systems at a* are one where each a_i* pays a
+        constant, as paying does in parking, and then share one test.
         """
-        system = improvement_system(game or self.game, a_star)
+        system = improvement_system(self.game, a_star, concept)
         if system not in self._improvements:
             self._improvements[system] = singleton_over_system(self.game, system, "P(a*)")
         return self._improvements[system]
@@ -318,28 +319,28 @@ class GameAnalysis:
                 ) -> tuple[tuple[Fraction, ...], Fraction] | None:
         """Positive weights, summing to 1, that pin P(a*) to delta(a*), and their slack.
 
-        P(a*) is over this game for "ircp" and over `games.cce_reduction` at
-        a* for "cce", and each a*_i must guarantee u_i(a*) in that game, as
-        it always does in the reduction.  Uniform weights are tried first
-        where that game is symmetric, then gamma_i ~ y_i d_i from the dual y
-        of the kept P(a*) test (`improvement`); there are none when that
-        test finds a second member.  Each dual weight is positive: with gamma_i = 0, the
-        weighted gain is >= 0 where i alone leaves a*, as each other j gets
-        at least u_j(a*).  The slack is `games._gain_slack`'s over this
-        game, the one a certificate's check recomputes.
+        P(a*) is over the concept's gains at a* (`games.gain_rows`), where
+        each a*_i must guarantee gain 0, as it always does for "cce".
+        Uniform weights are tried first where every swap of players fixes
+        the game ("ircp") or its "cce" gains (`games._swaps_fix`), then
+        gamma_i ~ y_i d_i from the dual y of the kept P(a*) test
+        (`improvement`); there are none when that test finds a second
+        member.  Each dual weight is positive: with gamma_i = 0, the weighted
+        gain is >= 0 where i alone leaves a*, as each other j gains at least
+        0.  The slack is `games._gain_slack`'s, the certificate check's.
         """
         key = (concept, tuple(a_star))
         if key in self._weights:
             return self._weights[key]
-        game = self.game if concept == "ircp" else games.cce_reduction(self.game, a_star)
-        found = None
-        if games.is_symmetric(game):
+        game, found = self.game, None
+        if games._swaps_fix(game, game.int_payoffs if concept == "ircp"
+                            else games.gain_rows(game, a_star, concept)):
             uniform = (Fraction(1, game.num_players),) * game.num_players
-            slack = games._gain_slack(self.game, a_star, uniform, concept)
+            slack = games._gain_slack(game, a_star, uniform, concept)
             found = None if slack is None else (uniform, slack)
-        if found is None and (test := self.improvement(a_star, game)).is_singleton:
+        if found is None and (test := self.improvement(a_star, concept)).is_singleton:
             gamma = games._normalize([y * d for y, d in zip(test.duals, game.payoff_scales)])
-            slack = games._gain_slack(self.game, a_star, gamma, concept)
+            slack = games._gain_slack(game, a_star, gamma, concept)
             if slack is None or any(g <= 0 for g in gamma):
                 raise SolverInvariantError("the P(a*) dual gave a boundary weight or a gain >= 0")
             found = (gamma, slack)
@@ -502,20 +503,19 @@ def is_singleton(spec: PolytopeSpec,
     return singleton_over_system(game, system, f"{spec.concept} polytope")
 
 
-def improvement_system(game: Game, a_star: Sequence[int]) -> ConstraintSystem:
-    """P(a*) = {mu : E_mu u >= u(a*)}, crash-started at delta(a*), which meets every row.
+def improvement_system(game: Game, a_star: Sequence[int], concept: str) -> ConstraintSystem:
+    """P(a*) = {mu : E_mu delta_i >= 0 for all i}, crash-started at delta(a*).
 
-    Player i's row d_i (u_i - u_i(a*)) >= 0 (`Game.int_payoffs`) starts on its
-    slack, so the simplex row is the only one on an artificial.  delta(a*)
-    needs only the outside-support LP, max sum_{a != a*} mu(a) = 0, whose
-    dual y has sum_i y_i d_i (u_i(a) - u_i(a*)) <= -1 at each a != a*.
+    Row i is the concept's gains d_i delta_i at a* (`games.gain_rows`), 0 at
+    a*, so each row starts on its slack and the simplex row is the only one
+    on an artificial.  delta(a*) needs only the outside-support LP, max
+    sum_{a != a*} mu(a) = 0, whose dual y has sum_i y_i d_i delta_i(a) <= -1
+    at each a != a*.
     """
-    k_star = game.profile_index(a_star)
-    rows = [LinearConstraint(tuple(t - table[k_star] for t in table),
-                             GREATER_EQUAL, Fraction(0))
-            for table in game.int_payoffs]
+    rows = [LinearConstraint(row, GREATER_EQUAL, Fraction(0))
+            for row in games.gain_rows(game, a_star, concept)]
     rows.append(LinearConstraint((1,) * game.num_profiles, EQUAL, Fraction(1)))
-    return ConstraintSystem(game.num_profiles, tuple(rows), start=k_star)
+    return ConstraintSystem(game.num_profiles, tuple(rows), start=game.profile_index(a_star))
 
 
 def _ircp_decision(analysis: GameAnalysis) -> SingletonResult:
@@ -566,7 +566,7 @@ def _ircp_decision(analysis: GameAnalysis) -> SingletonResult:
                 "candidate profile, leaving room for a second member")
     if analysis.weights(a_star, "ircp") is not None:
         return SingletonResult(star, None)
-    return replace(analysis.improvement(a_star), reason="a second distribution pays "
+    return replace(analysis.improvement(a_star, "ircp"), reason="a second distribution pays "
                    "every player at least the candidate profile's payoffs")
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from . import games
+from . import certify, games
 from .certify import CertificationError, _is_equilibrium, _require_product, is_quasi_strict
 from .games import (
     Game,
@@ -358,11 +358,9 @@ def check_enforcement(game: Game) -> EnforcementCheck:
     for profile in game.profiles():
         if any(x != 0 for x in game.payoff_vector(profile)):
             continue
-        guarantee = all(games.pure_guarantee(game, i, profile[i]) >= 0
-                        for i in range(game.num_players))
-        negative = all(sum(game.payoff_vector(p), Fraction(0)) < 0
-                       for p in game.profiles() if p != profile)
-        check = EnforcementCheck(profile, True, guarantee, negative)
+        negative = games._gain_slack(game, profile, (1,) * game.num_players, "ircp") is not None
+        check = EnforcementCheck(profile, True, certify._unilateral_guarantee(game, profile),
+                                 negative)
         if check.holds:
             return check
         first_zero = first_zero or check

@@ -5,6 +5,7 @@ import pytest
 
 from eqcert.games import Game
 from eqcert.rational import iroot
+from eqcert.theory import strategic_transform
 from eqcert.zerosum import MatrixGame, maximin
 
 
@@ -67,6 +68,19 @@ def build_theorem1_auxiliary(game: Game, a_star: Sequence[int]) -> MatrixGame:
         row_keys=tuple(profiles),
         col_keys=tuple(range(game.num_players)),
     )
+
+
+def reference_reduction(game: Game, a_star: Sequence[int]) -> Game:
+    """v_i(a) = u_i(a) - u_i(a_i*, a_-i), as a strategic transform (reference).
+
+    Its payoffs are the "cce" gains at a* (`games.gain_rows`) over d_i, and
+    its P(a*) over u is the "cce" P(a*) of the game.
+    """
+    def beta(i):
+        return lambda others: -game.u(i, game.insert_action(i, a_star[i], others))
+
+    ones = [Fraction(1)] * game.num_players
+    return strategic_transform(game, ones, [beta(i) for i in range(game.num_players)])
 
 
 def unique_security_profile(g: Game):

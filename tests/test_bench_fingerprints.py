@@ -26,7 +26,10 @@ Every `certify --json` refutation of variant 0 must re-check clean by
 `certify.verify_refutation`, which no CLI command runs on such a bare file,
 and every certificate by `certify.verify_certificate` with no LP solver built.
 No analyze command whose report certifies a unique pure CCE builds a solver
-on the CCE polytope's system, as the reduced P(a*) weights decide that CCE.
+on the CCE polytope's system, as the "cce" P(a*) weights decide that CCE.
+No analyze, certify or verify command builds a `Game` beyond the one it
+loads, and the 2x2 subgame of a unique_mixed_2x2 classification: every
+question about a candidate profile a* reads the gain table at a*.
 The pivots that variant 0's command lines take, summed per command kind,
 must equal recorded counts: exact arithmetic and Bland's rule repeat them
 exactly, so any change to the LP path shows there.
@@ -278,7 +281,7 @@ def test_certify_certificates_verify_without_a_solver(workload, tmp_path, monkey
 
 @pytest.mark.parametrize("workload", workloads.WORKLOADS)
 def test_a_certified_cce_builds_no_cce_solver(workload, tmp_path, monkeypatch):
-    # At a lone strict pure NE the reduced P(a*) weights decide a one-point
+    # At a lone strict pure NE the "cce" P(a*) weights decide a one-point
     # CCE and are the certificate's weights, so no CCE LP runs.
     built = []
     init = PolytopeSolver.__init__
@@ -300,6 +303,27 @@ def test_a_certified_cce_builds_no_cce_solver(workload, tmp_path, monkeypatch):
             assert polytopes.build_polytope(game, "cce").system not in built, op.key
             certified += 1
     assert certified > 0
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_commands_build_no_game_beyond_the_loaded_one(workload, tmp_path, monkeypatch):
+    built = []
+    post_init = games.Game.__post_init__
+    monkeypatch.setattr(games.Game, "__post_init__",
+                        lambda self: built.append(self) or post_init(self))
+    subgames = 0
+    for op in _in_run_order(workloads.build(workload, 0, tmp_path)):
+        built.clear()
+        _run([op])
+        if op.kind not in ("analyze", "certify", "verify"):
+            continue
+        report_path = {"analyze": op.output, "verify": op.argv[1]}.get(op.kind)
+        mixed = report_path is not None and json.loads(Path(report_path).read_text()).get(
+            "classification", {}).get("variant") == certify.UNIQUE_MIXED_2X2
+        assert len(built) == 1 + mixed, op.key
+        assert all(game.shape == (2, 2) for game in built[1:]), op.key
+        subgames += mixed
+    assert subgames == {"singleton-sweep": 16}.get(workload, 0)
 
 
 # Pivots of every LP that variant 0's command lines solve, summed per kind:

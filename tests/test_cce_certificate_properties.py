@@ -3,10 +3,12 @@
 At a strict pure NE a*, every security level of the reduced game
 v_i(a) = u_i(a) - u_i(a_i*, a_-i) is 0 and a_i* is each player's only
 maximin action, so `certify_unique_pure_cce` asks only
-`GameAnalysis.weights` whether that game's P(a*) is delta(a*).  The full
-IRCP certification of the reduced game is kept here as the reference: both
-must certify alike, with the same weights unless a hint that works gives
-its own, and `weights` must find none where the reference refutes.
+`GameAnalysis.weights` whether that game's P(a*), the "cce" P(a*) of the
+game, is delta(a*).  The full IRCP certification of the reduced game, a
+strategic transform kept in conftest (`reference_reduction`), is the
+reference: both must certify alike, with the same weights unless a hint
+that works gives its own, and `weights` must find none where the reference
+refutes.
 
 A bare `certify_unique_pure_cce` and a report's `certificates.cce` read
 the same CCE decision, so they agree on the type, profile and reason.
@@ -27,8 +29,10 @@ from eqcert.certify import (  # noqa: E402
     certify_unique_ircp,
     certify_unique_pure_cce,
 )
-from eqcert.games import Game, _gain_slack, _normalize, cce_reduction  # noqa: E402
+from eqcert.games import Game, _gain_slack, _normalize  # noqa: E402
 from eqcert.report import build_report  # noqa: E402
+
+from conftest import reference_reduction  # noqa: E402
 
 SHAPES = ((2, 2), (2, 3), (3, 3), (2, 2, 2))
 
@@ -73,7 +77,7 @@ def _hint(draw, n):
 def test_cce_certificate_equals_reduced_ircp_decision(case, data):
     game, a_star = case
     hint = data.draw(_hint(game.num_players))
-    reduced = cce_reduction(game, a_star)
+    reduced = reference_reduction(game, a_star)
     reference = certify_unique_ircp(reduced)
     found = polytopes.GameAnalysis(game).weights(a_star, "cce")
     result = certify_unique_pure_cce(game, hint)

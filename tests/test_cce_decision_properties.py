@@ -1,15 +1,15 @@
 """Property test: the CCE decision against the CCE polytope's own singleton test.
 
 At a lone strict pure NE a*, `GameAnalysis.singleton("cce")` asks
-`GameAnalysis.weights` about the reduced P(a*), P(a*) of
-`games.cce_reduction(game, a*)`, unless an LP-free scan finds a profile
-where every player gains weakly over a*_i; weights decide CCE =
+`GameAnalysis.weights` about the "cce" P(a*), over the gains u_i(a) -
+u_i(a_i*, a_-i) (`games.gain_rows`), unless an LP-free scan finds a
+profile where every player gains weakly over a*_i; weights decide CCE =
 {delta(a*)} with no CCE LP.  Every other case
 goes to `is_singleton`.  The CCE polytope's own test is the reference, both
 cold (`singleton_over_system` on the bare system) and started at the pure
 NE (`is_singleton`): the decision must give the same flag and point, and
 each witness pair must be two distinct CCE members.  At a lone strict pure
-NE, the reduced test must be one point exactly when the decision is
+NE, the "cce" P(a*) test must be one point exactly when the decision is
 delta(a*), whether or not the scan found a rival.
 """
 
@@ -23,12 +23,7 @@ st = pytest.importorskip("hypothesis.strategies")
 
 from eqcert import generators, polytopes  # noqa: E402
 from eqcert.contests import ContestSpec, LinearCost, TullockRatio, discretize  # noqa: E402
-from eqcert.games import (  # noqa: E402
-    Game,
-    JointDistribution,
-    cce_reduction,
-    deviation_gains,
-)
+from eqcert.games import Game, JointDistribution, gain_rows  # noqa: E402
 
 # Random and tied games: integer payoffs in [0, 2] tie often, into weak and
 # several pure NE.
@@ -62,7 +57,7 @@ def _assert_decision_equals_own_test(game: Game) -> None:
     pure = analysis.pure_ne()
     if len(pure) == 1 and pure[0][1]:
         a_star = pure[0][0]
-        reduced = analysis.improvement(a_star, cce_reduction(game, a_star))
+        reduced = analysis.improvement(a_star, "cce")
         assert reduced.is_singleton == (decided.point == JointDistribution.point_mass(a_star))
 
 
@@ -136,7 +131,7 @@ def test_cce_decision_equals_own_test_on_tullock_grids(size, values):
         discretize(spec, [Fraction(k, size) for k in range(1, size + 1)]))
 
 
-# One strict pure NE, no rival for the scan, and yet a reduced P(a*) test
+# One strict pure NE, no rival for the scan, and yet a "cce" P(a*) test
 # that finds a second member: the CCE LP decides.  The 4x5 and 4x4 games
 # are among the fixed games of the benchmark's random-games workload.
 NO_RIVAL_BUT_REFUTED = (((4, 5), 3), ((4, 4), 12), ((3, 3), 41), ((3, 3), 50),
@@ -147,9 +142,9 @@ NO_RIVAL_BUT_REFUTED = (((4, 5), 3), ((4, 4), 12), ((3, 3), 41), ((3, 3), 50),
 def test_cce_decision_equals_own_test_where_the_reduced_test_refutes(shape, seed):
     game = generators.random_game(shape, seed)
     (a_star, strict), = polytopes.enumerate_pure_ne(game)
-    gains = zip(*(deviation_gains(game, i, a) for i, a in enumerate(a_star)))
+    gains = zip(*gain_rows(game, a_star, "cce"))
     rivals = [k for k, column in enumerate(gains) if min(column) >= 0]
     assert strict and rivals == [game.profile_index(a_star)]
-    reduced = polytopes.GameAnalysis(game).improvement(a_star, cce_reduction(game, a_star))
+    reduced = polytopes.GameAnalysis(game).improvement(a_star, "cce")
     assert not reduced.is_singleton
     _assert_decision_equals_own_test(game)

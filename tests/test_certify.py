@@ -30,7 +30,6 @@ from eqcert.games import (
     Game,
     JointDistribution,
     MixedAction,
-    cce_reduction,
     distribution_from_dict,
     distribution_to_dict,
     product_distribution,
@@ -49,7 +48,7 @@ from eqcert.theory import (
     quasi_strictness_certificate,
 )
 
-from conftest import F
+from conftest import F, reference_reduction
 from test_report import _doubled_parking, _tullock8
 
 
@@ -60,7 +59,7 @@ def _parking(t):
 def _enforcement_form(game, cert):
     """The game the certificate's weights put in enforcement form at a*."""
     if cert.concept == "cce":
-        game = cce_reduction(game, cert.a_star)
+        game = reference_reduction(game, cert.a_star)
     return affine_transform(game, cert.gamma,
                             [-g * game.u(i, cert.a_star) for i, g in enumerate(cert.gamma)])
 
@@ -282,7 +281,7 @@ def test_ircp_certificate_rejects_a_corrupted_kept_dual(monkeypatch):
 
     monkeypatch.setattr(polytopes, "singleton_over_system", zero_first_dual)
     analysis = polytopes.GameAnalysis(game)
-    assert analysis.improvement((0, 0)).duals[0] == 0
+    assert analysis.improvement((0, 0), "ircp").duals[0] == 0
     for run in (lambda: analysis.weights((0, 0), "ircp"),
                 lambda: certify_unique_ircp(polytopes.GameAnalysis(game))):
         with pytest.raises(SolverInvariantError, match="P\\(a\\*\\) dual gave a boundary weight"):
@@ -324,7 +323,7 @@ def test_cce_reduction_identity():
     # certifying G at a* is the same question as IRCP uniqueness of G'
     for g in (generators.prisoners_dilemma(), _parking("3/5")):
         cert = certify_unique_pure_cce(g)
-        reduced = cce_reduction(g, cert.a_star)
+        reduced = reference_reduction(g, cert.a_star)
         inner = certify_unique_ircp(reduced)
         assert isinstance(inner, UniquenessCertificate)
         assert inner.a_star == cert.a_star

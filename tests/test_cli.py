@@ -239,12 +239,13 @@ def test_contest_band_checks(tmp_path, capsys):
     ("game", {"payoffs": 5}),
     ("game", {"payoffs": [5, 6]}),
     ("game", {"players": True}),
+    ("game", {"actions": [[1, None]]}),
     ("contest", {"exponent": "x"}),
     ("contest", {"exponent": 2.7}),
     ("contest", {"exponent": True}),
     ("contest", {"success": "tullock"}),
-], ids=("payoffs-int", "payoffs-flat", "players-bool", "exponent-str", "exponent-float",
-        "exponent-bool", "success-str"))
+], ids=("payoffs-int", "payoffs-flat", "players-bool", "actions-not-str", "exponent-str",
+        "exponent-float", "exponent-bool", "success-str"))
 def test_malformed_game_and_contest_files_exit_2(kind, changes, tmp_path, capsys):
     # A malformed field is an input error: exit 2 and one `error:` line.  The
     # file without that change is read and checked.

@@ -5,19 +5,19 @@ from fractions import Fraction
 import pytest
 
 from eqcert import generators
+from eqcert.certify import _unilateral_guarantee
 from eqcert.games import (
     Game,
     GameFormatError,
     JointDistribution,
     MixedAction,
-    cce_reduction,
+    gain_rows,
     game_from_dict,
     game_to_dict,
     is_symmetric,
     load_game,
     opponent_bases,
     product_distribution,
-    pure_guarantee,
     save_game,
     total_variation,
 )
@@ -123,25 +123,27 @@ def test_insert_action_rebuilds_profiles():
             assert len(full) == three.num_players
 
 
-def test_pure_guarantee_reads_integer_payoffs_at_the_opponent_bases(monkeypatch):
+def test_unilateral_guarantee_reads_integer_payoffs_at_the_opponent_bases(monkeypatch):
+    # a* meets the guarantee when each a*_i pays i at least u_i(a*) against
+    # every opponent profile; it is read off the IRCP gain table in ints.
     games = [generators.random_game(shape, seed, high=high)
              for shape in ((2, 2), (3, 4), (2, 3, 2)) for seed in (1, 2) for high in (1, 3)]
     games.append(generators.parking(3, 1, Fraction(1, 4), Fraction(3, 5)))
-    expected = [[[min(g.u(i, g.insert_action(i, a, others))
-                      for others in g.opponent_profiles(i))
-                  for a in range(g.shape[i])] for i in range(g.num_players)] for g in games]
+    expected = [[all(g.u(i, g.insert_action(i, a[i], others)) >= g.u(i, a)
+                     for i in range(g.num_players) for others in g.opponent_profiles(i))
+                 for a in g.profiles()] for g in games]
+    assert any(map(any, expected)) and not all(map(all, expected))
     for g in games:
         for i in range(g.num_players):
             assert opponent_bases(g, i) == [g.profile_index(g.insert_action(i, 0, others))
                                             for others in g.opponent_profiles(i)]
     monkeypatch.setattr(Game, "u", None)
-    for g, levels in zip(games, expected):
-        assert [[pure_guarantee(g, i, a) for a in range(g.shape[i])]
-                for i in range(g.num_players)] == levels
+    for g, flags in zip(games, expected):
+        assert [_unilateral_guarantee(g, a) for a in g.profiles()] == flags
         for i in range(g.num_players):
             for a in (-1, g.shape[i]):
                 with pytest.raises(GameFormatError):
-                    pure_guarantee(g, i, a)
+                    _unilateral_guarantee(g, (0,) * i + (a,) + (0,) * (g.num_players - i - 1))
 
 
 def test_affine_transform_rescales_per_player():
@@ -163,15 +165,16 @@ def test_strategic_transform_shift_depends_on_others():
     assert g.u(1, (1, 0)) == pd.u(1, (1, 0))
 
 
-def test_cce_reduction_zeroes_anchor_rows():
+def test_cce_gain_rows_vanish_where_a_player_plays_a_star():
     pd = generators.prisoners_dilemma()
-    reduced = cce_reduction(pd, (1, 1))
+    cce, ircp = gain_rows(pd, (1, 1), "cce"), gain_rows(pd, (1, 1), "ircp")
     for i in range(2):
-        for p in reduced.profiles():
+        for k, p in enumerate(pd.profiles()):
             if p[i] == 1:
-                assert reduced.u(i, p) == 0
-    # anchor profile is all zeros
-    assert reduced.payoff_vector((1, 1)) == (Fraction(0), Fraction(0))
+                assert cce[i][k] == 0
+            assert ircp[i][k] == (pd.u(i, p) - pd.u(i, (1, 1))) * pd.payoff_scales[i]
+    # both tables vanish at a*
+    assert [row[pd.profile_index((1, 1))] for row in cce + ircp] == [0, 0, 0, 0]
 
 
 def test_symmetry_detection():

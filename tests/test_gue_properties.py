@@ -7,6 +7,11 @@ over all lotteries with value 0, and a singleton test at delta(a*) on the
 lotteries that match u(a*) exactly.  Both must agree on every profile of
 small integer games whose payoffs repeat often, and each hand-built example
 below fails exactly the condition it names.
+
+`is_gue`, the guarantee and pure Pareto optimality, compares the entries of
+the IRCP gain table at a* with 0.  Its reference is the same two checks
+over `Fraction` payoffs, on the same games put at per-player scales with
+mixed denominators.
 """
 
 import math
@@ -97,6 +102,31 @@ def _narrow_game(draw):
 def test_one_singleton_test_equals_the_three_checks(game):
     for profile in game.profiles():
         assert certify.is_strict_fractional_gue(game, profile) == _reference(game, profile)
+
+
+def _reference_is_gue(game: Game, a_star) -> bool:
+    """Each a*_i guarantees u_i(a*), and no profile Pareto-improves on u(a*)."""
+    base = game.payoff_vector(a_star)
+    guarantee = all(game.u(i, game.insert_action(i, a_star[i], others)) >= base[i]
+                    for i in range(game.num_players) for others in game.opponent_profiles(i))
+    improved = any(all(o >= b for o, b in zip(other, base))
+                   and any(o > b for o, b in zip(other, base))
+                   for other in map(game.payoff_vector, game.profiles()))
+    return guarantee and not improved
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@hypothesis.given(_narrow_game(), st.data())
+def test_is_gue_equals_the_fraction_pareto_scan(game, data):
+    scales = [Fraction(data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9)))
+              for _ in range(game.num_players)]
+    shifts = [Fraction(data.draw(st.integers(-9, 9)), data.draw(st.integers(1, 9)))
+              for _ in range(game.num_players)]
+    scaled = Game(game.actions, tuple(tuple(s * x + t for x in row)
+                                      for row, s, t in zip(game.payoffs, scales, shifts)))
+    for g in (game, scaled):
+        for profile in g.profiles():
+            assert certify.is_gue(g, profile) == _reference_is_gue(g, profile)
 
 
 def _game(*payoff_pairs) -> Game:

@@ -3,13 +3,14 @@
 `Game.int_payoffs` holds each player's payoffs times d_i, the lcm of that
 player's denominators.  Six exact computations run on it: `write_rows`
 writes every row over it, `membership` sums it over mu's support in
-ints, `games._gain_slack` computes the weighted gains of a uniqueness
-certificate, `games.cce_reduction` and the profile-vs-deviation game
-divide `games.deviation_gains` by d_i, and `games.is_symmetric` compares
-it under player swaps.  Each must agree with the computation over
-`Fraction` payoffs that it replaced, kept here as the reference, on small
-games whose payoffs are not integers; `is_symmetric` also on parking
-games and on symmetric games and near misses.
+ints, `games.gain_rows` writes the gains at a* that `games._gain_slack`
+weights for a uniqueness certificate, the profile-vs-deviation game
+divides `games.deviation_gains` by d_i, and `games.is_symmetric` compares
+it under player swaps (`games._swaps_fix`), as the weight search does the
+"cce" gains.  Each must agree with the computation over `Fraction` payoffs that
+it replaced, kept here as the reference, on small games whose payoffs are
+not integers; both symmetry tests also on parking games and on symmetric
+games and near misses.
 """
 
 import itertools
@@ -27,11 +28,14 @@ from eqcert.games import (  # noqa: E402
     Game,
     JointDistribution,
     _gain_slack,
+    _swaps_fix,
     _normalize,
-    cce_reduction,
+    gain_rows,
     is_symmetric,
 )
-from eqcert.theory import build_lemma3_auxiliary, strategic_transform  # noqa: E402
+from eqcert.theory import build_lemma3_auxiliary  # noqa: E402
+
+from conftest import reference_reduction  # noqa: E402
 from test_polytopes import _reference_ce_row, _reference_cce_row  # noqa: E402
 
 SHAPES = ((2, 2), (2, 3), (3, 2), (3, 3), (2, 2, 2))
@@ -58,17 +62,8 @@ def _weighted_slack(gamma, deltas):
     return slack
 
 
-def _reference_reduction(game, a_star):
-    """v_i(a) = u_i(a) - u_i(a_i*, a_-i), as a strategic transform."""
-    def beta(i):
-        return lambda others: -game.u(i, game.insert_action(i, a_star[i], others))
-
-    ones = [Fraction(1)] * game.num_players
-    return strategic_transform(game, ones, [beta(i) for i in range(game.num_players)])
-
-
 def _reference_slack(game, a_star, gamma, concept):
-    reference = game if concept == "ircp" else _reference_reduction(game, a_star)
+    reference = game if concept == "ircp" else reference_reduction(game, a_star)
     return _weighted_slack(gamma, _ircp_deltas(reference, a_star))
 
 
@@ -128,12 +123,20 @@ def test_gain_slack_equals_fraction_reference(case, data):
 
 @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @hypothesis.given(_fraction_game())
-def test_cce_reduction_equals_strategic_transform(case):
+def test_gain_rows_equal_the_fraction_gains(case):
+    # Row i is d_i times u_i(a) - u_i(a*) ("ircp") or the strategic
+    # transform's v_i(a) = u_i(a) - u_i(a_i*, a_-i) ("cce"), as ints.
     game, a_star = case
-    reduced = cce_reduction(game, a_star)
-    reference = _reference_reduction(game, a_star)
-    assert reduced.payoffs == reference.payoffs
-    assert all(type(x) is Fraction for row in reduced.payoffs for x in row)
+    base = game.payoff_vector(a_star)
+    references = {
+        "ircp": [[x - base[i] for x in row] for i, row in enumerate(game.payoffs)],
+        "cce": [list(row) for row in reference_reduction(game, a_star).payoffs],
+    }
+    for concept, reference in references.items():
+        rows = gain_rows(game, a_star, concept)
+        assert all(type(g) is int for row in rows for g in row)
+        assert [[Fraction(g, d) for g in row]
+                for row, d in zip(rows, game.payoff_scales)] == reference
 
 
 @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -292,3 +295,19 @@ def test_is_symmetric_equals_the_permutation_definition(case):
         assert expected
     elif kind in ("edited", "relabeled"):
         assert not expected
+
+
+@hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@hypothesis.given(_role_game(), st.data())
+def test_cce_swap_test_equals_the_reduction_is_symmetric(case, data):
+    # a* is a diagonal profile half the time, as the reduction of a
+    # symmetric game can be symmetric only there.
+    game, _ = case
+    if data.draw(st.booleans()):
+        a_star = (data.draw(st.integers(0, game.shape[0] - 1)),) * game.num_players
+    else:
+        a_star = game.profile_from_index(data.draw(st.integers(0, game.num_profiles - 1)))
+    reduced = reference_reduction(game, a_star)
+    expected = _reference_is_symmetric(reduced)
+    assert is_symmetric(reduced) is expected
+    assert _swaps_fix(game, gain_rows(game, a_star, "cce")) is expected

@@ -14,7 +14,6 @@ from eqcert.games import (
     Game,
     JointDistribution,
     MixedAction,
-    cce_reduction,
     deviation_gains,
     product_distribution,
 )
@@ -214,7 +213,7 @@ def test_singleton_test_runs_one_lp(monkeypatch, name, concept, support):
 
 def test_a_singleton_taken_down_the_chain_carries_no_duals(monkeypatch):
     # Parking's CCE is one point, decided at its strict NE (pay, pay) by the
-    # weights that pin the P(a*) of its CCE reduction: uniform ones, or with
+    # weights that pin the P(a*) of its CCE gains: uniform ones, or with
     # one player's payoffs doubled, the dual of that P(a*) test.  The point
     # carries no LP duals, as its certificate is the context's weights, and
     # it settles CE with no LP.
@@ -231,7 +230,7 @@ def test_a_singleton_taken_down_the_chain_carries_no_duals(monkeypatch):
         cce = analysis.singleton("cce")
         assert cce.point == JointDistribution.point_mass((0, 0)) and cce.duals is None
         assert analysis.weights((0, 0), "cce") is not None
-        assert tested == [improvement_system(cce_reduction(game, a), a) for a in tests]
+        assert tested == [improvement_system(game, a, "cce") for a in tests]
         ce = analysis.singleton("ce")
         assert ce.point == cce.point and ce.duals is None
 

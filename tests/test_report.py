@@ -163,7 +163,7 @@ def test_analyze_and_verify_build_each_polytope_once(work_counts):
 # CCE and CE down the inclusion chain.  The IRCP decisions of RPS (no pure
 # maximin action) and of the Tullock 8x8 grid (a* pays above the level) run
 # no LP; RPS has no singleton above CE.  The grid's CCE is one point, decided
-# at its strict pure NE by uniform weights on its symmetric CCE reduction,
+# at its strict pure NE by uniform weights on its symmetric CCE gains,
 # which are the CCE certificate too, and it asks for no CE.
 SINGLETON_TESTS = {
     "parking": {},
@@ -204,12 +204,12 @@ def test_singleton_ircp_builds_no_ce_or_cce_solver(monkeypatch):
         assert all(data["concepts"][c]["singleton"] for c in ("ce", "cce", "ircp"))
         for concept in ("ce", "cce", "ircp"):
             assert polytopes.build_polytope(game, concept).system not in solved
-        assert solved.count(polytopes.improvement_system(game, (0, 0))) == tests
+        assert solved.count(polytopes.improvement_system(game, (0, 0), "ircp")) == tests
 
 
 # Games whose IRCP decision takes each path: a certificate from uniform
 # weights (parking) or from the P(a*) dual (doubled parking, whose CCE
-# reduction at (pay, pay) has the same P(a*) system), no pure maximin action
+# gains at (pay, pay) give the same P(a*) system), no pure maximin action
 # (RPS, a random 3x3 game, an mp_type game), several (the zero game), a*
 # above the level (Tullock 8x8), and a second member of P(a*) (PD).
 def _doubled_parking():
@@ -254,7 +254,7 @@ def test_ircp_polytope_reaches_no_solver_and_no_system_is_solved_twice(name, mon
 @pytest.mark.parametrize("m", (3, 4, 5))
 def test_symmetric_parking_certifies_and_verifies_with_no_solver(monkeypatch, m):
     # Parking's levels sit at pure saddle points, and uniform weights pin
-    # P(a*) at (pay, pay) over the game and over its CCE reduction.
+    # P(a*) at (pay, pay) over the IRCP gains and over the CCE gains.
     game = parking(m, 1, Fraction(1, 4), Fraction(3, 5))
     data = build_report(game, check_unique=True)
     solved = _record_solvers(monkeypatch)
@@ -271,7 +271,7 @@ def test_doubled_parking_certifies_its_ircp_with_one_p_a_star_solver(monkeypatch
     game = _doubled_parking()
     solved = _record_solvers(monkeypatch)
     assert isinstance(certify.certify_unique_ircp(game), certify.UniquenessCertificate)
-    assert solved == [polytopes.improvement_system(game, (0, 0))]
+    assert solved == [polytopes.improvement_system(game, (0, 0), "ircp")]
 
 
 def test_ce_alone_runs_the_cce_test_unreported(monkeypatch):

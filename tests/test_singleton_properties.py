@@ -246,7 +246,7 @@ def _game_and_system(draw):
     kind = draw(st.sampled_from(polytopes.CONCEPTS + ("gue",)))
     if kind == "gue":
         profile = game.profile_from_index(draw(st.integers(0, game.num_profiles - 1)))
-        return game, polytopes.improvement_system(game, profile)
+        return game, polytopes.improvement_system(game, profile, "ircp")
     system = polytopes.build_polytope(game, kind).system
     pure = polytopes.enumerate_pure_ne(game)
     if kind == "cce" and len(pure) == 1 and draw(st.booleans()):
@@ -352,7 +352,8 @@ def _assert_step_off_equals_run_to_optimum(game: Game, system: ConstraintSystem)
 def _singleton_systems(game: Game) -> list[ConstraintSystem]:
     """The CE and CCE systems, the CCE one also started at an only pure NE, and P(a*).
 
-    P(a*) is taken at each pure NE and at the first and last profiles.
+    P(a*) is taken over both gain tables at each pure NE and at the first
+    and last profiles.
     """
     systems = [polytopes.build_polytope(game, c).system for c in ("ce", "cce")]
     pure = [p for p, _ in polytopes.enumerate_pure_ne(game)]
@@ -360,7 +361,8 @@ def _singleton_systems(game: Game) -> list[ConstraintSystem]:
         systems.append(replace(systems[1], start=game.profile_index(pure[0])))
     profiles = {*pure, game.profile_from_index(0),
                 game.profile_from_index(game.num_profiles - 1)}
-    systems += [polytopes.improvement_system(game, a) for a in sorted(profiles)]
+    systems += [polytopes.improvement_system(game, a, concept)
+                for a in sorted(profiles) for concept in ("ircp", "cce")]
     return systems
 
 
