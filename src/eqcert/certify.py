@@ -17,9 +17,11 @@ gain table in ints (`games._gain_slack`), and the slack is reported as a
 `Fraction`; the unilateral guarantee and the pure-Pareto GUE flag compare
 the table's entries with 0.  The solver's re-check and
 `verify_certificate` are one call on the game's payoffs alone, with no
-maximin level and no LP (`_certificate_problems`).  The CCE question is
-decided once (`_cce_decision`), and `certify_unique_pure_cce` and
-`classify_unique_cce` convert that decision.
+maximin level and no LP (`_certificate_problems`).  Each question is
+decided once, by the context (`polytopes.GameAnalysis.singleton`, which
+re-checks the members it keeps), and `_decision` only converts that
+decision, for `certify_unique_ircp`, `certify_unique_pure_cce` and
+`classify_unique_cce` alike.
 
 Certificates and refutations are written and read here; their witnesses take
 the JSON form of `games` and are re-checked by `polytopes.membership_problems`.
@@ -38,12 +40,11 @@ from .games import (
     MixedAction,
     Profile,
     _gain_slack,
-    _normalize,
     gain_rows,
     is_symmetric,
 )
 from .lp import SolverInvariantError
-from .rational import format_rational, parse_rational
+from .rational import format_rational
 
 
 class CertificationError(ValueError):
@@ -104,79 +105,40 @@ def _certificate(game: Game, concept: str, a_star: Profile,
     return UniquenessCertificate(concept, tuple(a_star), gamma, slack)
 
 
+def _decision(analysis: polytopes.GameAnalysis,
+              concept: str) -> UniquenessCertificate | Refutation:
+    """The context's decision for `concept` (`GameAnalysis.singleton`), converted.
+
+    A point mass delta(a*) becomes a certificate from the kept weights
+    (`GameAnalysis.weights`); a pure singleton with none raises.  Otherwise
+    the decision's members refute, with an IRCP decision's reason or the
+    one `CCE_REFUTATION_REASONS` gives the CCE variant.
+    """
+    singleton = analysis.singleton(concept)
+    if singleton.is_singleton and len(singleton.point.support()) == 1:
+        [a_star] = singleton.point.support()
+        found = analysis.weights(a_star, concept)
+        if found is None:
+            raise SolverInvariantError(
+                f"pure singleton {concept.upper()} must admit a uniqueness certificate")
+        return _certificate(analysis.game, concept, a_star, *found)
+    if concept == "ircp":
+        return Refutation("ircp", singleton.reason, singleton.witnesses)
+    variant = UNIQUE_MIXED_2X2 if singleton.is_singleton else NOT_UNIQUE
+    return Refutation("cce", CCE_REFUTATION_REASONS[variant],
+                      singleton.witnesses or (singleton.point,))
+
+
 def certify_unique_ircp(game: Game | polytopes.GameAnalysis
                         ) -> UniquenessCertificate | Refutation:
-    """Certify or refute that the IRCP polytope is one point.
-
-    Converts the context's IRCP decision (`GameAnalysis.singleton`):
-    witnesses into a refutation with the decision's reason, the point
-    delta(a*) into the weights that decided it (`GameAnalysis.weights`).
-    """
-    analysis = polytopes.analysis_of(game)
-    singleton = analysis.singleton("ircp")
-    if not singleton.is_singleton:
-        return Refutation("ircp", singleton.reason, singleton.witnesses)
-    [a_star] = singleton.point.support()
-    return _certificate(analysis.game, "ircp", a_star, *analysis.weights(a_star, "ircp"))
+    """Certify or refute that the IRCP polytope is one point (`_decision`)."""
+    return _decision(polytopes.analysis_of(game), "ircp")
 
 
-def _cce_decision(analysis: polytopes.GameAnalysis,
-                  gamma_hint: Sequence[Fraction] | None = None
-                  ) -> UniquenessCertificate | polytopes.SingletonResult:
-    """The one CCE decision: a certificate at a*, or the CCE singleton test.
-
-    A unique pure CCE sits at a strict pure NE a*, where its weights pin
-    the P(a*) of the CCE gains (see the module docstring).  So at the
-    context's CCE candidate, the lone strict pure NE with no rival (no LP),
-    weights are sought first, unless the context holds a CCE decision
-    other than delta(a*): `gamma_hint` (ignored unless positive and one per
-    player), then `GameAnalysis.weights`, which the context's CCE decision
-    reads too.  A rival leaves no weights to find.  Otherwise that decision
-    stands: two members, or a mixed point.  A pure point there is one the
-    weights must have certified, so it raises.
-    """
-    game, a_star = analysis.game, analysis.cce_candidate()
-    if a_star is not None:
-        kept = analysis.kept_singleton("cce")
-        if kept is None or kept.point == JointDistribution.point_mass(a_star):
-            found = None
-            if gamma_hint is not None and len(gamma_hint) == game.num_players and all(
-                    Fraction(g) > 0 for g in gamma_hint):
-                gamma = _normalize(gamma_hint)
-                slack = _gain_slack(game, a_star, gamma, "cce")
-                found = None if slack is None else (gamma, slack)
-            found = found or analysis.weights(a_star, "cce")
-            if found is not None:
-                return _certificate(game, "cce", a_star, *found)
-    singleton = analysis.singleton("cce")
-    if singleton.is_singleton and len(singleton.point.support()) == 1:
-        raise SolverInvariantError("pure singleton CCE must admit a uniqueness certificate")
-    return singleton
-
-
-def certify_unique_pure_cce(game: Game | polytopes.GameAnalysis,
-                            gamma_hint: Sequence[Fraction] | None = None
+def certify_unique_pure_cce(game: Game | polytopes.GameAnalysis
                             ) -> UniquenessCertificate | Refutation:
-    """Certify or refute that the CCE polytope is a single pure profile.
-
-    Converts the CCE decision (`_cce_decision`): a certificate as it is,
-    two members or the single mixed CCE into a refutation with the reason
-    `CCE_REFUTATION_REASONS` gives its variant, re-checked against the CCE
-    polytope unless `polytopes.is_singleton` did (two pure NE).  Given a
-    `GameAnalysis`, the pure NE, the polytope, its singleton test and
-    decision are the context's.
-    """
-    analysis = polytopes.analysis_of(game)
-    decision = _cce_decision(analysis, gamma_hint)
-    if isinstance(decision, UniquenessCertificate):
-        return decision
-    variant = UNIQUE_MIXED_2X2 if decision.is_singleton else NOT_UNIQUE
-    refutation = Refutation("cce", CCE_REFUTATION_REASONS[variant],
-                            decision.witnesses or (decision.point,))
-    if len(analysis.pure_ne()) < 2:  # `is_singleton` re-checked pure-NE witnesses
-        polytopes.recheck_members(analysis.polytope("cce"), refutation.witnesses,
-                                  "refutation witness")
-    return refutation
+    """Certify or refute that the CCE polytope is a single pure profile (`_decision`)."""
+    return _decision(polytopes.analysis_of(game), "cce")
 
 
 # -- classification ----------------------------------------------------------
@@ -255,13 +217,13 @@ def classify_unique_cce(game: Game | polytopes.GameAnalysis) -> CceClassificatio
     """
     analysis = polytopes.analysis_of(game)
     game = analysis.game
-    decision = _cce_decision(analysis)
+    decision = _decision(analysis, "cce")
     if isinstance(decision, UniquenessCertificate):
         return CceClassification(UNIQUE_PURE, certificate=decision,
                                  point=JointDistribution.point_mass(decision.a_star))
-    if not decision.is_singleton:
+    mu = analysis.singleton("cce").point
+    if mu is None:
         return CceClassification(NOT_UNIQUE)
-    mu = decision.point
     if not mu.is_product(game):
         raise SolverInvariantError("mixed singleton CCE must be a product distribution")
     if is_symmetric(game):
@@ -388,8 +350,8 @@ def verify_certificate(game: Game, data: dict) -> list[str]:
     try:
         a_star = games.profile_from_json(data["a_star"])
         game.profile_index(a_star)  # rejects a profile outside the game
-        gamma = [parse_rational(g) for g in data["gamma"]]
-        slack = parse_rational(data["slack"])
+        gamma = games.rationals_from_json(data["gamma"], "gamma")
+        slack = games.rational_from_json(data["slack"], "slack")
     except Exception as exc:  # malformed fields
         return [f"unreadable certificate: {exc}"]
     if len(gamma) != game.num_players:

@@ -23,8 +23,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .certify import Refutation, UniquenessCertificate, certify_unique_pure_cce
-from .games import Game
+from .certify import Refutation, UniquenessCertificate, _certificate, certify_unique_pure_cce
+from .games import Game, _gain_slack, _normalize
 from .rational import (
     RationalFormatError,
     format_rational,
@@ -462,14 +462,23 @@ def discretize(spec, grids, name: str | None = None) -> Game:
 def discretize_and_certify(spec, a_star: Sequence[Fraction], grids,
                            name: str | None = None
                            ) -> tuple[Game, UniquenessCertificate | Refutation]:
-    """Grid game plus its unique-CCE decision, seeded with the proof weights."""
+    """Grid game plus its unique-CCE decision, tried first with the proof weights.
+
+    The normalized proof weights certify the anchor when its weighted "cce"
+    gains are negative elsewhere (`games._gain_slack`), and the anchor is
+    then the unique CCE; otherwise `certify_unique_pure_cce` decides.
+    """
     grid1, grid2 = _normalize_grids(grids)
     a_star = _pair(a_star, "the anchor profile must be two rationals")
     if a_star[0] not in grid1 or a_star[1] not in grid2:
         raise EvaluationDomainError("the anchor profile must lie on the grid")
     game = discretize(spec, (grid1, grid2), name)
-    result = certify_unique_pure_cce(game, gamma_hint=spec.proof_weights())
-    return game, result
+    anchor = (grid1.index(a_star[0]), grid2.index(a_star[1]))
+    gamma = _normalize(spec.proof_weights())
+    slack = _gain_slack(game, anchor, gamma, "cce")
+    if slack is None:
+        return game, certify_unique_pure_cce(game)
+    return game, _certificate(game, "cce", anchor, gamma, slack)
 
 
 # -- serialization -------------------------------------------------------------

@@ -522,6 +522,20 @@ def profile_from_json(data, what: str = "profile") -> Profile:
     return tuple(data)
 
 
+def rational_from_json(data, what: str) -> Fraction:
+    """A rational read from JSON, where it is a string: 1, 1.0 or a list is none."""
+    if type(data) is not str:
+        raise GameFormatError(f"{what} must be a rational string, got {json.dumps(data)}")
+    return parse_rational(data)
+
+
+def rationals_from_json(data, what: str) -> list[Fraction]:
+    """A JSON list of rational strings: a string's characters or an object's keys are none."""
+    if type(data) is not list or any(type(x) is not str for x in data):
+        raise GameFormatError(f"{what} must be a list of rational strings, got {json.dumps(data)}")
+    return [parse_rational(x) for x in data]
+
+
 def weights_to_dict(weights: Mapping[int, Fraction]) -> dict[str, str]:
     return {str(k): format_rational(w) for k, w in sorted(weights.items())}
 

@@ -135,12 +135,15 @@ def random_game(shape: Sequence[int], seed: int, low: int = -3, high: int = 3) -
     return Game(actions, payoffs, f"random{tuple(shape)}#{seed}")
 
 
-def random_mp_type(seed: int, low: int = -5, high: int = 5) -> Game:
-    """Seeded random matching-pennies-type instance (strict inequalities by construction)."""
+def random_mp_type(seed: int) -> Game:
+    """Seeded random matching-pennies-type instance (strict inequalities by construction).
+
+    Each payoff is an integer in [-5, 5].
+    """
     rng = random.Random(seed)
 
     def ordered_pair() -> tuple[int, int]:
-        lo, hi = sorted(rng.sample(range(low, high + 1), 2))
+        lo, hi = sorted(rng.sample(range(-5, 6), 2))
         return lo, hi
 
     c, a = ordered_pair()

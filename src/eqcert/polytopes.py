@@ -45,17 +45,19 @@ level by LP duality.  A CE decision therefore first decides CCE: the CCE
 system has sum_i n_i incentive rows against sum_i n_i (n_i - 1) for CE, and
 its simplex starts at the pure NE.  A CCE decision uses an IRCP decision
 only when one is already kept, as in a report, which decides IRCP, CCE and
-CE in that order.  A point taken from the larger polytope runs no LP; it
-is re-checked by exact membership in the smaller polytope, and a failed
-re-check raises `SolverInvariantError`.
+CE in that order.  A point taken from the larger polytope runs no LP.
+Whichever branch decides, `GameAnalysis.singleton` re-checks the point or
+witnesses by exact membership (`membership_problems`, as `verify` does)
+before it keeps them, and a failed re-check raises `SolverInvariantError`;
+`certify` only converts kept decisions.
 
 With no larger singleton kept, a CCE decision at a lone strict pure NE a*
 first asks `GameAnalysis.weights` about P(a*) over the "cce" gains
 delta_i(a) = u_i(a) - u_i(a*_i, a_-i), whose weights `certify` reads for
 the certificate: CCE = {delta(a*)} exactly when it is one point.  A rival,
 b != a* where every player gains weakly over a*_i, makes delta(b) a second
-member and skips the question, here and in `certify`
-(`GameAnalysis.cce_candidate`); no weights leave the decision to the CCE LP.
+member and skips the question (`GameAnalysis.cce_candidate`); no weights
+leave the decision to the CCE LP.
 
 Singleton tests start from the pure Nash equilibria, whose point masses lie
 in all three polytopes.  Two of them refute singleton-ness with no LP.  One
@@ -211,12 +213,11 @@ class GameAnalysis:
     verification) and is then dropped; nothing is shared across calls.
     Each result comes from the module function that computes it
     (`zerosum.maximin`, `build_polytope`, `is_singleton`,
-    `singleton_over_system`, `enumerate_pure_ne`), so a re-check made on a
-    kept result checks what that function returned, but for four.  The
-    weights are `weights`'s, and the IRCP decision is `_ircp_decision`'s.
-    A singleton taken down the inclusion chain, with no duals, and a CCE
-    point pinned by the "cce" P(a*) weights are re-checked by exact
-    membership in this concept's polytope.  And a verifier may pass
+    `singleton_over_system`, `enumerate_pure_ne`), but for four: the
+    weights are `weights`'s, the IRCP decision is `_ircp_decision`'s, a
+    singleton taken down the inclusion chain has no duals, and a CCE point
+    may be pinned by the "cce" P(a*) weights.  `singleton` re-checks every
+    decision by exact membership before it keeps it.  And a verifier may pass
     `levels`, maximin results it has checked from their certificates
     (`zerosum.check_maximin`): the context then keeps those and never
     solves a maximin LP, and asking it for a player's result that `levels`
@@ -247,38 +248,35 @@ class GameAnalysis:
         return self._polytopes[concept]
 
     def singleton(self, concept: str) -> SingletonResult:
-        """The concept's singleton decision, taken down the inclusion chain.
+        """The concept's singleton decision, taken down the inclusion chain, re-checked.
 
-        The IRCP decision is `_ircp_decision`'s, its point or witnesses
-        re-checked by exact membership.  A CE decision first decides CCE,
-        the cheaper test (see the module docstring).  When the kept decision
-        of the next larger concept is a singleton {x}, this one is {x} too,
-        re-checked by exact membership and with no LP.  Otherwise a CCE
-        decision is delta(a*) where `weights` pins the "cce" P(a*) at the
-        CCE candidate a*, re-checked likewise, and `is_singleton` decides
-        the rest.
+        The IRCP decision is `_ircp_decision`'s.  A CE decision first decides
+        CCE, the cheaper test (see the module docstring).  When the kept
+        decision of the next larger concept is a singleton {x}, this one is
+        {x} too, with no LP.  Otherwise a CCE decision is delta(a*) where
+        `weights` pins the "cce" P(a*) at the CCE candidate a*, and
+        `is_singleton` decides the rest.  Whichever branch decides, its point
+        or witnesses are re-checked by exact membership in this concept's
+        polytope (`membership_problems`) before the decision is kept.
         """
         if concept not in self._singletons:
             if concept == "ce":
                 self.singleton("cce")
-            larger = _LARGER.get(concept)
-            kept = self.kept_singleton(larger)
+            larger = self._singletons.get(_LARGER.get(concept))
             spec = self.polytope(concept)
             if concept == "ircp":
                 result = _ircp_decision(self)
-                recheck_members(spec, result.witnesses or (result.point,), "ircp decision")
-            elif kept is not None and kept.is_singleton:
-                if not membership(spec, kept.point).is_member:
-                    raise SolverInvariantError(
-                        f"the singleton {larger} point failed the membership re-check "
-                        f"in the {concept} polytope")
-                result = replace(kept, duals=None)
+            elif larger is not None and larger.is_singleton:
+                result = replace(larger, duals=None)
             elif (concept == "cce" and (a_star := self.cce_candidate()) is not None
                   and self.weights(a_star, "cce") is not None):
                 result = SingletonResult(JointDistribution.point_mass(a_star), None)
-                recheck_members(spec, (result.point,), "reduced P(a*) point")
             else:
                 result = is_singleton(spec, self.pure_ne())
+            problems = membership_problems(spec, result.witnesses or (result.point,),
+                                           f"{concept} decision")
+            if problems:
+                raise SolverInvariantError(f"membership re-check: {'; '.join(problems)}")
             self._singletons[concept] = result
         return self._singletons[concept]
 
@@ -299,10 +297,6 @@ class GameAnalysis:
         if sum(min(column) >= 0 for column in gains) > 1:  # a* and a rival
             return None
         return a_star
-
-    def kept_singleton(self, concept: str | None) -> SingletonResult | None:
-        """The concept's singleton decision if this context has made it; runs no LP."""
-        return self._singletons.get(concept)
 
     def improvement(self, a_star: Profile, concept: str) -> SingletonResult:
         """The singleton test of the concept's P(a*) (`improvement_system`), kept per system.
@@ -433,14 +427,6 @@ def membership_problems(spec: PolytopeSpec, dists: Sequence[JointDistribution],
     return problems
 
 
-def recheck_members(spec: PolytopeSpec, dists: Sequence[JointDistribution],
-                    label: str) -> None:
-    """The solver's re-check of its own members: `membership_problems`, or raise."""
-    problems = membership_problems(spec, dists, label)
-    if problems:
-        raise SolverInvariantError(f"membership re-check: {'; '.join(problems)}")
-
-
 def singleton_over_system(game: Game, system: ConstraintSystem,
                           what: str = "polytope") -> SingletonResult:
     """Singleton decision with constructive witnesses, in at most two LPs.
@@ -481,9 +467,9 @@ def is_singleton(spec: PolytopeSpec,
 
     This is one concept's own test; `GameAnalysis.singleton` calls it only
     when no larger polytope of the inclusion chain is already known to be
-    one point (see the module docstring).  With two or more pure NE, the
-    point masses of the first two are the witnesses, re-checked by exact
-    membership, and no LP runs.  With exactly one, a, the CCE test starts
+    one point (see the module docstring), and re-checks what it returns.
+    With two or more pure NE, the point masses of the first two are the
+    witnesses, and no LP runs.  With exactly one, a, the CCE test starts
     its simplex at delta(a) (`ConstraintSystem.start`); CE and IRCP start
     cold; on an IRCP spec it is only the tests' reference for
     `_ircp_decision`.  The LPs are `singleton_over_system`'s.  `pure_ne` is
@@ -493,10 +479,8 @@ def is_singleton(spec: PolytopeSpec,
     if pure_ne is None:
         pure_ne = enumerate_pure_ne(game)
     if len(pure_ne) >= 2:
-        witnesses = (JointDistribution.point_mass(pure_ne[0][0]),
-                     JointDistribution.point_mass(pure_ne[1][0]))
-        recheck_members(spec, witnesses, "pure NE point mass")
-        return SingletonResult(None, witnesses)
+        return SingletonResult(None, (JointDistribution.point_mass(pure_ne[0][0]),
+                                      JointDistribution.point_mass(pure_ne[1][0])))
     system = spec.system
     if pure_ne and spec.concept == "cce":
         system = replace(system, start=game.profile_index(pure_ne[0][0]))

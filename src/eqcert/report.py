@@ -52,7 +52,7 @@ from . import certify, games, polytopes, zerosum
 from .games import Game, GameFormatError, JointDistribution, MixedAction, Profile
 from .lp import PivotLimitExceeded, SolverInvariantError
 from .polytopes import Degenerate2x2Error
-from .rational import format_rational, parse_rational
+from .rational import format_rational
 
 REPORT_VERSION = 3
 ALL_CONCEPTS = ("ne", "ce", "cce", "ircp")
@@ -226,7 +226,7 @@ def _section(key: str, problems: list):
 def _verified_levels(game: Game, report: dict,
                      problems: list) -> list[zerosum.MaximinResult] | None:
     """The claimed maximin levels with their certificates, if every one checks."""
-    claimed = [parse_rational(v) for v in report["maximin"]]
+    claimed = games.rationals_from_json(report["maximin"], "maximin")
     if len(claimed) != game.num_players:
         problems.append(f"maximin lists {len(claimed)} levels for "
                         f"{game.num_players} players")
@@ -249,6 +249,15 @@ def _verified_levels(game: Game, report: dict,
         if not found:
             results.append(result)
     return results if len(results) == game.num_players else None
+
+
+def _pure_ne_from_json(data) -> list[tuple[Profile, bool]] | None:
+    """`ne.pure` read by JSON type, as 1 == True == 1.0 in Python; None unless well-formed."""
+    if type(data) is not list or any(type(e) is not dict or set(e) != {"profile", "strict"}
+                                     or type(e["strict"]) is not bool for e in data):
+        return None
+    return [(games.profile_from_json(e["profile"], f"ne.pure[{k}].profile"), e["strict"])
+            for k, e in enumerate(data)]
 
 
 def _unread_keys(entry: dict, read: set) -> list[str]:
@@ -345,7 +354,7 @@ def verify_report(report: dict) -> list[str]:
     except (KeyError, GameFormatError) as exc:
         return [f"embedded game unreadable: {exc}"]
     version = report.get("report_version")
-    if version != REPORT_VERSION:
+    if type(version) is not int or version != REPORT_VERSION:
         return [f"report_version {json.dumps(version)} is not {REPORT_VERSION}; "
                 "run analyze again"]
 
@@ -365,8 +374,7 @@ def verify_report(report: dict) -> list[str]:
 
     if "ne" in report:
         with _section("ne", problems):
-            actual_pure = [{"profile": list(p), "strict": s} for p, s in pure_ne]
-            if report["ne"].get("pure") != actual_pure:
+            if _pure_ne_from_json(report["ne"].get("pure")) != pure_ne:
                 problems.append("pure NE list does not match a recomputation")
             # Read back into `_mixed_2x2`'s form; anything else is no match.
             claimed = report["ne"].get("mixed_2x2")

@@ -6,9 +6,8 @@ maximin action, so `certify_unique_pure_cce` asks only
 `GameAnalysis.weights` whether that game's P(a*), the "cce" P(a*) of the
 game, is delta(a*).  The full IRCP certification of the reduced game, a
 strategic transform kept in conftest (`reference_reduction`), is the
-reference: both must certify alike, with the same weights unless a hint
-that works gives its own, and `weights` must find none where the reference
-refutes.
+reference: both must certify alike, with the same weights, and `weights`
+must find none where the reference refutes.
 
 A bare `certify_unique_pure_cce` and a report's `certificates.cce` read
 the same CCE decision, so they agree on the type, profile and reason.
@@ -29,7 +28,7 @@ from eqcert.certify import (  # noqa: E402
     certify_unique_ircp,
     certify_unique_pure_cce,
 )
-from eqcert.games import Game, _gain_slack, _normalize  # noqa: E402
+from eqcert.games import Game  # noqa: E402
 from eqcert.report import build_report  # noqa: E402
 
 from conftest import reference_reduction  # noqa: E402
@@ -60,37 +59,20 @@ def _one_strict_ne_game(draw):
     hypothesis.assume(False)
 
 
-@st.composite
-def _hint(draw, n):
-    """No hint, positive weights, or an invalid hint that must be ignored."""
-    kind = draw(st.sampled_from(("none", "positive", "invalid")))
-    if kind == "none":
-        return None
-    weights = [Fraction(draw(st.integers(1, 5)), draw(st.integers(1, 5))) for _ in range(n)]
-    if kind == "invalid":
-        weights[draw(st.integers(0, n - 1))] = Fraction(0)
-    return tuple(weights)
-
-
 @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@hypothesis.given(_one_strict_ne_game(), st.data())
-def test_cce_certificate_equals_reduced_ircp_decision(case, data):
+@hypothesis.given(_one_strict_ne_game())
+def test_cce_certificate_equals_reduced_ircp_decision(case):
     game, a_star = case
-    hint = data.draw(_hint(game.num_players))
     reduced = reference_reduction(game, a_star)
     reference = certify_unique_ircp(reduced)
     found = polytopes.GameAnalysis(game).weights(a_star, "cce")
-    result = certify_unique_pure_cce(game, hint)
+    result = certify_unique_pure_cce(game)
     decided = polytopes.GameAnalysis(game)
     decided.singleton("cce")
-    assert certify_unique_pure_cce(decided, hint) == result
+    assert certify_unique_pure_cce(decided) == result
     if isinstance(reference, UniquenessCertificate):
         assert reference.a_star == a_star
         assert found == (reference.gamma, reference.slack)
-        if hint is not None and all(g > 0 for g in hint):
-            slack = _gain_slack(reduced, a_star, _normalize(hint), "ircp")
-            if slack is not None:
-                found = (_normalize(hint), slack)
         assert isinstance(result, UniquenessCertificate) and result.concept == "cce"
         assert (result.a_star, result.gamma, result.slack) == (a_star, *found)
     else:

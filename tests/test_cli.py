@@ -609,6 +609,53 @@ def test_simulate_rejects_a_certificate_profile_that_is_not_ints(tmp_path, capsy
         f"error: {cert_path}: unreadable certificate: profile must be a list of ints")
 
 
+# Prisoner's dilemma: weights (1, 1) have slack 1 at (d, d).  Each forgery
+# spells them in a form other than a list of rational strings with a
+# rational string slack, and verified clean while `parse_rational` read a
+# string's characters or an object's keys as weights.
+GAMMA_FORGERIES = {
+    "gamma-string": ({"gamma": "11", "slack": "1"},
+                     'gamma must be a list of rational strings, got "11"'),
+    "gamma-object": ({"gamma": {"1": "x", "1 ": "y"}, "slack": "1"},
+                     'gamma must be a list of rational strings, got {"1": "x", "1 ": "y"}'),
+    "slack-number": ({"gamma": ["1", "1"], "slack": 1},
+                     "slack must be a rational string, got 1"),
+}
+
+
+@pytest.mark.parametrize("forgery", sorted(GAMMA_FORGERIES))
+def test_verify_reads_certificate_weights_only_as_rational_strings(tmp_path, capsys, forgery):
+    fields, problem = GAMMA_FORGERIES[forgery]
+    data = build_report(prisoners_dilemma(), ("ne", "cce"), check_unique=True)
+    data["certificates"]["cce"].update(fields)
+    report_path = tmp_path / "report.json"
+    report_path.write_bytes(save_report(data))
+    assert main(["verify", str(report_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [
+        f"certificates.cce: unreadable certificate: {problem}",
+        "classification: unique_pure needs concepts.cce at a point mass and a checked "
+        "certificates.cce certificate at its profile"]
+    assert err == ""
+
+
+@pytest.mark.parametrize("forgery", sorted(GAMMA_FORGERIES))
+def test_simulate_reads_certificate_weights_only_as_rational_strings(tmp_path, capsys,
+                                                                     forgery):
+    fields, problem = GAMMA_FORGERIES[forgery]
+    game_path = _generate(tmp_path, "pd.json", "pd")
+    cert_path = tmp_path / "cert.json"
+    assert main(["certify", str(game_path), "--concept", "cce", "--json", str(cert_path)]) == 0
+    cert = json.loads(cert_path.read_text())
+    cert.update(fields)
+    cert_path.write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert main(["simulate", str(game_path), "--algo", "external_mw", "--steps", "10",
+                 "--seed", "1", "--certificate", str(cert_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {cert_path}: unreadable certificate: {problem}\n")
+
+
 def test_verify_names_every_bad_gue_entry(tmp_path, capsys):
     # An entry that cannot be read must not hide a forged flag after it.
     data = build_report(parking(3, 1, "1/4", "3/5"), ("ne",), check_unique=True)
@@ -667,8 +714,7 @@ def test_failed_chain_recheck_exits_3(tmp_path, capsys, monkeypatch):
     game_path = _generate(tmp_path, "parking.json", "parking")
     assert main(["analyze", str(game_path)]) == 3
     assert capsys.readouterr().err == (
-        "error: the singleton ircp point failed the membership re-check in the cce "
-        "polytope\n")
+        "error: membership re-check: cce decision[0] is not a CCE member\n")
 
 
 def test_phase1_failure_exits_3(tmp_path, capsys, monkeypatch):

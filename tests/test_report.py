@@ -346,6 +346,18 @@ def test_verify_flags_tampered_pure_ne():
     assert any("pure NE" in p for p in verify_report(data))
 
 
+@pytest.mark.parametrize("field, value, expected", [
+    ("strict", 1, "pure NE list does not match a recomputation"),
+    ("profile", [1.0, 1], "ne unreadable: GameFormatError: ne.pure[0].profile must be a "
+                          "list of ints, got [1.0, 1]"),
+], ids=["strict-int", "profile-float"])
+def test_verify_reads_pure_ne_by_json_type(field, value, expected):
+    # Python's 1 == True == 1.0 made each edit match the recomputed list.
+    data = full_pd_report()
+    data["ne"]["pure"][0][field] = value
+    assert verify_report(data) == [expected]
+
+
 def test_verify_flags_singleton_point_off_polytope():
     data = full_pd_report()
     point = data["concepts"]["cce"]["point"]
@@ -378,6 +390,9 @@ UNBACKED = {
     "pure": "classification: unique_pure needs concepts.cce at a point mass and a checked "
             "certificates.cce certificate at its profile",
 }
+# With no certified maximin level, the IRCP claims cannot be checked.
+UNCERTIFIED = [f"{section}.ircp: no certified maximin levels to check an IRCP claim"
+               for section in ("concepts", "certificates")]
 
 
 @pytest.mark.parametrize("section, value, expected", [
@@ -392,6 +407,14 @@ UNBACKED = {
       "pick one of ('ce', 'cce', 'ircp')",
       UNBACKED["ircp"], UNBACKED["cce"], UNBACKED["classification"]]),
     ("ne", [], ["ne unreadable: AttributeError: 'list' object has no attribute 'get'"]),
+    ("report_version", 3.0, ["report_version 3.0 is not 3; run analyze again"]),
+    ("maximin", "11",
+     ['maximin unreadable: GameFormatError: maximin must be a list of rational strings, '
+      'got "11"', *UNCERTIFIED]),
+    ("maximin", [1, 1],
+     ["maximin unreadable: GameFormatError: maximin must be a list of rational strings, "
+      "got [1, 1]",
+      *UNCERTIFIED]),
     ("certificates", {"cce": "x"},
      ["certificates.cce unreadable: AttributeError: 'str' object has no attribute 'get'",
       UNBACKED["pure"]]),
@@ -399,6 +422,7 @@ UNBACKED = {
     ("classification", {"variant": "unique_pure", "point": {"3": "1"}},
      ["classification: unread keys 'point'"]),
 ], ids=["concepts-list", "concept-entry-str", "concept-unknown", "ne-list",
+        "version-float", "maximin-string", "maximin-ints",
         "certificate-str", "classification-no-certificate"])
 def test_verify_flags_malformed_section(section, value, expected):
     data = full_pd_report()

@@ -54,6 +54,7 @@ from eqcert.lp import (  # noqa: E402
     PolytopeSolver,
     SolverInvariantError,
 )
+from eqcert.report import build_report  # noqa: E402
 
 SHAPES = ((2, 2), (2, 3), (3, 3), (2, 2, 2))
 NE_COUNTS = ("none", "one", "several")
@@ -164,9 +165,29 @@ def test_chained_point_is_rechecked():
     assert analysis.singleton("ircp").is_singleton
     rejected = polytopes.MembershipResult(False, ())
     with mock.patch.object(polytopes, "membership", lambda spec, mu: rejected):
-        with pytest.raises(SolverInvariantError, match="singleton ircp point failed the "
-                           "membership re-check in the cce polytope"):
+        with pytest.raises(SolverInvariantError, match="membership re-check: cce "
+                           "decision\\[0\\] is not a CCE member"):
             analysis.singleton("cce")
+
+
+@pytest.mark.parametrize("concept", ["ce", "cce"])
+def test_every_kept_decision_is_rechecked(concept):
+    # RPS has no pure NE, so an LP finds both polytopes' witnesses; a
+    # decision is kept only once its members pass the membership re-check.
+    real = polytopes.membership
+
+    def rejecting(spec, mu):
+        if spec.concept == concept:
+            return polytopes.MembershipResult(False, ())
+        return real(spec, mu)
+
+    rps = generators.rock_paper_scissors()
+    with mock.patch.object(polytopes, "membership", rejecting):
+        for run in (lambda: polytopes.GameAnalysis(rps).singleton("ce"),
+                    lambda: build_report(rps)):
+            with pytest.raises(SolverInvariantError,
+                               match=f"membership re-check: {concept} decision"):
+                run()
 
 
 def test_start_column_must_be_a_member():

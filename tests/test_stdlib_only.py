@@ -1,9 +1,9 @@
 """The library imports nothing outside the standard library at run time,
-every name a module imports is used there or exported, and every private
-top-level function or class is referred to somewhere in the library.  No
-module but `theory` imports `theory`, which only the demos and tests use,
-and the package `__init__` imports no submodule, so a command loads only
-the modules it runs."""
+every name a module, demo or test imports is used there or exported, and
+every private top-level function or class is referred to somewhere in the
+library.  No module but `theory` imports `theory`, which only the demos
+and tests use, and the package `__init__` imports no submodule, so a
+command loads only the modules it runs."""
 
 import ast
 import sys
@@ -13,6 +13,8 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "eqcert"
 MODULES = sorted(PACKAGE.glob("*.py"))
+ROOT = PACKAGE.parents[1]
+SCRIPTS = sorted(ROOT.glob("demos/*.py")) + sorted(ROOT.glob("tests/*.py"))
 
 
 def _absolute_imports(path: Path) -> list[str]:
@@ -104,7 +106,9 @@ def test_unused_imports_are_found():
     assert unused_imports(source) == ["j", "OPTIMAL"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + SCRIPTS,
+                         ids=lambda p: p.name if p.parent == PACKAGE
+                         else str(p.relative_to(ROOT)))
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
