@@ -17,11 +17,15 @@ gain table in ints (`games._gain_slack`), and the slack is reported as a
 `Fraction`; the unilateral guarantee and the pure-Pareto GUE flag compare
 the table's entries with 0.  The solver's re-check and
 `verify_certificate` are one call on the game's payoffs alone, with no
-maximin level and no LP (`_certificate_problems`).  Each question is
-decided once, by the context (`polytopes.GameAnalysis.singleton`, which
-re-checks the members it keeps), and `_decision` only converts that
-decision, for `certify_unique_ircp`, `certify_unique_pure_cce` and
-`classify_unique_cce` alike.
+maximin level and no LP (`_certificate_problems`).  The questions about a
+distribution read integer tables as well: a product is an NE, or a
+quasi-strict one, by the column sums of `games.gain_table` over its
+support (`_is_equilibrium`), and a 2x2 game is of matching-pennies type
+exactly when it has no pure NE.  Each question is decided once, by the
+context (`polytopes.GameAnalysis.singleton`, which re-checks the members it
+keeps), and `_decision` only converts that decision, for
+`certify_unique_ircp`, `certify_unique_pure_cce` and `classify_unique_cce`
+alike.
 
 Certificates and refutations are written and read here; their witnesses take
 the JSON form of `games` and are re-checked by `polytopes.membership_problems`.
@@ -165,20 +169,16 @@ class CceClassification:
 
 
 def is_matching_pennies_type(game: Game) -> bool:
-    """True iff some per-player relabeling shows the strict cyclic pattern
-    that forces a unique, fully mixed equilibrium in a 2x2 game."""
-    if game.shape != (2, 2):
-        return False
-    for swap1 in (False, True):
-        for swap2 in (False, True):
-            def at(i, r, c):
-                rr = 1 - r if swap1 else r
-                cc = 1 - c if swap2 else c
-                return game.u(i, (rr, cc))
-            if (at(0, 0, 0) > at(0, 1, 0) and at(0, 1, 1) > at(0, 0, 1)
-                    and at(1, 0, 1) > at(1, 0, 0) and at(1, 1, 0) > at(1, 1, 1)):
-                return True
-    return False
+    """True iff the game is 2x2 with no pure NE (`polytopes.enumerate_pure_ne`).
+
+    Under some relabeling that is the strict cyclic pattern, which forces a
+    unique, fully mixed equilibrium.  A cycle has no pure NE.  Conversely, a
+    tie of player 1's against column c gives one: (r, c) if c is player 2's
+    best reply to some row r, else the other column, strictly dominant, with
+    player 1's best reply to it; so does a tie of player 2's.  Strict best
+    replies with no pure NE must cycle.
+    """
+    return game.shape == (2, 2) and not polytopes.enumerate_pure_ne(game)
 
 
 def _induced_2x2(game: Game, mu: JointDistribution) -> tuple[tuple[int, int], Game] | None:
@@ -258,14 +258,18 @@ def _require_product(game: Game, nu: JointDistribution) -> list[MixedAction]:
 
 
 def _is_equilibrium(game: Game, nu: JointDistribution, quasi_strict: bool) -> bool:
+    """Whether the product nu is an NE, or a quasi-strict one, by `games.gain_table`.
+
+    Column d of player i's table sums to D d_i (E_nu u_i - E u_i(d, nu_-i)):
+    each sum must be >= 0, and > 0 off i's support if quasi-strict.
+    """
     mixed = _require_product(game, nu)
-    for i in range(game.num_players):
-        payoffs = games.deviation_payoffs(game, i, mixed)
-        expected = nu.expected_utility(game, i)
-        support = set(mixed[i].support())
-        for a, p in enumerate(payoffs):
-            if p > expected or (quasi_strict and p == expected and a not in support):
-                return False
+    support, _ = games.integer_weights(game, nu)
+    for i, m in enumerate(mixed):
+        sums = map(sum, zip(*games.gain_table(game, i, support)))
+        if any(t < 0 or (quasi_strict and t == 0 and d not in m.weights)
+               for d, t in enumerate(sums)):
+            return False
     return True
 
 

@@ -301,11 +301,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     a_star = None
     if args.certificate:
         # A bad certificate is an input error: reject it before any step runs.
+        where = f"{args.certificate}: unreadable certificate"
+        cert = games.read_json(_read_bytes(args.certificate), CliError, where)
         try:
-            cert = json.loads(_read_bytes(args.certificate).decode("utf-8"))
             a_star = games.profile_from_json(cert["a_star"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise CliError(f"{args.certificate}: unreadable certificate: {exc}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CliError(f"{where}: {exc}") from exc
         problems = certify.verify_certificate(game, cert)
         if problems:
             raise CliError(f"{args.certificate}: {problems[0]}")

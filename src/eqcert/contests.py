@@ -24,7 +24,7 @@ from math import lcm
 from typing import Sequence
 
 from .certify import Refutation, UniquenessCertificate, _certificate, certify_unique_pure_cce
-from .games import Game, _gain_slack, _normalize
+from .games import Game, _gain_slack, _normalize, read_json
 from .rational import (
     RationalFormatError,
     format_rational,
@@ -567,21 +567,12 @@ def save_contest(spec: ContestSpec) -> bytes:
 
 
 def load_contest(data: bytes | str) -> ContestSpec:
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise EvaluationDomainError(f"invalid contest JSON: {exc}") from exc
-    return contest_from_dict(raw)
+    return contest_from_dict(read_json(data, EvaluationDomainError, "invalid contest JSON"))
 
 
 def load_grid(data: bytes | str):
     """Grid file: a list of rationals, or a pair of per-player lists."""
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise EvaluationDomainError(f"invalid grid JSON: {exc}") from exc
+    raw = read_json(data, EvaluationDomainError, "invalid grid JSON")
     if isinstance(raw, dict):
         raw = raw.get("grids", raw.get("grid"))
     if not isinstance(raw, list) or not raw:

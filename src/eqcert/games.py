@@ -8,7 +8,14 @@ action from a to b moves the index by (b - a) * strides[i].
 `JointDistribution` and `MixedAction` are the exact probability objects
 used by every polytope and certificate computation.
 
-Their one JSON form lives here too.  A profile is a list of JSON ints.
+Every equilibrium question is answered from integer tables over
+`Game.int_payoffs`, none of which reads `Game.u`: `gain_rows` at a
+candidate profile, `gain_table` over a distribution's support (membership,
+whether a product is an NE or a quasi-strict one, a best reply), and
+`deviation_gains` (CCE rows, the 2x2 indifference equations).
+
+Their one JSON form lives here too, and `read_json` decodes and parses
+every file a command reads.  A profile is a list of JSON ints.
 Weights map decimal index strings to rational strings: a distribution is
 keyed by profile index, a mixed action (`{"player": i, "weights": ...}`)
 by action index.  The readers check keys and JSON types only; sign and sum
@@ -313,10 +320,6 @@ class JointDistribution:
             vector[game.profile_index(profile)] = w
         return tuple(vector)
 
-    def expected_utility(self, game: Game, player: int) -> Fraction:
-        return sum((w * game.u(player, profile) for profile, w in self.weights.items()),
-                   Fraction(0))
-
     def mix(self, alpha: Fraction, other: "JointDistribution") -> "JointDistribution":
         """Convex combination alpha*self + (1-alpha)*other."""
         alpha = Fraction(alpha)
@@ -434,23 +437,6 @@ def int_payoff_row(game: Game, player: int, action: int,
         bases = opponent_bases(game, player)
     payoff, shift = game.int_payoffs[player], action * game.strides[player]
     return [payoff[base + shift] for base in bases]
-
-
-def deviation_payoffs(game: Game, player: int,
-                      mixed: Sequence[MixedAction]) -> list[Fraction]:
-    """Expected payoff to each pure action of `player` against the others' mix."""
-    out = []
-    others_mix = [m for j, m in enumerate(mixed) if j != player]
-    others_support = [m.support() for m in others_mix]
-    for action in range(game.shape[player]):
-        total = Fraction(0)
-        for combo in itertools.product(*others_support):
-            w = Fraction(1)
-            for m, a in zip(others_mix, combo):
-                w *= m.prob(a)
-            total += w * game.u(player, game.insert_action(player, action, combo))
-        out.append(total)
-    return out
 
 
 def total_variation(mu: JointDistribution, nu: JointDistribution) -> Fraction:
@@ -584,11 +570,17 @@ def save_game(game: Game) -> bytes:
     return json.dumps(game_to_dict(game), indent=2).encode("utf-8")
 
 
-def load_game(data: bytes | str) -> Game:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
+def read_json(data: bytes | str, error: type[Exception], what: str):
+    """`data` decoded as UTF-8 and parsed as JSON, for every file a command reads.
+
+    Bytes that are not UTF-8, text that is not JSON and nesting too deep to
+    parse each raise the caller's own `error`, as "<what>: <reason>".
+    """
     try:
-        parsed = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise GameFormatError(f"not valid JSON: {exc}") from exc
-    return game_from_dict(parsed)
+        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise error(f"{what}: {exc}") from exc
+
+
+def load_game(data: bytes | str) -> Game:
+    return game_from_dict(read_json(data, GameFormatError, "not valid JSON"))

@@ -520,14 +520,15 @@ def _ircp_decision(analysis: GameAnalysis) -> SingletonResult:
                         if min(games.int_payoff_row(game, i, a, bases)) == floor])
     for i in range(n):
         if not options[i]:
-            # The maximin strategies, and i's best reply to the others', clear the levels.
+            # The maximin strategies, and i's best reply to the others' (the least, and
+            # first, column sum of i's gain table), clear the levels.
             nu = [analysis.maximin(j).strategy for j in range(n)]
-            payoffs = games.deviation_payoffs(game, i, nu)
+            product = games.product_distribution(game, nu)
+            sums = [sum(column) for column in zip(*games.gain_table(
+                game, i, games.integer_weights(game, product)[0]))]
             swapped = nu.copy()
-            swapped[i] = MixedAction.point_mass(
-                i, max(range(game.shape[i]), key=lambda a: (payoffs[a], -a)))
-            return SingletonResult(None, (games.product_distribution(game, nu),
-                                          games.product_distribution(game, swapped)),
+            swapped[i] = MixedAction.point_mass(i, sums.index(min(sums)))
+            return SingletonResult(None, (product, games.product_distribution(game, swapped)),
                                    reason=f"player {i} has no pure maximin action, so no "
                                    "single profile can pin the polytope")
     a_star = tuple(opts[0] for opts in options)
@@ -588,27 +589,20 @@ def mixed_ne_2x2(game: Game) -> list[tuple[MixedAction, MixedAction]]:
     """Complete NE list of a nondegenerate 2x2 game, exactly.
 
     Pure equilibria come from enumeration; the fully mixed one from the
-    closed-form indifference system.  Games in which a player is exactly
-    indifferent against one of the opponent's pure actions (or against all
-    mixtures) can carry equilibrium segments, and are reported as degenerate
-    rather than silently truncated to a finite list.
+    indifference equations over the int gains g_c = d_1 (u_1(0, c) - u_1(1, c))
+    and h_r = d_2 (u_2(r, 0) - u_2(r, 1)) (`games.deviation_gains`).  Games
+    in which a player is exactly indifferent against one of the opponent's
+    pure actions (some g_c or h_r is 0) can carry equilibrium segments, and
+    are reported as degenerate rather than silently truncated to a finite list.
     """
     if game.shape != (2, 2):
         raise PolytopeError("closed-form NE solver only covers 2x2 games")
-    u = game.u
-    # Player 1's indifference as a linear equation alpha1*q = beta1 in
-    # q = P(opponent plays action 0), and symmetrically for player 2.
-    alpha1 = (u(0, (0, 0)) - u(0, (1, 0))) - (u(0, (0, 1)) - u(0, (1, 1)))
-    beta1 = u(0, (1, 1)) - u(0, (0, 1))
-    alpha2 = (u(1, (0, 0)) - u(1, (0, 1))) - (u(1, (1, 0)) - u(1, (1, 1)))
-    beta2 = u(1, (1, 1)) - u(1, (1, 0))
-    if (alpha1 == 0 and beta1 == 0) or (alpha2 == 0 and beta2 == 0):
+    gains = (games.deviation_gains(game, 0, 1)[:2], games.deviation_gains(game, 1, 1)[::2])
+    if [0, 0] in gains:
         raise Degenerate2x2Error("a player is indifferent against every opponent mixture")
     for i, j in ((0, 1), (1, 0)):
         for x_j in range(2):
-            a = u(i, game.insert_action(i, 0, (x_j,)))
-            b = u(i, game.insert_action(i, 1, (x_j,)))
-            if a == b:
+            if gains[i][x_j] == 0:
                 raise Degenerate2x2Error(
                     f"player {i} is indifferent against the pure action "
                     f"{game.actions[j][x_j]} of player {j}")
@@ -616,9 +610,10 @@ def mixed_ne_2x2(game: Game) -> list[tuple[MixedAction, MixedAction]]:
     for profile, _ in enumerate_pure_ne(game):
         ne.append((MixedAction.point_mass(0, profile[0]),
                    MixedAction.point_mass(1, profile[1])))
-    if alpha1 != 0 and alpha2 != 0:
-        q = beta1 / alpha1  # player 2's weight on action 0
-        p = beta2 / alpha2  # player 1's weight on action 0
+    (g0, g1), (h0, h1) = gains
+    if g0 != g1 and h0 != h1:
+        q = Fraction(g1, g1 - g0)  # player 2's weight on action 0
+        p = Fraction(h1, h1 - h0)  # player 1's weight on action 0
         if 0 < p < 1 and 0 < q < 1:
             ne.append((MixedAction(0, {0: p, 1: 1 - p}),
                        MixedAction(1, {0: q, 1: 1 - q})))

@@ -11,6 +11,7 @@ in integer arithmetic.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
@@ -24,8 +25,11 @@ def parse_rational(value) -> Fraction:
     """Read an exact rational from an int, Fraction, or string.
 
     Accepted strings: "p/q", plain integers ("-3"), and finite decimals
-    ("0.25").  Floats are rejected: a float payoff has no well-defined
-    exact value and would silently poison downstream certificates.
+    ("0.25", "1e-3").  Floats are rejected: a float payoff has no well-defined
+    exact value and would silently poison downstream certificates.  So is a
+    decimal whose numerator or denominator, written over a power of ten,
+    needs more digits than `sys.get_int_max_str_digits()`, the limit a plain
+    digit string already meets: `Fraction` would compute 10**e for it.
     """
     if isinstance(value, bool):
         raise RationalFormatError(f"expected a rational, got boolean {value!r}")
@@ -41,6 +45,18 @@ def parse_rational(value) -> Fraction:
         text = value.strip()
         if not text:
             raise RationalFormatError("empty string is not a rational")
+        head, mark, exponent = text.upper().rpartition("E")
+        # 0 is no limit, as before Python 3.10.7, which has no such call
+        if mark and (limit := getattr(sys, "get_int_max_str_digits", lambda: 0)()):
+            try:
+                e = int(exponent)
+            except ValueError:
+                e = 0  # not a decimal: `Fraction` refuses it below
+            digits = len("".join(c for c in head if c.isdigit()).lstrip("0"))
+            point = sum(c.isdigit() for c in head.partition(".")[2])
+            if max(digits + e - point, point - e + 1) > limit:
+                raise RationalFormatError(
+                    f"cannot parse {value!r} as a rational: it needs more than {limit} digits")
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:

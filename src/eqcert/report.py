@@ -27,18 +27,19 @@ other key is a deterministic function of the game and the options.
 `concepts.<c>` is the only place a joint distribution is written:
 `{"singleton": true, "point": ...}` or `{"singleton": false, "witnesses":
 [two members]}`.  The sections that rest on it refer to it by key.
-`certificates.<c>` (c is ircp or cce) holds `type` and `concept`, which is
-c, and then `a_star`, `gamma` and `slack` for a certificate, which needs
-`concepts.<c>` to be the singleton delta(a*), or `reason` for a
-refutation, which needs it to hold two witnesses or, for cce, a mixed
-point.  `classification` holds its `variant`: `not_unique` needs two CCE
-witnesses, `unique_pure` a point mass with a `certificates.cce`
-certificate at its profile, and `unique_mixed_2x2` a mixed point, from
-which `verify_report` recomputes the variant's `mixers`, `subgame` and
-`ne`.  An entry key that `verify_report` does not read is a problem, and
-so is a singleton claim that the recomputed pure NE or another concept
-rules out (`_agreement_problems`).  Each distribution is read and
-membership-checked once.
+`certificates.<c>` (c is ircp or cce), written from the decision for c
+(`certify.certify_unique_ircp`, `certify_unique_pure_cce`), holds `type`
+and `concept`, which is c, and then `a_star`, `gamma` and `slack` for a
+certificate, which needs `concepts.<c>` to be the singleton delta(a*), or
+`reason` for a refutation, which needs it to hold two witnesses or, for
+cce, a mixed point.  `classification` holds its `variant`: `not_unique`
+needs two CCE witnesses, `unique_pure` a point mass with a
+`certificates.cce` certificate at its profile, and `unique_mixed_2x2` a
+mixed point, from which `verify_report` recomputes the variant's
+`mixers`, `subgame` and `ne`.  An entry key that `verify_report` does not
+read is a problem, and so is a singleton claim that the recomputed pure NE
+or another concept rules out (`_agreement_problems`).  Each distribution
+is read and membership-checked once.
 """
 
 from __future__ import annotations
@@ -172,14 +173,9 @@ def build_report(game: Game, concepts=ALL_CONCEPTS, check_unique: bool = False) 
         if "ircp" in concepts:
             certificates["ircp"] = _certification_to_dict(certify.certify_unique_ircp(analysis))
         if "cce" in concepts:
-            classification = certify.classify_unique_cce(analysis)
-            # Only the unique_pure variant carries a certificate; the others refute.
-            certificates["cce"] = (
-                _certification_to_dict(classification.certificate)
-                if classification.certificate is not None else
-                {"type": "refutation", "concept": "cce",
-                 "reason": certify.CCE_REFUTATION_REASONS[classification.variant]})
-            report["classification"] = _classification_to_dict(classification)
+            certificates["cce"] = _certification_to_dict(certify.certify_unique_pure_cce(analysis))
+            report["classification"] = _classification_to_dict(
+                certify.classify_unique_cce(analysis))
         report["certificates"] = certificates
 
         candidates = [p for p, strict in analysis.pure_ne() if strict]
@@ -202,11 +198,7 @@ def save_report(report: dict) -> bytes:
 
 
 def load_report(data: bytes | str) -> dict:
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ReportError(f"invalid report JSON: {exc}") from exc
+    raw = games.read_json(data, ReportError, "invalid report JSON")
     if not isinstance(raw, dict) or "game" not in raw:
         raise ReportError("report must be an object embedding its game")
     return raw

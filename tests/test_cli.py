@@ -244,11 +244,19 @@ def test_contest_band_checks(tmp_path, capsys):
     ("contest", {"exponent": 2.7}),
     ("contest", {"exponent": True}),
     ("contest", {"success": "tullock"}),
+    ("game", {"payoffs": [["1e5000", "1"]]}),
+    ("game", {"bytes": b"\xff\xfe{}"}),
+    ("game", {"bytes": b"[" * 200000 + b"]" * 200000}),
+    ("contest", {"bytes": b"\xff\xfe{}"}),
+    ("contest", {"bytes": b"[" * 200000 + b"]" * 200000}),
 ], ids=("payoffs-int", "payoffs-flat", "players-bool", "actions-not-str", "exponent-str",
-        "exponent-float", "exponent-bool", "success-str"))
+        "exponent-float", "exponent-bool", "success-str", "payoff-digits", "game-not-utf8", "game-nested",
+        "contest-not-utf8", "contest-nested"))
 def test_malformed_game_and_contest_files_exit_2(kind, changes, tmp_path, capsys):
     # A malformed field is an input error: exit 2 and one `error:` line.  The
-    # file without that change is read and checked.
+    # file without that change is read and checked.  A file that is not
+    # UTF-8, or nests too deeply to parse, is read in every place a command
+    # reads a file of its kind.
     if kind == "game":
         data = {"players": 1, "actions": [["a", "b"]], "payoffs": [["0", "1"]]}
         argv = ["analyze"]
@@ -261,16 +269,27 @@ def test_malformed_game_and_contest_files_exit_2(kind, changes, tmp_path, capsys
     path = tmp_path / f"{kind}.json"
     path.write_text(json.dumps(data))
     assert main([argv[0], str(path), *argv[1:]]) == 0
-    if "exponent" in changes:
-        data["costs"][1]["exponent"] = changes["exponent"]
+    bad = tmp_path / "bad.json"
+    runs = [[argv[0], str(bad), *argv[1:]]]
+    if "bytes" in changes:
+        bad.write_bytes(changes["bytes"])
+        simulate = ["--algo", "external_mw", "--steps", "1", "--seed", "1"]
+        runs += ([["certify", str(bad), "--concept", "cce"], ["verify", str(bad)],
+                  ["simulate", str(bad), *simulate],
+                  ["simulate", str(path), *simulate, "--certificate", str(bad)]]
+                 if kind == "game" else [[argv[0], str(path), *argv[1:2], str(bad), *argv[3:]]])
     else:
-        data.update(changes)
-    path.write_text(json.dumps(data))
-    capsys.readouterr()
-    assert main([argv[0], str(path), *argv[1:]]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        if "exponent" in changes:
+            data["costs"][1]["exponent"] = changes["exponent"]
+        else:
+            data.update(changes)
+        bad.write_text(json.dumps(data))
+    for run in runs:
+        capsys.readouterr()
+        assert main(run) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_contest_input_errors(tmp_path):

