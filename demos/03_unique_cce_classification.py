@@ -33,8 +33,8 @@ for game in (prisoners_dilemma(), matching_pennies(), random_mp_type(seed=8),
     cls = classify_unique_cce(game)
     print(f"{game.name}: {cls.variant}")
     if cls.variant == UNIQUE_PURE:
-        print(f"  point mass on {game.profile_label(cls.certificate.a_star)}, "
-              f"certificate slack {cls.certificate.slack}")
+        print(f"  point mass on {game.profile_label(cls.decision.a_star)}, "
+              f"certificate slack {cls.decision.slack}")
     elif cls.variant == UNIQUE_MIXED_2X2:
         parts = []
         for mix in cls.ne:

@@ -161,8 +161,8 @@ CCE_REFUTATION_REASONS = {
 @dataclass(frozen=True)
 class CceClassification:
     variant: str
+    decision: UniquenessCertificate | Refutation  # `_decision`'s, for every variant
     point: JointDistribution | None = None
-    certificate: UniquenessCertificate | None = None
     mixers: tuple[int, int] | None = None
     subgame: Game | None = None
     ne: tuple[MixedAction, ...] | None = None
@@ -219,11 +219,11 @@ def classify_unique_cce(game: Game | polytopes.GameAnalysis) -> CceClassificatio
     game = analysis.game
     decision = _decision(analysis, "cce")
     if isinstance(decision, UniquenessCertificate):
-        return CceClassification(UNIQUE_PURE, certificate=decision,
+        return CceClassification(UNIQUE_PURE, decision,
                                  point=JointDistribution.point_mass(decision.a_star))
     mu = analysis.singleton("cce").point
     if mu is None:
-        return CceClassification(NOT_UNIQUE)
+        return CceClassification(NOT_UNIQUE, decision)
     if not mu.is_product(game):
         raise SolverInvariantError("mixed singleton CCE must be a product distribution")
     if is_symmetric(game):
@@ -244,7 +244,7 @@ def classify_unique_cce(game: Game | polytopes.GameAnalysis) -> CceClassificatio
             for k in (0, 1) for s, a in enumerate(ne[k].support())):
         raise SolverInvariantError(
             "singleton point disagrees with the subgame's mixed equilibrium")
-    return CceClassification(UNIQUE_MIXED_2X2, point=mu, mixers=mixers,
+    return CceClassification(UNIQUE_MIXED_2X2, decision, point=mu, mixers=mixers,
                              subgame=subgame, ne=ne)
 
 

@@ -2,10 +2,15 @@
 
 Subcommands: analyze, certify, generate, contest, simulate, verify.
 Exit codes are a stable contract: 0 = success / certificate / check passed,
-1 = refuted / check failed / verification problems, 2 = input error
-(including an EQCERT_LP_PIVOT_LIMIT that is not a nonnegative integer),
+1 = refuted / check failed / verification problems, 2 = input error,
 3 = the exact solver gave up (pivot limit from EQCERT_LP_PIVOT_LIMIT) or
-failed an internal consistency check, so no answer was reached.
+failed an internal consistency check, so no answer was reached.  `main` is
+the one place that maps errors to codes: `CliError`, `RationalFormatError`,
+`contests.EvaluationDomainError`, `dynamics.DynamicsError` and
+`report.ReportError` to 2, `PivotLimitExceeded` and `SolverInvariantError`
+to 3.  A command raises `CliError` itself only to add text, or for a type the
+library also raises on its own misuse: `LpError` (an EQCERT_LP_PIVOT_LIMIT
+that is not a nonnegative integer), `GameFormatError` and `ValueError`.
 
 `main` builds a subcommand's parser, or the full one, on its first call that
 needs it and keeps it for the rest of the process, so repeated calls in one
@@ -86,10 +91,7 @@ def _parse_profile(text: str, game: Game) -> tuple[int, ...]:
 
 
 def _parse_rationals(text: str) -> list[Fraction]:
-    try:
-        return [parse_rational(part.strip()) for part in text.split(",")]
-    except RationalFormatError as exc:
-        raise CliError(str(exc)) from exc
+    return [parse_rational(part.strip()) for part in text.split(",")]
 
 
 def _profile_label(game: Game, profile) -> str:
@@ -105,10 +107,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if not concepts:
         raise CliError(f"--concepts names no concept, got {args.concepts!r}; "
                        f"pick from {','.join(report.ALL_CONCEPTS)}")
-    try:
-        data = report.build_report(game, concepts, check_unique=args.check_unique)
-    except report.ReportError as exc:
-        raise CliError(str(exc)) from exc
+    data = report.build_report(game, concepts, check_unique=args.check_unique)
 
     print(f"game: {game.name or args.game}  shape {'x'.join(map(str, game.shape))}")
     print("maximin: " + ", ".join(data["maximin"]))
@@ -214,7 +213,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
             game = generators.random_game(shape, args.seed, args.low, args.high)
         else:
             raise CliError(f"unknown family {family!r}")
-    except (RationalFormatError, ValueError) as exc:
+    except ValueError as exc:
         raise CliError(str(exc)) from exc
     _write_text(args.out, save_game(game).decode("utf-8"))
     return 0
@@ -224,11 +223,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_contest(args: argparse.Namespace) -> int:
-    try:
-        spec = contests.load_contest(_read_bytes(args.spec))
-        grids = contests.load_grid(_read_bytes(args.grid))
-    except (contests.EvaluationDomainError, RationalFormatError) as exc:
-        raise CliError(str(exc)) from exc
+    spec = contests.load_contest(_read_bytes(args.spec))
+    grids = contests.load_grid(_read_bytes(args.grid))
 
     if args.prop3:
         if not args.a_star:
@@ -239,10 +235,7 @@ def cmd_contest(args: argparse.Namespace) -> int:
         gamma = _parse_rationals(args.gamma) if args.gamma is not None else None
         if gamma is not None and (len(gamma) != 2 or any(g <= 0 for g in gamma)):
             raise CliError("--gamma needs two positive weights")
-        try:
-            result = contests.verify_prop3(spec, anchor, grids, gamma=gamma)
-        except contests.EvaluationDomainError as exc:
-            raise CliError(str(exc)) from exc
+        result = contests.verify_prop3(spec, anchor, grids, gamma=gamma)
         payload = {
             "mode": "prop3",
             "ok": result.ok,
@@ -271,10 +264,7 @@ def cmd_contest(args: argparse.Namespace) -> int:
     except RationalFormatError as exc:
         raise CliError(f"--c: {exc}") from exc
     flat = contests._sorted_grid(grids[0] + grids[1])
-    try:
-        ok = contests.ratio_band_check(spec.success, c, flat)
-    except contests.EvaluationDomainError as exc:
-        raise CliError(str(exc)) from exc
+    ok = contests.ratio_band_check(spec.success, c, flat)
     payload = {"mode": "band", "ok": ok, "c": format_rational(c), "points": len(flat)}
     if args.json:
         _write_text(args.json, json.dumps(payload, indent=2))
@@ -288,11 +278,9 @@ def cmd_contest(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     game = _load_game_file(args.game)
+    rate = parse_rational(args.rate)
     try:
-        rate = parse_rational(args.rate)
         learning_rate = float(rate)
-    except RationalFormatError as exc:
-        raise CliError(str(exc)) from exc
     except OverflowError as exc:
         raise CliError(f"--rate {args.rate} is too large: {exc}") from exc
     if rate > 0 and learning_rate == 0:
@@ -311,11 +299,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if problems:
             raise CliError(f"{args.certificate}: {problems[0]}")
 
-    try:
-        outcome = dynamics.run(game, args.algo, args.steps, args.seed,
-                               learning_rate=learning_rate)
-    except dynamics.DynamicsError as exc:
-        raise CliError(str(exc)) from exc
+    outcome = dynamics.run(game, args.algo, args.steps, args.seed,
+                           learning_rate=learning_rate)
 
     payload: dict = {
         "algorithm": outcome.algorithm,
@@ -347,10 +332,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        data = report.load_report(_read_bytes(args.report))
-    except report.ReportError as exc:
-        raise CliError(str(exc)) from exc
+    data = report.load_report(_read_bytes(args.report))
     problems = report.verify_report(data)
     if problems:
         for problem in problems:
@@ -482,7 +464,8 @@ def main(argv=None) -> int:
     try:
         _check_pivot_limit()
         return args.func(args)
-    except CliError as exc:
+    except (CliError, RationalFormatError, contests.EvaluationDomainError,
+            dynamics.DynamicsError, report.ReportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (PivotLimitExceeded, SolverInvariantError) as exc:

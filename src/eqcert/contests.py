@@ -567,7 +567,11 @@ def save_contest(spec: ContestSpec) -> bytes:
 
 
 def load_contest(data: bytes | str) -> ContestSpec:
-    return contest_from_dict(read_json(data, EvaluationDomainError, "invalid contest JSON"))
+    what = "invalid contest JSON"
+    try:
+        return contest_from_dict(read_json(data, EvaluationDomainError, what))
+    except RecursionError as exc:  # parsed, but nested too deeply to convert
+        raise EvaluationDomainError(f"{what}: {exc}") from exc
 
 
 def load_grid(data: bytes | str):

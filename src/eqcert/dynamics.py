@@ -204,7 +204,10 @@ def run(game: Game, algorithm: str, steps: int, seed: int,
     # columns[i][k]: player i's payoff for each own action against profile k's opponents
     columns = []
     for i in range(n):
-        payoff = [float(x) for x in game.payoffs[i]]
+        try:
+            payoff = [float(x) for x in game.payoffs[i]]
+        except OverflowError as exc:
+            raise DynamicsError(f"player {i}'s payoffs do not fit in a float: {exc}") from exc
         ranges.append(max(payoff) - min(payoff))
         stride, k = strides[i], shape[i]
         table = [None] * game.num_profiles

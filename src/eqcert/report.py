@@ -28,7 +28,8 @@ other key is a deterministic function of the game and the options.
 `{"singleton": true, "point": ...}` or `{"singleton": false, "witnesses":
 [two members]}`.  The sections that rest on it refer to it by key.
 `certificates.<c>` (c is ircp or cce), written from the decision for c
-(`certify.certify_unique_ircp`, `certify_unique_pure_cce`), holds `type`
+(`certify.certify_unique_ircp`, or for cce the `decision` that
+`certify.classify_unique_cce` converts once for both sections), holds `type`
 and `concept`, which is c, and then `a_star`, `gamma` and `slack` for a
 certificate, which needs `concepts.<c>` to be the singleton delta(a*), or
 `reason` for a refutation, which needs it to hold two witnesses or, for
@@ -173,9 +174,9 @@ def build_report(game: Game, concepts=ALL_CONCEPTS, check_unique: bool = False) 
         if "ircp" in concepts:
             certificates["ircp"] = _certification_to_dict(certify.certify_unique_ircp(analysis))
         if "cce" in concepts:
-            certificates["cce"] = _certification_to_dict(certify.certify_unique_pure_cce(analysis))
-            report["classification"] = _classification_to_dict(
-                certify.classify_unique_cce(analysis))
+            classification = certify.classify_unique_cce(analysis)
+            certificates["cce"] = _certification_to_dict(classification.decision)
+            report["classification"] = _classification_to_dict(classification)
         report["certificates"] = certificates
 
         candidates = [p for p, strict in analysis.pure_ne() if strict]

@@ -353,7 +353,7 @@ def test_classify_pd_unique_pure():
     res = classify_unique_cce(generators.prisoners_dilemma())
     assert res.variant == UNIQUE_PURE
     assert res.point == JointDistribution.point_mass((1, 1))
-    assert res.certificate is not None and res.certificate.a_star == (1, 1)
+    assert isinstance(res.decision, UniquenessCertificate) and res.decision.a_star == (1, 1)
 
 
 def test_classify_mp_type_games():
@@ -374,7 +374,7 @@ def test_classify_rps_not_unique():
     analysis = polytopes.GameAnalysis(generators.rock_paper_scissors())
     res = classify_unique_cce(analysis)
     assert res.variant == NOT_UNIQUE
-    assert res.point is None and res.certificate is None
+    assert res.point is None and isinstance(res.decision, Refutation)
     assert len(analysis.singleton("cce").witnesses) == 2
 
 

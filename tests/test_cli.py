@@ -292,6 +292,40 @@ def test_malformed_game_and_contest_files_exit_2(kind, changes, tmp_path, capsys
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("field", ("success", "costs"))
+def test_contest_file_nested_too_deep_to_convert_exits_2(field, tmp_path, capsys):
+    # A file can parse and still nest too deeply to convert: a `mix` share
+    # function recurses once per level, and a bad cost's message prints the
+    # list it got.  Where that window of depths lies moves with the caller's
+    # stack, so the depth grows until the parse itself refuses the file, and
+    # every depth on the way exits 2 with one `error:` line.
+    spec = ContestSpec(TullockRatio(1), (1, 1), (PowerCost(1, 2), PowerCost(1, 2)))
+    data = json.loads(save_contest(spec))
+    data[field] = "@"
+    template = json.dumps(data)
+    _, grid_path = _write_tullock(tmp_path)
+    path = tmp_path / "nested.json"
+    leaf = '{"kind": "tullock", "r": "1"}' if field == "success" else "[]"
+    nested, converted_too_deep = leaf, False
+    for _ in range(2000):
+        if field == "success":
+            nested = f'{{"kind": "mix", "alpha": "1/2", "components": [{nested}, {leaf}]}}'
+        else:
+            nested = f"[{nested}]"
+        path.write_text(template.replace('"@"', nested))
+        assert main(["contest", str(path), "--grid", str(grid_path), "--prop3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        if "while decoding" in captured.err:
+            break
+        converted_too_deep |= captured.err.startswith(
+            "error: invalid contest JSON: maximum recursion depth exceeded")
+    else:
+        pytest.fail("the parse never refused the nesting")
+    assert converted_too_deep
+
+
 def test_contest_input_errors(tmp_path):
     spec_path, grid_path = _write_tullock(tmp_path)
     assert main(["contest", str(spec_path), "--grid", str(grid_path)]) == 2
@@ -414,6 +448,17 @@ def test_simulate_input_errors(tmp_path, capsys):
                      "--steps", "10", "--seed", "1",
                      "--certificate", str(bad_cert)]) == 2
     assert capsys.readouterr().err.endswith("profile (5, 0) out of range\n")
+    # The other commands read such a payoff exactly; the dynamics need floats.
+    data = json.loads(game_path.read_text())
+    data["payoffs"][1][0] = "1e400"
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(data))
+    assert main(["simulate", str(huge), "--algo", "external_mw", "--steps", "10",
+                 "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: player 1's payoffs do not fit in a float: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_simulate_rejects_a_bad_certificate_before_running(tmp_path, capsys, monkeypatch):
@@ -458,6 +503,45 @@ def test_verify_detects_tampering(tmp_path, capsys):
     garbage = tmp_path / "garbage.json"
     garbage.write_text("[1, 2]")
     assert main(["verify", str(garbage)]) == 2
+
+
+# -- input errors -----------------------------------------------------------------
+
+
+# One row per input error that a library module raises and `main` reports.
+@pytest.mark.parametrize("argv, err", [
+    (["analyze", "pd.json", "--concepts", "cce,quantal"],
+     "error: unknown concepts: quantal\n"),
+    (["contest", "logit.json", "--grid", "grid.json", "--band"],
+     "error: unknown share function kind 'logit'\n"),
+    (["contest", "tullock.json", "--grid", "x_grid.json", "--band"],
+     "error: cannot parse 'x' as a rational\n"),
+    (["contest", "tullock.json", "--grid", "grid.json", "--prop3", "--a-star", "1/3,1/3"],
+     "error: the anchor profile must lie on the grid\n"),
+    (["contest", "tullock.json", "--grid", "grid.json", "--prop3", "--a-star", "x,1/3"],
+     "error: cannot parse 'x' as a rational\n"),
+    (["contest", "tullock.json", "--grid", "grid.json", "--band"],
+     "error: band grid ratios must lie in (0, 1)\n"),
+    (["simulate", "pd.json", "--algo", "external_mw", "--steps", "0", "--seed", "1"],
+     "error: steps must be at least 1\n"),
+    (["simulate", "pd.json", "--algo", "external_mw", "--steps", "10", "--seed", "1",
+      "--rate", "abc"],
+     "error: cannot parse 'abc' as a rational\n"),
+    (["verify", "truncated.json"],
+     "error: invalid report JSON: Expecting value: line 1 column 14 (char 13)\n"),
+], ids=("unknown-concept", "unknown-share", "grid-entry", "anchor-off-grid",
+        "anchor-unparsable", "band-grid-holds-1", "steps-0", "rate-unparsable",
+        "truncated-report"))
+def test_input_error_messages(argv, err, tmp_path, capsys):
+    _generate(tmp_path, "pd.json", "pd")
+    spec_path, _ = _write_tullock(tmp_path)
+    data = json.loads(spec_path.read_text())
+    data["success"] = {"kind": "logit"}
+    (tmp_path / "logit.json").write_text(json.dumps(data))
+    (tmp_path / "x_grid.json").write_text(json.dumps(["1/8", "x"]))
+    (tmp_path / "truncated.json").write_text('{"maximin": [')
+    assert main([str(tmp_path / a) if a.endswith(".json") else a for a in argv]) == 2
+    assert capsys.readouterr() == ("", err)
 
 
 # -- solver failures ----------------------------------------------------------------
