@@ -19,7 +19,7 @@ the table's entries with 0.  The solver's re-check and
 `verify_certificate` are one call on the game's payoffs alone, with no
 maximin level and no LP (`_certificate_problems`).  The questions about a
 distribution read integer tables as well: a product is an NE, or a
-quasi-strict one, by the column sums of `games.gain_table` over its
+quasi-strict one, by the column sums of the gain table over its
 support (`_is_equilibrium`), and a 2x2 game is of matching-pennies type
 exactly when it has no pure NE.  Each question is decided once, by the
 context (`polytopes.GameAnalysis.singleton`, which re-checks the members it
@@ -258,15 +258,15 @@ def _require_product(game: Game, nu: JointDistribution) -> list[MixedAction]:
 
 
 def _is_equilibrium(game: Game, nu: JointDistribution, quasi_strict: bool) -> bool:
-    """Whether the product nu is an NE, or a quasi-strict one, by `games.gain_table`.
+    """Whether the product nu is an NE, or a quasi-strict one, by `games.gain_column_sums`.
 
-    Column d of player i's table sums to D d_i (E_nu u_i - E u_i(d, nu_-i)):
-    each sum must be >= 0, and > 0 off i's support if quasi-strict.
+    Player i's sum at d is D d_i (E_nu u_i - E u_i(d, nu_-i)): each sum
+    must be >= 0, and > 0 off i's support if quasi-strict.
     """
     mixed = _require_product(game, nu)
     support, _ = games.integer_weights(game, nu)
     for i, m in enumerate(mixed):
-        sums = map(sum, zip(*games.gain_table(game, i, support)))
+        sums = games.gain_column_sums(game, i, support)
         if any(t < 0 or (quasi_strict and t == 0 and d not in m.weights)
                for d, t in enumerate(sums)):
             return False

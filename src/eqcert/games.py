@@ -10,9 +10,10 @@ used by every polytope and certificate computation.
 
 Every equilibrium question is answered from integer tables over
 `Game.int_payoffs`, none of which reads `Game.u`: `gain_rows` at a
-candidate profile, `gain_table` over a distribution's support (membership,
-whether a product is an NE or a quasi-strict one, a best reply), and
-`deviation_gains` (CCE rows, the 2x2 indifference equations).
+candidate profile, `gain_table` over a distribution's support (CE
+membership, regrets) and its column sums `gain_column_sums` (CCE
+membership, whether a product is an NE or a quasi-strict one, a best
+reply), and `deviation_gains` (CCE rows, the 2x2 indifference equations).
 
 Their one JSON form lives here too, and `read_json` decodes and parses
 every file a command reads.  A profile is a list of JSON ints.
@@ -386,6 +387,25 @@ def gain_table(game: Game, player: int, support: Sequence[tuple[int, int]]) -> l
         for dev, alt in enumerate(payoff[first:first + size * stride:stride]):
             row[dev] += m * (realized - alt)
     return table
+
+
+def gain_column_sums(game: Game, player: int, support: Sequence[tuple[int, int]]) -> list[int]:
+    """s[d] = sum of m d_i (u_i(a) - u_i(d, a_-i)) over (k, m) in `support`.
+
+    These are the column sums of `gain_table`, summed straight into one
+    vector, so no size x size table is built: over the D of
+    `integer_weights`, s[d] / (D d_i) is what following mu earns over
+    always deviating to d.
+    """
+    stride, size = game.strides[player], game.shape[player]
+    payoff = game.int_payoffs[player]
+    sums = [0] * size
+    for k, m in support:
+        first = k - (k // stride) % size * stride
+        realized = payoff[k]
+        for dev, alt in enumerate(payoff[first:first + size * stride:stride]):
+            sums[dev] += m * (realized - alt)
+    return sums
 
 
 def _normalize(gamma: Sequence[Fraction]) -> tuple[Fraction, ...]:

@@ -15,8 +15,11 @@ per player changes no polytope.  All of it runs on the integer payoffs
 denominators.  `membership` sums them over a distribution's support and
 writes no row.  The rows are written only when an LP reads them
 (`PolytopeSpec.system`), each a positive multiple of the row over
-`Fraction` payoffs, so for a given objective the simplex makes the same
-pivots and finds the same points.
+`Fraction` payoffs, so they bound the same polytope and each LP has the
+same optimum.  The pivots need not be the same: the pivot rule compares
+pivot entries, which scale with their rows (see `lp`), so where an LP has
+several optimal vertices, or a refutation several second members, the
+integer rows may reach another one.
 `lp.PolytopeSolver.pinning_objective` adds rows as they are stored, so
 its row weights differ from those of `Fraction` rows by positive factors;
 any positive weights decide singleton-ness alike, and only the second
@@ -63,10 +66,9 @@ Singleton tests start from the pure Nash equilibria, whose point masses lie
 in all three polytopes.  Two of them refute singleton-ness with no LP.  One
 of them starts the CCE simplex at its point mass, which satisfies every CCE
 row, so phase 1 is a single pivot.  CE keeps the cold start: the point mass
-makes every CE row with another recommendation tight, and on random 8x8
-games the crash there moves the pivots of a whole report both ways, even
-with the early stop below (seed 7: 278 -> 1102, seed 9: 960 -> 82), so CE
-waits for a pivot rule that does not stall at that degenerate vertex.
+makes every CE row with another recommendation tight, and on random games
+a crash there moves the pivots of a whole report both ways (8x8 seed 7:
+69 -> 81, seed 9: 179 -> 130; 10x10 seed 9: 269 -> 433).
 
 From its phase-1 vertex x*, a singleton test runs at most two LPs
 (`singleton_over_system`): the mass outside supp(x*), which settles a point
@@ -389,7 +391,8 @@ def membership(spec: PolytopeSpec, mu: JointDistribution) -> MembershipResult:
     Decided from `Game.int_payoffs` over supp(mu), with no row written: with
     mu's weights m_k over one denominator D (`games.integer_weights`), a CE
     row holds when its entry of `games.gain_table` is >= 0, a CCE row when
-    its column sum is, and an IRCP row when sum_k m_k d_i u_i(a_k) >=
+    that table's column sum is (`games.gain_column_sums`, which builds no
+    table), and an IRCP row when sum_k m_k d_i u_i(a_k) >=
     d_i v_i D.  Violations come in row order, shortfalls in payoff units.
     """
     game, concept = spec.game, spec.concept
@@ -403,8 +406,8 @@ def membership(spec: PolytopeSpec, mu: JointDistribution) -> MembershipResult:
             sums = [(lhs * level.denominator - level.numerator * unit, None, None)]
             unit *= level.denominator
         elif concept == "cce":
-            table = games.gain_table(game, i, support)
-            sums = [(t, None, dev) for dev, t in enumerate(map(sum, zip(*table)))]
+            sums = [(t, None, dev)
+                    for dev, t in enumerate(games.gain_column_sums(game, i, support))]
         else:
             sums = [(t, rec, dev) for rec, row in enumerate(games.gain_table(game, i, support))
                     for dev, t in enumerate(row)]
@@ -524,8 +527,7 @@ def _ircp_decision(analysis: GameAnalysis) -> SingletonResult:
             # first, column sum of i's gain table), clear the levels.
             nu = [analysis.maximin(j).strategy for j in range(n)]
             product = games.product_distribution(game, nu)
-            sums = [sum(column) for column in zip(*games.gain_table(
-                game, i, games.integer_weights(game, product)[0]))]
+            sums = games.gain_column_sums(game, i, games.integer_weights(game, product)[0])
             swapped = nu.copy()
             swapped[i] = MixedAction.point_mass(i, sums.index(min(sums)))
             return SingletonResult(None, (product, games.product_distribution(game, swapped)),

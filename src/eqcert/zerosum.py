@@ -92,11 +92,13 @@ def _row_lp(rows: Sequence[Sequence[int]]
     """max z s.t. the mixed row strategy guarantees at least z against every column.
 
     `rows[r][c]` is the payoff times one positive scale D, as an int, so z
-    is D times the value, and the strategies are those of the payoffs
+    is D times the value, and the strategies are optimal for the payoffs
     themselves: each LP row is D times the row over the payoffs, with the
-    guarantee column scaled by 1/D, which changes no pivot of Bland's path
-    and no column row's dual.  The free guarantee is split as z = z+ - z-,
-    the last two columns.  Returns z, the optimal row strategy and an
+    guarantee column scaled by 1/D, which moves no vertex and, at a given
+    basis, no column row's dual.  The pivot rule compares entries that scale
+    with the rows, so the optimal vertex reached may differ from that of the
+    LP over the payoffs.  The free guarantee is split as z = z+ - z-, the
+    last two columns.  Returns z, the optimal row strategy and an
     optimal column strategy.  The solver reads the dual of min -z, so
     column c's `>=` row has a dual y_c >= 0; the dual constraints of z+ and
     z- make the y_c sum to 1, and those of the row strategy's weights hold

@@ -31,8 +31,10 @@ No analyze, certify or verify command builds a `Game` beyond the one it
 loads, and the 2x2 subgame of a unique_mixed_2x2 classification: every
 question about a candidate profile a* reads the gain table at a*.
 The pivots that variant 0's command lines take, summed per command kind,
-must equal recorded counts: exact arithmetic and Bland's rule repeat them
-exactly, so any change to the LP path shows there.
+and the bit length of the largest basis determinant any of their tableaux
+ends at, must equal recorded values: exact arithmetic and a deterministic
+pivot rule repeat them exactly, so any change to the LP path or its bit
+growth shows there.
 
 `perfbench/tracing.py` reads the standard form's attributes after phase 1
 and after each `optimize`; a test runs it on CE, CCE and maximin systems, so
@@ -329,10 +331,19 @@ def test_commands_build_no_game_beyond_the_loaded_one(workload, tmp_path, monkey
 # Pivots of every LP that variant 0's command lines solve, summed per kind:
 # `_StandardForm.pivots_used` over phase 1 and every re-optimization.
 PIVOTS = {
-    "random-games": {"analyze": 480, "certify": 203, "verify": 0},
-    "singleton-sweep": {"analyze": 145, "certify": 143, "verify": 11},
-    "tullock-grid": {"analyze": 0, "certify": 60, "verify": 0, "contest": 0},
-    "dynamics": {"analyze": 31, "certify": 2, "verify": 2, "simulate": 0},
+    "random-games": {"analyze": 373, "certify": 199, "verify": 0},
+    "singleton-sweep": {"analyze": 134, "certify": 132, "verify": 11},
+    "tullock-grid": {"analyze": 0, "certify": 11, "verify": 0, "contest": 0},
+    "dynamics": {"analyze": 37, "certify": 2, "verify": 2, "simulate": 0},
+}
+
+# The largest `_StandardForm.det.bit_length()` over the same LPs per kind,
+# each read at the basis its last run left; 0 where a kind solves no LP.
+MAX_DET_BITS = {
+    "random-games": {"analyze": 18, "certify": 9, "verify": 0},
+    "singleton-sweep": {"analyze": 10, "certify": 10, "verify": 3},
+    "tullock-grid": {"analyze": 0, "certify": 120, "verify": 0, "contest": 0},
+    "dynamics": {"analyze": 8, "certify": 1, "verify": 1, "simulate": 0},
 }
 
 
@@ -347,11 +358,14 @@ def test_variant_0_pivots_per_command_kind(workload, tmp_path, monkeypatch):
 
     monkeypatch.setattr(_StandardForm, "__init__", recording)
     pivots = Counter()
+    det_bits = Counter()
     for op in _in_run_order(workloads.build(workload, 0, tmp_path)):
         forms.clear()
         _run([op])
         pivots[op.kind] += sum(form.pivots_used for form in forms)
+        det_bits[op.kind] = max([det_bits[op.kind], *(form.det.bit_length() for form in forms)])
     assert dict(pivots) == PIVOTS[workload]
+    assert dict(det_bits) == MAX_DET_BITS[workload]
 
 
 def test_tracer_reads_every_standard_form(monkeypatch):

@@ -824,7 +824,7 @@ def test_phase1_failure_exits_3(tmp_path, capsys, monkeypatch):
     from eqcert import lp
 
     # A phase 1 that reports unbounded breaks a solver invariant.
-    monkeypatch.setattr(lp._StandardForm, "_bland_min", lambda self: lp.UNBOUNDED)
+    monkeypatch.setattr(lp._StandardForm, "_minimize", lambda self: lp.UNBOUNDED)
     game_path = _generate(tmp_path, "pd.json", "pd")
     assert main(["analyze", str(game_path)]) == 3
     assert capsys.readouterr().err == "error: phase 1 cannot be unbounded\n"

@@ -1,10 +1,11 @@
 """Exact simplex and vertex enumeration."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
-from eqcert import generators
+from eqcert import contests, generators
 from eqcert.lp import (
     EQUAL,
     GREATER_EQUAL,
@@ -21,7 +22,8 @@ from eqcert.lp import (
     SolverInvariantError,
     _StandardForm,
 )
-from eqcert.polytopes import build_polytope
+from eqcert.games import Game
+from eqcert.polytopes import build_polytope, singleton_over_system
 from eqcert.theory import VertexEnumerationError, enumerate_vertices
 
 from conftest import F
@@ -216,6 +218,111 @@ def test_pivot_limit_env(monkeypatch):
         _lp(*args)
     monkeypatch.delenv(PIVOT_LIMIT_ENV)
     assert _lp(*args).status == OPTIMAL
+
+
+# -- termination under degeneracy ---------------------------------------------------
+
+# min c.x over rows with right-hand side 0 but one, on which a simplex without
+# an anti-cycling rule can cycle: Beale's LP as Chvatal writes it, and Kuhn's.
+# Each with its optimum and the optimal point.
+_CYCLING_LPS = {
+    "beale": ([F(-3, 4), 150, F(-1, 50), 6],
+              [([F(1, 4), -60, F(-1, 25), 9], LESS_EQUAL, 0),
+               ([F(1, 2), -90, F(-1, 50), 3], LESS_EQUAL, 0),
+               ([0, 0, 1, 0], LESS_EQUAL, 1)],
+              F(-1, 20), (F(1, 25), F(0), F(1), F(0))),
+    "kuhn": ([-2, -3, 1, 12],
+             [([-2, -9, 1, 9], LESS_EQUAL, 0),
+              ([F(1, 3), 1, F(-1, 3), -2], LESS_EQUAL, 0),
+              ([2, 3, -1, -12], LESS_EQUAL, 2)],
+             F(-2), (F(2), F(0), F(2), F(0))),
+}
+
+
+def _tullock_8x8():
+    spec = contests.ContestSpec(contests.TullockRatio(1), (1, 1),
+                                (contests.LinearCost(1), contests.LinearCost(1)))
+    return contests.discretize(spec, [F(k, 8) for k in range(1, 9)])
+
+
+# Degenerate game systems: every incentive row has right-hand side 0.  Each
+# with its concept and whether that polytope is one point.
+_DEGENERATE_GAMES = {
+    "rps-ce": (generators.rock_paper_scissors, "ce", True),
+    "parking-m5-ce": (lambda: generators.parking(5, 1, F(1, 4), F(3, 4)), "ce", True),
+    "tullock-8x8-cce": (_tullock_8x8, "cce", True),
+    "all-ties-ce": (lambda: Game((("a", "b", "c", "d"),) * 2, ((F(0),) * 16,) * 2), "ce", False),
+}
+
+
+def _dantzig_lex_min(form):
+    """Minimize with Dantzig's column and the library's ratio test and lex tie-break.
+
+    The entering slot is the one with the most negative reduced cost, ties
+    to the lower variable, and it is the only candidate the ratio test and
+    `_lex_row` see.  Returns the bases visited, the start basis included.
+    """
+    start = list(form.basis)
+    visited = [frozenset(form.basis)]
+    while True:
+        z = form.z
+        slots = [s for s in range(form.npriced) if z[s] < 0]
+        if not slots:
+            return visited
+        entering = min(slots, key=lambda s: (z[s], form.cols[s]))
+        (first,), (num,), (den,), (tied,) = form._ratio_tests([entering])
+        assert first >= 0
+        leaving = form._lex_row(entering, num, den, start) if tied else first
+        form._pivot(leaving, entering)
+        visited.append(frozenset(form.basis))
+
+
+def _assert_dantzig_lex_reaches(system, cost, value):
+    """Dantzig's column with the lex tie-break repeats no basis and ends at `value`."""
+    form = _StandardForm(system)
+    assert form.phase1()
+    form._load_objective(cost)
+    visited = _dantzig_lex_min(form)
+    assert len(set(visited)) == len(visited)
+    assert sum(c * x for c, x in zip(cost, form.point())) == value
+
+
+@pytest.mark.parametrize("name", sorted(_CYCLING_LPS))
+def test_cycling_lps_reach_their_optimum(name, monkeypatch):
+    monkeypatch.setenv(PIVOT_LIMIT_ENV, "50")
+    cost, rows, value, point = _CYCLING_LPS[name]
+    out = _lp(4, cost, rows, maximize=False)
+    assert (out.status, out.value, out.point) == (OPTIMAL, value, point)
+    _assert_dantzig_lex_reaches(_system(4, rows), [F(c) for c in cost], value)
+
+
+@pytest.mark.parametrize("name", sorted(_DEGENERATE_GAMES))
+def test_degenerate_game_systems_terminate(name, monkeypatch):
+    # A cold phase 1 and the singleton test's LPs, then every coordinate's
+    # maximum from the warm basis, each under the pivot cap; and Dantzig's
+    # column with the lex tie-break on the first coordinates.
+    monkeypatch.setenv(PIVOT_LIMIT_ENV, "500")
+    make, concept, singleton = _DEGENERATE_GAMES[name]
+    game = make()
+    system = replace(build_polytope(game, concept).system, start=None)
+    assert singleton_over_system(game, system).is_singleton == singleton
+    solver = PolytopeSolver(system)
+    n = system.num_vars
+    for j in range(n):
+        unit = [F(int(k == j)) for k in range(n)]
+        out = solver.optimize(unit, maximize=True)
+        assert out.status == OPTIMAL and system.contains(out.point)
+        if j < 4:
+            _assert_dantzig_lex_reaches(system, [-c for c in unit], -out.value)
+
+
+def test_lex_tie_left_at_the_end_raises():
+    # Two equal rows tie at ratio 0 in x1's slot.  Their start slacks set
+    # them apart; with no start column left to compare, the tie remains.
+    form = _StandardForm(_system(2, [([1, -1], LESS_EQUAL, 0)] * 2))
+    assert form._lex_row(0, 0, 1, list(form.basis)) == 1
+    with pytest.raises(SolverInvariantError, match="lexicographic"):
+        form._lex_row(0, 0, 1, [])
 
 
 # -- integer pivot ----------------------------------------------------------------

@@ -98,9 +98,12 @@ class _DenseForm:
     its variables.  A pivot rewrites every row, basic columns included, at
     the new determinant.  After phase 1 the `==` rows' artificial columns
     stay, unpriced, and the other artificial columns are deleted.  The pivot
-    rules are the library's: Bland's by column, ratio-test ties to the least
-    basic column, a crash pivot at the system's start column, and the
-    phase-1 drive-out of zero-level artificials.
+    rules are the library's, written over `Fraction` ratios: of the columns
+    with a negative reduced cost, the one whose first minimum-ratio row holds
+    the smallest entry, then the lowest column, ratio-test ties
+    to the lexicographically least row of [b | B0^-1] over the run's start
+    basis B0, a crash pivot at the system's start column, and the phase-1
+    drive-out of zero-level artificials.
     """
 
     def __init__(self, system):
@@ -164,17 +167,26 @@ class _DenseForm:
             z = [v - ints[bvar] * w for v, w in zip(z, row)]
         self.z = z
 
-    def _bland_min(self):
+    def _minimize(self):
+        start = list(self.basis)
         while True:
-            entering = next((j for j in range(self.priced) if self.z[j] < 0), None)
-            if entering is None:
+            negative = [j for j in range(self.priced) if self.z[j] < 0]
+            if not negative:
                 return OPTIMAL
-            ratios = [(Fraction(row[-1], row[entering]), bvar, r)
-                      for r, (row, bvar) in enumerate(zip(self.rows, self.basis))
-                      if row[entering] > 0]
-            if not ratios:
-                return UNBOUNDED
-            self._pivot(min(ratios)[2], entering)
+            choices = []
+            for q in negative:
+                ratios = [(Fraction(row[-1], row[q]), r)
+                          for r, row in enumerate(self.rows) if row[q] > 0]
+                if not ratios:
+                    return UNBOUNDED
+                ratio, first = min(ratios)
+                choices.append((self.rows[first][q], q, ratio))
+            _, q, ratio = min(choices)
+            tied = [r for r, row in enumerate(self.rows)
+                    if row[q] > 0 and Fraction(row[-1], row[q]) == ratio]
+            leaving = min(tied, key=lambda r: [Fraction(self.rows[r][v], self.rows[r][q])
+                                               for v in start])
+            self._pivot(leaving, q)
 
     def phase1(self):
         if self.system.start is not None:
@@ -183,7 +195,7 @@ class _DenseForm:
         if not self.artificials:
             return True
         self._load_objective([Fraction(int(j in self.artificials)) for j in range(self.ncols)])
-        assert self._bland_min() == OPTIMAL
+        assert self._minimize() == OPTIMAL
         basic_artificials = [r for r, bvar in enumerate(self.basis) if bvar in self.artificials]
         if any(self.rows[r][-1] > 0 for r in basic_artificials):
             return False
@@ -208,7 +220,7 @@ class _DenseForm:
 
     def optimize(self, cost):
         self._load_objective(cost)
-        return self._bland_min()
+        return self._minimize()
 
     def point(self):
         values = [Fraction(0)] * self.num_y

@@ -167,16 +167,17 @@ def test_check_maximin_flags_each_bound():
 
 def test_matrix_value_column_strategy_is_the_dual_of_the_row_lp():
     # Every mix of the two columns that puts at least 1/2 on column 1 holds
-    # both rows to the value 1.  The transposed LP of the column side lands
-    # on (1/2, 1/2); the row LP's dual, read from its final tableau, is the
-    # pure column 1.  Both are optimal, and matrix_value checks its own.
+    # both rows to the value 1.  The row LP's dual, read from its final
+    # tableau, is the pure column 1.  The transposed LP of the column side
+    # lands on the pure column 1 as well, of the optimal mixes from (0, 1)
+    # to (1/2, 1/2), and matrix_value checks its own.
     value, row, col = matrix_value(_mg([[2, 0], [1, 1]]))
     assert value == 1
     assert row == (F(0), F(1))
     assert col == (F(0), F(1))
     neg_value, transposed_vertex, _ = matrix_value(_mg([[-2, -1], [0, -1]]))
     assert neg_value == -1
-    assert transposed_vertex == (F(1, 2), F(1, 2))
+    assert transposed_vertex == (F(0), F(1))
 
 
 def test_strict_complementary_matching_pennies():
