@@ -377,16 +377,7 @@ def gain_table(game: Game, player: int, support: Sequence[tuple[int, int]]) -> l
     `integer_weights`, t[r][d] / (D d_i) is what following r earns over
     deviating to d, summed with mu's weights.  The diagonal is 0.
     """
-    stride, size = game.strides[player], game.shape[player]
-    payoff = game.int_payoffs[player]
-    table = [[0] * size for _ in range(size)]
-    for k, m in support:
-        rec = (k // stride) % size
-        first = k - rec * stride
-        realized, row = payoff[k], table[rec]
-        for dev, alt in enumerate(payoff[first:first + size * stride:stride]):
-            row[dev] += m * (realized - alt)
-    return table
+    return _gain_sums(game, player, support, by_recommendation=True)
 
 
 def gain_column_sums(game: Game, player: int, support: Sequence[tuple[int, int]]) -> list[int]:
@@ -397,15 +388,25 @@ def gain_column_sums(game: Game, player: int, support: Sequence[tuple[int, int]]
     `integer_weights`, s[d] / (D d_i) is what following mu earns over
     always deviating to d.
     """
+    return _gain_sums(game, player, support, by_recommendation=False)[0]
+
+
+def _gain_sums(game: Game, player: int, support: Sequence[tuple[int, int]],
+               by_recommendation: bool) -> list[list[int]]:
+    """`gain_table`, or with `by_recommendation` false its one row of column sums."""
     stride, size = game.strides[player], game.shape[player]
     payoff = game.int_payoffs[player]
-    sums = [0] * size
+    table = [[0] * size for _ in range(size if by_recommendation else 1)]
+    row = table[0]
     for k, m in support:
-        first = k - (k // stride) % size * stride
+        rec = (k // stride) % size
+        first = k - rec * stride
         realized = payoff[k]
+        if by_recommendation:
+            row = table[rec]
         for dev, alt in enumerate(payoff[first:first + size * stride:stride]):
-            sums[dev] += m * (realized - alt)
-    return sums
+            row[dev] += m * (realized - alt)
+    return table
 
 
 def _normalize(gamma: Sequence[Fraction]) -> tuple[Fraction, ...]:

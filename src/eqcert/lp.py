@@ -4,16 +4,18 @@ The solver is a two-phase primal simplex with one pivot rule for phase 1
 and every later minimization (`_StandardForm._minimize`).  The working
 tableau is kept in integer form, each row with its own positive denominator
 (integer pivoting, see the last paragraph), so every pivot is exact integer
-arithmetic; results are reported as `Fraction`s.  The leaving row is the
-minimum ratio, with ties broken lexicographically by the rows of
-[b | B0^-1] over the basis B0 at the start of the run (Dantzig, Orden and
-Wolfe 1955), which terminates whatever improving column enters.  That
-frees the entering choice: of the columns with a negative reduced cost, the
-one whose first minimum-ratio row holds the smallest entry at the current
-basis determinant.  That entry becomes the next determinant, so the
+arithmetic; results are reported as `Fraction`s.  Each row is stored
+divided by the gcd of its integer entries, so for a given objective a
+positive multiple of a system row changes no pivot and no point.  The
+leaving row is the minimum ratio, with ties broken lexicographically by
+the rows of [b | B0^-1] over the basis B0 at the start of the run
+(Dantzig, Orden and Wolfe 1955), which terminates whatever improving
+column enters.  That frees the entering choice: of the columns with a
+negative reduced cost, the one whose first minimum-ratio row holds the
+smallest entry at the current basis determinant.  That entry becomes the next determinant, so the
 determinant, and with it every entry, stays small (Edmonds 1967, Bareiss
-1968).  Every choice breaks its ties by row or
-variable order, so every answer is a deterministic function of the input.
+1968).  Every choice breaks its ties by row or variable order, so every
+answer is a deterministic function of the input.
 Most LPs here are highly degenerate: every CE and CCE incentive row has
 right-hand side 0.  On random 8x8 and 10x10 games a whole report takes
 69-269 pivots under this rule where Bland's rule took 278-17,846, whose
@@ -63,7 +65,8 @@ variables: a slack is b - a.x on a `<=` row a.x <= b and a.x - b on a `>=`
 row, in the row's original relation whatever negation the standard form
 applied, and up to the positive factor by which the standard form scaled
 the row.  So each nonbasic slack adds a_r on a `>=` row and -a_r on a `<=`
-row, and the constants are left out.
+row, and the constants are left out.  The objective, unlike the tableau,
+thus depends on the scale at which the system writes a row.
 
 `PolytopeSolver.duals` reads the optimal row duals of the last optimum
 reached, by `optimize` or by a `step_off` that never moved, from the final
@@ -111,6 +114,7 @@ import itertools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from .rational import scaled_ints
@@ -222,10 +226,12 @@ class LpOutcome:
 class _StandardForm:
     """min c.y, T y = b, y >= 0 over an integer dictionary with per-row scales.
 
-    Rows are scaled to integers and negated so that b >= 0.  A `<=` row starts
-    basic on its slack.  A `>=` row with b = 0 is negated to `<=` too: the
-    origin satisfies it, so its slack is a feasible start at level 0.  Only
-    `==` rows and `>=` rows with b > 0 start on an artificial for phase 1.
+    Rows are scaled to integers, divided by the gcd of their entries and
+    negated so that b >= 0, so any positive multiple of a row gives the same
+    tableau row.  A `<=` row starts basic on its slack.  A `>=` row with
+    b = 0 is negated to `<=` too: the origin satisfies it, so its slack is a
+    feasible start at level 0.  Only `==` rows and `>=` rows with b > 0
+    start on an artificial for phase 1.
 
     Variables are numbered [y | slacks | artificials].  Row r has basic
     variable `basis[r]`, and every row stores `ncols` slots and then its
@@ -260,12 +266,18 @@ class _StandardForm:
         slack_base = self.num_y
         art_base = self.num_y + self.num_slack
         scaled: list[tuple[list[int], str, int]] = []
-        # Row r of the standard form is row_factors[r] times system row r.
+        # Row r of the standard form is row_factors[r] / row_contents[r]
+        # times system row r: scaled to ints, then divided by their gcd.
         self.row_factors: list[int] = []
+        self.row_contents: list[int] = []
         for row in system.constraints:
             rel, rhs = row.relation, row.rhs
             ints, denom = scaled_ints(row.coeffs, rhs.denominator)
             b = rhs.numerator * (denom // rhs.denominator)
+            content = gcd(b, *ints) or 1
+            if content > 1:
+                ints = [v // content for v in ints]
+                b //= content
             if b < 0 or (b == 0 and rel == GREATER_EQUAL):
                 ints = [-v for v in ints]
                 b = -b
@@ -273,6 +285,7 @@ class _StandardForm:
                 rel = {LESS_EQUAL: GREATER_EQUAL, GREATER_EQUAL: LESS_EQUAL, EQUAL: EQUAL}[rel]
             scaled.append((ints, rel, b))
             self.row_factors.append(denom)
+            self.row_contents.append(content)
 
         self.rows: list[list[int]] = []
         self.basis: list[int] = []
@@ -451,7 +464,10 @@ class _StandardForm:
 
         For slot k: its first minimum-ratio row (-1 where no entry is
         positive), that row's right-hand side and entry, whose quotient is
-        the minimum ratio, and whether a later row ties it.
+        the minimum ratio, and whether a later row may tie it.  No ratio is
+        below 0, so a slot whose ratio reaches 0 is settled, and the later
+        rows skip it: its flag is set, for `_lex_row` to find the ties.
+        With every slot settled the pass stops.
         """
         rhs = self.ncols
         count = len(slots)
@@ -459,20 +475,23 @@ class _StandardForm:
         nums = [0] * count
         dens = [0] * count
         tied = [False] * count
+        active = list(enumerate(slots))
         for r, row in enumerate(self.rows):
             num = row[rhs]
-            for k, s in enumerate(slots):
+            settled = False
+            for k, s in active:
                 coeff = row[s]
                 if coeff <= 0:
                     continue
-                if first[k] < 0:
-                    first[k], nums[k], dens[k] = r, num, coeff
-                    continue
-                lhs, best = num * dens[k], nums[k] * coeff
-                if lhs < best:
-                    first[k], nums[k], dens[k], tied[k] = r, num, coeff, False
-                elif lhs == best:
+                if first[k] < 0 or num * dens[k] < nums[k] * coeff:
+                    first[k], nums[k], dens[k], tied[k] = r, num, coeff, not num
+                    settled = settled or not num
+                elif num * dens[k] == nums[k] * coeff:
                     tied[k] = True
+            if settled:
+                active = [(k, s) for k, s in active if not tied[k] or nums[k]]
+                if not active:
+                    break
         return first, nums, dens, tied
 
     def _lex_row(self, entering: int, num: int, den: int, start: list[int]) -> int:
@@ -495,6 +514,8 @@ class _StandardForm:
         rows, rhs = self.rows, self.ncols
         tied = [r for r, row in enumerate(rows)
                 if row[entering] > 0 and row[rhs] * den == num * row[entering]]
+        if len(tied) == 1:
+            return tied[0]
         slot_of = {label: s for s, label in enumerate(self.cols)}
         row_of = {label: r for r, label in enumerate(self.basis)}
         for label in start:
@@ -611,18 +632,21 @@ class _StandardForm:
     def duals(self) -> list[Fraction]:
         """Optimal duals y of the last minimization run to its optimum, one per system row.
 
-        Standard-form row r is f_r times system row r, where f_r =
+        Standard-form row r is f_r / g_r times system row r, where f_r =
         `row_factors[r]` is the row's integer scale, negative when the row
-        was negated.  Its simplex multiplier pi_r is read from the reduced
-        cost of its own column c = `dual_cols[r]`, whose only entry s_r =
-        `signs[c]` sits in row r: that cost is 0 - pi_r s_r, held in `z` at
-        c's slot times `cost_scale` at `scales[-1]`, and 0 when c is basic.
-        So y_r = pi_r f_r = -s_r f_r z[c] / (scales[-1] cost_scale).
+        was negated, and g_r = `row_contents[r]` the gcd it was divided by.
+        Its simplex multiplier pi_r is read from the reduced cost of its own
+        column c = `dual_cols[r]`, whose only entry s_r = `signs[c]` sits in
+        row r: that cost is 0 - pi_r s_r, held in `z` at c's slot times
+        `cost_scale` at `scales[-1]`, and 0 when c is basic.  So y_r = pi_r
+        f_r / g_r = -s_r f_r z[c] / (g_r scales[-1] cost_scale).
         """
         z = dict(zip(self.cols, self.z))  # by variable; a basic one is absent
         scale = self.scales[-1] * self.cost_scale
-        return [Fraction(-self.signs[c] * factor * z[c], scale) if z.get(c) else Fraction(0)
-                for c, factor in zip(self.dual_cols, self.row_factors)]
+        return [Fraction(-self.signs[c] * factor * z[c], content * scale) if z.get(c)
+                else Fraction(0)
+                for c, factor, content in zip(self.dual_cols, self.row_factors,
+                                              self.row_contents)]
 
 
 class PolytopeSolver:

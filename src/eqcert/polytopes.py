@@ -15,18 +15,16 @@ per player changes no polytope.  All of it runs on the integer payoffs
 denominators.  `membership` sums them over a distribution's support and
 writes no row.  The rows are written only when an LP reads them
 (`PolytopeSpec.system`), each a positive multiple of the row over
-`Fraction` payoffs, so they bound the same polytope and each LP has the
-same optimum.  The pivots need not be the same: the pivot rule compares
-pivot entries, which scale with their rows (see `lp`), so where an LP has
-several optimal vertices, or a refutation several second members, the
-integer rows may reach another one.
-`lp.PolytopeSolver.pinning_objective` adds rows as they are stored, so
-its row weights differ from those of `Fraction` rows by positive factors;
-any positive weights decide singleton-ness alike, and only the second
-member of a refutation could differ.  A security level behind the IRCP
-rows is read off the integer payoffs where the player's payoffs have a
-pure saddle point, and elsewhere from a maximin LP over the same integer
-payoffs (`zerosum.maximin`).
+`Fraction` payoffs.  The standard form divides every row by the gcd of its
+integer entries (see `lp`), so both give it the same tableau row, and for
+a given objective the simplex makes the same pivots and finds the same
+points.  `lp.PolytopeSolver.pinning_objective` adds rows as they are
+stored, so its row weights differ from those of `Fraction` rows by
+positive factors; any positive weights decide singleton-ness alike, and
+only the second member of a refutation could differ.  A security level
+behind the IRCP rows is read off the integer payoffs where the player's
+payoffs have a pure saddle point, and elsewhere from a maximin LP over the
+same integer payoffs (`zerosum.maximin`).
 
 The IRCP polytope can be one point only at delta(a*), a*_i player i's
 only pure maximin action, where u(a*) is at the levels; it is then P(a*)
@@ -368,8 +366,9 @@ def build_polytope(game: Game | GameAnalysis, concept: str) -> PolytopeSpec:
 def write_rows(spec: PolytopeSpec) -> ConstraintSystem:
     """The constraint system of `spec`, in ints, which need no scaling in the tableau.
 
-    A CE or CCE row of player i is d_i times its payoff gains over their gcd;
-    an IRCP row is (d_i u_i, d_i v_i) at level v_i, its right side a `Fraction`.
+    A CE or CCE row of player i is d_i times its payoff gains over their gcd,
+    the scale `lp.PolytopeSolver.pinning_objective` adds it at; an IRCP row
+    is (d_i u_i, d_i v_i) at level v_i, its right side a `Fraction`.
     """
     game = spec.game
     rows = []

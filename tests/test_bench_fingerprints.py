@@ -332,7 +332,7 @@ def test_commands_build_no_game_beyond_the_loaded_one(workload, tmp_path, monkey
 # `_StandardForm.pivots_used` over phase 1 and every re-optimization.
 PIVOTS = {
     "random-games": {"analyze": 373, "certify": 199, "verify": 0},
-    "singleton-sweep": {"analyze": 134, "certify": 132, "verify": 11},
+    "singleton-sweep": {"analyze": 136, "certify": 134, "verify": 11},
     "tullock-grid": {"analyze": 0, "certify": 11, "verify": 0, "contest": 0},
     "dynamics": {"analyze": 37, "certify": 2, "verify": 2, "simulate": 0},
 }

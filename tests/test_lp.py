@@ -223,9 +223,19 @@ def test_pivot_limit_env(monkeypatch):
 # -- termination under degeneracy ---------------------------------------------------
 
 # min c.x over rows with right-hand side 0 but one, on which a simplex without
-# an anti-cycling rule can cycle: Beale's LP as Chvatal writes it, and Kuhn's.
-# Each with its optimum and the optimal point.
+# an anti-cycling rule can cycle: Beale's LP as Chvatal writes it, Kuhn's,
+# and Chvatal's own example written from the second tableau of its cycle.
+# Each with its optimum and the optimal point.  The standard form scales each
+# row to coprime ints, and with it the row's slack, which moves the most
+# negative reduced cost: there Beale's and Kuhn's LPs do not cycle under
+# Dantzig's column, and only "chvatal", whose rows are coprime ints already,
+# does, with ratio-test ties to the first row.
 _CYCLING_LPS = {
+    "chvatal": ([-53, -41, 204, 20],
+                [([-11, -5, 18, 2], LESS_EQUAL, 0),
+                 ([4, 2, -8, -1], LESS_EQUAL, 0),
+                 ([11, 5, -18, -2], LESS_EQUAL, 1)],
+                F(-1), (F(0), F(1), F(0), F(2))),
     "beale": ([F(-3, 4), 150, F(-1, 50), 6],
               [([F(1, 4), -60, F(-1, 25), 9], LESS_EQUAL, 0),
                ([F(1, 2), -90, F(-1, 50), 3], LESS_EQUAL, 0),
@@ -255,12 +265,14 @@ _DEGENERATE_GAMES = {
 }
 
 
-def _dantzig_lex_min(form):
-    """Minimize with Dantzig's column and the library's ratio test and lex tie-break.
+def _dantzig_min(form, lex=True):
+    """Minimize with Dantzig's column and the library's ratio test.
 
     The entering slot is the one with the most negative reduced cost, ties
-    to the lower variable, and it is the only candidate the ratio test and
-    `_lex_row` see.  Returns the bases visited, the start basis included.
+    to the lower variable, and it is the only candidate the ratio test sees.
+    A ratio tie goes to `_lex_row`, or with `lex` false to the first tied
+    row.  Returns the bases visited, the start basis included, and stops
+    at an optimum or when a basis repeats.
     """
     start = list(form.basis)
     visited = [frozenset(form.basis)]
@@ -272,17 +284,23 @@ def _dantzig_lex_min(form):
         entering = min(slots, key=lambda s: (z[s], form.cols[s]))
         (first,), (num,), (den,), (tied,) = form._ratio_tests([entering])
         assert first >= 0
-        leaving = form._lex_row(entering, num, den, start) if tied else first
+        leaving = form._lex_row(entering, num, den, start) if tied and lex else first
         form._pivot(leaving, entering)
         visited.append(frozenset(form.basis))
+        if visited[-1] in visited[:-1]:
+            return visited
+
+
+def _dantzig_run(system, cost, lex=True):
+    form = _StandardForm(system)
+    assert form.phase1()
+    form._load_objective(cost)
+    return form, _dantzig_min(form, lex)
 
 
 def _assert_dantzig_lex_reaches(system, cost, value):
     """Dantzig's column with the lex tie-break repeats no basis and ends at `value`."""
-    form = _StandardForm(system)
-    assert form.phase1()
-    form._load_objective(cost)
-    visited = _dantzig_lex_min(form)
+    form, visited = _dantzig_run(system, cost)
     assert len(set(visited)) == len(visited)
     assert sum(c * x for c, x in zip(cost, form.point())) == value
 
@@ -294,6 +312,18 @@ def test_cycling_lps_reach_their_optimum(name, monkeypatch):
     out = _lp(4, cost, rows, maximize=False)
     assert (out.status, out.value, out.point) == (OPTIMAL, value, point)
     _assert_dantzig_lex_reaches(_system(4, rows), [F(c) for c in cost], value)
+
+
+def test_lex_tie_break_stops_a_cycle(monkeypatch):
+    # On "chvatal" Dantzig's column with ties to the first row returns to its
+    # start basis after six pivots; the lex tie-break, fed the same columns,
+    # reaches the optimum.
+    monkeypatch.setenv(PIVOT_LIMIT_ENV, "50")
+    cost, rows, value, _ = _CYCLING_LPS["chvatal"]
+    system, cost = _system(4, rows), [F(c) for c in cost]
+    _, visited = _dantzig_run(system, cost, lex=False)
+    assert len(visited) == 7 and visited[-1] == visited[0]
+    _assert_dantzig_lex_reaches(system, cost, value)
 
 
 @pytest.mark.parametrize("name", sorted(_DEGENERATE_GAMES))

@@ -95,7 +95,8 @@ class _DenseForm:
     """The tableau over every column, with one common denominator `det`.
 
     Columns are [y | slacks | artificials], numbered as the library numbers
-    its variables.  A pivot rewrites every row, basic columns included, at
+    its variables.  Each row is scaled to ints and divided by their gcd, as
+    the library does.  A pivot rewrites every row, basic columns included, at
     the new determinant.  After phase 1 the `==` rows' artificial columns
     stay, unpriced, and the other artificial columns are deleted.  The pivot
     rules are the library's, written over `Fraction` ratios: of the columns
@@ -114,6 +115,8 @@ class _DenseForm:
             denom = math.lcm(row.rhs.denominator,
                              *(Fraction(c).denominator for c in row.coeffs))
             ints, b, rel = [int(c * denom) for c in row.coeffs], int(row.rhs * denom), row.relation
+            content = math.gcd(b, *ints) or 1
+            ints, b = [v // content for v in ints], b // content
             if b < 0 or (b == 0 and rel == GREATER_EQUAL):
                 ints, b = [-v for v in ints], -b
                 rel = {LESS_EQUAL: GREATER_EQUAL, GREATER_EQUAL: LESS_EQUAL, EQUAL: EQUAL}[rel]

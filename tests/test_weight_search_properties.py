@@ -20,16 +20,15 @@ answer must be the P(a*) test's own.  Half the two-player square games are
 symmetric, u_2(a, b) = u_1(b, a), so that uniform weights get tried.
 
 The "cce" P(a*) test over the gain table stores row i as d_i v_i, a
-positive multiple of the reduced game's IRCP row, so it must reach the
-reduced game's decision and point, and its dual, scaled by the game's own
-payoff scales, must give the reduced game's weights.  The factors scale the
-pivot entries that the entering rule compares, so the pivots and the second
-member of a refutation may differ; each second member must lie in both
-systems.
+positive multiple of the reduced game's IRCP row, and the standard form
+divides both by their gcd, so it must make the reduced game's pivots and
+find its witnesses, and its dual, scaled by the game's own payoff scales,
+must give the reduced game's weights.
 """
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -39,6 +38,7 @@ st = pytest.importorskip("hypothesis.strategies")
 from eqcert.certify import _unilateral_guarantee  # noqa: E402
 from eqcert.polytopes import GameAnalysis, improvement_system, singleton_over_system  # noqa: E402
 from eqcert.games import Game, JointDistribution, _gain_slack, _normalize  # noqa: E402
+from eqcert.lp import _StandardForm  # noqa: E402
 from eqcert.zerosum import matrix_value  # noqa: E402
 
 from conftest import build_theorem1_auxiliary, reference_reduction  # noqa: E402
@@ -99,25 +99,33 @@ def test_dual_weights_exist_exactly_when_the_comparison_game_is_negative(game):
                     == GameAnalysis(game).improvement(a_star, "ircp").is_singleton)
 
 
+def _counting_pivots(test):
+    """test() and the pivots of every standard form it builds."""
+    forms = []
+    init = _StandardForm.__init__
+
+    def recording(self, system):
+        init(self, system)
+        forms.append(self)
+
+    with mock.patch.object(_StandardForm, "__init__", recording):
+        result = test()
+    return result, sum(form.pivots_used for form in forms)
+
+
 @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @hypothesis.given(_game())
 def test_cce_p_a_star_equals_the_reduced_games_ircp_p_a_star(game):
     for a_star in game.profiles():
         reduced = reference_reduction(game, a_star)
-        own_system = improvement_system(game, a_star, "cce")
-        ref_system = improvement_system(reduced, a_star, "ircp")
-        own = singleton_over_system(game, own_system)
-        ref = singleton_over_system(reduced, ref_system)
-        assert own.point == ref.point
-        assert (own.witnesses is None) == (ref.witnesses is None)
+        own, own_pivots = _counting_pivots(lambda: singleton_over_system(
+            game, improvement_system(game, a_star, "cce")))
+        ref, ref_pivots = _counting_pivots(lambda: singleton_over_system(
+            reduced, improvement_system(reduced, a_star, "ircp")))
+        assert (own.point, own.witnesses, own_pivots) == (ref.point, ref.witnesses, ref_pivots)
         if own.witnesses is not None:
-            # The rows differ by positive factors, which scale the pivot
-            # entries the entering rule compares, so the second members may
-            # differ; each is a member of both systems.
-            assert own.witnesses[0] == ref.witnesses[0] == JointDistribution.point_mass(a_star)
-            for _, second in (own.witnesses, ref.witnesses):
-                assert own_system.contains(second.as_vector(game))
-                assert ref_system.contains(second.as_vector(reduced))
+            first, second = own.witnesses
+            assert first == JointDistribution.point_mass(a_star) != second
         if own.is_singleton:
             assert (_normalize([y * d for y, d in zip(own.duals, game.payoff_scales)])
                     == _normalize([y * d for y, d in zip(ref.duals, reduced.payoff_scales)]))
