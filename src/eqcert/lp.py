@@ -5,17 +5,17 @@ and every later minimization (`_StandardForm._minimize`).  The working
 tableau is kept in integer form, each row with its own positive denominator
 (integer pivoting, see the last paragraph), so every pivot is exact integer
 arithmetic; results are reported as `Fraction`s.  Each row is stored
-divided by the gcd of its integer entries, so for a given objective a
-positive multiple of a system row changes no pivot and no point.  The
+divided by the gcd of its integer entries, so a positive multiple of a
+system row changes no pivot, no point and no pinning objective.  The
 leaving row is the minimum ratio, with ties broken lexicographically by
 the rows of [b | B0^-1] over the basis B0 at the start of the run
 (Dantzig, Orden and Wolfe 1955), which terminates whatever improving
 column enters.  That frees the entering choice: of the columns with a
 negative reduced cost, the one whose first minimum-ratio row holds the
-smallest entry at the current basis determinant.  That entry becomes the next determinant, so the
-determinant, and with it every entry, stays small (Edmonds 1967, Bareiss
-1968).  Every choice breaks its ties by row or variable order, so every
-answer is a deterministic function of the input.
+smallest entry at the current basis determinant.  That entry becomes the
+next determinant, so the determinant, and with it every entry, stays
+small (Edmonds 1967, Bareiss 1968).  Every tie breaks by row or variable
+order, so every answer is a deterministic function of the input.
 Most LPs here are highly degenerate: every CE and CCE incentive row has
 right-hand side 0.  On random 8x8 and 10x10 games a whole report takes
 69-269 pivots under this rule where Bland's rule took 278-17,846, whose
@@ -63,10 +63,10 @@ maximum over the system is its value at x*.  Dropped redundant `==` rows
 do not change the solution set.  The sum is written over the system's
 variables: a slack is b - a.x on a `<=` row a.x <= b and a.x - b on a `>=`
 row, in the row's original relation whatever negation the standard form
-applied, and up to the positive factor by which the standard form scaled
-the row.  So each nonbasic slack adds a_r on a `>=` row and -a_r on a `<=`
-row, and the constants are left out.  The objective, unlike the tableau,
-thus depends on the scale at which the system writes a row.
+applied, times the positive factor by which the standard form scaled the
+row.  So each nonbasic slack adds that factor times a_r on a `>=` row and
+times -a_r on a `<=` row, and the constants are left out: the sum of the
+standard form's own nonbasic columns, as the tableau holds them.
 
 `PolytopeSolver.duals` reads the optimal row duals of the last optimum
 reached, by `optimize` or by a `step_off` that never moved, from the final
@@ -614,10 +614,6 @@ class _StandardForm:
             self.z = [0] * (self.ncols + 1)
         return True
 
-    def optimize(self, cost_y: Sequence[int | Fraction], stop_on_move: bool = False) -> str:
-        self._load_objective(cost_y)
-        return self._minimize(stop_on_move)
-
     # -- solution readout ---------------------------------------------------
 
     def point(self) -> tuple[Fraction, ...]:
@@ -672,15 +668,13 @@ class PolytopeSolver:
         if len(objective) != self.system.num_vars:
             raise LpError("objective width disagrees with num_vars")
 
-    def optimize(self, objective: Sequence[Fraction], maximize: bool) -> LpOutcome:
+    def optimize(self, objective: Sequence[int | Fraction], maximize: bool) -> LpOutcome:
         if not self.feasible:
             return LpOutcome(INFEASIBLE)
         self._check_width(objective)
-        objective = [Fraction(c) for c in objective]
-        cost = [-c for c in objective] if maximize else objective
         self._optimal = False
-        status = self._form.optimize(cost)
-        if status == UNBOUNDED:
+        self._form._load_objective([-c for c in objective] if maximize else objective)
+        if self._form._minimize() == UNBOUNDED:
             return LpOutcome(UNBOUNDED)
         self._optimal = True
         point = self._form.point()
@@ -704,7 +698,8 @@ class PolytopeSolver:
             raise LpError("an infeasible system has no basis")
         self._check_width(objective)
         self._optimal = False
-        status = self._form.optimize([-c for c in objective], stop_on_move=True)
+        self._form._load_objective([-c for c in objective])
+        status = self._form._minimize(stop_on_move=True)
         if status == UNBOUNDED:
             raise SolverInvariantError("step_off met an unbounded objective")
         if status == MOVED:
@@ -728,28 +723,27 @@ class PolytopeSolver:
                           "`step_off` that returned None")
         return tuple(self._form.duals())
 
-    def pinning_objective(self) -> tuple[int | Fraction, ...]:
+    def pinning_objective(self) -> tuple[int, ...]:
         """The sum of the nonbasic columns at the current basis, over the system's variables.
 
-        It is 1 on each nonbasic variable, plus a_r for each `>=` row r whose
-        slack is nonbasic and -a_r for each such `<=` row (see the module
-        docstring), so it is over the ints when those rows are.  Its maximum
-        over the system equals its value at the current basic point exactly
-        when that point is the only member.
+        It is 1 on each nonbasic variable, plus w_r a_r for each `>=` row r
+        whose slack is nonbasic and -w_r a_r for each such `<=` row, w_r =
+        |f_r| / g_r the positive factor by which the standard form scales row
+        r (see `_StandardForm.duals`).  Each w_r a_r is the standard form's
+        integer row, so the objective is over the ints.  Its maximum over the
+        system equals its value at the current basic point exactly when that
+        point is the only member (see the module docstring).
         """
         if not self.feasible:
             raise LpError("an infeasible system has no basis")
         form = self._form
         basic = set(form.basis)
         objective = [0 if j in basic else 1 for j in range(form.num_y)]
-        slack = form.num_y
-        for row in self.system.constraints:
-            if row.relation == EQUAL:
-                continue
-            if slack not in basic:
-                sign = 1 if row.relation == GREATER_EQUAL else -1
+        for row, col, factor, content in zip(self.system.constraints, form.dual_cols,
+                                             form.row_factors, form.row_contents):
+            if row.relation != EQUAL and col not in basic:
+                weight = abs(factor) if row.relation == GREATER_EQUAL else -abs(factor)
                 for j, c in enumerate(row.coeffs):
                     if c:
-                        objective[j] += sign * c
-            slack += 1
+                        objective[j] += weight * c // content
         return tuple(objective)

@@ -16,15 +16,12 @@ denominators.  `membership` sums them over a distribution's support and
 writes no row.  The rows are written only when an LP reads them
 (`PolytopeSpec.system`), each a positive multiple of the row over
 `Fraction` payoffs.  The standard form divides every row by the gcd of its
-integer entries (see `lp`), so both give it the same tableau row, and for
-a given objective the simplex makes the same pivots and finds the same
-points.  `lp.PolytopeSolver.pinning_objective` adds rows as they are
-stored, so its row weights differ from those of `Fraction` rows by
-positive factors; any positive weights decide singleton-ness alike, and
-only the second member of a refutation could differ.  A security level
-behind the IRCP rows is read off the integer payoffs where the player's
-payoffs have a pure saddle point, and elsewhere from a maximin LP over the
-same integer payoffs (`zerosum.maximin`).
+integer entries (see `lp`), so both give it the same tableau row and the
+same pinning objective, and the simplex makes the same pivots and finds
+the same points.  A security level behind the IRCP rows is read off the
+integer payoffs where the player's payoffs have a pure saddle point, and
+elsewhere from a maximin LP over the same integer payoffs
+(`zerosum.maximin`).
 
 The IRCP polytope can be one point only at delta(a*), a*_i player i's
 only pure maximin action, where u(a*) is at the levels; it is then P(a*)
@@ -83,7 +80,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
 from typing import Sequence
 
 from . import games, zerosum
@@ -188,12 +184,6 @@ def _ce_row(game: Game, player: int, recommended: int, deviation: int) -> list[i
     shift = (deviation - recommended) * stride
     return [payoff[k] - payoff[k + shift] if (k // stride) % size == recommended
             else 0 for k in range(game.num_profiles)]
-
-
-def _primitive(row: list[int]) -> tuple[int, ...]:
-    """The row divided by the gcd of its entries."""
-    g = gcd(*row)
-    return tuple(v // g for v in row) if g > 1 else tuple(row)
 
 
 def _info(game: Game, concept: str, player: int, rec: int | None,
@@ -366,8 +356,7 @@ def build_polytope(game: Game | GameAnalysis, concept: str) -> PolytopeSpec:
 def write_rows(spec: PolytopeSpec) -> ConstraintSystem:
     """The constraint system of `spec`, in ints, which need no scaling in the tableau.
 
-    A CE or CCE row of player i is d_i times its payoff gains over their gcd,
-    the scale `lp.PolytopeSolver.pinning_objective` adds it at; an IRCP row
+    A CE or CCE row of player i is d_i times its payoff gains; an IRCP row
     is (d_i u_i, d_i v_i) at level v_i, its right side a `Fraction`.
     """
     game = spec.game
@@ -379,7 +368,7 @@ def write_rows(spec: PolytopeSpec) -> ConstraintSystem:
                                          game.payoff_scales[i] * spec.levels[i]))
         else:
             gains = deviation_gains(game, i, dev) if rec is None else _ce_row(game, i, rec, dev)
-            rows.append(LinearConstraint(_primitive(gains), GREATER_EQUAL, Fraction(0)))
+            rows.append(LinearConstraint(gains, GREATER_EQUAL, Fraction(0)))
     rows.append(LinearConstraint((1,) * game.num_profiles, EQUAL, Fraction(1)))
     return ConstraintSystem(game.num_profiles, tuple(rows))
 

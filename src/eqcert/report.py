@@ -37,10 +37,12 @@ cce, a mixed point.  `classification` holds its `variant`: `not_unique`
 needs two CCE witnesses, `unique_pure` a point mass with a
 `certificates.cce` certificate at its profile, and `unique_mixed_2x2` a
 mixed point, from which `verify_report` recomputes the variant's
-`mixers`, `subgame` and `ne`.  An entry key that `verify_report` does not
-read is a problem, and so is a singleton claim that the recomputed pure NE
-or another concept rules out (`_agreement_problems`).  Each distribution
-is read and membership-checked once.
+`mixers`, `subgame` and `ne`.  A key that `verify_report` does not read
+is a problem at the top level (`run` aside), in `ne`, `ne.mixed_2x2` and
+`classification`, and in each entry of `maximin_certificates`, `concepts`,
+`certificates` and `gue`; so is a singleton claim that the recomputed
+pure NE or another concept rules out (`_agreement_problems`).  Each
+distribution is read and membership-checked once.
 """
 
 from __future__ import annotations
@@ -58,13 +60,15 @@ from .rational import format_rational
 
 REPORT_VERSION = 3
 ALL_CONCEPTS = ("ne", "ce", "cce", "ircp")
-# The keys `verify_report` reads in an entry, by its kind; any other key is
-# a claim it would not check, and so a problem.
+# The keys `verify_report` reads at the top level and in an entry, by its
+# kind; any other key is a claim it would not check, and so a problem.
 _CONCEPT_KEYS = {True: {"singleton", "point"}, False: {"singleton", "witnesses"}}
 _CERTIFICATE_KEYS = {"certificate": {"type", "concept", "a_star", "gamma", "slack"},
                      "refutation": {"type", "concept", "reason"}}
 _CLASSIFICATION_KEYS = {certify.NOT_UNIQUE: {"variant"}, certify.UNIQUE_PURE: {"variant"},
                         certify.UNIQUE_MIXED_2X2: {"variant", "mixers", "subgame", "ne"}}
+_TOP_KEYS = {"report_version", "game", "maximin", "maximin_certificates", "ne", "concepts",
+             "certificates", "classification", "gue", "run"}
 
 
 class ReportError(ValueError):
@@ -238,7 +242,8 @@ def _verified_levels(game: Game, report: dict,
             problems.append(f"{where} unreadable: {exc}")
             continue
         found = zerosum.check_maximin(game, i, result)
-        problems.extend(f"{where}: {problem}" for problem in found)
+        problems.extend(f"{where}: {problem}"
+                        for problem in found + _unread_keys(data, {"strategy", "punishment"}))
         if not found:
             results.append(result)
     return results if len(results) == game.num_players else None
@@ -351,6 +356,7 @@ def verify_report(report: dict) -> list[str]:
         return [f"report_version {json.dumps(version)} is not {REPORT_VERSION}; "
                 "run analyze again"]
 
+    problems.extend(_unread_keys(report, _TOP_KEYS))
     levels = None
     if "maximin" in report:
         with _section("maximin", problems):
@@ -371,6 +377,9 @@ def verify_report(report: dict) -> list[str]:
                 problems.append("pure NE list does not match a recomputation")
             # Read back into `_mixed_2x2`'s form; anything else is no match.
             claimed = report["ne"].get("mixed_2x2")
+            if isinstance(claimed, dict):
+                problems.extend(f"ne.mixed_2x2: {problem}"
+                                for problem in _unread_keys(claimed, {"status", "equilibria"}))
             if claimed == {"status": "degenerate"}:
                 claimed = "degenerate"
             elif isinstance(claimed, dict) and claimed.get("status") == "ok":
@@ -378,6 +387,8 @@ def verify_report(report: dict) -> list[str]:
                                  for m in pair) for k, pair in enumerate(claimed["equilibria"])]
             if claimed != _mixed_2x2(game):
                 problems.append("ne.mixed_2x2 does not match a recomputation")
+            problems.extend(f"ne: {problem}"
+                            for problem in _unread_keys(report["ne"], {"pure", "mixed_2x2"}))
 
     # Each entry of `concepts`, `certificates` and `gue` has its own section,
     # so one that cannot be read hides no problem in the entries after it.
@@ -468,6 +479,8 @@ def verify_report(report: dict) -> list[str]:
             with _section(f"gue[{idx}]", problems):
                 # JSON null, 0 or "1" must not stand in for a flag.
                 flags = (entry["gue"], entry["strict_fractional_gue"])
+                problems.extend(f"gue[{idx}]: {problem}" for problem in _unread_keys(
+                    entry, {"profile", "gue", "strict_fractional_gue"}))
                 try:
                     profile = games.profile_from_json(entry["profile"])
                 except ValueError as exc:

@@ -124,7 +124,6 @@ def _solve_echelon(state: list[tuple[int, tuple[Fraction, ...], Fraction]],
     return tuple(x)
 
 
-
 class VertexEnumerationError(ValueError):
     """Vertex enumeration was asked for an unbounded or oversized region."""
 

@@ -1,5 +1,6 @@
 """Exact simplex and vertex enumeration."""
 
+import math
 import random
 from dataclasses import replace
 
@@ -491,15 +492,24 @@ def _pinning_solver(extra_rows):
 
 
 def _nonbasic_sum(system, basis, point):
-    """Sum of the nonbasic columns at `point`, slacks in the rows' own units."""
+    """Sum of the nonbasic columns at `point`, each slack in its standard-form row's units.
+
+    The standard form writes a row as its coprime integer multiple: the row
+    times the lcm D of its denominators, over the gcd g of those ints.  Its
+    slack is then D / g times the slack of the row as written.
+    """
     total = sum((x for j, x in enumerate(point) if j not in basis), F(0))
     slack = system.num_vars
     for row in system.constraints:
         if row.relation == EQUAL:
             continue
         if slack not in basis:
+            entries = [F(v) for v in row.coeffs + (row.rhs,)]
+            denom = math.lcm(*(v.denominator for v in entries))
+            weight = F(denom, math.gcd(*(int(v * denom) for v in entries)))
             lhs = row.evaluate(point)
-            total += lhs - row.rhs if row.relation == GREATER_EQUAL else row.rhs - lhs
+            total += weight * (lhs - row.rhs if row.relation == GREATER_EQUAL
+                               else row.rhs - lhs)
         slack += 1
     return total
 

@@ -2,8 +2,8 @@
 
 Brute-force vertices on CE-shaped systems, the condensed per-row-scale
 dictionary against a dense common-denominator reference tableau, pivot by
-pivot, and the optimal duals read from the final tableau against LP
-duality.
+pivot, the optimal duals read from the final tableau against LP duality,
+and a singleton test's LPs against the same LPs with every row rescaled.
 """
 
 import itertools
@@ -30,7 +30,11 @@ from eqcert.lp import (  # noqa: E402
     UNBOUNDED,
     _StandardForm,
 )
-from eqcert.polytopes import build_polytope, enumerate_pure_ne  # noqa: E402
+from eqcert.polytopes import (  # noqa: E402
+    build_polytope,
+    enumerate_pure_ne,
+    improvement_system,
+)
 from eqcert.theory import _echelon_add, _solve_echelon  # noqa: E402
 
 _coeff = st.integers(min_value=-3, max_value=3)
@@ -221,10 +225,6 @@ class _DenseForm:
         self.z = [0] * (self.ncols + 1)
         return True
 
-    def optimize(self, cost):
-        self._load_objective(cost)
-        return self._minimize()
-
     def point(self):
         values = [Fraction(0)] * self.num_y
         for row, bvar in zip(self.rows, self.basis):
@@ -290,7 +290,8 @@ def _assert_same_run(system, costs):
         outcomes = []
         if feasible:
             for cost in costs:
-                status = form.optimize(cost)
+                form._load_objective(cost)
+                status = form._minimize()
                 outcomes.append((status, form.point() if status == OPTIMAL else None))
         runs.append((form, feasible, outcomes))
     (condensed, *result), (reference, *expected) = runs
@@ -464,3 +465,81 @@ def test_tableau_duals_are_optimal_duals(case):
                 assert sum(y_r * row.coeffs[j] for row, y_r in zip(rows, y)) <= c
             minimum = -out.value if maximize else out.value
             assert sum(row.rhs * y_r for row, y_r in zip(rows, y)) == minimum
+
+
+# -- row scale ----------------------------------------------------------------
+
+_row_factor = st.one_of(st.integers(1, 12), st.fractions(Fraction(1, 12), 12, max_denominator=12))
+
+
+def _rescaled(system, factors):
+    """The system with row r times the positive factor k_r, right-hand side included."""
+    return replace(system, constraints=tuple(
+        LinearConstraint(tuple(k * c for c in row.coeffs), row.relation, k * row.rhs)
+        for row, k in zip(system.constraints, factors, strict=True)))
+
+
+def _singleton_lps(system):
+    """What `polytopes.singleton_over_system`'s LPs read and return, step by step.
+
+    The phase-1 vertex and pivots, the outside-support LP's `step_off`
+    point, then for a larger support the pinning objective and its
+    `step_off` point, the pivots at the end, and the duals when no LP moved.
+    """
+    solver = PolytopeSolver(system)
+    vertex = solver.feasible_point()
+    steps = {"vertex": vertex, "phase1_pivots": solver._form.pivots_used}
+    outside = [0 if x else 1 for x in vertex]
+    moved = steps["outside"] = solver.step_off(outside) if any(outside) else None
+    if moved is None and sum(1 for x in vertex if x) > 1:
+        steps["pinning_objective"] = solver.pinning_objective()
+        moved = steps["pinning"] = solver.step_off(steps["pinning_objective"])
+    steps["pivots"] = solver._form.pivots_used
+    return steps, None if moved is not None else solver.duals()
+
+
+def _assert_scale_free(system, factors):
+    """A singleton test's LPs on `system` and on it with row r times factors[r] agree.
+
+    Same vertex, pivots, pinning objective and `step_off` points; each dual
+    y_r is divided by its row's factor.  Returns whether the pinning LP ran.
+    """
+    steps, duals = _singleton_lps(system)
+    scaled_steps, scaled_duals = _singleton_lps(_rescaled(system, factors))
+    for key, value in steps.items():
+        assert scaled_steps[key] == value, key
+    assert scaled_steps.keys() == steps.keys()
+    if duals is None:
+        assert scaled_duals is None
+    else:
+        assert scaled_duals == tuple(y / k for y, k in zip(duals, factors, strict=True))
+    return "pinning_objective" in steps
+
+
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@hypothesis.given(st.sampled_from(((2, 2), (2, 3), (3, 3), (2, 2, 2))), st.integers(0, 10**6),
+                  st.sampled_from(("ce", "cce", "ircp-p-a-star", "cce-p-a-star")), st.data())
+def test_row_scale_changes_no_singleton_lp(shape, seed, system_kind, data):
+    # CE and CCE systems start cold; a P(a*) system crash-starts at a random
+    # profile a*, whose point mass satisfies every one of its rows.
+    game = generators.random_game(shape, seed, high=data.draw(st.sampled_from((1, 3))))
+    if system_kind in ("ce", "cce"):
+        system = build_polytope(game, system_kind).system
+    else:
+        a_star = tuple(data.draw(st.integers(0, size - 1)) for size in game.shape)
+        system = improvement_system(game, a_star, system_kind.split("-")[0])
+    factors = data.draw(st.lists(_row_factor, min_size=len(system.constraints),
+                                 max_size=len(system.constraints)))
+    _assert_scale_free(system, factors)
+
+
+@pytest.mark.parametrize("name, concept", [("rock_paper_scissors", "ce"),
+                                           ("matching_pennies", "cce"),
+                                           ("matching_pennies", "ce")])
+def test_row_scale_changes_no_pinning_lp(name, concept):
+    # Each phase-1 vertex has a support of more than one profile, so the
+    # pinning LP runs, over a nonbasic slack of a rescaled row.
+    system = build_polytope(getattr(generators, name)(), concept).system
+    factors = list(itertools.islice(itertools.cycle((2, Fraction(3, 7), 5, Fraction(9, 4), 1, 12)),
+                                    len(system.constraints)))
+    assert _assert_scale_free(system, factors)

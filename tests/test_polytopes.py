@@ -2,7 +2,6 @@
 
 import dataclasses
 import itertools
-import math
 import random
 from fractions import Fraction
 
@@ -300,20 +299,14 @@ def test_winkler_bound_on_every_rps_cce_vertex():
 def _fraction_spec(spec):
     """The same polytope with every incentive row back in payoff units, over Fractions.
 
-    A CE or CCE row of player i is d_i times its payoff gains over the gcd g
-    of those ints, so its unit is g / d_i; an IRCP row's is 1 / d_i.  The
-    copy's `system`, a cached property, is set before anything reads it.
+    Every incentive row of player i is d_i times its payoff row, so its unit
+    is 1 / d_i.  The copy's `system`, a cached property, is set before
+    anything reads it.
     """
     game = spec.game
     rows = []
     for row, info in zip(spec.system.constraints, spec.incentive_info):
-        if info.kind == "ircp":
-            g = 1
-        elif info.kind == "cce":
-            g = math.gcd(*deviation_gains(game, info.player, info.deviation)) or 1
-        else:
-            g = math.gcd(*_ce_row(game, info.player, info.recommended, info.deviation)) or 1
-        unit = Fraction(g, game.payoff_scales[info.player])
+        unit = Fraction(1, game.payoff_scales[info.player])
         rows.append(LinearConstraint(tuple(unit * c for c in row.coeffs), row.relation,
                                      unit * row.rhs))
     simplex = spec.system.constraints[-1]

@@ -430,6 +430,30 @@ def test_verify_flags_malformed_section(section, value, expected):
     assert verify_report(data) == expected
 
 
+# Where an added key lands, by a path into PD's full report, and the problem
+# it must raise: `verify_report` reads no such key, so it checks no such claim.
+UNREAD_KEY_CASES = {
+    "top-level": ((), "unread keys 'claims_unique_ce'"),
+    "ne": (("ne",), "ne: unread keys 'claims_unique_ce'"),
+    "ne-mixed-2x2": (("ne", "mixed_2x2"), "ne.mixed_2x2: unread keys 'claims_unique_ce'"),
+    "maximin-certificate": (("maximin_certificates", 0),
+                            "maximin_certificates[0]: unread keys 'claims_unique_ce'"),
+    "gue-entry": (("gue", 0), "gue[0]: unread keys 'claims_unique_ce'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREAD_KEY_CASES))
+def test_verify_flags_an_unread_key_in_every_section(case):
+    path, expected = UNREAD_KEY_CASES[case]
+    data = full_pd_report()
+    assert verify_report(data) == []
+    entry = data
+    for step in path:
+        entry = entry[step]
+    entry["claims_unique_ce"] = True
+    assert verify_report(data) == [expected]
+
+
 def test_verify_reads_past_an_unreadable_entry():
     # The first entry of `concepts` and of `certificates` cannot be read; the
     # forgeries in the entries after them are still named.
