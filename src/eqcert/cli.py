@@ -263,7 +263,8 @@ def cmd_contest(args: argparse.Namespace) -> int:
         c = parse_rational(args.c)
     except RationalFormatError as exc:
         raise CliError(f"--c: {exc}") from exc
-    flat = contests._sorted_grid(grids[0] + grids[1])
+    # one grid, or two equal ones, is its own sorted union
+    flat = grids[0] if grids[0] == grids[1] else contests._sorted_grid(grids[0] + grids[1])
     ok = contests.ratio_band_check(spec.success, c, flat)
     payload = {"mode": "band", "ok": ok, "c": format_rational(c), "points": len(flat)}
     if args.json:

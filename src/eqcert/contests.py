@@ -7,12 +7,11 @@ u_i(a) = v_i p_i(a) - c_i(a_i).  Everything evaluates exactly on rational
 grids or raises EvaluationDomainError; discretized grid games feed the
 uniqueness certification pipeline with the proof weights 1/v_i.
 
-A grid check evaluates each player's utility once per grid profile.  The
-Proposition 3 check scales each player's utilities to ints by their lcm
-denominator and decides every strict-NE gain and every sign of the local
-potential by integer comparison; the band check decides its two strict
-inequalities with integer cross-products.  A Fraction is built only for a
-reported violation.
+A share function's `share(p, q)` is f(p/q) for positive ints p, q as an
+int pair (a, b), b > 0, the same value for (kp, kq); `at(t)` is that value
+as a Fraction.  A contest's utility table takes one share per grid profile
+and one cost per effort, and builds one Fraction per entry.  The
+Proposition 3 and band checks decide every sign by integer comparison.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 from .certify import Refutation, UniquenessCertificate, _certificate, certify_unique_pure_cce
@@ -73,8 +72,17 @@ class PowerCost:
 # -- share functions -----------------------------------------------------------
 
 
+class _Share:
+    """A share function's `at(t)`, read from its `share(p, q)`."""
+
+    def at(self, t: Fraction) -> Fraction:
+        if t <= 0:
+            raise EvaluationDomainError("share functions take positive ratios")
+        return Fraction(*self.share(t.numerator, t.denominator))
+
+
 @dataclass(frozen=True)
-class TullockRatio:
+class TullockRatio(_Share):
     """f(t) = t^r / (1 + t^r); exact whenever t^r is rational."""
 
     r: Fraction
@@ -84,60 +92,50 @@ class TullockRatio:
         if self.r <= 0:
             raise EvaluationDomainError("tullock exponent must be positive")
 
-    def at(self, t: Fraction) -> Fraction:
-        """P / (P + Q) with P/Q = t^r; p^m/q^m is in lowest terms, so t^r is
-        rational exactly when both n-th roots are integers (t = p/q, r = m/n)."""
-        if t <= 0:
-            raise EvaluationDomainError("share functions take positive ratios")
+    def share(self, p: int, q: int) -> tuple[int, int]:
+        """(P, P + Q) with P/Q = (p/q)^r.  With p, q coprime and r = m/n, p^m/q^m is
+        in lowest terms, so (p/q)^r is rational exactly when both n-th roots are ints."""
         m, n = self.r.numerator, self.r.denominator
-        p_root, p_exact = iroot(t.numerator ** m, n)
-        q_root, q_exact = iroot(t.denominator ** m, n)
+        g = gcd(p, q)
+        (p_root, p_exact), (q_root, q_exact) = iroot((p // g) ** m, n), iroot((q // g) ** m, n)
         if not (p_exact and q_exact):
             raise EvaluationDomainError(
-                f"{format_rational(t)}^{format_rational(self.r)} is not rational")
-        return Fraction(p_root, p_root + q_root)
+                f"{format_rational(Fraction(p, q))}^{format_rational(self.r)} is not rational")
+        return p_root, p_root + q_root
 
 
 @dataclass(frozen=True)
-class BandUpper:
+class _Band(_Share):
+    c: Fraction
+
+    def __post_init__(self):
+        object.__setattr__(self, "c", Fraction(self.c))
+        if not 0 < self.c <= Fraction(1, 2):
+            raise EvaluationDomainError("band parameter must lie in (0, 1/2]")
+
+    def _edge(self, s: int, p: int, q: int) -> tuple[int, int]:
+        """1/2 - c (q - p) / s at t = p/q: 1/2 - c (1 - t) at s = q, 1/2 + c (1 - 1/t) at s = p."""
+        cn, cd = self.c.numerator, self.c.denominator
+        return cd * s - 2 * cn * (q - p), 2 * cd * s
+
+
+class BandUpper(_Band):
     """Upper envelope of the admissible band: equality on the right edge."""
 
-    c: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "c", Fraction(self.c))
-        if not 0 < self.c <= Fraction(1, 2):
-            raise EvaluationDomainError("band parameter must lie in (0, 1/2]")
-
-    def at(self, t: Fraction) -> Fraction:
-        if t <= 0:
-            raise EvaluationDomainError("share functions take positive ratios")
-        if t <= 1:
-            return Fraction(1, 2) - self.c + self.c * t
-        return Fraction(1, 2) + self.c - self.c / t
+    def share(self, p: int, q: int) -> tuple[int, int]:
+        return self._edge(max(p, q), p, q)
 
 
-@dataclass(frozen=True)
-class BandLower:
+class BandLower(_Band):
     """Lower envelope: equality on the left edge, clipped to [0, 1]."""
 
-    c: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "c", Fraction(self.c))
-        if not 0 < self.c <= Fraction(1, 2):
-            raise EvaluationDomainError("band parameter must lie in (0, 1/2]")
-
-    def at(self, t: Fraction) -> Fraction:
-        if t <= 0:
-            raise EvaluationDomainError("share functions take positive ratios")
-        if t <= 1:
-            return max(Fraction(0), Fraction(1, 2) + self.c - self.c / t)
-        return min(Fraction(1), Fraction(1, 2) - self.c + self.c * t)
+    def share(self, p: int, q: int) -> tuple[int, int]:
+        a, b = self._edge(min(p, q), p, q)
+        return min(max(a, 0), b), b
 
 
 @dataclass(frozen=True)
-class MixRatio:
+class MixRatio(_Share):
     """alpha-mix of two share functions; stays a share function."""
 
     alpha: Fraction
@@ -151,9 +149,10 @@ class MixRatio:
         if len(self.components) != 2:
             raise EvaluationDomainError("mix takes exactly two components")
 
-    def at(self, t: Fraction) -> Fraction:
-        f, g = self.components
-        return self.alpha * f.at(t) + (1 - self.alpha) * g.at(t)
+    def share(self, p: int, q: int) -> tuple[int, int]:
+        (a, b), (a2, b2) = (f.share(p, q) for f in self.components)
+        an, ad = self.alpha.numerator, self.alpha.denominator
+        return an * a * b2 + (ad - an) * a2 * b, ad * b * b2
 
 
 # -- contest specifications ----------------------------------------------------
@@ -174,13 +173,26 @@ class ContestSpec:
             raise EvaluationDomainError("prize values must be positive")
 
     def utility(self, i: int, a: Sequence[Fraction]) -> Fraction:
-        a1, a2 = Fraction(a[0]), Fraction(a[1])
-        if a1 <= 0 or a2 <= 0:
+        return self.table((Fraction(a[0]),), (Fraction(a[1]),))[i][0]
+
+    def table(self, grid1, grid2) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+        """Both players' utilities at every profile, grid1's effort slowest: for
+        x = X/D1, y = Y/D2 over ints, f(x/y) = a/b = share(X D2, Y D1) gives
+        u_1 = v_1 a/b - c_1(x) and u_2 = v_2 (b - a)/b - c_2(y)."""
+        (xs, d1), (ys, d2) = scaled_ints(grid1), scaled_ints(grid2)
+        if min(xs) <= 0 or min(ys) <= 0:
             raise EvaluationDomainError("contest efforts must be positive")
-        share1 = self.success.at(a1 / a2)
-        share = share1 if i == 0 else 1 - share1
-        effort = a1 if i == 0 else a2
-        return self.values[i] * share - self.costs[i].at(effort)
+        # v g/h - k = (A g - B h) / (C h) for k = c(x), with ints A, B, C per effort
+        rows, columns = ([(v.numerator * k.denominator, k.numerator * v.denominator,
+                           v.denominator * k.denominator) for k in map(cost.at, grid)]
+                         for v, cost, grid in zip(self.values, self.costs, (grid1, grid2)))
+        u1, u2 = [], []
+        for x, (a1, b1, c1) in zip(xs, rows):
+            for y, (a2, b2, c2) in zip(ys, columns):
+                a, b = self.success.share(x * d2, y * d1)
+                u1.append(Fraction(a1 * a - b1 * b, c1 * b))
+                u2.append(Fraction(a2 * (b - a) - b2 * b, c2 * b))
+        return tuple(u1), tuple(u2)
 
     def proof_weights(self) -> tuple[Fraction, Fraction]:
         return (1 / self.values[0], 1 / self.values[1])
@@ -204,11 +216,21 @@ class CournotSpec:
             raise EvaluationDomainError("contests have exactly two players")
 
     def utility(self, i: int, a: Sequence[Fraction]) -> Fraction:
-        a1, a2 = Fraction(a[0]), Fraction(a[1])
-        if a1 < 0 or a2 < 0:
+        return self.table((Fraction(a[0]),), (Fraction(a[1]),))[i][0]
+
+    def table(self, grid1, grid2) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+        """Both players' utilities at every profile, grid1's quantity slowest."""
+        if min(grid1) < 0 or min(grid2) < 0:
             raise EvaluationDomainError("quantities must be nonnegative")
-        own = a1 if i == 0 else a2
-        return own * (self.alpha - self.beta * (a1 + a2)) - self.costs[i].at(own)
+        rows, columns = ([cost.at(x) for x in grid]
+                         for cost, grid in zip(self.costs, (grid1, grid2)))
+        u1, u2 = [], []
+        for x, k1 in zip(grid1, rows):
+            for y, k2 in zip(grid2, columns):
+                price = self.alpha - self.beta * (x + y)
+                u1.append(x * price - k1)
+                u2.append(y * price - k2)
+        return tuple(u1), tuple(u2)
 
     def proof_weights(self) -> tuple[Fraction, Fraction]:
         return (Fraction(1), Fraction(1))
@@ -228,13 +250,10 @@ def local_potential(spec, a_star: Sequence[Fraction], a: Sequence[Fraction],
     The pointwise form: verify_prop3 gets the same values from one integer
     utility table.
     """
-    a_star = tuple(Fraction(x) for x in a_star)
-    a = tuple(Fraction(x) for x in a)
-    total = Fraction(0)
-    for i in range(2):
-        unilateral = (a_star[0], a[1]) if i == 0 else (a[0], a_star[1])
-        total += Fraction(gamma[i]) * (spec.utility(i, a) - spec.utility(i, unilateral))
-    return total
+    (x_star, y_star), (x, y) = map(Fraction, a_star), map(Fraction, a)
+    (u1,), (u2,) = spec.table((x,), (y,))
+    return (Fraction(gamma[0]) * (u1 - spec.utility(0, (x_star, y)))
+            + Fraction(gamma[1]) * (u2 - spec.utility(1, (x, y_star))))
 
 
 # -- the standard Tullock closed form -----------------------------------------
@@ -335,17 +354,6 @@ def _normalize_grids(grids) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]
     return grid, grid
 
 
-def _utility_table(spec, grid1: Sequence[Fraction], grid2: Sequence[Fraction]
-                   ) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """Both players' utilities at every grid profile, grid1's effort slowest."""
-    u1, u2 = [], []
-    for x in grid1:
-        for y in grid2:
-            u1.append(spec.utility(0, (x, y)))
-            u2.append(spec.utility(1, (x, y)))
-    return tuple(u1), tuple(u2)
-
-
 def _pair(values, expected: str) -> tuple[Fraction, Fraction]:
     """Two rationals read with `parse_rational`, so a float is refused."""
     try:
@@ -377,7 +385,7 @@ def verify_prop3(spec, a_star: Sequence[Fraction], grids,
     if any(g <= 0 for g in gamma):
         raise EvaluationDomainError("gamma must be two positive rationals")
 
-    table1, table2 = _utility_table(spec, grid1, grid2)
+    table1, table2 = spec.table(grid1, grid2)
     (u1, d1), (u2, d2) = scaled_ints(table1), scaled_ints(table2)
     n2 = len(grid2)
     star = i_star * n2 + j_star
@@ -421,25 +429,24 @@ def ratio_band_check(f, c: Fraction, grid: Sequence[Fraction]) -> bool:
 
     Also requires f(1) = 1/2 and the share identity f(t) + f(1/t) = 1 at
     the grid points.  Envelope functions themselves fail: the band is open.
-    With t = p/q, c = cn/cd and f(t) = a/b, the band
-    1/2 + c (1 - 1/t) < f(t) < 1/2 - c (1 - t) reads
-    (b - 2a) cd p < 2b cn (q - p) < (b - 2a) cd q.
+    With t = p/q, c = cn/cd, f(t) = a/b and f(1/t) = a'/b', the identity reads
+    a' b = (b - a) b' and the band 1/2 + c (1 - 1/t) < f(t) < 1/2 - c (1 - t)
+    reads (b - 2a) cd p < 2b cn (q - p) < (b - 2a) cd q.
     """
     c = Fraction(c)
     if not 0 < c <= Fraction(1, 2):
         raise EvaluationDomainError("band parameter must lie in (0, 1/2]")
-    if f.at(Fraction(1)) != Fraction(1, 2):
+    a, b = f.share(1, 1)
+    if 2 * a != b:
         return False
     cn, cd = c.numerator, c.denominator
     for t in grid:
-        t = Fraction(t)
-        p, q = t.numerator, t.denominator
+        p, q = (t if type(t) is Fraction else Fraction(t)).as_integer_ratio()
         if not 0 < p < q:
             raise EvaluationDomainError("band grid ratios must lie in (0, 1)")
-        value = f.at(t)
-        if f.at(Fraction(q, p)) != 1 - value:
+        (a, b), (a2, b2) = f.share(p, q), f.share(q, p)
+        if a2 * b != (b - a) * b2:
             return False
-        a, b = value.numerator, value.denominator
         gap = (b - 2 * a) * cd
         width = 2 * b * cn * (q - p)
         if not gap * p < width < gap * q:
@@ -455,7 +462,7 @@ def discretize(spec, grids, name: str | None = None) -> Game:
     grid1, grid2 = _normalize_grids(grids)
     actions = (tuple(format_rational(x) for x in grid1),
                tuple(format_rational(x) for x in grid2))
-    return Game(actions, _utility_table(spec, grid1, grid2),
+    return Game(actions, spec.table(grid1, grid2),
                 name or f"contest {len(grid1)}x{len(grid2)}")
 
 

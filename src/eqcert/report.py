@@ -38,11 +38,13 @@ needs two CCE witnesses, `unique_pure` a point mass with a
 `certificates.cce` certificate at its profile, and `unique_mixed_2x2` a
 mixed point, from which `verify_report` recomputes the variant's
 `mixers`, `subgame` and `ne`.  A key that `verify_report` does not read
-is a problem at the top level (`run` aside), in `ne`, `ne.mixed_2x2` and
-`classification`, and in each entry of `maximin_certificates`, `concepts`,
-`certificates` and `gue`; so is a singleton claim that the recomputed
-pure NE or another concept rules out (`_agreement_problems`).  Each
-distribution is read and membership-checked once.
+is a problem at the top level (`run` aside), in `game`, `ne`,
+`ne.mixed_2x2` and `classification`, in each mixed action of
+`ne.mixed_2x2.equilibria` and `classification.ne`, and in each entry of
+`maximin_certificates`, `concepts`, `certificates` and `gue`; so is a
+singleton claim that the recomputed pure NE or another concept rules out
+(`_agreement_problems`).  Each distribution is read and membership-checked
+once.
 """
 
 from __future__ import annotations
@@ -69,6 +71,9 @@ _CLASSIFICATION_KEYS = {certify.NOT_UNIQUE: {"variant"}, certify.UNIQUE_PURE: {"
                         certify.UNIQUE_MIXED_2X2: {"variant", "mixers", "subgame", "ne"}}
 _TOP_KEYS = {"report_version", "game", "maximin", "maximin_certificates", "ne", "concepts",
              "certificates", "classification", "gue", "run"}
+# What `games.game_from_dict` and `games.mixed_from_dict` read.
+_GAME_KEYS = {"players", "actions", "payoffs", "name"}
+_MIXED_KEYS = {"player", "weights"}
 
 
 class ReportError(ValueError):
@@ -334,6 +339,8 @@ def _classification_problems(game: Game, cls: dict, decided: dict,
         problems.append("subgame lacks the strict cyclic pattern")
     marginals = [mu.marginal(game, i) for i in mixers]
     claimed = [games.mixed_from_dict(game, m, f"ne[{k}]") for k, m in enumerate(cls["ne"])]
+    problems.extend(f"ne[{k}]: {problem}" for k, m in enumerate(cls["ne"])
+                    for problem in _unread_keys(m, _MIXED_KEYS))
     if marginals != claimed:
         problems.append("stated NE disagrees with the marginals of concepts.cce.point")
     return problems
@@ -357,6 +364,7 @@ def verify_report(report: dict) -> list[str]:
                 "run analyze again"]
 
     problems.extend(_unread_keys(report, _TOP_KEYS))
+    problems.extend(f"game: {problem}" for problem in _unread_keys(report["game"], _GAME_KEYS))
     levels = None
     if "maximin" in report:
         with _section("maximin", problems):
@@ -383,8 +391,12 @@ def verify_report(report: dict) -> list[str]:
             if claimed == {"status": "degenerate"}:
                 claimed = "degenerate"
             elif isinstance(claimed, dict) and claimed.get("status") == "ok":
+                equilibria = claimed["equilibria"]
                 claimed = [tuple(games.mixed_from_dict(game, m, f"mixed_2x2.equilibria[{k}]")
-                                 for m in pair) for k, pair in enumerate(claimed["equilibria"])]
+                                 for m in pair) for k, pair in enumerate(equilibria)]
+                problems.extend(f"ne.mixed_2x2.equilibria[{k}][{j}]: {problem}"
+                                for k, pair in enumerate(equilibria) for j, m in enumerate(pair)
+                                for problem in _unread_keys(m, _MIXED_KEYS))
             if claimed != _mixed_2x2(game):
                 problems.append("ne.mixed_2x2 does not match a recomputation")
             problems.extend(f"ne: {problem}"

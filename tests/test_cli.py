@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from eqcert.contests import (
     LinearCost,
     PowerCost,
     TullockRatio,
+    ratio_band_check,
     save_contest,
 )
 from eqcert.games import load_game
@@ -233,6 +235,27 @@ def test_contest_band_checks(tmp_path, capsys):
     assert "band check at c = 1/4: passed" in capsys.readouterr().out
     assert main(["contest", str(spec_path), "--grid", str(ratio_path),
                  "--band", "--c", "1/2"]) == 1
+
+
+@pytest.mark.parametrize("grids", [
+    [["1/3", "1/2", "1/4"], ["3/4", "1/2", "3/7"]],
+    ["1/3", "2/6", "3/4", "1/4"],
+], ids=["two-grids", "one-grid"])
+def test_contest_band_checks_the_sorted_union_of_the_grids(grids, tmp_path, capsys):
+    # Two per-player grids are checked as their sorted union; one grid, as loaded.
+    spec_path, _ = _write_tullock(tmp_path)
+    grid_path, out = tmp_path / "ratios.json", tmp_path / "band.json"
+    grid_path.write_text(json.dumps(grids))
+    per_player = grids if isinstance(grids[0], list) else [grids]
+    union = sorted({Fraction(x) for grid in per_player for x in grid})
+    for c in ("1/4", "1/2"):
+        ok = ratio_band_check(TullockRatio(1), Fraction(c), union)
+        assert main(["contest", str(spec_path), "--grid", str(grid_path), "--band",
+                     "--c", c, "--json", str(out)]) == (0 if ok else 1)
+        assert capsys.readouterr().out == (
+            f"band check at c = {c}: {'passed' if ok else 'failed'} on {len(union)} ratios\n")
+        assert json.loads(out.read_text()) == {"mode": "band", "ok": ok, "c": c,
+                                               "points": len(union)}
 
 
 @pytest.mark.parametrize("kind, changes", [

@@ -42,6 +42,24 @@ class _OneMoreCharacter:
         return rc
 
 
+class _OneByteOfTullock16:
+    """`workloads` with one indenting space of tullock16.json made a tab.
+
+    The game reads the same, so no command's output changes.
+    """
+
+    WORKLOADS = workloads.WORKLOADS
+
+    def build(self, workload, variant, workdir):
+        ops = workloads.build(workload, variant, workdir)
+        path = workdir / "tullock16.json"
+        data = path.read_bytes()
+        changed = data.replace(b"\n ", b"\n\t", 1)
+        assert len(changed) == len(data) and changed != data
+        path.write_bytes(changed)
+        return ops
+
+
 def test_digest_repeats_across_temporary_directories():
     # Each call writes the inputs to its own temporary directory, whose path
     # the digest replaces by a fixed name.
@@ -57,3 +75,8 @@ def test_digest_moves_with_one_character_of_stdout():
     changed_count, changed_digest = compare_outputs._digest(workloads, changed, "tullock-grid", 0)
     assert changed.calls == count == changed_count
     assert changed_digest != digest
+
+
+def test_digest_moves_with_one_byte_of_an_input_file():
+    digest = compare_outputs._digest(workloads, cli, "tullock-grid", 0)
+    assert compare_outputs._digest(_OneByteOfTullock16(), cli, "tullock-grid", 0) != digest

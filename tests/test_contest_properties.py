@@ -1,13 +1,13 @@
-"""Property test: the integer grid checks against their pointwise Fraction forms.
+"""Property test: the integer contest kernels against their pointwise Fraction forms.
 
-`verify_prop3` evaluates one utility table, scales it to ints and decides
-every strict-NE gain and every sign of Phi by integer comparison;
-`ratio_band_check` decides the band with integer cross-products; and
-`TullockRatio.at` takes integer roots of t's numerator and denominator.
-The references are the forms they replaced: gains through `spec.utility`,
-Phi through `local_potential`, the band as a chain of Fraction
-inequalities, and the share as power / (1 + power) from `fraction_power`
-in conftest.
+Every share function evaluates f(p/q) as an int pair (`share`); the spec
+tables take one share per grid profile and one Fraction per utility;
+`verify_prop3` scales each table to ints and decides every strict-NE gain
+and every sign of Phi by integer comparison; `ratio_band_check` decides the
+band with integer cross-products.  The references are chains of Fractions
+written out here: the share as power / (1 + power) from `fraction_power` in
+conftest, the envelopes and mixes by their formulas, the utilities from the
+spec's fields, Phi by its definition, and the band as Fraction inequalities.
 """
 
 from fractions import Fraction
@@ -27,7 +27,6 @@ from eqcert.contests import (  # noqa: E402
     MixRatio,
     PowerCost,
     TullockRatio,
-    local_potential,
     ratio_band_check,
     verify_prop3,
 )
@@ -81,6 +80,35 @@ def _grid_check(draw):
     return spec, anchor, grids, gamma
 
 
+def _reference_share(f, t):
+    """f(t) as a chain of Fractions; a duck-typed share function gives its own `at`."""
+    half = Fraction(1, 2)
+    if isinstance(f, TullockRatio):
+        power = fraction_power(t, f.r)
+        if power is None:
+            raise EvaluationDomainError(f"{t}^{f.r} is not rational")
+        return power / (1 + power)
+    if isinstance(f, BandUpper):
+        return half - f.c + f.c * t if t <= 1 else half + f.c - f.c / t
+    if isinstance(f, BandLower):
+        if t <= 1:
+            return max(Fraction(0), half + f.c - f.c / t)
+        return min(Fraction(1), half - f.c + f.c * t)
+    if isinstance(f, MixRatio):
+        g, h = f.components
+        return f.alpha * _reference_share(g, t) + (1 - f.alpha) * _reference_share(h, t)
+    return f.at(t)
+
+
+def _reference_utility(spec, i, a):
+    """u_i(a) as a chain of Fractions from the spec's fields."""
+    own = a[i]
+    if isinstance(spec, CournotSpec):
+        return own * (spec.alpha - spec.beta * (a[0] + a[1])) - spec.costs[i].at(own)
+    share = _reference_share(spec.success, a[0] / a[1])
+    return spec.values[i] * (share if i == 0 else 1 - share) - spec.costs[i].at(own)
+
+
 def _reference_prop3(spec, a_star, grids, gamma):
     """verify_prop3's fields, evaluated pointwise in Fractions."""
     if isinstance(grids, tuple):
@@ -88,21 +116,25 @@ def _reference_prop3(spec, a_star, grids, gamma):
     else:
         grid1 = grid2 = tuple(sorted(set(grids)))
     gamma = spec.proof_weights() if gamma is None else gamma
-    base = (spec.utility(0, a_star), spec.utility(1, a_star))
+
+    def u(i, profile):
+        return _reference_utility(spec, i, profile)
+
     ne_violations = []
     for i, grid in enumerate((grid1, grid2)):
         for x in grid:
             if x == a_star[i]:
                 continue
             profile = (x, a_star[1]) if i == 0 else (a_star[0], x)
-            gain = spec.utility(i, profile) - base[i]
+            gain = u(i, profile) - u(i, a_star)
             if gain >= 0:
                 ne_violations.append((i, x, gain))
     potential_violations = []
     for x in grid1:
         for y in grid2:
             if (x, y) != a_star:
-                value = local_potential(spec, a_star, (x, y), gamma)
+                value = (gamma[0] * (u(0, (x, y)) - u(0, (a_star[0], y)))
+                         + gamma[1] * (u(1, (x, y)) - u(1, (x, a_star[1]))))
                 if value >= 0:
                     potential_violations.append(((x, y), value))
     return (tuple(a_star), tuple(gamma), (grid1, grid2),
@@ -120,11 +152,17 @@ def test_prop3_equals_the_pointwise_reference(case):
 
 
 class _ConstantShare:
+    def share(self, p, q):
+        return 2, 3
+
     def at(self, t):
         return Fraction(2, 3)
 
 
 class _SkewShare:
+    def share(self, p, q):
+        return (1, 2) if p == q else (2, 5)
+
     def at(self, t):
         return Fraction(1, 2) if Fraction(t) == 1 else Fraction(2, 5)
 
@@ -138,7 +176,7 @@ def _band_parameter(draw):
 def _share(draw, depth=0):
     """A share function and whether it needs square ratios to stay rational."""
     kind = draw(st.sampled_from(
-        ("tullock", "upper", "lower", "constant", "skew") + (("mix",) if depth == 0 else ())))
+        ("tullock", "upper", "lower", "constant", "skew") + (("mix",) if depth < 2 else ())))
     if kind == "tullock":
         r = draw(st.sampled_from(EXPONENTS))
         return TullockRatio(r), r.denominator != 1
@@ -195,3 +233,29 @@ def test_tullock_share_equals_the_fraction_power_reference(p, q, power, r):
             TullockRatio(r).at(t)
     else:
         assert TullockRatio(r).at(t) == expected / (1 + expected)
+
+
+@SETTINGS
+@hypothesis.given(_share(), st.integers(1, 40), st.integers(1, 40), st.integers(1, 6),
+                  st.booleans())
+def test_share_pairs_equal_the_fraction_reference(share, p, q, k, square):
+    # (kp, kq) is the same ratio; `at` is the reference value or its error
+    f, _ = share
+    if square:
+        p, q = p * p, q * q
+    t = Fraction(p, q)
+    try:
+        expected = _reference_share(f, t)
+    except EvaluationDomainError as exc:
+        for pair in ((p, q), (k * p, k * q)):
+            with pytest.raises(EvaluationDomainError) as raised:
+                f.share(*pair)
+            assert str(raised.value) == str(exc)
+        with pytest.raises(EvaluationDomainError) as raised:
+            f.at(t)
+        assert str(raised.value) == str(exc)
+        return
+    for pair in ((p, q), (k * p, k * q)):
+        a, b = f.share(*pair)
+        assert b > 0 and Fraction(a, b) == expected
+    assert f.at(t) == expected

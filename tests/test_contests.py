@@ -1,5 +1,6 @@
 """Analytic contest checks: shares, potentials, bands, discretization."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -55,6 +56,8 @@ def test_tullock_share_values():
     assert f.at(F(1, 3)) == F(1, 4)
     assert TullockRatio(2).at(F(1, 2)) == F(1, 5)
     assert TullockRatio(F(1, 2)).at(F(4, 9)) == F(2, 5)
+    # a pair not in lowest terms is reduced before its roots are taken
+    assert TullockRatio(F(1, 2)).share(8, 18) == (2, 5)
 
 
 def test_share_identity_on_rational_grid():
@@ -75,6 +78,8 @@ def test_tullock_share_domain():
         f.at(F(-1, 2))
     with pytest.raises(EvaluationDomainError):
         TullockRatio(F(1, 2)).at(F(1, 2))  # sqrt(1/2) is irrational
+    with pytest.raises(EvaluationDomainError, match="^1/2\\^1/2 is not rational$"):
+        TullockRatio(F(1, 2)).share(4, 8)
     with pytest.raises(EvaluationDomainError):
         TullockRatio(0)
     with pytest.raises(EvaluationDomainError):
@@ -338,31 +343,34 @@ def test_prop3_on_a_one_effort_grid():
     assert report.grids == ((F(1, 4),), (F(1, 4),))
 
 
-class _CountingSpec:
-    """Wraps a contest and counts its utility evaluations."""
+class _CountingShare:
+    """Wraps a share function and counts its `share` calls."""
 
-    def __init__(self, spec):
-        self.spec = spec
+    def __init__(self, f):
+        self.f = f
         self.calls = 0
 
-    def utility(self, i, a):
+    def share(self, p, q):
         self.calls += 1
-        return self.spec.utility(i, a)
-
-    def proof_weights(self):
-        return self.spec.proof_weights()
+        return self.f.share(p, q)
 
 
 def test_grid_checks_evaluate_each_utility_once():
+    # one share per grid profile serves both players' utilities
     grids = ([F(k, 8) for k in range(1, 6)], [F(k, 16) for k in range(1, 8)])
-    for anchor, spec in (((F(1, 4), F(1, 4)), standard_tullock()),
-                         ((F(3, 8), F(1, 16)), standard_tullock(2))):
-        counting = _CountingSpec(spec)
-        verify_prop3(counting, anchor, grids)
-        assert counting.calls == 2 * 5 * 7
-        counting = _CountingSpec(spec)
-        discretize(counting, grids)
-        assert counting.calls == 2 * 5 * 7
+    for anchor, r in (((F(1, 4), F(1, 4)), 1), ((F(3, 8), F(1, 16)), 2)):
+        spec = standard_tullock(r)
+        counting = _CountingShare(spec.success)
+        verify_prop3(replace(spec, success=counting), anchor, grids)
+        assert counting.calls == 5 * 7
+        counting = _CountingShare(spec.success)
+        discretize(replace(spec, success=counting), grids)
+        assert counting.calls == 5 * 7
+    # f(1), then f(t) and f(1/t) at each ratio
+    ratios = [F(k, 32) for k in range(1, 32)]
+    counting = _CountingShare(TullockRatio(1))
+    assert ratio_band_check(counting, F(1, 4), ratios)
+    assert counting.calls == 2 * len(ratios) + 1
 
 
 def test_grid_checks_build_no_game(monkeypatch):
@@ -436,12 +444,12 @@ def test_band_check_rejects_too_wide_parameter():
 
 def test_band_check_requires_share_identity():
     class ConstantShare:
-        def at(self, t):
-            return Fraction(2, 3)
+        def share(self, p, q):
+            return 2, 3
 
     class SkewShare:
-        def at(self, t):
-            return Fraction(1, 2) if Fraction(t) == 1 else Fraction(2, 5)
+        def share(self, p, q):
+            return (1, 2) if p == q else (2, 5)
 
     grid = [F(k, 8) for k in range(1, 8)]
     assert not ratio_band_check(ConstantShare(), F(1, 4), grid)

@@ -439,6 +439,9 @@ UNREAD_KEY_CASES = {
     "maximin-certificate": (("maximin_certificates", 0),
                             "maximin_certificates[0]: unread keys 'claims_unique_ce'"),
     "gue-entry": (("gue", 0), "gue[0]: unread keys 'claims_unique_ce'"),
+    "game": (("game",), "game: unread keys 'claims_unique_ce'"),
+    "ne-mixed-action": (("ne", "mixed_2x2", "equilibria", 0, 0),
+                        "ne.mixed_2x2.equilibria[0][0]: unread keys 'claims_unique_ce'"),
 }
 
 
@@ -545,6 +548,13 @@ def test_verify_flags_tampered_certificate():
     data = full_pd_report()
     data["certificates"]["cce"]["slack"] = "7"
     assert any(p.startswith("certificates.cce") for p in verify_report(data))
+
+
+def test_verify_flags_an_unread_key_in_a_classification_mixed_action():
+    data = build_report(random_mp_type(8), ("ne", "cce"), check_unique=True)
+    assert data["classification"]["variant"] == "unique_mixed_2x2"
+    data["classification"]["ne"][1]["claims_unique_ce"] = True
+    assert verify_report(data) == ["classification: ne[1]: unread keys 'claims_unique_ce'"]
 
 
 def test_verify_flags_tampered_classification():

@@ -9,8 +9,11 @@ TREE is the root of an eqcert checkout.  For each workload of its
 written to a fresh temporary directory and every command line is run, in
 order, through that tree's `eqcert.cli.main` in this process.  One line is
 printed per workload and variant: the count of command lines and a SHA-256
-digest over each one's exit code, stdout, stderr and `--json` output, the
-last with its top-level `run` key (wall times) dropped.  The temporary
+digest over every input file the workload wrote (its name and bytes: the
+game files, grids and contest specs), then each command line's exit code,
+stdout, stderr and `--json` output, the last with its top-level `run` key
+(wall times) dropped.  So a change to how an input is built moves the
+digest even where no command's output shows it.  The temporary
 directory's path is replaced by a fixed name first, so two trees that
 behave alike print the same lines.  Nothing in TREE is written.
 """
@@ -31,6 +34,9 @@ def _digest(workloads, cli, workload: str, variant: int) -> tuple[int, str]:
     digest = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         ops = workloads.build(workload, variant, Path(tmp))
+        for path in sorted(p for p in Path(tmp).iterdir() if p.is_file()):
+            for part in (path.name.encode(), path.read_bytes()):
+                digest.update(len(part).to_bytes(8, "big") + part)
         for op in ops:
             out, err = io.StringIO(), io.StringIO()
             with redirect_stdout(out), redirect_stderr(err):
