@@ -14,8 +14,8 @@ a strict NE a*, a pure CCE certificate needs no maximin LP: the CCE gain
 is 0 wherever player i plays a_i*, and every other mix of i's loses
 against a*_{-i}.  The weighted gains of a certificate are summed over the
 gain table in ints (`games._gain_slack`), and the slack is reported as a
-`Fraction`; the unilateral guarantee and the pure-Pareto GUE flag compare
-the table's entries with 0.  The solver's re-check and
+`Fraction`; the pure-Pareto GUE flag compares its entries with 0, and the
+unilateral guarantee reads `Game.int_rows`.  The solver's re-check and
 `verify_certificate` are one call on the game's payoffs alone, with no
 maximin level and no LP (`_certificate_problems`).  The questions about a
 distribution read integer tables as well: a product is an NE, or a
@@ -282,17 +282,17 @@ def is_quasi_strict(game: Game, nu: JointDistribution) -> bool:
 
 
 def _unilateral_guarantee(game: Game, a_star: Profile) -> bool:
-    """Whether each a*_i guarantees u_i(a*): i's IRCP gain is >= 0 wherever i plays a*_i."""
-    rows = gain_rows(game, a_star, "ircp")
-    return all(min(row[base + a * game.strides[i]] for base in games.opponent_bases(game, i))
-               >= 0 for i, (a, row) in enumerate(zip(a_star, rows)))
+    """Whether each a*_i guarantees u_i(a*): row a*_i of i's `Game.int_rows` is >= d_i u_i(a*)."""
+    k_star = game.profile_index(a_star)  # rejects a profile outside the game
+    return all(min(rows[a]) >= payoff[k_star]
+               for a, rows, payoff in zip(a_star, game.int_rows, game.int_payoffs))
 
 
 def is_gue(game: Game, a_star: Sequence[int]) -> bool:
     """Pareto optimal among pure profiles plus the unilateral guarantee.
 
-    Both read the IRCP gain table at a* (`games.gain_rows`): no column may
-    be >= 0 in every entry with one entry > 0.
+    Pareto optimality reads the IRCP gain table at a* (`games.gain_rows`):
+    no column may be >= 0 in every entry with one entry > 0.
     """
     a_star = tuple(a_star)
     return _unilateral_guarantee(game, a_star) and not any(

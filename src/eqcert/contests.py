@@ -172,9 +172,6 @@ class ContestSpec:
         if any(v <= 0 for v in self.values):
             raise EvaluationDomainError("prize values must be positive")
 
-    def utility(self, i: int, a: Sequence[Fraction]) -> Fraction:
-        return self.table((Fraction(a[0]),), (Fraction(a[1]),))[i][0]
-
     def table(self, grid1, grid2) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
         """Both players' utilities at every profile, grid1's effort slowest: for
         x = X/D1, y = Y/D2 over ints, f(x/y) = a/b = share(X D2, Y D1) gives
@@ -215,9 +212,6 @@ class CournotSpec:
         if len(self.costs) != 2:
             raise EvaluationDomainError("contests have exactly two players")
 
-    def utility(self, i: int, a: Sequence[Fraction]) -> Fraction:
-        return self.table((Fraction(a[0]),), (Fraction(a[1]),))[i][0]
-
     def table(self, grid1, grid2) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
         """Both players' utilities at every profile, grid1's quantity slowest."""
         if min(grid1) < 0 or min(grid2) < 0:
@@ -237,23 +231,22 @@ class CournotSpec:
 
 
 def contest_utility(spec, i: int, a: Sequence[Fraction]) -> Fraction:
-    """Exact utility of player i at effort pair a."""
+    """Exact utility of player i at effort pair a: a 1x1 `table`."""
     if i not in (0, 1):
         raise EvaluationDomainError("player index must be 0 or 1")
-    return spec.utility(i, a)
+    return spec.table((Fraction(a[0]),), (Fraction(a[1]),))[i][0]
 
 
 def local_potential(spec, a_star: Sequence[Fraction], a: Sequence[Fraction],
                     gamma: Sequence[Fraction]) -> Fraction:
     """Phi(a) = sum_i gamma_i (u_i(a) - u_i(a_i*, a_-i)); zero at a = a*.
 
-    The pointwise form: verify_prop3 gets the same values from one integer
-    utility table.
+    The pointwise form, from one 2x2 `table` over (x, x*) x (y, y*):
+    verify_prop3 gets the same values from one integer utility table.
     """
     (x_star, y_star), (x, y) = map(Fraction, a_star), map(Fraction, a)
-    (u1,), (u2,) = spec.table((x,), (y,))
-    return (Fraction(gamma[0]) * (u1 - spec.utility(0, (x_star, y)))
-            + Fraction(gamma[1]) * (u2 - spec.utility(1, (x, y_star))))
+    (u1, _, u1_dev, _), (u2, u2_dev, _, _) = spec.table((x, x_star), (y, y_star))
+    return Fraction(gamma[0]) * (u1 - u1_dev) + Fraction(gamma[1]) * (u2 - u2_dev)
 
 
 # -- the standard Tullock closed form -----------------------------------------

@@ -13,7 +13,9 @@ Every equilibrium question is answered from integer tables over
 candidate profile, `gain_table` over a distribution's support (CE
 membership, regrets) and its column sums `gain_column_sums` (CCE
 membership, whether a product is an NE or a quasi-strict one, a best
-reply), and `deviation_gains` (CCE rows, the 2x2 indifference equations).
+reply), `deviation_gains` (CCE rows, the 2x2 indifference equations), and
+`Game.int_rows`, each player's payoffs by own and opponents' joint action
+(the maximin layer); `opponent_bases` serves only it and `dynamics`.
 
 Their one JSON form lives here too, and `read_json` decodes and parses
 every file a command reads.  A profile is a list of JSON ints.
@@ -60,8 +62,9 @@ class Game:
     last player's stride is 1.
 
     `int_payoffs[i]` is player i's payoff vector times `payoff_scales[i]`,
-    the lcm d_i of that player's payoff denominators, as ints.  Both are
-    computed on first use and, like the strides, are not dataclass fields.
+    the lcm d_i of that player's payoff denominators, as ints; `int_rows`
+    holds them as matrices.  All are computed on first use and, like the
+    strides, are not dataclass fields.
     """
 
     actions: tuple[tuple[str, ...], ...]
@@ -127,6 +130,17 @@ class Game:
     def int_payoffs(self) -> tuple[tuple[int, ...], ...]:
         """payoffs[i] times payoff_scales[i], as ints."""
         return tuple(tuple(ints) for ints, _ in self._scaled_payoffs)
+
+    @cached_property
+    def int_rows(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """int_rows[i][a][c] = d_i u_i(a, c), as ints, over the opponents' joint
+        actions c in `opponent_profiles` order (`opponent_bases`)."""
+        rows = []
+        for i, payoff in enumerate(self.int_payoffs):
+            bases, stride = opponent_bases(self, i), self.strides[i]
+            rows.append(tuple(tuple(payoff[base + a * stride] for base in bases)
+                              for a in range(self.shape[i])))
+        return tuple(rows)
 
     def profile_index(self, profile: Sequence[int]) -> int:
         """Lexicographic index of a profile; player 1 varies slowest."""
@@ -442,22 +456,6 @@ def opponent_bases(game: Game, player: int) -> list[int]:
     stride, size = game.strides[player], game.shape[player]
     return [block + k for block in range(0, game.num_profiles, stride * size)
             for k in range(stride)]
-
-
-def int_payoff_row(game: Game, player: int, action: int,
-                   bases: Sequence[int] | None = None) -> list[int]:
-    """d_i u_i(action, c) for each opponent joint action c, as ints.
-
-    The row is `Game.int_payoffs` read at `opponent_bases(game, player)`
-    shifted by action * strides[player], so it is in `opponent_profiles`
-    order; a caller reading several rows computes the bases once.
-    """
-    if not 0 <= action < game.shape[player]:
-        raise GameFormatError(f"player {player} has no action {action}")
-    if bases is None:
-        bases = opponent_bases(game, player)
-    payoff, shift = game.int_payoffs[player], action * game.strides[player]
-    return [payoff[base + shift] for base in bases]
 
 
 def total_variation(mu: JointDistribution, nu: JointDistribution) -> Fraction:

@@ -506,9 +506,8 @@ def _ircp_decision(analysis: GameAnalysis) -> SingletonResult:
     levels = [analysis.maximin(i).value for i in range(n)]
     options = []
     for i, level in enumerate(levels):  # a pure maximin action's least int payoff is d_i v_i
-        bases, floor = games.opponent_bases(game, i), level * game.payoff_scales[i]
-        options.append([a for a in range(game.shape[i])
-                        if min(games.int_payoff_row(game, i, a, bases)) == floor])
+        floor = level * game.payoff_scales[i]
+        options.append([a for a, row in enumerate(game.int_rows[i]) if min(row) == floor])
     for i in range(n):
         if not options[i]:
             # The maximin strategies, and i's best reply to the others' (the least, and

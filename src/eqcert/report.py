@@ -17,7 +17,8 @@ Report format, version 3.  `maximin` lists each player's security level.
 `strategy`, player i's maximin strategy keyed by action index, and
 `punishment`, the opponents' correlated punishment keyed by the index of
 their joint action in `Game.opponent_profiles(i)` order (the opponents'
-actions in player order, the last varying fastest).  `verify_report`
+actions in player order, the last varying fastest), the column index of
+`Game.int_rows[i]`: the in-memory form is the on-disk form.  `verify_report`
 checks both bounds of each certificate exactly (`zerosum.check_maximin`)
 and takes the levels from there, so it solves no maximin LP; it rejects a
 report of another version.  `run` holds what differs between two runs on
@@ -80,11 +81,9 @@ class ReportError(ValueError):
     """Malformed report input."""
 
 
-def _maximin_to_dict(game: Game, player: int, result: zerosum.MaximinResult) -> dict:
-    index = {opp: c for c, opp in enumerate(game.opponent_profiles(player))}
+def _maximin_to_dict(result: zerosum.MaximinResult) -> dict:
     return {"strategy": games.weights_to_dict(result.strategy.weights),
-            "punishment": games.weights_to_dict(
-                {index[opp]: w for opp, w in result.punishment.items()})}
+            "punishment": games.weights_to_dict(result.punishment)}
 
 
 def _maximin_from_dict(game: Game, player: int, level: Fraction,
@@ -92,11 +91,11 @@ def _maximin_from_dict(game: Game, player: int, level: Fraction,
     """Read as written; `zerosum.check_maximin` checks the punishment's sign and sum."""
     if not isinstance(data, dict):
         raise ReportError(f"expected an object, got {type(data).__name__}")
-    others = list(game.opponent_profiles(player))
-    strategy = games.weights_from_dict(data.get("strategy"), game.shape[player], "strategy")
-    punishment = games.weights_from_dict(data.get("punishment"), len(others), "punishment")
-    return zerosum.MaximinResult(level, MixedAction(player, strategy),
-                                 {others[c]: w for c, w in punishment.items()})
+    size = game.shape[player]
+    strategy = games.weights_from_dict(data.get("strategy"), size, "strategy")
+    punishment = games.weights_from_dict(data.get("punishment"), game.num_profiles // size,
+                                         "punishment")
+    return zerosum.MaximinResult(level, MixedAction(player, strategy), punishment)
 
 
 def _certification_to_dict(result: certify.UniquenessCertificate | certify.Refutation) -> dict:
@@ -137,8 +136,7 @@ def build_report(game: Game, concepts=ALL_CONCEPTS, check_unique: bool = False) 
 
     levels = [analysis.maximin(i) for i in range(game.num_players)]
     report["maximin"] = [format_rational(result.value) for result in levels]
-    report["maximin_certificates"] = [_maximin_to_dict(game, i, result)
-                                      for i, result in enumerate(levels)]
+    report["maximin_certificates"] = [_maximin_to_dict(result) for result in levels]
 
     if "ne" in concepts:
         t0 = time.perf_counter()

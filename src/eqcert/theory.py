@@ -136,7 +136,8 @@ def enumerate_vertices(system: ConstraintSystem) -> list[tuple[Fraction, ...]]:
 
     Enumerates full-rank subsets of tight constraints, so the cost is
     combinatorial in the constraint count; refuse anything above
-    `MAX_VERTEX_VARS` variables.  Raises on unbounded regions; [] if infeasible.
+    `MAX_VERTEX_VARS` variables.  Raises on unbounded regions (every x_j >= 0,
+    so exactly when max sum_j x_j is); [] if infeasible.
     """
     n = system.num_vars
     if n > MAX_VERTEX_VARS:
@@ -145,12 +146,8 @@ def enumerate_vertices(system: ConstraintSystem) -> list[tuple[Fraction, ...]]:
     solver = PolytopeSolver(system)
     if not solver.feasible:
         return []
-    for j in range(n):
-        unit = [Fraction(0)] * n
-        unit[j] = Fraction(1)
-        for maximize in (True, False):
-            if solver.optimize(unit, maximize).status == UNBOUNDED:
-                raise VertexEnumerationError("region is unbounded; vertices are not exhaustive")
+    if solver.optimize((1,) * n, maximize=True).status == UNBOUNDED:
+        raise VertexEnumerationError("region is unbounded; vertices are not exhaustive")
 
     eqs: list[tuple[tuple[Fraction, ...], Fraction]] = []
     ineqs: list[tuple[tuple[Fraction, ...], Fraction]] = []  # normalized to <=

@@ -14,7 +14,9 @@ row and a pure column certify it (von Neumann's minimax theorem), so
 the game is one LP, `_row_lp`: the row player's guarantee, maximized, over
 the same integer payoffs.  Its optimal dual is an optimal column strategy
 (the punishment, in `maximin`), read from the final tableau
-(`lp.PolytopeSolver.duals`), so neither side needs a second LP.
+(`lp.PolytopeSolver.duals`), so neither side needs a second LP.  Both read
+player i's matrix `Game.int_rows[i]`, and the punishment is keyed by its
+column index c, the opponents' joint action, as the report writes it.
 `matrix_value` solves a `MatrixGame` the same way, its payoffs scaled to
 ints once, and re-checks both bounds exactly; `maximin` leaves that to
 `check_maximin`, which a verifier runs on a serialized result in integer
@@ -23,18 +25,11 @@ arithmetic without any LP.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .games import (
-    Game,
-    MixedAction,
-    _as_fraction_tuple,
-    int_payoff_row,
-    opponent_bases,
-)
+from .games import Game, MixedAction, _as_fraction_tuple
 from .lp import (
     EQUAL,
     GREATER_EQUAL,
@@ -77,14 +72,14 @@ class MaximinResult:
 
     `strategy` guarantees the player at least `value` against every joint
     action of the opponents; `punishment`, a correlated distribution over
-    those joint actions (opponent profiles in `Game.opponent_profiles`
-    form, zeros dropped), holds every reply of the player to at most
-    `value`.
+    those joint actions, keyed by the column index c of
+    `Game.int_rows[player]` (zeros dropped), holds every reply of the
+    player to at most `value`.
     """
 
     value: Fraction
     strategy: MixedAction
-    punishment: Mapping[tuple[int, ...], Fraction]
+    punishment: Mapping[int, Fraction]
 
 
 def _row_lp(rows: Sequence[Sequence[int]]
@@ -141,8 +136,8 @@ def matrix_value(mg: MatrixGame) -> tuple[Fraction, tuple[Fraction, ...], tuple[
 def maximin(game: Game, player: int) -> MaximinResult:
     """Player's exact security level, a strategy attaining it, and the punishment.
 
-    Both steps run over the player's integer payoffs `Game.int_payoffs`,
-    one row per action (`games.int_payoff_row`).  First the pure saddle
+    Both steps run over the player's integer payoff matrix
+    `Game.int_rows[player]`, one row per action.  First the pure saddle
     test: each action's pure guarantee (its least payoff) and each opponent
     joint action's best-reply payoff (the most any action gets against it).
     When the largest guarantee equals the least best-reply payoff, that
@@ -156,21 +151,18 @@ def maximin(game: Game, player: int) -> MaximinResult:
     the punishment is that LP's optimal dual, not re-checked here
     (`check_maximin` does that).
     """
-    bases = opponent_bases(game, player)
-    rows = [int_payoff_row(game, player, a, bases) for a in range(game.shape[player])]
+    rows = game.int_rows[player]
     floors = [min(row) for row in rows]
     ceilings = [max(column) for column in zip(*rows)]
     level = max(floors)
     if level == min(ceilings):
-        others = game.profile_from_index(bases[ceilings.index(level)])
         return MaximinResult(Fraction(level, game.payoff_scales[player]),
                              MixedAction.point_mass(player, floors.index(level)),
-                             {others[:player] + others[player + 1:]: Fraction(1)})
+                             {ceilings.index(level): Fraction(1)})
     value, strategy, punishment = _row_lp(rows)
     weights = {a: w for a, w in enumerate(strategy) if w != 0}
-    support = itertools.compress(game.opponent_profiles(player), punishment)
     return MaximinResult(value / game.payoff_scales[player], MixedAction(player, weights),
-                         dict(zip(support, (w for w in punishment if w))))
+                         {c: w for c, w in enumerate(punishment) if w})
 
 
 def check_maximin(game: Game, player: int, result: MaximinResult) -> list[str]:
@@ -179,35 +171,32 @@ def check_maximin(game: Game, player: int, result: MaximinResult) -> list[str]:
     The strategy must guarantee at least `result.value` against every joint
     action of the opponents, and the punishment, a distribution, must hold
     every action of the player to at most it; together they pin the value.
-    Both sums run over the player's integer payoffs `Game.int_payoffs`
-    (payoffs times d_i) and over one support only, with the weights over a
-    common denominator D: v <= sum_a x_a u(a, c) reads
-    q * sum_a m_a U(a, c) >= p * D * d_i for v = p/q.
+    Both sums run over the player's integer payoff matrix
+    `Game.int_rows[player]` (payoffs times d_i) and over one support only,
+    with the weights over a common denominator D: v <= sum_a x_a u(a, c)
+    reads q * sum_a m_a U(a, c) >= p * D * d_i for v = p/q.
     """
     problems = []
-    payoff, d = game.int_payoffs[player], game.payoff_scales[player]
-    stride, value = game.strides[player], result.value
+    rows, d, value = game.int_rows[player], game.payoff_scales[player], result.value
     strategy, punishment = result.strategy.weights, result.punishment
-    if not all(0 <= a < game.shape[player] for a in strategy):
+    if not all(0 <= a < len(rows) for a in strategy):
         return ["strategy names an action outside the game"]
-    if not set(punishment) <= set(game.opponent_profiles(player)):
+    if not all(c in range(len(rows[0])) for c in punishment):
         return ["punishment names a joint action outside the game"]
     if any(w < 0 for w in punishment.values()) or sum(punishment.values()) != 1:
         return ["punishment is not a distribution"]
     weights, denom = scaled_ints(list(strategy.values()))
-    mass = [(a * stride, m) for a, m in zip(strategy, weights)]
-    for c, base in enumerate(opponent_bases(game, player)):
-        total = sum(m * payoff[base + shift] for shift, m in mass)
+    mass = [(rows[a], m) for a, m in zip(strategy, weights)]
+    for c in range(len(rows[0])):
+        total = sum(m * row[c] for row, m in mass)
         if total * value.denominator < value.numerator * denom * d:
             problems.append(f"strategy guarantees less than {value} against opponent "
                             f"joint action {c}")
             break
     weights, denom = scaled_ints(list(punishment.values()))
-    mass = [(game.profile_index(game.insert_action(player, 0, opp)), m)
-            for opp, m in zip(punishment, weights)]
-    for a in range(game.shape[player]):
-        shift = a * stride
-        total = sum(m * payoff[base + shift] for base, m in mass)
+    mass = list(zip(punishment, weights))
+    for a, row in enumerate(rows):
+        total = sum(m * row[c] for c, m in mass)
         if total * value.denominator > value.numerator * denom * d:
             problems.append(f"punishment leaves action {a} more than {value}")
             break

@@ -175,11 +175,11 @@ def test_contest_proof_weights():
 
 def test_cournot_spec():
     cournot = CournotSpec(1, 1, (PowerCost(F(1, 2), 2), PowerCost(F(1, 2), 2)))
-    assert cournot.utility(0, (F(1, 4), F(1, 4))) == F(3, 32)
-    assert cournot.utility(0, (F(0), F(1, 4))) == F(0)
+    assert contest_utility(cournot, 0, (F(1, 4), F(1, 4))) == F(3, 32)
+    assert contest_utility(cournot, 0, (F(0), F(1, 4))) == F(0)
     assert cournot.proof_weights() == (F(1), F(1))
     with pytest.raises(EvaluationDomainError):
-        cournot.utility(0, (F(-1, 4), F(1, 4)))
+        contest_utility(cournot, 0, (F(-1, 4), F(1, 4)))
     with pytest.raises(EvaluationDomainError):
         CournotSpec(1, 0, (LinearCost(1), LinearCost(1)))
 
@@ -206,7 +206,7 @@ def test_local_potential_unilateral_is_weighted_gain():
     a_star = (F(4, 9), F(2, 9))
     gamma = spec.proof_weights()
     for x in [F(1, 9), F(1, 3), F(2, 3)]:
-        gain = spec.utility(0, (x, a_star[1])) - spec.utility(0, a_star)
+        gain = contest_utility(spec, 0, (x, a_star[1])) - contest_utility(spec, 0, a_star)
         assert local_potential(spec, a_star, (x, a_star[1]), gamma) == gamma[0] * gain
 
 
@@ -481,7 +481,7 @@ def test_discretize_builds_grid_game():
     assert game.u(0, (1, 1)) == F(1, 4)
     assert game.u(1, (1, 1)) == F(1, 4)
     assert game.u(0, (0, 0)) == F(3, 8)
-    assert game.u(0, (3, 0)) == spec.utility(0, (F(1, 2), F(1, 8)))
+    assert game.u(0, (3, 0)) == contest_utility(spec, 0, (F(1, 2), F(1, 8)))
 
 
 def test_discretize_and_certify_tullock_grid():

@@ -126,7 +126,7 @@ def test_insert_action_rebuilds_profiles():
 
 def test_unilateral_guarantee_reads_integer_payoffs_at_the_opponent_bases(monkeypatch):
     # a* meets the guarantee when each a*_i pays i at least u_i(a*) against
-    # every opponent profile; it is read off the IRCP gain table in ints.
+    # every opponent profile; it is read off `Game.int_rows` in ints.
     games = [generators.random_game(shape, seed, high=high)
              for shape in ((2, 2), (3, 4), (2, 3, 2)) for seed in (1, 2) for high in (1, 3)]
     games.append(generators.parking(3, 1, Fraction(1, 4), Fraction(3, 5)))

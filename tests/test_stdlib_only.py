@@ -1,9 +1,11 @@
 """The library imports nothing outside the standard library at run time,
-every name a module, demo or test imports is used there or exported, and
+every name a module, demo or test imports is used there or exported,
 every private top-level function or class is referred to somewhere in the
-library.  No module but `theory` imports `theory`, which only the demos
-and tests use, and the package `__init__` imports no submodule, so a
-command loads only the modules it runs."""
+library, and every public one somewhere in the library, the demos, the
+tests, the tools or the benchmark (whose tracer names the functions it
+wraps in strings).  No module but `theory` imports `theory`, which only
+the demos and tests use, and the package `__init__` imports no submodule,
+so a command loads only the modules it runs."""
 
 import ast
 import sys
@@ -15,6 +17,8 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "eqcert"
 MODULES = sorted(PACKAGE.glob("*.py"))
 ROOT = PACKAGE.parents[1]
 SCRIPTS = sorted(ROOT.glob("demos/*.py")) + sorted(ROOT.glob("tests/*.py"))
+USERS = SCRIPTS + sorted(ROOT.glob("tools/*.py")) + sorted(ROOT.glob("perfbench/*.py"))
+TRACER = "perfbench/tracing.py"  # its spans name the functions they wrap as strings
 
 
 def _absolute_imports(path: Path) -> list[str]:
@@ -113,13 +117,13 @@ def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
-    """Private top-level functions and classes that no module refers to.
+def unreferenced_names(sources: dict[str, str], selects, strings=()) -> list[str]:
+    """Top-level functions and classes that `selects(module, name)` picks and no module refers to.
 
     `sources` maps module names to their source.  A reference is a name or
-    an attribute read anywhere (`_f`, `lp._f`), or a name imported with
-    `from`; one inside the definition itself, such as a recursive call,
-    does not count.
+    an attribute read anywhere (`_f`, `lp._f`), a name imported with
+    `from`, or, in the modules named in `strings`, a string constant; one
+    inside the definition itself, such as a recursive call, does not count.
     """
     defined: list[tuple[str, str]] = []
     references: list[tuple[tuple[str, str], str]] = []  # (enclosing definition, name)
@@ -127,8 +131,7 @@ def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
         for statement in ast.parse(source).body:
             owner = (module, getattr(statement, "name", ""))
             if (isinstance(statement, (ast.FunctionDef, ast.ClassDef))
-                    and statement.name.startswith("_")
-                    and not statement.name.startswith("__")):
+                    and selects(module, statement.name)):
                 defined.append(owner)
             for node in ast.walk(statement):
                 if isinstance(node, ast.Name):
@@ -137,8 +140,26 @@ def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
                     references.append((owner, node.attr))
                 elif isinstance(node, ast.ImportFrom):
                     references += [(owner, alias.name) for alias in node.names]
+                elif (module in strings and isinstance(node, ast.Constant)
+                      and isinstance(node.value, str)):
+                    references.append((owner, node.value))
     return [f"{module}.{name}" for module, name in defined
             if not any(ref == name and owner != (module, name) for owner, ref in references)]
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """Private top-level functions and classes that no module of `sources` refers to."""
+    return unreferenced_names(
+        sources, lambda module, name: name.startswith("_") and not name.startswith("__"))
+
+
+def unreferenced_public_names(library: dict[str, str], users: dict[str, str],
+                              strings=()) -> list[str]:
+    """Public top-level functions and classes of `library` that no module of
+    `library` or `users` refers to; `strings` as in `unreferenced_names`."""
+    return unreferenced_names(
+        {**library, **users},
+        lambda module, name: module in library and not name.startswith("_"), strings)
 
 
 def test_unreferenced_private_names_are_found():
@@ -158,3 +179,30 @@ def test_unreferenced_private_names_are_found():
 def test_every_private_function_and_class_is_referenced():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
     assert unreferenced_private_names(sources) == []
+
+
+def test_unreferenced_public_names_are_found():
+    library = {
+        "games": ("def int_payoff_row(game):\n    return int_payoff_row(game)\n"
+                  "def opponent_bases(game):\n    pass\n"
+                  "def load_game(path):\n    pass\n"
+                  "def _private():\n    pass\n"
+                  "class Game:\n    def rows(self):\n        return opponent_bases(self)\n"),
+        "zerosum": "def maximin(game):\n    return 'int_payoff_row'\n",
+    }
+    users = {
+        "tests/test_games.py": "from eqcert.games import Game\nfrom eqcert import zerosum\n"
+                               "zerosum.maximin\n",
+        TRACER: 'SPANS = (("games", "load_game", "games.load"),)\n',
+    }
+    assert unreferenced_public_names(library, users, {TRACER}) == ["games.int_payoff_row"]
+    assert unreferenced_public_names(library, users) == ["games.int_payoff_row",
+                                                         "games.load_game"]
+
+
+def test_every_public_function_and_class_is_referenced():
+    library = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    users = {path.relative_to(ROOT).as_posix(): path.read_text(encoding="utf-8")
+             for path in USERS}
+    assert TRACER in users
+    assert unreferenced_public_names(library, users, {TRACER}) == []

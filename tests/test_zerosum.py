@@ -9,7 +9,7 @@ import pytest
 
 from eqcert import generators
 from eqcert.certify import UniquenessCertificate, certify_unique_ircp
-from eqcert.games import Game, int_payoff_row, opponent_bases
+from eqcert.games import Game
 from eqcert.lp import (
     EQUAL,
     GREATER_EQUAL,
@@ -78,7 +78,7 @@ def test_maximin_three_player():
         res = maximin(g, i)
         assert min(g.payoffs[i]) <= res.value <= max(g.payoffs[i])
         # one dual constraint per opposing joint action: 4 of them
-        assert all(len(opp) == 2 for opp in res.punishment)
+        assert set(res.punishment) <= set(range(4))
         assert check_maximin(g, i, res) == []
 
 
@@ -117,7 +117,7 @@ def test_minimax_dual_values_and_punishments():
     rps = generators.rock_paper_scissors()
     res = maximin(rps, 0)
     assert res.value == 0
-    assert res.punishment == {(0,): F(1, 3), (1,): F(1, 3), (2,): F(1, 3)}
+    assert res.punishment == {0: F(1, 3), 1: F(1, 3), 2: F(1, 3)}
 
     mp = generators.matching_pennies()
     assert maximin(mp, 0).value == 0
@@ -136,15 +136,16 @@ def test_minimax_duality_random_sweep():
             res = maximin(g, i)
             assert sum(res.punishment.values()) == 1
             assert all(w > 0 for w in res.punishment.values())
+            opponents = list(g.opponent_profiles(i))
             # the maximin strategy guarantees the value against every column
-            for opp in g.opponent_profiles(i):
+            for opp in opponents:
                 got = sum(w * g.u(i, g.insert_action(i, a, opp))
                           for a, w in res.strategy.weights.items())
                 assert got >= res.value
             # the punishment caps every response at the value
             for a in range(g.shape[i]):
-                got = sum(w * g.u(i, g.insert_action(i, a, opp))
-                          for opp, w in res.punishment.items())
+                got = sum(w * g.u(i, g.insert_action(i, a, opponents[c]))
+                          for c, w in res.punishment.items())
                 assert got <= res.value
             assert check_maximin(g, i, res) == []
 
@@ -156,12 +157,13 @@ def test_check_maximin_flags_each_bound():
         "strategy guarantees less than 1/1000 against opponent joint action 0"]
     assert check_maximin(g, 0, replace(res, value=F(-1, 1000))) == [
         "punishment leaves action 0 more than -1/1000"]
-    skewed = {(0,): F(1, 2), (1,): F(1, 4), (2,): F(1, 4)}
+    skewed = {0: F(1, 2), 1: F(1, 4), 2: F(1, 4)}
     assert check_maximin(g, 0, replace(res, punishment=skewed)) == [
         "punishment leaves action 1 more than 0"]
-    assert check_maximin(g, 0, replace(res, punishment={(3,): F(1)})) == [
-        "punishment names a joint action outside the game"]
-    assert check_maximin(g, 0, replace(res, punishment={(0,): F(1, 2)})) == [
+    for outside in (3, -1):
+        assert check_maximin(g, 0, replace(res, punishment={outside: F(1)})) == [
+            "punishment names a joint action outside the game"]
+    assert check_maximin(g, 0, replace(res, punishment={0: F(1, 2)})) == [
         "punishment is not a distribution"]
 
 
@@ -305,8 +307,8 @@ def test_lemma3_entries_vanish_under_nash_indifference():
 
 @pytest.mark.parametrize("shape", ((2, 2), (3, 4), (4, 3, 2), (2, 3, 2, 2)))
 def test_stride_payoff_matrix_equals_profile_matrix(shape):
-    # The rows of maximin's LP: d_i u_i(a, c) for each action a, over the
-    # opponent joint actions c in `opponent_profiles` order.
+    # `Game.int_rows`, the rows of maximin's LP: d_i u_i(a, c) for each
+    # action a, over the opponent joint actions c in `opponent_profiles` order.
     for seed, divisor in ((1, 1), (2, 6)):
         base = generators.random_game(shape, seed)
         game = Game(base.actions, tuple(tuple(x / divisor for x in row)
@@ -316,6 +318,6 @@ def test_stride_payoff_matrix_equals_profile_matrix(shape):
             reference = [[game.u(i, game.insert_action(i, a, opp)) * d
                           for opp in game.opponent_profiles(i)]
                          for a in range(game.shape[i])]
-            bases = opponent_bases(game, i)
-            assert [int_payoff_row(game, i, a, bases)
-                    for a in range(game.shape[i])] == reference
+            assert [list(row) for row in game.int_rows[i]] == reference
+            assert all(type(t) is int for row in game.int_rows[i] for t in row)
+        assert game == Game(game.actions, game.payoffs) and "int_rows" not in repr(game)
